@@ -11,9 +11,9 @@
 //! * each strip stores its surviving input positions as contiguous
 //!   `[start, end)` *runs* derived from the coarse block grid (block
 //!   pruning makes survivors naturally clumped);
-//! * weights are stored twice per strip: as `u16` codebook indices (the
-//!   compact form the WDM would hold) and as pre-decoded `f32` values in
-//!   input-major order, which is what the hot loop reads.
+//! * each strip stores its weights once, as pre-decoded `f32` values in
+//!   input-major order — what the hot loop reads. The `u16` codebook
+//!   indices the WDM would hold stay in the storage format.
 //!
 //! # Dense-vs-sparse equivalence contract
 //!
@@ -45,8 +45,27 @@
 //! — so the gated kernels stay inside the bit-identity contract.
 //! `-0.0`, NaN, and inf inputs are never skipped (see the
 //! [`crate::gate`] module docs for the eligibility rule).
+//!
+//! # Batched execution
+//!
+//! The block-CSR format has one inner loop, a `strip × B columns` tile
+//! ([`CompiledFcLayer::forward_batch`]): the strip's `T_n = 16` lanes
+//! times up to [`COLUMN_TILE`] batch columns accumulate in locals
+//! (sixteen `ymm` registers under the runtime-detected AVX2 entry),
+//! and each weight row is loaded once and applied to every column —
+//! the neuron/synapse reuse the shared index exists for, with the
+//! batch column as the reuse axis. `forward` and `forward_gated` are
+//! the `B = 1` call of the same loop.
+//!
+//! Every column is its own accumulator row, fed its own inputs in
+//! ascending input order with a separate multiply and add (never FMA),
+//! so a column's bits do not depend on what it is batched with, on its
+//! position in the batch, or on how a wide batch is cut into tiles —
+//! each stays bit-identical to the dense reference. Gating is prescanned
+//! per column; a tile skips a block only when *every* column of the
+//! tile proved it `+0.0`, and otherwise multiplies the zero columns
+//! through, which is bit-neutral by the argument above.
 
-use cs_quant::Codebook;
 use cs_sparsity::Mask;
 use cs_tensor::ops::{self, Conv2dGeometry};
 use cs_tensor::{Shape, Tensor, TensorError};
@@ -54,6 +73,65 @@ use cs_tensor::{Shape, Tensor, TensorError};
 use crate::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
 use crate::gate::{self, GatePlan, GatePolicy, GateStats, PrescanBitmap};
 use crate::CompressError;
+
+/// Batch columns one tile of the block-CSR kernel carries: 8 columns ×
+/// 16 lanes fill the sixteen `ymm` accumulators AVX2 has. Wider batches
+/// run as consecutive tiles.
+pub const COLUMN_TILE: usize = 8;
+
+/// Output lanes per accumulator row — the paper's `T_n`, two `ymm`
+/// registers. Wider strips are walked in chunks of this many lanes.
+const LANES: usize = 16;
+
+/// The occupancy one column tile runs under: bit `g` of `words` clear
+/// means every column of the tile proved input block `g` all-`+0.0`.
+#[derive(Clone, Copy)]
+struct TileGate<'a> {
+    block: usize,
+    words: &'a [u64],
+}
+
+impl<'a> TileGate<'a> {
+    /// No gate: a single unbounded block that is always occupied, so
+    /// every run is one segment and the loop below is the ungated one.
+    const OPEN: TileGate<'static> = TileGate {
+        block: usize::MAX,
+        words: &[],
+    };
+
+    /// The gate of a single column, or [`Self::OPEN`] when its prescan
+    /// found nothing to skip.
+    fn of(bitmap: &'a PrescanBitmap) -> Self {
+        if bitmap.all_occupied() {
+            return TileGate::OPEN;
+        }
+        TileGate {
+            block: bitmap.block(),
+            words: bitmap.words(),
+        }
+    }
+
+    /// Blocks the prescan did not cover report occupied — the gate may
+    /// only skip what was proven zero.
+    #[inline(always)]
+    fn occupied(&self, g: usize) -> bool {
+        self.words
+            .get(g / 64)
+            .is_none_or(|w| w & (1u64 << (g % 64)) != 0)
+    }
+}
+
+/// Where one column tile reads and writes. `xt` is the tile's inputs
+/// transposed to input-major (`xt[i * B + j]` is input `i` of column
+/// `j`); column `j`'s output lane `o` lands at
+/// `outs[j * stride + o - base]`.
+struct TileIo<'a> {
+    xt: &'a [f32],
+    gate: TileGate<'a>,
+    outs: &'a mut [f32],
+    stride: usize,
+    base: usize,
+}
 
 /// One strip of `strip_width` (or fewer, at the edge) output lanes
 /// sharing a synapse index, compiled for execution.
@@ -65,13 +143,9 @@ pub struct FcStrip {
     pub out_end: usize,
     /// Surviving input positions as `[start, end)` runs, ascending.
     pub runs: Vec<(u32, u32)>,
-    /// Codebook indices, input-major: `indices[pos * width + lane]` for
-    /// the `pos`-th surviving input.
-    pub indices: Vec<u16>,
-    /// Pre-decoded weights, same layout as `indices`.
+    /// Pre-decoded weights, input-major: `values[pos * width + lane]`
+    /// for the `pos`-th surviving input.
     pub values: Vec<f32>,
-    /// The strip's codebook (the WDM LUT contents).
-    pub codebook: Codebook,
     /// Number of surviving input positions.
     pub survivors: usize,
 }
@@ -81,43 +155,40 @@ impl FcStrip {
         self.out_end - self.out_start
     }
 
-    /// Accumulates this strip's outputs into `out` (length `width()`),
-    /// which must already be zeroed.
-    fn accumulate(&self, input: &[f32], out: &mut [f32]) {
+    /// The kernel: lanes `lane0..lane0 + lanes` of this strip times the
+    /// `B` columns of one tile, accumulated in locals. Each weight row
+    /// is read once and applied to every column; per column the terms
+    /// add in ascending input order, multiply and add kept separate.
+    /// Run segments under a block the whole tile proved `+0.0` advance
+    /// `pos` without touching the accumulators: the dropped terms are
+    /// `+0.0 * w = ±0.0` into sums that can never be `-0.0`.
+    ///
+    /// Inlined into every caller so that the full-width call
+    /// (`lanes == LANES`) unrolls into register-resident accumulators
+    /// and edge strips reuse the same body with a runtime width.
+    #[inline(always)]
+    fn accumulate_tile<const B: usize>(
+        &self,
+        lane0: usize,
+        lanes: usize,
+        xt: &[f32],
+        gate: TileGate<'_>,
+    ) -> [[f32; LANES]; B] {
         let width = self.width();
+        let mut acc = [[0.0f32; LANES]; B];
         let mut pos = 0usize;
         for &(s, e) in &self.runs {
-            for i in s..e {
-                let xi = input[i as usize];
-                let row = &self.values[pos * width..(pos + 1) * width];
-                for (o, &wv) in out.iter_mut().zip(row) {
-                    *o += xi * wv;
-                }
-                pos += 1;
-            }
-        }
-    }
-
-    /// Gated [`Self::accumulate`]: run segments covered by a prescan
-    /// block proven all-`+0.0` advance `pos` without touching `out`.
-    /// The dropped terms are exactly `+0.0 * w = ±0.0` into
-    /// accumulators that can never be `-0.0`, so the output bits match
-    /// the ungated kernel.
-    fn accumulate_gated(&self, input: &[f32], out: &mut [f32], gate: &PrescanBitmap) {
-        let width = self.width();
-        let block = gate.block().max(1);
-        let mut pos = 0usize;
-        for &(s, e) in &self.runs {
-            let (s, e) = (s as usize, e as usize);
-            let mut i = s;
+            let (mut i, e) = (s as usize, e as usize);
+            let mut g = i / gate.block;
             while i < e {
-                let g = i / block;
-                let seg_end = e.min((g + 1) * block);
+                let seg_end = e.min((g + 1).saturating_mul(gate.block));
                 if gate.occupied(g) {
-                    for &xi in &input[i..seg_end] {
-                        let row = &self.values[pos * width..(pos + 1) * width];
-                        for (o, &wv) in out.iter_mut().zip(row) {
-                            *o += xi * wv;
+                    for x in xt[i * B..seg_end * B].chunks_exact(B) {
+                        let row = &self.values[pos * width + lane0..][..lanes];
+                        for (a, &xj) in acc.iter_mut().zip(x) {
+                            for (al, &w) in a[..lanes].iter_mut().zip(row) {
+                                *al += xj * w;
+                            }
                         }
                         pos += 1;
                     }
@@ -125,9 +196,78 @@ impl FcStrip {
                     pos += seg_end - i;
                 }
                 i = seg_end;
+                g += 1;
+            }
+        }
+        acc
+    }
+}
+
+/// Runs `strips` over one `B`-column tile and stores `acc + bias`.
+#[inline(always)]
+fn run_strips<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io: &mut TileIo<'_>) {
+    for strip in strips {
+        let width = strip.width();
+        debug_assert_eq!(strip.values.len(), strip.survivors * width);
+        for lane0 in (0..width).step_by(LANES) {
+            let lanes = LANES.min(width - lane0);
+            // The same call twice: the literal lets the inlined body
+            // unroll its lane loop for the full-width case.
+            let acc = if lanes == LANES {
+                strip.accumulate_tile::<B>(lane0, LANES, io.xt, io.gate)
+            } else {
+                strip.accumulate_tile::<B>(lane0, lanes, io.xt, io.gate)
+            };
+            let first = strip.out_start + lane0;
+            for (j, a) in acc.iter().enumerate() {
+                let out = &mut io.outs[j * io.stride + first - io.base..][..lanes];
+                match bias {
+                    Some(bias) => {
+                        for ((o, a), b) in out.iter_mut().zip(a).zip(&bias[first..]) {
+                            *o = *a + *b;
+                        }
+                    }
+                    None => out.copy_from_slice(&a[..lanes]),
+                }
             }
         }
     }
+}
+
+/// Picks the const column count for a tile of `bt <= COLUMN_TILE`.
+#[inline(always)]
+fn run_tile_body(strips: &[FcStrip], bias: Option<&[f32]>, bt: usize, io: &mut TileIo<'_>) {
+    match bt {
+        1 => run_strips::<1>(strips, bias, io),
+        2 => run_strips::<2>(strips, bias, io),
+        3 => run_strips::<3>(strips, bias, io),
+        4 => run_strips::<4>(strips, bias, io),
+        5 => run_strips::<5>(strips, bias, io),
+        6 => run_strips::<6>(strips, bias, io),
+        7 => run_strips::<7>(strips, bias, io),
+        8 => run_strips::<8>(strips, bias, io),
+        _ => unreachable!("column tile wider than COLUMN_TILE"),
+    }
+}
+
+/// [`run_tile_body`] compiled with AVX2 enabled: the same safe code,
+/// vectorized to two `ymm` operations per accumulator row.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_tile_avx2(strips: &[FcStrip], bias: Option<&[f32]>, bt: usize, io: &mut TileIo<'_>) {
+    run_tile_body(strips, bias, bt, io);
+}
+
+/// Reusable buffers for [`FcKernel::forward_batch`]: the transposed
+/// tile, the per-column occupancy words and their per-tile union, and
+/// the per-column gate counters. One per serving worker; nothing is
+/// allocated once the buffers have grown to the largest layer.
+#[derive(Debug, Clone, Default)]
+pub struct BatchScratch {
+    xt: Vec<f32>,
+    words: Vec<u64>,
+    tile_words: Vec<u64>,
+    stats: Vec<GateStats>,
 }
 
 /// A fully-connected layer compiled to block-CSR strips.
@@ -178,21 +318,19 @@ impl CompiledFcLayer {
             let out_end = out_start + width;
             let survivors = g.survivors();
             let runs = runs_from_index(&g.index);
-            // Transpose the group's output-major lanes to input-major.
-            let mut indices = vec![0u16; survivors * width];
+            // Transpose the group's output-major lanes to input-major,
+            // decoding through the group's codebook on the way.
+            let mut values = vec![0.0f32; survivors * width];
             for (lane, lw) in g.weights.iter().enumerate() {
                 for (pos, &idx) in lw.iter().enumerate() {
-                    indices[pos * width + lane] = idx;
+                    values[pos * width + lane] = g.codebook.value(idx);
                 }
             }
-            let values: Vec<f32> = indices.iter().map(|&i| g.codebook.value(i)).collect();
             strips.push(FcStrip {
                 out_start,
                 out_end,
                 runs,
-                indices,
                 values,
-                codebook: g.codebook.clone(),
                 survivors,
             });
             out_start = out_end;
@@ -233,7 +371,8 @@ impl CompiledFcLayer {
         self.surviving() as f64 / total as f64
     }
 
-    /// Sparse forward pass: `out = x · W_sparse (+ bias)`.
+    /// Sparse forward pass: `out = x · W_sparse (+ bias)` — the `B = 1`
+    /// call of the batched kernel.
     ///
     /// Bit-identical to `ops::matmul` against [`Self::to_dense`] on
     /// finite inputs (see the module docs for the argument).
@@ -242,17 +381,7 @@ impl CompiledFcLayer {
     ///
     /// Panics when the slice lengths disagree with `n_in` / `n_out`.
     pub fn forward(&self, input: &[f32], out: &mut [f32]) {
-        assert_eq!(input.len(), self.n_in, "input length mismatch");
-        assert_eq!(out.len(), self.n_out, "output length mismatch");
-        out.fill(0.0);
-        for strip in &self.strips {
-            strip.accumulate(input, &mut out[strip.out_start..strip.out_end]);
-        }
-        if let Some(bias) = &self.bias {
-            for (o, b) in out.iter_mut().zip(bias) {
-                *o += *b;
-            }
-        }
+        self.forward_one(input, out, TileGate::OPEN);
     }
 
     /// Allocating convenience wrapper around [`Self::forward`].
@@ -270,22 +399,7 @@ impl CompiledFcLayer {
     ///
     /// Same conditions as [`Self::forward`].
     pub fn forward_pooled(&self, input: &[f32], out: &mut [f32], pool: &cs_parallel::ThreadPool) {
-        assert_eq!(input.len(), self.n_in, "input length mismatch");
-        assert_eq!(out.len(), self.n_out, "output length mismatch");
-        if self.strips.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        pool.parallel_chunks_mut(out, self.strip_width.max(1), |si, window| {
-            window.fill(0.0);
-            let strip = &self.strips[si];
-            strip.accumulate(input, window);
-            if let Some(bias) = &self.bias {
-                for (o, b) in window.iter_mut().zip(&bias[strip.out_start..strip.out_end]) {
-                    *o += *b;
-                }
-            }
-        });
+        self.forward_one_pooled(input, out, TileGate::OPEN, pool);
     }
 
     /// Gated [`Self::forward`]: prescans the input at `plan.block`
@@ -297,26 +411,9 @@ impl CompiledFcLayer {
     ///
     /// Same conditions as [`Self::forward`].
     pub fn forward_gated(&self, input: &[f32], out: &mut [f32], plan: &GatePlan) -> GateStats {
-        assert_eq!(input.len(), self.n_in, "input length mismatch");
-        assert_eq!(out.len(), self.n_out, "output length mismatch");
         let bm = PrescanBitmap::scan(input, plan.block);
-        let stats = bm.stats();
-        out.fill(0.0);
-        if bm.all_occupied() {
-            for strip in &self.strips {
-                strip.accumulate(input, &mut out[strip.out_start..strip.out_end]);
-            }
-        } else {
-            for strip in &self.strips {
-                strip.accumulate_gated(input, &mut out[strip.out_start..strip.out_end], &bm);
-            }
-        }
-        if let Some(bias) = &self.bias {
-            for (o, b) in out.iter_mut().zip(bias) {
-                *o += *b;
-            }
-        }
-        stats
+        self.forward_one(input, out, TileGate::of(&bm));
+        bm.stats()
     }
 
     /// Parallel [`Self::forward_gated`]: one serial prescan, then the
@@ -334,29 +431,179 @@ impl CompiledFcLayer {
         plan: &GatePlan,
         pool: &cs_parallel::ThreadPool,
     ) -> GateStats {
+        let bm = PrescanBitmap::scan(input, plan.block);
+        self.forward_one_pooled(input, out, TileGate::of(&bm), pool);
+        bm.stats()
+    }
+
+    /// Runs strips `strips` over one tile of `bt` columns on the best
+    /// path the host has. `portable` forces the generic build of the
+    /// same body (what non-AVX2 hosts run), so tests can hold the two
+    /// to the same bits.
+    fn run_tile(
+        &self,
+        strips: std::ops::Range<usize>,
+        bt: usize,
+        mut io: TileIo<'_>,
+        portable: bool,
+    ) {
+        debug_assert_eq!(io.xt.len(), self.n_in * bt);
+        debug_assert_eq!(io.outs.len(), bt * io.stride);
+        let (strips, bias) = (&self.strips[strips], self.bias.as_deref());
+        #[cfg(target_arch = "x86_64")]
+        if !portable && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `run_tile_avx2` is safe code whose only
+            // requirement is the `avx2` target feature, verified on
+            // this CPU on the line above; every slice access inside is
+            // bounds-checked against the lengths the safe callers
+            // established (asserted above in debug builds).
+            unsafe { run_tile_avx2(strips, bias, bt, &mut io) };
+            return;
+        }
+        let _ = portable; // only read on x86-64
+        run_tile_body(strips, bias, bt, &mut io);
+    }
+
+    /// One column through the tile kernel: a single input is its own
+    /// transpose, so no scratch is needed.
+    fn forward_one(&self, input: &[f32], out: &mut [f32], gate: TileGate<'_>) {
         assert_eq!(input.len(), self.n_in, "input length mismatch");
         assert_eq!(out.len(), self.n_out, "output length mismatch");
-        let bm = PrescanBitmap::scan(input, plan.block);
-        let stats = bm.stats();
+        let io = TileIo {
+            xt: input,
+            gate,
+            outs: out,
+            stride: self.n_out,
+            base: 0,
+        };
+        self.run_tile(0..self.strips.len(), 1, io, false);
+    }
+
+    fn forward_one_pooled(
+        &self,
+        input: &[f32],
+        out: &mut [f32],
+        gate: TileGate<'_>,
+        pool: &cs_parallel::ThreadPool,
+    ) {
+        assert_eq!(input.len(), self.n_in, "input length mismatch");
+        assert_eq!(out.len(), self.n_out, "output length mismatch");
         if self.strips.is_empty() {
             out.fill(0.0);
-            return stats;
+            return;
         }
-        let gated = !bm.all_occupied();
         pool.parallel_chunks_mut(out, self.strip_width.max(1), |si, window| {
-            window.fill(0.0);
-            let strip = &self.strips[si];
-            if gated {
-                strip.accumulate_gated(input, window, &bm);
-            } else {
-                strip.accumulate(input, window);
-            }
-            if let Some(bias) = &self.bias {
-                for (o, b) in window.iter_mut().zip(&bias[strip.out_start..strip.out_end]) {
-                    *o += *b;
-                }
-            }
+            let io = TileIo {
+                xt: input,
+                gate,
+                stride: window.len(),
+                outs: window,
+                base: self.strips[si].out_start,
+            };
+            self.run_tile(si..si + 1, 1, io, false);
         });
+    }
+
+    /// The whole batch as one sparse-W × dense-B product: `inputs` holds
+    /// `B` input vectors back to back, `outs` receives `B × n_out`, and
+    /// every strip's weights stream once per [`COLUMN_TILE`] columns.
+    /// Column `j` of the result is bit-identical to [`Self::forward`]
+    /// on input `j` alone, whatever it is batched with.
+    ///
+    /// With a `plan`, every column is prescanned on its own and the
+    /// returned slice holds one [`GateStats`] per column (empty when
+    /// ungated); a tile skips the blocks all of its columns proved
+    /// `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `inputs` is not a whole number of `n_in`-vectors or
+    /// `outs` is not `n_out` per input.
+    pub fn forward_batch<'s>(
+        &self,
+        inputs: &[f32],
+        outs: &mut [f32],
+        scratch: &'s mut BatchScratch,
+        plan: Option<&GatePlan>,
+    ) -> &'s [GateStats] {
+        self.forward_batch_on(inputs, outs, scratch, plan, false)
+    }
+
+    fn forward_batch_on<'s>(
+        &self,
+        inputs: &[f32],
+        outs: &mut [f32],
+        scratch: &'s mut BatchScratch,
+        plan: Option<&GatePlan>,
+        portable: bool,
+    ) -> &'s [GateStats] {
+        let (n_in, n_out) = (self.n_in, self.n_out);
+        let b = inputs.len() / n_in.max(1);
+        assert_eq!(inputs.len(), b * n_in, "batch input length mismatch");
+        assert_eq!(outs.len(), b * n_out, "batch output length mismatch");
+        let BatchScratch {
+            xt,
+            words,
+            tile_words,
+            stats,
+        } = scratch;
+        stats.clear();
+        let block = plan.map_or(1, |p| p.block.max(1));
+        let per_col = gate::scan_words(n_in, block);
+        if plan.is_some() {
+            words.resize(b * per_col, 0);
+            for j in 0..b {
+                let x = &inputs[j * n_in..(j + 1) * n_in];
+                let w = &mut words[j * per_col..(j + 1) * per_col];
+                stats.push(gate::scan_into(x, block, w));
+            }
+        }
+        for col0 in (0..b).step_by(COLUMN_TILE) {
+            let bt = COLUMN_TILE.min(b - col0);
+            let tile_in = &inputs[col0 * n_in..(col0 + bt) * n_in];
+            let gate = if plan.is_none() {
+                TileGate::OPEN
+            } else {
+                // A block is skippable for the tile only where every
+                // column's bit is clear: union the occupancy.
+                tile_words.clear();
+                tile_words.resize(per_col, 0);
+                for w in words[col0 * per_col..(col0 + bt) * per_col].chunks_exact(per_col) {
+                    for (t, w) in tile_words.iter_mut().zip(w) {
+                        *t |= *w;
+                    }
+                }
+                let occupied: usize = tile_words.iter().map(|w| w.count_ones() as usize).sum();
+                if occupied == stats[col0].blocks {
+                    TileGate::OPEN
+                } else {
+                    TileGate {
+                        block,
+                        words: tile_words,
+                    }
+                }
+            };
+            // A single column is its own transpose.
+            let xt: &[f32] = if bt == 1 {
+                tile_in
+            } else {
+                xt.resize(n_in * bt, 0.0);
+                for (i, row) in xt.chunks_exact_mut(bt).enumerate() {
+                    for (j, slot) in row.iter_mut().enumerate() {
+                        *slot = tile_in[j * n_in + i];
+                    }
+                }
+                xt
+            };
+            let io = TileIo {
+                xt,
+                gate,
+                outs: &mut outs[col0 * n_out..(col0 + bt) * n_out],
+                stride: n_out,
+                base: 0,
+            };
+            self.run_tile(0..self.strips.len(), bt, io, portable);
+        }
         stats
     }
 
@@ -1475,6 +1722,46 @@ impl FcKernel {
         }
     }
 
+    /// Runs a whole batch: `inputs` holds `B` input vectors back to
+    /// back and `outs` receives `B × n_out`. Block-CSR layers execute
+    /// it as one sparse-W × dense-B product
+    /// ([`CompiledFcLayer::forward_batch`]); the structured kernels
+    /// loop their single-column `forward` / `forward_gated` over the
+    /// columns. Either way column `j` is bit-identical to
+    /// [`Self::forward`] on input `j` alone. With a `plan` the layer
+    /// runs gated and the returned slice holds one [`GateStats`] per
+    /// column; it is empty otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `inputs` is not a whole number of `n_in`-vectors or
+    /// `outs` is not `n_out` per input.
+    pub fn forward_batch<'s>(
+        &self,
+        inputs: &[f32],
+        outs: &mut [f32],
+        scratch: &'s mut BatchScratch,
+        plan: Option<&GatePlan>,
+    ) -> &'s [GateStats] {
+        if let FcKernel::BlockCsr(l) = self {
+            return l.forward_batch(inputs, outs, scratch, plan);
+        }
+        let (n_in, n_out) = (self.n_in(), self.n_out());
+        let b = inputs.len() / n_in.max(1);
+        assert_eq!(inputs.len(), b * n_in, "batch input length mismatch");
+        assert_eq!(outs.len(), b * n_out, "batch output length mismatch");
+        scratch.stats.clear();
+        for j in 0..b {
+            let x = &inputs[j * n_in..(j + 1) * n_in];
+            let out = &mut outs[j * n_out..(j + 1) * n_out];
+            match plan {
+                Some(plan) => scratch.stats.push(self.forward_gated(x, out, plan)),
+                None => self.forward(x, out),
+            }
+        }
+        &scratch.stats
+    }
+
     /// The dense `(n_in, n_out)` twin of the equivalence contract.
     pub fn to_dense(&self) -> Tensor {
         match self {
@@ -1510,6 +1797,7 @@ mod tests {
     use super::*;
     use cs_nn::init::{local_convergence, ConvergenceProfile};
     use cs_sparsity::coarse::{self, CoarseConfig, PruneMetric};
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn fc_layer(n_in: usize, n_out: usize, group: usize, density: f64) -> (Tensor, Mask) {
         let w = local_convergence(
@@ -1974,6 +2262,149 @@ mod tests {
                     bits_of(&pooled),
                     "bank {bank} pooled {name}"
                 );
+            }
+        }
+    }
+
+    /// A block-CSR layer with hand-rolled coarse structure: every
+    /// (`block_in` inputs × 16-lane strip) block survives with
+    /// probability ~0.4, except strip 1, which is pruned outright
+    /// (a zero-survivor strip). `n_out` need not be a multiple of 16.
+    fn random_block_layer(
+        n_in: usize,
+        n_out: usize,
+        block_in: usize,
+        seed: u64,
+        bias: bool,
+    ) -> CompiledFcLayer {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            x >> 33
+        };
+        let strips = n_out.div_ceil(16);
+        let blocks = n_in.div_ceil(block_in);
+        let keep: Vec<bool> = (0..blocks * strips)
+            .map(|k| k % strips != 1 && next() % 5 < 2)
+            .collect();
+        let bits = (0..n_in * n_out)
+            .map(|e| keep[(e / n_out / block_in) * strips + (e % n_out) / 16])
+            .collect();
+        let mask = Mask::from_bits(Shape::d2(n_in, n_out), bits).unwrap();
+        let layer =
+            CompiledFcLayer::compile_fc("prop", &rand_w(n_in, n_out, seed), &mask, 16, 8).unwrap();
+        if bias {
+            layer.with_bias((0..n_out).map(|o| o as f32 * 0.01 - 0.3).collect())
+        } else {
+            layer
+        }
+    }
+
+    /// One batch column: whole 8-blocks of exact `+0.0` (what the gate
+    /// skips) between blocks of values with scattered single zeros.
+    fn column_input(n: usize, seed: u64) -> Vec<f32> {
+        (0..n)
+            .map(|i| {
+                let h = (seed ^ (i as u64 / 8)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+                if h < 8 || i % 5 == 0 {
+                    0.0
+                } else {
+                    ((i as f32) * 0.37 + seed as f32).sin()
+                }
+            })
+            .collect()
+    }
+
+    /// `to_bits` equality, identifying NaN encodings on `lenient`
+    /// columns only (two NaN payloads meeting in one add may keep
+    /// either, and differently-unrolled builds of one loop may differ
+    /// there; everything else is exact).
+    fn same_bits(a: &[f32], b: &[f32], lenient: bool) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (lenient && x.is_nan() && y.is_nan()))
+    }
+
+    proptest::proptest! {
+        /// Batch-composition invariance: column `j` of `forward_batch`
+        /// carries the bits `forward` produces on input `j` alone —
+        /// and, on finite inputs, the dense reference's — gated and
+        /// ungated, on the AVX2 entry and on the portable build of the
+        /// same loop, at every batch size up to one past a column tile,
+        /// and wherever in the batch the column sits. A NaN / inf /
+        /// `-0.0` column leaves its neighbours' bits alone and is
+        /// never gate-skipped.
+        #[test]
+        fn batch_columns_match_single_forward_whatever_they_ride_with(
+            n_out in proptest::sample::select(vec![10usize, 16, 48, 300, 500]),
+            n_in in proptest::sample::select(vec![23usize, 64, 100]),
+            block_in in proptest::sample::select(vec![2usize, 8]),
+            gate_block in proptest::sample::select(vec![3usize, 8, 16]),
+            b in 1usize..=COLUMN_TILE + 1,
+            seed in 0u64..10_000,
+            bias in proptest::arbitrary::any::<bool>(),
+            poison in 0usize..4,
+        ) {
+            let layer = random_block_layer(n_in, n_out, block_in, seed, bias);
+            let dense = layer.to_dense();
+            let poison_col = (poison > 0).then_some(seed as usize % b);
+            let columns: Vec<Vec<f32>> = (0..b)
+                .map(|j| match (poison, poison_col == Some(j)) {
+                    (1, true) => vec![f32::NAN; n_in],
+                    (2, true) => vec![f32::INFINITY; n_in],
+                    (3, true) => vec![-0.0f32; n_in],
+                    _ => column_input(n_in, seed + j as u64),
+                })
+                .collect();
+            // Rotate-and-reverse: every column moves, most change tile.
+            let order: Vec<usize> = (0..b).rev().map(|k| (k + seed as usize) % b).collect();
+            let flat = |order: &[usize]| -> Vec<f32> {
+                order.iter().flat_map(|&j| columns[j].iter().copied()).collect()
+            };
+            let identity: Vec<usize> = (0..b).collect();
+            let plan = GatePlan { block: gate_block };
+            let mut scratch = BatchScratch::default();
+            for plan in [None, Some(&plan)] {
+                for portable in [false, true] {
+                    for order in [&identity, &order] {
+                        let mut outs = vec![f32::NAN; b * n_out];
+                        let stats = layer
+                            .forward_batch_on(&flat(order), &mut outs, &mut scratch, plan, portable)
+                            .to_vec();
+                        prop_assert_eq!(stats.len(), if plan.is_some() { b } else { 0 });
+                        for (k, &j) in order.iter().enumerate() {
+                            let got = &outs[k * n_out..(k + 1) * n_out];
+                            let non_finite = poison_col == Some(j) && poison < 3;
+                            let mut alone = vec![0.0f32; n_out];
+                            match plan {
+                                Some(plan) => {
+                                    let s = layer.forward_gated(&columns[j], &mut alone, plan);
+                                    prop_assert_eq!(stats[k], s);
+                                    if poison_col == Some(j) {
+                                        prop_assert_eq!(s.zero_blocks, 0, "poison column skipped");
+                                    }
+                                }
+                                None => layer.forward(&columns[j], &mut alone),
+                            }
+                            prop_assert!(
+                                same_bits(got, &alone, non_finite),
+                                "column {} at slot {} of {} (gated {}, portable {})",
+                                j, k, b, plan.is_some(), portable
+                            );
+                            if !non_finite {
+                                let x = Tensor::from_vec(Shape::d2(1, n_in), columns[j].clone()).unwrap();
+                                let mut want = ops::matmul(&x, &dense).unwrap().as_slice().to_vec();
+                                if let Some(bias) = &layer.bias {
+                                    for (w, b) in want.iter_mut().zip(bias) {
+                                        *w += *b;
+                                    }
+                                }
+                                prop_assert!(same_bits(got, &want, false), "column {} vs dense", j);
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -90,26 +90,19 @@ impl PrescanBitmap {
     /// Scans `input` at `block` elements per occupancy bit.
     pub fn scan(input: &[f32], block: usize) -> PrescanBitmap {
         let block = block.max(1);
-        let blocks = input.len().div_ceil(block);
-        let mut words = vec![0u64; blocks.div_ceil(64)];
-        let mut zero_blocks = 0usize;
-        for g in 0..blocks {
-            let s = g * block;
-            let e = (s + block).min(input.len());
-            // Occupied iff any element is not bit-exact +0.0: -0.0
-            // (bits 0x8000_0000), NaN, and inf all count as occupied.
-            if input[s..e].iter().any(|v| v.to_bits() != 0) {
-                words[g / 64] |= 1u64 << (g % 64);
-            } else {
-                zero_blocks += 1;
-            }
-        }
+        let mut words = vec![0u64; scan_words(input.len(), block)];
+        let stats = scan_into(input, block, &mut words);
         PrescanBitmap {
             block,
-            blocks,
+            blocks: stats.blocks,
             words,
-            zero_blocks,
+            zero_blocks: stats.zero_blocks,
         }
+    }
+
+    /// The occupancy words, bit `g % 64` of word `g / 64` per block.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Block size the scan ran at.
@@ -146,6 +139,43 @@ impl PrescanBitmap {
             blocks: self.blocks,
             zero_blocks: self.zero_blocks,
         }
+    }
+}
+
+/// Occupancy words a scan of `len` inputs at `block` elements per bit
+/// fills — the size [`scan_into`] expects.
+pub(crate) fn scan_words(len: usize, block: usize) -> usize {
+    len.div_ceil(block.max(1)).div_ceil(64)
+}
+
+/// The prescan itself, writing into caller-owned `words` (exactly
+/// [`scan_words`] of them) so a serving lane can reuse one buffer for
+/// every column of every batch. Bits past the last block stay clear.
+///
+/// # Panics
+///
+/// Panics when `words.len() != scan_words(input.len(), block)`.
+pub(crate) fn scan_into(input: &[f32], block: usize, words: &mut [u64]) -> GateStats {
+    let block = block.max(1);
+    assert_eq!(
+        words.len(),
+        scan_words(input.len(), block),
+        "occupancy word count mismatch"
+    );
+    words.fill(0);
+    let mut zero_blocks = 0usize;
+    for (g, chunk) in input.chunks(block).enumerate() {
+        // Occupied iff any element is not bit-exact +0.0: -0.0 (bits
+        // 0x8000_0000), NaN, and inf all count as occupied.
+        if chunk.iter().any(|v| v.to_bits() != 0) {
+            words[g / 64] |= 1u64 << (g % 64);
+        } else {
+            zero_blocks += 1;
+        }
+    }
+    GateStats {
+        blocks: input.len().div_ceil(block),
+        zero_blocks,
     }
 }
 

@@ -19,12 +19,13 @@ use cs_conformance::{corpus, Fault};
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         conformance run --cases N --seed S [--inject reverse-accumulation]\n      \
+         conformance run --cases N --seed S [--inject FAULT]\n      \
          [--serve-every N] [--no-shrink] [--max-failures N] [--report-out PATH]\n  \
-         conformance replay --seed S --case K [--inject reverse-accumulation]\n  \
+         conformance replay --seed S --case K [--inject FAULT]\n  \
          conformance corpus\n  \
          conformance net-fuzz [--cases N] [--seed S]\n  \
-         conformance registry-fuzz [--cases N] [--seed S]"
+         conformance registry-fuzz [--cases N] [--seed S]\n\
+         FAULT: reverse-accumulation | swap-batch-columns"
     );
     ExitCode::from(1)
 }

@@ -14,6 +14,9 @@
 //!   on non-finite (poisoned) inputs the comparison identifies all NaN
 //!   encodings, since NaN payload propagation across distinct kernel
 //!   paths is unspecified by IEEE 754 and LLVM alike;
+//! * batched engine (`forward_batch`, gated and ungated) vs the dense
+//!   reference, column by column: **bit-identical** — a request's bits
+//!   do not depend on what it is batched with;
 //! * dense conv2d vs sparse conv (serial and pooled): **bit-identical**;
 //! * functional simulator vs dense chain: **tolerance-bounded** — the
 //!   simulator accumulates per (tile, group) in hardware order, which is
@@ -24,13 +27,18 @@
 //! order — a deliberately planted defect the harness must catch. The
 //! planted kernel targets coarse block-CSR layers; structured 2:4 and
 //! bank-balanced layers always run their production kernels.
+//! [`Fault::SwapBatchColumns`] plants [`forward_batch_swapped`] in the
+//! batched leg instead: every column is computed correctly and two of
+//! them are delivered to each other's slot.
 
 use cs_accel::config::AccelConfig;
 use cs_accel::exec::Accelerator;
 use cs_accel::pe::Activation;
-use cs_compress::engine::{CompiledConvLayer, CompiledFcLayer, FcKernel};
+use cs_compress::engine::{
+    BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel, COLUMN_TILE,
+};
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
-use cs_compress::gate::{GatePlan, GatePolicy};
+use cs_compress::gate::{GatePlan, GatePolicy, GateStats};
 use cs_parallel::ThreadPool;
 use cs_sparsity::coarse::{self, CoarseConfig};
 use cs_sparsity::{structured, Mask, PruneMode};
@@ -247,6 +255,65 @@ pub fn forward_reversed(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32])
     }
 }
 
+/// Every differential leg [`check_fc`] can report, in the order it
+/// runs them (`fc-sim-*` aside, which depend on the case). The sweep
+/// report prints this list so a run's log says which legs were armed.
+pub const FC_LEGS: [&str; 9] = [
+    "fc-dense-vs-sparse-bits",
+    "fc-dense-vs-pooled-bits",
+    "fc-pooled-vs-engine-bits",
+    "fc-gated-vs-dense-bits",
+    "fc-gated-vs-engine-bits",
+    "fc-gated-pooled-bits",
+    "fc-gated-stats",
+    "fc-batched-vs-dense-bits",
+    "fc-batched-vs-engine-bits",
+];
+
+/// The co-batched inputs of the batched leg: one more column than a
+/// kernel tile holds, so the batch is cut into two tiles. Column 0 is
+/// the case's own input; column `k` is it rotated left by `k`, negated
+/// for odd `k`; the last column is all `+0.0` (a column the gate could
+/// skip outright riding with columns it cannot).
+fn batch_columns(x: &[f32]) -> Vec<Vec<f32>> {
+    let mut cols: Vec<Vec<f32>> = (0..COLUMN_TILE)
+        .map(|k| {
+            let mut c = x.to_vec();
+            c.rotate_left(k % x.len().max(1));
+            if k % 2 == 1 {
+                for v in &mut c {
+                    *v = -*v;
+                }
+            }
+            c
+        })
+        .collect();
+    cols.push(vec![0.0; x.len()]);
+    cols
+}
+
+/// The planted [`Fault::SwapBatchColumns`] kernel: the production
+/// batched kernel, with the outputs (and gate counters) of columns 0
+/// and 1 exchanged afterwards.
+pub fn forward_batch_swapped(
+    engine: &FcKernel,
+    inputs: &[f32],
+    outs: &mut [f32],
+    scratch: &mut BatchScratch,
+    plan: Option<&GatePlan>,
+) -> Vec<GateStats> {
+    let n_out = engine.n_out();
+    let mut stats = engine.forward_batch(inputs, outs, scratch, plan).to_vec();
+    if outs.len() >= 2 * n_out {
+        let (c0, rest) = outs.split_at_mut(n_out);
+        c0.swap_with_slice(&mut rest[..n_out]);
+    }
+    if stats.len() >= 2 {
+        stats.swap(0, 1);
+    }
+    stats
+}
+
 /// Runs an FC case through every backend and collects contract
 /// violations. `pools` is the set of thread pools the pooled engine leg
 /// is exercised at (the runner passes 1/2/4 threads).
@@ -381,6 +448,75 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault, pools: &[ThreadPool]) -> Vec<Mi
                         pool.threads()
                     ),
                 ));
+            }
+        }
+
+        // Batched leg: the layer's input rides with eight variants of
+        // itself (two kernel tiles), gated and ungated, and every
+        // column must carry the dense reference's bits for that column
+        // alone — the serial engine's on poisoned input — with the gate
+        // counters of its own single-column prescan.
+        let cols = batch_columns(&x);
+        let flat: Vec<f32> = cols.iter().flatten().copied().collect();
+        let mut scratch = BatchScratch::default();
+        for plan in [None, Some(&plan)] {
+            let mut outs = vec![0.0f32; cols.len() * n_out];
+            let stats = match fault {
+                Fault::SwapBatchColumns => {
+                    forward_batch_swapped(&la.engine, &flat, &mut outs, &mut scratch, plan)
+                }
+                _ => la
+                    .engine
+                    .forward_batch(&flat, &mut outs, &mut scratch, plan)
+                    .to_vec(),
+            };
+            for (j, col) in cols.iter().enumerate() {
+                let got = &outs[j * n_out..(j + 1) * n_out];
+                let mut alone = vec![0.0f32; n_out];
+                let alone_stats = match plan {
+                    Some(p) => Some(la.engine.forward_gated(col, &mut alone, p)),
+                    None => {
+                        la.engine.forward(col, &mut alone);
+                        None
+                    }
+                };
+                let (diff, leg) = if finite {
+                    match dense_forward(&la.dense, la.bias.as_deref(), col) {
+                        Ok(want) => (first_diff(got, &want), "fc-batched-vs-dense-bits"),
+                        Err(m) => {
+                            out.push(m);
+                            return out;
+                        }
+                    }
+                } else {
+                    (
+                        first_diff_nan_canonical(got, &alone),
+                        "fc-batched-vs-engine-bits",
+                    )
+                };
+                if let Some((i, g, r)) = diff {
+                    out.push(Mismatch::new(
+                        leg,
+                        format!(
+                            "layer {li} column {j} of {} output {i} ({}): batched {g:e} \
+                             ({:#010x}) vs reference {r:e} ({:#010x})",
+                            cols.len(),
+                            if plan.is_some() { "gated" } else { "ungated" },
+                            g.to_bits(),
+                            r.to_bits()
+                        ),
+                    ));
+                }
+                if alone_stats.is_some_and(|s| stats.get(j) != Some(&s)) {
+                    out.push(Mismatch::new(
+                        "fc-gated-stats",
+                        format!(
+                            "layer {li} column {j}: batched gate stats {:?} vs \
+                             single-column {alone_stats:?}",
+                            stats.get(j)
+                        ),
+                    ));
+                }
             }
         }
 
@@ -624,6 +760,45 @@ mod tests {
             assert!((a - b).abs() < 1e-4);
         }
         assert_ne!(bits(&fwd), bits(&rev), "reversal changed no rounding");
+    }
+
+    #[test]
+    fn swapped_batch_columns_are_caught_by_the_batched_leg_only() {
+        let case = FcLayerCase {
+            n_in: 32,
+            n_out: 24,
+            block_in: 4,
+            block_out: 16,
+            metric: cs_sparsity::coarse::PruneMetric::Average,
+            density: 0.8,
+            quant_bits: 8,
+            bias: true,
+            zero_weights: false,
+            weight_seed: 7,
+            pattern: PruneMode::Coarse,
+        };
+        let net = FcNetCase {
+            layers: vec![case],
+            input_seed: 11,
+            zero_every: 3,
+            poison: InputPoison::None,
+        };
+        let art = build_fc(&net).unwrap();
+        assert!(check_fc(&art, Fault::None, &pools()).is_empty());
+        let caught = check_fc(&art, Fault::SwapBatchColumns, &pools());
+        assert!(!caught.is_empty(), "swapped columns escaped");
+        assert!(
+            caught
+                .iter()
+                .all(|m| m.check == "fc-batched-vs-dense-bits" || m.check == "fc-gated-stats"),
+            "{caught:?}"
+        );
+        // Exactly the two exchanged columns disagree, gated and ungated.
+        let bits = caught
+            .iter()
+            .filter(|m| m.check == "fc-batched-vs-dense-bits")
+            .count();
+        assert_eq!(bits, 4, "{caught:?}");
     }
 
     #[test]

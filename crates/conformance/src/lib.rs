@@ -86,6 +86,11 @@ pub enum Fault {
     /// order. The dense reference adds them ascending, so the float
     /// rounding differs and bit-identity breaks on almost every case.
     ReverseAccumulation,
+    /// Deliver two batch columns' results to each other: the batched
+    /// kernel's output for column 0 lands in column 1's slot and vice
+    /// versa — what a tile kernel that stored its accumulators under
+    /// the wrong column index would do. Only the batched leg runs it.
+    SwapBatchColumns,
 }
 
 impl Fault {
@@ -94,6 +99,7 @@ impl Fault {
         match s {
             "none" => Some(Fault::None),
             "reverse-accumulation" => Some(Fault::ReverseAccumulation),
+            "swap-batch-columns" => Some(Fault::SwapBatchColumns),
             _ => None,
         }
     }
@@ -103,6 +109,7 @@ impl Fault {
         match self {
             Fault::None => "none",
             Fault::ReverseAccumulation => "reverse-accumulation",
+            Fault::SwapBatchColumns => "swap-batch-columns",
         }
     }
 }

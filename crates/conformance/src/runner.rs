@@ -122,6 +122,7 @@ impl Report {
             self.counters.mismatches,
             self.counters.serve_checks,
         );
+        s.push_str(&format!("fc legs armed: {}\n", diff::FC_LEGS.join(" ")));
         for f in &self.failures {
             s.push_str(&format!(
                 "\nFAIL case {} [{}]: {}\n",
@@ -301,49 +302,78 @@ mod tests {
 
     #[test]
     fn injected_fault_is_caught_and_shrunk_to_a_tiny_reproduction() {
-        // The acceptance gate: a flipped accumulation order must be
+        // The acceptance gate: a flipped accumulation order, and batch
+        // columns delivered to each other's slot, must each be
         // detected, minimized to <= 2 layers, and reported with a
-        // replay command.
+        // replay command. Poison-input cases catch the planted kernels
+        // on the engine-vs-engine legs instead of the dense ones.
         let pools = make_pools();
         let seed = 42u64;
-        let index = (0..64)
-            .find(|k| {
-                let (case, m) = check_one(seed, *k, Fault::ReverseAccumulation, &pools);
-                matches!(case.kind, CaseKind::FcNet(_)) && !m.is_empty()
-            })
-            .expect("reverse accumulation escaped 64 cases");
+        for (fault, legs) in [
+            (
+                Fault::ReverseAccumulation,
+                ["fc-dense-vs-sparse-bits", "fc-pooled-vs-engine-bits"],
+            ),
+            (
+                Fault::SwapBatchColumns,
+                ["fc-batched-vs-dense-bits", "fc-batched-vs-engine-bits"],
+            ),
+        ] {
+            let index = (0..64)
+                .find(|k| {
+                    let (case, m) = check_one(seed, *k, fault, &pools);
+                    matches!(case.kind, CaseKind::FcNet(_)) && !m.is_empty()
+                })
+                .unwrap_or_else(|| panic!("{} escaped 64 cases", fault.as_str()));
+            let report = run(&RunConfig {
+                cases: index + 1,
+                seed,
+                fault,
+                serve_every: 0,
+                max_failures: 1,
+                ..RunConfig::default()
+            });
+            assert_eq!(report.failures.len(), 1, "{}", report.render());
+            let f = &report.failures[0];
+            assert!(
+                f.mismatches
+                    .iter()
+                    .any(|m| legs.contains(&m.check.as_str())),
+                "{}",
+                report.render()
+            );
+            assert_eq!(
+                f.replay,
+                format!(
+                    "conformance replay --seed {seed} --case {} --inject {}",
+                    f.index,
+                    fault.as_str()
+                )
+            );
+            let sh = f.shrunk.as_ref().expect("shrinking was enabled");
+            assert!(
+                sh.layers <= 2,
+                "shrunk case still has {} layers: {}",
+                sh.layers,
+                sh.summary
+            );
+            assert!(!sh.mismatches.is_empty(), "shrunk case no longer fails");
+        }
+    }
+
+    #[test]
+    fn the_report_names_the_batched_leg() {
         let report = run(&RunConfig {
-            cases: index + 1,
-            seed,
-            fault: Fault::ReverseAccumulation,
+            cases: 1,
             serve_every: 0,
-            max_failures: 1,
             ..RunConfig::default()
         });
-        assert_eq!(report.failures.len(), 1, "{}", report.render());
-        let f = &report.failures[0];
-        // Poison-input cases catch the reversed kernel on the
-        // engine-vs-engine leg instead of the dense one.
-        assert!(
-            f.mismatches
-                .iter()
-                .any(|m| m.check == "fc-dense-vs-sparse-bits"
-                    || m.check == "fc-pooled-vs-engine-bits")
-        );
-        assert_eq!(
-            f.replay,
-            format!(
-                "conformance replay --seed {seed} --case {} --inject reverse-accumulation",
-                f.index
-            )
-        );
-        let sh = f.shrunk.as_ref().expect("shrinking was enabled");
-        assert!(
-            sh.layers <= 2,
-            "shrunk case still has {} layers: {}",
-            sh.layers,
-            sh.summary
-        );
-        assert!(!sh.mismatches.is_empty(), "shrunk case no longer fails");
+        let armed = report
+            .render()
+            .lines()
+            .find(|l| l.starts_with("fc legs armed:"))
+            .expect("legs line")
+            .to_string();
+        assert!(armed.contains("fc-batched-vs-dense-bits"), "{armed}");
     }
 }

@@ -23,11 +23,12 @@ use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use cs_accel::pe::Activation;
 use cs_compress::format::SharedIndexLayer;
+use cs_compress::gate::GateStats;
 use cs_telemetry::{buckets, Counter, Histogram, Recorder, Span};
 
 use crate::clock::Clock;
 use crate::error::ServeError;
-use crate::model::{CompiledLane, LaneKernel, ServableModel};
+use crate::model::{CompiledLane, KernelObserver, LaneArena, LaneKernel, ServableModel};
 use crate::server::ExecBackend;
 use crate::stats::ServeStats;
 
@@ -96,32 +97,52 @@ pub(crate) struct LayerTelemetry {
     pub(crate) gate_skips: Counter,
 }
 
-/// Runs one request through an engine lane, timing every layer's
-/// kernel into its histogram. Activation is applied outside the span:
-/// the histograms compare dense vs sparse kernel cost, and the
-/// element-wise epilogue is identical on both lanes.
-pub(crate) fn run_lane(
-    lane: &CompiledLane,
-    telemetry: &[LayerTelemetry],
-    clock: &Arc<dyn Clock>,
-    input: &[f32],
-) -> Result<Vec<f32>, ServeError> {
-    let mut x = input.to_vec();
-    for (layer, tele) in lane.layers.iter().zip(telemetry) {
-        let span = Span::start(Arc::clone(clock), tele.kernel_us.clone());
-        let result = layer.kernel.forward_counted(&x);
-        span.finish();
-        let (mut out, gate) = result?;
-        if let Some(stats) = gate {
+/// Times each layer's kernel over the whole batch into its histogram
+/// and feeds the gate counters: one span per (batch, layer), the gate
+/// counts summed over the batch's columns.
+struct KernelSpans<'a> {
+    telemetry: &'a [LayerTelemetry],
+    clock: &'a Arc<dyn Clock>,
+    open: Option<Span>,
+}
+
+impl KernelObserver for KernelSpans<'_> {
+    fn kernel_start(&mut self, layer: usize) {
+        let hist = self.telemetry[layer].kernel_us.clone();
+        self.open = Some(Span::start(Arc::clone(self.clock), hist));
+    }
+
+    fn kernel_end(&mut self, layer: usize, gate: &[GateStats]) {
+        if let Some(span) = self.open.take() {
+            span.finish();
+        }
+        let tele = &self.telemetry[layer];
+        for stats in gate {
             tele.gate_hits.add(stats.occupied_blocks() as u64);
             tele.gate_skips.add(stats.zero_blocks as u64);
         }
-        for v in &mut out {
-            *v = layer.activation.apply(*v);
-        }
-        x = out;
     }
-    Ok(x)
+}
+
+/// Runs one closed batch through an engine lane as a single walk over
+/// the layers (`inputs` holds the requests' input vectors back to
+/// back), timing every layer's batched kernel into its histogram.
+/// Activation is applied outside the span: the histograms compare
+/// dense vs sparse kernel cost, and the element-wise epilogue is
+/// identical on both lanes. Returns the `B × n_out` outputs.
+pub(crate) fn run_lane_batch<'a>(
+    lane: &CompiledLane,
+    telemetry: &[LayerTelemetry],
+    clock: &Arc<dyn Clock>,
+    inputs: &'a [f32],
+    arena: &'a mut LaneArena,
+) -> Result<&'a [f32], ServeError> {
+    let mut spans = KernelSpans {
+        telemetry,
+        clock,
+        open: None,
+    };
+    lane.forward_batch(inputs, arena, &mut spans)
 }
 
 /// How a loaded version executes requests, built once at load time.

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use cs_accel::exec::validate_layer;
 use cs_accel::pe::Activation;
 use cs_compress::config::ModelCompressionConfig;
-use cs_compress::engine::FcKernel;
+use cs_compress::engine::{BatchScratch, FcKernel};
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
 use cs_compress::gate::{GatePlan, GatePolicy, GateStats};
 use cs_compress::pipeline::prune_layer;
@@ -348,6 +348,22 @@ impl LaneKernel {
         }
     }
 
+    /// Input width of the layer.
+    pub(crate) fn n_in(&self) -> usize {
+        match self {
+            LaneKernel::Sparse(kernel) | LaneKernel::Gated(kernel, _) => kernel.n_in(),
+            LaneKernel::Dense(weights) => weights.shape().dim(0),
+        }
+    }
+
+    /// Output width of the layer.
+    pub(crate) fn n_out(&self) -> usize {
+        match self {
+            LaneKernel::Sparse(kernel) | LaneKernel::Gated(kernel, _) => kernel.n_out(),
+            LaneKernel::Dense(weights) => weights.shape().dim(1),
+        }
+    }
+
     /// Runs the kernel on one input vector (pre-activation outputs).
     ///
     /// # Errors
@@ -359,8 +375,7 @@ impl LaneKernel {
     }
 
     /// [`Self::forward`] plus the gate occupancy stats when this layer
-    /// is gated (`None` for ungated kernels). Worker lanes use this to
-    /// feed the `serve_gate_blocks_total` hit/skip counters.
+    /// is gated (`None` for ungated kernels).
     ///
     /// # Errors
     ///
@@ -370,18 +385,42 @@ impl LaneKernel {
         &self,
         input: &[f32],
     ) -> Result<(Vec<f32>, Option<GateStats>), ServeError> {
+        let mut out = vec![0.0f32; self.n_out()];
+        let mut scratch = BatchScratch::default();
+        let stats = self.forward_batch(input, &mut out, &mut scratch)?;
+        let stats = stats.first().copied();
+        Ok((out, stats))
+    }
+
+    /// Runs the kernel over a whole batch: `inputs` holds `B` input
+    /// vectors back to back, `outs` receives `B × n_out`
+    /// pre-activation outputs. Returns one [`GateStats`] per column on
+    /// gated layers and an empty slice otherwise; worker lanes feed
+    /// them to the `serve_gate_blocks_total` hit/skip counters.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors from the dense path.
+    pub(crate) fn forward_batch<'s>(
+        &self,
+        inputs: &[f32],
+        outs: &mut [f32],
+        scratch: &'s mut BatchScratch,
+    ) -> Result<&'s [GateStats], ServeError> {
         match self {
-            LaneKernel::Sparse(layer) => Ok((layer.forward_alloc(input), None)),
-            LaneKernel::Gated(layer, plan) => {
-                let mut out = vec![0.0f32; layer.n_out()];
-                let stats = layer.forward_gated(input, &mut out, plan);
-                Ok((out, Some(stats)))
+            LaneKernel::Sparse(kernel) => Ok(kernel.forward_batch(inputs, outs, scratch, None)),
+            LaneKernel::Gated(kernel, plan) => {
+                Ok(kernel.forward_batch(inputs, outs, scratch, Some(plan)))
             }
             LaneKernel::Dense(weights) => {
-                let x = Tensor::from_vec(Shape::d2(1, input.len()), input.to_vec())
+                // `ops::matmul` computes each row on its own, so the
+                // batched product is the per-request one row by row.
+                let b = outs.len() / self.n_out().max(1);
+                let x = Tensor::from_vec(Shape::d2(b, self.n_in()), inputs.to_vec())
                     .map_err(CompressError::from)?;
                 let out = ops::matmul(&x, weights).map_err(CompressError::from)?;
-                Ok((out.as_slice().to_vec(), None))
+                outs.copy_from_slice(out.as_slice());
+                Ok(&[])
             }
         }
     }
@@ -407,6 +446,31 @@ pub struct CompiledLane {
     pub layers: Vec<LaneLayer>,
 }
 
+/// The buffers a lane walks a batch through: layer outputs ping-pong
+/// between two activation buffers, and the kernels share one
+/// [`BatchScratch`]. One per worker; nothing is allocated once they
+/// have grown to the widest layer at the largest batch.
+#[derive(Debug, Default)]
+pub(crate) struct LaneArena {
+    front: Vec<f32>,
+    back: Vec<f32>,
+    scratch: BatchScratch,
+}
+
+/// What the lane walk reports around each layer's kernel, so serving
+/// telemetry can time it; `()` observes nothing.
+pub(crate) trait KernelObserver {
+    /// Layer `layer`'s kernel is about to run over the batch.
+    fn kernel_start(&mut self, layer: usize);
+    /// It returned, with one [`GateStats`] per column if it was gated.
+    fn kernel_end(&mut self, layer: usize, gate: &[GateStats]);
+}
+
+impl KernelObserver for () {
+    fn kernel_start(&mut self, _layer: usize) {}
+    fn kernel_end(&mut self, _layer: usize, _gate: &[GateStats]) {}
+}
+
 impl CompiledLane {
     /// Runs the whole lane: each layer's kernel followed by its
     /// activation.
@@ -415,15 +479,46 @@ impl CompiledLane {
     ///
     /// Propagates kernel errors (dense-path shape mismatches only).
     pub fn forward(&self, input: &[f32]) -> Result<Vec<f32>, ServeError> {
-        let mut x = input.to_vec();
-        for layer in &self.layers {
-            let mut out = layer.kernel.forward(&x)?;
-            for v in &mut out {
+        let mut arena = LaneArena::default();
+        Ok(self.forward_batch(input, &mut arena, &mut ())?.to_vec())
+    }
+
+    /// Walks the layers once for a whole batch (`inputs` holds the
+    /// input vectors back to back): every kernel runs over all columns
+    /// at once, its activation is applied in place, and the result is
+    /// the `B × n_out` outputs, borrowed from the arena. The activation
+    /// runs after `kernel_end`, outside what the observer times.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors (dense-path shape mismatches only).
+    pub(crate) fn forward_batch<'a>(
+        &self,
+        inputs: &'a [f32],
+        arena: &'a mut LaneArena,
+        observer: &mut impl KernelObserver,
+    ) -> Result<&'a [f32], ServeError> {
+        let Some(first) = self.layers.first() else {
+            return Ok(inputs);
+        };
+        let b = inputs.len() / first.kernel.n_in().max(1);
+        let LaneArena {
+            front,
+            back,
+            scratch,
+        } = arena;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let src: &[f32] = if li == 0 { inputs } else { front };
+            back.resize(b * layer.kernel.n_out(), 0.0);
+            observer.kernel_start(li);
+            let gate = layer.kernel.forward_batch(src, back, scratch)?;
+            observer.kernel_end(li, gate);
+            for v in back.iter_mut() {
                 *v = layer.activation.apply(*v);
             }
-            x = out;
+            std::mem::swap(front, back);
         }
-        Ok(x)
+        Ok(front)
     }
 }
 

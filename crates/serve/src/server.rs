@@ -48,10 +48,10 @@ use crate::batch::{Batch, BatchPolicy, Batcher};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::ServeError;
 use crate::lifecycle::{
-    outputs_equivalent, run_lane, CanaryReport, CanaryState, InflightGuard, LiveRegistry,
+    outputs_equivalent, run_lane_batch, CanaryReport, CanaryState, InflightGuard, LiveRegistry,
     LoadContext, LoadedModel, ModelExec, ModelStatus,
 };
-use crate::model::{ModelRegistry, ServableModel};
+use crate::model::{LaneArena, ModelRegistry, ServableModel};
 use crate::stats::{ServeSnapshot, ServeStats};
 
 /// Which execution engine worker lanes run.
@@ -60,8 +60,10 @@ use crate::stats::{ServeSnapshot, ServeStats};
 /// cycle-accurate hardware modeling with per-request cycle and energy
 /// figures. The engine backends trade the hardware model for real
 /// host-native kernels from [`cs_compress::engine`]; they report
-/// `cycles = 0` / `energy_pj = 0.0` and instead time every layer into
-/// the `serve_layer_kernel_us{model, layer, kernel}` histograms.
+/// `cycles = 0` / `energy_pj = 0.0`, execute a closed batch as one walk
+/// over the layers, and time every layer into the
+/// `serve_layer_kernel_us{model, layer, kernel}` histograms — one
+/// sample per (batch, layer), the wall time of the batched kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Cycle-accurate accelerator simulator (cycles + energy modeled).
@@ -264,6 +266,9 @@ struct Job {
     /// canaried); released when the job is dropped after its reply.
     _guards: Vec<InflightGuard>,
 }
+
+/// What executing one job produced: `(outputs, cycles, energy_pj)`.
+type Outcome = Result<(Vec<f32>, u64, f64), ServeError>;
 
 /// Handle to one in-flight request.
 #[derive(Debug)]
@@ -636,6 +641,10 @@ impl Server {
                 // spent executing one is busy; both accumulate into
                 // the per-worker telemetry counters.
                 let mut lane_mark = stats.now_us();
+                // Reused across batches: the gathered inputs of a batch
+                // and the buffers an engine lane walks it through.
+                let mut staging: Vec<f32> = Vec::new();
+                let mut arena = LaneArena::default();
                 loop {
                     let batch = match batch_rx.recv() {
                         Ok(batch) => batch,
@@ -643,11 +652,20 @@ impl Server {
                     };
                     let busy_from = stats.now_us();
                     let batch_size = batch.items.len();
-                    let mut results = Vec::with_capacity(batch_size);
+                    // The batcher keys on the load's slot, so one batch
+                    // is one executor: a batch never mixes two loaded
+                    // versions.
+                    let Some(loaded) = batch.items.first().map(|job| Arc::clone(&job.loaded))
+                    else {
+                        continue;
+                    };
+                    debug_assert!(batch.items.iter().all(|job| job.loaded.slot == batch.model));
                     let mut batch_cycles = 0u64;
-                    for job in batch.items {
-                        let outcome = match &job.loaded.exec {
-                            ModelExec::Sim(layers) => match accel.run_network(layers, &job.input) {
+                    let outcomes: Vec<Outcome> = match &loaded.exec {
+                        ModelExec::Sim(layers) => batch
+                            .items
+                            .iter()
+                            .map(|job| match accel.run_network(layers, &job.input) {
                                 Ok(run) => {
                                     let cycles = run.stats.cycles;
                                     let energy_pj =
@@ -657,21 +675,41 @@ impl Server {
                                     Ok((run.outputs, cycles, energy_pj))
                                 }
                                 Err(e) => Err(ServeError::Accel(e)),
-                            },
-                            ModelExec::Lane(lane, telemetry) => {
-                                // Engine lanes run real host kernels: no
-                                // simulated hardware cost to report, but
-                                // every layer's wall time lands in its
-                                // `serve_layer_kernel_us` histogram.
-                                run_lane(lane, telemetry, &clock, &job.input)
-                                    .map(|outputs| (outputs, 0u64, 0.0f64))
+                            })
+                            .collect(),
+                        ModelExec::Lane(lane, telemetry) => {
+                            // Engine lanes run real host kernels: no
+                            // simulated hardware cost to report. The
+                            // whole batch walks the layers once, and
+                            // each layer's batched kernel time lands in
+                            // its `serve_layer_kernel_us` histogram.
+                            let inputs: &[f32] = match batch.items.as_slice() {
+                                [job] => &job.input,
+                                jobs => {
+                                    staging.clear();
+                                    for job in jobs {
+                                        staging.extend_from_slice(&job.input);
+                                    }
+                                    &staging
+                                }
+                            };
+                            let n_out = loaded.model.n_out;
+                            match run_lane_batch(lane, telemetry, &clock, inputs, &mut arena) {
+                                Ok(outs) => (0..batch_size)
+                                    .map(|j| {
+                                        Ok((outs[j * n_out..(j + 1) * n_out].to_vec(), 0, 0.0))
+                                    })
+                                    .collect(),
+                                Err(e) => vec![Err(e); batch_size],
                             }
-                        };
-                        if let Ok((outputs, _, _)) = &outcome {
-                            shadow_compare(&job, outputs, &accel, &stats);
                         }
-                        results.push((job, outcome));
+                    };
+                    for (job, outcome) in batch.items.iter().zip(&outcomes) {
+                        if let Ok((outputs, _, _)) = outcome {
+                            shadow_compare(job, outputs, &accel, &stats, &mut arena);
+                        }
                     }
+                    let results = batch.items.into_iter().zip(outcomes);
                     if emulate && batch_cycles > 0 {
                         // One accelerator serves the whole batch
                         // serially: sleep out its simulated busy time so
@@ -950,25 +988,29 @@ impl Drop for Server {
 /// primary and compares outputs under the differential rule. A
 /// divergence (or a primary-side failure) increments the canary's
 /// counter; crossing the threshold demotes it exactly once.
-fn shadow_compare(job: &Job, outputs: &[f32], accel: &Accelerator, stats: &ServeStats) {
+fn shadow_compare(
+    job: &Job,
+    outputs: &[f32],
+    accel: &Accelerator,
+    stats: &ServeStats,
+    arena: &mut LaneArena,
+) {
     let Some((primary, state)) = &job.shadow else {
         return;
     };
     if state.demoted.load(Ordering::SeqCst) {
         return;
     }
-    let reference: Result<Vec<f32>, ServeError> = match &primary.exec {
+    // A primary-side failure counts as a divergence.
+    let diverged = match &primary.exec {
         ModelExec::Sim(layers) => accel
             .run_network(layers, &job.input)
-            .map(|run| run.outputs)
-            .map_err(ServeError::Accel),
-        // `forward` (not the telemetry path): shadow runs must not
-        // pollute the primary's kernel histograms.
-        ModelExec::Lane(lane, _) => lane.forward(&job.input),
-    };
-    let diverged = match &reference {
-        Ok(expected) => !outputs_equivalent(outputs, expected),
-        Err(_) => true,
+            .map_or(true, |run| !outputs_equivalent(outputs, &run.outputs)),
+        // Unobserved: shadow runs must not pollute the primary's
+        // kernel histograms.
+        ModelExec::Lane(lane, _) => lane
+            .forward_batch(&job.input, arena, &mut ())
+            .map_or(true, |expected| !outputs_equivalent(outputs, expected)),
     };
     if diverged {
         let seen = state.divergences.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1403,6 +1445,146 @@ mod tests {
             )
             .expect("gated per-layer histogram registered");
         assert_eq!(h.count(), frames.len() as u64);
+    }
+
+    #[test]
+    fn a_closed_batch_of_eight_serves_each_request_its_dense_bits() {
+        use cs_nn::data::lif_spike_train;
+        use cs_telemetry::Registry;
+        for backend in [ExecBackend::Sparse, ExecBackend::Gated] {
+            let model = ServableModel::spiking_mlp(Scale::Reduced(2), 7).expect("model");
+            let name = model.name.clone();
+            let mut reg = ModelRegistry::new();
+            reg.register(model.clone()).expect("register");
+            let registry = Arc::new(Registry::new());
+            let cfg = ServeConfig {
+                backend,
+                workers: 1,
+                max_batch: 8,
+                // Only the size rule can close the batch.
+                max_wait_us: 600_000_000,
+                ..ServeConfig::default()
+            };
+            let clock = Arc::new(MonotonicClock::new());
+            let server =
+                Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
+            // Eight distinct requests: spike frames (blocks to skip)
+            // riding with dense-ish vectors (nothing to skip).
+            let inputs: Vec<Vec<f32>> = (0..8u32)
+                .map(|i| match i % 2 {
+                    0 => lif_spike_train(model.n_in, 20, 0.25, 40 + u64::from(i))
+                        .as_slice()
+                        .to_vec(),
+                    _ => input_for(&model, i),
+                })
+                .collect();
+            let tickets: Vec<Ticket> = inputs
+                .iter()
+                .map(|x| {
+                    server
+                        .submit(InferRequest::new(&name, x.clone()))
+                        .expect("submit")
+                })
+                .collect();
+            let dense = model.dense_lane();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (x, ticket) in inputs.iter().zip(tickets) {
+                let resp = ticket.wait().expect("reply");
+                assert_eq!(resp.batch_size, 8, "{backend:?}");
+                let want = dense.forward(x).expect("dense forward");
+                assert_eq!(bits(&resp.outputs), bits(&want), "{backend:?}");
+            }
+            server.shutdown();
+            // One kernel span per (batch, layer), and gate counters that
+            // equal the per-request sums.
+            let lane = match backend {
+                ExecBackend::Gated => model.gated_lane(),
+                _ => model.sparse_lane(),
+            };
+            let mut layer_inputs = inputs.clone();
+            for layer in &lane.layers {
+                let h = registry
+                    .find_histogram(
+                        "serve_layer_kernel_us",
+                        &[
+                            ("model", &name),
+                            ("layer", &layer.name),
+                            ("kernel", layer.kernel.kind()),
+                        ],
+                    )
+                    .expect("per-layer histogram registered");
+                assert_eq!(h.count(), 1, "{backend:?} layer {}", layer.name);
+                let mut want = cs_compress::gate::GateStats::default();
+                for x in &mut layer_inputs {
+                    let (mut out, stats) = layer.kernel.forward_counted(x).expect("forward");
+                    want.merge(stats.unwrap_or_default());
+                    for v in &mut out {
+                        *v = layer.activation.apply(*v);
+                    }
+                    *x = out;
+                }
+                let counted = |outcome: &str| {
+                    registry
+                        .find_counter(
+                            "serve_gate_blocks_total",
+                            &[
+                                ("model", &name),
+                                ("layer", &layer.name),
+                                ("outcome", outcome),
+                            ],
+                        )
+                        .map_or(0, |c| c.get())
+                };
+                assert_eq!(counted("hit"), want.occupied_blocks() as u64, "{backend:?}");
+                assert_eq!(counted("skip"), want.zero_blocks as u64, "{backend:?}");
+                if backend == ExecBackend::Gated && layer.kernel.kind() == "gated" {
+                    assert!(want.blocks > 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_never_mixes_two_loaded_versions() {
+        let v1 = ServableModel::mlp(Scale::Reduced(8), 7).expect("v1");
+        let v2 = ServableModel::mlp(Scale::Reduced(8), 8).expect("v2");
+        let mut reg = ModelRegistry::new();
+        reg.register(v1.clone()).expect("register");
+        let cfg = ServeConfig {
+            backend: ExecBackend::Sparse,
+            workers: 1,
+            max_batch: 8,
+            // Only a slot switch (or the shutdown flush) closes a batch.
+            max_wait_us: 600_000_000,
+            // The two versions differ on purpose; keep the canary up.
+            canary_divergence_threshold: 1_000,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(reg, cfg).expect("start");
+        // Tickets 0..4 route to the canary, the rest to the primary.
+        server.load_servable(v2.clone(), 2, 4).expect("canary");
+        let inputs: Vec<Vec<f32>> = (0..8).map(|i| input_for(&v1, i)).collect();
+        let tickets: Vec<Ticket> = inputs
+            .iter()
+            .map(|x| {
+                server
+                    .submit(InferRequest::new("mlp", x.clone()))
+                    .expect("submit")
+            })
+            .collect();
+        server.shutdown();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (lane1, lane2) = (v1.dense_lane(), v2.dense_lane());
+        for (i, (x, ticket)) in inputs.iter().zip(tickets).enumerate() {
+            let resp = ticket.wait().expect("reply");
+            // Eight requests were waiting and `max_batch` is 8, yet the
+            // slot key split them: no batch holds both versions, and
+            // each request ran on the version it was admitted against.
+            assert_eq!(resp.batch_size, 4, "request {i}");
+            let lane = if i < 4 { &lane2 } else { &lane1 };
+            let want = lane.forward(x).expect("dense forward");
+            assert_eq!(bits(&resp.outputs), bits(&want), "request {i}");
+        }
     }
 
     #[test]
