@@ -1,38 +1,48 @@
-//! Tenant-aware admission queue.
+//! Tenant-aware admission queue — and the place batches are made.
 //!
-//! Replaces the plain bounded channel in front of the batcher. Each
-//! tenant gets its own bounded FIFO lane; pushes reject when the global
-//! capacity or the tenant's quota is exhausted, and the batcher drains
-//! lanes with weighted round-robin so one chatty tenant can monopolize
-//! neither admission nor dispatch order. `close()` replaces dropping a
-//! channel sender: queued items still drain, then poppers observe
-//! [`Popped::Closed`], which preserves the server's graceful-shutdown
-//! contract.
+//! Each tenant gets its own bounded FIFO lane; pushes reject when the
+//! global capacity or the tenant's quota is exhausted, and lanes drain
+//! weighted round-robin so one chatty tenant can monopolize neither
+//! admission nor execution order.
+//!
+//! Workers pull: [`AdmissionQueue::pop_batch`] blocks for the first job
+//! and takes with it, under the same lock and fair order, every queued
+//! job for the same model load up to `max_batch` (a job for another
+//! load is peeked, never taken: it closes the batch). A batch is thus
+//! composed at the instant a worker can run it — alone on an idle
+//! server, full under load, where requests pile up behind busy workers.
+//!
+//! Idle workers stand in a FIFO line, each parked on its own condvar. A
+//! push wakes the head only and a worker that finishes rejoins at the
+//! back, so assignment rotates over the workers however the host
+//! schedules their threads (with one shared condvar the hot thread wins
+//! every race, and simulated-hardware throughput divides by the busiest
+//! worker). Only the head may hold a lingering batch: one open batch at
+//! a time, however many workers are idle.
+//!
+//! `close()` stops admission; queued items still drain, then poppers
+//! observe `None` (graceful shutdown). A worker that exits, cleanly or
+//! by unwinding, calls `depart`: survivors keep serving, and the last
+//! one out drops what is queued so nothing waits on nobody.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use crate::batch::{Backlog, Batch, BatchPolicy};
+use crate::clock::Clock;
 
 /// Why admission refused an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AdmitError {
+pub enum AdmitError {
     /// No room: the global queue, or this tenant's quota slice, is full.
     Full {
         /// True when the tenant's own quota rejected the item while the
         /// global queue still had room.
         tenant_quota: bool,
     },
-    /// The queue is closed; the server is shutting down.
-    Closed,
-}
-
-/// Result of a timed dequeue.
-pub(crate) enum Popped<T> {
-    /// The next item under the weighted-fair schedule.
-    Item(T),
-    /// Nothing arrived within the timeout.
-    TimedOut,
-    /// The queue is closed and fully drained.
+    /// The queue is closed: the server is shutting down, or its last
+    /// worker is gone.
     Closed,
 }
 
@@ -43,19 +53,90 @@ struct TenantLane<T> {
 }
 
 struct QueueState<T> {
-    lanes: HashMap<String, TenantLane<T>>,
-    /// Tenants in first-seen order; the round-robin cursor walks this
-    /// ring. Lanes are never removed (bounded by distinct tenant names).
-    ring: Vec<String>,
+    /// One lane per tenant in first-seen order; the round-robin cursor
+    /// walks this ring. Lanes are never removed (bounded by distinct
+    /// tenant names).
+    lanes: Vec<TenantLane<T>>,
+    /// Tenant name → ring position; only admission looks names up.
+    index: HashMap<String, usize>,
     cursor: usize,
+    /// Items queued in the lanes.
     total: usize,
+    /// Items the head of the line holds in a lingering batch. They have
+    /// left their lanes but still count against `capacity`.
+    lingering: usize,
     closed: bool,
+    /// Idle workers in the order they came free; only the head takes.
+    line: VecDeque<usize>,
+    /// Workers that have not departed.
+    live: usize,
+    /// Set once every live worker has stood in line at the same time.
+    lined_up: bool,
 }
 
-/// A bounded multi-tenant queue with weighted-fair dequeue.
-pub(crate) struct AdmissionQueue<T> {
+impl<T> QueueState<T> {
+    /// Weighted round-robin: moves the cursor to the lane that yields
+    /// next and returns its ring position without popping. The cursor
+    /// lane yields until its credit (replenished to its weight on every
+    /// pass) runs out, then the cursor advances. Two passes over the
+    /// ring suffice: the first spends remaining credits, the second
+    /// visits every lane with fresh credit, so any non-empty lane
+    /// yields. Calling it again before a `pop` changes nothing.
+    fn advance(&mut self) -> Option<usize> {
+        if self.total == 0 {
+            return None;
+        }
+        let n = self.lanes.len();
+        for _ in 0..2 * n {
+            let lane = &mut self.lanes[self.cursor];
+            if !lane.items.is_empty() && lane.credit > 0 {
+                return Some(self.cursor);
+            }
+            lane.credit = lane.weight;
+            self.cursor = (self.cursor + 1) % n;
+        }
+        None
+    }
+
+    /// Pops the front of the lane [`QueueState::advance`] returned.
+    fn pop(&mut self, lane: usize) -> Option<T> {
+        let lane = &mut self.lanes[lane];
+        let item = lane.items.pop_front()?;
+        lane.credit -= 1;
+        self.total -= 1;
+        Some(item)
+    }
+
+    /// Moves into `items` every job the open batch may take right now —
+    /// same key as its first job, fair order, up to `max_batch` — and
+    /// reports what stopped it.
+    fn fill(&mut self, items: &mut Vec<T>, max_batch: usize, key: impl Fn(&T) -> usize) -> Backlog {
+        while items.len() < max_batch {
+            let Some(lane) = self.advance() else { break };
+            if let (Some(first), Some(next)) = (items.first(), self.lanes[lane].items.front()) {
+                if key(first) != key(next) {
+                    return Backlog::OtherModel;
+                }
+            }
+            items.extend(self.pop(lane));
+        }
+        if self.closed && self.total == 0 {
+            Backlog::Drained
+        } else {
+            Backlog::Empty
+        }
+    }
+}
+
+/// A bounded multi-tenant queue with weighted-fair, batch-at-a-time
+/// dequeue.
+pub struct AdmissionQueue<T> {
     state: Mutex<QueueState<T>>,
-    ready: Condvar,
+    /// One per worker: where it parks while it stands in line.
+    wake: Vec<Condvar>,
+    /// Signalled when the line first fills and whenever a worker
+    /// departs.
+    roster: Condvar,
     capacity: usize,
     tenant_quota: usize,
     weights: HashMap<String, u64>,
@@ -63,19 +144,24 @@ pub(crate) struct AdmissionQueue<T> {
 
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `capacity` items total and (when
-    /// `tenant_quota > 0`) at most `tenant_quota` per tenant. Tenants
-    /// named in `weights` dequeue proportionally more often; unlisted
-    /// tenants weigh 1.
-    pub(crate) fn new(capacity: usize, tenant_quota: usize, weights: &[(String, u32)]) -> Self {
+    /// `tenant_quota > 0`) at most `tenant_quota` per tenant, drained by
+    /// one worker. Tenants named in `weights` dequeue proportionally
+    /// more often; unlisted tenants weigh 1.
+    pub fn new(capacity: usize, tenant_quota: usize, weights: &[(String, u32)]) -> Self {
         AdmissionQueue {
             state: Mutex::new(QueueState {
-                lanes: HashMap::new(),
-                ring: Vec::new(),
+                lanes: Vec::new(),
+                index: HashMap::new(),
                 cursor: 0,
                 total: 0,
+                lingering: 0,
                 closed: false,
+                line: VecDeque::new(),
+                live: 1,
+                lined_up: false,
             }),
-            ready: Condvar::new(),
+            wake: vec![Condvar::new()],
+            roster: Condvar::new(),
             capacity,
             tenant_quota,
             weights: weights
@@ -85,112 +171,246 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
+    /// The same queue drained by `workers` workers, numbered from 0.
+    #[must_use]
+    pub(crate) fn with_workers(mut self, workers: usize) -> Self {
+        self.wake = (0..workers).map(|_| Condvar::new()).collect();
+        self.lock().live = workers;
+        self
+    }
+
     fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
-        // Queue state cannot be left inconsistent by a panicking
-        // recorder call, so a poisoned lock is safe to adopt.
+        // Every update below leaves the state valid before anything
+        // that can unwind (the injected clock, the caller's key
+        // function) runs, so a poisoned lock is safe to adopt.
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    fn wake_head(&self, s: &QueueState<T>) {
+        if let Some(&head) = s.line.front() {
+            self.wake[head].notify_one();
+        }
+    }
+
     /// Non-blocking admission for `tenant`.
-    pub(crate) fn try_push(&self, tenant: &str, item: T) -> Result<(), AdmitError> {
+    ///
+    /// # Errors
+    ///
+    /// [`AdmitError::Full`] when the queue or the tenant's quota has no
+    /// room, [`AdmitError::Closed`] once the queue is closed.
+    pub fn try_push(&self, tenant: &str, item: T) -> Result<(), AdmitError> {
         let mut s = self.lock();
         if s.closed {
             return Err(AdmitError::Closed);
         }
-        if s.total >= self.capacity {
+        if s.total + s.lingering >= self.capacity {
             return Err(AdmitError::Full {
                 tenant_quota: false,
             });
         }
-        if !s.lanes.contains_key(tenant) {
-            let weight = self.weights.get(tenant).copied().unwrap_or(1);
-            s.lanes.insert(
-                tenant.to_string(),
-                TenantLane {
+        let lane = match s.index.get(tenant) {
+            Some(&lane) => lane,
+            None => {
+                let weight = self.weights.get(tenant).copied().unwrap_or(1);
+                s.lanes.push(TenantLane {
                     items: VecDeque::new(),
                     weight,
                     credit: weight,
-                },
-            );
-            s.ring.push(tenant.to_string());
-        }
-        let Some(lane) = s.lanes.get_mut(tenant) else {
-            return Err(AdmitError::Closed); // unreachable: inserted above
+                });
+                let lane = s.lanes.len() - 1;
+                s.index.insert(tenant.to_string(), lane);
+                lane
+            }
         };
+        let lane = &mut s.lanes[lane];
         if self.tenant_quota > 0 && lane.items.len() >= self.tenant_quota {
             return Err(AdmitError::Full { tenant_quota: true });
         }
         lane.items.push_back(item);
         s.total += 1;
-        self.ready.notify_one();
+        // Wake the head only, and after unlocking so it does not wake
+        // into contention. If the head changes in between, whoever left
+        // the line saw this item and woke its successor.
+        let head = s.line.front().copied();
+        drop(s);
+        if let Some(head) = head {
+            self.wake[head].notify_one();
+        }
         Ok(())
     }
 
-    /// Blocks up to `timeout` for the next item under the weighted-fair
-    /// schedule.
-    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
-        let deadline = Instant::now() + timeout;
+    /// Blocks until `worker` (below the worker count; one thread per
+    /// number) has a batch to run; `None` once the queue is closed and
+    /// drained.
+    ///
+    /// The worker joins the back of the idle line. At the head it takes
+    /// the next job under the fair schedule plus every queued job that
+    /// follows with the same `key` (the model load), up to
+    /// `policy.max_batch`, and closes by [`BatchPolicy::close_reason`] —
+    /// with `max_wait_us == 0` without ever waiting on a non-empty
+    /// queue. The linger deadline runs on the injected `clock` but the
+    /// park is in wall time, so it is capped at 1 ms: a lone job closes
+    /// within `max_wait_us` plus one cap even if nothing else arrives.
+    ///
+    /// # Panics
+    ///
+    /// If `worker` is not below the worker count.
+    pub fn pop_batch(
+        &self,
+        worker: usize,
+        policy: BatchPolicy,
+        clock: &dyn Clock,
+        key: impl Fn(&T) -> usize,
+    ) -> Option<Batch<T>> {
+        let wake = &self.wake[worker];
         let mut s = self.lock();
+        s.line.push_back(worker);
+        if !s.lined_up && s.line.len() >= s.live {
+            s.lined_up = true;
+            self.roster.notify_all();
+        }
+        let mut items = Vec::new();
+        let mut opened_us = 0;
         loop {
-            if s.total > 0 {
-                if let Some(item) = Self::take_locked(&mut s) {
-                    return Popped::Item(item);
+            // Idle: until woken (the hourly re-check is harmless).
+            let mut park = Duration::from_secs(3600);
+            let my_turn = s.line.front() == Some(&worker);
+            if my_turn && (s.total > 0 || s.closed || !items.is_empty()) {
+                let now_us = clock.now_us();
+                if items.is_empty() {
+                    opened_us = now_us;
+                    items.reserve_exact(policy.max_batch.min(s.total));
                 }
+                let backlog = s.fill(&mut items, policy.max_batch, &key);
+                let reason = policy.close_reason(items.len(), backlog, opened_us, now_us);
+                if reason.is_some() || items.is_empty() {
+                    // Leaving with a closed batch, or empty-handed
+                    // because the queue is closed and drained: the next
+                    // in line takes over whatever is left.
+                    s.line.pop_front();
+                    s.lingering = 0;
+                    if s.total > 0 || s.closed {
+                        self.wake_head(&s);
+                    }
+                    let model = items.first().map(&key);
+                    return model.zip(reason).map(|(model, reason)| Batch {
+                        model,
+                        items,
+                        opened_us,
+                        reason,
+                    });
+                }
+                s.lingering = items.len();
+                let left = opened_us
+                    .saturating_add(policy.max_wait_us)
+                    .saturating_sub(now_us);
+                park = Duration::from_micros(left.clamp(1, 1_000));
             }
-            if s.closed {
-                return Popped::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Popped::TimedOut;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            s = guard;
+            let woken = wake.wait_timeout(s, park);
+            s = woken.unwrap_or_else(|p| p.into_inner()).0;
         }
-    }
-
-    /// Weighted round-robin: the cursor tenant dequeues until its
-    /// credit (replenished to its weight on every pass) runs out, then
-    /// the cursor advances. Two passes over the ring suffice: the first
-    /// spends remaining credits, the second visits every lane with
-    /// fresh credit, so any non-empty lane yields.
-    fn take_locked(s: &mut QueueState<T>) -> Option<T> {
-        let n = s.ring.len();
-        if n == 0 {
-            return None;
-        }
-        for _ in 0..2 * n {
-            let name = s.ring[s.cursor % n].clone();
-            let Some(lane) = s.lanes.get_mut(&name) else {
-                s.cursor = (s.cursor + 1) % n;
-                continue;
-            };
-            if !lane.items.is_empty() && lane.credit > 0 {
-                lane.credit -= 1;
-                s.total -= 1;
-                return lane.items.pop_front();
-            }
-            lane.credit = lane.weight;
-            s.cursor = (s.cursor + 1) % n;
-        }
-        None
     }
 
     /// Stops admission. Queued items still drain through
-    /// [`AdmissionQueue::pop_timeout`]; once empty, poppers observe
-    /// [`Popped::Closed`].
-    pub(crate) fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
+    /// [`AdmissionQueue::pop_batch`]; once empty, poppers observe
+    /// `None`.
+    pub fn close(&self) {
+        let mut s = self.lock();
+        s.closed = true;
+        for &worker in &s.line {
+            self.wake[worker].notify_one();
+        }
+    }
+
+    /// Marks `worker` gone for good. It leaves the line (a batch it was
+    /// lingering on is its caller's to drop) and its successor is woken;
+    /// the last worker out closes the queue and drops whatever is still
+    /// queued, so no admitted item waits on workers that do not exist.
+    pub(crate) fn depart(&self, worker: usize) {
+        let mut s = self.lock();
+        if s.line.front() == Some(&worker) {
+            s.lingering = 0;
+        }
+        s.line.retain(|&w| w != worker);
+        s.live = s.live.saturating_sub(1);
+        let mut orphans = Vec::new();
+        if s.live == 0 {
+            s.closed = true;
+            s.total = 0;
+            orphans.extend(s.lanes.iter_mut().map(|l| std::mem::take(&mut l.items)));
+        }
+        s.lined_up |= s.line.len() >= s.live;
+        self.wake_head(&s);
+        self.roster.notify_all();
+        // Dropping an item may run arbitrary code (reply channels,
+        // in-flight guards): do it outside the lock.
+        drop(s);
+        drop(orphans);
+    }
+
+    /// Blocks until every live worker has stood in line at once, i.e.
+    /// until the first push is guaranteed a fair hand-off.
+    pub(crate) fn wait_lined_up(&self) {
+        drop(self.roster.wait_while(self.lock(), |s| !s.lined_up));
+    }
+
+    /// Blocks until every worker has departed.
+    pub(crate) fn wait_departed(&self) {
+        drop(self.roster.wait_while(self.lock(), |s| s.live > 0));
+    }
+}
+
+#[cfg(test)]
+impl<T> AdmissionQueue<T> {
+    /// Workers standing in line right now.
+    pub(crate) fn idle_workers(&self) -> usize {
+        self.lock().line.len()
+    }
+
+    /// Items the head of the line holds in a lingering batch.
+    pub(crate) fn lingering(&self) -> usize {
+        self.lock().lingering
+    }
+}
+
+/// Test barrier: yields until `cond` holds (or fails after 30 s).
+#[cfg(test)]
+pub(crate) fn spin_until(what: &str, cond: impl Fn() -> bool) {
+    let started = std::time::Instant::now();
+    while !cond() {
+        assert!(started.elapsed() < Duration::from_secs(30), "{what}");
+        std::thread::yield_now();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::CloseReason;
+    use crate::clock::{ManualClock, MonotonicClock};
+    use std::sync::{mpsc, Arc};
+    use std::time::Instant;
+
+    enum Popped<T> {
+        Item(T),
+        Closed,
+    }
+
+    impl<T> AdmissionQueue<T> {
+        /// One item at a time. The four scheduling tests below predate
+        /// `pop_batch` and read the fair order through this; none of
+        /// them pops an empty open queue, so the timeout they pass was
+        /// never what ended a pop.
+        fn pop_timeout(&self, _timeout: Duration) -> Popped<T> {
+            let one = BatchPolicy {
+                max_batch: 1,
+                max_wait_us: 0,
+            };
+            self.pop_batch(0, one, &ManualClock::new(0), |_| 0)
+                .and_then(|batch| batch.items.into_iter().next())
+                .map_or(Popped::Closed, Popped::Item)
+        }
+    }
 
     fn drain(q: &AdmissionQueue<&'static str>, n: usize) -> Vec<&'static str> {
         (0..n)
@@ -264,25 +484,137 @@ mod tests {
 
     #[test]
     fn pop_times_out_when_idle() {
-        let q: AdmissionQueue<u32> = AdmissionQueue::new(8, 0, &[]);
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(5)),
-            Popped::TimedOut
-        ));
+        let q = AdmissionQueue::new(8, 0, &[]);
+        q.try_push("a", 7u32).unwrap();
+        let linger = BatchPolicy {
+            max_batch: 8,
+            max_wait_us: 5_000,
+        };
+        let started = Instant::now();
+        let batch = q
+            .pop_batch(0, linger, &MonotonicClock::new(), |_| 0)
+            .expect("a batch");
+        // Nothing else arrived: the lone item lingered out the wait and
+        // left on the deadline, not before and not never.
+        assert_eq!(batch.items, vec![7]);
+        assert_eq!(batch.reason, CloseReason::Deadline);
+        assert!(started.elapsed() >= Duration::from_millis(5));
     }
 
     #[test]
     fn close_wakes_a_parked_popper() {
-        let q: std::sync::Arc<AdmissionQueue<u32>> =
-            std::sync::Arc::new(AdmissionQueue::new(8, 0, &[]));
+        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(8, 0, &[]));
         let popper = {
-            let q = std::sync::Arc::clone(&q);
+            let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                matches!(q.pop_timeout(Duration::from_secs(30)), Popped::Closed)
+                let policy = BatchPolicy {
+                    max_batch: 8,
+                    max_wait_us: 0,
+                };
+                q.pop_batch(0, policy, &ManualClock::new(0), |_| 0)
+                    .is_none()
             })
         };
-        std::thread::sleep(Duration::from_millis(20));
+        q.wait_lined_up();
         q.close();
         assert!(popper.join().expect("popper thread"));
+    }
+
+    /// Spawns one thread per worker that pops batches until the queue
+    /// closes, reporting each as `(worker, items, reason)`.
+    fn spawn_poppers(
+        q: &Arc<AdmissionQueue<u32>>,
+        workers: usize,
+        policy: BatchPolicy,
+        clock: &Arc<ManualClock>,
+    ) -> mpsc::Receiver<(usize, Vec<u32>, CloseReason)> {
+        let (tx, rx) = mpsc::channel();
+        for worker in 0..workers {
+            let (q, clock, tx) = (Arc::clone(q), Arc::clone(clock), tx.clone());
+            std::thread::spawn(move || {
+                while let Some(batch) = q.pop_batch(worker, policy, clock.as_ref(), |_| 0) {
+                    if tx.send((worker, batch.items, batch.reason)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        q.wait_lined_up();
+        rx
+    }
+
+    #[test]
+    fn idle_workers_take_turns_in_the_order_they_came_free() {
+        let q = Arc::new(AdmissionQueue::new(8, 0, &[]).with_workers(3));
+        let policy = BatchPolicy {
+            max_batch: 4,
+            max_wait_us: 0,
+        };
+        let rx = spawn_poppers(&q, 3, policy, &Arc::new(ManualClock::new(0)));
+        let mut served_by = Vec::new();
+        for i in 0..9 {
+            q.try_push("a", i).unwrap();
+            let (worker, items, _) = rx.recv().expect("a batch");
+            assert_eq!(items, vec![i]);
+            served_by.push(worker);
+            // The worker that just served rejoins at the back of the
+            // line before the next push.
+            spin_until("worker rejoined the line", || q.idle_workers() == 3);
+        }
+        q.close();
+        // Whatever order the three first lined up in, it repeats.
+        let mut first_round = served_by[..3].to_vec();
+        first_round.sort_unstable();
+        assert_eq!(first_round, vec![0, 1, 2], "{served_by:?}");
+        assert!(
+            served_by.iter().zip(&served_by[3..]).all(|(a, b)| a == b),
+            "{served_by:?}"
+        );
+    }
+
+    #[test]
+    fn only_the_head_of_the_line_holds_a_lingering_batch() {
+        // Capacity 3 with a batch of up to 4: the lingering batch is
+        // what fills the queue.
+        let q = Arc::new(AdmissionQueue::new(3, 0, &[]).with_workers(2));
+        let policy = BatchPolicy {
+            max_batch: 4,
+            max_wait_us: 600_000_000,
+        };
+        let rx = spawn_poppers(&q, 2, policy, &Arc::new(ManualClock::new(0)));
+        for i in 0..3 {
+            q.try_push("a", i).unwrap();
+        }
+        // A second idle worker stands right behind the head, yet every
+        // item joins the one open batch — which has left the lanes but
+        // still counts against capacity.
+        spin_until("head took all three", || q.lingering() == 3);
+        assert_eq!(q.idle_workers(), 2);
+        assert_eq!(
+            q.try_push("a", 3),
+            Err(AdmitError::Full {
+                tenant_quota: false
+            })
+        );
+        q.close();
+        let (_, items, reason) = rx.recv().expect("the open batch");
+        assert_eq!(items, vec![0, 1, 2]);
+        assert_eq!(reason, CloseReason::Flush);
+        assert!(rx.recv().is_err(), "exactly one batch was ever open");
+    }
+
+    #[test]
+    fn the_last_worker_out_closes_the_queue_and_drops_what_is_queued() {
+        let q = AdmissionQueue::new(8, 0, &[]).with_workers(2);
+        let item = Arc::new(());
+        q.try_push("a", Arc::clone(&item)).unwrap();
+        q.depart(0);
+        // One worker is left: still open for business.
+        q.try_push("b", Arc::clone(&item)).unwrap();
+        assert_eq!(Arc::strong_count(&item), 3);
+        q.depart(1);
+        assert_eq!(Arc::strong_count(&item), 1, "queued items were dropped");
+        assert_eq!(q.try_push("a", Arc::clone(&item)), Err(AdmitError::Closed));
+        q.wait_departed();
     }
 }

@@ -1,13 +1,17 @@
-//! Dynamic batching policy.
+//! Batch composition policy.
 //!
-//! [`Batcher`] is a pure state machine — no channels, no threads, no
-//! wall clock — so the size- and deadline-close rules are unit-testable
-//! with hand-fed timestamps. The server's batcher thread drives it with
-//! queue arrivals and `recv_timeout` wake-ups.
+//! A batch is composed by the worker that will run it, at the instant
+//! that worker is free: [`crate::admission::AdmissionQueue::pop_batch`]
+//! takes every queued job the batch may hold and then asks
+//! [`BatchPolicy::close_reason`] whether to close it or linger for
+//! more. That decision is a pure function — no lock, no thread, no
+//! clock — so the size, model-switch, deadline and flush rules are
+//! unit-testable with hand-fed timestamps.
 //!
-//! A batch holds requests for a single model (workers execute one
-//! compressed model per batch); an arrival for a different model closes
-//! the open batch immediately rather than waiting out its deadline.
+//! A batch holds requests for a single model load (workers execute one
+//! compressed model per batch); a queued job for a different load
+//! closes the open batch immediately rather than waiting out its
+//! deadline.
 
 use crate::error::ServeError;
 
@@ -16,9 +20,23 @@ use crate::error::ServeError;
 pub struct BatchPolicy {
     /// Maximum requests per batch; reaching it closes the batch.
     pub max_batch: usize,
-    /// Microseconds a non-full batch may wait for more requests before
-    /// it is closed anyway.
+    /// Microseconds a non-full batch may linger for more requests
+    /// before it is closed anyway; `0` closes it with whatever was
+    /// queued when the worker came free.
     pub max_wait_us: u64,
+}
+
+/// What an open batch found queued behind it once it had taken every
+/// job it may (ignored for a full batch, which closes on size whatever
+/// is queued).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backlog {
+    /// Nothing is queued; more may still arrive.
+    Empty,
+    /// The next job under the fair order targets another model load.
+    OtherModel,
+    /// Nothing is queued and admission has closed (shutdown drain).
+    Drained,
 }
 
 impl BatchPolicy {
@@ -35,6 +53,29 @@ impl BatchPolicy {
         }
         Ok(())
     }
+
+    /// Whether a batch of `len` jobs opened at `opened_us` closes at
+    /// `now_us`, and by which rule. `None` means linger: the batch may
+    /// stay open until `opened_us + max_wait_us` at the latest.
+    pub fn close_reason(
+        &self,
+        len: usize,
+        backlog: Backlog,
+        opened_us: u64,
+        now_us: u64,
+    ) -> Option<CloseReason> {
+        if len >= self.max_batch {
+            Some(CloseReason::Size)
+        } else if backlog == Backlog::OtherModel {
+            Some(CloseReason::ModelSwitch)
+        } else if now_us >= opened_us.saturating_add(self.max_wait_us) {
+            Some(CloseReason::Deadline)
+        } else if backlog == Backlog::Drained {
+            Some(CloseReason::Flush)
+        } else {
+            None
+        }
+    }
 }
 
 /// Why a batch was closed — the batch-formation telemetry splits its
@@ -45,7 +86,7 @@ pub enum CloseReason {
     Size,
     /// The batch's `max_wait_us` deadline expired.
     Deadline,
-    /// An arrival for a different model evicted the open batch.
+    /// The next queued job targets a different model load.
     ModelSwitch,
     /// Shutdown drain flushed the partial batch.
     Flush,
@@ -63,98 +104,17 @@ impl CloseReason {
     }
 }
 
-/// A closed batch ready for dispatch.
+/// A closed batch, handed to the worker that will run it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch<T> {
-    /// Registry index of the model every item targets.
+    /// Key of the model load every item targets.
     pub model: usize,
-    /// The batched items in arrival order.
+    /// The batched items in the order the fair schedule yielded them.
     pub items: Vec<T>,
     /// Clock reading when the batch was opened.
     pub opened_us: u64,
     /// Which rule closed the batch.
     pub reason: CloseReason,
-}
-
-/// The dynamic batcher: accumulates same-model items until the size or
-/// deadline rule closes the batch.
-#[derive(Debug)]
-pub struct Batcher<T> {
-    policy: BatchPolicy,
-    model: usize,
-    items: Vec<T>,
-    opened_us: u64,
-}
-
-impl<T> Batcher<T> {
-    /// A batcher with nothing pending.
-    pub fn new(policy: BatchPolicy) -> Self {
-        Batcher {
-            policy,
-            model: 0,
-            items: Vec::new(),
-            opened_us: 0,
-        }
-    }
-
-    /// Number of items in the open batch.
-    pub fn pending(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Deadline of the open batch (µs), if one is open.
-    pub fn deadline_us(&self) -> Option<u64> {
-        if self.items.is_empty() {
-            None
-        } else {
-            Some(self.opened_us.saturating_add(self.policy.max_wait_us))
-        }
-    }
-
-    fn close(&mut self, reason: CloseReason) -> Option<Batch<T>> {
-        if self.items.is_empty() {
-            return None;
-        }
-        Some(Batch {
-            model: self.model,
-            items: std::mem::take(&mut self.items),
-            opened_us: self.opened_us,
-            reason,
-        })
-    }
-
-    /// Feeds one arrival at clock time `now_us`; returns any batches
-    /// this closes: one when the size rule fires or a model switch
-    /// evicts the open batch, none otherwise. (A `Vec` keeps the
-    /// dispatch loop shape-agnostic if richer policies close more.)
-    pub fn offer(&mut self, model: usize, item: T, now_us: u64) -> Vec<Batch<T>> {
-        let mut out = Vec::new();
-        if !self.items.is_empty() && self.model != model {
-            out.extend(self.close(CloseReason::ModelSwitch));
-        }
-        if self.items.is_empty() {
-            self.model = model;
-            self.opened_us = now_us;
-        }
-        self.items.push(item);
-        if self.items.len() >= self.policy.max_batch {
-            out.extend(self.close(CloseReason::Size));
-        }
-        out
-    }
-
-    /// Closes the open batch if its deadline has passed.
-    pub fn poll(&mut self, now_us: u64) -> Option<Batch<T>> {
-        match self.deadline_us() {
-            Some(deadline) if now_us >= deadline => self.close(CloseReason::Deadline),
-            _ => None,
-        }
-    }
-
-    /// Unconditionally closes the open batch (shutdown drain).
-    pub fn flush(&mut self) -> Option<Batch<T>> {
-        self.close(CloseReason::Flush)
-    }
 }
 
 #[cfg(test)]
@@ -170,61 +130,76 @@ mod tests {
 
     #[test]
     fn size_close_fires_at_max_batch() {
-        let mut b = Batcher::new(policy(3, 1_000));
-        assert!(b.offer(0, "a", 0).is_empty());
-        assert!(b.offer(0, "b", 10).is_empty());
-        let closed = b.offer(0, "c", 20);
-        assert_eq!(closed.len(), 1);
-        assert_eq!(closed[0].items, vec!["a", "b", "c"]);
-        assert_eq!(closed[0].opened_us, 0);
-        assert_eq!(closed[0].reason, CloseReason::Size);
-        assert_eq!(b.pending(), 0);
+        let p = policy(3, 1_000);
+        assert_eq!(p.close_reason(1, Backlog::Empty, 0, 0), None);
+        assert_eq!(p.close_reason(2, Backlog::Empty, 0, 10), None);
+        // A full batch closes on size whatever is queued behind it and
+        // however long it has been open.
+        for backlog in [Backlog::Empty, Backlog::OtherModel, Backlog::Drained] {
+            assert_eq!(p.close_reason(3, backlog, 0, 20), Some(CloseReason::Size));
+            assert_eq!(
+                p.close_reason(3, backlog, 0, 5_000),
+                Some(CloseReason::Size)
+            );
+        }
     }
 
     #[test]
     fn deadline_close_fires_only_after_max_wait() {
-        let mut b = Batcher::new(policy(8, 500));
-        b.offer(0, 1, 100);
-        assert_eq!(b.deadline_us(), Some(600));
-        assert!(b.poll(599).is_none());
-        let closed = b.poll(600).unwrap();
-        assert_eq!(closed.items, vec![1]);
-        assert_eq!(closed.reason, CloseReason::Deadline);
-        assert!(b.poll(10_000).is_none(), "nothing pending after close");
+        let p = policy(8, 500);
+        assert_eq!(p.close_reason(1, Backlog::Empty, 100, 100), None);
+        assert_eq!(p.close_reason(1, Backlog::Empty, 100, 599), None);
+        assert_eq!(
+            p.close_reason(1, Backlog::Empty, 100, 600),
+            Some(CloseReason::Deadline)
+        );
+        // A zero wait closes a partial batch the instant it is opened.
+        assert_eq!(
+            policy(8, 0).close_reason(1, Backlog::Empty, 100, 100),
+            Some(CloseReason::Deadline)
+        );
     }
 
     #[test]
     fn model_switch_closes_the_open_batch() {
-        let mut b = Batcher::new(policy(8, 500));
-        b.offer(0, "m0-a", 0);
-        b.offer(0, "m0-b", 10);
-        let closed = b.offer(1, "m1-a", 20);
-        assert_eq!(closed.len(), 1);
-        assert_eq!(closed[0].model, 0);
-        assert_eq!(closed[0].items, vec!["m0-a", "m0-b"]);
-        assert_eq!(closed[0].reason, CloseReason::ModelSwitch);
-        assert_eq!(b.pending(), 1);
-        assert_eq!(b.deadline_us(), Some(520));
+        let p = policy(8, 500);
+        assert_eq!(
+            p.close_reason(2, Backlog::OtherModel, 0, 20),
+            Some(CloseReason::ModelSwitch)
+        );
+        // The blocked job is why the batch stopped growing, so it names
+        // the close even once the deadline has passed too.
+        assert_eq!(
+            p.close_reason(2, Backlog::OtherModel, 0, 900),
+            Some(CloseReason::ModelSwitch)
+        );
     }
 
     #[test]
     fn unit_batches_close_on_every_offer() {
-        let mut b = Batcher::new(policy(1, 500));
-        assert_eq!(b.offer(0, "a", 0).len(), 1);
-        assert_eq!(b.offer(2, "b", 5).len(), 1);
-        assert_eq!(b.pending(), 0, "unit batches never stay open");
+        let p = policy(1, 500);
+        for backlog in [Backlog::Empty, Backlog::OtherModel, Backlog::Drained] {
+            assert_eq!(
+                p.close_reason(1, backlog, 0, 0),
+                Some(CloseReason::Size),
+                "unit batches never stay open"
+            );
+        }
     }
 
     #[test]
     fn flush_drains_partial_batches() {
-        let mut b = Batcher::new(policy(8, 500));
-        b.offer(3, 1, 0);
-        b.offer(3, 2, 1);
-        let f = b.flush().unwrap();
-        assert_eq!(f.model, 3);
-        assert_eq!(f.items, vec![1, 2]);
-        assert_eq!(f.reason, CloseReason::Flush);
-        assert!(b.flush().is_none());
+        let p = policy(8, 500);
+        assert_eq!(
+            p.close_reason(2, Backlog::Drained, 0, 1),
+            Some(CloseReason::Flush)
+        );
+        // Past the deadline the drain is an ordinary deadline close, as
+        // a zero-wait server's always are.
+        assert_eq!(
+            p.close_reason(2, Backlog::Drained, 0, 500),
+            Some(CloseReason::Deadline)
+        );
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! simulated accelerator. This crate wraps that in the runtime a
 //! deployment needs: clients submit [`InferRequest`]s against a
 //! [`ModelRegistry`] of compressed models; admission control bounds the
-//! queue and rejects overload as [`ServeError::Overloaded`]; a dynamic
-//! [`batch::Batcher`] closes batches on size or deadline; and a pool of
-//! worker threads — each owning one [`cs_accel::exec::Accelerator`] —
-//! executes batches and answers every request with its outputs plus the
-//! simulated hardware cost (cycles from `cs-sim`'s counters, picojoules
-//! from `cs-energy`).
+//! queue and rejects overload as [`ServeError::Overloaded`]; and a pool
+//! of worker threads — each owning one [`cs_accel::exec::Accelerator`]
+//! — pulls batches straight from that queue
+//! ([`admission::AdmissionQueue::pop_batch`]: whatever is queued for
+//! one model when a worker comes free, up to the
+//! [`batch::BatchPolicy`]'s size limit), executes them and answers
+//! every request with its outputs plus the simulated hardware cost
+//! (cycles from `cs-sim`'s counters, picojoules from `cs-energy`).
 //!
 //! Time is injected via the [`Clock`] trait so the latency percentiles
 //! in [`ServeSnapshot`] are testable deterministically; the

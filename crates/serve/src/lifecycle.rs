@@ -160,7 +160,7 @@ pub(crate) enum ModelExec {
 pub(crate) struct LoadedModel {
     pub(crate) model: Arc<ServableModel>,
     pub(crate) version: u32,
-    /// Monotonic per-load id; the batcher keys batches on it, so two
+    /// Monotonic per-load id; batches are keyed on it, so two
     /// loads — even of the same `(name, version)` across an evict and
     /// re-load — never share a batch.
     pub(crate) slot: usize,

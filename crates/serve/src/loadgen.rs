@@ -64,7 +64,7 @@ pub struct SweepConfig {
     pub max_batches: Vec<usize>,
     /// Admission queue depth for every point.
     pub queue_depth: usize,
-    /// Partial-batch deadline (µs).
+    /// Partial-batch linger (µs); defaults to the server's.
     pub max_wait_us: u64,
     /// Emulate simulated service time on the wall clock (see
     /// [`ServeConfig::emulate_hw_time`]).
@@ -83,7 +83,7 @@ impl Default for SweepConfig {
             workers: vec![1, 2, 4],
             max_batches: vec![1, 8],
             queue_depth: 64,
-            max_wait_us: 200,
+            max_wait_us: ServeConfig::default().max_wait_us,
             emulate_hw_time: true,
             freq_ghz: 1.0,
         }

@@ -53,7 +53,7 @@ impl ServableModel {
     ///
     /// Only FC-only networks are servable today: the functional
     /// executor's conv path expects per-window im2col inputs the
-    /// batcher does not yet produce.
+    /// serving path does not yet produce.
     ///
     /// # Errors
     ///

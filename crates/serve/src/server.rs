@@ -3,21 +3,21 @@
 //! Request flow:
 //!
 //! ```text
-//! clients ──try_push──▶ tenant-fair queue ──▶ batcher thread ──▶ per-worker
-//!    ▲                   (admission)           (size/deadline)      lanes
-//!    │                                                          (round-robin)
-//!    └──── per-request response channel ◀── worker pool ◀──────────┘
-//!                                            (one Accelerator each)
+//! clients ──try_push──▶ tenant-fair queue ──pop_batch──▶ worker pool
+//!    ▲                    (admission)                 (one Accelerator
+//!    │                                                     each)
+//!    └────────── per-request response channel ◀─────────────┘
 //! ```
 //!
 //! Admission is a `try_push` on the bounded [`crate::admission`] queue:
 //! a full queue (global depth or the tenant's quota) rejects with
 //! [`ServeError::Overloaded`] instead of blocking the client, which is
-//! the backpressure contract. The batcher drains tenants weighted-fair
-//! and groups requests by the resolved model *load* (two loads of one
-//! name never share a batch) under the [`BatchPolicy`]; workers execute
-//! whole batches on their own [`Accelerator`] and answer each request
-//! on its private channel.
+//! the backpressure contract. No thread sits between the queue and the
+//! workers: a free worker pulls its next batch straight from the queue,
+//! which drains tenants weighted-fair and groups requests by the
+//! resolved model *load* (two loads of one name never share a batch)
+//! under the [`BatchPolicy`]. Workers execute whole batches on their
+//! own [`Accelerator`] and answer each request on its private channel.
 //!
 //! Models are live: the server may start empty and be populated through
 //! [`Server::load_servable`] / [`Server::load_artifact`], with versions
@@ -26,13 +26,13 @@
 //! was admitted against — eviction drains per-version in-flight latches
 //! outside the registry lock.
 //!
-//! Shutdown is graceful: [`Server::shutdown`] stops admitting, drains
-//! the queue through the batcher, lets workers finish in-flight batches
-//! and joins every thread before returning the final stats snapshot.
+//! Shutdown is graceful: [`Server::shutdown`] stops admitting, lets the
+//! workers drain the queue and finish their in-flight batches, and
+//! joins every thread before returning the final stats snapshot.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -43,8 +43,8 @@ use cs_energy::EnergyModel;
 use cs_registry::ModelArtifact;
 use cs_telemetry::{NoopRecorder, Recorder};
 
-use crate::admission::{AdmissionQueue, AdmitError, Popped};
-use crate::batch::{Batch, BatchPolicy, Batcher};
+use crate::admission::{AdmissionQueue, AdmitError};
+use crate::batch::BatchPolicy;
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::ServeError;
 use crate::lifecycle::{
@@ -89,11 +89,16 @@ pub struct ServeConfig {
     /// Worker threads, each owning one simulated accelerator.
     pub workers: usize,
     /// Admission queue capacity; a full queue rejects with
-    /// [`ServeError::Overloaded`].
+    /// [`ServeError::Overloaded`]. It bounds everything admitted and not
+    /// yet executing: batches are composed inside the queue, so no
+    /// request waits anywhere else.
     pub queue_depth: usize,
     /// Maximum requests per batch.
     pub max_batch: usize,
-    /// Microseconds a partial batch waits before closing anyway.
+    /// Microseconds a partial batch may linger for more requests before
+    /// closing anyway. The default `0` is work-conserving: a free
+    /// worker runs whatever is queued at once, and batches still fill
+    /// under load because requests queue up while workers are busy.
     pub max_wait_us: u64,
     /// When true, workers sleep out each batch's simulated service time
     /// (`cycles / freq`), so wall-clock latency and saturation behave
@@ -130,7 +135,7 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 64,
             max_batch: 8,
-            max_wait_us: 200,
+            max_wait_us: 0,
             emulate_hw_time: false,
             freq_ghz: 1.0,
             backend: ExecBackend::Simulator,
@@ -315,47 +320,6 @@ impl Ticket {
     }
 }
 
-/// Counts live worker threads; [`DrainHandle::shutdown_and_drain`]
-/// blocks on it until every in-flight batch has been answered.
-#[derive(Debug)]
-struct WorkerLatch {
-    remaining: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl WorkerLatch {
-    fn new(count: usize) -> Self {
-        WorkerLatch {
-            remaining: Mutex::new(count),
-            zero: Condvar::new(),
-        }
-    }
-
-    fn count_down(&self) {
-        let mut remaining = self
-            .remaining
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *remaining = remaining.saturating_sub(1);
-        if *remaining == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self
-            .remaining
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        while *remaining > 0 {
-            remaining = self
-                .zero
-                .wait(remaining)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-}
-
 /// A cloneable handle that can shut the server down from any thread.
 ///
 /// [`Server::shutdown`] consumes the owning handle, which a component
@@ -369,7 +333,6 @@ impl WorkerLatch {
 pub struct DrainHandle {
     shutting_down: Arc<AtomicBool>,
     queue: Arc<AdmissionQueue<Job>>,
-    latch: Arc<WorkerLatch>,
 }
 
 impl std::fmt::Debug for DrainHandle {
@@ -381,18 +344,16 @@ impl std::fmt::Debug for DrainHandle {
 }
 
 impl DrainHandle {
-    /// Stops admission, drains queued work through the batcher, and
+    /// Stops admission, lets the workers drain what is queued, and
     /// blocks until every worker thread has answered its in-flight
     /// batches and exited. Idempotent: concurrent calls all return
     /// once the drain completes.
     pub fn shutdown_and_drain(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        // Closing the queue lets buffered jobs drain through the
-        // batcher, which then observes Closed, flushes, and drops the
-        // dispatch lanes — stopping the workers after their in-flight
-        // batches.
+        // Workers keep pulling from a closed queue until it is empty,
+        // then leave.
         self.queue.close();
-        self.latch.wait();
+        self.queue.wait_departed();
     }
 
     /// Whether a shutdown (from any handle) has begun.
@@ -410,7 +371,6 @@ pub struct Server {
     recorder: Arc<dyn Recorder>,
     queue: Arc<AdmissionQueue<Job>>,
     shutting_down: Arc<AtomicBool>,
-    latch: Arc<WorkerLatch>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -467,49 +427,25 @@ impl Server {
     ) -> Result<Server, ServeError> {
         cfg.validate()?;
         let stats = Arc::new(ServeStats::with_recorder(
-            Arc::clone(&clock),
+            clock,
             cfg.workers,
             Arc::clone(&recorder),
             cfg.max_batch,
         ));
         let live = Arc::new(LiveRegistry::new(cfg.memory_budget_bytes));
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let latch = Arc::new(WorkerLatch::new(cfg.workers));
-        let queue = Arc::new(AdmissionQueue::new(
-            cfg.queue_depth,
-            cfg.tenant_quota,
-            &cfg.tenant_weights,
-        ));
-
-        // One bounded dispatch lane per worker, filled round-robin by
-        // the batcher. Deterministic assignment keeps the accelerators
-        // evenly loaded regardless of how the host schedules threads
-        // (this simulator often runs on a single core, where a shared
-        // work-stealing queue would let one worker starve the rest).
-        let mut batch_txs = Vec::with_capacity(cfg.workers);
-        let mut threads = Vec::with_capacity(cfg.workers + 1);
-        let mut worker_rxs = Vec::with_capacity(cfg.workers);
-        for _ in 0..cfg.workers {
-            let (tx, rx) = mpsc::sync_channel::<Batch<Job>>(1);
-            batch_txs.push(tx);
-            worker_rxs.push(rx);
-        }
-        threads.push(Server::spawn_batcher(
-            Arc::clone(&queue),
-            batch_txs,
-            cfg.policy(),
-            Arc::clone(&stats),
-        ));
-        for (worker_id, rx) in worker_rxs.into_iter().enumerate() {
-            threads.push(Server::spawn_worker(
-                worker_id,
-                rx,
-                &cfg,
-                Arc::clone(&stats),
-                Arc::clone(&clock),
-                Arc::clone(&latch),
-            ));
-        }
+        let queue = Arc::new(
+            AdmissionQueue::new(cfg.queue_depth, cfg.tenant_quota, &cfg.tenant_weights)
+                .with_workers(cfg.workers),
+        );
+        // The workers are the only threads. Idle ones stand in a FIFO
+        // line inside the queue, so assignment rotates over them
+        // however the host schedules threads: the old worry that on a
+        // single core a shared queue lets one hot worker starve the
+        // rest is answered by the line, not by per-worker lanes.
+        let threads = (0..cfg.workers)
+            .map(|id| Server::spawn_worker(id, &queue, &cfg, &stats))
+            .collect();
 
         let server = Server {
             live,
@@ -518,102 +454,27 @@ impl Server {
             recorder,
             queue,
             shutting_down,
-            latch,
             threads,
         };
         for model in registry.models() {
             server.load_servable((**model).clone(), 1, 0)?;
         }
+        // Start barrier: the first request finds every worker in line.
+        server.queue.wait_lined_up();
         Ok(server)
-    }
-
-    fn spawn_batcher(
-        queue: Arc<AdmissionQueue<Job>>,
-        batch_txs: Vec<SyncSender<Batch<Job>>>,
-        policy: BatchPolicy,
-        stats: Arc<ServeStats>,
-    ) -> JoinHandle<()> {
-        std::thread::Builder::new()
-            .name("cs-serve-batcher".to_string())
-            .spawn(move || {
-                let mut batcher: Batcher<Job> = Batcher::new(policy);
-                let mut next_worker = 0usize;
-                let mut dispatch = |batch: Batch<Job>| {
-                    let now = stats.now_us();
-                    stats.record_batch(
-                        batch.items.len(),
-                        now.saturating_sub(batch.opened_us),
-                        batch.reason,
-                    );
-                    for job in &batch.items {
-                        stats.record_dequeue(now.saturating_sub(job.submit_us));
-                    }
-                    // Round-robin assignment; a send error means that
-                    // worker is gone, so its jobs are dropped and the
-                    // clients observe WorkerLost.
-                    let _ = batch_txs[next_worker % batch_txs.len()].send(batch);
-                    next_worker = next_worker.wrapping_add(1);
-                };
-                loop {
-                    // Wait until the open batch's deadline (or idle
-                    // indefinitely when nothing is pending). Deadlines
-                    // advance on the injected clock but `pop_timeout`
-                    // parks in wall time, so while a batch is open the
-                    // park is capped at 1 ms: on an otherwise idle
-                    // server the batcher keeps re-reading the clock and
-                    // a lone request closes within `max_wait_us` plus
-                    // one cap instead of sleeping until the next
-                    // arrival.
-                    let wait = match batcher.deadline_us() {
-                        Some(d) => {
-                            let remaining = d.saturating_sub(stats.now_us());
-                            Duration::from_micros(remaining.clamp(1, 1_000))
-                        }
-                        None => Duration::from_secs(3600),
-                    };
-                    match queue.pop_timeout(wait) {
-                        Popped::Item(job) => {
-                            let now = stats.now_us();
-                            // Batches key on the load's slot, not the
-                            // model name: two loads of one name (e.g.
-                            // across an evict and re-load, or a canary
-                            // vs its primary) never share a batch.
-                            for batch in batcher.offer(job.loaded.slot, job, now) {
-                                dispatch(batch);
-                            }
-                            // The deadline may already have passed while
-                            // the queue was busy.
-                            if let Some(batch) = batcher.poll(stats.now_us()) {
-                                dispatch(batch);
-                            }
-                        }
-                        Popped::TimedOut => {
-                            if let Some(batch) = batcher.poll(stats.now_us()) {
-                                dispatch(batch);
-                            }
-                        }
-                        Popped::Closed => {
-                            // Shutdown: the queue is closed and fully
-                            // drained — flush.
-                            if let Some(batch) = batcher.flush() {
-                                dispatch(batch);
-                            }
-                            break;
-                        }
-                    }
-                }
-            })
-            .unwrap_or_else(|e| panic!("spawning batcher thread failed: {e}"))
     }
 
     fn spawn_worker(
         worker_id: usize,
-        batch_rx: Receiver<Batch<Job>>,
+        queue: &Arc<AdmissionQueue<Job>>,
         cfg: &ServeConfig,
-        stats: Arc<ServeStats>,
-        clock: Arc<dyn Clock>,
-        latch: Arc<WorkerLatch>,
+        stats: &Arc<ServeStats>,
     ) -> JoinHandle<()> {
+        let (queue, stats, clock) = (
+            Arc::clone(queue),
+            Arc::clone(stats),
+            Arc::clone(stats.clock()),
+        );
         // Each worker owns its accelerator; the executors themselves
         // ride in on every job (built once at load time, shared via
         // Arc), so the hot path never touches the registry lock.
@@ -625,18 +486,20 @@ impl Server {
         let emulate = cfg.emulate_hw_time;
         let freq_ghz = cfg.freq_ghz;
         let node = cfg.node.clone();
-        // Releases the latch even if the worker unwinds, so a drain
-        // never deadlocks on a dead thread.
-        struct LatchGuard(Arc<WorkerLatch>);
-        impl Drop for LatchGuard {
+        let policy = cfg.policy();
+        // Signs the worker off even if it unwinds: neither hand-offs
+        // nor a drain wait on a dead thread, and when the last one goes
+        // every outstanding ticket resolves to `WorkerLost`.
+        struct Departure(Arc<AdmissionQueue<Job>>, usize);
+        impl Drop for Departure {
             fn drop(&mut self) {
-                self.0.count_down();
+                self.0.depart(self.1);
             }
         }
         std::thread::Builder::new()
             .name(format!("cs-serve-worker-{worker_id}"))
             .spawn(move || {
-                let _latch_guard = LatchGuard(latch);
+                let _departure = Departure(Arc::clone(&queue), worker_id);
                 // Lane accounting: time between batches is idle, time
                 // spent executing one is busy; both accumulate into
                 // the per-worker telemetry counters.
@@ -645,16 +508,22 @@ impl Server {
                 // and the buffers an engine lane walks it through.
                 let mut staging: Vec<f32> = Vec::new();
                 let mut arena = LaneArena::default();
-                loop {
-                    let batch = match batch_rx.recv() {
-                        Ok(batch) => batch,
-                        Err(_) => break,
-                    };
+                // Batches key on the load's slot, not the model name:
+                // two loads of one name (a re-load, a canary vs its
+                // primary) never share a batch — one batch, one executor.
+                while let Some(batch) =
+                    queue.pop_batch(worker_id, policy, clock.as_ref(), |job| job.loaded.slot)
+                {
                     let busy_from = stats.now_us();
                     let batch_size = batch.items.len();
-                    // The batcher keys on the load's slot, so one batch
-                    // is one executor: a batch never mixes two loaded
-                    // versions.
+                    stats.record_batch(
+                        batch_size,
+                        busy_from.saturating_sub(batch.opened_us),
+                        batch.reason,
+                    );
+                    for job in &batch.items {
+                        stats.record_dequeue(busy_from.saturating_sub(job.submit_us));
+                    }
                     let Some(loaded) = batch.items.first().map(|job| Arc::clone(&job.loaded))
                     else {
                         continue;
@@ -819,6 +688,10 @@ impl Server {
                     tenant,
                 })
             }
+            // Closed without a shutdown: the last worker died.
+            Err(AdmitError::Closed) if !self.shutting_down.load(Ordering::SeqCst) => {
+                Err(ServeError::WorkerLost)
+            }
             Err(AdmitError::Closed) => Err(ServeError::ShuttingDown),
         }
     }
@@ -955,7 +828,6 @@ impl Server {
         DrainHandle {
             shutting_down: Arc::clone(&self.shutting_down),
             queue: Arc::clone(&self.queue),
-            latch: Arc::clone(&self.latch),
         }
     }
 
@@ -967,11 +839,7 @@ impl Server {
     }
 
     fn stop_and_join(&mut self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        // Closing the queue drains buffered jobs through the batcher,
-        // which then drops the dispatch lanes, stopping the workers
-        // after in-flight batches.
-        self.queue.close();
+        self.drain_handle().shutdown_and_drain();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -1024,6 +892,7 @@ fn shadow_compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::spin_until;
     use crate::model::ServableModel;
     use cs_nn::spec::Scale;
 
@@ -1249,17 +1118,54 @@ mod tests {
     }
 
     #[test]
-    fn idle_batcher_closes_a_lone_request_at_the_deadline() {
+    fn a_lone_request_is_answered_without_the_clock_moving() {
+        use crate::clock::ManualClock;
+        use cs_telemetry::Registry;
+        let (reg, model) = mlp_registry();
+        let registry = Arc::new(Registry::new());
+        // Never advanced. When batches waited out a 200 us deadline by
+        // default, a lone request on an idle server sat until the clock
+        // passed it; a free worker now takes what is queued and goes.
+        let clock = Arc::new(ManualClock::new(0));
+        let server =
+            Server::start_with_recorder(reg, ServeConfig::default(), clock, registry.clone())
+                .expect("start");
+        let ticket = server
+            .submit(InferRequest::new("mlp", input_for(&model, 1)))
+            .expect("submit");
+        let resp = ticket
+            .wait_deadline(Duration::from_secs(30))
+            .expect("answered with no co-rider and no clock tick")
+            .expect("response");
+        assert_eq!(resp.batch_size, 1);
+        server.shutdown();
+        // A zero-wait partial batch is a deadline close that waited 0.
+        let closes = |reason| {
+            registry
+                .find_counter("serve_batch_close_total", &[("reason", reason)])
+                .expect("close counter registered")
+                .get()
+        };
+        assert_eq!(closes("deadline"), 1);
+        assert_eq!(closes("size") + closes("model_switch") + closes("flush"), 0);
+        let wait = registry
+            .find_histogram("serve_batch_wait_us", &[])
+            .expect("batch wait histogram registered");
+        assert_eq!((wait.count(), wait.sum()), (1, 0));
+    }
+
+    #[test]
+    fn idle_worker_closes_a_lone_request_at_the_deadline() {
         use crate::clock::ManualClock;
         use cs_telemetry::Registry;
         let (reg, model) = mlp_registry();
         let registry = Arc::new(Registry::new());
         let clock = Arc::new(ManualClock::new(0));
         // The deadline is far beyond the wall time this test runs for:
-        // only the capped, deadline-aware park lets the batcher see the
-        // manual clock pass it. Before the fix the batcher slept out
-        // the whole remaining wait in wall time, so the lone request
-        // sat until the next arrival.
+        // only the capped, deadline-aware park lets the lingering worker
+        // see the manual clock pass it. Parking out the whole remaining
+        // wait in wall time would leave the lone request sitting until
+        // the next arrival.
         const MAX_WAIT_US: u64 = 60_000_000;
         let cfg = ServeConfig {
             workers: 1,
@@ -1273,10 +1179,9 @@ mod tests {
         let ticket = server
             .submit(InferRequest::new("mlp", input_for(&model, 1)))
             .expect("submit");
-        // Let the parked batcher pick the job up and open the batch,
-        // then jump the clock just past the deadline with the queue
-        // still idle.
-        std::thread::sleep(Duration::from_millis(50));
+        // Once the worker has opened the batch, jump the clock just
+        // past the deadline with the queue still idle.
+        spin_until("worker opened the batch", || server.queue.lingering() == 1);
         clock.advance(MAX_WAIT_US + 100);
         ticket.wait().expect("response");
         assert!(
@@ -1302,6 +1207,162 @@ mod tests {
             wait.sum(),
             MAX_WAIT_US
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn two_idle_workers_still_fill_one_batch_of_eight() {
+        let (reg, model) = mlp_registry();
+        let cfg = ServeConfig {
+            workers: 2,
+            max_batch: 8,
+            // Only the size rule can close the batch.
+            max_wait_us: 600_000_000,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(reg, cfg).expect("start");
+        let tickets: Vec<Ticket> = (0..8)
+            .map(|i| {
+                server
+                    .submit(InferRequest::new("mlp", input_for(&model, i)))
+                    .expect("submit")
+            })
+            .collect();
+        // The second worker stood idle right behind the first the whole
+        // time, yet only the head of the line may hold an open batch:
+        // the eight were not split between them.
+        let replies: Vec<InferResponse> = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("reply"))
+            .collect();
+        assert!(replies.iter().all(|r| r.batch_size == 8));
+        assert!(replies.iter().all(|r| r.worker == replies[0].worker));
+        let snap = server.shutdown();
+        assert_eq!(snap.batch_hist, vec![(8, 1)]);
+    }
+
+    #[test]
+    fn sequential_requests_visit_the_workers_in_one_fixed_cyclic_order() {
+        let (reg, model) = mlp_registry();
+        let cfg = ServeConfig {
+            workers: 4,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(reg, cfg).expect("start");
+        let mut served_by = Vec::new();
+        for i in 0..12 {
+            let resp = server
+                .infer(InferRequest::new("mlp", input_for(&model, i)))
+                .expect("infer");
+            served_by.push(resp.worker);
+            // The reply is sent before the worker rejoins the line.
+            spin_until("worker rejoined the line", || {
+                server.queue.idle_workers() == 4
+            });
+        }
+        server.shutdown();
+        // Whatever order the four first lined up in, it repeats: the
+        // load spreads evenly however the host schedules the threads.
+        let mut first_round = served_by[..4].to_vec();
+        first_round.sort_unstable();
+        assert_eq!(first_round, vec![0, 1, 2, 3], "{served_by:?}");
+        assert!(
+            served_by.iter().zip(&served_by[4..]).all(|(a, b)| a == b),
+            "{served_by:?}"
+        );
+    }
+
+    /// The wall clock, except that it panics once — when armed, and
+    /// only on the thread named `cs-serve-worker-0`.
+    struct FaultyClock {
+        inner: MonotonicClock,
+        armed: AtomicBool,
+    }
+
+    impl FaultyClock {
+        fn new() -> Arc<Self> {
+            Arc::new(FaultyClock {
+                inner: MonotonicClock::new(),
+                armed: AtomicBool::new(false),
+            })
+        }
+    }
+
+    impl Clock for FaultyClock {
+        fn now_us(&self) -> u64 {
+            if std::thread::current().name() == Some("cs-serve-worker-0")
+                && self.armed.swap(false, Ordering::SeqCst)
+            {
+                panic!("injected fault: worker 0 dies here");
+            }
+            self.inner.now_us()
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_does_not_black_hole_traffic() {
+        let (reg, model) = mlp_registry();
+        let clock = FaultyClock::new();
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start_with_clock(reg, cfg, clock.clone()).expect("start");
+        clock.armed.store(true, Ordering::SeqCst);
+        let mut after_the_fault = 0;
+        for i in 0..24 {
+            let already_dead = !clock.armed.load(Ordering::SeqCst);
+            let result = server.infer(InferRequest::new("mlp", input_for(&model, i)));
+            if already_dead {
+                // With per-worker dispatch lanes every second batch went
+                // to the dead worker's lane for the life of the server.
+                let resp = result.expect("the survivor serves every later request");
+                assert_eq!(resp.worker, 1);
+                after_the_fault += 1;
+            } else if let Err(e) = result {
+                // Only what worker 0 held when it died may be lost.
+                assert!(matches!(e, ServeError::WorkerLost), "{e}");
+            }
+        }
+        // Two workers take turns, so the fault fired within two requests.
+        assert!(after_the_fault >= 22, "{after_the_fault}");
+        let snap = server.shutdown();
+        assert_eq!(snap.failed, 0);
+    }
+
+    #[test]
+    fn the_last_worker_out_resolves_every_outstanding_ticket() {
+        let (reg, model) = mlp_registry();
+        let clock = FaultyClock::new();
+        let cfg = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start_with_clock(reg, cfg, clock.clone()).expect("start");
+        clock.armed.store(true, Ordering::SeqCst);
+        // The only worker dies on its next clock reading — before it can
+        // run anything. Whatever was admitted by then is still queued.
+        let mut tickets = Vec::new();
+        for i in 0..6 {
+            match server.submit(InferRequest::new("mlp", input_for(&model, i))) {
+                Ok(ticket) => tickets.push(ticket),
+                Err(e) => assert!(matches!(e, ServeError::WorkerLost), "{e}"),
+            }
+        }
+        assert!(!tickets.is_empty(), "the first submit precedes the fault");
+        for ticket in tickets {
+            let reply = ticket
+                .wait_deadline(Duration::from_secs(30))
+                .expect("a ticket nobody can serve must not hang");
+            assert!(matches!(reply, Err(ServeError::WorkerLost)), "{reply:?}");
+        }
+        // Nobody is left to serve: admission says so instead of queueing.
+        assert!(matches!(
+            server.submit(InferRequest::new("mlp", input_for(&model, 99))),
+            Err(ServeError::WorkerLost)
+        ));
+        // And a drain has nothing to wait for.
+        server.drain_handle().shutdown_and_drain();
         server.shutdown();
     }
 
@@ -1784,10 +1845,9 @@ mod tests {
             queue_depth: 64,
             tenant_quota: 2,
             // Single-request batches on a deliberately slow emulated
-            // accelerator: the dispatch pipeline (one batch in the
-            // worker, one buffered, one blocking the batcher) fills
-            // within a few submissions, after which the tenant's lane
-            // backs up and the quota must reject.
+            // accelerator: the one worker is busy after the first
+            // submission, so the tenant's lane backs up and the quota
+            // must reject.
             max_batch: 1,
             emulate_hw_time: true,
             freq_ghz: 1e-3,
@@ -1795,9 +1855,9 @@ mod tests {
         };
         let server = Server::start(reg, cfg).expect("start");
         let mut tickets = Vec::new();
-        // Fill tenant "acme" to its quota. The batcher may drain some
-        // jobs into an open batch, so push until a rejection arrives
-        // (bounded by the quota plus the open batch).
+        // Fill tenant "acme" to its quota. The worker takes the first
+        // job or two while the burst arrives, so push until a rejection
+        // arrives (bounded by the quota plus what it took).
         let mut rejected = None;
         for i in 0..200 {
             match server.submit(InferRequest::new("mlp", input_for(&model, i)).with_tenant("acme"))

@@ -42,7 +42,9 @@ struct StatsInner {
     completed: u64,
     hw_completed: u64,
     failed: u64,
-    queue_depth: usize,
+    /// Signed: a free worker can take a job before its submitter has
+    /// recorded the admission, so the count may dip to -1 in between.
+    queue_depth: i64,
     max_queue_depth: usize,
     latencies_us: Vec<u64>,
     keep_every: usize,
@@ -238,7 +240,7 @@ impl ServeMetrics {
 
 /// Shared, thread-safe statistics recorder.
 ///
-/// The admission path, the batcher and every worker hold an `Arc` of
+/// The admission path and every worker hold an `Arc` of
 /// this and record events as they happen; [`ServeStats::snapshot`]
 /// folds the counters into a [`ServeSnapshot`].
 pub struct ServeStats {
@@ -309,7 +311,9 @@ impl ServeStats {
             let mut g = lock_or_recover(&self.inner);
             g.submitted += 1;
             g.queue_depth += 1;
-            g.max_queue_depth = g.max_queue_depth.max(g.queue_depth);
+            g.max_queue_depth = g
+                .max_queue_depth
+                .max(usize::try_from(g.queue_depth).unwrap_or(0));
         }
         self.metrics.submitted.inc();
         self.metrics.queue_depth.add(1);
@@ -324,10 +328,7 @@ impl ServeStats {
     /// Records a request leaving the queue for a batch after waiting
     /// `wait_us` since admission.
     pub fn record_dequeue(&self, wait_us: u64) {
-        {
-            let mut g = lock_or_recover(&self.inner);
-            g.queue_depth = g.queue_depth.saturating_sub(1);
-        }
+        lock_or_recover(&self.inner).queue_depth -= 1;
         self.metrics.queue_depth.sub(1);
         self.metrics.queue_wait_us.observe(wait_us);
     }
@@ -538,7 +539,7 @@ impl ServeStats {
             rejected: g.rejected,
             completed,
             failed: g.failed,
-            queue_depth: g.queue_depth,
+            queue_depth: usize::try_from(g.queue_depth).unwrap_or(0),
             max_queue_depth: g.max_queue_depth,
             p50_us: percentile_of_sorted(&sorted, 0.50),
             p95_us: percentile_of_sorted(&sorted, 0.95),

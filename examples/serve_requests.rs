@@ -3,8 +3,8 @@
 //!
 //! Compresses the paper's MLP into the shared-index format, registers
 //! it with the serving runtime, submits a burst of concurrent requests
-//! through the dynamic batcher, and prints the latency/throughput/
-//! energy statistics the server collected.
+//! that the workers pull off the admission queue in batches, and prints
+//! the latency/throughput/energy statistics the server collected.
 //!
 //! ```text
 //! cargo run --release --example serve_requests
@@ -20,14 +20,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut registry = ModelRegistry::new();
     registry.register(model)?;
 
-    // 2. Start two workers — two simulated accelerators — behind a
-    //    dynamic batcher (close at 8 requests or 200 µs).
+    // 2. Start two workers — two simulated accelerators. A worker that
+    //    is free takes whatever is queued, up to 8 requests, and runs
+    //    it at once: the burst below rides in batches because requests
+    //    pile up while both workers are busy, not because anything
+    //    waits for co-riders (`max_wait_us` stays at its default 0).
     let server = Server::start(
         registry,
         ServeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait_us: 200,
             ..ServeConfig::default()
         },
     )?;

@@ -5,7 +5,9 @@
 
 use cambricon_s::prelude::*;
 use cs_accel::exec::Accelerator;
-use cs_serve::batch::{BatchPolicy, Batcher, CloseReason};
+use cs_serve::admission::AdmissionQueue;
+use cs_serve::batch::{Backlog, Batch, BatchPolicy, CloseReason};
+use cs_serve::{ExecBackend, ManualClock};
 use proptest::prelude::*;
 
 const SEED: u64 = 20181020;
@@ -220,93 +222,247 @@ fn multi_model_batches_route_responses_to_the_right_client() {
     assert_eq!(snap.failed, 0);
 }
 
+#[test]
+fn eight_producers_four_workers_two_models_get_exactly_one_reply_each() {
+    const PRODUCERS: usize = 8;
+    const PER_PRODUCER: usize = 24;
+
+    let mlp_a = ServableModel::mlp(Scale::Reduced(8), SEED).expect("mlp a");
+    let mut mlp_b = ServableModel::mlp(Scale::Reduced(8), SEED ^ 0xABCD).expect("mlp b");
+    mlp_b.name = "mlp-b".to_string();
+    let n_in = mlp_a.n_in;
+    let lanes = [mlp_a.dense_lane(), mlp_b.dense_lane()];
+    let names = [mlp_a.name.clone(), mlp_b.name.clone()];
+    let mut registry = ModelRegistry::new();
+    registry.register(mlp_a).expect("register a");
+    registry.register(mlp_b).expect("register b");
+    // A queue shallower than the burst, so admission may push back;
+    // producers do not retry and do not wait for replies.
+    let server = Server::start(
+        registry,
+        ServeConfig {
+            workers: 4,
+            max_batch: 4,
+            queue_depth: 16,
+            backend: ExecBackend::Sparse,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start");
+
+    let mut admitted = Vec::new();
+    let mut rejected = 0u64;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..PRODUCERS)
+            .map(|producer| {
+                let (server, names) = (&server, &names);
+                scope.spawn(move || {
+                    let mut tickets = Vec::new();
+                    let mut rejected = 0u64;
+                    for i in 0..PER_PRODUCER {
+                        let rid = (producer * PER_PRODUCER + i) as u64;
+                        let which = (producer + i) % 2;
+                        let input = deterministic_input(n_in, rid);
+                        match server.submit(InferRequest::new(&names[which], input.clone())) {
+                            Ok(ticket) => tickets.push((ticket, which, input)),
+                            Err(ServeError::Overloaded { .. }) => rejected += 1,
+                            Err(e) => panic!("unexpected admission error: {e}"),
+                        }
+                    }
+                    (tickets, rejected)
+                })
+            })
+            .collect();
+        for h in handles {
+            let (tickets, r) = h.join().expect("producer thread");
+            admitted.extend(tickets);
+            rejected += r;
+        }
+    });
+
+    // Shut down with replies still uncollected (and possibly work still
+    // queued): the drain answers everything that was admitted.
+    let snap = server.shutdown();
+    assert_eq!(snap.submitted, admitted.len() as u64);
+    assert_eq!(snap.rejected, rejected);
+    assert_eq!(snap.failed, 0);
+    assert_eq!(
+        snap.completed + snap.rejected,
+        (PRODUCERS * PER_PRODUCER) as u64,
+        "every submission was either answered or refused at the door"
+    );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (ticket, which, input) in admitted {
+        let resp = ticket.wait().expect("exactly one reply per ticket");
+        assert_eq!(resp.model, names[which], "reply routed to the wrong model");
+        assert!(resp.batch_size >= 1 && resp.batch_size <= 4);
+        let want = lanes[which].forward(&input).expect("direct lane");
+        assert_eq!(bits(&resp.outputs), bits(&want));
+        // A second reply on the same ticket is impossible by
+        // construction: the ticket was consumed by `wait`.
+    }
+}
+
+/// What the test queues: `(id, tenant, model)`.
+type Tagged = (usize, usize, usize);
+
+/// Cuts the fair order into the batches a work-conserving popper must
+/// produce: each the longest same-model run at the front, capped at
+/// `max_batch`.
+fn greedy_chunks(order: &[Tagged], max_batch: usize) -> Vec<Vec<Tagged>> {
+    let mut chunks: Vec<Vec<Tagged>> = Vec::new();
+    for item in order {
+        match chunks.last_mut() {
+            Some(open) if open.len() < max_batch && open[0].2 == item.2 => open.push(*item),
+            _ => chunks.push(vec![*item]),
+        }
+    }
+    chunks
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Batching invariants over arbitrary arrival sequences, driven
-    /// against the pure `Batcher` state machine with hand-fed
-    /// timestamps: no batch exceeds `max_batch`, every admitted request
-    /// lands in exactly one batch, and requests for the same model stay
-    /// FIFO.
+    /// Batch-composition invariants over arbitrary arrival sequences,
+    /// driven single-threaded through the real admission queue — which
+    /// is possible because a zero-wait pop on a non-empty queue, and any
+    /// pop on a closed one, must not block (a hang here is the failure).
+    /// A twin queue fed the same arrivals and popped one job at a time
+    /// supplies the weighted-fair order the batches must follow.
     #[test]
-    fn batcher_invariants_hold_for_any_arrival_sequence(
-        arrivals in proptest::collection::vec((0usize..3, 0u64..300), 1..200),
+    fn batch_invariants_hold_for_any_arrival_sequence(
+        arrivals in proptest::collection::vec((0usize..3, 0usize..3, 0u8..6), 1..200),
         max_batch in 1usize..9,
         max_wait_us in 0u64..400,
+        capacity in 4usize..48,
     ) {
-        let mut b: Batcher<(usize, usize)> =
-            Batcher::new(BatchPolicy { max_batch, max_wait_us });
-        let mut now = 0u64;
-        let mut closed = Vec::new();
-        for (id, (model, gap)) in arrivals.iter().enumerate() {
-            now += gap;
-            // The server's batcher thread polls the deadline before
-            // folding in the next arrival; mirror that order.
-            closed.extend(b.poll(now));
-            closed.extend(b.offer(*model, (id, *model), now));
+        let weights = [("t0".to_string(), 3)];
+        let batched: AdmissionQueue<Tagged> = AdmissionQueue::new(capacity, 0, &weights);
+        let single: AdmissionQueue<Tagged> = AdmissionQueue::new(capacity, 0, &weights);
+        let clock = ManualClock::new(0);
+        let model_of = |item: &Tagged| item.2;
+        let eager = BatchPolicy { max_batch, max_wait_us: 0 };
+        let one = BatchPolicy { max_batch: 1, max_wait_us: 0 };
+        let pop = |q: &AdmissionQueue<Tagged>, policy| q.pop_batch(0, policy, &clock, model_of);
+
+        let mut closed: Vec<Batch<Tagged>> = Vec::new();
+        let mut admitted = 0usize;
+        let mut queued = 0usize;
+        // Pops `queued` jobs from both queues and holds the batches to
+        // the greedy cut of the fair order; `last` is the rule that
+        // closes a partial batch with nothing queued behind it.
+        let drain = |queued: &mut usize,
+                     policy: BatchPolicy,
+                     last: CloseReason,
+                     closed: &mut Vec<Batch<Tagged>>| {
+            let order: Vec<Tagged> = (0..*queued)
+                .map(|_| pop(&single, one).expect("twin holds the same jobs").items[0])
+                .collect();
+            let chunks = greedy_chunks(&order, policy.max_batch);
+            for (i, want) in chunks.iter().enumerate() {
+                let batch = pop(&batched, policy).expect("non-empty queue yields a batch");
+                // Work-conserving: exactly the same-model prefix, capped.
+                prop_assert_eq!(&batch.items, want);
+                let reason = if want.len() == policy.max_batch {
+                    CloseReason::Size
+                } else if i + 1 < chunks.len() {
+                    CloseReason::ModelSwitch
+                } else {
+                    last
+                };
+                prop_assert_eq!(batch.reason, reason);
+                *queued -= batch.items.len();
+                closed.push(batch);
+            }
+            prop_assert_eq!(*queued, 0);
+            Ok(())
+        };
+        for (id, (tenant, model, roll)) in arrivals.iter().enumerate() {
+            let item = (id, *tenant, *model);
+            let name = format!("t{tenant}");
+            let verdict = batched.try_push(&name, item);
+            prop_assert_eq!(verdict, single.try_push(&name, item));
+            if verdict.is_ok() {
+                admitted += 1;
+                queued += 1;
+            }
+            if *roll == 0 {
+                // A zero-wait partial batch is a deadline close.
+                drain(&mut queued, eager, CloseReason::Deadline, &mut closed)?;
+            }
         }
-        closed.extend(b.flush());
+        // Shutdown drain under the lingering policy: a closed queue
+        // flushes instead of waiting.
+        batched.close();
+        single.close();
+        let lingering = BatchPolicy { max_batch, max_wait_us };
+        let last = if max_wait_us == 0 { CloseReason::Deadline } else { CloseReason::Flush };
+        drain(&mut queued, lingering, last, &mut closed)?;
+        prop_assert!(pop(&batched, eager).is_none(), "closed and drained");
 
         for batch in &closed {
             // No batch exceeds the size limit, none is empty.
             prop_assert!(!batch.items.is_empty());
             prop_assert!(batch.items.len() <= max_batch);
             // Single-model batches: every item targets the batch model.
-            prop_assert!(batch.items.iter().all(|(_, m)| *m == batch.model));
-            // The size rule only fires on exactly-full batches.
-            if batch.reason == CloseReason::Size {
-                prop_assert_eq!(batch.items.len(), max_batch);
-            }
+            prop_assert!(batch.items.iter().all(|item| item.2 == batch.model));
+            // The size rule fires on exactly-full batches, and only then.
+            prop_assert_eq!(batch.reason == CloseReason::Size, batch.items.len() == max_batch);
         }
 
         // Every admitted request rides exactly one batch: ids across
-        // all closed batches are a permutation of the arrivals.
-        let ids: Vec<usize> = closed
+        // all closed batches are the admitted ids, each once.
+        let mut ids: Vec<usize> = closed
             .iter()
-            .flat_map(|b| b.items.iter().map(|(id, _)| *id))
+            .flat_map(|b| b.items.iter().map(|item| item.0))
             .collect();
-        let mut deduped = ids.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        prop_assert_eq!(ids.len(), arrivals.len(), "dropped or duplicated requests");
-        prop_assert_eq!(deduped.len(), arrivals.len());
+        prop_assert_eq!(ids.len(), admitted, "dropped or duplicated requests");
+        ids.sort_unstable();
+        ids.dedup();
+        prop_assert_eq!(ids.len(), admitted);
 
-        // FIFO within a lane: for each model, ids appear in strictly
-        // increasing arrival order across the closed batches.
-        for model in 0..3usize {
-            let order: Vec<usize> = closed
-                .iter()
-                .flat_map(|b| b.items.iter().filter(|(_, m)| *m == model))
-                .map(|(id, _)| *id)
-                .collect();
-            prop_assert!(
-                order.windows(2).all(|w| w[0] < w[1]),
-                "model {} served out of order: {:?}", model, order
-            );
+        // FIFO within a tenant's lane: the fair schedule interleaves
+        // tenants, but one tenant's requests for one model are served in
+        // arrival order.
+        for tenant in 0..3usize {
+            for model in 0..3usize {
+                let order: Vec<usize> = closed
+                    .iter()
+                    .flat_map(|b| b.items.iter())
+                    .filter(|item| item.1 == tenant && item.2 == model)
+                    .map(|item| item.0)
+                    .collect();
+                prop_assert!(
+                    order.windows(2).all(|w| w[0] < w[1]),
+                    "tenant {} model {} served out of order: {:?}", tenant, model, order
+                );
+            }
         }
     }
 
-    /// The batcher never holds a batch past its deadline: polling at
-    /// the reported deadline always closes the open batch.
+    /// A lingering batch never outlives `opened + max_wait_us`: however
+    /// many jobs join it and whenever they do, the close decision says
+    /// "stay open" strictly before that instant and "deadline" at it.
     #[test]
-    fn batcher_deadline_is_tight(
+    fn linger_deadline_is_tight(
         gaps in proptest::collection::vec(0u64..100, 1..50),
         max_wait_us in 1u64..500,
+        opened_us in 0u64..1_000_000,
     ) {
-        let mut b: Batcher<u64> = Batcher::new(BatchPolicy { max_batch: usize::MAX, max_wait_us });
-        let mut now = 0u64;
-        for (i, gap) in gaps.iter().enumerate() {
-            now += gap;
-            prop_assert!(b.offer(0, i as u64, now).is_empty());
-            let deadline = b.deadline_us().expect("batch open");
-            // Strictly before the deadline: still open.
-            prop_assert!(b.poll(deadline - 1).is_none());
-            prop_assert!(b.pending() == i + 1);
+        let policy = BatchPolicy { max_batch: usize::MAX, max_wait_us };
+        let deadline = opened_us + max_wait_us;
+        let mut now = opened_us;
+        for (joined, gap) in gaps.iter().enumerate() {
+            // Later arrivals grow the batch; they do not move its deadline.
+            now = (now + gap).min(deadline - 1);
+            let len = joined + 1;
+            prop_assert_eq!(policy.close_reason(len, Backlog::Empty, opened_us, now), None);
+            prop_assert_eq!(policy.close_reason(len, Backlog::Empty, opened_us, deadline - 1), None);
+            prop_assert_eq!(
+                policy.close_reason(len, Backlog::Empty, opened_us, deadline),
+                Some(CloseReason::Deadline)
+            );
         }
-        let deadline = b.deadline_us().expect("batch open");
-        let batch = b.poll(deadline).expect("deadline closes");
-        prop_assert_eq!(batch.reason, CloseReason::Deadline);
-        prop_assert_eq!(batch.items.len(), gaps.len());
     }
 }
 
