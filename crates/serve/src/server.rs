@@ -470,11 +470,7 @@ impl Server {
         cfg: &ServeConfig,
         stats: &Arc<ServeStats>,
     ) -> JoinHandle<()> {
-        let (queue, stats, clock) = (
-            Arc::clone(queue),
-            Arc::clone(stats),
-            Arc::clone(stats.clock()),
-        );
+        let (queue, stats) = (Arc::clone(queue), Arc::clone(stats));
         // Each worker owns its accelerator; the executors themselves
         // ride in on every job (built once at load time, shared via
         // Arc), so the hot path never touches the registry lock.
@@ -500,6 +496,7 @@ impl Server {
             .name(format!("cs-serve-worker-{worker_id}"))
             .spawn(move || {
                 let _departure = Departure(Arc::clone(&queue), worker_id);
+                let clock = stats.clock();
                 // Lane accounting: time between batches is idle, time
                 // spent executing one is busy; both accumulate into
                 // the per-worker telemetry counters.
@@ -563,7 +560,7 @@ impl Server {
                                 }
                             };
                             let n_out = loaded.model.n_out;
-                            match run_lane_batch(lane, telemetry, &clock, inputs, &mut arena) {
+                            match run_lane_batch(lane, telemetry, clock, inputs, &mut arena) {
                                 Ok(outs) => (0..batch_size)
                                     .map(|j| {
                                         Ok((outs[j * n_out..(j + 1) * n_out].to_vec(), 0, 0.0))
