@@ -18,16 +18,15 @@
 //!
 //! **Connection sweep** (`--conns-sweep N1,N2,..`): repeats the server
 //! mode run at each connection count against the same endpoint and
-//! emits one `conn_sweep_point` JSONL record per count. On Linux the
-//! sweep client is itself event-driven: one thread multiplexes every
+//! emits one `conn_sweep_point` JSONL record per count. The sweep
+//! client is itself event-driven: one thread multiplexes every
 //! connection through the same `cs_net::poll` epoll shim and
-//! `FrameAssembler` the reactor uses, because a thousand loadgen
+//! `FrameAssembler` the server uses, because a thousand loadgen
 //! *threads* would swamp the scheduler of a small CI host and the tail
-//! latency would measure the client's own run queue, not the server
-//! (non-Linux falls back to thread-per-connection). The gated latency
-//! is the **server-reported** `latency_us` stamped in every response
-//! (decode→reply time on the server). `--max-p99-ratio F` turns the
-//! sweep into a CI gate: the last point's server-side p99 must stay
+//! latency would measure the client's own run queue, not the server.
+//! The gated latency is the **server-reported** `latency_us` stamped in
+//! every response (decode→reply time on the server). `--max-p99-ratio F`
+//! turns the sweep into a CI gate: the last point's server-side p99 must stay
 //! within `F ×` the first point's — or within `F ×`
 //! [`P99_BASELINE_FLOOR_US`] when the first point reads below that
 //! floor, so that an idle-fast server is judged on how slow the loaded
@@ -35,7 +34,7 @@
 //!
 //! **Cluster mode** (`--cluster`): ignores `--addr` and instead stands
 //! up fresh in-process clusters at each `--nodes` count (orchestrator +
-//! N full worker nodes on loopback, node frontends on `--transport`),
+//! N full worker nodes on loopback),
 //! drives the same seeded load through the orchestrator, and reports
 //! aggregate hw-throughput scaling as JSONL. `--min-scaling F` turns
 //! the scaling factor into an exit-code gate for CI.
@@ -64,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use cs_cluster::{run_cluster_sweep, ClusterSweepConfig};
-use cs_net::{Client, RetryPolicy, Transport};
+use cs_net::{Client, RetryPolicy};
 use cs_serve::loadgen::request_input;
 use cs_serve::ExecBackend;
 
@@ -86,7 +85,6 @@ struct Args {
     scale: usize,
     workers_per_node: usize,
     backend: ExecBackend,
-    transport: Transport,
     min_scaling: f64,
     /// Number of synthetic tenants to spread connections across
     /// (`tenant-0..tenant-N-1`); 0 sends untenanted traffic.
@@ -175,8 +173,7 @@ fn usage() -> ! {
          \x20                [--load NAME@VER[:PCT]]... [--mid-load NAME@VER[:PCT]]...\n\
          \x20      cs-netload --cluster [--nodes N,N,..] [--conns N] [--requests N]\n\
          \x20                [--seed N] [--scale N] [--workers N]\n\
-         \x20                [--backend simulator|sparse|dense]\n\
-         \x20                [--transport threaded|reactor] [--out PATH]\n\
+         \x20                [--backend simulator|sparse|dense] [--out PATH]\n\
          \x20                [--min-scaling F]"
     );
     std::process::exit(1);
@@ -201,7 +198,6 @@ fn parse_args() -> Args {
         scale: 8,
         workers_per_node: 2,
         backend: ExecBackend::Simulator,
-        transport: Transport::default(),
         min_scaling: 0.0,
         tenants: 0,
         tenant_weights: Vec::new(),
@@ -267,15 +263,6 @@ fn parse_args() -> Args {
                     "dense" => ExecBackend::Dense,
                     other => {
                         eprintln!("error: unknown backend {other:?}");
-                        usage();
-                    }
-                }
-            }
-            "--transport" => {
-                out.transport = match value("--transport").parse() {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: {e}");
                         usage();
                     }
                 }
@@ -490,14 +477,13 @@ fn run_load(args: &Args, conns: usize) -> Vec<ConnResult> {
     })
 }
 
-/// Event-driven sweep client (Linux only): one thread multiplexes every
-/// connection through the reactor's own readiness shim
+/// Event-driven sweep client: one thread multiplexes every connection
+/// through the server's own readiness shim
 /// ([`cs_net::poll`]) and incremental codec ([`cs_net::FrameAssembler`]
 /// / [`cs_net::WriteBuffer`]). A thousand closed-loop connections cost
 /// one runnable thread instead of a thousand, so on a small host the
 /// measured tail belongs to the server under test, not to the load
 /// generator's own scheduler queue.
-#[cfg(target_os = "linux")]
 mod evloop {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -906,11 +892,10 @@ fn run_cluster_mode(args: &Args) -> ! {
         scale: args.scale,
         workers_per_node: args.workers_per_node,
         backend: args.backend,
-        transport: args.transport,
     };
     println!(
-        "cs-netload --cluster: nodes {:?}, {} conns x {} requests, seed {}, {} transport",
-        cfg.node_counts, cfg.conns, cfg.requests_per_conn, cfg.seed, cfg.transport
+        "cs-netload --cluster: nodes {:?}, {} conns x {} requests, seed {}",
+        cfg.node_counts, cfg.conns, cfg.requests_per_conn, cfg.seed
     );
     let report = match run_cluster_sweep(&cfg) {
         Ok(r) => r,
@@ -989,19 +974,6 @@ impl ConnSweepPoint {
     }
 }
 
-/// One sweep point's load run: event-driven single-threaded client on
-/// Linux, thread-per-connection elsewhere.
-#[cfg(target_os = "linux")]
-fn run_load_sweep(args: &Args, conns: usize, n_in: usize) -> Vec<ConnResult> {
-    evloop::run_load_event(args, conns, n_in)
-}
-
-/// One sweep point's load run (portable fallback).
-#[cfg(not(target_os = "linux"))]
-fn run_load_sweep(args: &Args, conns: usize, _n_in: usize) -> Vec<ConnResult> {
-    run_load(args, conns)
-}
-
 /// Repeats the closed-loop run at each `--conns-sweep` count and gates
 /// on the server-side p99 growth from the first point to the last.
 fn run_conn_sweep(args: &Args) -> ! {
@@ -1020,7 +992,7 @@ fn run_conn_sweep(args: &Args) -> ! {
     let mut points: Vec<ConnSweepPoint> = Vec::new();
     let mut failed = 0u64;
     for &conns in &args.conns_sweep {
-        let results = run_load_sweep(args, conns, n_in);
+        let results = evloop::run_load_event(args, conns, n_in);
         let client_all = sorted_all(&results, |r| &r.latencies_us);
         let server_all = sorted_all(&results, |r| &r.server_latencies_us);
         let point = ConnSweepPoint {

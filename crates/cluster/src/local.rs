@@ -2,11 +2,14 @@
 //! loopback, all inside the calling process.
 //!
 //! Each node is a full production stack — a [`cs_serve::Server`] with
-//! its own worker lanes, a [`cs_net::NetServer`] request plane, and a
+//! its own worker lanes, a [`cs_net::NetServer`] request plane (the
+//! same event loop `cs-netserve` runs and the ledger measures), and a
 //! [`cs_net::WorkerAgent`] control plane — joined to a real
 //! [`Orchestrator`] over real TCP. Nothing is mocked, so the failover
 //! tests, the conformance cluster leg, and the `cs-netload --cluster`
 //! sweep all exercise exactly the frames and threads production uses.
+//! (The orchestrator's own listener is thread-per-connection: it holds
+//! a few long-lived agent connections, not a fan-in of clients.)
 //!
 //! Telemetry layout: the **cluster** series (membership gauges, router
 //! counters) land on the recorder passed to [`LocalCluster::start`];
@@ -17,7 +20,7 @@
 
 use std::sync::Arc;
 
-use cs_net::{AgentConfig, Client, NetConfig, NetServer, Transport, WorkerAgent};
+use cs_net::{AgentConfig, Client, NetConfig, NetServer, WorkerAgent};
 use cs_serve::{ExecBackend, ModelRegistry, ServeConfig, ServeSnapshot, Server};
 use cs_telemetry::{MonotonicClock, Recorder, Registry};
 
@@ -40,10 +43,6 @@ pub struct LocalClusterConfig {
     pub heartbeat_ms: u32,
     /// Heartbeat eviction deadline.
     pub heartbeat_timeout_ms: u32,
-    /// Network data plane for every node's request frontend (the
-    /// orchestrator's control plane stays threaded — it holds a few
-    /// long-lived agent connections, not a fan-in of clients).
-    pub transport: Transport,
 }
 
 impl Default for LocalClusterConfig {
@@ -55,7 +54,6 @@ impl Default for LocalClusterConfig {
             emulate_hw_time: false,
             heartbeat_ms: 50,
             heartbeat_timeout_ms: 200,
-            transport: Transport::default(),
         }
     }
 }
@@ -133,14 +131,7 @@ impl LocalCluster {
                 Arc::new(MonotonicClock::new()),
                 node_registry.clone(),
             )?;
-            let net = NetServer::start_with_recorder(
-                serve,
-                NetConfig {
-                    transport: cfg.transport,
-                    ..NetConfig::default()
-                },
-                node_registry,
-            )?;
+            let net = NetServer::start_with_recorder(serve, NetConfig::default(), node_registry)?;
             let agent = WorkerAgent::join(
                 AgentConfig::new(
                     orch_addr.clone(),

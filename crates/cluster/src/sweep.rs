@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use cs_net::{Client, RetryPolicy, Transport};
+use cs_net::{Client, RetryPolicy};
 use cs_nn::spec::Scale;
 use cs_serve::loadgen::request_input;
 use cs_serve::{ExecBackend, ModelRegistry, ServableModel, ServeConfig};
@@ -42,8 +42,6 @@ pub struct ClusterSweepConfig {
     pub workers_per_node: usize,
     /// Execution backend for every node.
     pub backend: ExecBackend,
-    /// Network data plane for every node's request frontend.
-    pub transport: Transport,
 }
 
 impl Default for ClusterSweepConfig {
@@ -56,7 +54,6 @@ impl Default for ClusterSweepConfig {
             scale: 8,
             workers_per_node: 2,
             backend: ExecBackend::Simulator,
-            transport: Transport::default(),
         }
     }
 }
@@ -187,7 +184,6 @@ fn run_point(
             nodes,
             workers_per_node: cfg.workers_per_node,
             backend: cfg.backend,
-            transport: cfg.transport,
             ..LocalClusterConfig::default()
         },
         Arc::new(cs_telemetry::NoopRecorder),

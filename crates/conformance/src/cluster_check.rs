@@ -9,12 +9,10 @@
 //! Sparse and Dense backends. Replicas are built from the same
 //! deterministic artifacts, so whichever node the router picks, the
 //! bits must match — which is exactly the property that makes failover
-//! transparent to clients. The differential runs once per network data
-//! plane (threaded and reactor node frontends), so the transports are
-//! held to the same bit-exactness bar as the backends.
+//! transparent to clients.
 
 use cs_cluster::{LocalCluster, LocalClusterConfig};
-use cs_net::{Client, Transport};
+use cs_net::Client;
 use cs_serve::{ExecBackend, ModelRegistry};
 
 use crate::diff::FcArtifacts;
@@ -42,84 +40,73 @@ pub fn check_serve_cluster(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> 
     probes.push(art.input.clone());
 
     let lane = model_from(art).sparse_lane();
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        for backend in [ExecBackend::Sparse, ExecBackend::Dense] {
-            let cluster = match LocalCluster::start(
-                &LocalClusterConfig {
-                    nodes: CLUSTER_NODES,
-                    backend,
-                    transport,
-                    ..LocalClusterConfig::default()
-                },
-                std::sync::Arc::new(cs_telemetry::NoopRecorder),
-                &|_node| {
-                    let mut registry = ModelRegistry::new();
-                    registry.register(model_from(art))?;
-                    Ok(registry)
-                },
-            ) {
-                Ok(c) => c,
+    for backend in [ExecBackend::Sparse, ExecBackend::Dense] {
+        let cluster = match LocalCluster::start(
+            &LocalClusterConfig {
+                nodes: CLUSTER_NODES,
+                backend,
+                ..LocalClusterConfig::default()
+            },
+            std::sync::Arc::new(cs_telemetry::NoopRecorder),
+            &|_node| {
+                let mut registry = ModelRegistry::new();
+                registry.register(model_from(art))?;
+                Ok(registry)
+            },
+        ) {
+            Ok(c) => c,
+            Err(e) => return vec![Mismatch::new("cluster-start", format!("{backend:?}: {e}"))],
+        };
+        let mut client = match Client::connect(&cluster.orch_addr()) {
+            Ok(c) => c,
+            Err(e) => {
+                return vec![Mismatch::new(
+                    "cluster-connect",
+                    format!("{backend:?}: {e}"),
+                )]
+            }
+        };
+        for (pi, probe) in probes.iter().enumerate() {
+            let want = match lane.forward(probe) {
+                Ok(v) => v,
                 Err(e) => {
-                    return vec![Mismatch::new(
-                        "cluster-start",
-                        format!("{transport} {backend:?}: {e}"),
-                    )]
+                    out.push(Mismatch::new("cluster-lane-error", format!("{e:?}")));
+                    return out;
                 }
             };
-            let mut client = match Client::connect(&cluster.orch_addr()) {
-                Ok(c) => c,
-                Err(e) => {
-                    return vec![Mismatch::new(
-                        "cluster-connect",
-                        format!("{transport} {backend:?}: {e}"),
-                    )]
-                }
-            };
-            for (pi, probe) in probes.iter().enumerate() {
-                let want = match lane.forward(probe) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        out.push(Mismatch::new("cluster-lane-error", format!("{e:?}")));
-                        return out;
+            match client.request(MODEL, probe) {
+                Ok(resp) => {
+                    let got: Vec<u32> = resp.outputs.iter().map(|v| v.to_bits()).collect();
+                    let exp: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    if got != exp {
+                        out.push(Mismatch::new(
+                            "cluster-vs-direct-bits",
+                            format!(
+                                "{backend:?} probe {pi}: orchestrator-routed \
+                                 output differs from direct lane forward (node {:?})",
+                                resp.node
+                            ),
+                        ));
                     }
-                };
-                match client.request(MODEL, probe) {
-                    Ok(resp) => {
-                        let got: Vec<u32> = resp.outputs.iter().map(|v| v.to_bits()).collect();
-                        let exp: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                        if got != exp {
-                            out.push(Mismatch::new(
-                                "cluster-vs-direct-bits",
-                                format!(
-                                    "{transport} {backend:?} probe {pi}: orchestrator-routed \
-                                     output differs from direct lane forward (node {:?})",
-                                    resp.node
-                                ),
-                            ));
-                        }
-                        if !resp.node.starts_with("node-") {
-                            out.push(Mismatch::new(
-                                "cluster-node-identity",
-                                format!(
-                                    "{transport} {backend:?} probe {pi}: response carries \
-                                     node {:?}, expected a registered cluster identity",
-                                    resp.node
-                                ),
-                            ));
-                        }
+                    if !resp.node.starts_with("node-") {
+                        out.push(Mismatch::new(
+                            "cluster-node-identity",
+                            format!(
+                                "{backend:?} probe {pi}: response carries \
+                                 node {:?}, expected a registered cluster identity",
+                                resp.node
+                            ),
+                        ));
                     }
-                    Err(e) => out.push(Mismatch::new(
-                        "cluster-request",
-                        format!("{transport} {backend:?} probe {pi}: {e}"),
-                    )),
                 }
+                Err(e) => out.push(Mismatch::new(
+                    "cluster-request",
+                    format!("{backend:?} probe {pi}: {e}"),
+                )),
             }
-            if let Err(e) = cluster.stop() {
-                out.push(Mismatch::new(
-                    "cluster-stop",
-                    format!("{transport} {backend:?}: {e}"),
-                ));
-            }
+        }
+        if let Err(e) = cluster.stop() {
+            out.push(Mismatch::new("cluster-stop", format!("{backend:?}: {e}")));
         }
     }
     out

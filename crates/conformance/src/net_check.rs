@@ -15,12 +15,12 @@
 //!   additionally replayed through the reactor's incremental
 //!   [`FrameAssembler`] under seeded random chunking: same frames, the
 //!   same typed error, no panic, and buffering bounded by one maximal
-//!   frame, so the two data planes agree even on hostile input.
+//!   frame, so the blocking and the incremental decoder agree even on
+//!   hostile input.
 //! * [`check_serve_socket`] — the served-output differential of
 //!   [`crate::serve_check`] run over real loopback TCP: the same probes
-//!   through a [`cs_net::NetServer`] on the Sparse and Dense backends,
-//!   over both the threaded and reactor transports, must be
-//!   bit-identical to a direct in-process lane forward. The wire
+//!   through a [`cs_net::NetServer`] on the Sparse and Dense backends
+//!   must be bit-identical to a direct in-process lane forward. The wire
 //!   format's f32-bits encoding makes this exact, and the corpus pins
 //!   one such case forever.
 
@@ -28,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use cs_net::wire::{ErrorCode, Frame, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
-use cs_net::{Client, FrameAssembler, NetConfig, NetServer, Transport};
+use cs_net::{Client, FrameAssembler, NetConfig, NetServer};
 use cs_serve::{ExecBackend, ModelRegistry, ServeConfig, Server};
 use cs_telemetry::{MonotonicClock, Registry};
 
@@ -417,7 +417,7 @@ pub fn fuzz_codec(seed: u64, cases: u64) -> Vec<Mismatch> {
         check_assembler_differential(&mut rng, &bytes, "valid", index, &mut out);
 
         // Mutations decode totally (no panic, no over-allocation) and
-        // identically on both data planes.
+        // identically through both decoders.
         for _ in 0..4 {
             let mutated = mutate(&mut rng, &bytes);
             check_decode_total(&mutated, "mutated", index, &mut out);
@@ -444,87 +444,79 @@ pub fn check_serve_socket(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
     probes.push(art.input.clone());
 
     let lane = model_from(art).sparse_lane();
-    for transport in [Transport::Threaded, Transport::Reactor] {
-        for backend in [ExecBackend::Sparse, ExecBackend::Dense] {
-            let mut registry = ModelRegistry::new();
-            if let Err(e) = registry.register(model_from(art)) {
-                return vec![Mismatch::new(
-                    "net-socket-admission",
-                    format!("registry rejected the case's layers: {e:?}"),
-                )];
-            }
-            let serve = match Server::start_with_recorder(
-                registry,
-                ServeConfig {
-                    workers: 2,
-                    backend,
-                    ..ServeConfig::default()
-                },
-                Arc::new(MonotonicClock::new()),
-                Arc::new(Registry::new()),
-            ) {
-                Ok(s) => s,
-                Err(e) => {
-                    return vec![Mismatch::new(
-                        "net-socket-serve-start",
-                        format!("{transport} {backend:?}: {e:?}"),
-                    )]
-                }
-            };
-            let net = match NetServer::start(
-                serve,
-                NetConfig {
-                    transport,
-                    ..NetConfig::default()
-                },
-            ) {
-                Ok(n) => n,
-                Err(e) => {
-                    return vec![Mismatch::new(
-                        "net-socket-start",
-                        format!("{transport} {backend:?}: {e}"),
-                    )]
-                }
-            };
-            let mut client = match Client::connect(&net.local_addr().to_string()) {
-                Ok(c) => c,
-                Err(e) => {
-                    return vec![Mismatch::new(
-                        "net-socket-connect",
-                        format!("{transport} {backend:?}: {e}"),
-                    )]
-                }
-            };
-            for (pi, probe) in probes.iter().enumerate() {
-                let want = match lane.forward(probe) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        out.push(Mismatch::new("net-socket-lane-error", format!("{e:?}")));
-                        return out;
-                    }
-                };
-                match client.request(MODEL, probe) {
-                    Ok(resp) => {
-                        let got: Vec<u32> = resp.outputs.iter().map(|v| v.to_bits()).collect();
-                        let exp: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                        if got != exp {
-                            out.push(Mismatch::new(
-                                "net-socket-vs-direct-bits",
-                                format!(
-                                    "{transport} {backend:?} probe {pi}: socket-served output \
-                                     differs from direct lane forward"
-                                ),
-                            ));
-                        }
-                    }
-                    Err(e) => out.push(Mismatch::new(
-                        "net-socket-request",
-                        format!("{transport} {backend:?} probe {pi}: {e}"),
-                    )),
-                }
-            }
-            net.shutdown();
+    for backend in [ExecBackend::Sparse, ExecBackend::Dense] {
+        let mut registry = ModelRegistry::new();
+        if let Err(e) = registry.register(model_from(art)) {
+            return vec![Mismatch::new(
+                "net-socket-admission",
+                format!("registry rejected the case's layers: {e:?}"),
+            )];
         }
+        let serve = match Server::start_with_recorder(
+            registry,
+            ServeConfig {
+                workers: 2,
+                backend,
+                ..ServeConfig::default()
+            },
+            Arc::new(MonotonicClock::new()),
+            Arc::new(Registry::new()),
+        ) {
+            Ok(s) => s,
+            Err(e) => {
+                return vec![Mismatch::new(
+                    "net-socket-serve-start",
+                    format!("{backend:?}: {e:?}"),
+                )]
+            }
+        };
+        let net = match NetServer::start(serve, NetConfig::default()) {
+            Ok(n) => n,
+            Err(e) => {
+                return vec![Mismatch::new(
+                    "net-socket-start",
+                    format!("{backend:?}: {e}"),
+                )]
+            }
+        };
+        let mut client = match Client::connect(&net.local_addr().to_string()) {
+            Ok(c) => c,
+            Err(e) => {
+                return vec![Mismatch::new(
+                    "net-socket-connect",
+                    format!("{backend:?}: {e}"),
+                )]
+            }
+        };
+        for (pi, probe) in probes.iter().enumerate() {
+            let want = match lane.forward(probe) {
+                Ok(v) => v,
+                Err(e) => {
+                    out.push(Mismatch::new("net-socket-lane-error", format!("{e:?}")));
+                    return out;
+                }
+            };
+            match client.request(MODEL, probe) {
+                Ok(resp) => {
+                    let got: Vec<u32> = resp.outputs.iter().map(|v| v.to_bits()).collect();
+                    let exp: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    if got != exp {
+                        out.push(Mismatch::new(
+                            "net-socket-vs-direct-bits",
+                            format!(
+                                "{backend:?} probe {pi}: socket-served output \
+                                 differs from direct lane forward"
+                            ),
+                        ));
+                    }
+                }
+                Err(e) => out.push(Mismatch::new(
+                    "net-socket-request",
+                    format!("{backend:?} probe {pi}: {e}"),
+                )),
+            }
+        }
+        net.shutdown();
     }
     out
 }

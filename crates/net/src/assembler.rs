@@ -7,7 +7,7 @@
 //! * [`FrameAssembler`] — feed it arbitrary byte chunks as the socket
 //!   yields them; it surfaces complete frames in order. Decoding
 //!   delegates to [`Frame::decode_with_limit`], the same streaming
-//!   entry point the blocking path uses, so the two transports share
+//!   entry point the blocking path uses, so the two decoders share
 //!   the `WireError` taxonomy *by construction*: bad magic, bad
 //!   version, unknown type, and oversized lengths are all rejected
 //!   from the fixed 16-byte header before any payload allocation.

@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use cs_net::{AgentConfig, NetConfig, NetServer, Transport, WorkerAgent};
+use cs_net::{AgentConfig, NetConfig, NetServer, WorkerAgent};
 use cs_nn::spec::Scale;
 use cs_serve::{
     ExecBackend, ModelRegistry, Recorder, Registry, ServableModel, ServeConfig, Server,
@@ -50,7 +50,6 @@ struct Args {
     seed: u64,
     backend: ExecBackend,
     max_connections: usize,
-    transport: Transport,
     queue_depth: usize,
     max_batch: usize,
     join: Option<String>,
@@ -66,8 +65,8 @@ fn usage() -> ! {
         "usage: cs-netserve [--addr HOST:PORT] [--addr-file PATH] [--metrics-out PATH]\n\
          \x20                 [--workers N] [--scale N] [--seed N]\n\
          \x20                 [--backend simulator|sparse|dense] [--max-connections N]\n\
-         \x20                 [--transport threaded|reactor] [--queue-depth N]\n\
-         \x20                 [--max-batch N] [--join ORCH_ADDR] [--worker-id NAME]\n\
+         \x20                 [--queue-depth N] [--max-batch N]\n\
+         \x20                 [--join ORCH_ADDR] [--worker-id NAME]\n\
          \x20                 [--registry DIR] [--empty] [--memory-budget BYTES]\n\
          \x20                 [--tenant-quota N]"
     );
@@ -84,7 +83,6 @@ fn parse_args() -> Args {
         seed: 7,
         backend: ExecBackend::Sparse,
         max_connections: 64,
-        transport: Transport::default(),
         queue_depth: 64,
         max_batch: 8,
         join: None,
@@ -112,15 +110,6 @@ fn parse_args() -> Args {
             "--seed" => out.seed = parse_num(&value("--seed"), "--seed") as u64,
             "--max-connections" => {
                 out.max_connections = parse_num(&value("--max-connections"), "--max-connections")
-            }
-            "--transport" => {
-                out.transport = match value("--transport").parse() {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        usage();
-                    }
-                }
             }
             "--queue-depth" => {
                 out.queue_depth = parse_num(&value("--queue-depth"), "--queue-depth")
@@ -218,7 +207,6 @@ fn main() {
     let net_cfg = NetConfig {
         addr: args.addr.clone(),
         max_connections: args.max_connections,
-        transport: args.transport,
         registry_dir: args.registry_dir.clone(),
         ..NetConfig::default()
     };
@@ -232,9 +220,8 @@ fn main() {
 
     let addr = net.local_addr();
     println!(
-        "cs-netserve listening on {addr} (models {served:?}, {} workers, {} transport)",
-        args.workers,
-        net.transport()
+        "cs-netserve listening on {addr} (models {served:?}, {} workers)",
+        args.workers
     );
     if let Some(path) = &args.addr_file {
         // The load generator discovers the ephemeral port through this

@@ -1,20 +1,20 @@
 //! Blocking client for the cs-net protocol.
 //!
 //! [`Client`] owns one TCP connection and issues one request at a time
-//! (the load generator opens several clients for concurrency, which
-//! matches how the server scales — per-connection threads). Replies are
-//! matched against the request id and frame type; anything else is a
-//! [`NetError::Protocol`]. Server-side failures arrive as typed
-//! [`crate::wire::ErrorCode`]s in [`NetError::Remote`], so a caller can
-//! distinguish backpressure ([`NetError::is_overloaded`]) from real
-//! errors.
+//! (the load generator opens several clients for concurrency). Replies
+//! are matched against the request id and frame type; anything else is
+//! a [`NetError::Protocol`]. Server-side failures arrive as typed
+//! [`crate::wire::ErrorCode`]s in [`NetError::Remote`] — including the
+//! connection-level ones sent with id 0, such as the connection cap —
+//! so a caller can distinguish backpressure
+//! ([`NetError::is_overloaded`]) from real errors.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::error::NetError;
 use crate::transport::{read_frame, write_frame};
-use crate::wire::{Frame, WireModelStatus, DEFAULT_MAX_PAYLOAD};
+use crate::wire::{ErrorCode, Frame, WireModelStatus, DEFAULT_MAX_PAYLOAD};
 
 /// Client-side connection settings.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,6 +195,28 @@ impl Client {
         }
     }
 
+    /// The typed error an error frame carries. It answers either the
+    /// request `sent` or, with id 0, the whole connection (the
+    /// connection cap, a malformed stream).
+    fn remote_error(
+        sent: u64,
+        got: u64,
+        code: ErrorCode,
+        tenant: String,
+        detail: String,
+    ) -> NetError {
+        if got != 0 && got != sent {
+            return NetError::Protocol(format!(
+                "error reply id {got} does not match request id {sent}"
+            ));
+        }
+        NetError::Remote {
+            code,
+            tenant,
+            detail,
+        }
+    }
+
     /// Runs one inference and blocks for the reply.
     ///
     /// # Errors
@@ -255,14 +277,7 @@ impl Client {
                 code,
                 tenant,
                 detail,
-            } => {
-                Self::check_id(id, rid, "error")?;
-                Err(NetError::Remote {
-                    code,
-                    tenant,
-                    detail,
-                })
-            }
+            } => Err(Self::remote_error(id, rid, code, tenant, detail)),
             other => Err(NetError::Protocol(format!(
                 "expected response or error, got {:?}",
                 other.frame_type()
@@ -366,14 +381,7 @@ impl Client {
                 code,
                 tenant,
                 detail,
-            } => {
-                Self::check_id(id, rid, "error")?;
-                Err(NetError::Remote {
-                    code,
-                    tenant,
-                    detail,
-                })
-            }
+            } => Err(Self::remote_error(id, rid, code, tenant, detail)),
             other => Err(NetError::Protocol(format!(
                 "expected info, got {:?}",
                 other.frame_type()
@@ -397,14 +405,7 @@ impl Client {
                 code,
                 tenant,
                 detail,
-            } => {
-                Self::check_id(id, rid, "error")?;
-                Err(NetError::Remote {
-                    code,
-                    tenant,
-                    detail,
-                })
-            }
+            } => Err(Self::remote_error(id, rid, code, tenant, detail)),
             other => Err(NetError::Protocol(format!(
                 "expected model list, got {:?}",
                 other.frame_type()

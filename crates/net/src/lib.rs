@@ -7,27 +7,31 @@
 //! * [`wire`] — the versioned, length-prefixed binary frame codec.
 //!   Pure functions over byte slices; every length is validated before
 //!   any allocation, so hostile prefixes cost 16 bytes, not 4 GiB.
-//! * [`transport`] — blocking frame I/O over any `Read`/`Write` pair.
+//! * [`transport`] — blocking frame I/O over any `Read`/`Write` pair:
+//!   the client's side of the socket, and the reference decoder the
+//!   assembler is fuzzed against.
 //! * [`assembler`] — [`FrameAssembler`] / [`WriteBuffer`]: resumable
 //!   incremental decode and coalesced nonblocking encode, the state
-//!   machines behind the reactor (fuzzed differentially against the
-//!   blocking decoder).
-//! * [`poll`] — a zero-dependency epoll binding (Linux only). The
-//!   reactor is built on it, and it is public so event-driven clients
-//!   (the `cs-netload` connection sweep drives a thousand sockets from
-//!   one thread) can share the same readiness primitive.
-//! * [`server`] — [`NetServer`]: a TCP frontend with two data planes
-//!   behind one API ([`Transport`]): portable thread-per-connection
-//!   readers/writers, or a Linux epoll reactor (`reactor`, a private
-//!   module over [`poll`]) scaling to thousands of sockets. Both offer
-//!   per-connection FIFO reply order, a connection cap, read/write
-//!   deadlines, bounded reply queues with slow-consumer disconnects,
-//!   and telemetry.
+//!   machines behind the server's event loop.
+//! * [`poll`] — a zero-dependency epoll binding. The server is built on
+//!   it, and it is public so event-driven clients (the `cs-netload`
+//!   connection sweep drives a thousand sockets from one thread) can
+//!   share the same readiness primitive.
+//! * [`server`] — [`NetServer`]: one epoll event loop (`reactor`, a
+//!   private module over [`poll`]) owning every socket, scaling to
+//!   thousands of connections, with per-connection FIFO reply order, a
+//!   connection cap, read/write deadlines, bounded reply windows with
+//!   slow-consumer disconnects, and telemetry. Finished jobs ring the
+//!   loop themselves ([`cs_serve::Doorbell`]): a serving process runs
+//!   its workers plus this one thread.
 //! * [`client`] — [`Client`]: a blocking caller with typed errors and
 //!   an opt-in seeded-backoff retry for overload.
 //! * [`agent`] — [`WorkerAgent`]: the worker-side cluster control
 //!   plane (register/heartbeat/drain against a `cs-cluster`
 //!   orchestrator).
+//!
+//! Linux only: epoll is the one readiness primitive, and Linux is the
+//! one platform CI builds, so no second backend exists to go untested.
 //!
 //! ## Quickstart
 //!
@@ -56,13 +60,14 @@
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("cs-net serves through epoll and builds on Linux only");
+
 pub mod agent;
 pub mod assembler;
 pub mod client;
 pub mod error;
-#[cfg(target_os = "linux")]
 pub mod poll;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod server;
 pub mod transport;

@@ -1,26 +1,25 @@
-//! A thin, zero-dependency epoll binding (Linux only).
+//! A thin, zero-dependency epoll binding.
 //!
 //! The repo's zero-dep stance rules out the `libc` crate, but std
 //! already links the platform C library — so the handful of symbols the
-//! reactor needs (`epoll_create1` / `epoll_ctl` / `epoll_wait`,
-//! `pipe2`, and raw fd `read`/`write`/`close`) are declared here
-//! directly and wrapped in safe RAII types:
+//! server's event loop needs (`epoll_create1` / `epoll_ctl` /
+//! `epoll_wait`, `pipe2`, and raw fd `read`/`write`/`close`) are
+//! declared here directly and wrapped in safe RAII types:
 //!
 //! * [`Epoll`] — an epoll instance. Interest registration is
-//!   level-triggered (the reactor re-arms write interest explicitly,
+//!   level-triggered (the loop re-arms write interest explicitly,
 //!   which keeps the state machine simple and misses nothing).
-//! * [`WakePipe`] — a nonblocking self-pipe. Completion threads write
-//!   one byte to wake `epoll_wait`; the reactor drains it and scans its
-//!   completion queue. Saturation is harmless: a full pipe means a
+//! * [`WakePipe`] — a nonblocking self-pipe. A serving worker that
+//!   finishes a job writes one byte to wake `epoll_wait` (only when the
+//!   loop's mailbox goes from idle to pending); the loop drains it and
+//!   empties the mailbox. Saturation is harmless: a full pipe means a
 //!   wakeup is already pending.
 //!
-//! Everything here is `cfg(target_os = "linux")`; on other platforms
-//! the server falls back to the portable thread-per-connection
-//! transport (see [`crate::server::Transport`]). The module is public
-//! so event-driven *clients* can reuse it — `cs-netload`'s connection
-//! sweep multiplexes a thousand sockets from one thread this way,
-//! keeping load generation from competing with the system under test
-//! for scheduler slots.
+//! These are Linux system calls, and cs-net builds on Linux only. The
+//! module is public so event-driven *clients* can reuse it —
+//! `cs-netload`'s connection sweep multiplexes a thousand sockets from
+//! one thread this way, keeping load generation from competing with the
+//! system under test for scheduler slots.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -171,9 +170,9 @@ impl Drop for Epoll {
     }
 }
 
-/// The write end of a wake pipe, cheap to clone into completion
-/// threads. [`Waker::wake`] never blocks: a full pipe already holds a
-/// pending wakeup byte.
+/// The write end of a wake pipe, cheap to clone into other threads.
+/// [`Waker::wake`] never blocks: a full pipe already holds a pending
+/// wakeup byte.
 #[derive(Clone)]
 pub struct Waker {
     fd: RawFd,
@@ -234,7 +233,7 @@ impl WakePipe {
         self.read_fd
     }
 
-    /// A cloneable wake handle for completion threads.
+    /// A cloneable wake handle for other threads.
     pub fn waker(&self) -> Waker {
         self.waker.clone()
     }

@@ -1,4 +1,4 @@
-//! The event-driven network frontend (Linux only).
+//! The event loop behind [`crate::NetServer`].
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
@@ -11,49 +11,49 @@
 //!                    │  · WriteBuffer per conn (coalesced,        │
 //!                    │    backpressure-aware flush)               │
 //!                    └───────▲────────────────────┬───────────────┘
-//!                            │ wake byte          │ submit → Ticket
+//!                            │ wake byte, on the  │ submit_rung
+//!                            │ idle→pending edge  │ → Ticket
 //!                    ┌───────┴────────┐   ┌───────▼───────────────┐
-//!                    │ completion     │◀──│ cs_serve worker lanes │
-//!                    │ pump threads   │   └───────────────────────┘
-//!                    │ (ticket.wait)  │
-//!                    └────────────────┘
+//!                    │ mailbox of     │◀──│ cs_serve worker lanes │
+//!                    │ rung tokens    │   │ (a dropped job rings) │
+//!                    └────────────────┘   └───────────────────────┘
 //! ```
 //!
-//! One loop thread owns every socket; a small fixed pool of completion
-//! threads (O(workers), not O(connections)) blocks on serve tickets
-//! and posts finished replies back through a mutex-guarded queue plus
-//! a [`crate::poll::WakePipe`] byte. Per-connection reply order is a
-//! `pending` queue of slots — `Waiting(seq)` placeholders flip to
-//! `Done(frame)` as completions land, and the flush side only encodes
-//! while the queue's *front* is done, so pipelined replies leave in
-//! submission order even when batches complete out of order.
+//! One thread owns every socket. A request is submitted with a
+//! [`Doorbell`] carrying its connection's token and its [`Ticket`] is
+//! parked in the connection's `pending` queue. The worker that finishes
+//! the job sends the reply and drops the job, which rings: the token
+//! goes into the [`Mailbox`], and the wake pipe gets a byte only when
+//! the mailbox goes from idle to pending, so a burst of replies costs
+//! one wakeup. The loop then resolves each rung connection's queue from
+//! the front with [`Ticket::try_wait`] until the first slot still in
+//! flight, and encodes only from the front, so pipelined replies leave
+//! in submission order even when batches complete out of order.
 //!
-//! Semantics are deliberately identical to the threaded transport
-//! (which doubles as its conformance oracle — see `tests/loopback.rs`):
-//! the same connection cap, read/write deadlines, typed error frames,
-//! drain-then-ack shutdown, slow-consumer disconnects, and metric
-//! increment points.
+//! `LoadModel` / `UnloadModel` can wait out a victim's in-flight drain,
+//! so each runs on a short-lived thread that rings the same mailbox
+//! when its ack is ready; reads on that connection pause meanwhile (a
+//! request pipelined behind a load sees the loaded model), and every
+//! other connection keeps being served.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cs_registry::RegistryStore;
-use cs_serve::{DrainHandle, InferRequest, Server, Ticket};
-use cs_telemetry::Clock;
+use cs_serve::{Doorbell, InferRequest, Ticket};
 
 use crate::assembler::{FrameAssembler, WriteBuffer};
 use crate::error::NetError;
 use crate::poll::{
     Epoll, EpollEvent, WakePipe, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::server::{lifecycle_reply, query_reply, NetConfig, NetMetrics};
+use crate::server::{lifecycle_reply, query_reply, Shared};
 use crate::wire::{ErrorCode, Frame};
 
 /// epoll token for the listening socket.
@@ -69,33 +69,102 @@ const TICK_MS: i32 = 25;
 const READ_CHUNK: usize = 64 * 1024;
 /// Events drained per `epoll_wait`.
 const EVENTS_CAP: usize = 256;
-/// Completion pump threads: sized to the serve runtime's worker
-/// parallelism, not the connection count.
-const COMPLETERS: usize = 4;
 
-/// A finished reply travelling from a completion thread to the loop.
-struct Completion {
-    conn: u64,
-    seq: u64,
-    frame: Frame,
-    t0_us: Option<u64>,
+/// Where finished work rings the loop: the tokens of connections that
+/// have something to look at, plus the wake pipe. It owns both ends of
+/// the pipe, so a job that rings after the loop has exited writes into
+/// a live pipe nobody reads rather than a closed one.
+pub(crate) struct Mailbox {
+    rung: Mutex<Vec<u64>>,
+    /// Set by the first ring after the loop last emptied the mailbox;
+    /// only that ring writes the pipe.
+    pending: AtomicBool,
+    pipe: WakePipe,
+    waker: Waker,
 }
 
-/// An in-flight request a completion thread is waiting on.
-struct CompJob {
-    conn: u64,
-    seq: u64,
-    id: u64,
-    t0_us: u64,
-    ticket: Ticket,
+impl Mailbox {
+    pub(crate) fn new() -> io::Result<Mailbox> {
+        let pipe = WakePipe::new()?;
+        let waker = pipe.waker();
+        Ok(Mailbox {
+            rung: Mutex::new(Vec::new()),
+            pending: AtomicBool::new(false),
+            pipe,
+            waker,
+        })
+    }
+
+    /// Posts `token` and wakes the loop on the idle→pending edge.
+    fn ring(&self, token: u64) {
+        self.rung
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .push(token);
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            self.waker.wake();
+        }
+    }
+
+    /// Wakes the loop without posting anything (stop requests).
+    pub(crate) fn wake(&self) {
+        self.waker.wake();
+    }
+
+    /// Moves every posted token into `into`. The edge is re-armed
+    /// before the take, so a ring that misses this take wakes the loop
+    /// again.
+    fn take(&self, into: &mut Vec<u64>) {
+        if self.pending.swap(false, Ordering::SeqCst) {
+            into.append(
+                &mut self
+                    .rung
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
+            );
+        }
+    }
 }
 
 /// One slot in a connection's FIFO reply queue.
 enum Slot {
-    /// Submitted to the serve runtime; a completion will fill it.
-    Waiting { seq: u64 },
+    /// Admitted to the serve runtime; the job rings when `ticket`
+    /// resolves.
+    Waiting { id: u64, t0_us: u64, ticket: Ticket },
+    /// A lifecycle frame running on its own thread, which rings once
+    /// the ack is in `ack`.
+    Control { id: u64, ack: Receiver<Frame> },
     /// Ready to encode and flush.
     Done { frame: Frame, t0_us: Option<u64> },
+}
+
+impl Slot {
+    /// Turns a resolved slot into `Done`; `false` while in flight.
+    fn settle(&mut self) -> bool {
+        let (frame, t0_us) = match self {
+            Slot::Done { .. } => return true,
+            Slot::Waiting { id, t0_us, ticket } => match ticket.try_wait() {
+                None => return false,
+                Some(Ok(resp)) => (Frame::from_response(*id, &resp), Some(*t0_us)),
+                Some(Err(e)) => (Frame::from_serve_error(*id, &e), None),
+            },
+            Slot::Control { id, ack } => match ack.try_recv() {
+                Err(TryRecvError::Empty) => return false,
+                Ok(frame) => (frame, None),
+                Err(TryRecvError::Disconnected) => (
+                    Frame::Error {
+                        id: *id,
+                        code: ErrorCode::Internal,
+                        tenant: String::new(),
+                        detail: "lifecycle operation died without an answer".to_string(),
+                    },
+                    None,
+                ),
+            },
+        };
+        *self = Slot::Done { frame, t0_us };
+        true
+    }
 }
 
 #[derive(PartialEq, Eq, Clone, Copy)]
@@ -118,12 +187,14 @@ struct Conn {
     /// frames-out counter and the latency histogram observe.
     frame_ends: VecDeque<(u64, Option<u64>)>,
     pending: VecDeque<Slot>,
-    next_seq: u64,
     state: ConnState,
     /// Reply queue at capacity: reads are paused (backpressure) until
-    /// completions free a slot — or the slow-consumer grace expires.
+    /// replies free a slot — or the slow-consumer grace expires.
     reads_paused: bool,
     paused_since_us: Option<u64>,
+    /// A lifecycle frame is in flight: no frame after it is decoded
+    /// until its ack is queued.
+    awaiting_ack: bool,
     last_in_us: u64,
     last_write_progress_us: u64,
     /// The currently registered epoll interest mask.
@@ -134,9 +205,13 @@ struct Conn {
 }
 
 impl Conn {
+    fn reading(&self) -> bool {
+        self.state == ConnState::Open && !self.reads_paused && !self.awaiting_ack
+    }
+
     fn desired_interest(&self) -> u32 {
         let mut mask = 0;
-        if self.state == ConnState::Open && !self.reads_paused {
+        if self.reading() {
             mask |= EPOLLIN | EPOLLRDHUP;
         }
         if !self.out.is_empty() {
@@ -150,246 +225,86 @@ impl Conn {
     }
 }
 
-/// State shared by the event loop, the completion pump, and the owning
-/// [`crate::server::NetServer`] handle — the reactor twin of the
-/// threaded transport's `Shared`.
-pub(crate) struct ReactorShared {
-    pub(crate) serve: Server,
-    pub(crate) drain: DrainHandle,
-    /// On-disk model store backing `LoadModel` control frames.
-    pub(crate) registry: Option<RegistryStore>,
-    pub(crate) cfg: NetConfig,
-    pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) metrics: NetMetrics,
-    pub(crate) stop: AtomicBool,
-    /// Wake handle for the loop's pipe; `None` once the loop exits.
-    waker: Mutex<Option<Waker>>,
-    completions: Mutex<Vec<Completion>>,
-    pub(crate) shutdown_signal: (Mutex<bool>, Condvar),
-    pub(crate) local_addr: SocketAddr,
-}
-
-impl ReactorShared {
-    pub(crate) fn new(
-        serve: Server,
-        registry: Option<RegistryStore>,
-        cfg: NetConfig,
-        clock: Arc<dyn Clock>,
-        metrics: NetMetrics,
-        local_addr: SocketAddr,
-    ) -> ReactorShared {
-        let drain = serve.drain_handle();
-        ReactorShared {
-            serve,
-            drain,
-            registry,
-            cfg,
-            clock,
-            metrics,
-            stop: AtomicBool::new(false),
-            waker: Mutex::new(None),
-            completions: Mutex::new(Vec::new()),
-            shutdown_signal: (Mutex::new(false), Condvar::new()),
-            local_addr,
-        }
-    }
-
-    /// Marks the frontend as stopping, wakes the event loop, and
-    /// signals `wait_for_shutdown` waiters. Idempotent.
-    pub(crate) fn begin_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake();
-        let (lock, cv) = &self.shutdown_signal;
-        let mut stopped = lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        *stopped = true;
-        cv.notify_all();
-    }
-
-    fn wake(&self) {
-        let waker = self
-            .waker
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(w) = waker.as_ref() {
-            w.wake();
-        }
-    }
-}
-
-/// The running reactor frontend: the loop thread, its completion pump,
-/// and the state shared with [`crate::server::NetServer`].
-pub(crate) struct ReactorServer {
-    shared: Arc<ReactorShared>,
-    loop_thread: Option<JoinHandle<()>>,
-    completers: Vec<JoinHandle<()>>,
-}
-
-impl ReactorServer {
-    /// Registers the listener with a fresh epoll instance and spawns
-    /// the loop + completion threads.
-    pub(crate) fn start(
-        shared: Arc<ReactorShared>,
-        listener: TcpListener,
-    ) -> Result<ReactorServer, NetError> {
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NetError::from_io("set listener nonblocking", &e))?;
-        let epoll = Epoll::new().map_err(|e| NetError::from_io("epoll_create1", &e))?;
-        let pipe = WakePipe::new().map_err(|e| NetError::from_io("create wake pipe", &e))?;
-        epoll
-            .add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
-            .map_err(|e| NetError::from_io("register listener", &e))?;
-        epoll
-            .add(pipe.read_fd(), EPOLLIN, TOKEN_WAKE)
-            .map_err(|e| NetError::from_io("register wake pipe", &e))?;
-        {
-            let mut waker = shared
-                .waker
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *waker = Some(pipe.waker());
-        }
-        let (comp_tx, comp_rx) = mpsc::channel::<CompJob>();
-        let comp_rx = Arc::new(Mutex::new(comp_rx));
-        let mut completers = Vec::with_capacity(COMPLETERS);
-        for i in 0..COMPLETERS {
-            let shared = Arc::clone(&shared);
-            let comp_rx = Arc::clone(&comp_rx);
-            let handle = std::thread::Builder::new()
-                .name(format!("cs-net-completer-{i}"))
-                .spawn(move || completer_loop(&shared, &comp_rx))
-                .map_err(|e| NetError::InvalidConfig(format!("spawning completer: {e}")))?;
-            completers.push(handle);
-        }
-        let loop_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cs-net-reactor".to_string())
-                .spawn(move || {
-                    let mut lp = EventLoop {
-                        shared,
-                        listener,
-                        epoll,
-                        pipe,
-                        comp_tx,
-                        conns: HashMap::new(),
-                        next_token: TOKEN_BASE,
-                        stop_when_flushed: None,
-                    };
-                    lp.run();
-                })
-                .map_err(|e| NetError::InvalidConfig(format!("spawning reactor thread: {e}")))?
-        };
-        Ok(ReactorServer {
-            shared,
-            loop_thread: Some(loop_thread),
-            completers,
+/// Registers the listener and the mailbox's pipe with a fresh epoll
+/// instance and spawns the loop thread.
+pub(crate) fn spawn(
+    shared: Arc<Shared>,
+    listener: TcpListener,
+) -> Result<JoinHandle<()>, NetError> {
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| NetError::from_io("set listener nonblocking", &e))?;
+    let epoll = Epoll::new().map_err(|e| NetError::from_io("epoll_create1", &e))?;
+    epoll
+        .add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
+        .map_err(|e| NetError::from_io("register listener", &e))?;
+    epoll
+        .add(shared.mailbox.pipe.read_fd(), EPOLLIN, TOKEN_WAKE)
+        .map_err(|e| NetError::from_io("register wake pipe", &e))?;
+    // The bell holds the mailbox alone, never `shared` (see `Doorbell`).
+    let mailbox = Arc::clone(&shared.mailbox);
+    let bell: Arc<dyn Fn(u64) + Send + Sync> = Arc::new(move |token| mailbox.ring(token));
+    std::thread::Builder::new()
+        .name("cs-net-reactor".to_string())
+        .spawn(move || {
+            EventLoop {
+                shared,
+                listener,
+                epoll,
+                bell,
+                conns: HashMap::new(),
+                next_token: TOKEN_BASE,
+                stop_when_flushed: None,
+                lifecycle: Vec::new(),
+            }
+            .run();
         })
-    }
-
-    pub(crate) fn shared(&self) -> &Arc<ReactorShared> {
-        &self.shared
-    }
-
-    /// Stops the loop, drains the serving runtime, joins every thread.
-    pub(crate) fn stop_and_join(&mut self) {
-        self.shared.begin_stop();
-        if let Some(t) = self.loop_thread.take() {
-            let _ = t.join();
-        }
-        // Resolve any still-pending tickets so completion threads
-        // unblock, then join them (the loop thread dropping its job
-        // sender closed their queue).
-        self.shared.drain.shutdown_and_drain();
-        for t in self.completers.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ReactorServer {
-    fn drop(&mut self) {
-        if self.loop_thread.is_some() {
-            self.stop_and_join();
-        }
-    }
-}
-
-fn completer_loop(shared: &Arc<ReactorShared>, rx: &Arc<Mutex<Receiver<CompJob>>>) {
-    loop {
-        let job = {
-            let guard = rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            match guard.recv() {
-                Ok(job) => job,
-                Err(_) => return, // loop thread gone
-            }
-        };
-        // Deadline waits interleave a stop check so a force-stop cannot
-        // strand a completer on a ticket nobody will resolve. (Graceful
-        // shutdown drains *before* the stop flag flips, so no reply is
-        // ever discarded on that path.)
-        let result = loop {
-            match job.ticket.wait_deadline(Duration::from_millis(100)) {
-                Some(r) => break Some(r),
-                None => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                }
-            }
-        };
-        let Some(result) = result else { continue };
-        let (frame, t0_us) = match result {
-            Ok(resp) => (Frame::from_response(job.id, &resp), Some(job.t0_us)),
-            Err(e) => (Frame::from_serve_error(job.id, &e), None),
-        };
-        shared
-            .completions
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(Completion {
-                conn: job.conn,
-                seq: job.seq,
-                frame,
-                t0_us,
-            });
-        shared.wake();
-    }
+        .map_err(|e| NetError::InvalidConfig(format!("spawning reactor thread: {e}")))
 }
 
 struct EventLoop {
-    shared: Arc<ReactorShared>,
+    shared: Arc<Shared>,
     listener: TcpListener,
     epoll: Epoll,
-    pipe: WakePipe,
-    comp_tx: Sender<CompJob>,
+    bell: Arc<dyn Fn(u64) + Send + Sync>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Set when a shutdown ack is queued: the frontend stops as soon as
     /// that connection finishes flushing (or dies).
     stop_when_flushed: Option<u64>,
+    /// Lifecycle threads, joined when the loop exits.
+    lifecycle: Vec<JoinHandle<()>>,
 }
 
 impl EventLoop {
     fn run(&mut self) {
         let mut events = [EpollEvent::zeroed(); EVENTS_CAP];
         let mut scratch = vec![0u8; READ_CHUNK];
+        let mut rung = Vec::new();
         while let Ok(n) = self.epoll.wait(&mut events, TICK_MS) {
             for ev in &events[..n] {
                 match ev.token() {
                     TOKEN_LISTENER => self.accept_burst(),
-                    TOKEN_WAKE => self.pipe.drain(),
+                    TOKEN_WAKE => self.shared.mailbox.pipe.drain(),
                     token => self.handle_conn_event(token, ev.events(), &mut scratch),
                 }
             }
-            self.apply_completions();
+            self.shared.mailbox.take(&mut rung);
+            rung.sort_unstable();
+            rung.dedup();
+            for token in rung.drain(..) {
+                self.service_conn(token);
+            }
             self.check_deadlines();
             self.check_stop_when_flushed();
             if self.shared.stop.load(Ordering::SeqCst) {
                 break;
             }
         }
-        // Best-effort final flush so replies already serialized (e.g. a
+        for t in self.lifecycle.drain(..) {
+            let _ = t.join();
+        }
+        // Best-effort final flush so replies already available (e.g. a
         // shutdown ack racing a force-stop) reach the wire.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
@@ -398,14 +313,6 @@ impl EventLoop {
         for (_, conn) in self.conns.drain() {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             self.shared.metrics.connections.sub(1);
-        }
-        {
-            let mut waker = self
-                .shared
-                .waker
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *waker = None;
         }
         self.shared.begin_stop();
     }
@@ -468,10 +375,10 @@ impl EventLoop {
                     out: WriteBuffer::new(),
                     frame_ends: VecDeque::new(),
                     pending: VecDeque::new(),
-                    next_seq: 0,
                     state: ConnState::Open,
                     reads_paused: false,
                     paused_since_us: None,
+                    awaiting_ack: false,
                     last_in_us: now,
                     last_write_progress_us: now,
                     interest,
@@ -482,11 +389,17 @@ impl EventLoop {
     }
 
     fn handle_conn_event(&mut self, token: u64, events: u32, scratch: &mut [u8]) {
-        if !self.conns.contains_key(&token) {
+        let Some(conn) = self.conns.get(&token) else {
+            return;
+        };
+        // Hangups and errors surface as EOF / errors on the read path.
+        // A connection that is not reading would be reported again on
+        // every wait (epoll always reports them), so it closes here.
+        if events & (EPOLLERR | EPOLLHUP) != 0 && !conn.reading() {
+            self.close_conn(token);
             return;
         }
-        // Hangups and errors surface as EOF / errors on the read path;
-        // pure write readiness skips the read attempt.
+        // Pure write readiness skips the read attempt.
         if events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
             self.read_conn(token, scratch);
         }
@@ -498,14 +411,13 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.state != ConnState::Open || conn.reads_paused {
+            if !conn.reading() {
                 return;
             }
             match conn.stream.read(scratch) {
                 Ok(0) => {
                     // Clean close (or half-close): stop reading, flush
-                    // what is owed, then drop — the threaded reader
-                    // breaking and its writer draining, in one state.
+                    // what is owed, then drop.
                     conn.state = ConnState::Draining;
                     return;
                 }
@@ -525,13 +437,14 @@ impl EventLoop {
     }
 
     /// Decodes every complete frame buffered in the connection's
-    /// assembler, dispatching each; pauses reads at the pipelining cap.
+    /// assembler, dispatching each; pauses reads at the pipelining cap
+    /// and behind a lifecycle frame.
     fn drain_frames(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.state != ConnState::Open {
+            if conn.state != ConnState::Open || conn.awaiting_ack {
                 return;
             }
             if conn.pending.len() >= self.shared.cfg.max_pending_replies {
@@ -575,44 +488,28 @@ impl EventLoop {
             } => {
                 let t0_us = self.now_us();
                 self.shared.metrics.requests.inc();
-                let submitted = self
-                    .shared
-                    .serve
-                    .submit(InferRequest::new(model, input).with_tenant(tenant));
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                match submitted {
-                    Ok(ticket) => {
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        conn.pending.push_back(Slot::Waiting { seq });
-                        let _ = self.comp_tx.send(CompJob {
-                            conn: token,
-                            seq,
-                            id,
-                            t0_us,
-                            ticket,
-                        });
-                    }
-                    Err(e) => conn.pending.push_back(Slot::Done {
+                let submitted = self.shared.serve.submit_rung(
+                    InferRequest::new(model, input).with_tenant(tenant),
+                    Doorbell::new(Arc::clone(&self.bell), token),
+                );
+                let slot = match submitted {
+                    Ok(ticket) => Slot::Waiting { id, t0_us, ticket },
+                    Err(e) => Slot::Done {
                         frame: Frame::from_serve_error(id, &e),
                         t0_us: None,
-                    }),
-                }
+                    },
+                };
+                self.push_slot(token, slot);
             }
             Frame::Ping { id } => self.push_done(token, Frame::Pong { id }),
             Frame::Query { id, model } => {
                 let reply = query_reply(&self.shared.serve, id, model);
                 self.push_done(token, reply);
             }
-            frame @ (Frame::LoadModel { .. }
-            | Frame::UnloadModel { .. }
-            | Frame::ListModels { .. }) => {
-                // Lifecycle work (container decode, kernel builds,
-                // victim drains) runs on the loop thread; completion
-                // threads keep resolving in-flight tickets meanwhile,
-                // so a drain inside the load cannot deadlock.
+            frame @ (Frame::LoadModel { .. } | Frame::UnloadModel { .. }) => {
+                self.spawn_lifecycle(token, frame);
+            }
+            frame @ Frame::ListModels { .. } => {
                 let reply =
                     lifecycle_reply(&self.shared.serve, self.shared.registry.as_ref(), &frame);
                 self.push_done(token, reply);
@@ -620,10 +517,11 @@ impl EventLoop {
             Frame::Shutdown { id } => {
                 // Drain first — every in-flight request on every
                 // connection is answered before the ack goes out. The
-                // loop blocks here by design; completion threads keep
-                // resolving tickets meanwhile, and the pending queue
-                // preserves per-connection FIFO, so the ack cannot
-                // overtake this connection's earlier replies.
+                // loop blocks here by design: workers answer and ring
+                // meanwhile, the loop picks the rings up afterwards, and
+                // the pending queue preserves per-connection FIFO, so
+                // the ack cannot overtake this connection's earlier
+                // replies.
                 self.shared.drain.shutdown_and_drain();
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Draining;
@@ -666,31 +564,88 @@ impl EventLoop {
         }
     }
 
-    fn push_done(&mut self, token: u64, frame: Frame) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.push_back(Slot::Done { frame, t0_us: None });
+    /// Runs a load or unload off the loop: container decode, kernel
+    /// builds and victim drains would otherwise stall every connection.
+    fn spawn_lifecycle(&mut self, token: u64, frame: Frame) {
+        let id = frame.id();
+        let (tx, ack) = mpsc::sync_channel(1);
+        let shared = Arc::clone(&self.shared);
+        let bell = Doorbell::new(Arc::clone(&self.bell), token);
+        let spawned = std::thread::Builder::new()
+            .name("cs-net-lifecycle".to_string())
+            .spawn(move || {
+                // Declared first, dropped last — also on unwind — so the
+                // ring comes after the ack is sent or the sender is gone.
+                let _bell = bell;
+                let tx = tx;
+                let _ = tx.send(lifecycle_reply(
+                    &shared.serve,
+                    shared.registry.as_ref(),
+                    &frame,
+                ));
+            });
+        match spawned {
+            Ok(handle) => {
+                self.lifecycle.retain(|t| !t.is_finished());
+                self.lifecycle.push(handle);
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.awaiting_ack = true;
+                    conn.pending.push_back(Slot::Control { id, ack });
+                }
+            }
+            Err(e) => self.push_done(
+                token,
+                Frame::Error {
+                    id,
+                    code: ErrorCode::Internal,
+                    tenant: String::new(),
+                    detail: format!("spawning lifecycle thread: {e}"),
+                },
+            ),
         }
     }
 
-    /// Serializes ready replies, flushes, updates epoll interest, and
-    /// closes the connection if it is done draining. The single
-    /// maintenance entry point after any state change.
+    fn push_slot(&mut self, token: u64, slot: Slot) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.pending.push_back(slot);
+        }
+    }
+
+    fn push_done(&mut self, token: u64, frame: Frame) {
+        self.push_slot(token, Slot::Done { frame, t0_us: None });
+    }
+
+    /// Resolves and serializes replies from the front of the FIFO,
+    /// flushes, updates epoll interest, and closes the connection if it
+    /// is done draining. The single maintenance entry point after any
+    /// state change, rings included.
     fn service_conn(&mut self, token: u64) {
         loop {
             let now = self.now_us();
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            // Encode from the front of the FIFO while replies are ready.
             let was_empty = conn.out.is_empty();
             let mut pushed = false;
-            while matches!(conn.pending.front(), Some(Slot::Done { .. })) {
+            let mut acked = false;
+            while let Some(slot) = conn.pending.front_mut() {
+                let control = matches!(slot, Slot::Control { .. });
+                if !slot.settle() {
+                    break;
+                }
                 let Some(Slot::Done { frame, t0_us }) = conn.pending.pop_front() else {
                     break;
                 };
                 conn.out.push(&frame.encode());
                 conn.frame_ends.push_back((conn.out.total_pushed(), t0_us));
                 pushed = true;
+                acked |= control;
+            }
+            if acked {
+                // The ack is queued: frames behind it may be decoded,
+                // and the idle clock restarts from here.
+                conn.awaiting_ack = false;
+                conn.last_in_us = now;
             }
             if was_empty && pushed {
                 // The stall clock measures lack of progress on a
@@ -722,15 +677,16 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            // A freed reply slot resumes reading — and whole frames may
-            // already sit in the assembler from before the pause; loop
-            // so they are served and flushed in this same pass.
-            if conn.reads_paused
-                && conn.state == ConnState::Open
-                && conn.pending.len() < self.shared.cfg.max_pending_replies
-            {
-                conn.reads_paused = false;
-                conn.paused_since_us = None;
+            // A freed reply slot or a queued ack resumes decoding — and
+            // whole frames may already sit in the assembler from before
+            // the pause; loop so they are served and flushed in this
+            // same pass.
+            let window_open = conn.pending.len() < self.shared.cfg.max_pending_replies;
+            if conn.state == ConnState::Open && (acked || (conn.reads_paused && window_open)) {
+                if window_open {
+                    conn.reads_paused = false;
+                    conn.paused_since_us = None;
+                }
                 self.drain_frames(token);
                 continue;
             }
@@ -749,39 +705,6 @@ impl EventLoop {
         }
     }
 
-    fn apply_completions(&mut self) {
-        let completions: Vec<Completion> = {
-            let mut guard = self
-                .shared
-                .completions
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        let mut touched: Vec<u64> = Vec::new();
-        for c in completions {
-            let Some(conn) = self.conns.get_mut(&c.conn) else {
-                continue; // connection closed while the request ran
-            };
-            if let Some(slot) = conn
-                .pending
-                .iter_mut()
-                .find(|s| matches!(s, Slot::Waiting { seq } if *seq == c.seq))
-            {
-                *slot = Slot::Done {
-                    frame: c.frame,
-                    t0_us: c.t0_us,
-                };
-            }
-            if !touched.contains(&c.conn) {
-                touched.push(c.conn);
-            }
-        }
-        for token in touched {
-            self.service_conn(token);
-        }
-    }
-
     fn check_deadlines(&mut self) {
         let now = self.now_us();
         let read_us = self.shared.cfg.read_timeout.map(|d| d.as_micros() as u64);
@@ -797,7 +720,7 @@ impl EventLoop {
                 continue;
             };
             // Idle read deadline — only while we actually want bytes.
-            if conn.state == ConnState::Open && !conn.reads_paused {
+            if conn.reading() {
                 if let Some(limit) = read_us {
                     if now.saturating_sub(conn.last_in_us) > limit {
                         conn.state = ConnState::Draining;
@@ -807,8 +730,7 @@ impl EventLoop {
                 }
             }
             // Slow consumer, flavor 1: the reply queue has been full
-            // past the grace period (the threaded reader's bounded
-            // push timing out).
+            // past the grace period.
             if let (Some(since), Some(limit)) = (conn.paused_since_us, grace_us) {
                 if now.saturating_sub(since) > limit {
                     self.shared.metrics.slow_consumer.inc();
@@ -817,8 +739,7 @@ impl EventLoop {
                 }
             }
             // Slow consumer, flavor 2: bytes owed but no write progress
-            // past the write deadline (the threaded writer's socket
-            // write timeout).
+            // past the write deadline.
             if !conn.out.is_empty() {
                 if let Some(limit) = write_us {
                     if now.saturating_sub(conn.last_write_progress_us) > limit {

@@ -1,35 +1,18 @@
 //! The TCP frontend for the serving runtime.
 //!
-//! Two interchangeable transports sit behind one [`NetServer`] API,
-//! selected by [`NetConfig::transport`]:
+//! [`NetServer`] is one epoll event loop (see [`crate::reactor`]) that
+//! owns the listener and every nonblocking connection. It decodes
+//! frames, submits requests to the wrapped [`cs_serve::Server`] and
+//! writes replies back; the workers that finish a job ring the loop
+//! directly, so the process runs the workers plus this one thread.
 //!
-//! * [`Transport::Threaded`] — the portable oracle. Each accepted
-//!   connection gets a reader thread (decodes frames, submits
-//!   requests) and a writer thread (resolves tickets **in submission
-//!   order** and writes replies):
-//!
-//! ```text
-//! clients ──TCP──▶ accept thread ──▶ per-connection reader ──submit──▶ cs_serve::Server
-//!    ▲              (conn cap)        (decode, dispatch)                  │
-//!    │                                      │ FIFO queue                  │
-//!    └───────────── per-connection writer ◀─┴──── tickets ◀───────────────┘
-//! ```
-//!
-//! * [`Transport::Reactor`] — a single epoll event loop owning every
-//!   nonblocking socket plus a fixed completion-thread pool (see
-//!   [`crate::reactor`]); Linux only, and the scalable choice for
-//!   thousands of connections. On other platforms it falls back to
-//!   the threaded transport.
-//!
-//! Both transports share semantics exactly — the loopback suite runs
-//! every test against each: a client may pipeline requests and
-//! responses come back in per-connection FIFO order while the server
-//! batches across connections; admission backpressure
+//! A client may pipeline requests and responses come back in
+//! per-connection FIFO order while the server batches across
+//! connections; admission backpressure
 //! ([`cs_serve::ServeError::Overloaded`]) travels to the client as a
 //! typed error frame rather than blocking the socket; a client that
-//! stops draining replies is disconnected once the bounded
-//! per-connection reply queue has been full past
-//! [`NetConfig::slow_consumer_grace`] (counted in
+//! stops draining replies is disconnected once its bounded reply window
+//! has been full past [`NetConfig::slow_consumer_grace`] (counted in
 //! `net_slow_consumer_disconnects_total`).
 //!
 //! A [`crate::wire::Frame::Shutdown`] control frame drains the serving
@@ -42,57 +25,41 @@
 //! socket-to-response latency histogram (decode of the request frame to
 //! the response frame fully written).
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cs_registry::{RegistryError, RegistryStore};
-use cs_serve::{DrainHandle, InferRequest, ServeSnapshot, Server, Ticket};
+use cs_serve::{DrainHandle, ServeSnapshot, Server};
 use cs_telemetry::{
     buckets, Clock, Counter, Gauge, Histogram, Labels, MonotonicClock, NoopRecorder, Recorder,
 };
 
 use crate::error::NetError;
-use crate::transport::{read_frame, write_frame};
+use crate::reactor::Mailbox;
 use crate::wire::{ErrorCode, Frame, DEFAULT_MAX_PAYLOAD};
 
-/// Which network data plane serves connections.
+/// The network data plane. The epoll reactor is the only one; the type
+/// stays so configurations that name it (`"reactor"`) keep parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
-    /// Thread-per-connection reader/writer pairs. Portable, simple,
-    /// and the conformance oracle the reactor is verified against;
-    /// caps out at a few hundred realistic connections.
+    /// One epoll event loop owning every socket.
     #[default]
-    Threaded,
-    /// One epoll event loop plus a fixed completion pool (Linux).
-    /// Scales to thousands of connections with flat tail latency. On
-    /// non-Linux platforms this silently falls back to `Threaded`
-    /// (check [`NetServer::transport`] for the effective choice).
     Reactor,
-}
-
-impl std::fmt::Display for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Transport::Threaded => write!(f, "threaded"),
-            Transport::Reactor => write!(f, "reactor"),
-        }
-    }
 }
 
 impl std::str::FromStr for Transport {
     type Err = NetError;
 
     fn from_str(s: &str) -> Result<Transport, NetError> {
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" => Ok(Transport::Threaded),
-            "reactor" => Ok(Transport::Reactor),
-            other => Err(NetError::InvalidConfig(format!(
-                "unknown transport {other:?} (expected \"threaded\" or \"reactor\")"
-            ))),
+        if s.eq_ignore_ascii_case("reactor") {
+            Ok(Transport::Reactor)
+        } else {
+            Err(NetError::InvalidConfig(format!(
+                "unknown transport {s:?} (the only data plane is \"reactor\")"
+            )))
         }
     }
 }
@@ -108,12 +75,13 @@ pub struct NetConfig {
     /// Per-connection read deadline; an idle connection is closed when
     /// it elapses. `None` waits forever.
     pub read_timeout: Option<Duration>,
-    /// Per-connection write deadline (a stuck client cannot wedge a
-    /// writer thread forever).
+    /// How long a connection may owe reply bytes without the socket
+    /// taking any before it is cut as a slow consumer. `None` waits
+    /// forever.
     pub write_timeout: Option<Duration>,
     /// Payload-length cap enforced before any allocation.
     pub max_payload: u32,
-    /// Which data plane serves connections.
+    /// The data plane; [`Transport::Reactor`] is its only value.
     pub transport: Transport,
     /// Outstanding replies a single connection may have queued before
     /// the server stops decoding further frames from it (pipelining
@@ -139,7 +107,7 @@ impl Default for NetConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             max_payload: DEFAULT_MAX_PAYLOAD,
-            transport: Transport::Threaded,
+            transport: Transport::Reactor,
             max_pending_replies: 64,
             slow_consumer_grace: Some(Duration::from_secs(5)),
             registry_dir: None,
@@ -174,9 +142,7 @@ impl NetConfig {
     }
 }
 
-/// The network-path metric handles, fetched once at startup. Shared by
-/// both transports so the series (and the exact increment points) are
-/// identical whichever data plane is serving.
+/// The network-path metric handles, fetched once at startup.
 pub(crate) struct NetMetrics {
     pub(crate) connections: Gauge,
     pub(crate) accepted: Counter,
@@ -244,22 +210,20 @@ impl NetMetrics {
     }
 }
 
-/// State shared by the accept loop, every connection thread, and the
-/// owning [`NetServer`] handle (threaded transport).
-struct Shared {
-    serve: Server,
-    drain: DrainHandle,
+/// State shared by the event loop, its lifecycle threads, and the
+/// owning [`NetServer`] / [`NetShutdownHandle`]s.
+pub(crate) struct Shared {
+    pub(crate) serve: Server,
+    pub(crate) drain: DrainHandle,
     /// On-disk model store backing `LoadModel` control frames.
-    registry: Option<RegistryStore>,
-    cfg: NetConfig,
-    clock: Arc<dyn Clock>,
-    metrics: NetMetrics,
-    stop: AtomicBool,
-    active: AtomicUsize,
-    /// Streams of open connections (for force-close at shutdown).
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    /// Reader/writer thread handles, joined at shutdown.
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    pub(crate) registry: Option<RegistryStore>,
+    pub(crate) cfg: NetConfig,
+    pub(crate) clock: Arc<dyn Clock>,
+    pub(crate) metrics: NetMetrics,
+    pub(crate) stop: AtomicBool,
+    /// Where finished jobs ring the loop. Its own `Arc`: jobs in the
+    /// serve queue hold it, and they must not hold the server.
+    pub(crate) mailbox: Arc<Mailbox>,
     /// Signalled when a remote shutdown control frame has drained the
     /// server ([`NetServer::wait_for_shutdown`] blocks on it).
     shutdown_signal: (Mutex<bool>, Condvar),
@@ -267,13 +231,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// Marks the frontend as stopping, wakes the accept loop, and
+    /// Marks the frontend as stopping, wakes the event loop, and
     /// signals [`NetServer::wait_for_shutdown`] waiters. Idempotent.
-    fn begin_stop(&self) {
+    pub(crate) fn begin_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The accept loop only observes the flag on its next wakeup; a
-        // throwaway local connection provides one.
-        let _ = TcpStream::connect(self.local_addr);
+        self.mailbox.wake();
         let (lock, cv) = &self.shutdown_signal;
         let mut stopped = lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         *stopped = true;
@@ -281,162 +243,19 @@ impl Shared {
     }
 }
 
-/// A message queued for a connection's writer thread, in the order the
-/// reader produced it — which is what makes replies per-connection FIFO.
-enum Outgoing {
-    /// A frame that is ready to write as-is.
-    Ready(Frame),
-    /// An in-flight inference; the writer blocks on the ticket so the
-    /// reply goes out in submission order even when batches reorder
-    /// completion across workers.
-    Pending { id: u64, t0_us: u64, ticket: Ticket },
-}
-
-/// Why a [`ReplyQueue::push`] did not enqueue.
-enum PushError {
-    /// The queue stayed full past the grace deadline: the client is a
-    /// slow consumer.
-    TimedOut,
-    /// The writer side is gone (write failure closed the stream).
-    Closed,
-}
-
-/// The bounded per-connection reply queue between reader and writer.
-///
-/// `std::sync::mpsc::SyncSender` blocks forever on a full channel; this
-/// queue instead supports a push *deadline*, which is what turns an
-/// unbounded reply pile-up against a non-reading client into a typed
-/// slow-consumer disconnect.
-struct ReplyQueue {
-    inner: Mutex<ReplyQueueInner>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    cap: usize,
-}
-
-struct ReplyQueueInner {
-    q: VecDeque<Outgoing>,
-    closed: bool,
-}
-
-impl ReplyQueue {
-    fn new(cap: usize) -> ReplyQueue {
-        ReplyQueue {
-            inner: Mutex::new(ReplyQueueInner {
-                q: VecDeque::new(),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Enqueues, blocking while full — up to `grace` (`None` waits
-    /// forever, matching the old unbounded-patience behavior).
-    fn push(&self, msg: Outgoing, grace: Option<Duration>) -> Result<(), PushError> {
-        let deadline = grace.map(|d| Instant::now() + d);
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        loop {
-            if inner.closed {
-                return Err(PushError::Closed);
-            }
-            if inner.q.len() < self.cap {
-                inner.q.push_back(msg);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            match deadline {
-                Some(dl) => {
-                    let now = Instant::now();
-                    if now >= dl {
-                        return Err(PushError::TimedOut);
-                    }
-                    let (guard, _) = self
-                        .not_full
-                        .wait_timeout(inner, dl - now)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    inner = guard;
-                }
-                None => {
-                    inner = self
-                        .not_full
-                        .wait(inner)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-            }
-        }
-    }
-
-    /// Dequeues; `None` once the queue is closed *and* drained.
-    fn pop(&self) -> Option<Outgoing> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        loop {
-            if let Some(msg) = inner.q.pop_front() {
-                self.not_full.notify_one();
-                return Some(msg);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Marks the queue closed and wakes both sides. Queued messages
-    /// remain poppable (the writer drains them before exiting).
-    fn close(&self) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        inner.closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-}
-
-/// The transport actually running behind a [`NetServer`].
-enum Frontend {
-    Threaded {
-        shared: Arc<Shared>,
-        accept_thread: Option<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::ReactorServer),
-}
-
 /// The running TCP frontend. Owns the wrapped [`Server`]; dropping or
 /// [`NetServer::shutdown`] stops the listener, closes connections,
-/// drains the serving runtime and joins every thread.
+/// drains the serving runtime and joins the loop thread.
 pub struct NetServer {
-    inner: Frontend,
+    shared: Arc<Shared>,
+    loop_thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
             .field("addr", &self.local_addr())
-            .field("transport", &self.transport())
             .finish_non_exhaustive()
-    }
-}
-
-/// The transport actually used after platform fallback.
-fn effective_transport(requested: Transport) -> Transport {
-    if cfg!(target_os = "linux") {
-        requested
-    } else {
-        Transport::Threaded
     }
 }
 
@@ -476,99 +295,41 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| NetError::from_io("resolve bound address", &e))?;
-        let metrics = NetMetrics::new(recorder.as_ref());
-
-        if effective_transport(cfg.transport) == Transport::Reactor {
-            #[cfg(target_os = "linux")]
-            {
-                let shared = Arc::new(crate::reactor::ReactorShared::new(
-                    serve,
-                    registry,
-                    cfg,
-                    Arc::new(MonotonicClock::new()),
-                    metrics,
-                    local_addr,
-                ));
-                let reactor = crate::reactor::ReactorServer::start(shared, listener)?;
-                return Ok(NetServer {
-                    inner: Frontend::Reactor(reactor),
-                });
-            }
-        }
-
-        let drain = serve.drain_handle();
+        let mailbox = Mailbox::new().map_err(|e| NetError::from_io("create wake pipe", &e))?;
         let shared = Arc::new(Shared {
+            drain: serve.drain_handle(),
             serve,
-            drain,
             registry,
             cfg,
             clock: Arc::new(MonotonicClock::new()),
-            metrics,
+            metrics: NetMetrics::new(recorder.as_ref()),
             stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
+            mailbox: Arc::new(mailbox),
             shutdown_signal: (Mutex::new(false), Condvar::new()),
             local_addr,
         });
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cs-net-accept".to_string())
-                .spawn(move || accept_loop(&shared, &listener))
-                .map_err(|e| NetError::InvalidConfig(format!("spawning accept thread: {e}")))?
-        };
+        let loop_thread = crate::reactor::spawn(Arc::clone(&shared), listener)?;
         Ok(NetServer {
-            inner: Frontend::Threaded {
-                shared,
-                accept_thread: Some(accept_thread),
-            },
+            shared,
+            loop_thread: Some(loop_thread),
         })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            Frontend::Threaded { shared, .. } => shared.local_addr,
-            #[cfg(target_os = "linux")]
-            Frontend::Reactor(r) => r.shared().local_addr,
-        }
-    }
-
-    /// The transport actually serving (after platform fallback:
-    /// requesting [`Transport::Reactor`] off-Linux yields `Threaded`).
-    pub fn transport(&self) -> Transport {
-        match &self.inner {
-            Frontend::Threaded { .. } => Transport::Threaded,
-            #[cfg(target_os = "linux")]
-            Frontend::Reactor(_) => Transport::Reactor,
-        }
+        self.shared.local_addr
     }
 
     /// The wrapped serving runtime — the in-process lane differential
     /// tests submit to directly.
     pub fn server(&self) -> &Server {
-        match &self.inner {
-            Frontend::Threaded { shared, .. } => &shared.serve,
-            #[cfg(target_os = "linux")]
-            Frontend::Reactor(r) => &r.shared().serve,
-        }
+        &self.shared.serve
     }
 
     /// Blocks until a client's shutdown control frame has drained the
     /// server (or [`NetServer::shutdown`] was called from elsewhere).
     pub fn wait_for_shutdown(&self) {
-        let (lock, cv) = match &self.inner {
-            Frontend::Threaded { shared, .. } => {
-                let (l, c) = &shared.shutdown_signal;
-                (l, c)
-            }
-            #[cfg(target_os = "linux")]
-            Frontend::Reactor(r) => {
-                let (l, c) = &r.shared().shutdown_signal;
-                (l, c)
-            }
-        };
+        let (lock, cv) = &self.shared.shutdown_signal;
         let mut stopped = lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         while !*stopped {
             stopped = cv
@@ -578,22 +339,10 @@ impl NetServer {
     }
 
     /// Stops accepting, closes every connection, drains the serving
-    /// runtime, joins all threads and returns the final snapshot.
+    /// runtime, joins the loop thread and returns the final snapshot.
     pub fn shutdown(mut self) -> ServeSnapshot {
-        match &mut self.inner {
-            Frontend::Threaded {
-                shared,
-                accept_thread,
-            } => {
-                stop_and_join_threaded(shared, accept_thread);
-                shared.serve.stats()
-            }
-            #[cfg(target_os = "linux")]
-            Frontend::Reactor(r) => {
-                r.stop_and_join();
-                r.shared().serve.stats()
-            }
-        }
+        self.stop_and_join();
+        self.shared.serve.stats()
     }
 
     /// A cloneable handle that can initiate this frontend's shutdown
@@ -601,362 +350,57 @@ impl NetServer {
     /// orchestrator commands a drain). After
     /// [`NetShutdownHandle::initiate`] returns,
     /// [`NetServer::wait_for_shutdown`] unblocks and the owner should
-    /// call [`NetServer::shutdown`] to join the threads.
+    /// call [`NetServer::shutdown`] to join the loop.
     pub fn shutdown_handle(&self) -> NetShutdownHandle {
-        match &self.inner {
-            Frontend::Threaded { shared, .. } => {
-                NetShutdownHandle::new(HandleInner::Threaded(Arc::clone(shared)))
-            }
-            #[cfg(target_os = "linux")]
-            Frontend::Reactor(r) => {
-                NetShutdownHandle::new(HandleInner::Reactor(Arc::clone(r.shared())))
-            }
+        NetShutdownHandle {
+            shared: Arc::clone(&self.shared),
         }
     }
-}
 
-fn stop_and_join_threaded(shared: &Arc<Shared>, accept_thread: &mut Option<JoinHandle<()>>) {
-    shared.begin_stop();
-    // Force-close open connections so their reader threads unblock.
-    {
-        let conns = shared
-            .conns
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for (_, stream) in conns.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-    if let Some(t) = accept_thread.take() {
-        let _ = t.join();
-    }
-    loop {
-        // Connection threads can spawn while we join (an accept racing
-        // the stop flag), so drain the list until empty.
-        let threads: Vec<JoinHandle<()>> = {
-            let mut guard = shared
-                .conn_threads
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            guard.drain(..).collect()
-        };
-        if threads.is_empty() {
-            break;
-        }
-        for t in threads {
+    fn stop_and_join(&mut self) {
+        self.shared.begin_stop();
+        if let Some(t) = self.loop_thread.take() {
             let _ = t.join();
         }
+        self.shared.drain.shutdown_and_drain();
     }
-    shared.drain.shutdown_and_drain();
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        match &mut self.inner {
-            Frontend::Threaded {
-                shared,
-                accept_thread,
-            } => {
-                if accept_thread.is_some() {
-                    stop_and_join_threaded(shared, accept_thread);
-                }
-            }
-            // The reactor's own Drop stops and joins its threads.
-            #[cfg(target_os = "linux")]
-            Frontend::Reactor(_) => {}
+        if self.loop_thread.is_some() {
+            self.stop_and_join();
         }
     }
-}
-
-enum HandleInner {
-    Threaded(Arc<Shared>),
-    #[cfg(target_os = "linux")]
-    Reactor(Arc<crate::reactor::ReactorShared>),
 }
 
 /// Remote-control handle for a running [`NetServer`]: drains the
 /// serving runtime and signals the frontend to stop, without owning it.
 #[derive(Clone)]
 pub struct NetShutdownHandle {
-    inner: Arc<HandleInner>,
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for NetShutdownHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let addr = match self.inner.as_ref() {
-            HandleInner::Threaded(s) => s.local_addr,
-            #[cfg(target_os = "linux")]
-            HandleInner::Reactor(s) => s.local_addr,
-        };
         f.debug_struct("NetShutdownHandle")
-            .field("addr", &addr)
+            .field("addr", &self.shared.local_addr)
             .finish_non_exhaustive()
     }
 }
 
 impl NetShutdownHandle {
-    fn new(inner: HandleInner) -> NetShutdownHandle {
-        NetShutdownHandle {
-            inner: Arc::new(inner),
-        }
-    }
-
     /// Drains every in-flight request, then marks the frontend as
     /// stopping and wakes [`NetServer::wait_for_shutdown`] waiters.
     /// Idempotent; the owner still calls [`NetServer::shutdown`] to
-    /// join threads.
+    /// join the loop.
     pub fn initiate(&self) {
-        match self.inner.as_ref() {
-            HandleInner::Threaded(s) => {
-                s.drain.shutdown_and_drain();
-                s.begin_stop();
-            }
-            #[cfg(target_os = "linux")]
-            HandleInner::Reactor(s) => {
-                s.drain.shutdown_and_drain();
-                s.begin_stop();
-            }
-        }
+        self.shared.drain.shutdown_and_drain();
+        self.shared.begin_stop();
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    let mut conn_id = 0u64;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(shared.cfg.read_timeout);
-        let _ = stream.set_write_timeout(shared.cfg.write_timeout);
-        if shared.active.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-            shared.metrics.rejected.inc();
-            let mut stream = stream;
-            let frame = Frame::Error {
-                id: 0,
-                code: ErrorCode::ConnectionLimit,
-                tenant: String::new(),
-                detail: format!(
-                    "connection cap {} reached, try later",
-                    shared.cfg.max_connections
-                ),
-            };
-            if write_frame(&mut stream, &frame).is_ok() {
-                shared.metrics.frames_out.inc();
-            }
-            continue;
-        }
-        conn_id += 1;
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.metrics.accepted.inc();
-        shared.metrics.connections.add(1);
-        {
-            if let Ok(clone) = stream.try_clone() {
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .push((conn_id, clone));
-            }
-        }
-        let handle = {
-            let shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name(format!("cs-net-conn-{conn_id}"))
-                .spawn(move || {
-                    run_connection(&shared, stream, conn_id);
-                    // Connection bookkeeping lives with the thread so
-                    // every exit path (EOF, timeout, decode error,
-                    // force-close) unwinds it exactly once.
-                    shared
-                        .conns
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .retain(|(id, _)| *id != conn_id);
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                    shared.metrics.connections.sub(1);
-                })
-        };
-        match handle {
-            Ok(h) => shared
-                .conn_threads
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .push(h),
-            Err(_) => {
-                // Spawn failed: roll the bookkeeping back; the stream
-                // drops and the client sees a closed connection.
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .retain(|(id, _)| *id != conn_id);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                shared.metrics.connections.sub(1);
-            }
-        }
-    }
-}
-
-/// Spawns the writer and runs the reader loop until the connection
-/// ends. The writer owns reply ordering; the reader owns decode and
-/// dispatch.
-fn run_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let queue = Arc::new(ReplyQueue::new(shared.cfg.max_pending_replies));
-    let writer = {
-        let shared = Arc::clone(shared);
-        let queue = Arc::clone(&queue);
-        std::thread::Builder::new()
-            .name(format!("cs-net-conn-{conn_id}-writer"))
-            .spawn(move || writer_loop(&shared, writer_stream, &queue))
-    };
-    let writer = match writer {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-
-    let initiated_shutdown = reader_loop(shared, stream, &queue);
-
-    // Closing the queue lets the writer drain the queued replies and
-    // exit; joining it guarantees nothing is written after this
-    // connection's bookkeeping unwinds.
-    queue.close();
-    let _ = writer.join();
-
-    // Only signal the stop once the writer has flushed everything —
-    // including the shutdown ack — so the owner's force-close cannot
-    // race the ack off the wire.
-    if initiated_shutdown {
-        shared.begin_stop();
-    }
-}
-
-/// Returns `true` when the connection carried a shutdown control frame
-/// (the caller signals the stop after the writer flushes the ack).
-fn reader_loop(shared: &Arc<Shared>, stream: TcpStream, queue: &ReplyQueue) -> bool {
-    let mut stream = stream;
-    let grace = shared.cfg.slow_consumer_grace;
-    // Pushes the next reply in FIFO position, converting a full-driven
-    // timeout into a typed slow-consumer disconnect.
-    macro_rules! push_or_break {
-        ($msg:expr) => {
-            match queue.push($msg, grace) {
-                Ok(()) => {}
-                Err(PushError::TimedOut) => {
-                    shared.metrics.slow_consumer.inc();
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    break;
-                }
-                Err(PushError::Closed) => break,
-            }
-        };
-    }
-    loop {
-        let frame = match read_frame(&mut stream, shared.cfg.max_payload) {
-            Ok(Some(frame)) => frame,
-            // Clean close at a frame boundary, or an idle/broken
-            // connection: just unwind.
-            Ok(None) => break,
-            Err(NetError::Wire(e)) => {
-                shared.metrics.decode_errors.inc();
-                let _ = queue.push(
-                    Outgoing::Ready(Frame::Error {
-                        id: 0,
-                        code: ErrorCode::Malformed,
-                        tenant: String::new(),
-                        detail: e.to_string(),
-                    }),
-                    grace,
-                );
-                break;
-            }
-            Err(_) => break,
-        };
-        shared.metrics.frames_in.inc();
-        match frame {
-            Frame::Request {
-                id,
-                model,
-                tenant,
-                input,
-            } => {
-                let t0_us = shared.clock.now_us();
-                shared.metrics.requests.inc();
-                let req = InferRequest::new(model, input).with_tenant(tenant);
-                let msg = match shared.serve.submit(req) {
-                    Ok(ticket) => Outgoing::Pending { id, t0_us, ticket },
-                    Err(e) => Outgoing::Ready(Frame::from_serve_error(id, &e)),
-                };
-                push_or_break!(msg);
-            }
-            Frame::Ping { id } => {
-                push_or_break!(Outgoing::Ready(Frame::Pong { id }));
-            }
-            Frame::Query { id, model } => {
-                let reply = query_reply(&shared.serve, id, model);
-                push_or_break!(Outgoing::Ready(reply));
-            }
-            frame @ (Frame::LoadModel { .. }
-            | Frame::UnloadModel { .. }
-            | Frame::ListModels { .. }) => {
-                let reply = lifecycle_reply(&shared.serve, shared.registry.as_ref(), &frame);
-                push_or_break!(Outgoing::Ready(reply));
-            }
-            Frame::Shutdown { id } => {
-                // Drain first: every in-flight request (on every
-                // connection) is answered before the ack goes out.
-                shared.drain.shutdown_and_drain();
-                let _ = queue.push(Outgoing::Ready(Frame::ShutdownAck { id }), grace);
-                return true;
-            }
-            // Server-to-client frame types arriving at the server are a
-            // protocol violation, as are the cluster control frames
-            // (only an orchestrator accepts registrations); answer once
-            // and cut the connection.
-            Frame::Response { id, .. }
-            | Frame::Error { id, .. }
-            | Frame::Pong { id }
-            | Frame::ShutdownAck { id }
-            | Frame::Info { id, .. }
-            | Frame::Register { id, .. }
-            | Frame::RegisterAck { id, .. }
-            | Frame::Heartbeat { id, .. }
-            | Frame::Deregister { id, .. }
-            | Frame::DeregisterAck { id }
-            | Frame::ModelList { id, .. } => {
-                shared.metrics.decode_errors.inc();
-                let _ = queue.push(
-                    Outgoing::Ready(Frame::Error {
-                        id,
-                        code: ErrorCode::Malformed,
-                        tenant: String::new(),
-                        detail: "frame type is not client-to-server".to_string(),
-                    }),
-                    grace,
-                );
-                break;
-            }
-        }
-    }
-    false
-}
-
-/// Builds the reply to a [`Frame::Query`]. Shared by both transports
-/// so the model-shape contract is identical whichever data plane
-/// answers.
+/// Builds the reply to a [`Frame::Query`].
 pub(crate) fn query_reply(serve: &Server, id: u64, model: String) -> Frame {
     match serve.lookup(&model) {
         Some(m) => Frame::Info {
@@ -976,7 +420,7 @@ pub(crate) fn query_reply(serve: &Server, id: u64, model: String) -> Frame {
 
 /// Answers a model-lifecycle control frame (`LoadModel` /
 /// `UnloadModel` / `ListModels`) against the serving runtime and the
-/// optional on-disk registry. Shared by both transports.
+/// optional on-disk registry.
 ///
 /// Loads resolve `(model, version)` in the on-disk store, decode the
 /// `CSMR` container, and hand the artifact to the runtime, which
@@ -1035,41 +479,5 @@ pub(crate) fn lifecycle_reply(
             tenant: String::new(),
             detail: "not a lifecycle control frame".to_string(),
         },
-    }
-}
-
-fn writer_loop(shared: &Arc<Shared>, mut stream: TcpStream, queue: &ReplyQueue) {
-    while let Some(msg) = queue.pop() {
-        let (frame, t0_us) = match msg {
-            Outgoing::Ready(frame) => (frame, None),
-            Outgoing::Pending { id, t0_us, ticket } => match ticket.wait() {
-                Ok(resp) => (Frame::from_response(id, &resp), Some(t0_us)),
-                Err(e) => (Frame::from_serve_error(id, &e), None),
-            },
-        };
-        match write_frame(&mut stream, &frame) {
-            Ok(()) => {}
-            Err(e) => {
-                // A write deadline expiring means the client stopped
-                // draining while bytes were owed: a slow consumer.
-                if matches!(e, NetError::Timeout { .. }) {
-                    shared.metrics.slow_consumer.inc();
-                }
-                // Unblock the reader (it may be mid-read on a dead
-                // peer, or blocked pushing into a full queue) and stop;
-                // queued tickets unwind as WorkerLost client-side
-                // because nothing will be written for them.
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                queue.close();
-                break;
-            }
-        }
-        shared.metrics.frames_out.inc();
-        if let Some(t0) = t0_us {
-            shared
-                .metrics
-                .latency
-                .observe(shared.clock.now_us().saturating_sub(t0));
-        }
     }
 }

@@ -1,8 +1,9 @@
 //! Blocking frame transport over any `Read`/`Write` pair.
 //!
-//! [`read_frame`] and [`write_frame`] are the only places the codec
-//! touches I/O; both sides of the protocol (server connection threads,
-//! the blocking client) share them, and tests drive them with in-memory
+//! [`read_frame`] and [`write_frame`] are the blocking side of the
+//! codec: the client, the worker agent and the cluster orchestrator
+//! speak through them, the incremental [`crate::FrameAssembler`] is
+//! fuzzed against [`read_frame`], and tests drive both with in-memory
 //! cursors. The reader distinguishes a peer that closed *at* a frame
 //! boundary (`Ok(None)`, a clean goodbye) from one that died mid-frame
 //! ([`WireError::Truncated`] wrapped in [`NetError::Wire`]).

@@ -61,6 +61,6 @@ pub use error::ServeError;
 pub use lifecycle::{outputs_equivalent, CanaryReport, ModelStatus};
 pub use model::{CompiledLane, LaneKernel, LaneLayer, ModelRegistry, ServableModel};
 pub use server::{
-    DrainHandle, ExecBackend, InferRequest, InferResponse, ServeConfig, Server, Ticket,
+    Doorbell, DrainHandle, ExecBackend, InferRequest, InferResponse, ServeConfig, Server, Ticket,
 };
 pub use stats::{ServeSnapshot, ServeStats};

@@ -270,6 +270,41 @@ struct Job {
     /// In-flight registrations (target, plus the shadow primary when
     /// canaried); released when the job is dropped after its reply.
     _guards: Vec<InflightGuard>,
+    /// Rings when the job drops. Last field, so it drops last: by then
+    /// the reply is sent or its sender gone, and `try_wait` answers.
+    _bell: Option<Doorbell>,
+}
+
+/// How a job submitted through [`Server::submit_rung`] says it is done:
+/// dropping the job calls `bell(token)` — after its reply was sent, or
+/// unanswered when the last worker departs (the ticket then reads
+/// [`ServeError::WorkerLost`]). Either way [`Ticket::try_wait`] on that
+/// job's ticket is already `Some` when the bell rings, and it rings
+/// exactly once per admitted job.
+///
+/// A refused submission (`Overloaded`, `UnknownModel`, …) drops its
+/// bell too, so it may ring although no ticket exists: a listener takes
+/// a ring as "look again at this token", never as "a reply exists".
+/// The bell runs on worker threads, so it must not block, and it must
+/// not own the [`Server`]: queued jobs hold it, and a server kept alive
+/// by its own queue could be dropped last on a worker thread that then
+/// joins itself.
+pub struct Doorbell {
+    bell: Arc<dyn Fn(u64) + Send + Sync>,
+    token: u64,
+}
+
+impl Doorbell {
+    /// A doorbell that calls `bell(token)` once, when it is dropped.
+    pub fn new(bell: Arc<dyn Fn(u64) + Send + Sync>, token: u64) -> Doorbell {
+        Doorbell { bell, token }
+    }
+}
+
+impl Drop for Doorbell {
+    fn drop(&mut self) {
+        (self.bell)(self.token);
+    }
 }
 
 /// What executing one job produced: `(outputs, cycles, energy_pj)`.
@@ -305,9 +340,7 @@ impl Ticket {
     }
 
     /// Blocks up to `timeout` for the response; `None` if it has not
-    /// arrived yet. Unlike [`Ticket::wait`] the ticket stays usable, so
-    /// a completion pump can interleave deadline waits with shutdown
-    /// checks instead of parking forever on one request.
+    /// arrived yet. Unlike [`Ticket::wait`] the ticket stays usable.
     pub fn wait_deadline(
         &self,
         timeout: std::time::Duration,
@@ -633,6 +666,22 @@ impl Server {
     /// (or the tenant's quota) is full, [`ServeError::ShuttingDown`]
     /// after shutdown began.
     pub fn submit(&self, req: InferRequest) -> Result<Ticket, ServeError> {
+        self.admit(req, None)
+    }
+
+    /// [`Server::submit`] for callers that multiplex many tickets on one
+    /// thread: the job rings `bell` when it is done with (see
+    /// [`Doorbell`]), so the caller polls [`Ticket::try_wait`] only when
+    /// told to instead of parking a thread per ticket.
+    ///
+    /// # Errors
+    ///
+    /// As [`Server::submit`]; a refused submission may still ring.
+    pub fn submit_rung(&self, req: InferRequest, bell: Doorbell) -> Result<Ticket, ServeError> {
+        self.admit(req, Some(bell))
+    }
+
+    fn admit(&self, req: InferRequest, bell: Option<Doorbell>) -> Result<Ticket, ServeError> {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
@@ -665,6 +714,7 @@ impl Server {
             submit_us: now,
             reply: reply_tx,
             _guards: guards,
+            _bell: bell,
         };
         match self.queue.try_push(&tenant, job) {
             Ok(()) => {
@@ -1360,6 +1410,89 @@ mod tests {
         ));
         // And a drain has nothing to wait for.
         server.drain_handle().shutdown_and_drain();
+        server.shutdown();
+    }
+
+    /// A bell that posts every ring to a channel the test reads.
+    fn channel_bell() -> (Arc<dyn Fn(u64) + Send + Sync>, mpsc::Receiver<u64>) {
+        let (tx, rx) = mpsc::channel();
+        let tx = std::sync::Mutex::new(tx);
+        let bell = Arc::new(move |token| {
+            let _ = tx.lock().unwrap().send(token);
+        });
+        (bell, rx)
+    }
+
+    #[test]
+    fn the_doorbell_rings_once_per_admitted_job_after_its_reply() {
+        let (reg, model) = mlp_registry();
+        let server = Server::start(reg, ServeConfig::default()).expect("start");
+        let (bell, rings) = channel_bell();
+        let tickets: Vec<Ticket> = (0..16u32)
+            .map(|i| {
+                let req = InferRequest::new("mlp", input_for(&model, i));
+                server
+                    .submit_rung(req, Doorbell::new(bell.clone(), u64::from(i)))
+                    .expect("submit")
+            })
+            .collect();
+        let mut rung = [0u32; 16];
+        for _ in 0..16 {
+            let token = rings
+                .recv_timeout(Duration::from_secs(30))
+                .expect("every admitted job rings") as usize;
+            rung[token] += 1;
+            // The reply is already there when the bell rings.
+            let reply = tickets[token].try_wait().expect("ringing ticket answers");
+            assert!(reply.is_ok(), "{reply:?}");
+        }
+        // A refused submission creates no ticket; whether it rings is
+        // no business of anybody's, since no slot waits on token 99.
+        let refused = server.submit_rung(
+            InferRequest::new("nope", input_for(&model, 0)),
+            Doorbell::new(bell.clone(), 99),
+        );
+        assert!(matches!(refused, Err(ServeError::UnknownModel(_))));
+        server.shutdown();
+        drop(bell);
+        // Every bell is gone now, so this drains whatever else rang.
+        for token in rings.iter() {
+            assert_eq!(token, 99, "an admitted job rang twice");
+        }
+        assert_eq!(rung, [1; 16]);
+    }
+
+    #[test]
+    fn the_doorbell_rings_for_jobs_the_last_worker_leaves_unanswered() {
+        let (reg, model) = mlp_registry();
+        let clock = FaultyClock::new();
+        let cfg = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start_with_clock(reg, cfg, clock.clone()).expect("start");
+        clock.armed.store(true, Ordering::SeqCst);
+        let (bell, rings) = channel_bell();
+        let mut tickets = Vec::new();
+        for i in 0..6u32 {
+            let req = InferRequest::new("mlp", input_for(&model, i));
+            if let Ok(ticket) = server.submit_rung(req, Doorbell::new(bell.clone(), u64::from(i))) {
+                tickets.push((u64::from(i), ticket));
+            }
+        }
+        assert!(!tickets.is_empty(), "the first submit precedes the fault");
+        while !tickets.is_empty() {
+            let token = rings
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a job dropped unanswered still rings");
+            // Refused submissions (the queue closed under them) may ring
+            // too; they have no ticket to check.
+            if let Some(at) = tickets.iter().position(|(t, _)| *t == token) {
+                let (_, ticket) = tickets.swap_remove(at);
+                let reply = ticket.try_wait().expect("the ring comes after the drop");
+                assert!(matches!(reply, Err(ServeError::WorkerLost)), "{reply:?}");
+            }
+        }
         server.shutdown();
     }
 
