@@ -1,9 +1,11 @@
 //! Typed errors for the functional executor.
 //!
-//! The executor sits on the serving request path (`cs-serve` workers call
-//! [`crate::exec::Accelerator::run_network`] per request), so malformed
-//! programs or layers must surface as values rather than panics that
-//! would kill a worker thread.
+//! The executor sits on the serving request path, so malformed programs
+//! or layers must surface as values rather than panics that would kill a
+//! worker thread. `cs-serve` compiles each simulator-backed load once
+//! with [`crate::exec::Accelerator::compile_network`], which is where a
+//! malformed layer is rejected, and its workers call
+//! [`crate::exec::Accelerator::run_compiled`] per request.
 
 use std::fmt;
 

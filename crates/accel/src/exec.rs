@@ -8,6 +8,14 @@
 //! out of the WDM-decoded compact storage, and PEFUs accumulate partial
 //! sums into NBout across input tiles. Timing comes from the structural
 //! throughput limits and the ping-pong DMA overlap.
+//!
+//! There are two ways in, over one interpreter. [`Accelerator::run_program`]
+//! (and [`Accelerator::run_layer`] / [`Accelerator::run_network`] on top of
+//! it) validates and prepares the layer on every call.
+//! [`Accelerator::compile_network`] does that once, the way the paper's
+//! compiler emits a static program per layer ahead of time, and
+//! [`Accelerator::run_compiled`] then runs the [`CompiledNetwork`] through
+//! a reused [`SimScratch`] without validating, compiling or allocating.
 
 use cs_compress::format::SharedIndexLayer;
 use cs_sim::{DramModel, OverlapScheduler, SimStats};
@@ -17,7 +25,7 @@ use crate::compiler::compile_layer;
 use crate::config::AccelConfig;
 use crate::error::AccelError;
 use crate::isa::{Instruction, Program};
-use crate::nsm;
+use crate::nsm::{self, NsmSelection};
 use crate::pe::Activation;
 use crate::ssm;
 
@@ -25,9 +33,10 @@ use crate::ssm;
 /// weight row matches its group's index popcount, dictionary indices fit
 /// the codebook, and the groups cover no more than `n_out` outputs.
 ///
-/// The executor runs this before interpreting a program, so serving
-/// workers can also call it once at model-registration time to reject
-/// malformed layers at admission instead of per request.
+/// [`Accelerator::run_program`] runs this on every call.
+/// [`Accelerator::compile_network`] runs it once per layer, which is how
+/// a serving load rejects a malformed model before any request reaches
+/// it, and why [`Accelerator::run_compiled`] need not run it again.
 ///
 /// # Errors
 ///
@@ -69,6 +78,95 @@ pub fn validate_layer(layer: &SharedIndexLayer) -> Result<(), AccelError> {
         }
     }
     Ok(())
+}
+
+/// Where each of a program's input windows starts in every group's
+/// compact weight storage: the group's static survivors in front of
+/// each window boundary. The executor reads the synapse index's running
+/// popcount only at those boundaries, so this table replaces a full
+/// `n_in + 1` prefix per group; for compiled programs it is one row of
+/// `tiles + 1` entries per group.
+#[derive(Debug)]
+struct TileOffsets {
+    /// Sorted, distinct window boundaries within the layer's input.
+    bounds: Vec<usize>,
+    /// `survivors[g * bounds.len() + b]`: group `g`'s survivors in front
+    /// of input `bounds[b]`.
+    survivors: Vec<usize>,
+}
+
+impl TileOffsets {
+    /// The table for `program`'s windows over `layer`, which must have
+    /// passed [`validate_layer`]. Windows past the input are left out;
+    /// the executor rejects them before it looks anything up.
+    fn new(program: &Program, layer: &SharedIndexLayer) -> Self {
+        let mut bounds: Vec<usize> = program
+            .instrs
+            .iter()
+            .filter_map(Instruction::window)
+            .flat_map(|(offset, len)| [Some(offset), offset.checked_add(len)])
+            .flatten()
+            .filter(|&p| p <= layer.n_in)
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut survivors = Vec::with_capacity(layer.groups.len() * bounds.len());
+        for g in &layer.groups {
+            let (mut from, mut acc) = (0, 0);
+            for &to in &bounds {
+                acc += g.index[from..to].iter().filter(|s| **s).count();
+                survivors.push(acc);
+                from = to;
+            }
+        }
+        TileOffsets { bounds, survivors }
+    }
+
+    /// Group `group`'s survivors in front of `offset` and in front of
+    /// `offset + len`: the window's slice of its compact storage.
+    fn slice(&self, group: usize, offset: usize, len: usize) -> Option<(usize, usize)> {
+        let width = self.bounds.len();
+        let row = self.survivors.get(group * width..(group + 1) * width)?;
+        let at = |pos: usize| self.bounds.binary_search(&pos).ok().map(|b| row[b]);
+        Some((at(offset)?, at(offset.checked_add(len)?)?))
+    }
+}
+
+/// One layer as [`CompiledNetwork`] keeps it.
+#[derive(Debug)]
+struct CompiledLayer {
+    program: Program,
+    layer: SharedIndexLayer,
+    offsets: TileOffsets,
+}
+
+/// A network validated and compiled once by
+/// [`Accelerator::compile_network`], ready for any number of
+/// [`Accelerator::run_compiled`] calls. The fields are private, so a
+/// value of this type is proof that every layer passed
+/// [`validate_layer`], consecutive layers chain, and every program was
+/// compiled for its layer by the compiling accelerator's configuration.
+#[derive(Debug)]
+pub struct CompiledNetwork {
+    layers: Vec<CompiledLayer>,
+}
+
+impl CompiledNetwork {
+    /// Input width of the first layer (`0` for an empty network).
+    pub fn n_in(&self) -> usize {
+        self.layers.first().map_or(0, |c| c.layer.n_in)
+    }
+}
+
+/// The buffers [`Accelerator::run_compiled`] reuses: layer outputs
+/// ping-pong between two activation buffers, and the NSM selects into
+/// one reused pair of vectors. Nothing is allocated once they have grown
+/// to the widest layer.
+#[derive(Debug, Default)]
+pub struct SimScratch {
+    front: Vec<f32>,
+    back: Vec<f32>,
+    sel: NsmSelection,
 }
 
 /// Result of a functional run.
@@ -140,6 +238,80 @@ impl Accelerator {
         Ok(RunResult { outputs: x, stats })
     }
 
+    /// Validates and compiles every layer once: what
+    /// [`Accelerator::run_network`] does on every call, kept for
+    /// [`Accelerator::run_compiled`]. Programs are tiled for this
+    /// accelerator's configuration, so run the network on an
+    /// accelerator built from the same one.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first layer's [`validate_layer`] error, or a
+    /// length-mismatch error when consecutive layers disagree on width.
+    pub fn compile_network(
+        &self,
+        layers: Vec<(SharedIndexLayer, Activation)>,
+    ) -> Result<CompiledNetwork, AccelError> {
+        let mut compiled: Vec<CompiledLayer> = Vec::with_capacity(layers.len());
+        for (layer, activation) in layers {
+            validate_layer(&layer)?;
+            if let Some(prev) = compiled.last() {
+                if prev.layer.n_out != layer.n_in {
+                    return Err(AccelError::Tensor(TensorError::LengthMismatch {
+                        expected: layer.n_in,
+                        actual: prev.layer.n_out,
+                    }));
+                }
+            }
+            let program = compile_layer(&layer, &self.cfg, activation);
+            let offsets = TileOffsets::new(&program, &layer);
+            compiled.push(CompiledLayer {
+                program,
+                layer,
+                offsets,
+            });
+        }
+        Ok(CompiledNetwork { layers: compiled })
+    }
+
+    /// Runs a compiled network on one input vector through `scratch`:
+    /// the same interpreter, outputs and statistics as
+    /// [`Accelerator::run_network`] on the same layers, with no
+    /// validation, compilation or allocation left per call. The outputs
+    /// are borrowed from `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a length-mismatch error when the input does not fit the
+    /// first layer. The per-instruction operand checks of
+    /// [`Accelerator::run_program`] still run.
+    pub fn run_compiled<'s>(
+        &self,
+        net: &CompiledNetwork,
+        input: &[f32],
+        scratch: &'s mut SimScratch,
+    ) -> Result<(&'s [f32], SimStats), AccelError> {
+        if let Some(first) = net.layers.first() {
+            if input.len() != first.layer.n_in {
+                return Err(AccelError::Tensor(TensorError::LengthMismatch {
+                    expected: first.layer.n_in,
+                    actual: input.len(),
+                }));
+            }
+        }
+        let SimScratch { front, back, sel } = scratch;
+        front.clear();
+        front.extend_from_slice(input);
+        let mut stats = SimStats::new();
+        for c in &net.layers {
+            back.clear();
+            back.resize(c.layer.n_out, 0.0);
+            stats += self.execute(&c.program, &c.layer, &c.offsets, front, back, sel)?;
+            std::mem::swap(front, back);
+        }
+        Ok((front, stats))
+    }
+
     /// Executes a pre-compiled program.
     ///
     /// Every instruction operand is validated against the layer before
@@ -172,6 +344,27 @@ impl Accelerator {
             });
         }
         validate_layer(layer)?;
+        let offsets = TileOffsets::new(program, layer);
+        let mut outputs = vec![0.0f32; layer.n_out];
+        let mut sel = NsmSelection::default();
+        let stats = self.execute(program, layer, &offsets, input, &mut outputs, &mut sel)?;
+        Ok(RunResult { outputs, stats })
+    }
+
+    /// The interpreter behind every entry point. `layer` has passed
+    /// [`validate_layer`], `offsets` was built for `program` over it,
+    /// `input` holds `layer.n_in` values and `outputs` `layer.n_out`
+    /// zeros; `sel` is reused by every `Compute`. Instruction operands
+    /// are checked here, on every path.
+    fn execute(
+        &self,
+        program: &Program,
+        layer: &SharedIndexLayer,
+        offsets: &TileOffsets,
+        input: &[f32],
+        outputs: &mut [f32],
+        sel: &mut NsmSelection,
+    ) -> Result<SimStats, AccelError> {
         let check_group = |group: usize| -> Result<(), AccelError> {
             if group >= layer.groups.len() {
                 return Err(AccelError::GroupOutOfRange {
@@ -181,34 +374,18 @@ impl Accelerator {
             }
             Ok(())
         };
+        let window_error = |offset: usize, len: usize| AccelError::WindowOutOfRange {
+            offset,
+            len,
+            n_in: layer.n_in,
+        };
         let check_window = |offset: usize, len: usize| -> Result<(), AccelError> {
             if offset.checked_add(len).is_none_or(|end| end > layer.n_in) {
-                return Err(AccelError::WindowOutOfRange {
-                    offset,
-                    len,
-                    n_in: layer.n_in,
-                });
+                return Err(window_error(offset, len));
             }
             Ok(())
         };
-        // Per-group prefix popcounts of the synapse index, so weight
-        // slices for input tiles can be located in the compact storage.
-        let prefixes: Vec<Vec<usize>> = layer
-            .groups
-            .iter()
-            .map(|g| {
-                let mut p = Vec::with_capacity(g.index.len() + 1);
-                let mut acc = 0usize;
-                p.push(0);
-                for b in &g.index {
-                    acc += usize::from(*b);
-                    p.push(acc);
-                }
-                p
-            })
-            .collect();
 
-        let mut outputs = vec![0.0f32; layer.n_out];
         let mut stats = SimStats::new();
         let mut sched = OverlapScheduler::new();
         let mut pending_load: u64 = 0;
@@ -237,8 +414,10 @@ impl Accelerator {
                     check_group(group)?;
                     check_window(offset, len)?;
                     let g = &layer.groups[group];
-                    let pre = &prefixes[group];
-                    let slice_survivors = pre[offset + len] - pre[offset];
+                    let (start, end) = offsets
+                        .slice(group, offset, len)
+                        .ok_or_else(|| window_error(offset, len))?;
+                    let slice_survivors = end - start;
                     let lanes = g.weights.len();
                     let dict_bits = slice_survivors * lanes * usize::from(layer.quant_bits);
                     let mut bytes = dict_bits.div_ceil(8) as u64;
@@ -260,11 +439,10 @@ impl Accelerator {
                         });
                     }
                     let g = &layer.groups[group];
-                    let pre = &prefixes[group];
-                    let index_slice = &g.index[offset..offset + len];
-                    let window = &nbin[..len];
-                    let sel = nsm::select(window, index_slice);
-                    let base = pre[offset];
+                    let (base, _) = offsets
+                        .slice(group, offset, len)
+                        .ok_or_else(|| window_error(offset, len))?;
+                    nsm::select_into(&nbin[..len], &g.index[offset..offset + len], sel);
                     let lanes = g.weights.len();
                     for (lane, lane_weights) in g.weights.iter().enumerate() {
                         let mut acc = 0.0f32;
@@ -313,7 +491,7 @@ impl Accelerator {
         // fixed DRAM latency, which no compute hides).
         stats.compute_busy_cycles = sched.compute_busy_cycles();
         stats.dram_stall_cycles = stats.cycles.saturating_sub(stats.compute_busy_cycles);
-        Ok(RunResult { outputs, stats })
+        Ok(stats)
     }
 }
 
@@ -600,6 +778,112 @@ mod tests {
             validate_layer(&l2),
             Err(AccelError::CodebookOverflow { group: 0, .. })
         ));
+
+        // Compiling a network runs the same validation once, wherever
+        // in the chain the bad layer sits.
+        let good = layer(16, 64, 0.5, 4);
+        assert!(matches!(
+            acc.compile_network(vec![(good, Activation::Relu), (l, Activation::None)]),
+            Err(AccelError::MalformedGroup { group: 0, .. })
+        ));
+        assert!(matches!(
+            acc.compile_network(vec![(l2, Activation::None)]),
+            Err(AccelError::CodebookOverflow { group: 0, .. })
+        ));
+    }
+
+    /// Widths 128 → 64 → 32 at the seeds the other network tests use.
+    fn two_layer_net() -> Vec<(SharedIndexLayer, Activation)> {
+        vec![
+            (layer(128, 64, 0.3, 3), Activation::Relu),
+            (layer(64, 32, 0.4, 4), Activation::None),
+        ]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn compiled_network_matches_run_network_through_a_reused_scratch() {
+        let acc = Accelerator::new(AccelConfig::paper_default());
+        let small = two_layer_net();
+        // Wider than `small` in every layer, and tiled: 4096 inputs are
+        // two NBin tiles.
+        let wide = vec![
+            (layer(4096, 256, 0.2, 9), Activation::Relu),
+            (layer(256, 128, 0.5, 10), Activation::None),
+        ];
+        let small_net = acc.compile_network(small.clone()).unwrap();
+        let wide_net = acc.compile_network(wide.clone()).unwrap();
+        let mut scratch = SimScratch::default();
+        let x = input(128, 5);
+        let wx = input(4096, 3);
+        let want = acc.run_network(&small, &x).unwrap();
+        let wide_want = acc.run_network(&wide, &wx).unwrap();
+        // Small, then wide, then small again: the second small run
+        // starts from buffers holding the wide run's values.
+        for (net, x, want) in [
+            (&small_net, &x, &want),
+            (&wide_net, &wx, &wide_want),
+            (&small_net, &x, &want),
+        ] {
+            let (outputs, stats) = acc.run_compiled(net, x, &mut scratch).unwrap();
+            assert_eq!(bits(outputs), bits(&want.outputs));
+            assert_eq!(stats, want.stats);
+        }
+        assert_eq!(small_net.n_in(), 128);
+    }
+
+    #[test]
+    fn compiled_network_rejects_a_broken_chain_and_a_wrong_input() {
+        let acc = Accelerator::new(AccelConfig::paper_default());
+        let mut net = two_layer_net();
+        net.swap(0, 1);
+        assert!(matches!(
+            acc.compile_network(net),
+            Err(AccelError::Tensor(TensorError::LengthMismatch {
+                expected: 128,
+                actual: 32
+            }))
+        ));
+        let net = acc.compile_network(two_layer_net()).unwrap();
+        let mut scratch = SimScratch::default();
+        assert!(matches!(
+            acc.run_compiled(&net, &input(127, 0), &mut scratch),
+            Err(AccelError::Tensor(TensorError::LengthMismatch {
+                expected: 128,
+                actual: 127
+            }))
+        ));
+    }
+
+    #[test]
+    fn any_tiling_of_the_input_computes_the_same_layer() {
+        // Windows that are not NBin tiles: the compact-storage offsets
+        // must follow whatever boundaries the program uses.
+        let l = layer(64, 32, 0.5, 6);
+        let acc = Accelerator::new(AccelConfig::paper_default());
+        let x = input(64, 3);
+        let mut instrs = Vec::new();
+        for (offset, len) in [(0, 23), (23, 40), (63, 1)] {
+            instrs.push(Instruction::LoadNeurons { offset, len });
+            for group in 0..l.groups.len() {
+                instrs.push(Instruction::LoadSynapses { group, offset, len });
+                instrs.push(Instruction::Compute { group, offset, len });
+            }
+        }
+        let program = Program {
+            instrs,
+            n_in: 64,
+            n_out: 32,
+        };
+        let run = acc.run_program(&program, &l, &x).unwrap();
+        for (got, want) in run.outputs.iter().zip(&l.output(&x)) {
+            assert!((got - want).abs() < 1e-4, "got {got} want {want}");
+        }
+        let whole = acc.run_layer(&l, &x, Activation::None).unwrap();
+        assert_eq!(run.stats.wdm_decodes, whole.stats.wdm_decodes);
     }
 
     #[test]

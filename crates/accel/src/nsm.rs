@@ -14,7 +14,7 @@
 //!    per-PE SSMs use to MUX out the matching weights.
 
 /// Output of one NSM selection pass.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NsmSelection {
     /// Values of the selected (needed) neurons, in input order.
     pub neurons: Vec<f32>,
@@ -35,30 +35,39 @@ pub struct NsmSelection {
 ///
 /// Panics when `neurons` and `synapse_index` lengths differ.
 pub fn select(neurons: &[f32], synapse_index: &[bool]) -> NsmSelection {
+    let mut sel = NsmSelection::default();
+    select_into(neurons, synapse_index, &mut sel);
+    sel
+}
+
+/// [`select`] into reused buffers: `out` is cleared and refilled, so a
+/// caller that selects window after window allocates nothing once
+/// `out` has grown to the widest one.
+///
+/// # Panics
+///
+/// Panics when `neurons` and `synapse_index` lengths differ.
+pub fn select_into(neurons: &[f32], synapse_index: &[bool], out: &mut NsmSelection) {
     assert_eq!(
         neurons.len(),
         synapse_index.len(),
         "neuron/index width mismatch"
     );
-    let mut out_neurons = Vec::new();
-    let mut indexing = Vec::new();
+    out.neurons.clear();
+    out.indexing.clear();
     let mut compact_pos = 0usize; // running popcount of synapse indexes
-    for (i, &syn) in synapse_index.iter().enumerate() {
+    for (&v, &syn) in neurons.iter().zip(synapse_index) {
         if syn {
             // Neuron flag = synapse index AND neuron index (non-zero).
-            if neurons[i] != 0.0 {
-                out_neurons.push(neurons[i]);
-                indexing.push(compact_pos);
+            if v != 0.0 {
+                out.neurons.push(v);
+                out.indexing.push(compact_pos);
             }
             compact_pos += 1;
         }
     }
-    NsmSelection {
-        neurons: out_neurons,
-        indexing,
-        scanned: neurons.len(),
-        static_survivors: compact_pos,
-    }
+    out.scanned = neurons.len();
+    out.static_survivors = compact_pos;
 }
 
 /// NSM throughput: cycles to process a window, scanning
@@ -116,6 +125,16 @@ mod tests {
         let sel = select(&neurons, &syn);
         assert_eq!(sel.neurons, vec![1.0, 3.0, 6.0]);
         assert_eq!(sel.indexing, vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn select_into_leaves_nothing_of_a_wider_window_behind() {
+        let mut sel = select(&[1.0; 8], &[true; 8]);
+        let neurons = [0.5, 0.2, 0.3, 0.0, 0.9, 0.0, 0.7, 0.0];
+        let syn = [true, false, false, true, false, true, true, false];
+        select_into(&neurons[..6], &syn[..6], &mut sel);
+        assert_eq!(sel, select(&neurons[..6], &syn[..6]));
+        assert_eq!((sel.scanned, sel.static_survivors), (6, 3));
     }
 
     #[test]

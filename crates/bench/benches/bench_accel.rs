@@ -4,7 +4,7 @@
 use cambricon_s::prelude::*;
 use cambricon_s::workload::paper_workload;
 use criterion::{criterion_group, criterion_main, Criterion};
-use cs_accel::exec::Accelerator;
+use cs_accel::exec::{Accelerator, SimScratch};
 use cs_accel::pe::Activation;
 use cs_baselines::{cambricon_x_layer, diannao_layer};
 use cs_nn::init::{self, ConvergenceProfile};
@@ -32,6 +32,20 @@ fn bench_functional_exec(c: &mut Criterion) {
         .collect();
     c.bench_function("functional_exec_fc_4096x64", |b| {
         b.iter(|| accel.run_layer(&sil, &input, Activation::Relu).unwrap());
+    });
+    // The same layer compiled once, the way a serving load runs it.
+    let net = accel
+        .compile_network(vec![(sil, Activation::Relu)])
+        .unwrap();
+    let mut scratch = SimScratch::default();
+    c.bench_function("functional_exec_fc_4096x64_compiled", |b| {
+        b.iter(|| {
+            accel
+                .run_compiled(&net, &input, &mut scratch)
+                .unwrap()
+                .1
+                .cycles
+        });
     });
 }
 

@@ -20,7 +20,10 @@
 //! * dense conv2d vs sparse conv (serial and pooled): **bit-identical**;
 //! * functional simulator vs dense chain: **tolerance-bounded** — the
 //!   simulator accumulates per (tile, group) in hardware order, which is
-//!   a different (still deterministic) float summation order.
+//!   a different (still deterministic) float summation order;
+//! * compiled simulator network vs `run_layer` chained layer by layer:
+//!   **bit-identical** outputs (NaN encodings identified) and **equal**
+//!   activity counters, also when the scratch last ran a wider network.
 //!
 //! [`Fault::ReverseAccumulation`] swaps the serial engine kernel for
 //! [`forward_reversed`], which adds the same terms in *descending* input
@@ -32,7 +35,7 @@
 //! them are delivered to each other's slot.
 
 use cs_accel::config::AccelConfig;
-use cs_accel::exec::Accelerator;
+use cs_accel::exec::{Accelerator, SimScratch};
 use cs_accel::pe::Activation;
 use cs_compress::engine::{
     BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel, COLUMN_TILE,
@@ -40,6 +43,7 @@ use cs_compress::engine::{
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
 use cs_compress::gate::{GatePlan, GatePolicy, GateStats};
 use cs_parallel::ThreadPool;
+use cs_sim::SimStats;
 use cs_sparsity::coarse::{self, CoarseConfig};
 use cs_sparsity::{structured, Mask, PruneMode};
 use cs_tensor::ops::{self, Conv2dGeometry};
@@ -256,9 +260,10 @@ pub fn forward_reversed(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32])
 }
 
 /// Every differential leg [`check_fc`] can report, in the order it
-/// runs them (`fc-sim-*` aside, which depend on the case). The sweep
-/// report prints this list so a run's log says which legs were armed.
-pub const FC_LEGS: [&str; 9] = [
+/// runs them (the per-layer `fc-sim-*` tolerance and error legs aside,
+/// which depend on the case). The sweep report prints this list so a
+/// run's log says which legs were armed.
+pub const FC_LEGS: [&str; 10] = [
     "fc-dense-vs-sparse-bits",
     "fc-dense-vs-pooled-bits",
     "fc-pooled-vs-engine-bits",
@@ -268,6 +273,7 @@ pub const FC_LEGS: [&str; 9] = [
     "fc-gated-stats",
     "fc-batched-vs-dense-bits",
     "fc-batched-vs-engine-bits",
+    "fc-sim-compiled-vs-program-bits",
 ];
 
 /// The co-batched inputs of the batched leg: one more column than a
@@ -556,6 +562,111 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault, pools: &[ThreadPool]) -> Vec<Mi
         }
 
         x = next;
+    }
+    out.extend(check_sim_compiled(art, &accel));
+    out
+}
+
+/// The simulator's view of a case: each layer's shared-index bridge
+/// with its activation.
+fn sim_layers(art: &FcArtifacts) -> Vec<(SharedIndexLayer, Activation)> {
+    art.layers
+        .iter()
+        .map(|la| (la.shared.clone(), la.activation))
+        .collect()
+}
+
+/// A case wider than any generated one (64 against the generator's
+/// widest 48), fully dense on a dense input, so its simulator run leaves
+/// values in every scratch position a generated case's run will use.
+fn wide_sim_case() -> Result<FcArtifacts, Mismatch> {
+    let layer = |weight_seed| FcLayerCase {
+        n_in: 64,
+        n_out: 64,
+        block_in: 4,
+        block_out: 16,
+        metric: coarse::PruneMetric::Average,
+        density: 1.0,
+        quant_bits: 8,
+        bias: false,
+        zero_weights: false,
+        weight_seed,
+        pattern: PruneMode::Coarse,
+    };
+    build_fc(&FcNetCase {
+        layers: vec![layer(1), layer(2)],
+        input_seed: 3,
+        zero_every: 0,
+        poison: InputPoison::None,
+    })
+}
+
+/// The compiled-simulator leg: the case's layer chain, compiled once,
+/// must give what [`Accelerator::run_layer`] chained layer by layer
+/// gives — outputs up to NaN encoding (the one interpreter may be
+/// inlined differently into its two callers) and every [`SimStats`]
+/// field exactly. It runs twice through one [`SimScratch`], the second
+/// time after a wider network, so stale buffer contents would show.
+fn check_sim_compiled(art: &FcArtifacts, accel: &Accelerator) -> Vec<Mismatch> {
+    const LEG: &str = "fc-sim-compiled-vs-program-bits";
+    let error = |what: String| vec![Mismatch::new("fc-sim-error", what)];
+    let layers = sim_layers(art);
+    let mut want = art.input.clone();
+    let mut want_stats = SimStats::new();
+    for (li, (layer, activation)) in layers.iter().enumerate() {
+        match accel.run_layer(layer, &want, *activation) {
+            Ok(run) => {
+                want_stats += run.stats;
+                want = run.outputs;
+            }
+            Err(e) => return error(format!("layer {li}: {e:?}")),
+        }
+    }
+    let wide = match wide_sim_case() {
+        Ok(w) => w,
+        Err(m) => return vec![m],
+    };
+    let (net, wide_net) = match (
+        accel.compile_network(layers),
+        accel.compile_network(sim_layers(&wide)),
+    ) {
+        (Ok(net), Ok(wide_net)) => (net, wide_net),
+        (Err(e), _) | (_, Err(e)) => return error(format!("compile: {e:?}")),
+    };
+    let mut scratch = SimScratch::default();
+    let mut out = Vec::new();
+    for pass in ["first run", "run after a wider network"] {
+        if pass != "first run" {
+            if let Err(e) = accel.run_compiled(&wide_net, &wide.input, &mut scratch) {
+                return error(format!("wide network: {e:?}"));
+            }
+        }
+        let (got, stats) = match accel.run_compiled(&net, &art.input, &mut scratch) {
+            Ok(run) => run,
+            Err(e) => return error(format!("{pass}: {e:?}")),
+        };
+        if got.len() != want.len() {
+            out.push(Mismatch::new(
+                LEG,
+                format!("{pass}: {} outputs vs {}", got.len(), want.len()),
+            ));
+        } else if let Some((i, g, w)) = first_diff_nan_canonical(got, &want) {
+            out.push(Mismatch::new(
+                LEG,
+                format!(
+                    "{pass}: output {i}: compiled {g:e} ({:#010x}) vs chained run_layer \
+                     {w:e} ({:#010x})",
+                    g.to_bits(),
+                    w.to_bits()
+                ),
+            ));
+        }
+        if stats != want_stats {
+            out.push(Mismatch::new(
+                LEG,
+                format!("{pass}: compiled stats {stats:?} vs chained run_layer {want_stats:?}"),
+            ));
+        }
     }
     out
 }

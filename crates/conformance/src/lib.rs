@@ -26,7 +26,9 @@
 //!   one-line `conformance replay --seed N --case K` reproduction.
 //! * [`serve_check`] — backend-agreement check on *served* outputs: the
 //!   same inputs through `cs-serve` workers on the Sparse and Dense
-//!   backends must come back bit-identical.
+//!   backends must come back bit-identical, and on the default
+//!   Simulator backend equal to a direct `run_network` in outputs,
+//!   cycles and energy.
 //! * [`net_check`] — the network-path extension of the same contract:
 //!   a seed-replayable fuzz sweep over the `cs-net` frame codec
 //!   (`conformance net-fuzz`), plus a socket differential that serves a

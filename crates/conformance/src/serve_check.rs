@@ -4,7 +4,8 @@
 //! closes the loop through `cs-serve`: the same compiled layer formats
 //! (coarse shared-index, packed 2:4, or bank-balanced) are registered as
 //! a [`ServableModel`], started under the Sparse and Dense engine
-//! backends, and queried with identical inputs. The contract:
+//! backends and the default Simulator backend, and queried with
+//! identical inputs. The contract:
 //!
 //! * Sparse-served and Dense-served outputs are **bit-identical** to
 //!   each other (on finite probes — a poisoned case input voids the
@@ -13,9 +14,20 @@
 //!   never perturb arithmetic;
 //! * engine-lane responses report `cycles == 0` (no hardware model ran),
 //!   which is exactly why `ServeStats` must keep them out of the
-//!   hardware-side throughput figures.
+//!   hardware-side throughput figures;
+//! * Simulator-served responses equal a direct
+//!   [`Accelerator::run_network`] on the same layers: outputs bit for
+//!   bit (NaN encodings identified), `cycles`, and `energy_pj` as the
+//!   energy model prices the direct run's counters.
 
-use cs_serve::{ExecBackend, InferRequest, ModelRegistry, ServableModel, ServeConfig, Server};
+use cs_accel::exec::Accelerator;
+use cs_accel::AccelConfig;
+use cs_energy::energy::energy_cambricon_s;
+use cs_energy::EnergyModel;
+use cs_serve::{
+    outputs_equivalent, ExecBackend, InferRequest, ModelRegistry, ServableModel, ServeConfig,
+    Server,
+};
 
 use crate::diff::FcArtifacts;
 use crate::rng::CaseRng;
@@ -40,11 +52,14 @@ pub(crate) fn model_from(art: &FcArtifacts) -> ServableModel {
     }
 }
 
+/// One served reply: `(outputs, cycles, energy_pj)`.
+type Served = (Vec<f32>, u64, f64);
+
 fn serve_outputs(
     art: &FcArtifacts,
     backend: ExecBackend,
     probes: &[Vec<f32>],
-) -> Result<Vec<(Vec<f32>, u64)>, Mismatch> {
+) -> Result<Vec<Served>, Mismatch> {
     let mut registry = ModelRegistry::new();
     registry.register(model_from(art)).map_err(|e| {
         Mismatch::new(
@@ -64,7 +79,7 @@ fn serve_outputs(
         let resp = server
             .infer(InferRequest::new(MODEL, p.clone()))
             .map_err(|e| Mismatch::new("serve-infer", format!("{backend:?}: {e:?}")))?;
-        out.push((resp.outputs, resp.cycles));
+        out.push((resp.outputs, resp.cycles, resp.energy_pj));
     }
     server.shutdown();
     Ok(out)
@@ -74,10 +89,10 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Serves the case's layers under both engine backends and checks
-/// agreement (note the artifacts' biases are engine-side only and are
-/// deliberately not part of the served model — `ServableModel` carries
-/// none).
+/// Serves the case's layers under both engine backends and the
+/// simulator and checks agreement (note the artifacts' biases are
+/// engine-side only and are deliberately not part of the served model —
+/// `ServableModel` carries none).
 pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
     let mut out = Vec::new();
     let n_in = art.layers[0].shared.n_in;
@@ -87,17 +102,23 @@ pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
         .collect();
     probes.push(art.input.clone());
 
-    let sparse = match serve_outputs(art, ExecBackend::Sparse, &probes) {
-        Ok(v) => v,
-        Err(m) => return vec![m],
-    };
-    let dense = match serve_outputs(art, ExecBackend::Dense, &probes) {
-        Ok(v) => v,
-        Err(m) => return vec![m],
+    let serve = |backend| serve_outputs(art, backend, &probes);
+    let (sparse, dense, sim) = match (
+        serve(ExecBackend::Sparse),
+        serve(ExecBackend::Dense),
+        serve(ExecBackend::Simulator),
+    ) {
+        (Ok(sparse), Ok(dense), Ok(sim)) => (sparse, dense, sim),
+        (Err(m), _, _) | (_, Err(m), _) | (_, _, Err(m)) => return vec![m],
     };
 
-    // Unserved reference: the sparse lane run directly on this thread.
-    let lane = model_from(art).sparse_lane();
+    // Unserved references: the sparse lane and the simulator run
+    // directly on this thread.
+    let model = model_from(art);
+    let lane = model.sparse_lane();
+    let layers = model.shared_layers();
+    let accel = Accelerator::new(AccelConfig::paper_default());
+    let energy_model = EnergyModel::default_65nm();
     for (pi, probe) in probes.iter().enumerate() {
         let want = match lane.forward(probe) {
             Ok(v) => v,
@@ -106,8 +127,8 @@ pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
                 return out;
             }
         };
-        let (sp, sp_cycles) = &sparse[pi];
-        let (de, de_cycles) = &dense[pi];
+        let (sp, sp_cycles, _) = &sparse[pi];
+        let (de, de_cycles, _) = &dense[pi];
         // A non-finite probe (the case's poisoned input) voids the
         // dense contract — the dense lane multiplies NaN/inf through
         // explicitly-zeroed pruned weights the sparse kernels never
@@ -129,6 +150,32 @@ pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
                 "serve-engine-cycles",
                 format!(
                     "probe {pi}: engine lanes must report 0 cycles, got sparse {sp_cycles} / dense {de_cycles}"
+                ),
+            ));
+        }
+
+        let direct = match accel.run_network(&layers, probe) {
+            Ok(run) => run,
+            Err(e) => {
+                out.push(Mismatch::new("serve-sim-error", format!("{e:?}")));
+                return out;
+            }
+        };
+        let want_energy = energy_cambricon_s(&direct.stats, &energy_model).total_pj();
+        let (si, si_cycles, si_energy) = &sim[pi];
+        if !outputs_equivalent(si, &direct.outputs) {
+            out.push(Mismatch::new(
+                "serve-sim-vs-direct-bits",
+                format!("probe {pi}: served simulator output differs from direct run_network"),
+            ));
+        }
+        if *si_cycles != direct.stats.cycles || si_energy.to_bits() != want_energy.to_bits() {
+            out.push(Mismatch::new(
+                "serve-sim-vs-direct-cost",
+                format!(
+                    "probe {pi}: served simulator reply costs {si_cycles} cycles / \
+                     {si_energy} pJ, direct run_network {} cycles / {want_energy} pJ",
+                    direct.stats.cycles
                 ),
             ));
         }

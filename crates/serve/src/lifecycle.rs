@@ -21,9 +21,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use cs_accel::pe::Activation;
-use cs_compress::format::SharedIndexLayer;
+use cs_accel::exec::{Accelerator, CompiledNetwork};
 use cs_compress::gate::GateStats;
+use cs_sim::SimStats;
 use cs_telemetry::{buckets, Counter, Histogram, Recorder, Span};
 
 use crate::clock::Clock;
@@ -124,34 +124,70 @@ impl KernelObserver for KernelSpans<'_> {
     }
 }
 
-/// Runs one closed batch through an engine lane as a single walk over
-/// the layers (`inputs` holds the requests' input vectors back to
-/// back), timing every layer's batched kernel into its histogram.
-/// Activation is applied outside the span: the histograms compare
-/// dense vs sparse kernel cost, and the element-wise epilogue is
-/// identical on both lanes. Returns the `B × n_out` outputs.
-pub(crate) fn run_lane_batch<'a>(
-    lane: &CompiledLane,
-    telemetry: &[LayerTelemetry],
-    clock: &Arc<dyn Clock>,
-    inputs: &'a [f32],
-    arena: &'a mut LaneArena,
-) -> Result<&'a [f32], ServeError> {
-    let mut spans = KernelSpans {
-        telemetry,
-        clock,
-        open: None,
-    };
-    lane.forward_batch(inputs, arena, &mut spans)
-}
-
 /// How a loaded version executes requests, built once at load time.
 pub(crate) enum ModelExec {
-    /// Shared-index bridge view for the cycle-accurate simulator.
-    Sim(Vec<(SharedIndexLayer, Activation)>),
+    /// The shared-index bridge view, validated and compiled for the
+    /// cycle-accurate simulator.
+    Sim(CompiledNetwork),
     /// Engine lane (sparse/gated/dense kernels) with per-layer
     /// telemetry handles.
     Lane(CompiledLane, Vec<LayerTelemetry>),
+}
+
+/// What one batch produced, borrowed from the worker's arena.
+pub(crate) struct BatchRun<'a> {
+    /// Every column's outputs, back to back (`B × n_out`).
+    pub(crate) outputs: &'a [f32],
+    /// Each column's simulated hardware counters; empty on engine lanes,
+    /// which model no hardware.
+    pub(crate) hw: &'a [SimStats],
+}
+
+impl ModelExec {
+    /// Runs one closed batch (`inputs` holds the requests' input vectors
+    /// back to back) through the worker's `arena`. The simulator runs
+    /// the compiled network column by column on `accel`; an engine lane
+    /// walks its layers once for the whole batch. With `spans`, every
+    /// engine layer's batched kernel is timed on that clock into its
+    /// histogram (activation stays outside the span: the histograms
+    /// compare dense vs sparse kernel cost, and the element-wise
+    /// epilogue is the same on both lanes); shadow runs pass `None` so
+    /// they do not pollute the primary's series.
+    pub(crate) fn forward_batch<'a>(
+        &self,
+        inputs: &'a [f32],
+        accel: &Accelerator,
+        arena: &'a mut LaneArena,
+        spans: Option<&Arc<dyn Clock>>,
+    ) -> Result<BatchRun<'a>, ServeError> {
+        match self {
+            ModelExec::Sim(net) => {
+                let (outputs, hw, scratch) = arena.sim_buffers();
+                outputs.clear();
+                hw.clear();
+                for x in inputs.chunks_exact(net.n_in().max(1)) {
+                    let (out, stats) = accel.run_compiled(net, x, scratch)?;
+                    outputs.extend_from_slice(out);
+                    hw.push(stats);
+                }
+                Ok(BatchRun { outputs, hw })
+            }
+            ModelExec::Lane(lane, telemetry) => {
+                let outputs = match spans {
+                    Some(clock) => {
+                        let mut spans = KernelSpans {
+                            telemetry,
+                            clock,
+                            open: None,
+                        };
+                        lane.forward_batch(inputs, arena, &mut spans)?
+                    }
+                    None => lane.forward_batch(inputs, arena, &mut ())?,
+                };
+                Ok(BatchRun { outputs, hw: &[] })
+            }
+        }
+    }
 }
 
 /// One resident `(model, version)` with everything the request path
@@ -262,10 +298,12 @@ pub(crate) struct Resolved {
 }
 
 /// Everything a load needs from the server: which backend to compile
-/// for, where to register telemetry, and the stats sink for
-/// eviction/load accounting.
+/// for (and, for the simulator, the accelerator the workers run, so the
+/// programs are tiled for it), where to register telemetry, and the
+/// stats sink for eviction/load accounting.
 pub(crate) struct LoadContext<'a> {
     pub(crate) backend: ExecBackend,
+    pub(crate) accel: Accelerator,
     pub(crate) recorder: &'a dyn Recorder,
     pub(crate) stats: &'a ServeStats,
     pub(crate) canary_threshold: u64,
@@ -360,7 +398,7 @@ impl LiveRegistry {
         // Compile outside the lock: loads are control-plane, but the
         // admission path takes the read lock on every request and must
         // not stall behind kernel compilation.
-        let built = Arc::new(self.build(model, version, ctx, now));
+        let built = Arc::new(self.build(model, version, ctx, now)?);
 
         let mut entries = self.write();
         let victims;
@@ -618,7 +656,7 @@ impl LiveRegistry {
         version: u32,
         ctx: &LoadContext<'_>,
         now_us: u64,
-    ) -> LoadedModel {
+    ) -> Result<LoadedModel, ServeError> {
         let model = Arc::new(model);
         let resident_bytes: u64 = model
             .layers
@@ -626,7 +664,9 @@ impl LiveRegistry {
             .map(|(f, _)| f.weight_bytes() as u64)
             .sum();
         let exec = match ctx.backend {
-            ExecBackend::Simulator => ModelExec::Sim(model.shared_layers()),
+            ExecBackend::Simulator => {
+                ModelExec::Sim(ctx.accel.compile_network(model.shared_layers())?)
+            }
             backend => {
                 let lane = match backend {
                     ExecBackend::Dense => model.dense_lane(),
@@ -645,7 +685,7 @@ impl LiveRegistry {
                 ("version".to_string(), version.to_string()),
             ],
         );
-        LoadedModel {
+        Ok(LoadedModel {
             model,
             version,
             slot: self.next_slot.fetch_add(1, Ordering::SeqCst),
@@ -654,7 +694,7 @@ impl LiveRegistry {
             resident_bytes,
             last_used_us: AtomicU64::new(now_us),
             requests,
-        }
+        })
     }
 }
 

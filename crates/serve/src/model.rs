@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cs_accel::exec::validate_layer;
+use cs_accel::exec::{validate_layer, SimScratch};
 use cs_accel::pe::Activation;
 use cs_compress::config::ModelCompressionConfig;
 use cs_compress::engine::{BatchScratch, FcKernel};
@@ -21,6 +21,7 @@ use cs_compress::pipeline::prune_layer;
 use cs_compress::CompressError;
 use cs_nn::init::{self, ConvergenceProfile};
 use cs_nn::spec::{LayerSpecKind, Model, NetworkSpec, Scale};
+use cs_sim::SimStats;
 use cs_sparsity::PruneMode;
 use cs_tensor::{ops, Shape, Tensor};
 
@@ -250,8 +251,10 @@ impl ServableModel {
 
     /// The layers bridged to the shared-index view the accelerator
     /// simulator executes (exact for structured formats — identity
-    /// codebooks, no quantization loss). Simulator-backed workers build
-    /// this once at spawn.
+    /// codebooks, no quantization loss). A simulator-backed load builds
+    /// this once and compiles it with
+    /// [`cs_accel::exec::Accelerator::compile_network`]; requests then
+    /// run the compiled network.
     pub fn shared_layers(&self) -> Vec<(SharedIndexLayer, Activation)> {
         self.layers
             .iter()
@@ -438,23 +441,36 @@ pub struct LaneLayer {
 }
 
 /// A model lowered for engine-backed workers: per-layer kernels in
-/// execution order. Workers build one per model at spawn so the hot
-/// path never touches the registry or re-decodes weights.
+/// execution order. Each load builds one, so the hot path never
+/// touches the registry or re-decodes weights.
 #[derive(Debug, Clone)]
 pub struct CompiledLane {
     /// Layers in execution order.
     pub layers: Vec<LaneLayer>,
 }
 
-/// The buffers a lane walks a batch through: layer outputs ping-pong
-/// between two activation buffers, and the kernels share one
-/// [`BatchScratch`]. One per worker; nothing is allocated once they
-/// have grown to the widest layer at the largest batch.
+/// The buffers a worker walks a batch through. On an engine lane, layer
+/// outputs ping-pong between two activation buffers and the kernels
+/// share one [`BatchScratch`]; on the simulator, the batch's outputs
+/// gather in the first buffer, each column's counters in `hw`, and the
+/// network runs through one [`SimScratch`]. One per worker; nothing is
+/// allocated once they have grown to the widest layer at the largest
+/// batch.
 #[derive(Debug, Default)]
 pub(crate) struct LaneArena {
     front: Vec<f32>,
     back: Vec<f32>,
     scratch: BatchScratch,
+    hw: Vec<SimStats>,
+    sim: SimScratch,
+}
+
+impl LaneArena {
+    /// The simulator's share: the batch's outputs, each column's
+    /// counters, and the simulator scratch.
+    pub(crate) fn sim_buffers(&mut self) -> (&mut Vec<f32>, &mut Vec<SimStats>, &mut SimScratch) {
+        (&mut self.front, &mut self.hw, &mut self.sim)
+    }
 }
 
 /// What the lane walk reports around each layer's kernel, so serving
@@ -506,6 +522,7 @@ impl CompiledLane {
             front,
             back,
             scratch,
+            ..
         } = arena;
         for (li, layer) in self.layers.iter().enumerate() {
             let src: &[f32] = if li == 0 { inputs } else { front };

@@ -16,8 +16,13 @@
 //! workers: a free worker pulls its next batch straight from the queue,
 //! which drains tenants weighted-fair and groups requests by the
 //! resolved model *load* (two loads of one name never share a batch)
-//! under the [`BatchPolicy`]. Workers execute whole batches on their
-//! own [`Accelerator`] and answer each request on its private channel.
+//! under the [`BatchPolicy`]. Each load is compiled once into the
+//! executor its requests run on: an engine lane's kernels, or for the
+//! simulator a network validated and compiled by
+//! [`Accelerator::compile_network`] for the same accelerator
+//! configuration the workers run. Workers execute whole batches through
+//! that executor on their own [`Accelerator`], with one arena of reused
+//! buffers each, and answer each request on its private channel.
 //!
 //! Models are live: the server may start empty and be populated through
 //! [`Server::load_servable`] / [`Server::load_artifact`], with versions
@@ -48,8 +53,8 @@ use crate::batch::BatchPolicy;
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::ServeError;
 use crate::lifecycle::{
-    outputs_equivalent, run_lane_batch, CanaryReport, CanaryState, InflightGuard, LiveRegistry,
-    LoadContext, LoadedModel, ModelExec, ModelStatus,
+    outputs_equivalent, CanaryReport, CanaryState, InflightGuard, LiveRegistry, LoadContext,
+    LoadedModel, ModelStatus,
 };
 use crate::model::{LaneArena, ModelRegistry, ServableModel};
 use crate::stats::{ServeSnapshot, ServeStats};
@@ -189,6 +194,15 @@ impl ServeConfig {
             max_batch: self.max_batch,
             max_wait_us: self.max_wait_us,
         }
+    }
+
+    /// The accelerator every worker runs and every simulator load is
+    /// compiled for.
+    fn accelerator(&self) -> Accelerator {
+        Accelerator::new(AccelConfig {
+            freq_ghz: self.freq_ghz,
+            ..AccelConfig::paper_default()
+        })
     }
 }
 
@@ -507,10 +521,7 @@ impl Server {
         // Each worker owns its accelerator; the executors themselves
         // ride in on every job (built once at load time, shared via
         // Arc), so the hot path never touches the registry lock.
-        let accel = Accelerator::new(AccelConfig {
-            freq_ghz: cfg.freq_ghz,
-            ..AccelConfig::paper_default()
-        });
+        let accel = cfg.accelerator();
         let energy_model = EnergyModel::default_65nm();
         let emulate = cfg.emulate_hw_time;
         let freq_ghz = cfg.freq_ghz;
@@ -559,49 +570,38 @@ impl Server {
                         continue;
                     };
                     debug_assert!(batch.items.iter().all(|job| job.loaded.slot == batch.model));
+                    let inputs: &[f32] = match batch.items.as_slice() {
+                        [job] => &job.input,
+                        jobs => {
+                            staging.clear();
+                            for job in jobs {
+                                staging.extend_from_slice(&job.input);
+                            }
+                            &staging
+                        }
+                    };
+                    let n_out = loaded.model.n_out;
                     let mut batch_cycles = 0u64;
-                    let outcomes: Vec<Outcome> = match &loaded.exec {
-                        ModelExec::Sim(layers) => batch
-                            .items
-                            .iter()
-                            .map(|job| match accel.run_network(layers, &job.input) {
-                                Ok(run) => {
-                                    let cycles = run.stats.cycles;
-                                    let energy_pj =
-                                        energy_cambricon_s(&run.stats, &energy_model).total_pj();
-                                    batch_cycles += cycles;
-                                    stats.record_request_hw(&run.stats);
-                                    Ok((run.outputs, cycles, energy_pj))
-                                }
-                                Err(e) => Err(ServeError::Accel(e)),
+                    // Engine lanes run real host kernels and report no
+                    // simulated hardware cost: their columns have no
+                    // counters, so they answer 0 cycles and 0 pJ.
+                    let run = loaded
+                        .exec
+                        .forward_batch(inputs, &accel, &mut arena, Some(clock));
+                    let outcomes: Vec<Outcome> = match run {
+                        Ok(run) => (0..batch_size)
+                            .map(|j| {
+                                let outputs = run.outputs[j * n_out..(j + 1) * n_out].to_vec();
+                                let Some(hw) = run.hw.get(j) else {
+                                    return Ok((outputs, 0, 0.0));
+                                };
+                                batch_cycles += hw.cycles;
+                                stats.record_request_hw(hw);
+                                let energy_pj = energy_cambricon_s(hw, &energy_model).total_pj();
+                                Ok((outputs, hw.cycles, energy_pj))
                             })
                             .collect(),
-                        ModelExec::Lane(lane, telemetry) => {
-                            // Engine lanes run real host kernels: no
-                            // simulated hardware cost to report. The
-                            // whole batch walks the layers once, and
-                            // each layer's batched kernel time lands in
-                            // its `serve_layer_kernel_us` histogram.
-                            let inputs: &[f32] = match batch.items.as_slice() {
-                                [job] => &job.input,
-                                jobs => {
-                                    staging.clear();
-                                    for job in jobs {
-                                        staging.extend_from_slice(&job.input);
-                                    }
-                                    &staging
-                                }
-                            };
-                            let n_out = loaded.model.n_out;
-                            match run_lane_batch(lane, telemetry, clock, inputs, &mut arena) {
-                                Ok(outs) => (0..batch_size)
-                                    .map(|j| {
-                                        Ok((outs[j * n_out..(j + 1) * n_out].to_vec(), 0, 0.0))
-                                    })
-                                    .collect(),
-                                Err(e) => vec![Err(e); batch_size],
-                            }
-                        }
+                        Err(e) => vec![Err(e); batch_size],
                     };
                     for (job, outcome) in batch.items.iter().zip(&outcomes) {
                         if let Ok((outputs, _, _)) = outcome {
@@ -755,6 +755,7 @@ impl Server {
     fn load_ctx(&self) -> LoadContext<'_> {
         LoadContext {
             backend: self.cfg.backend,
+            accel: self.cfg.accelerator(),
             recorder: self.recorder.as_ref(),
             stats: &self.stats,
             canary_threshold: self.cfg.canary_divergence_threshold,
@@ -916,17 +917,12 @@ fn shadow_compare(
     if state.demoted.load(Ordering::SeqCst) {
         return;
     }
-    // A primary-side failure counts as a divergence.
-    let diverged = match &primary.exec {
-        ModelExec::Sim(layers) => accel
-            .run_network(layers, &job.input)
-            .map_or(true, |run| !outputs_equivalent(outputs, &run.outputs)),
-        // Unobserved: shadow runs must not pollute the primary's
-        // kernel histograms.
-        ModelExec::Lane(lane, _) => lane
-            .forward_batch(&job.input, arena, &mut ())
-            .map_or(true, |expected| !outputs_equivalent(outputs, expected)),
-    };
+    // A primary-side failure counts as a divergence. Unobserved: shadow
+    // runs must not pollute the primary's kernel histograms.
+    let diverged = primary
+        .exec
+        .forward_batch(&job.input, accel, arena, None)
+        .map_or(true, |run| !outputs_equivalent(outputs, run.outputs));
     if diverged {
         let seen = state.divergences.fetch_add(1, Ordering::SeqCst) + 1;
         stats.record_canary_divergence(&job.loaded.model.name);
@@ -980,6 +976,52 @@ mod tests {
         assert!(resp.energy_pj > 0.0);
         let snap = server.shutdown();
         assert_eq!(snap.completed, 1);
+        assert_eq!(snap.failed, 0);
+    }
+
+    #[test]
+    fn one_simulator_worker_serves_two_widths_and_a_canary_through_one_arena() {
+        let (reg, narrow) = mlp_registry();
+        let mut reg = reg;
+        let mut wide = ServableModel::mlp(Scale::Reduced(4), 9).expect("wide mlp");
+        wide.name = "mlp-wide".to_string();
+        reg.register(wide.clone()).expect("register");
+        let cfg = ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            ..ServeConfig::default()
+        };
+        assert_eq!(cfg.backend, ExecBackend::Simulator);
+        let server = Server::start(reg, cfg).expect("start");
+        // v2 is v1 again, canaried: every request routed to it is
+        // shadow-compared against v1 through the same worker's arena.
+        server.load_servable(narrow.clone(), 2, 50).expect("canary");
+        let accel = Accelerator::new(AccelConfig::paper_default());
+        let models = [&narrow, &wide];
+        let direct: Vec<_> = models.iter().map(|m| m.shared_layers()).collect();
+        // Runs of each model back to back, so batches of the two widths
+        // (and canary and primary slots) alternate on the one worker.
+        let mut tickets = Vec::new();
+        for (run, len) in [3u32, 5, 1, 8, 2, 4].into_iter().enumerate() {
+            let m = run % 2;
+            for i in 0..len {
+                let x = input_for(models[m], 100 * run as u32 + i);
+                let req = InferRequest::new(models[m].name.as_str(), x.clone());
+                tickets.push((m, x, server.submit(req).expect("submit")));
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (m, x, ticket) in tickets {
+            let resp = ticket.wait().expect("reply");
+            let want = accel.run_network(&direct[m], &x).expect("direct");
+            assert_eq!(bits(&resp.outputs), bits(&want.outputs), "{}", resp.model);
+            assert_eq!(resp.cycles, want.stats.cycles, "{}", resp.model);
+        }
+        let canary = server.canary_report("mlp").expect("canary experiment");
+        assert!(canary.routed > 0);
+        assert_eq!(canary.divergences, 0);
+        assert!(!canary.demoted);
+        let snap = server.shutdown();
         assert_eq!(snap.failed, 0);
     }
 

@@ -14,9 +14,12 @@
 //! * An evicted version re-loaded from a registry artifact serves
 //!   bit-identical outputs to its pre-evict self, on the Sparse and
 //!   Gated lanes alike.
+//! * A malformed artifact fails its load with a typed error, not its
+//!   requests: the resident versions keep answering.
 
 use std::sync::Arc;
 
+use cs_compress::format::FcLayerFormat;
 use cs_nn::spec::Scale;
 use cs_registry::{decode_model, encode_model, ModelArtifact};
 use cs_serve::{
@@ -248,6 +251,63 @@ fn evict_under_load_completes_bit_identically_on_the_sparse_lane() {
 #[test]
 fn evict_under_load_completes_bit_identically_on_the_gated_lane() {
     evict_under_load_completes_and_reloads(ExecBackend::Gated);
+}
+
+#[test]
+fn a_malformed_artifact_fails_its_simulator_load_and_residents_keep_answering() {
+    let v1 = model("m", 8, 1);
+    let server = Server::start(
+        ModelRegistry::new(),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start");
+    assert_eq!(server.config().backend, ExecBackend::Simulator);
+    server.load_servable(v1.clone(), 1, 0).expect("v1");
+    let input = input_for(&v1, 3);
+    let before = server
+        .infer(InferRequest::new("m", input.clone()))
+        .expect("v1 answers");
+
+    // v2 is v1 with one compact weight row a survivor short.
+    let mut layers = v1.layers.clone();
+    match &mut layers[0].0 {
+        FcLayerFormat::Shared(layer) => {
+            layer.groups[0].weights[0].pop();
+        }
+        other => panic!("coarse MLP should compile to Shared, got {}", other.kind()),
+    }
+    let artifact = ModelArtifact {
+        name: "m".to_string(),
+        version: 2,
+        layers,
+    };
+    for canary_pct in [0, 50] {
+        let err = server
+            .load_artifact(&artifact, canary_pct)
+            .expect_err("a malformed layer is refused at load");
+        assert!(
+            matches!(err, ServeError::Accel(_) | ServeError::InvalidConfig(_)),
+            "{err:?}"
+        );
+    }
+    assert_eq!(versions(&server, "m"), vec![1]);
+
+    for salt in 0..16 {
+        let resp = server
+            .infer(InferRequest::new("m", input_for(&v1, salt)))
+            .expect("v1 keeps answering");
+        assert!(resp.cycles > 0);
+    }
+    let after = server
+        .infer(InferRequest::new("m", input))
+        .expect("v1 keeps answering");
+    assert_eq!(bits(&after.outputs), bits(&before.outputs));
+    assert_eq!(after.cycles, before.cycles);
+    let snap = server.shutdown();
+    assert_eq!((snap.completed, snap.failed), (18, 0));
 }
 
 fn versions(server: &Server, name: &str) -> Vec<u32> {
