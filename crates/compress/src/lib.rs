@@ -33,6 +33,10 @@
 //! assert!(report.overall_ratio() > 10.0);
 //! ```
 
+// The compiled kernels run on the serving path, where a panic drops a
+// worker's whole batch; `unwrap`/`expect` stay banned outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod config;
 pub mod engine;
 pub mod format;

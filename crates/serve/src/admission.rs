@@ -17,8 +17,7 @@
 //! back, so assignment rotates over the workers however the host
 //! schedules their threads (with one shared condvar the hot thread wins
 //! every race, and simulated-hardware throughput divides by the busiest
-//! worker). Only the head may hold a lingering batch: one open batch at
-//! a time, however many workers are idle.
+//! worker).
 //!
 //! `close()` stops admission; queued items still drain, then poppers
 //! observe `None` (graceful shutdown). A worker that exits, cleanly or
@@ -27,9 +26,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
-use crate::batch::{Backlog, Batch, BatchPolicy};
+use crate::batch::{Batch, CloseReason};
 use crate::clock::Clock;
 
 /// Why admission refused an item.
@@ -62,9 +60,6 @@ struct QueueState<T> {
     cursor: usize,
     /// Items queued in the lanes.
     total: usize,
-    /// Items the head of the line holds in a lingering batch. They have
-    /// left their lanes but still count against `capacity`.
-    lingering: usize,
     closed: bool,
     /// Idle workers in the order they came free; only the head takes.
     line: VecDeque<usize>,
@@ -72,6 +67,9 @@ struct QueueState<T> {
     live: usize,
     /// Set once every live worker has stood in line at the same time.
     lined_up: bool,
+    /// Test valve: while set, the head of the line does not take.
+    #[cfg(test)]
+    held: bool,
 }
 
 impl<T> QueueState<T> {
@@ -107,24 +105,39 @@ impl<T> QueueState<T> {
         Some(item)
     }
 
-    /// Moves into `items` every job the open batch may take right now —
-    /// same key as its first job, fair order, up to `max_batch` — and
-    /// reports what stopped it.
-    fn fill(&mut self, items: &mut Vec<T>, max_batch: usize, key: impl Fn(&T) -> usize) -> Backlog {
+    /// Moves into `items` every queued job the batch may take — same
+    /// key as its first job, fair order, up to `max_batch` — and
+    /// reports the rule that closed it: [`CloseReason::Size`] when full
+    /// (whatever is next), [`CloseReason::ModelSwitch`] when the next
+    /// job is for another load, else [`CloseReason::Deadline`].
+    fn fill(
+        &mut self,
+        items: &mut Vec<T>,
+        max_batch: usize,
+        key: impl Fn(&T) -> usize,
+    ) -> CloseReason {
         while items.len() < max_batch {
-            let Some(lane) = self.advance() else { break };
+            let Some(lane) = self.advance() else {
+                return CloseReason::Deadline;
+            };
             if let (Some(first), Some(next)) = (items.first(), self.lanes[lane].items.front()) {
                 if key(first) != key(next) {
-                    return Backlog::OtherModel;
+                    return CloseReason::ModelSwitch;
                 }
             }
             items.extend(self.pop(lane));
         }
-        if self.closed && self.total == 0 {
-            Backlog::Drained
-        } else {
-            Backlog::Empty
+        CloseReason::Size
+    }
+
+    /// Whether `worker` takes now: it heads the idle line and a job is
+    /// queued, or the queue is closed and it must leave.
+    fn takes(&self, worker: usize) -> bool {
+        #[cfg(test)]
+        if self.held {
+            return false;
         }
+        self.line.front() == Some(&worker) && (self.total > 0 || self.closed)
     }
 }
 
@@ -154,11 +167,12 @@ impl<T> AdmissionQueue<T> {
                 index: HashMap::new(),
                 cursor: 0,
                 total: 0,
-                lingering: 0,
                 closed: false,
                 line: VecDeque::new(),
                 live: 1,
                 lined_up: false,
+                #[cfg(test)]
+                held: false,
             }),
             wake: vec![Condvar::new()],
             roster: Condvar::new(),
@@ -203,7 +217,7 @@ impl<T> AdmissionQueue<T> {
         if s.closed {
             return Err(AdmitError::Closed);
         }
-        if s.total + s.lingering >= self.capacity {
+        if s.total >= self.capacity {
             return Err(AdmitError::Full {
                 tenant_quota: false,
             });
@@ -243,14 +257,12 @@ impl<T> AdmissionQueue<T> {
     /// number) has a batch to run; `None` once the queue is closed and
     /// drained.
     ///
-    /// The worker joins the back of the idle line. At the head it takes
-    /// the next job under the fair schedule plus every queued job that
-    /// follows with the same `key` (the model load), up to
-    /// `policy.max_batch`, and closes by [`BatchPolicy::close_reason`] —
-    /// with `max_wait_us == 0` without ever waiting on a non-empty
-    /// queue. The linger deadline runs on the injected `clock` but the
-    /// park is in wall time, so it is capped at 1 ms: a lone job closes
-    /// within `max_wait_us` plus one cap even if nothing else arrives.
+    /// The worker joins the back of the idle line. At the head, once a
+    /// job is queued, it takes the next job under the fair schedule
+    /// plus every queued job that follows with the same `key` (the
+    /// model load), up to `max_batch`, and leaves with the batch
+    /// closed. Nothing in the queue is timed, so an idle worker parks
+    /// until a push, a close or a departure wakes it.
     ///
     /// # Panics
     ///
@@ -258,57 +270,35 @@ impl<T> AdmissionQueue<T> {
     pub fn pop_batch(
         &self,
         worker: usize,
-        policy: BatchPolicy,
+        max_batch: usize,
         clock: &dyn Clock,
         key: impl Fn(&T) -> usize,
     ) -> Option<Batch<T>> {
-        let wake = &self.wake[worker];
         let mut s = self.lock();
         s.line.push_back(worker);
         if !s.lined_up && s.line.len() >= s.live {
             s.lined_up = true;
             self.roster.notify_all();
         }
-        let mut items = Vec::new();
-        let mut opened_us = 0;
-        loop {
-            // Idle: until woken (the hourly re-check is harmless).
-            let mut park = Duration::from_secs(3600);
-            let my_turn = s.line.front() == Some(&worker);
-            if my_turn && (s.total > 0 || s.closed || !items.is_empty()) {
-                let now_us = clock.now_us();
-                if items.is_empty() {
-                    opened_us = now_us;
-                    items.reserve_exact(policy.max_batch.min(s.total));
-                }
-                let backlog = s.fill(&mut items, policy.max_batch, &key);
-                let reason = policy.close_reason(items.len(), backlog, opened_us, now_us);
-                if reason.is_some() || items.is_empty() {
-                    // Leaving with a closed batch, or empty-handed
-                    // because the queue is closed and drained: the next
-                    // in line takes over whatever is left.
-                    s.line.pop_front();
-                    s.lingering = 0;
-                    if s.total > 0 || s.closed {
-                        self.wake_head(&s);
-                    }
-                    let model = items.first().map(&key);
-                    return model.zip(reason).map(|(model, reason)| Batch {
-                        model,
-                        items,
-                        opened_us,
-                        reason,
-                    });
-                }
-                s.lingering = items.len();
-                let left = opened_us
-                    .saturating_add(policy.max_wait_us)
-                    .saturating_sub(now_us);
-                park = Duration::from_micros(left.clamp(1, 1_000));
-            }
-            let woken = wake.wait_timeout(s, park);
-            s = woken.unwrap_or_else(|p| p.into_inner()).0;
+        s = self.wake[worker]
+            .wait_while(s, |s| !s.takes(worker))
+            .unwrap_or_else(|p| p.into_inner());
+        let opened_us = clock.now_us();
+        let mut items = Vec::with_capacity(max_batch.min(s.total));
+        let reason = s.fill(&mut items, max_batch, &key);
+        // Leaving with a batch, or empty-handed because the queue is
+        // closed and drained: the next in line takes over what is left.
+        s.line.pop_front();
+        if s.total > 0 || s.closed {
+            self.wake_head(&s);
         }
+        let model = key(items.first()?);
+        Some(Batch {
+            model,
+            items,
+            opened_us,
+            reason,
+        })
     }
 
     /// Stops admission. Queued items still drain through
@@ -322,15 +312,12 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Marks `worker` gone for good. It leaves the line (a batch it was
-    /// lingering on is its caller's to drop) and its successor is woken;
-    /// the last worker out closes the queue and drops whatever is still
-    /// queued, so no admitted item waits on workers that do not exist.
+    /// Marks `worker` gone for good. It leaves the line and its
+    /// successor is woken; the last worker out closes the queue and
+    /// drops whatever is still queued, so no admitted item waits on
+    /// workers that do not exist.
     pub(crate) fn depart(&self, worker: usize) {
         let mut s = self.lock();
-        if s.line.front() == Some(&worker) {
-            s.lingering = 0;
-        }
         s.line.retain(|&w| w != worker);
         s.live = s.live.saturating_sub(1);
         let mut orphans = Vec::new();
@@ -367,9 +354,13 @@ impl<T> AdmissionQueue<T> {
         self.lock().line.len()
     }
 
-    /// Items the head of the line holds in a lingering batch.
-    pub(crate) fn lingering(&self) -> usize {
-        self.lock().lingering
+    /// Test valve: while held, the head of the line does not take, so
+    /// jobs pile up as they would behind busy workers. Releasing it
+    /// wakes the head.
+    pub(crate) fn hold(&self, held: bool) {
+        let mut s = self.lock();
+        s.held = held;
+        self.wake_head(&s);
     }
 }
 
@@ -378,7 +369,7 @@ impl<T> AdmissionQueue<T> {
 pub(crate) fn spin_until(what: &str, cond: impl Fn() -> bool) {
     let started = std::time::Instant::now();
     while !cond() {
-        assert!(started.elapsed() < Duration::from_secs(30), "{what}");
+        assert!(started.elapsed().as_secs() < 30, "{what}");
         std::thread::yield_now();
     }
 }
@@ -386,10 +377,8 @@ pub(crate) fn spin_until(what: &str, cond: impl Fn() -> bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::CloseReason;
-    use crate::clock::{ManualClock, MonotonicClock};
+    use crate::clock::ManualClock;
     use std::sync::{mpsc, Arc};
-    use std::time::Instant;
 
     enum Popped<T> {
         Item(T),
@@ -399,14 +388,9 @@ mod tests {
     impl<T> AdmissionQueue<T> {
         /// One item at a time. The four scheduling tests below predate
         /// `pop_batch` and read the fair order through this; none of
-        /// them pops an empty open queue, so the timeout they pass was
-        /// never what ended a pop.
-        fn pop_timeout(&self, _timeout: Duration) -> Popped<T> {
-            let one = BatchPolicy {
-                max_batch: 1,
-                max_wait_us: 0,
-            };
-            self.pop_batch(0, one, &ManualClock::new(0), |_| 0)
+        /// them pops an empty open queue.
+        fn pop_one(&self) -> Popped<T> {
+            self.pop_batch(0, 1, &ManualClock::new(0), |_| 0)
                 .and_then(|batch| batch.items.into_iter().next())
                 .map_or(Popped::Closed, Popped::Item)
         }
@@ -414,7 +398,7 @@ mod tests {
 
     fn drain(q: &AdmissionQueue<&'static str>, n: usize) -> Vec<&'static str> {
         (0..n)
-            .map(|_| match q.pop_timeout(Duration::from_secs(1)) {
+            .map(|_| match q.pop_one() {
                 Popped::Item(x) => x,
                 _ => panic!("expected an item"),
             })
@@ -468,37 +452,9 @@ mod tests {
         q.try_push("a", 2).unwrap();
         q.close();
         assert_eq!(q.try_push("a", 3), Err(AdmitError::Closed));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Popped::Item(1)
-        ));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Popped::Item(2)
-        ));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Popped::Closed
-        ));
-    }
-
-    #[test]
-    fn pop_times_out_when_idle() {
-        let q = AdmissionQueue::new(8, 0, &[]);
-        q.try_push("a", 7u32).unwrap();
-        let linger = BatchPolicy {
-            max_batch: 8,
-            max_wait_us: 5_000,
-        };
-        let started = Instant::now();
-        let batch = q
-            .pop_batch(0, linger, &MonotonicClock::new(), |_| 0)
-            .expect("a batch");
-        // Nothing else arrived: the lone item lingered out the wait and
-        // left on the deadline, not before and not never.
-        assert_eq!(batch.items, vec![7]);
-        assert_eq!(batch.reason, CloseReason::Deadline);
-        assert!(started.elapsed() >= Duration::from_millis(5));
+        assert!(matches!(q.pop_one(), Popped::Item(1)));
+        assert!(matches!(q.pop_one(), Popped::Item(2)));
+        assert!(matches!(q.pop_one(), Popped::Closed));
     }
 
     #[test]
@@ -506,14 +462,7 @@ mod tests {
         let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(8, 0, &[]));
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let policy = BatchPolicy {
-                    max_batch: 8,
-                    max_wait_us: 0,
-                };
-                q.pop_batch(0, policy, &ManualClock::new(0), |_| 0)
-                    .is_none()
-            })
+            std::thread::spawn(move || q.pop_batch(0, 8, &ManualClock::new(0), |_| 0).is_none())
         };
         q.wait_lined_up();
         q.close();
@@ -525,14 +474,14 @@ mod tests {
     fn spawn_poppers(
         q: &Arc<AdmissionQueue<u32>>,
         workers: usize,
-        policy: BatchPolicy,
-        clock: &Arc<ManualClock>,
+        max_batch: usize,
     ) -> mpsc::Receiver<(usize, Vec<u32>, CloseReason)> {
         let (tx, rx) = mpsc::channel();
         for worker in 0..workers {
-            let (q, clock, tx) = (Arc::clone(q), Arc::clone(clock), tx.clone());
+            let (q, tx) = (Arc::clone(q), tx.clone());
             std::thread::spawn(move || {
-                while let Some(batch) = q.pop_batch(worker, policy, clock.as_ref(), |_| 0) {
+                while let Some(batch) = q.pop_batch(worker, max_batch, &ManualClock::new(0), |_| 0)
+                {
                     if tx.send((worker, batch.items, batch.reason)).is_err() {
                         break;
                     }
@@ -546,11 +495,7 @@ mod tests {
     #[test]
     fn idle_workers_take_turns_in_the_order_they_came_free() {
         let q = Arc::new(AdmissionQueue::new(8, 0, &[]).with_workers(3));
-        let policy = BatchPolicy {
-            max_batch: 4,
-            max_wait_us: 0,
-        };
-        let rx = spawn_poppers(&q, 3, policy, &Arc::new(ManualClock::new(0)));
+        let rx = spawn_poppers(&q, 3, 4);
         let mut served_by = Vec::new();
         for i in 0..9 {
             q.try_push("a", i).unwrap();
@@ -570,37 +515,6 @@ mod tests {
             served_by.iter().zip(&served_by[3..]).all(|(a, b)| a == b),
             "{served_by:?}"
         );
-    }
-
-    #[test]
-    fn only_the_head_of_the_line_holds_a_lingering_batch() {
-        // Capacity 3 with a batch of up to 4: the lingering batch is
-        // what fills the queue.
-        let q = Arc::new(AdmissionQueue::new(3, 0, &[]).with_workers(2));
-        let policy = BatchPolicy {
-            max_batch: 4,
-            max_wait_us: 600_000_000,
-        };
-        let rx = spawn_poppers(&q, 2, policy, &Arc::new(ManualClock::new(0)));
-        for i in 0..3 {
-            q.try_push("a", i).unwrap();
-        }
-        // A second idle worker stands right behind the head, yet every
-        // item joins the one open batch — which has left the lanes but
-        // still counts against capacity.
-        spin_until("head took all three", || q.lingering() == 3);
-        assert_eq!(q.idle_workers(), 2);
-        assert_eq!(
-            q.try_push("a", 3),
-            Err(AdmitError::Full {
-                tenant_quota: false
-            })
-        );
-        q.close();
-        let (_, items, reason) = rx.recv().expect("the open batch");
-        assert_eq!(items, vec![0, 1, 2]);
-        assert_eq!(reason, CloseReason::Flush);
-        assert!(rx.recv().is_err(), "exactly one batch was ever open");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! of worker threads — each owning one [`cs_accel::exec::Accelerator`]
 //! — pulls batches straight from that queue
 //! ([`admission::AdmissionQueue::pop_batch`]: whatever is queued for
-//! one model when a worker comes free, up to the
-//! [`batch::BatchPolicy`]'s size limit), executes them and answers
+//! one model when a worker comes free, up to `max_batch`), executes
+//! them and answers
 //! every request with its outputs plus the simulated hardware cost
 //! (cycles from `cs-sim`'s counters, picojoules from `cs-energy`).
 //!

@@ -64,8 +64,6 @@ pub struct SweepConfig {
     pub max_batches: Vec<usize>,
     /// Admission queue depth for every point.
     pub queue_depth: usize,
-    /// Partial-batch linger (µs); defaults to the server's.
-    pub max_wait_us: u64,
     /// Emulate simulated service time on the wall clock (see
     /// [`ServeConfig::emulate_hw_time`]).
     pub emulate_hw_time: bool,
@@ -83,7 +81,6 @@ impl Default for SweepConfig {
             workers: vec![1, 2, 4],
             max_batches: vec![1, 8],
             queue_depth: 64,
-            max_wait_us: ServeConfig::default().max_wait_us,
             emulate_hw_time: true,
             freq_ghz: 1.0,
         }
@@ -323,7 +320,6 @@ pub fn run_sweep_with_recorder(
                     workers,
                     queue_depth: cfg.queue_depth,
                     max_batch,
-                    max_wait_us: cfg.max_wait_us,
                     emulate_hw_time: cfg.emulate_hw_time,
                     freq_ghz: cfg.freq_ghz,
                     backend: crate::server::ExecBackend::Simulator,
@@ -395,7 +391,6 @@ mod tests {
             workers: vec![1, 4],
             max_batches: vec![4],
             emulate_hw_time: false,
-            max_wait_us: 50,
             ..SweepConfig::default()
         };
         let report = run_sweep(&cfg).expect("sweep");

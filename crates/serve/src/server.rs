@@ -16,7 +16,8 @@
 //! workers: a free worker pulls its next batch straight from the queue,
 //! which drains tenants weighted-fair and groups requests by the
 //! resolved model *load* (two loads of one name never share a batch)
-//! under the [`BatchPolicy`]. Each load is compiled once into the
+//! up to `max_batch`: a batch is whatever is queued for one load when
+//! a worker takes it. Each load is compiled once into the
 //! executor its requests run on: an engine lane's kernels, or for the
 //! simulator a network validated and compiled by
 //! [`Accelerator::compile_network`] for the same accelerator
@@ -49,7 +50,6 @@ use cs_registry::ModelArtifact;
 use cs_telemetry::{NoopRecorder, Recorder};
 
 use crate::admission::{AdmissionQueue, AdmitError};
-use crate::batch::BatchPolicy;
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::ServeError;
 use crate::lifecycle::{
@@ -94,17 +94,15 @@ pub struct ServeConfig {
     /// Worker threads, each owning one simulated accelerator.
     pub workers: usize,
     /// Admission queue capacity; a full queue rejects with
-    /// [`ServeError::Overloaded`]. It bounds everything admitted and not
-    /// yet executing: batches are composed inside the queue, so no
-    /// request waits anywhere else.
+    /// [`ServeError::Overloaded`]. It bounds the queued jobs: a worker
+    /// runs a batch the moment it takes it, so no request waits
+    /// anywhere else.
     pub queue_depth: usize,
-    /// Maximum requests per batch.
+    /// Maximum requests per batch. A free worker runs whatever is
+    /// queued for one model load, up to this many, at once; batches
+    /// fill under load because requests queue up while workers are
+    /// busy.
     pub max_batch: usize,
-    /// Microseconds a partial batch may linger for more requests before
-    /// closing anyway. The default `0` is work-conserving: a free
-    /// worker runs whatever is queued at once, and batches still fill
-    /// under load because requests queue up while workers are busy.
-    pub max_wait_us: u64,
     /// When true, workers sleep out each batch's simulated service time
     /// (`cycles / freq`), so wall-clock latency and saturation behave
     /// like a real multi-accelerator deployment even on few host cores.
@@ -140,7 +138,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 64,
             max_batch: 8,
-            max_wait_us: 0,
             emulate_hw_time: false,
             freq_ghz: 1.0,
             backend: ExecBackend::Simulator,
@@ -170,6 +167,11 @@ impl ServeConfig {
                 "queue_depth must be at least 1".to_string(),
             ));
         }
+        if self.max_batch == 0 {
+            return Err(ServeError::InvalidConfig(
+                "max_batch must be at least 1".to_string(),
+            ));
+        }
         if !self.freq_ghz.is_finite() || self.freq_ghz <= 0.0 {
             return Err(ServeError::InvalidConfig(format!(
                 "freq_ghz must be finite and positive, got {}",
@@ -186,14 +188,7 @@ impl ServeConfig {
                 "canary_divergence_threshold must be at least 1".to_string(),
             ));
         }
-        self.policy().validate()
-    }
-
-    fn policy(&self) -> BatchPolicy {
-        BatchPolicy {
-            max_batch: self.max_batch,
-            max_wait_us: self.max_wait_us,
-        }
+        Ok(())
     }
 
     /// The accelerator every worker runs and every simulator load is
@@ -526,7 +521,7 @@ impl Server {
         let emulate = cfg.emulate_hw_time;
         let freq_ghz = cfg.freq_ghz;
         let node = cfg.node.clone();
-        let policy = cfg.policy();
+        let max_batch = cfg.max_batch;
         // Signs the worker off even if it unwinds: neither hand-offs
         // nor a drain wait on a dead thread, and when the last one goes
         // every outstanding ticket resolves to `WorkerLost`.
@@ -553,7 +548,7 @@ impl Server {
                 // two loads of one name (a re-load, a canary vs its
                 // primary) never share a batch — one batch, one executor.
                 while let Some(batch) =
-                    queue.pop_batch(worker_id, policy, clock.as_ref(), |job| job.loaded.slot)
+                    queue.pop_batch(worker_id, max_batch, clock.as_ref(), |job| job.loaded.slot)
                 {
                     let busy_from = stats.now_us();
                     let batch_size = batch.items.len();
@@ -1048,7 +1043,6 @@ mod tests {
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 4,
-            max_wait_us: 5_000,
             ..ServeConfig::default()
         };
         let server = Server::start(reg, cfg).expect("start");
@@ -1130,10 +1124,6 @@ mod tests {
         let cfg = ServeConfig {
             workers: 2,
             max_batch: 4,
-            // The manual clock never moves, so a zero deadline makes
-            // every batch close promptly instead of waiting for time
-            // that never passes.
-            max_wait_us: 0,
             ..ServeConfig::default()
         };
         let server = Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
@@ -1236,67 +1226,11 @@ mod tests {
                 .get()
         };
         assert_eq!(closes("deadline"), 1);
-        assert_eq!(closes("size") + closes("model_switch") + closes("flush"), 0);
+        assert_eq!(closes("size") + closes("model_switch"), 0);
         let wait = registry
             .find_histogram("serve_batch_wait_us", &[])
             .expect("batch wait histogram registered");
         assert_eq!((wait.count(), wait.sum()), (1, 0));
-    }
-
-    #[test]
-    fn idle_worker_closes_a_lone_request_at_the_deadline() {
-        use crate::clock::ManualClock;
-        use cs_telemetry::Registry;
-        let (reg, model) = mlp_registry();
-        let registry = Arc::new(Registry::new());
-        let clock = Arc::new(ManualClock::new(0));
-        // The deadline is far beyond the wall time this test runs for:
-        // only the capped, deadline-aware park lets the lingering worker
-        // see the manual clock pass it. Parking out the whole remaining
-        // wait in wall time would leave the lone request sitting until
-        // the next arrival.
-        const MAX_WAIT_US: u64 = 60_000_000;
-        let cfg = ServeConfig {
-            workers: 1,
-            max_batch: 64,
-            max_wait_us: MAX_WAIT_US,
-            ..ServeConfig::default()
-        };
-        let server =
-            Server::start_with_recorder(reg, cfg, clock.clone(), registry.clone()).expect("start");
-        let started = std::time::Instant::now();
-        let ticket = server
-            .submit(InferRequest::new("mlp", input_for(&model, 1)))
-            .expect("submit");
-        // Once the worker has opened the batch, jump the clock just
-        // past the deadline with the queue still idle.
-        spin_until("worker opened the batch", || server.queue.lingering() == 1);
-        clock.advance(MAX_WAIT_US + 100);
-        ticket.wait().expect("response");
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "lone request waited for the next arrival instead of its deadline"
-        );
-        let deadline_closes = registry
-            .find_counter("serve_batch_close_total", &[("reason", "deadline")])
-            .expect("close counter registered")
-            .get();
-        assert_eq!(deadline_closes, 1, "the batch must close on the deadline");
-        // p99 queue wait stays pinned at max_wait_us plus the overshoot
-        // slack the test itself introduced. With exactly one sample the
-        // sum is the sample, so this reads the exact wait instead of a
-        // coarse bucket bound.
-        let wait = registry
-            .find_histogram("serve_queue_wait_us", &[])
-            .expect("wait histogram registered");
-        assert_eq!(wait.count(), 1);
-        assert!(
-            wait.sum() <= MAX_WAIT_US + 1_000,
-            "p99 queue wait {} exceeds max_wait_us {} + slack",
-            wait.sum(),
-            MAX_WAIT_US
-        );
-        server.shutdown();
     }
 
     #[test]
@@ -1305,11 +1239,12 @@ mod tests {
         let cfg = ServeConfig {
             workers: 2,
             max_batch: 8,
-            // Only the size rule can close the batch.
-            max_wait_us: 600_000_000,
             ..ServeConfig::default()
         };
         let server = Server::start(reg, cfg).expect("start");
+        // Held, the head of the line does not take: the eight pile up
+        // as they would behind busy workers.
+        server.queue.hold(true);
         let tickets: Vec<Ticket> = (0..8)
             .map(|i| {
                 server
@@ -1317,9 +1252,10 @@ mod tests {
                     .expect("submit")
             })
             .collect();
+        server.queue.hold(false);
         // The second worker stood idle right behind the first the whole
-        // time, yet only the head of the line may hold an open batch:
-        // the eight were not split between them.
+        // time, yet only the head of the line takes: the eight were not
+        // split between them.
         let replies: Vec<InferResponse> = tickets
             .into_iter()
             .map(|t| t.wait().expect("reply"))
@@ -1610,7 +1546,6 @@ mod tests {
         let cfg = ServeConfig {
             backend: ExecBackend::Gated,
             workers: 1,
-            max_wait_us: 0,
             ..ServeConfig::default()
         };
         let server = Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
@@ -1694,13 +1629,13 @@ mod tests {
                 backend,
                 workers: 1,
                 max_batch: 8,
-                // Only the size rule can close the batch.
-                max_wait_us: 600_000_000,
                 ..ServeConfig::default()
             };
             let clock = Arc::new(MonotonicClock::new());
             let server =
                 Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
+            // The worker takes only once all eight are queued.
+            server.queue.hold(true);
             // Eight distinct requests: spike frames (blocks to skip)
             // riding with dense-ish vectors (nothing to skip).
             let inputs: Vec<Vec<f32>> = (0..8u32)
@@ -1719,6 +1654,7 @@ mod tests {
                         .expect("submit")
                 })
                 .collect();
+            server.queue.hold(false);
             let dense = model.dense_lane();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for (x, ticket) in inputs.iter().zip(tickets) {
@@ -1787,8 +1723,6 @@ mod tests {
             backend: ExecBackend::Sparse,
             workers: 1,
             max_batch: 8,
-            // Only a slot switch (or the shutdown flush) closes a batch.
-            max_wait_us: 600_000_000,
             // The two versions differ on purpose; keep the canary up.
             canary_divergence_threshold: 1_000,
             ..ServeConfig::default()
@@ -1797,6 +1731,9 @@ mod tests {
         // Tickets 0..4 route to the canary, the rest to the primary.
         server.load_servable(v2.clone(), 2, 4).expect("canary");
         let inputs: Vec<Vec<f32>> = (0..8).map(|i| input_for(&v1, i)).collect();
+        // All eight are queued before the worker takes: only the slot
+        // switch can split them.
+        server.queue.hold(true);
         let tickets: Vec<Ticket> = inputs
             .iter()
             .map(|x| {
@@ -1805,6 +1742,7 @@ mod tests {
                     .expect("submit")
             })
             .collect();
+        server.queue.hold(false);
         server.shutdown();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (lane1, lane2) = (v1.dense_lane(), v2.dense_lane());
@@ -1839,7 +1777,6 @@ mod tests {
             let cfg = ServeConfig {
                 backend: ExecBackend::Sparse,
                 workers: 1,
-                max_wait_us: 0,
                 ..ServeConfig::default()
             };
             let server =
@@ -1877,7 +1814,6 @@ mod tests {
         let cfg = ServeConfig {
             backend: ExecBackend::Sparse,
             workers: 1,
-            max_wait_us: 0,
             ..ServeConfig::default()
         };
         let server = Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
@@ -1919,7 +1855,6 @@ mod tests {
         let cfg = ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait_us: 2_000,
             queue_depth: 64,
             ..ServeConfig::default()
         };

@@ -75,7 +75,7 @@ struct ServeMetrics {
     batch_size: Histogram,
     batch_wait_us: Histogram,
     /// Indexed by [`CloseReason`] discriminant order.
-    batch_close: [Counter; 4],
+    batch_close: [Counter; 3],
     latency_us: Histogram,
     compute_cycles: Histogram,
     dram_stall_cycles: Histogram,
@@ -147,7 +147,6 @@ impl ServeMetrics {
                 close(CloseReason::Size),
                 close(CloseReason::Deadline),
                 close(CloseReason::ModelSwitch),
-                close(CloseReason::Flush),
             ],
             latency_us: rec.histogram(
                 "serve_request_latency_us",
@@ -228,13 +227,7 @@ impl ServeMetrics {
     }
 
     fn close_counter(&self, reason: CloseReason) -> &Counter {
-        let idx = match reason {
-            CloseReason::Size => 0,
-            CloseReason::Deadline => 1,
-            CloseReason::ModelSwitch => 2,
-            CloseReason::Flush => 3,
-        };
-        &self.batch_close[idx]
+        &self.batch_close[reason as usize]
     }
 }
 

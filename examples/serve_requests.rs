@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    is free takes whatever is queued, up to 8 requests, and runs
     //    it at once: the burst below rides in batches because requests
     //    pile up while both workers are busy, not because anything
-    //    waits for co-riders (`max_wait_us` stays at its default 0).
+    //    waits for co-riders.
     let server = Server::start(
         registry,
         ServeConfig {

@@ -6,7 +6,7 @@
 use cambricon_s::prelude::*;
 use cs_accel::exec::Accelerator;
 use cs_serve::admission::AdmissionQueue;
-use cs_serve::batch::{Backlog, Batch, BatchPolicy, CloseReason};
+use cs_serve::batch::{Batch, CloseReason};
 use cs_serve::{ExecBackend, ManualClock};
 use proptest::prelude::*;
 
@@ -42,7 +42,6 @@ fn concurrent_clients_get_exactly_one_bit_identical_response_each() {
         ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait_us: 500,
             queue_depth: CLIENTS * PER_CLIENT,
             ..ServeConfig::default()
         },
@@ -115,7 +114,6 @@ fn full_queue_rejects_with_overloaded() {
         ServeConfig {
             workers: 1,
             max_batch: 1,
-            max_wait_us: 0,
             queue_depth: 2,
             emulate_hw_time: true,
             freq_ghz: 0.001,
@@ -183,7 +181,6 @@ fn multi_model_batches_route_responses_to_the_right_client() {
         ServeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait_us: 300,
             queue_depth: 64,
             ..ServeConfig::default()
         },
@@ -325,15 +322,14 @@ proptest! {
 
     /// Batch-composition invariants over arbitrary arrival sequences,
     /// driven single-threaded through the real admission queue — which
-    /// is possible because a zero-wait pop on a non-empty queue, and any
-    /// pop on a closed one, must not block (a hang here is the failure).
-    /// A twin queue fed the same arrivals and popped one job at a time
+    /// is possible because a pop on a non-empty queue, and any pop on a
+    /// closed one, must not block (a hang here is the failure). A twin
+    /// queue fed the same arrivals and popped one job at a time
     /// supplies the weighted-fair order the batches must follow.
     #[test]
     fn batch_invariants_hold_for_any_arrival_sequence(
         arrivals in proptest::collection::vec((0usize..3, 0usize..3, 0u8..6), 1..200),
         max_batch in 1usize..9,
-        max_wait_us in 0u64..400,
         capacity in 4usize..48,
     ) {
         let weights = [("t0".to_string(), 3)];
@@ -341,34 +337,31 @@ proptest! {
         let single: AdmissionQueue<Tagged> = AdmissionQueue::new(capacity, 0, &weights);
         let clock = ManualClock::new(0);
         let model_of = |item: &Tagged| item.2;
-        let eager = BatchPolicy { max_batch, max_wait_us: 0 };
-        let one = BatchPolicy { max_batch: 1, max_wait_us: 0 };
-        let pop = |q: &AdmissionQueue<Tagged>, policy| q.pop_batch(0, policy, &clock, model_of);
+        let pop = |q: &AdmissionQueue<Tagged>, max_batch: usize| {
+            q.pop_batch(0, max_batch, &clock, model_of)
+        };
 
         let mut closed: Vec<Batch<Tagged>> = Vec::new();
         let mut admitted = 0usize;
         let mut queued = 0usize;
         // Pops `queued` jobs from both queues and holds the batches to
-        // the greedy cut of the fair order; `last` is the rule that
-        // closes a partial batch with nothing queued behind it.
-        let drain = |queued: &mut usize,
-                     policy: BatchPolicy,
-                     last: CloseReason,
-                     closed: &mut Vec<Batch<Tagged>>| {
+        // the greedy cut of the fair order. A partial batch with nothing
+        // queued behind it closes as `Deadline`.
+        let drain = |queued: &mut usize, closed: &mut Vec<Batch<Tagged>>| {
             let order: Vec<Tagged> = (0..*queued)
-                .map(|_| pop(&single, one).expect("twin holds the same jobs").items[0])
+                .map(|_| pop(&single, 1).expect("twin holds the same jobs").items[0])
                 .collect();
-            let chunks = greedy_chunks(&order, policy.max_batch);
+            let chunks = greedy_chunks(&order, max_batch);
             for (i, want) in chunks.iter().enumerate() {
-                let batch = pop(&batched, policy).expect("non-empty queue yields a batch");
+                let batch = pop(&batched, max_batch).expect("non-empty queue yields a batch");
                 // Work-conserving: exactly the same-model prefix, capped.
                 prop_assert_eq!(&batch.items, want);
-                let reason = if want.len() == policy.max_batch {
+                let reason = if want.len() == max_batch {
                     CloseReason::Size
                 } else if i + 1 < chunks.len() {
                     CloseReason::ModelSwitch
                 } else {
-                    last
+                    CloseReason::Deadline
                 };
                 prop_assert_eq!(batch.reason, reason);
                 *queued -= batch.items.len();
@@ -387,18 +380,15 @@ proptest! {
                 queued += 1;
             }
             if *roll == 0 {
-                // A zero-wait partial batch is a deadline close.
-                drain(&mut queued, eager, CloseReason::Deadline, &mut closed)?;
+                drain(&mut queued, &mut closed)?;
             }
         }
-        // Shutdown drain under the lingering policy: a closed queue
-        // flushes instead of waiting.
+        // Shutdown drain: a closed queue still yields what is queued,
+        // by the same rules, and then nothing.
         batched.close();
         single.close();
-        let lingering = BatchPolicy { max_batch, max_wait_us };
-        let last = if max_wait_us == 0 { CloseReason::Deadline } else { CloseReason::Flush };
-        drain(&mut queued, lingering, last, &mut closed)?;
-        prop_assert!(pop(&batched, eager).is_none(), "closed and drained");
+        drain(&mut queued, &mut closed)?;
+        prop_assert!(pop(&batched, max_batch).is_none(), "closed and drained");
 
         for batch in &closed {
             // No batch exceeds the size limit, none is empty.
@@ -439,31 +429,6 @@ proptest! {
             }
         }
     }
-
-    /// A lingering batch never outlives `opened + max_wait_us`: however
-    /// many jobs join it and whenever they do, the close decision says
-    /// "stay open" strictly before that instant and "deadline" at it.
-    #[test]
-    fn linger_deadline_is_tight(
-        gaps in proptest::collection::vec(0u64..100, 1..50),
-        max_wait_us in 1u64..500,
-        opened_us in 0u64..1_000_000,
-    ) {
-        let policy = BatchPolicy { max_batch: usize::MAX, max_wait_us };
-        let deadline = opened_us + max_wait_us;
-        let mut now = opened_us;
-        for (joined, gap) in gaps.iter().enumerate() {
-            // Later arrivals grow the batch; they do not move its deadline.
-            now = (now + gap).min(deadline - 1);
-            let len = joined + 1;
-            prop_assert_eq!(policy.close_reason(len, Backlog::Empty, opened_us, now), None);
-            prop_assert_eq!(policy.close_reason(len, Backlog::Empty, opened_us, deadline - 1), None);
-            prop_assert_eq!(
-                policy.close_reason(len, Backlog::Empty, opened_us, deadline),
-                Some(CloseReason::Deadline)
-            );
-        }
-    }
 }
 
 #[test]
@@ -477,7 +442,6 @@ fn shutdown_drains_in_flight_requests() {
         ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait_us: 1_000,
             queue_depth: 32,
             ..ServeConfig::default()
         },
