@@ -7,9 +7,9 @@
 //! `--requests` inferences per connection closed-loop, reusing the
 //! deterministic request shapes the in-process load generator uses
 //! (`cs_serve::loadgen::request_input`), so a network sweep is
-//! replayable by seed. Overload rejections are retried through
-//! `cs-net`'s seeded exponential-backoff policy and counted, not
-//! failed. `--think-ms` inserts pacing between a connection's requests
+//! replayable by seed. An overload rejection backs off 1–5 ms and
+//! reissues the same request, counted, not failed. `--think-ms` inserts
+//! pacing between a connection's requests
 //! so high connection counts measure concurrency, not queueing from a
 //! saturating closed loop; the pause is jittered per connection from
 //! the seed (uniform in `[0.5, 1.5] × think`, plus a random initial
@@ -18,12 +18,9 @@
 //!
 //! **Connection sweep** (`--conns-sweep N1,N2,..`): repeats the server
 //! mode run at each connection count against the same endpoint and
-//! emits one `conn_sweep_point` JSONL record per count. The sweep
-//! client is itself event-driven: one thread multiplexes every
-//! connection through the same `cs_net::poll` epoll shim and
-//! `FrameAssembler` the server uses, because a thousand loadgen
-//! *threads* would swamp the scheduler of a small CI host and the tail
-//! latency would measure the client's own run queue, not the server.
+//! emits one `conn_sweep_point` JSONL record per count. A thousand
+//! connections still cost one client thread, so the tail latency
+//! measures the server, not the client's own run queue.
 //! The gated latency is the **server-reported** `latency_us` stamped in
 //! every response (decode→reply time on the server). `--max-p99-ratio F`
 //! turns the sweep into a CI gate: the last point's server-side p99 must stay
@@ -38,6 +35,10 @@
 //! drives the same seeded load through the orchestrator, and reports
 //! aggregate hw-throughput scaling as JSONL. `--min-scaling F` turns
 //! the scaling factor into an exit-code gate for CI.
+//!
+//! One client, one thread: every mode drives its connections through
+//! [`cs_net::load::run_closed_loop`], so no mode spawns a thread per
+//! connection.
 //!
 //! ```text
 //! cs-netload --addr 127.0.0.1:4885 --conns 4 --requests 64 --shutdown
@@ -56,16 +57,17 @@
 //! eviction and reload all land *under* live traffic.
 //!
 //! Exit codes: `0` success, `1` bad usage or connect failure, `2` any
-//! request failed with a non-overload error (or a scaling / p99 gate
-//! failed).
+//! request failed with a non-overload error or any connection ended
+//! early (or a scaling / p99 gate failed).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use cs_cluster::{run_cluster_sweep, ClusterSweepConfig};
-use cs_net::{Client, RetryPolicy};
-use cs_serve::loadgen::request_input;
+use cs_net::load::{run_closed_loop, ConnResult, LoadPlan};
+use cs_net::Client;
 use cs_serve::ExecBackend;
+use cs_telemetry::percentile_of_sorted as percentile;
 
 struct Args {
     addr: String,
@@ -139,7 +141,7 @@ fn parse_load_spec(s: &str, flag: &str) -> LoadSpec {
 /// fails when the loaded end reaches milliseconds.
 const P99_BASELINE_FLOOR_US: u64 = 650;
 
-/// Completed requests across every connection thread; the mid-sweep
+/// Completed requests across every connection; the mid-sweep
 /// loader watches it to fire at the halfway mark.
 static PROGRESS: AtomicU64 = AtomicU64::new(0);
 /// Set when the sweep finishes, so the mid-sweep loader can never hang
@@ -237,13 +239,7 @@ fn parse_args() -> Args {
             "--think-ms" => out.think_ms = parse_num(&value("--think-ms"), "--think-ms"),
             "--warmup" => out.warmup = parse_num(&value("--warmup"), "--warmup"),
             "--max-p99-ratio" => {
-                out.max_p99_ratio = match value("--max-p99-ratio").parse() {
-                    Ok(f) => f,
-                    Err(_) => {
-                        eprintln!("error: --max-p99-ratio expects a number");
-                        usage();
-                    }
-                }
+                out.max_p99_ratio = parse_ratio(&value("--max-p99-ratio"), "--max-p99-ratio")
             }
             "--cluster" => out.cluster = true,
             "--nodes" => {
@@ -275,13 +271,7 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--min-scaling" => {
-                out.min_scaling = match value("--min-scaling").parse() {
-                    Ok(f) => f,
-                    Err(_) => {
-                        eprintln!("error: --min-scaling expects a number");
-                        usage();
-                    }
-                }
+                out.min_scaling = parse_ratio(&value("--min-scaling"), "--min-scaling")
             }
             "--help" | "-h" => usage(),
             other => {
@@ -329,501 +319,104 @@ fn parse_num(s: &str, flag: &str) -> u64 {
     }
 }
 
-/// SplitMix64 for think-time jitter: deterministic per seed, so a
-/// sweep's arrival process replays exactly.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-/// Per-connection sweep outcome.
-struct ConnResult {
-    conn: usize,
-    /// Tenant this connection billed its traffic to (empty when
-    /// `--tenants` is off).
-    tenant: String,
-    completed: u64,
-    overload_rounds: u64,
-    /// Overload rejections whose error frame echoed a different tenant
-    /// than this connection sent — any nonzero count means the tenant
-    /// label was lost somewhere between admission and the wire.
-    mislabeled_overloads: u64,
-    /// Client-observed round-trip latencies.
-    latencies_us: Vec<u64>,
-    /// Server-reported per-request latencies (`latency_us` in each
-    /// response frame): decode→reply time on the server, free of
-    /// client-side scheduling noise.
-    server_latencies_us: Vec<u64>,
-    error: Option<String>,
-}
-
-fn run_connection(args: &Args, conn: usize) -> ConnResult {
-    let mut result = ConnResult {
-        conn,
-        tenant: tenant_of(args, conn),
-        completed: 0,
-        overload_rounds: 0,
-        mislabeled_overloads: 0,
-        latencies_us: Vec::with_capacity(args.requests as usize),
-        server_latencies_us: Vec::with_capacity(args.requests as usize),
-        error: None,
-    };
-    let mut client = match Client::connect(&args.addr) {
-        Ok(c) => c,
-        Err(e) => {
-            result.error = Some(format!("connect: {e}"));
-            return result;
-        }
-    };
-    let n_in = match client.model_info(&args.model) {
-        Ok((n_in, _)) => n_in as usize,
-        Err(e) => {
-            result.error = Some(format!("model query: {e}"));
-            return result;
-        }
-    };
-    let policy = RetryPolicy {
-        seed: args.seed ^ conn as u64,
-        ..RetryPolicy::default()
-    };
-    let mut jitter = SplitMix64(args.seed.wrapping_mul(0x9E37).wrapping_add(conn as u64));
-    if args.think_ms > 0 {
-        // Random initial offset in [0, think): without it every
-        // connection fires its first request at the same instant and
-        // the opening wave dominates a short run's tail latency.
-        let offset = jitter.next() % (args.think_ms * 1000);
-        std::thread::sleep(std::time::Duration::from_micros(offset));
-    }
-    for i in 0..args.requests {
-        // Globally unique request id -> unique deterministic input,
-        // exactly as the in-process loadgen shapes its traffic.
-        let request_id = (conn as u64) * args.requests + i;
-        let input = request_input(n_in, request_id, args.seed);
-        loop {
-            let t0 = Instant::now();
-            match client.request_with_retry_as(&args.model, &result.tenant, &input, &policy) {
-                Ok(resp) => {
-                    // Warmup requests complete but don't enter the
-                    // latency stats: the opening connect storm (every
-                    // connection dials at t=0) is a start transient,
-                    // not the steady state the percentiles describe.
-                    if i >= args.warmup {
-                        result.latencies_us.push(t0.elapsed().as_micros() as u64);
-                        result.server_latencies_us.push(resp.latency_us);
-                    }
-                    result.completed += 1;
-                    PROGRESS.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(e) if e.is_overloaded() => {
-                    // The whole retry budget drained and the server is
-                    // still shedding: stay closed-loop and go again.
-                    if let cs_net::NetError::Remote { tenant, .. } = &e {
-                        if !result.tenant.is_empty() && *tenant != result.tenant {
-                            result.mislabeled_overloads += 1;
-                        }
-                    }
-                    result.overload_rounds += 1;
-                }
-                Err(e) => {
-                    result.error = Some(format!("request {request_id}: {e}"));
-                    return result;
-                }
-            }
-        }
-        if args.think_ms > 0 {
-            // Uniform in [0.5, 1.5] × think: same mean rate, no waves.
-            let us = args.think_ms * 500 + jitter.next() % (args.think_ms * 1000);
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
-    }
-    result
-}
-
-/// Drives `conns` concurrent closed-loop connections to completion.
-fn run_load(args: &Args, conns: usize) -> Vec<ConnResult> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..conns)
-            .map(|conn| {
-                scope.spawn({
-                    let args = &args;
-                    move || run_connection(args, conn)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(conn, h)| {
-                h.join().unwrap_or_else(|_| ConnResult {
-                    conn,
-                    tenant: tenant_of(args, conn),
-                    completed: 0,
-                    overload_rounds: 0,
-                    mislabeled_overloads: 0,
-                    latencies_us: Vec::new(),
-                    server_latencies_us: Vec::new(),
-                    error: Some("connection thread panicked".to_string()),
-                })
-            })
-            .collect()
+fn parse_ratio(s: &str, flag: &str) -> f64 {
+    s.parse().unwrap_or_else(|_| {
+        eprintln!("error: {flag} expects a number");
+        usage();
     })
 }
 
-/// Event-driven sweep client: one thread multiplexes every connection
-/// through the server's own readiness shim
-/// ([`cs_net::poll`]) and incremental codec ([`cs_net::FrameAssembler`]
-/// / [`cs_net::WriteBuffer`]). A thousand closed-loop connections cost
-/// one runnable thread instead of a thousand, so on a small host the
-/// measured tail belongs to the server under test, not to the load
-/// generator's own scheduler queue.
-mod evloop {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    use std::io::Read;
-    use std::net::TcpStream;
-    use std::os::unix::io::AsRawFd;
-    use std::time::{Duration, Instant};
+/// Runs `conns` closed-loop connections; exits 1 when they cannot be
+/// set up.
+fn run(args: &Args, conns: usize, n_in: usize) -> Vec<ConnResult> {
+    let plan = LoadPlan {
+        addr: args.addr.clone(),
+        model: args.model.clone(),
+        n_in,
+        seed: args.seed,
+        requests: args.requests,
+        warmup: args.warmup,
+        think_ms: args.think_ms,
+        tenants: (0..conns).map(|conn| tenant_of(args, conn)).collect(),
+    };
+    run_closed_loop(&plan, &PROGRESS).unwrap_or_else(|e| {
+        eprintln!("error: {conns} connections to {} failed: {e}", args.addr);
+        std::process::exit(1);
+    })
+}
 
-    use cs_net::poll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-    use cs_net::{ErrorCode, Frame, FrameAssembler, WriteBuffer, DEFAULT_MAX_PAYLOAD};
-    use cs_serve::loadgen::request_input;
-
-    use super::{Args, ConnResult, SplitMix64};
-
-    /// Closed-loop state of one multiplexed connection.
-    enum Phase {
-        /// Waiting out a pacing pause before (re)issuing request `index`.
-        Thinking,
-        /// Request `index` is on the wire awaiting its reply.
-        InFlight,
-        /// All requests answered, or the connection errored out.
-        Done,
-    }
-
-    struct Conn {
-        stream: TcpStream,
-        asm: FrameAssembler,
-        wbuf: WriteBuffer,
-        jitter: SplitMix64,
-        phase: Phase,
-        /// When `Thinking` ends and the next request goes out.
-        next_send_at: Instant,
-        /// Current request number in `0..requests`; overload retries
-        /// reuse it, so the request id and input replay deterministically.
-        index: u64,
-        /// Send instant of the in-flight request (client-side latency).
-        sent_at: Instant,
-        /// Whether `EPOLLOUT` interest is currently registered.
-        want_write: bool,
-        result: ConnResult,
-    }
-
-    fn failed_result(args: &Args, conn: usize, err: String) -> ConnResult {
-        ConnResult {
-            conn,
-            tenant: super::tenant_of(args, conn),
-            completed: 0,
-            overload_rounds: 0,
-            mislabeled_overloads: 0,
-            latencies_us: Vec::new(),
-            server_latencies_us: Vec::new(),
-            error: Some(err),
-        }
-    }
-
-    /// Drives `conns` closed-loop connections to completion on one
-    /// thread. A setup failure (epoll, connect, register) fails the
-    /// whole point: every connection reports the error.
-    pub fn run_load_event(args: &Args, conns: usize, n_in: usize) -> Vec<ConnResult> {
-        match drive(args, conns, n_in) {
-            Ok(results) => results,
-            Err(e) => (0..conns)
-                .map(|conn| failed_result(args, conn, format!("event loop: {e}")))
-                .collect(),
-        }
-    }
-
-    fn drive(args: &Args, conns: usize, n_in: usize) -> std::io::Result<Vec<ConnResult>> {
-        let epoll = Epoll::new()?;
-        let start = Instant::now();
-        let mut heap: BinaryHeap<Reverse<(Instant, usize)>> = BinaryHeap::new();
-        let mut table: Vec<Conn> = Vec::with_capacity(conns);
-        for conn in 0..conns {
-            let mut jitter = SplitMix64(args.seed.wrapping_mul(0x9E37).wrapping_add(conn as u64));
-            // Random initial offset in [0, think): same de-synchronized
-            // arrival process as the threaded path.
-            let offset_us = if args.think_ms > 0 {
-                jitter.next() % (args.think_ms * 1000)
-            } else {
-                0
-            };
-            let stream = TcpStream::connect(&args.addr)?;
-            let _ = stream.set_nodelay(true);
-            stream.set_nonblocking(true)?;
-            epoll.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, conn as u64)?;
-            let next_send_at = start + Duration::from_micros(offset_us);
-            heap.push(Reverse((next_send_at, conn)));
-            table.push(Conn {
-                stream,
-                asm: FrameAssembler::new(DEFAULT_MAX_PAYLOAD),
-                wbuf: WriteBuffer::new(),
-                jitter,
-                phase: Phase::Thinking,
-                next_send_at,
-                index: 0,
-                sent_at: start,
-                want_write: false,
-                result: ConnResult {
-                    conn,
-                    tenant: super::tenant_of(args, conn),
-                    completed: 0,
-                    overload_rounds: 0,
-                    mislabeled_overloads: 0,
-                    latencies_us: Vec::with_capacity(args.requests as usize),
-                    server_latencies_us: Vec::with_capacity(args.requests as usize),
-                    error: None,
-                },
-            });
-        }
-        let mut active = conns;
-        let mut events = vec![EpollEvent::zeroed(); 256];
-        let mut scratch = vec![0u8; 64 * 1024];
-        while active > 0 {
-            let now = Instant::now();
-            while let Some(&Reverse((t, id))) = heap.peek() {
-                if t > now {
-                    break;
-                }
-                heap.pop();
-                let c = &mut table[id];
-                // Stale entries (the conn advanced past this deadline)
-                // just fall out of the heap.
-                if !matches!(c.phase, Phase::Thinking) || c.next_send_at != t {
-                    continue;
-                }
-                if let Err(e) = send_request(c, id, args, n_in, &epoll) {
-                    fail(c, e, &epoll, &mut active);
-                }
+/// Asks the endpoint for the model's input width, which every
+/// connection reuses, polling until the model resolves or
+/// `--wait-ready` seconds pass. Against an orchestrator this waits out
+/// the window between "listener up" and "first worker registered", so
+/// scripted multi-process bring-up doesn't race worker registration.
+/// Exits 1 when the endpoint never answers.
+fn model_width(args: &Args) -> usize {
+    let deadline = Instant::now() + std::time::Duration::from_secs(args.wait_ready_secs);
+    loop {
+        match Client::connect(&args.addr).and_then(|mut c| c.model_info(&args.model)) {
+            Ok((n_in, _)) => return n_in as usize,
+            Err(e) if Instant::now() >= deadline => {
+                eprintln!(
+                    "error: {} did not serve model {:?} within {}s: {e}",
+                    args.addr, args.model, args.wait_ready_secs
+                );
+                std::process::exit(1);
             }
-            let timeout_ms = match heap.peek() {
-                Some(&Reverse((t, _))) => {
-                    let dur = t.saturating_duration_since(Instant::now());
-                    (dur.as_millis() as i64 + 1).min(1_000) as i32
-                }
-                None => 1_000,
-            };
-            let n = epoll.wait(&mut events, timeout_ms)?;
-            for ev in events.iter().take(n) {
-                let id = ev.token() as usize;
-                let mask = ev.events();
-                if matches!(table[id].phase, Phase::Done) {
-                    continue;
-                }
-                if mask & (EPOLLERR | EPOLLHUP) != 0 {
-                    let err = "socket error/hangup".to_string();
-                    fail(&mut table[id], err, &epoll, &mut active);
-                    continue;
-                }
-                if mask & (EPOLLIN | EPOLLRDHUP) != 0 {
-                    match on_readable(&mut table[id], id, args, &mut scratch, &mut heap) {
-                        Ok(()) => {
-                            if matches!(table[id].phase, Phase::Done) {
-                                let _ = epoll.delete(table[id].stream.as_raw_fd());
-                                active -= 1;
-                            }
-                        }
-                        Err(e) => fail(&mut table[id], e, &epoll, &mut active),
-                    }
-                }
-                if mask & EPOLLOUT != 0 && !matches!(table[id].phase, Phase::Done) {
-                    if let Err(e) = flush(&mut table[id], id, &epoll) {
-                        fail(&mut table[id], e, &epoll, &mut active);
-                    }
-                }
-            }
-        }
-        Ok(table.into_iter().map(|c| c.result).collect())
-    }
-
-    /// Marks a connection failed and drops it from the loop.
-    fn fail(c: &mut Conn, err: String, epoll: &Epoll, active: &mut usize) {
-        if !matches!(c.phase, Phase::Done) {
-            let _ = epoll.delete(c.stream.as_raw_fd());
-            *active -= 1;
-        }
-        c.phase = Phase::Done;
-        if c.result.error.is_none() {
-            c.result.error = Some(err);
-        }
-    }
-
-    /// Issues request `index` for connection `id` and flushes.
-    fn send_request(
-        c: &mut Conn,
-        id: usize,
-        args: &Args,
-        n_in: usize,
-        epoll: &Epoll,
-    ) -> Result<(), String> {
-        let rid = (id as u64) * args.requests + c.index;
-        let input = request_input(n_in, rid, args.seed);
-        let frame = Frame::Request {
-            id: rid,
-            model: args.model.clone(),
-            tenant: c.result.tenant.clone(),
-            input,
-        };
-        c.wbuf.push(&frame.encode());
-        c.sent_at = Instant::now();
-        c.phase = Phase::InFlight;
-        flush(c, id, epoll)
-    }
-
-    /// Flushes as much as the socket accepts and keeps `EPOLLOUT`
-    /// interest in sync with whether bytes remain.
-    fn flush(c: &mut Conn, id: usize, epoll: &Epoll) -> Result<(), String> {
-        let mut w = &c.stream;
-        if let Err(e) = c.wbuf.flush_to(&mut w) {
-            return Err(format!("write: {e}"));
-        }
-        let pending = !c.wbuf.is_empty();
-        if pending != c.want_write {
-            let interest = if pending {
-                EPOLLIN | EPOLLOUT | EPOLLRDHUP
-            } else {
-                EPOLLIN | EPOLLRDHUP
-            };
-            epoll
-                .modify(c.stream.as_raw_fd(), interest, id as u64)
-                .map_err(|e| format!("epoll: {e}"))?;
-            c.want_write = pending;
-        }
-        Ok(())
-    }
-
-    /// Reads until `WouldBlock`, feeding the assembler and handling
-    /// every completed frame.
-    fn on_readable(
-        c: &mut Conn,
-        id: usize,
-        args: &Args,
-        scratch: &mut [u8],
-        heap: &mut BinaryHeap<Reverse<(Instant, usize)>>,
-    ) -> Result<(), String> {
-        loop {
-            let n = {
-                let mut r = &c.stream;
-                match r.read(scratch) {
-                    Ok(0) => return Err("server closed the connection".to_string()),
-                    Ok(n) => n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(format!("read: {e}")),
-                }
-            };
-            c.asm.push(&scratch[..n]);
-            loop {
-                match c.asm.next_frame() {
-                    Ok(Some(frame)) => on_frame(c, id, frame, args, heap)?,
-                    Ok(None) => break,
-                    Err(e) => return Err(format!("decode: {e}")),
-                }
-            }
-            if matches!(c.phase, Phase::Done) {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    /// Advances the closed loop on one reply frame.
-    fn on_frame(
-        c: &mut Conn,
-        id: usize,
-        frame: Frame,
-        args: &Args,
-        heap: &mut BinaryHeap<Reverse<(Instant, usize)>>,
-    ) -> Result<(), String> {
-        let rid = (id as u64) * args.requests + c.index;
-        match frame {
-            Frame::Response {
-                id: got,
-                latency_us,
-                ..
-            } => {
-                if !matches!(c.phase, Phase::InFlight) || got != rid {
-                    return Err(format!("unexpected response id {got} (expected {rid})"));
-                }
-                let now = Instant::now();
-                // Warmup requests complete but stay out of the stats
-                // (start transient, not steady state).
-                if c.index >= args.warmup {
-                    c.result
-                        .latencies_us
-                        .push(now.duration_since(c.sent_at).as_micros() as u64);
-                    c.result.server_latencies_us.push(latency_us);
-                }
-                c.result.completed += 1;
-                c.index += 1;
-                if c.index == args.requests {
-                    c.phase = Phase::Done;
-                } else {
-                    // Uniform in [0.5, 1.5] × think: the same pacing law
-                    // as the threaded path, so sweeps are comparable.
-                    let pause_us = if args.think_ms > 0 {
-                        args.think_ms * 500 + c.jitter.next() % (args.think_ms * 1000)
-                    } else {
-                        0
-                    };
-                    c.phase = Phase::Thinking;
-                    c.next_send_at = now + Duration::from_micros(pause_us);
-                    heap.push(Reverse((c.next_send_at, id)));
-                }
-                Ok(())
-            }
-            Frame::Error {
-                id: got,
-                code: ErrorCode::Overloaded,
-                tenant,
-                ..
-            } if got == rid => {
-                // Stay closed-loop: jittered backoff, then reissue the
-                // same request (the blocking client's retry, event-shaped).
-                if !c.result.tenant.is_empty() && tenant != c.result.tenant {
-                    c.result.mislabeled_overloads += 1;
-                }
-                c.result.overload_rounds += 1;
-                c.phase = Phase::Thinking;
-                c.next_send_at =
-                    Instant::now() + Duration::from_micros(1_000 + c.jitter.next() % 4_000);
-                heap.push(Reverse((c.next_send_at, id)));
-                Ok(())
-            }
-            Frame::Error { code, detail, .. } => Err(format!("server error {code:?}: {detail}")),
-            other => Err(format!("unexpected frame {other:?}")),
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(50)),
         }
     }
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// Failed requests plus, when the connection ended early, one for that.
+fn error_count(r: &ConnResult) -> u64 {
+    r.failed.len() as u64 + u64::from(r.error.is_some())
 }
 
-fn sorted_all(results: &[ConnResult], pick: impl Fn(&ConnResult) -> &[u64]) -> Vec<u64> {
+/// Prints every failed request and every connection that ended early.
+fn report_failures(results: &[ConnResult], prefix: &str) {
+    for r in results {
+        for (request, e) in &r.failed {
+            eprintln!("{prefix}conn {} request {request} failed: {e}", r.conn);
+        }
+        if let Some(e) = &r.error {
+            eprintln!("{prefix}conn {} failed: {e}", r.conn);
+        }
+    }
+}
+
+/// Writes `lines` as JSONL to `--out`, when given; exits 2 if the
+/// write fails.
+fn write_out(args: &Args, lines: &[String]) {
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, lines.join("\n") + "\n") {
+            eprintln!("writing {path} failed: {e}");
+            std::process::exit(2);
+        }
+        println!("results written to {path}");
+    }
+}
+
+/// With `--shutdown`, drains and stops the server; exits 2 if it
+/// cannot.
+fn shutdown_if_asked(args: &Args) {
+    if args.shutdown {
+        match Client::connect(&args.addr).and_then(|mut c| c.shutdown_server()) {
+            Ok(()) => println!("server drained and stopped"),
+            Err(e) => {
+                eprintln!("shutdown failed: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
+fn sorted_all<'a>(
+    results: impl IntoIterator<Item = &'a ConnResult>,
+    pick: impl Fn(&ConnResult) -> &[u64],
+) -> Vec<u64> {
     let mut all: Vec<u64> = results
-        .iter()
+        .into_iter()
         .flat_map(|r| pick(r).iter().copied())
         .collect();
     all.sort_unstable();
@@ -834,17 +427,18 @@ fn jsonl_line(r: &ConnResult) -> String {
     let mut sorted = r.latencies_us.clone();
     sorted.sort_unstable();
     format!(
-        "{{\"conn\":{},\"tenant\":{:?},\"completed\":{},\"overload_rounds\":{},\"mislabeled_overloads\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"error\":{}}}",
+        "{{\"conn\":{},\"tenant\":{:?},\"completed\":{},\"failed\":{},\"overload_rounds\":{},\"mislabeled_overloads\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"error\":{}}}",
         r.conn,
         r.tenant,
         r.completed,
+        r.failed.len(),
         r.overload_rounds,
         r.mislabeled_overloads,
         percentile(&sorted, 0.50),
         percentile(&sorted, 0.95),
         percentile(&sorted, 0.99),
         match &r.error {
-            Some(e) => format!("{:?}", e),
+            Some(e) => format!("{:?}", e.to_string()),
             None => "null".to_string(),
         }
     )
@@ -864,11 +458,7 @@ fn tenant_aggregate_lines(results: &[ConnResult]) -> Vec<String> {
         .map(|t| {
             let of_tenant: Vec<&ConnResult> =
                 results.iter().filter(|r| r.tenant == *t).collect();
-            let mut all: Vec<u64> = of_tenant
-                .iter()
-                .flat_map(|r| r.latencies_us.iter().copied())
-                .collect();
-            all.sort_unstable();
+            let all = sorted_all(of_tenant.iter().copied(), |r| &r.latencies_us);
             format!(
                 "{{\"type\":\"tenant_aggregate\",\"tenant\":{:?},\"conns\":{},\"completed\":{},\"overload_rounds\":{},\"mislabeled_overloads\":{},\"p50_us\":{},\"p99_us\":{}}}",
                 t,
@@ -926,22 +516,23 @@ fn run_cluster_mode(args: &Args) -> ! {
         report.points.first().map_or(0, |p| p.nodes),
         report.points.last().map_or(0, |p| p.nodes)
     );
-    if let Some(path) = &args.out {
-        let body = report.jsonl_lines().join("\n") + "\n";
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("writing {path} failed: {e}");
-            std::process::exit(2);
-        }
-        println!("results written to {path}");
+    write_out(args, &report.jsonl_lines());
+    let mut failed = false;
+    for p in report.points.iter().filter(|p| p.errors > 0) {
+        eprintln!(
+            "error: {} request(s) failed at {} node(s)",
+            p.errors, p.nodes
+        );
+        failed = true;
     }
     if args.min_scaling > 0.0 && scaling < args.min_scaling {
         eprintln!(
             "error: scaling {scaling:.2}x is below the required {:.2}x",
             args.min_scaling
         );
-        std::process::exit(2);
+        failed = true;
     }
-    std::process::exit(0);
+    std::process::exit(if failed { 2 } else { 0 });
 }
 
 /// One measured connection count in a `--conns-sweep` run.
@@ -981,37 +572,24 @@ fn run_conn_sweep(args: &Args) -> ! {
         "cs-netload: sweeping {:?} conns x {} requests against {} (model \"{}\", seed {}, think {} ms)",
         args.conns_sweep, args.requests, args.addr, args.model, args.seed, args.think_ms
     );
-    // Probe the model shape once; every connection reuses it.
-    let n_in = match Client::connect(&args.addr).and_then(|mut c| c.model_info(&args.model)) {
-        Ok((n_in, _)) => n_in as usize,
-        Err(e) => {
-            eprintln!("error: model query against {} failed: {e}", args.addr);
-            std::process::exit(1);
-        }
-    };
+    let n_in = model_width(args);
     let mut points: Vec<ConnSweepPoint> = Vec::new();
     let mut failed = 0u64;
     for &conns in &args.conns_sweep {
-        let results = evloop::run_load_event(args, conns, n_in);
+        let results = run(args, conns, n_in);
         let client_all = sorted_all(&results, |r| &r.latencies_us);
         let server_all = sorted_all(&results, |r| &r.server_latencies_us);
         let point = ConnSweepPoint {
             conns,
             completed: results.iter().map(|r| r.completed).sum(),
             overload_rounds: results.iter().map(|r| r.overload_rounds).sum(),
-            errors: results.iter().filter(|r| r.error.is_some()).count() as u64,
+            errors: results.iter().map(error_count).sum(),
             client_p99_us: percentile(&client_all, 0.99),
             server_p50_us: percentile(&server_all, 0.50),
             server_p95_us: percentile(&server_all, 0.95),
             server_p99_us: percentile(&server_all, 0.99),
         };
-        for r in results.iter().filter(|r| r.error.is_some()) {
-            eprintln!(
-                "  conns={conns} conn {} failed: {}",
-                r.conn,
-                r.error.as_deref().unwrap_or("")
-            );
-        }
+        report_failures(&results, &format!("  conns={conns} "));
         println!(
             "  {} conns: {} completed, {} errors, server p50 {} us / p95 {} us / p99 {} us, client p99 {} us",
             point.conns,
@@ -1026,19 +604,10 @@ fn run_conn_sweep(args: &Args) -> ! {
         points.push(point);
     }
 
-    if let Some(path) = &args.out {
-        let body = points
-            .iter()
-            .map(ConnSweepPoint::jsonl)
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("writing {path} failed: {e}");
-            std::process::exit(2);
-        }
-        println!("results written to {path}");
-    }
+    write_out(
+        args,
+        &points.iter().map(ConnSweepPoint::jsonl).collect::<Vec<_>>(),
+    );
 
     let mut gate_failed = false;
     if args.max_p99_ratio > 0.0 {
@@ -1065,44 +634,12 @@ fn run_conn_sweep(args: &Args) -> ! {
         }
     }
 
-    if args.shutdown {
-        match Client::connect(&args.addr).and_then(|mut c| c.shutdown_server()) {
-            Ok(()) => println!("server drained and stopped"),
-            Err(e) => {
-                eprintln!("shutdown failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    shutdown_if_asked(args);
 
     if failed > 0 || gate_failed {
         std::process::exit(2);
     }
     std::process::exit(0);
-}
-
-/// Polls the endpoint until the target model resolves (or the deadline
-/// passes). Against an orchestrator this waits out the window between
-/// "listener up" and "first worker registered", so scripted multi-process
-/// bring-up doesn't race worker registration.
-fn wait_ready(args: &Args) {
-    let deadline = Instant::now() + std::time::Duration::from_secs(args.wait_ready_secs);
-    loop {
-        let ready = Client::connect(&args.addr)
-            .and_then(|mut c| c.model_info(&args.model))
-            .is_ok();
-        if ready {
-            return;
-        }
-        if Instant::now() >= deadline {
-            eprintln!(
-                "error: {} did not serve model {:?} within {}s",
-                args.addr, args.model, args.wait_ready_secs
-            );
-            std::process::exit(1);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
 }
 
 /// Sends one `LoadModel` per spec over a fresh control connection,
@@ -1162,13 +699,11 @@ fn main() {
     if !args.loads.is_empty() {
         apply_loads(&args.addr, &args.loads, "load", bringup_deadline);
     }
-    if args.wait_ready_secs > 0 {
-        wait_ready(&args);
-    }
     if !args.conns_sweep.is_empty() {
         run_conn_sweep(&args);
     }
 
+    let n_in = model_width(&args);
     // The mid-sweep loader: fire the lifecycle frames from a side
     // connection once half the expected requests have completed, so
     // promotion/eviction/reload land under live traffic. The done flag
@@ -1192,7 +727,7 @@ fn main() {
         })
     });
 
-    let results = run_load(&args, args.conns);
+    let results = run(&args, args.conns, n_in);
     SWEEP_DONE.store(true, Ordering::Relaxed);
     if let Some(h) = mid_loader {
         if h.join().is_err() {
@@ -1205,7 +740,7 @@ fn main() {
     let completed: u64 = results.iter().map(|r| r.completed).sum();
     let retries: u64 = results.iter().map(|r| r.overload_rounds).sum();
     let mislabeled: u64 = results.iter().map(|r| r.mislabeled_overloads).sum();
-    let failed: Vec<&ConnResult> = results.iter().filter(|r| r.error.is_some()).collect();
+    let failed: u64 = results.iter().map(error_count).sum();
 
     println!(
         "cs-netload: {} conns x {} requests against {} (model \"{}\", seed {})",
@@ -1225,15 +760,9 @@ fn main() {
             eprintln!("error: {mislabeled} overload rejections echoed the wrong tenant label");
         }
     }
-    for r in &failed {
-        eprintln!(
-            "conn {} failed: {}",
-            r.conn,
-            r.error.as_deref().unwrap_or("")
-        );
-    }
+    report_failures(&results, "");
 
-    if let Some(path) = &args.out {
+    if args.out.is_some() {
         let mut lines: Vec<String> = results.iter().map(jsonl_line).collect();
         lines.extend(tenant_aggregate_lines(&results));
         lines.push(format!(
@@ -1245,25 +774,12 @@ fn main() {
             percentile(&all, 0.95),
             percentile(&all, 0.99),
         ));
-        let body = lines.join("\n") + "\n";
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("writing {path} failed: {e}");
-            std::process::exit(2);
-        }
-        println!("results written to {path}");
+        write_out(&args, &lines);
     }
 
-    if args.shutdown {
-        match Client::connect(&args.addr).and_then(|mut c| c.shutdown_server()) {
-            Ok(()) => println!("server drained and stopped"),
-            Err(e) => {
-                eprintln!("shutdown failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    shutdown_if_asked(&args);
 
-    if !failed.is_empty() || mislabeled > 0 {
+    if failed > 0 || mislabeled > 0 {
         std::process::exit(2);
     }
 }

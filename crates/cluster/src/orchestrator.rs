@@ -26,8 +26,7 @@
 //! **exactly once**. A second transport failure answers
 //! `WorkerLost`; no healthy replica at pick time answers `NoReplica`.
 //! Replica-side typed errors (overload, shape mismatch) are relayed
-//! verbatim and never retried — backoff is the client's decision
-//! ([`cs_net::RetryPolicy`]).
+//! verbatim and never retried — backoff is the client's decision.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -3,7 +3,8 @@
 //!
 //! Every point stands up a fresh cluster replicating the same
 //! compressed MLP across all nodes, runs the same seeded closed-loop
-//! client load against the orchestrator (request shapes come from
+//! load against the orchestrator through [`cs_net::load`] (one thread
+//! drives every connection, and request shapes come from
 //! [`cs_serve::loadgen::request_input`], so a sweep is replayable from
 //! its seed), and reads each node's final serving snapshot.
 //!
@@ -15,11 +16,12 @@
 //! bound the finish line. Perfectly balanced routing scales it by the
 //! node count; imbalance shows up directly as a sub-linear curve.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use cs_net::{Client, RetryPolicy};
+use cs_net::load::{run_closed_loop, LoadPlan};
 use cs_nn::spec::Scale;
-use cs_serve::loadgen::request_input;
 use cs_serve::{ExecBackend, ModelRegistry, ServableModel, ServeConfig};
 
 use crate::error::ClusterError;
@@ -34,7 +36,7 @@ pub struct ClusterSweepConfig {
     pub conns: usize,
     /// Requests each connection issues.
     pub requests_per_conn: usize,
-    /// Seed for request shapes, model weights, and retry jitter.
+    /// Seed for request shapes, model weights, and backoff jitter.
     pub seed: u64,
     /// Reduced model scale (as `cs-serve`'s loadgen).
     pub scale: usize,
@@ -65,7 +67,7 @@ pub struct ClusterSweepPoint {
     pub nodes: usize,
     /// Requests answered with a routed response.
     pub completed: u64,
-    /// Requests answered with an error (after client-side retry).
+    /// Requests answered with a typed non-overload error.
     pub errors: u64,
     /// Responses grouped by the node identity stamped in the reply
     /// (sorted by node name).
@@ -144,13 +146,13 @@ impl ClusterSweepReport {
 
 /// Runs the sweep. Each point is an independent cluster; the load is
 /// closed-loop (every connection keeps exactly one request in flight)
-/// with seeded-backoff retry on overload, so admission control shapes
+/// and backs off and reissues on overload, so admission control shapes
 /// the curve instead of failing it.
 ///
 /// # Errors
 ///
-/// Cluster startup failures, client transport errors, or a client
-/// thread dying.
+/// Cluster startup failures, or a client connection that ended early
+/// (transport, protocol or connection-level error).
 pub fn run_cluster_sweep(cfg: &ClusterSweepConfig) -> Result<ClusterSweepReport, ClusterError> {
     if cfg.node_counts.is_empty() || cfg.conns == 0 || cfg.requests_per_conn == 0 {
         return Err(ClusterError::InvalidConfig(
@@ -193,55 +195,29 @@ fn run_point(
             Ok(registry)
         },
     )?;
-    let addr = cluster.orch_addr();
-    let requests = cfg.requests_per_conn;
-    let mut handles = Vec::with_capacity(cfg.conns);
-    for conn in 0..cfg.conns {
-        let addr = addr.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("cs-cluster-load-{conn}"))
-            .spawn(move || -> Result<(Vec<(String, u64)>, u64), ClusterError> {
-                let mut client = Client::connect(&addr)?;
-                let policy = RetryPolicy {
-                    seed: seed ^ conn as u64,
-                    ..RetryPolicy::default()
-                };
-                let mut by_node: Vec<(String, u64)> = Vec::new();
-                let mut errors = 0u64;
-                for i in 0..requests {
-                    let rid = (conn * requests + i) as u64;
-                    let input = request_input(n_in, rid, seed);
-                    match client.request_with_retry("mlp", &input, &policy) {
-                        Ok(resp) => match by_node.iter_mut().find(|(n, _)| *n == resp.node) {
-                            Some((_, c)) => *c += 1,
-                            None => by_node.push((resp.node, 1)),
-                        },
-                        Err(cs_net::NetError::Remote { .. }) => errors += 1,
-                        Err(e) => return Err(ClusterError::Net(e)),
-                    }
-                }
-                Ok((by_node, errors))
-            })
-            .map_err(|e| ClusterError::InvalidConfig(format!("spawning load thread: {e}")))?;
-        handles.push(handle);
-    }
-    let mut per_node: Vec<(String, u64)> = Vec::new();
+    let plan = LoadPlan {
+        addr: cluster.orch_addr(),
+        model: "mlp".to_string(),
+        n_in,
+        seed,
+        requests: cfg.requests_per_conn as u64,
+        warmup: 0,
+        think_ms: 0,
+        tenants: vec![String::new(); cfg.conns],
+    };
+    let mut per_node: BTreeMap<String, u64> = BTreeMap::new();
     let mut completed = 0u64;
     let mut errors = 0u64;
-    for handle in handles {
-        let (by_node, errs) = handle
-            .join()
-            .map_err(|_| ClusterError::InvalidConfig("load thread panicked".to_string()))??;
-        errors += errs;
-        for (node, count) in by_node {
-            completed += count;
-            match per_node.iter_mut().find(|(n, _)| *n == node) {
-                Some((_, c)) => *c += count,
-                None => per_node.push((node, count)),
-            }
+    for result in run_closed_loop(&plan, &AtomicU64::new(0))? {
+        if let Some(e) = result.error {
+            return Err(ClusterError::Net(e));
+        }
+        completed += result.completed;
+        errors += result.failed.len() as u64;
+        for (node, count) in result.by_node {
+            *per_node.entry(node).or_default() += count;
         }
     }
-    per_node.sort_by(|a, b| a.0.cmp(&b.0));
     let snapshots = cluster.stop()?;
     let hw_completed: u64 = snapshots.iter().map(|(_, s)| s.hw_completed).sum();
     let max_makespan_cycles = snapshots
@@ -258,7 +234,7 @@ fn run_point(
         nodes,
         completed,
         errors,
-        per_node_completed: per_node,
+        per_node_completed: per_node.into_iter().collect(),
         hw_completed,
         max_makespan_cycles,
         aggregate_hw_rps,

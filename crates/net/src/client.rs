@@ -1,7 +1,7 @@
 //! Blocking client for the cs-net protocol.
 //!
 //! [`Client`] owns one TCP connection and issues one request at a time
-//! (the load generator opens several clients for concurrency). Replies
+//! (many-connection load goes through [`crate::load`] instead). Replies
 //! are matched against the request id and frame type; anything else is
 //! a [`NetError::Protocol`]. Server-side failures arrive as typed
 //! [`crate::wire::ErrorCode`]s in [`NetError::Remote`] — including the
@@ -65,62 +65,21 @@ pub struct NetResponse {
     pub node: String,
 }
 
-/// Bounded exponential-backoff policy for retrying
-/// [`crate::wire::ErrorCode::Overloaded`] replies (opt-in; see
-/// [`Client::request_with_retry`]). Sleep before attempt `k` (1-based)
-/// is `min(base_us << (k - 1), max_us)` plus a jitter drawn uniformly
-/// from `[0, sleep / 2]` by a SplitMix64 PRNG seeded from `seed`, so
-/// load sweeps that retry stay seed-replayable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 disables retrying).
-    pub max_retries: u32,
-    /// Backoff before the first retry, microseconds.
-    pub base_us: u64,
-    /// Backoff ceiling, microseconds.
-    pub max_us: u64,
-    /// Seed for the jitter PRNG.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 6,
-            base_us: 200,
-            max_us: 50_000,
-            seed: 0,
-        }
-    }
-}
-
-/// Deterministic jitter source for [`RetryPolicy`] (SplitMix64, same
-/// generator the load shapes use).
-#[derive(Debug, Clone)]
-pub(crate) struct RetryJitter {
-    state: u64,
-}
-
-impl RetryJitter {
-    pub(crate) fn new(seed: u64) -> Self {
-        RetryJitter { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw from `[0, bound]`.
-    pub(crate) fn up_to(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        self.next_u64() % (bound + 1)
-    }
+/// Resolves `addr` and opens a TCP connection to its first address
+/// within `timeout`, with Nagle off: the dial [`Client`] and
+/// [`crate::load`] share.
+pub(crate) fn dial(addr: &str, timeout: Duration) -> Result<TcpStream, NetError> {
+    let resolved: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| NetError::InvalidConfig(format!("bad address {addr:?}: {e}")))?
+        .collect();
+    let first = resolved
+        .first()
+        .ok_or_else(|| NetError::InvalidConfig(format!("address {addr:?} resolves to nothing")))?;
+    let stream =
+        TcpStream::connect_timeout(first, timeout).map_err(|e| NetError::from_io("connect", &e))?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// A blocking connection to a [`crate::NetServer`].
@@ -148,16 +107,7 @@ impl Client {
     ///
     /// As [`Client::connect`].
     pub fn connect_with(addr: &str, cfg: ClientConfig) -> Result<Client, NetError> {
-        let resolved: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| NetError::InvalidConfig(format!("bad address {addr:?}: {e}")))?
-            .collect();
-        let first = resolved.first().ok_or_else(|| {
-            NetError::InvalidConfig(format!("address {addr:?} resolves to nothing"))
-        })?;
-        let stream = TcpStream::connect_timeout(first, cfg.connect_timeout)
-            .map_err(|e| NetError::from_io("connect", &e))?;
-        let _ = stream.set_nodelay(true);
+        let stream = dial(addr, cfg.connect_timeout)?;
         stream
             .set_read_timeout(cfg.read_timeout)
             .map_err(|e| NetError::from_io("set read timeout", &e))?;
@@ -282,59 +232,6 @@ impl Client {
                 "expected response or error, got {:?}",
                 other.frame_type()
             ))),
-        }
-    }
-
-    /// Like [`Client::request`], but sleeps out a bounded exponential
-    /// backoff and retries when the server answers `Overloaded`. Any
-    /// other failure — transport, protocol, or a different remote code
-    /// — propagates immediately; when the retry budget runs out the
-    /// last `Overloaded` error is returned.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`].
-    pub fn request_with_retry(
-        &mut self,
-        model: &str,
-        input: &[f32],
-        policy: &RetryPolicy,
-    ) -> Result<NetResponse, NetError> {
-        self.request_with_retry_as(model, "", input, policy)
-    }
-
-    /// [`Client::request_with_retry`] billed against `tenant`: a tenant
-    /// over quota draws the same `Overloaded` backoff as a full
-    /// admission queue, so per-tenant shedding and global shedding are
-    /// retried identically.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request_as`].
-    pub fn request_with_retry_as(
-        &mut self,
-        model: &str,
-        tenant: &str,
-        input: &[f32],
-        policy: &RetryPolicy,
-    ) -> Result<NetResponse, NetError> {
-        let mut jitter = RetryJitter::new(policy.seed);
-        let mut attempt = 0u32;
-        loop {
-            match self.request_as(model, tenant, input) {
-                Err(e) if e.is_overloaded() && attempt < policy.max_retries => {
-                    let shift = attempt.min(63);
-                    let sleep = policy
-                        .base_us
-                        .checked_shl(shift)
-                        .unwrap_or(u64::MAX)
-                        .min(policy.max_us.max(policy.base_us));
-                    let sleep = sleep.saturating_add(jitter.up_to(sleep / 2));
-                    std::thread::sleep(Duration::from_micros(sleep));
-                    attempt += 1;
-                }
-                other => return other,
-            }
         }
     }
 

@@ -14,9 +14,7 @@
 //!   incremental decode and coalesced nonblocking encode, the state
 //!   machines behind the server's event loop.
 //! * [`poll`] — a zero-dependency epoll binding. The server is built on
-//!   it, and it is public so event-driven clients (the `cs-netload`
-//!   connection sweep drives a thousand sockets from one thread) can
-//!   share the same readiness primitive.
+//!   it, and so is the load client in [`load`].
 //! * [`server`] — [`NetServer`]: one epoll event loop (`reactor`, a
 //!   private module over [`poll`]) owning every socket, scaling to
 //!   thousands of connections, with per-connection FIFO reply order, a
@@ -24,8 +22,11 @@
 //!   slow-consumer disconnects, and telemetry. Finished jobs ring the
 //!   loop themselves ([`cs_serve::Doorbell`]): a serving process runs
 //!   its workers plus this one thread.
-//! * [`client`] — [`Client`]: a blocking caller with typed errors and
-//!   an opt-in seeded-backoff retry for overload.
+//! * [`client`] — [`Client`]: a blocking caller with typed errors.
+//! * [`load`] — [`load::run_closed_loop`]: the one socket load
+//!   generator. It drives many closed-loop connections from one thread
+//!   and backs off and reissues on overload; `cs-netload` and the
+//!   cluster sweep both run it.
 //! * [`agent`] — [`WorkerAgent`]: the worker-side cluster control
 //!   plane (register/heartbeat/drain against a `cs-cluster`
 //!   orchestrator).
@@ -67,6 +68,7 @@ pub mod agent;
 pub mod assembler;
 pub mod client;
 pub mod error;
+pub mod load;
 pub mod poll;
 mod reactor;
 pub mod server;
@@ -75,7 +77,7 @@ pub mod wire;
 
 pub use agent::{AgentConfig, WorkerAgent};
 pub use assembler::{FrameAssembler, WriteBuffer};
-pub use client::{Client, ClientConfig, NetResponse, RetryPolicy};
+pub use client::{Client, ClientConfig, NetResponse};
 pub use error::NetError;
 pub use server::{NetConfig, NetServer, NetShutdownHandle, Transport};
 pub use wire::{

@@ -6,13 +6,14 @@
 //! Every test that stands up a [`NetServer`] gets a fresh server and
 //! telemetry registry, so exact counter assertions hold per test.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cs_net::load::{run_closed_loop, LoadPlan};
 use cs_net::transport::{read_frame, write_frame};
 use cs_net::wire::{ErrorCode, Frame};
-use cs_net::{Client, ClientConfig, NetConfig, NetError, NetServer, RetryPolicy};
+use cs_net::{Client, ClientConfig, NetConfig, NetError, NetServer};
 use cs_nn::spec::Scale;
 use cs_serve::loadgen::request_input;
 use cs_serve::{
@@ -730,9 +731,13 @@ fn worker_death_answers_every_pipelined_request_once_in_order() {
     net.shutdown();
 }
 
-/// A stub endpoint that sheds the first `shed` requests with
-/// `Overloaded`, then answers; returns how many requests it saw.
-fn overload_stub(shed: u32) -> (std::net::SocketAddr, std::thread::JoinHandle<u32>) {
+/// A stub endpoint that answers the first `shed` requests with a
+/// `code` error frame, then answers one with a response and closes;
+/// returns how many requests it saw.
+fn shedding_stub(
+    code: ErrorCode,
+    shed: u32,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<u32>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let handle = std::thread::spawn(move || -> u32 {
@@ -749,9 +754,9 @@ fn overload_stub(shed: u32) -> (std::net::SocketAddr, std::thread::JoinHandle<u3
             let reply = if attempts <= shed {
                 Frame::Error {
                     id,
-                    code: ErrorCode::Overloaded,
+                    code,
                     tenant: String::new(),
-                    detail: "backpressure".to_string(),
+                    detail: "shed".to_string(),
                 }
             } else {
                 Frame::Response {
@@ -776,41 +781,86 @@ fn overload_stub(shed: u32) -> (std::net::SocketAddr, std::thread::JoinHandle<u3
     (addr, handle)
 }
 
-#[test]
-fn request_with_retry_backs_off_through_overload() {
-    let (addr, server) = overload_stub(2);
-    let mut client = Client::connect(&addr.to_string()).expect("connect");
-    let policy = RetryPolicy {
-        max_retries: 5,
-        base_us: 10,
-        max_us: 200,
+/// An unpaced, untenanted closed-loop plan.
+fn load_plan(addr: String, n_in: usize, conns: usize, requests: u64) -> LoadPlan {
+    LoadPlan {
+        addr,
+        model: "mlp".to_string(),
+        n_in,
         seed: 1,
-    };
-    let resp = client
-        .request_with_retry("mlp", &[1.0, 2.0], &policy)
-        .expect("retried through overload");
-    assert_eq!(resp.node, "stub");
-    assert_eq!(resp.outputs, vec![1.0, 2.0]);
-    // Two sheds plus the success: the policy retried exactly as needed.
+        requests,
+        warmup: 0,
+        think_ms: 0,
+        tenants: vec![String::new(); conns],
+    }
+}
+
+#[test]
+fn load_client_reissues_an_overloaded_request_until_it_lands() {
+    let (addr, server) = shedding_stub(ErrorCode::Overloaded, 2);
+    let progress = AtomicU64::new(0);
+    let results = run_closed_loop(&load_plan(addr.to_string(), 2, 1, 1), &progress).expect("run");
+    let r = &results[0];
+    assert_eq!(r.error, None);
+    assert_eq!(r.completed, 1);
+    assert_eq!(r.overload_rounds, 2);
+    assert!(r.failed.is_empty());
+    assert_eq!(r.by_node.get("stub"), Some(&1));
+    assert_eq!(progress.load(Ordering::Relaxed), 1);
+    // Two sheds plus the success, all under the same request id.
     assert_eq!(server.join().expect("stub"), 3);
 }
 
 #[test]
-fn request_with_retry_budget_is_bounded() {
-    // The stub sheds more than the budget allows: the last Overloaded
-    // error must surface, after exactly 1 + max_retries attempts.
-    let (addr, server) = overload_stub(100);
-    let mut client = Client::connect(&addr.to_string()).expect("connect");
-    let policy = RetryPolicy {
-        max_retries: 2,
-        base_us: 10,
-        max_us: 200,
-        seed: 9,
-    };
-    let err = client
-        .request_with_retry("mlp", &[0.5], &policy)
-        .expect_err("budget exhausted");
-    assert!(err.is_overloaded());
-    drop(client); // closes the stream so the stub's read loop ends
-    assert_eq!(server.join().expect("stub"), 3);
+fn load_client_counts_a_typed_error_and_moves_on() {
+    let (addr, server) = shedding_stub(ErrorCode::ShapeMismatch, 1);
+    let plan = load_plan(addr.to_string(), 2, 1, 2);
+    let results = run_closed_loop(&plan, &AtomicU64::new(0)).expect("run");
+    let r = &results[0];
+    assert_eq!(r.error, None);
+    assert_eq!(r.overload_rounds, 0);
+    assert_eq!(r.failed.len(), 1);
+    let (request, err) = &r.failed[0];
+    assert_eq!(*request, 0);
+    assert!(
+        matches!(
+            err,
+            NetError::Remote {
+                code: ErrorCode::ShapeMismatch,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    // The failed request is not reissued: the next one completes.
+    assert_eq!(r.completed, 1);
+    assert_eq!(server.join().expect("stub"), 2);
+}
+
+#[test]
+fn load_client_reports_a_refused_connection_by_its_typed_code() {
+    let (net, n_in, _registry) = start_net_with_registry(
+        ExecBackend::Sparse,
+        1,
+        NetConfig {
+            max_connections: 4,
+            ..NetConfig::default()
+        },
+    );
+    let plan = load_plan(net.local_addr().to_string(), n_in, 6, 5);
+    let results = run_closed_loop(&plan, &AtomicU64::new(0)).expect("run");
+    let errors: Vec<String> = results
+        .iter()
+        .flat_map(|r| {
+            let failed = r.failed.iter().map(|(_, e)| e.to_string());
+            failed.chain(r.error.iter().map(|e| e.to_string()))
+        })
+        .collect();
+    assert_eq!(errors.len(), 2, "{errors:?}");
+    for e in &errors {
+        assert!(e.contains("connection-limit"), "{e}");
+        assert!(!e.contains("hangup") && !e.contains("protocol"), "{e}");
+    }
+    assert_eq!(results.iter().filter(|r| r.completed == 5).count(), 4);
+    net.shutdown();
 }
