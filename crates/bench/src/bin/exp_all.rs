@@ -1,88 +1,79 @@
-//! Regenerates every table and figure in one run, writing each artifact
-//! to `results/<experiment>.txt`.
+//! Writes the paper's tables and figures to `results/<stem>.txt` from the
+//! one experiment table, [`cambricon_s::experiments::TABLE`]: the named
+//! entries, or every entry when none is named. Each entry runs with the
+//! scale, seed and parameters the table holds for it; `--quick` shrinks
+//! only the training runs and the gate sweep to their smoke sizes.
 //!
 //! ```text
-//! cargo run --release -p cs-bench --bin exp_all -- --scale 2
+//! cargo run --release -p cs-bench --bin exp_all
+//! cargo run --release -p cs-bench --bin exp_all -- exp_tab06_hw exp_fig15_speedup
+//! cargo run --release -p cs-bench --bin exp_all -- --quick exp_fig08_max_vs_avg
 //! ```
+//!
+//! Exits 1 on a usage or write error and 2 if any entry failed (the
+//! gate sweep fails when a gated output bit differs from the dense
+//! reference); the other entries are still written.
 
-use cambricon_s::experiments::*;
-use cambricon_s::prelude::LayerClass;
-use std::fs;
 use std::path::Path;
+use std::time::Instant;
 
-fn save(name: &str, content: &str) {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir).expect("create results dir");
-    fs::write(dir.join(format!("{name}.txt")), content).expect("write artifact");
-    println!("wrote results/{name}.txt");
+use cambricon_s::experiments::{self, Experiment, TABLE};
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: exp_all [--quick] [artifact...]");
+    eprintln!("artifacts:");
+    for e in TABLE {
+        eprintln!("  {} ({})", e.stem, e.args);
+    }
+    std::process::exit(1);
 }
 
 fn main() {
-    let scale = cs_bench::scale_from_args();
-    let seed = cs_bench::SEED;
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut quick = false;
+    let mut selected: Vec<&Experiment> = Vec::new();
+    for a in std::env::args().skip(1) {
+        if a == "--quick" {
+            quick = true;
+        } else if let Some(e) = experiments::find(&a) {
+            selected.push(e);
+        } else {
+            usage_error(&format!("unknown argument {a:?}"));
+        }
+    }
+    if selected.is_empty() {
+        selected = TABLE.iter().collect();
+    }
 
-    save(
-        "exp_fig01_local_convergence",
-        &fig01::run(256, seed).render(),
-    );
-    save("exp_fig04_cdf", &fig04::run(scale, seed).render());
-    save(
-        "exp_tab02_blocksize",
-        &tab02::run(scale, seed).expect("tab02").render(),
-    );
-    save("exp_tab03_sparsity", &tab03::run(scale, seed).render());
-    let fig08_params = if quick {
-        fig08::Fig08Params::smoke()
-    } else {
-        fig08::Fig08Params::full()
-    };
-    save(
-        "exp_fig08_max_vs_avg",
-        &fig08::run(&fig08_params).expect("fig08").render(),
-    );
-    save(
-        "exp_tab04_compression",
-        &tab04::run(scale, seed).expect("tab04").render(),
-    );
-    save(
-        "exp_tab05_comparison",
-        &tab05::run(scale, seed).expect("tab05").render(),
-    );
-    save("exp_tab06_hw", &tab06::run().render());
-    save("exp_fig15_speedup", &fig15::run(None).render());
-    save(
-        "exp_fig16_conv_speedup",
-        &fig15::run(Some(LayerClass::Convolutional)).render(),
-    );
-    save(
-        "exp_fig17_fc_speedup",
-        &fig15::run(Some(LayerClass::FullyConnected)).render(),
-    );
-    let energy = fig18::run();
-    save("exp_fig18_energy", &energy.render());
-    save("exp_fig19_breakdown", &energy.render_fig19());
-    save("exp_fig20_breakdown_onchip", &energy.render_fig20());
-    save("exp_fig21_sensitivity", &fig21::run().render());
-    save("exp_tab07_eie", &tab07::run().render());
-    save("exp_disc_ablations", &disc::run().render());
-    save(
-        "exp_ext_entropy",
-        &ext_entropy::run(scale, seed).expect("ext_entropy").render(),
-    );
-    save("exp_ext_dse", &ext_dse::run(scale, seed).render());
-    save("exp_ext_table1", &ext_table1::run().render());
-    save("exp_ext_scaling", &ext_scaling::run().render());
-    let ext_structured_params = if quick {
-        ext_structured::ExtStructuredParams::smoke()
-    } else {
-        ext_structured::ExtStructuredParams::full()
-    };
-    save(
-        "exp_ext_structured",
-        &ext_structured::run(&ext_structured_params)
-            .expect("ext_structured")
-            .render(),
-    );
-    println!("all artifacts regenerated");
+    let dir = Path::new("results");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("error: creating {}: {e}", dir.display());
+        std::process::exit(1);
+    }
+    let mut failed = 0usize;
+    for e in selected {
+        let t0 = Instant::now();
+        match e.run(quick) {
+            Ok(text) => {
+                let path = dir.join(format!("{}.txt", e.stem));
+                if let Err(err) = std::fs::write(&path, text) {
+                    eprintln!("error: writing {}: {err}", path.display());
+                    std::process::exit(1);
+                }
+                println!(
+                    "wrote {} ({}) in {:.1} s",
+                    path.display(),
+                    e.args,
+                    t0.elapsed().as_secs_f64()
+                );
+            }
+            Err(err) => {
+                eprintln!("FAIL: {}: {err}", e.stem);
+                failed += 1;
+            }
+        }
+    }
+    if failed > 0 {
+        std::process::exit(2);
+    }
 }

@@ -1,5 +1,5 @@
 //! Kernel microbenchmarks: dense reference vs the compiled block-CSR
-//! sparse engine, and single- vs multi-thread matmul scaling.
+//! sparse engine.
 //!
 //! Three experiments, each with a bit-identity check before timing:
 //!
@@ -19,18 +19,12 @@
 //! 3. **Conv dense vs sparse** at the paper's conv setting
 //!    (`(1,16,1,1)` blocks): [`cs_compress::engine::CompiledConvLayer`]
 //!    against `ops::conv2d` on the twin weights (informational).
-//! 4. **Parallel matmul scaling**: `ops::matmul_pooled` at 1/2/4
-//!    threads vs the serial kernel. Acceptance floor: ≥ 2× at 4
-//!    threads — checked only when the host actually has ≥ 4 cores,
-//!    otherwise reported as a warning (CI containers are often
-//!    single-core).
 //!
 //! `--metrics-out <path>` writes every measurement as JSONL.
-//! `--threads <n>` caps the thread counts swept (CI uses 2).
 //!
 //! ```text
 //! cargo run --release -p cs-bench --bin exp_kernels
-//! cargo run --release -p cs-bench --bin exp_kernels -- --quick --threads 2 --metrics-out kernels.jsonl
+//! cargo run --release -p cs-bench --bin exp_kernels -- --quick --metrics-out kernels.jsonl
 //! ```
 
 use std::time::Instant;
@@ -40,7 +34,6 @@ use cs_compress::engine::{BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKe
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, TwoFourFcLayer};
 use cs_compress::gate::{self, GatePlan, GatePolicy};
 use cs_nn::data::lif_spike_train;
-use cs_parallel::ThreadPool;
 use cs_sparsity::coarse::{prune_to_density, CoarseConfig};
 use cs_sparsity::{structured, PruneMode};
 use cs_tensor::ops::{self, Conv2dGeometry};
@@ -53,25 +46,16 @@ const DENSITY: f64 = 0.25;
 
 struct Args {
     quick: bool,
-    threads_cap: usize,
     metrics_out: Option<std::path::PathBuf>,
 }
 
 fn parse_args() -> Args {
     let mut quick = false;
-    let mut threads_cap = 4usize;
     let mut metrics_out = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads_cap = n,
-                _ => {
-                    eprintln!("error: --threads requires a positive integer");
-                    std::process::exit(1);
-                }
-            },
             "--metrics-out" => match args.next() {
                 Some(path) => metrics_out = Some(path.into()),
                 None => {
@@ -85,16 +69,12 @@ fn parse_args() -> Args {
             }
         }
     }
-    Args {
-        quick,
-        threads_cap,
-        metrics_out,
-    }
+    Args { quick, metrics_out }
 }
 
 /// Deterministic xorshift values in [-0.5, 0.5), seeded per tensor.
 fn fill(seed: u64, n: usize) -> Vec<f32> {
-    let mut s = seed.wrapping_add(cs_bench::SEED) | 1;
+    let mut s = seed.wrapping_add(cambricon_s::experiments::SEED) | 1;
     (0..n)
         .map(|_| {
             s ^= s << 13;
@@ -163,8 +143,7 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "exp_kernels: host cores = {host_cores}, thread cap = {}, {}",
-        args.threads_cap,
+        "exp_kernels: host cores = {host_cores}, {}",
         if args.quick { "quick" } else { "full" }
     );
 
@@ -497,63 +476,6 @@ fn main() {
         conv_sparse_ns,
         conv_speedup,
     ));
-
-    // ---- 3. Parallel matmul scaling -----------------------------------
-    let (mm, mm_reps) = if args.quick { (160, 4) } else { (384, 4) };
-    let a = Tensor::from_vec(Shape::d2(mm, mm), fill(5, mm * mm))
-        .unwrap_or_else(|e| panic!("mm a: {e}"));
-    let b = Tensor::from_vec(Shape::d2(mm, mm), fill(6, mm * mm))
-        .unwrap_or_else(|e| panic!("mm b: {e}"));
-    let serial = ops::matmul(&a, &b).unwrap_or_else(|e| panic!("mm serial: {e}"));
-    let serial_ns = time_ns(mm_reps, || {
-        let r = ops::matmul(&a, &b).unwrap_or_else(|e| panic!("mm serial: {e}"));
-        std::hint::black_box(r);
-    });
-    println!("matmul {mm}^3 serial: {:.2} ms", serial_ns / 1e6);
-    let mut speedup_at_4 = None;
-    for threads in [1usize, 2, 4] {
-        if threads > args.threads_cap {
-            continue;
-        }
-        let pool = ThreadPool::new(threads);
-        let pooled = ops::matmul_pooled(&a, &b, &pool).unwrap_or_else(|e| panic!("mm pooled: {e}"));
-        assert_eq!(
-            bits(serial.as_slice()),
-            bits(pooled.as_slice()),
-            "pooled matmul must be bit-identical to serial at any thread count"
-        );
-        let pooled_ns = time_ns(mm_reps, || {
-            let r = ops::matmul_pooled(&a, &b, &pool).unwrap_or_else(|e| panic!("mm pooled: {e}"));
-            std::hint::black_box(r);
-        });
-        let speedup = serial_ns / pooled_ns;
-        if threads == 4 {
-            speedup_at_4 = Some(speedup);
-        }
-        println!(
-            "matmul {mm}^3 @ {threads} threads: {:.2} ms, speedup {speedup:.2}x",
-            pooled_ns / 1e6
-        );
-        jsonl.push_str(&kernels_jsonl::matmul_line(
-            mm, threads, serial_ns, pooled_ns, speedup,
-        ));
-    }
-    match speedup_at_4 {
-        Some(s) if host_cores >= 4 => {
-            if s < 2.0 {
-                failures.push(format!(
-                    "parallel matmul speedup {s:.2}x at 4 threads is below the 2x floor"
-                ));
-            }
-        }
-        Some(s) => {
-            eprintln!("warning: host has {host_cores} core(s); 4-thread speedup {s:.2}x not gated")
-        }
-        None => eprintln!(
-            "warning: thread cap {} skipped the 4-thread point; scaling floor not checked",
-            args.threads_cap
-        ),
-    }
 
     if let Some(path) = args.metrics_out {
         match std::fs::write(&path, jsonl) {

@@ -1,7 +1,7 @@
 //! Serving saturation sweep: offered load × worker count × batch size.
 //!
 //! Drives the `cs-serve` runtime with closed-loop clients against the
-//! paper's MLP compressed at the given scale, and prints the saturation
+//! paper's MLP compressed at scale 4, and prints the saturation
 //! table. The headline figure is the simulated-hardware throughput
 //! (each worker models one Cambricon-S accelerator), which must scale
 //! with the worker count once the offered load saturates the pool.
@@ -12,7 +12,7 @@
 //! busy/idle time, …) as JSONL, one series per line.
 //!
 //! ```text
-//! cargo run --release -p cs-bench --bin exp_serve_load -- --scale 4
+//! cargo run --release -p cs-bench --bin exp_serve_load
 //! cargo run --release -p cs-bench --bin exp_serve_load -- --quick
 //! cargo run --release -p cs-bench --bin exp_serve_load -- --quick --metrics-out serve_metrics.jsonl
 //! ```
@@ -42,8 +42,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let metrics_out = metrics_out_path();
     let cfg = SweepConfig {
-        scale: cs_bench::scale_from_args(),
-        seed: cs_bench::SEED,
+        seed: cambricon_s::experiments::SEED,
         requests: if quick { 64 } else { 384 },
         clients: if quick { vec![8] } else { vec![1, 4, 16] },
         workers: vec![1, 2, 4],

@@ -69,20 +69,6 @@ pub fn conv_line(
     )
 }
 
-/// The `experiment:"matmul_scaling"` line: pooled matmul at one thread
-/// count against the serial kernel.
-pub fn matmul_line(
-    n: usize,
-    threads: usize,
-    serial_ns: f64,
-    pooled_ns: f64,
-    speedup: f64,
-) -> String {
-    format!(
-        "{{\"experiment\":\"matmul_scaling\",\"n\":{n},\"threads\":{threads},\"serial_ns\":{serial_ns:.0},\"pooled_ns\":{pooled_ns:.0},\"speedup\":{speedup:.3}}}\n"
-    )
-}
-
 /// Minimal JSON scanner: extracts `(name, type)` pairs from one flat
 /// JSONL object line, in order. Types are the JSON primitives the
 /// schema contract cares about: `string`, `int`, or `float`.
@@ -162,7 +148,6 @@ mod tests {
             structured_line("two_four", 1, 2, 0.5, 1.0, 1.0, 1.0),
             gated_line("spiking", 1, 2, 8, 0.9, 1.0, 1.0, 1.0),
             conv_line(1, 2, 3, 1.0, 1.0, 1.0),
-            matmul_line(1, 2, 1.0, 1.0, 1.0),
         ] {
             let schema = field_schema(&line).unwrap();
             assert!(schema.len() >= 5);

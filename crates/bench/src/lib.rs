@@ -1,46 +1,12 @@
 //! Benchmark harness for the Cambricon-S reproduction.
 //!
-//! * `src/bin/exp_*.rs` — one binary per paper table/figure; each prints
-//!   the regenerated rows/series. Pass `--scale N` to change the
-//!   model-materialization scale (default 4; `--scale 1` = published layer
-//!   sizes) for the compression experiments; timing experiments always
-//!   use the full layer geometries (they are shape-driven and cheap).
+//! * `src/bin/exp_all.rs` — writes the paper's tables and figures to
+//!   `results/` from the one experiment table,
+//!   [`cambricon_s::experiments::TABLE`], which owns each artifact's
+//!   scale, seed and parameters;
+//! * `src/bin/exp_kernels.rs` — dense vs compiled sparse kernel floors;
+//! * `src/bin/exp_serve_load.rs` — the serving saturation sweep;
 //! * `benches/*.rs` — Criterion micro-benchmarks of the core kernels
 //!   (selection logic, codecs, k-means, pruning, the timing simulator).
 
-use cambricon_s::prelude::Scale;
-
 pub mod kernels_jsonl;
-
-/// Parses `--scale N` from process arguments (default `Reduced(4)`,
-/// `--scale 1` = `Full`).
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--scale" {
-            if let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) {
-                return if n <= 1 {
-                    Scale::Full
-                } else {
-                    Scale::Reduced(n)
-                };
-            }
-        }
-    }
-    Scale::Reduced(4)
-}
-
-/// Deterministic seed shared by the experiment binaries.
-pub const SEED: u64 = 20181020; // MICRO 2018
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_scale_is_reduced_4() {
-        // No --scale flag in the test harness arguments.
-        assert_eq!(scale_from_args(), Scale::Reduced(4));
-    }
-}

@@ -16,9 +16,7 @@
 //! and commit the updated `tests/golden/kernels_schema.txt` together
 //! with the downstream consumers.
 
-use cs_bench::kernels_jsonl::{
-    conv_line, fc_line, field_schema, gated_line, matmul_line, structured_line,
-};
+use cs_bench::kernels_jsonl::{conv_line, fc_line, field_schema, gated_line, structured_line};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -41,7 +39,6 @@ fn current_schema() -> String {
             gated_line("spiking", 1024, 1024, 8, 0.94, 8_000.0, 1_500.0, 5.3),
         ),
         ("conv", conv_line(16, 32, 14, 9_000.0, 3_000.0, 3.0)),
-        ("matmul_scaling", matmul_line(160, 4, 8_000.0, 2_500.0, 3.2)),
     ];
     let mut out = String::new();
     for (name, line) in lines {
@@ -81,7 +78,6 @@ fn every_line_declares_its_experiment_first() {
         structured_line("bank_balanced", 1, 1, 0.1, 1.0, 1.0, 1.0),
         gated_line("dense", 1, 1, 8, 0.0, 1.0, 1.0, 1.0),
         conv_line(1, 1, 1, 1.0, 1.0, 1.0),
-        matmul_line(1, 1, 1.0, 1.0, 1.0),
     ] {
         let schema = field_schema(&line).unwrap();
         assert_eq!(schema[0].0, "experiment");

@@ -127,8 +127,7 @@ impl PrescanBitmap {
     }
 
     /// The skip counters this scan contributes, independent of which
-    /// kernel consumes the bitmap (and therefore identical at any pool
-    /// width).
+    /// kernel consumes the bitmap.
     pub fn stats(&self) -> GateStats {
         GateStats {
             blocks: self.blocks,

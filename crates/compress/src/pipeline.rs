@@ -171,33 +171,6 @@ pub fn prune_layer(weights: &Tensor, cfg: &LayerCompressionConfig) -> Result<Mas
     )?)
 }
 
-/// Parallel [`prune_layer`]: block (or lane) scoring fans out over the
-/// pool and the result is bit-identical to the serial version.
-///
-/// # Errors
-///
-/// Same conditions as [`prune_layer`].
-pub fn prune_layer_pooled(
-    weights: &Tensor,
-    cfg: &LayerCompressionConfig,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Mask, CompressError> {
-    if cfg.mode.is_structured() {
-        return Ok(structured::structured_mask_pooled(
-            weights, &cfg.mode, pool,
-        )?);
-    }
-    if cfg.target_density >= 1.0 {
-        return Ok(Mask::ones_like(weights.shape().clone()));
-    }
-    Ok(coarse::prune_to_density_pooled(
-        weights,
-        &cfg.coarse,
-        cfg.target_density,
-        pool,
-    )?)
-}
-
 /// Runs the full flow on one layer's weights, returning the report and
 /// the quantized layer artifact.
 ///
@@ -219,40 +192,7 @@ pub fn compress_layer(
     // Local quantization: one codebook per ~region_values weights.
     let regions = surviving_values.len().div_ceil(cfg.region_values).max(1);
     let quant = quantize_local(&surviving_values, cfg.quant_bits, regions)?;
-    finish_layer(layer, weights, cfg, mask, surviving_values, quant)
-}
 
-/// Parallel [`compress_layer`]: block scoring and per-region k-means fan
-/// out over the pool; the entropy-coding stages are unchanged. Produces
-/// a report identical to the serial version.
-///
-/// # Errors
-///
-/// Same conditions as [`compress_layer`].
-pub fn compress_layer_pooled(
-    layer: &LayerSpec,
-    weights: &Tensor,
-    cfg: &LayerCompressionConfig,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<(LayerReport, Mask, QuantizedLayer), CompressError> {
-    let mask = prune_layer_pooled(weights, cfg, pool)?;
-    let surviving_values = mask.compact_values(weights);
-    if surviving_values.is_empty() {
-        return Err(CompressError::EmptyLayer(layer.name().to_string()));
-    }
-    let regions = surviving_values.len().div_ceil(cfg.region_values).max(1);
-    let quant = cs_quant::quantize_local_pooled(&surviving_values, cfg.quant_bits, regions, pool)?;
-    finish_layer(layer, weights, cfg, mask, surviving_values, quant)
-}
-
-fn finish_layer(
-    layer: &LayerSpec,
-    weights: &Tensor,
-    cfg: &LayerCompressionConfig,
-    mask: Mask,
-    surviving_values: Vec<f32>,
-    quant: QuantizedLayer,
-) -> Result<(LayerReport, Mask, QuantizedLayer), CompressError> {
     // Entropy-code the dictionary (Huffman or adaptive arithmetic, per
     // config) and the indexes (bilevel).
     let dict_bytes = match cfg.entropy {
@@ -321,34 +261,6 @@ pub fn compress_model(
             .with_block(dominant_block(&lc.coarse));
         let weights = init::materialize(layer, &profile, seed);
         let (report, _, _) = compress_layer(layer, &weights, lc)?;
-        layers.push(report);
-    }
-    Ok(ModelReport {
-        model: spec.model_id(),
-        layers,
-    })
-}
-
-/// Parallel [`compress_model`]: per-layer pruning and quantization fan
-/// out over the pool via [`compress_layer_pooled`]. Produces a report
-/// identical to the serial version.
-///
-/// # Errors
-///
-/// Propagates per-layer failures.
-pub fn compress_model_pooled(
-    spec: &NetworkSpec,
-    cfg: &ModelCompressionConfig,
-    seed: u64,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<ModelReport, CompressError> {
-    let mut layers = Vec::new();
-    for layer in spec.weighted_layers() {
-        let lc = cfg.for_layer(layer);
-        let profile = ConvergenceProfile::with_target_density(profile_density(lc))
-            .with_block(dominant_block(&lc.coarse));
-        let weights = init::materialize(layer, &profile, seed);
-        let (report, _, _) = compress_layer_pooled(layer, &weights, lc, pool)?;
         layers.push(report);
     }
     Ok(ModelReport {
@@ -454,30 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_pipeline_produces_identical_reports() {
-        let pool = cs_parallel::ThreadPool::new(4);
-        let spec = NetworkSpec::model(Model::Mlp, Scale::Reduced(4));
-        let cfg = ModelCompressionConfig::paper(Model::Mlp);
-        let serial = compress_model(&spec, &cfg, 7).unwrap();
-        let pooled = compress_model_pooled(&spec, &cfg, 7, &pool).unwrap();
-        assert_eq!(serial, pooled);
-
-        // Layer-level equality including mask and quantization artifacts.
-        let layer = spec.weighted_layers().next().unwrap();
-        let lc = cfg.for_layer(layer);
-        let w = init::materialize(
-            layer,
-            &ConvergenceProfile::with_target_density(lc.target_density),
-            5,
-        );
-        let (sr, sm, sq) = compress_layer(layer, &w, lc).unwrap();
-        let (pr, pm, pq) = compress_layer_pooled(layer, &w, lc, &pool).unwrap();
-        assert_eq!(sr, pr);
-        assert_eq!(sm, pm);
-        assert_eq!(sq, pq);
-    }
-
-    #[test]
     fn two_four_mode_flows_end_to_end() {
         use cs_sparsity::structured;
 
@@ -500,12 +388,6 @@ mod tests {
             stats::pattern_density(&lc.mode, w.shape()).unwrap()
         );
         assert_eq!(quant.len(), report.surviving);
-
-        let pool = cs_parallel::ThreadPool::new(4);
-        let (pr, pm, pq) = compress_layer_pooled(layer, &w, &lc, &pool).unwrap();
-        assert_eq!(report, pr);
-        assert_eq!(mask, pm);
-        assert_eq!(quant, pq);
     }
 
     #[test]

@@ -358,30 +358,6 @@ impl Network {
     ///
     /// Propagates shape errors from the underlying kernels.
     pub fn forward_cached(&self, input: &Tensor) -> Result<ForwardCache, TensorError> {
-        self.forward_cached_impl(input, None)
-    }
-
-    /// Runs a forward pass with the matmul/conv kernels fanned out over
-    /// the thread pool. Bit-identical to [`Network::forward`]: the pooled
-    /// kernels split work over disjoint output rows with unchanged
-    /// per-row arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::forward`].
-    pub fn forward_pooled(
-        &self,
-        input: &Tensor,
-        pool: &cs_parallel::ThreadPool,
-    ) -> Result<Tensor, TensorError> {
-        Ok(self.forward_cached_impl(input, Some(pool))?.output)
-    }
-
-    fn forward_cached_impl(
-        &self,
-        input: &Tensor,
-        pool: Option<&cs_parallel::ThreadPool>,
-    ) -> Result<ForwardCache, TensorError> {
         let mut inputs = Vec::with_capacity(self.layers.len());
         let mut x = input.clone();
         for (i, layer) in self.layers.iter().enumerate() {
@@ -402,7 +378,7 @@ impl Network {
                     };
                     ops::add(&x, skip)?
                 }
-                _ => forward_layer(layer, &x, pool)?,
+                _ => forward_layer(layer, &x)?,
             };
         }
         Ok(ForwardCache { inputs, output: x })
@@ -457,18 +433,11 @@ impl fmt::Display for Network {
     }
 }
 
-fn forward_layer(
-    layer: &Layer,
-    x: &Tensor,
-    pool: Option<&cs_parallel::ThreadPool>,
-) -> Result<Tensor, TensorError> {
+fn forward_layer(layer: &Layer, x: &Tensor) -> Result<Tensor, TensorError> {
     match &layer.kind {
         LayerKind::FullyConnected { weights, bias } => {
             let row = x.clone().reshape(Shape::d2(1, x.len()))?;
-            let mut y = match pool {
-                Some(p) => ops::matmul_pooled(&row, weights, p)?,
-                None => ops::matmul(&row, weights)?,
-            };
+            let mut y = ops::matmul(&row, weights)?;
             for (v, b) in y.as_mut_slice().iter_mut().zip(bias) {
                 *v += b;
             }
@@ -478,10 +447,7 @@ fn forward_layer(
             weights,
             bias,
             geom,
-        } => match pool {
-            Some(p) => ops::conv2d_pooled(x, weights, Some(bias), geom, p),
-            None => ops::conv2d(x, weights, Some(bias), geom),
-        },
+        } => ops::conv2d(x, weights, Some(bias), geom),
         LayerKind::Relu => Ok(ops::relu(x)),
         LayerKind::MaxPool { geom } => ops::max_pool2d(x, geom),
         LayerKind::Flatten => x.clone().reshape(Shape::d1(x.len())),
@@ -785,43 +751,6 @@ mod tests {
         let net = Network::mlp("t", &[4, 6, 6, 2], 9);
         let cache = net.forward_cached(&Tensor::zeros(Shape::d1(4))).unwrap();
         assert_eq!(cache.inputs.len(), net.layers().len());
-    }
-
-    #[test]
-    fn forward_pooled_is_bit_identical_to_serial() {
-        let pool = cs_parallel::ThreadPool::new(4);
-        // MLP path (pooled matmul).
-        let mlp = Network::mlp("t", &[16, 32, 10], 3);
-        let x = Tensor::from_fn(Shape::d1(16), |i| ((i * 7) % 13) as f32 * 0.1 - 0.6);
-        let serial = mlp.forward(&x).unwrap();
-        let pooled = mlp.forward_pooled(&x, &pool).unwrap();
-        assert_eq!(serial, pooled);
-        // Conv path (pooled im2col + matmul), with pooling and flatten.
-        let net = Network::new(
-            "c",
-            vec![
-                Layer::new(
-                    "conv",
-                    LayerKind::Conv2d {
-                        weights: init::xavier(Shape::d4(1, 4, 3, 3), 5),
-                        bias: vec![0.1, -0.1, 0.0, 0.2],
-                        geom: Conv2dGeometry::square(3, 1, 1),
-                    },
-                ),
-                Layer::new("relu", LayerKind::Relu),
-                Layer::new(
-                    "pool",
-                    LayerKind::MaxPool {
-                        geom: Conv2dGeometry::square(2, 2, 0),
-                    },
-                ),
-                Layer::new("flat", LayerKind::Flatten),
-            ],
-        );
-        let xc = Tensor::from_fn(Shape::d3(1, 8, 8), |i| ((i * 37) % 19) as f32 * 0.05 - 0.4);
-        let serial = net.forward(&xc).unwrap();
-        let pooled = net.forward_pooled(&xc, &pool).unwrap();
-        assert_eq!(serial, pooled);
     }
 
     #[test]

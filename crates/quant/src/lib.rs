@@ -279,50 +279,6 @@ pub fn quantize_local(
     })
 }
 
-/// Parallel [`quantize_local`]: regions are clustered independently by
-/// the pool, one k-means run per region. Bit-identical to the serial
-/// version — each region's k-means sees exactly the same chunk.
-///
-/// # Errors
-///
-/// Same conditions as [`quantize_local`].
-pub fn quantize_local_pooled(
-    values: &[f32],
-    bits: u8,
-    regions: usize,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<QuantizedLayer, QuantError> {
-    check_bits(bits)?;
-    if values.is_empty() {
-        return Err(QuantError::Empty);
-    }
-    if regions == 0 {
-        return Err(QuantError::NoRegions);
-    }
-    let regions = regions.min(values.len());
-    let region_len = values.len().div_ceil(regions);
-    let k = 1usize << bits;
-    let n_chunks = values.len().div_ceil(region_len);
-    let mut results: Vec<Option<KMeansResult>> = vec![None; n_chunks];
-    pool.parallel_chunks_mut(&mut results, 1, |ci, slot| {
-        let start = ci * region_len;
-        let end = (start + region_len).min(values.len());
-        slot[0] = Some(kmeans_1d(&values[start..end], k, 25));
-    });
-    let mut codebooks = Vec::with_capacity(n_chunks);
-    let mut indices = Vec::with_capacity(values.len());
-    for result in results.into_iter().flatten() {
-        indices.extend(result.assignments);
-        codebooks.push(Codebook::new(result.centroids));
-    }
-    Ok(QuantizedLayer {
-        bits,
-        region_len,
-        codebooks,
-        indices,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,22 +357,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_local_quantization_matches_serial() {
-        let pool = cs_parallel::ThreadPool::new(4);
-        let values = lcg_values(3000, 7);
-        for regions in [1usize, 3, 8, 17] {
-            let serial = quantize_local(&values, 4, regions).unwrap();
-            let pooled = quantize_local_pooled(&values, 4, regions, &pool).unwrap();
-            assert_eq!(serial, pooled, "mismatch at regions={regions}");
-        }
-        assert_eq!(
-            quantize_local_pooled(&[], 4, 2, &pool),
-            Err(QuantError::Empty)
-        );
-        assert_eq!(
-            quantize_local_pooled(&[1.0], 4, 0, &pool),
-            Err(QuantError::NoRegions)
-        );
+    fn local_quantization_rejects_empty_input_and_zero_regions() {
+        assert_eq!(quantize_local(&[], 4, 2), Err(QuantError::Empty));
+        assert_eq!(quantize_local(&[1.0], 4, 0), Err(QuantError::NoRegions));
     }
 
     #[test]

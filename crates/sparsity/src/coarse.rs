@@ -166,136 +166,6 @@ pub fn block_scores(w: &Tensor, cfg: &CoarseConfig) -> BlockScores {
     }
 }
 
-/// Parallel [`block_scores`], bit-identical to the serial version.
-///
-/// Whole blocks are scored per pool task, and each task iterates its
-/// block's elements in ascending flat order — exactly the addition
-/// sequence the serial odometer sweep produces for that block — so the
-/// `f64` sums come out bit-identical at any thread count. The
-/// `block_of` map is filled over contiguous element ranges with the
-/// block id recovered by division.
-pub fn block_scores_pooled(
-    w: &Tensor,
-    cfg: &CoarseConfig,
-    pool: &cs_parallel::ThreadPool,
-) -> BlockScores {
-    let shape = w.shape();
-    let block = cfg.block_for(shape);
-    let grid: Vec<usize> = shape
-        .dims()
-        .iter()
-        .zip(&block)
-        .map(|(d, b)| d.div_ceil(*b))
-        .collect();
-    let nblocks: usize = grid.iter().product::<usize>().max(1);
-    let rank = shape.rank();
-    let data = w.as_slice();
-
-    // Row-major element strides.
-    let mut strides = vec![1usize; rank];
-    for d in (0..rank.saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * shape.dim(d + 1);
-    }
-
-    // Per-block stats: (sum_abs, max_abs, count).
-    let mut stats = vec![(0.0f64, 0.0f64, 0usize); nblocks];
-    pool.parallel_chunks_mut(&mut stats, pool.default_chunk(nblocks), {
-        let grid = &grid;
-        let block = &block;
-        let strides = &strides;
-        let chunk = pool.default_chunk(nblocks);
-        move |ci, window| {
-            for (wi, slot) in window.iter_mut().enumerate() {
-                let bid = ci * chunk + wi;
-                // Block multi-coordinate from the mixed-radix block id.
-                let mut bc = vec![0usize; rank];
-                let mut rem = bid;
-                for d in (0..rank).rev() {
-                    bc[d] = rem % grid[d];
-                    rem /= grid[d];
-                }
-                // Element sub-box of this block, clipped at the edges.
-                let lo: Vec<usize> = (0..rank).map(|d| bc[d] * block[d]).collect();
-                let hi: Vec<usize> = (0..rank)
-                    .map(|d| (lo[d] + block[d]).min(shape.dim(d)))
-                    .collect();
-                if (0..rank).any(|d| lo[d] >= hi[d]) {
-                    continue;
-                }
-                // Odometer over the sub-box in row-major order — the same
-                // ascending flat order the serial sweep visits this
-                // block's elements in.
-                let mut idx = lo.clone();
-                let (mut sum, mut max, mut count) = (0.0f64, 0.0f64, 0usize);
-                loop {
-                    let flat: usize = idx.iter().zip(strides).map(|(i, s)| i * s).sum();
-                    let a = f64::from(data[flat].abs());
-                    sum += a;
-                    if a > max {
-                        max = a;
-                    }
-                    count += 1;
-                    let mut d = rank;
-                    loop {
-                        if d == 0 {
-                            break;
-                        }
-                        d -= 1;
-                        idx[d] += 1;
-                        if idx[d] < hi[d] {
-                            break;
-                        }
-                        idx[d] = lo[d];
-                        if d == 0 {
-                            d = usize::MAX; // signal: odometer wrapped
-                            break;
-                        }
-                    }
-                    if d == usize::MAX || rank == 0 {
-                        break;
-                    }
-                }
-                *slot = (sum, max, count);
-            }
-        }
-    });
-
-    // Per-element block ids over contiguous ranges, bid by division.
-    let mut block_of = vec![0u32; w.len()];
-    let echunk = pool.default_chunk(w.len());
-    pool.parallel_chunks_mut(&mut block_of, echunk, {
-        let grid = &grid;
-        let block = &block;
-        let strides = &strides;
-        move |ci, window| {
-            for (wi, slot) in window.iter_mut().enumerate() {
-                let flat = ci * echunk + wi;
-                let mut bid = 0usize;
-                for d in 0..rank {
-                    let coord = (flat / strides[d]) % shape.dim(d);
-                    bid = bid * grid[d] + coord / block[d];
-                }
-                *slot = bid as u32;
-            }
-        }
-    });
-
-    let counts: Vec<usize> = stats.iter().map(|s| s.2).collect();
-    let scores = match cfg.metric {
-        PruneMetric::Max => stats.iter().map(|s| s.1).collect(),
-        PruneMetric::Average => stats
-            .iter()
-            .map(|(s, _, c)| if *c == 0 { 0.0 } else { s / *c as f64 })
-            .collect(),
-    };
-    BlockScores {
-        grid,
-        scores,
-        counts,
-        block_of,
-    }
-}
-
 /// Prunes every block whose score is below `threshold` (the paper's
 /// `W_th`), returning the surviving-synapse mask.
 pub fn prune_by_threshold(w: &Tensor, cfg: &CoarseConfig, threshold: f64) -> Mask {
@@ -312,37 +182,12 @@ pub fn prune_by_threshold(w: &Tensor, cfg: &CoarseConfig, threshold: f64) -> Mas
 /// Returns [`TensorError::InvalidGeometry`] when `density` is outside
 /// `(0, 1]`.
 pub fn prune_to_density(w: &Tensor, cfg: &CoarseConfig, density: f64) -> Result<Mask, TensorError> {
-    let bs = block_scores(w, cfg);
-    density_mask_from_scores(w, &bs, density)
-}
-
-/// Parallel [`prune_to_density`]: block scoring fans out over the pool
-/// via [`block_scores_pooled`]; the greedy selection is identical, so the
-/// resulting mask is bit-identical to the serial version.
-///
-/// # Errors
-///
-/// Same conditions as [`prune_to_density`].
-pub fn prune_to_density_pooled(
-    w: &Tensor,
-    cfg: &CoarseConfig,
-    density: f64,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Mask, TensorError> {
-    let bs = block_scores_pooled(w, cfg, pool);
-    density_mask_from_scores(w, &bs, density)
-}
-
-fn density_mask_from_scores(
-    w: &Tensor,
-    bs: &BlockScores,
-    density: f64,
-) -> Result<Mask, TensorError> {
     if !(0.0..=1.0).contains(&density) || density == 0.0 {
         return Err(TensorError::InvalidGeometry(format!(
             "target density {density} outside (0, 1]"
         )));
     }
+    let bs = block_scores(w, cfg);
     let mut order: Vec<usize> = (0..bs.scores.len()).collect();
     order.sort_by(|a, b| {
         bs.scores[*a]
@@ -363,7 +208,7 @@ fn density_mask_from_scores(
         keep[bid] = false;
         pruned += bs.counts[bid];
     }
-    Ok(mask_from_block_keep(w.shape(), bs, &keep))
+    Ok(mask_from_block_keep(w.shape(), &bs, &keep))
 }
 
 /// Number of index bits needed for the coarse representation: one bit per
@@ -668,52 +513,6 @@ mod tests {
         let bk_fine = block_keep(&mask, &fine_cfg);
         assert_eq!(bk_fine.keep.len(), 64);
         assert_eq!(bk_fine.keep.iter().filter(|b| **b).count(), mask.ones());
-    }
-
-    #[test]
-    fn pooled_block_scores_are_bit_identical_to_serial() {
-        let pool = cs_parallel::ThreadPool::new(4);
-        let cases: Vec<(Tensor, CoarseConfig)> = vec![
-            (
-                checker(16, 16),
-                CoarseConfig::fc(4, 4, PruneMetric::Average),
-            ),
-            (checker(10, 10), CoarseConfig::fc(4, 4, PruneMetric::Max)),
-            (
-                Tensor::from_fn(Shape::d2(37, 23), |i| ((i * 31) % 97) as f32 / 97.0 - 0.5),
-                CoarseConfig::paper_fc(),
-            ),
-            (
-                Tensor::from_fn(Shape::d4(3, 18, 5, 5), |i| {
-                    ((i * 131) % 251) as f32 / 251.0 - 0.5
-                }),
-                CoarseConfig::paper_conv(),
-            ),
-        ];
-        for (w, cfg) in &cases {
-            let serial = block_scores(w, cfg);
-            let pooled = block_scores_pooled(w, cfg, &pool);
-            assert_eq!(serial.grid, pooled.grid);
-            assert_eq!(serial.counts, pooled.counts);
-            assert_eq!(serial.block_of, pooled.block_of);
-            // Bit-identical f64 scores, not just approximately equal.
-            let sb: Vec<u64> = serial.scores.iter().map(|s| s.to_bits()).collect();
-            let pb: Vec<u64> = pooled.scores.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(sb, pb, "scores differ for shape {:?}", w.shape());
-        }
-    }
-
-    #[test]
-    fn pooled_prune_to_density_matches_serial() {
-        let pool = cs_parallel::ThreadPool::new(3);
-        let w = Tensor::from_fn(Shape::d2(40, 24), |i| ((i * 53) % 113) as f32 / 113.0 - 0.5);
-        let cfg = CoarseConfig::fc(8, 8, PruneMetric::Average);
-        for target in [0.25, 0.5, 0.9] {
-            let serial = prune_to_density(&w, &cfg, target).unwrap();
-            let pooled = prune_to_density_pooled(&w, &cfg, target, &pool).unwrap();
-            assert_eq!(serial, pooled);
-        }
-        assert!(prune_to_density_pooled(&w, &cfg, 0.0, &pool).is_err());
     }
 
     #[test]

@@ -189,40 +189,6 @@ fn banked_mask(w: &Tensor, bank: usize, k: usize) -> Result<Mask, TensorError> {
     Mask::from_bits(w.shape().clone(), bits)
 }
 
-/// Parallel [`banked_mask`]: lanes fan out over the pool. Selection is a
-/// pure per-lane function, so the result is bit-identical to the serial
-/// version at any thread count.
-fn banked_mask_pooled(
-    w: &Tensor,
-    bank: usize,
-    k: usize,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Mask, TensorError> {
-    check_geometry(bank, k)?;
-    let (n_in, n_out) = check_fc_shape(w.shape())?;
-    let data = w.as_slice();
-    // Lane-major selection buffer: contiguous per-lane windows let the
-    // pool hand out whole lanes; transposed into the row-major mask
-    // afterwards.
-    let mut sel = vec![false; n_out * n_in];
-    let lane_chunk = pool.default_chunk(n_out).max(1);
-    pool.parallel_chunks_mut(&mut sel, lane_chunk * n_in, move |ci, window| {
-        for (li, lane) in window.chunks_mut(n_in).enumerate() {
-            let o = ci * lane_chunk + li;
-            for i in lane_survivors(data, n_in, n_out, o, bank, k) {
-                lane[i] = true;
-            }
-        }
-    });
-    let mut bits = vec![false; n_in * n_out];
-    for o in 0..n_out {
-        for i in 0..n_in {
-            bits[i * n_out + o] = sel[o * n_in + i];
-        }
-    }
-    Mask::from_bits(w.shape().clone(), bits)
-}
-
 /// 2:4 semi-structured pruning: every group of 4 along the input
 /// dimension keeps its top 2 by magnitude (ties toward the lower
 /// index; ragged tails keep `min(2, tail)`).
@@ -232,18 +198,6 @@ fn banked_mask_pooled(
 /// Returns [`TensorError::InvalidGeometry`] when `w` is not 2-D.
 pub fn two_four_mask(w: &Tensor) -> Result<Mask, TensorError> {
     banked_mask(w, 4, 2)
-}
-
-/// Parallel [`two_four_mask`], bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`two_four_mask`].
-pub fn two_four_mask_pooled(
-    w: &Tensor,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Mask, TensorError> {
-    banked_mask_pooled(w, 4, 2, pool)
 }
 
 /// Bank-balanced pruning: every bank of `bank` inputs keeps exactly its
@@ -260,20 +214,6 @@ pub fn bank_balanced_mask(w: &Tensor, bank: usize, k: usize) -> Result<Mask, Ten
     banked_mask(w, bank, k)
 }
 
-/// Parallel [`bank_balanced_mask`], bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`bank_balanced_mask`].
-pub fn bank_balanced_mask_pooled(
-    w: &Tensor,
-    bank: usize,
-    k: usize,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Mask, TensorError> {
-    banked_mask_pooled(w, bank, k, pool)
-}
-
 /// Builds the mask for any structured mode.
 ///
 /// # Errors
@@ -288,24 +228,6 @@ pub fn structured_mask(w: &Tensor, mode: &PruneMode) -> Result<Mask, TensorError
         )
     })?;
     banked_mask(w, bank, k)
-}
-
-/// Parallel [`structured_mask`], bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`structured_mask`].
-pub fn structured_mask_pooled(
-    w: &Tensor,
-    mode: &PruneMode,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Mask, TensorError> {
-    let (bank, k) = mode.geometry().ok_or_else(|| {
-        TensorError::InvalidGeometry(
-            "PruneMode::Coarse has no structured pattern; use cs_sparsity::coarse".to_string(),
-        )
-    })?;
-    banked_mask_pooled(w, bank, k, pool)
 }
 
 /// Checks that a mask satisfies a `(bank, k)` structured pattern: every
@@ -461,22 +383,6 @@ mod tests {
         let m = bank_balanced_mask(&t, 100, 5).unwrap();
         assert_eq!(m.ones(), 3 * 5);
         assert!(satisfies_pattern(&m, 100, 5));
-    }
-
-    #[test]
-    fn pooled_is_bit_identical_to_serial() {
-        let pool = cs_parallel::ThreadPool::new(4);
-        for (rows, cols, bank, k) in [(16, 16, 4, 2), (17, 5, 4, 2), (23, 9, 8, 3), (5, 1, 3, 2)] {
-            let t = w(rows, cols, (rows * cols) as u64);
-            let serial = bank_balanced_mask(&t, bank, k).unwrap();
-            let pooled = bank_balanced_mask_pooled(&t, bank, k, &pool).unwrap();
-            assert_eq!(serial, pooled, "({rows},{cols}) bank {bank} k {k}");
-        }
-        let t = w(17, 6, 9);
-        assert_eq!(
-            two_four_mask(&t).unwrap(),
-            two_four_mask_pooled(&t, &pool).unwrap()
-        );
     }
 
     #[test]

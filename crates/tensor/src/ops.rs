@@ -93,33 +93,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     Tensor::from_vec(Shape::d2(m, n), out)
 }
 
-/// Parallel dense matrix multiplication, bit-identical to [`matmul`]:
-/// output rows are independent, so each pool task computes a disjoint
-/// row range with exactly the serial kernel.
-///
-/// # Errors
-///
-/// Same conditions as [`matmul`].
-pub fn matmul_pooled(
-    a: &Tensor,
-    b: &Tensor,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Tensor, TensorError> {
-    let (m, k, n) = matmul_dims(a, b)?;
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    let rows_per = pool.default_chunk(m);
-    pool.parallel_chunks_mut(&mut out, rows_per * n, |ci, window| {
-        let row0 = ci * rows_per;
-        for (ri, orow) in window.chunks_mut(n).enumerate() {
-            let i = row0 + ri;
-            matmul_row(&av[i * k..(i + 1) * k], bv, orow);
-        }
-    });
-    Tensor::from_vec(Shape::d2(m, n), out)
-}
-
 /// One output row of the dense kernel: `orow += arow · B`, accumulating
 /// over the inner dimension in ascending order. Deliberately *truly*
 /// dense — every term contributes, so non-finite operands propagate the
@@ -231,79 +204,27 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
     let mut out = vec![0.0f32; oh * ow * cols];
     let data = input.as_slice();
     for (row, orow) in out.chunks_mut(cols).enumerate() {
-        im2col_row(data, c, h, w, geom, row, ow, orow);
-    }
-    Tensor::from_vec(Shape::d2(oh * ow, cols), out)
-}
-
-/// Parallel [`im2col`], bit-identical to the serial version: each output
-/// row depends only on the input, so rows are filled by disjoint tasks.
-///
-/// # Errors
-///
-/// Same conditions as [`im2col`].
-pub fn im2col_pooled(
-    input: &Tensor,
-    geom: &Conv2dGeometry,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Tensor, TensorError> {
-    if input.shape().rank() != 3 {
-        return Err(TensorError::RankMismatch {
-            expected: 3,
-            actual: input.shape().rank(),
-            op: "im2col",
-        });
-    }
-    let (c, h, w) = (
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-    );
-    let (oh, ow) = geom.output_size(h, w)?;
-    let cols = c * geom.kx * geom.ky;
-    let mut out = vec![0.0f32; oh * ow * cols];
-    let data = input.as_slice();
-    let rows_per = pool.default_chunk(oh * ow);
-    pool.parallel_chunks_mut(&mut out, rows_per * cols, |ci, window| {
-        let row0 = ci * rows_per;
-        for (ri, orow) in window.chunks_mut(cols).enumerate() {
-            im2col_row(data, c, h, w, geom, row0 + ri, ow, orow);
-        }
-    });
-    Tensor::from_vec(Shape::d2(oh * ow, cols), out)
-}
-
-/// Fills one im2col output row (one output spatial position).
-#[allow(clippy::too_many_arguments)]
-fn im2col_row(
-    data: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: &Conv2dGeometry,
-    row: usize,
-    ow: usize,
-    orow: &mut [f32],
-) {
-    let oy = row / ow;
-    let ox = row % ow;
-    let base_x = (oy * geom.stride_x) as isize - geom.pad_x as isize;
-    let base_y = (ox * geom.stride_y) as isize - geom.pad_y as isize;
-    for ci in 0..c {
-        for kx in 0..geom.kx {
-            let ix = base_x + kx as isize;
-            for ky in 0..geom.ky {
-                let iy = base_y + ky as isize;
-                let col = (ci * geom.kx + kx) * geom.ky + ky;
-                let v = if ix >= 0 && iy >= 0 && (ix as usize) < h && (iy as usize) < w {
-                    data[(ci * h + ix as usize) * w + iy as usize]
-                } else {
-                    0.0
-                };
-                orow[col] = v;
+        let oy = row / ow;
+        let ox = row % ow;
+        let base_x = (oy * geom.stride_x) as isize - geom.pad_x as isize;
+        let base_y = (ox * geom.stride_y) as isize - geom.pad_y as isize;
+        for ci in 0..c {
+            for kx in 0..geom.kx {
+                let ix = base_x + kx as isize;
+                for ky in 0..geom.ky {
+                    let iy = base_y + ky as isize;
+                    let col = (ci * geom.kx + kx) * geom.ky + ky;
+                    let v = if ix >= 0 && iy >= 0 && (ix as usize) < h && (iy as usize) < w {
+                        data[(ci * h + ix as usize) * w + iy as usize]
+                    } else {
+                        0.0
+                    };
+                    orow[col] = v;
+                }
             }
         }
     }
+    Tensor::from_vec(Shape::d2(oh * ow, cols), out)
 }
 
 /// Dense 2-D convolution over a `(c, h, w)` input with weights
@@ -317,32 +238,6 @@ pub fn conv2d(
     weights: &Tensor,
     bias: Option<&[f32]>,
     geom: &Conv2dGeometry,
-) -> Result<Tensor, TensorError> {
-    conv2d_impl(input, weights, bias, geom, None)
-}
-
-/// Parallel [`conv2d`], bit-identical to the serial version: the im2col
-/// lowering and the matmul both parallelise over disjoint output rows.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_pooled(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    geom: &Conv2dGeometry,
-    pool: &cs_parallel::ThreadPool,
-) -> Result<Tensor, TensorError> {
-    conv2d_impl(input, weights, bias, geom, Some(pool))
-}
-
-fn conv2d_impl(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&[f32]>,
-    geom: &Conv2dGeometry,
-    pool: Option<&cs_parallel::ThreadPool>,
 ) -> Result<Tensor, TensorError> {
     if weights.shape().rank() != 4 {
         return Err(TensorError::RankMismatch {
@@ -374,10 +269,7 @@ fn conv2d_impl(
     let (oh, ow) = geom.output_size(h, w)?;
 
     // Lower to matmul: (oh*ow, c*kx*ky) x (c*kx*ky, n_fout).
-    let cols = match pool {
-        Some(p) => im2col_pooled(input, geom, p)?,
-        None => im2col(input, geom)?,
-    };
+    let cols = im2col(input, geom)?;
     let wmat = Tensor::from_fn(Shape::d2(n_fin * kx * ky, n_fout), |i| {
         let row = i / n_fout;
         let fo = i % n_fout;
@@ -385,10 +277,7 @@ fn conv2d_impl(
         let rem = row % (kx * ky);
         weights.get(&[fi, fo, rem / ky, rem % ky])
     });
-    let prod = match pool {
-        Some(p) => matmul_pooled(&cols, &wmat, p)?,
-        None => matmul(&cols, &wmat)?,
-    };
+    let prod = matmul(&cols, &wmat)?;
     // Transpose (oh*ow, n_fout) -> (n_fout, oh, ow), adding bias.
     let pv = prod.as_slice();
     let out = Tensor::from_fn(Shape::d3(n_fout, oh, ow), |i| {
@@ -670,50 +559,6 @@ mod tests {
         let a2 = t2(1, 2, vec![1.0, 1.0]);
         let c2 = matmul(&a2, &b_inf).unwrap();
         assert_eq!(c2.as_slice()[0], f32::INFINITY);
-    }
-
-    fn pseudo(i: usize) -> f32 {
-        // Deterministic, sign-varying, non-trivial values.
-        let x = (i as u32).wrapping_mul(2654435761) >> 8;
-        (x as f32 / 8388608.0) - 1.0
-    }
-
-    #[test]
-    fn matmul_pooled_is_bit_identical_to_serial() {
-        let pool = cs_parallel::ThreadPool::new(4);
-        for &(m, k, n) in &[(1, 1, 1), (7, 13, 5), (33, 16, 17), (64, 32, 48)] {
-            let a = Tensor::from_fn(Shape::d2(m, k), pseudo);
-            let b = Tensor::from_fn(Shape::d2(k, n), |i| pseudo(i + 1000));
-            let serial = matmul(&a, &b).unwrap();
-            let pooled = matmul_pooled(&a, &b, &pool).unwrap();
-            assert_eq!(serial, pooled, "mismatch at shape ({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn im2col_pooled_is_bit_identical_to_serial() {
-        let pool = cs_parallel::ThreadPool::new(3);
-        let input = Tensor::from_fn(Shape::d3(3, 9, 7), pseudo);
-        for geom in [
-            Conv2dGeometry::square(3, 1, 1),
-            Conv2dGeometry::square(2, 2, 0),
-        ] {
-            let serial = im2col(&input, &geom).unwrap();
-            let pooled = im2col_pooled(&input, &geom, &pool).unwrap();
-            assert_eq!(serial, pooled);
-        }
-    }
-
-    #[test]
-    fn conv2d_pooled_is_bit_identical_to_serial() {
-        let pool = cs_parallel::ThreadPool::new(4);
-        let input = Tensor::from_fn(Shape::d3(2, 8, 8), pseudo);
-        let w = Tensor::from_fn(Shape::d4(2, 4, 3, 3), |i| pseudo(i + 77));
-        let bias = [0.5, -0.25, 0.0, 1.5];
-        let geom = Conv2dGeometry::square(3, 1, 1);
-        let serial = conv2d(&input, &w, Some(&bias), &geom).unwrap();
-        let pooled = conv2d_pooled(&input, &w, Some(&bias), &geom, &pool).unwrap();
-        assert_eq!(serial, pooled);
     }
 
     #[test]
