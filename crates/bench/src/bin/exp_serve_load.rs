@@ -6,8 +6,8 @@
 //! (each worker models one Cambricon-S accelerator), which must scale
 //! with the worker count once the offered load saturates the pool.
 //!
-//! `--metrics-out <path>` additionally threads a telemetry registry
-//! through every operating point and writes the accumulated metrics
+//! `--metrics-out <path>` additionally writes the telemetry every
+//! operating point's server kept, merged over the sweep
 //! (queue waits, batch sizes, compute/DRAM-stall cycles, worker
 //! busy/idle time, …) as JSONL, one series per line.
 //!
@@ -17,9 +17,7 @@
 //! cargo run --release -p cs-bench --bin exp_serve_load -- --quick --metrics-out serve_metrics.jsonl
 //! ```
 
-use std::sync::Arc;
-
-use cs_serve::loadgen::{run_sweep_with_recorder, SweepConfig};
+use cs_serve::loadgen::{run_sweep_into, SweepConfig};
 use cs_serve::{Recorder, Registry};
 
 fn metrics_out_path() -> Option<std::path::PathBuf> {
@@ -49,8 +47,8 @@ fn main() {
         max_batches: if quick { vec![8] } else { vec![1, 8] },
         ..SweepConfig::default()
     };
-    let registry = Arc::new(Registry::new());
-    let report = match run_sweep_with_recorder(&cfg, registry.clone()) {
+    let registry = Registry::new();
+    let report = match run_sweep_into(&cfg, &registry) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve load sweep failed: {e}");

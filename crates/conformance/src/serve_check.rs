@@ -13,7 +13,8 @@
 //!   lane forward — batching, queuing, and worker scheduling must
 //!   never perturb arithmetic;
 //! * engine-lane responses report `cycles == 0` (no hardware model ran),
-//!   which is exactly why `ServeStats` must keep them out of the
+//!   which is exactly why the server's snapshot counts `hw_completed`
+//!   from the per-request hardware histogram and keeps them out of the
 //!   hardware-side throughput figures;
 //! * Simulator-served responses equal a direct
 //!   [`Accelerator::run_network`] on the same layers: outputs bit for

@@ -19,13 +19,20 @@
 //! every race, and simulated-hardware throughput divides by the busiest
 //! worker).
 //!
+//! Each lane also carries its tenant's admission counters
+//! (`serve_tenant_{requests,rejected}_total{tenant}`), registered when
+//! the tenant is first seen, so per-tenant accounting rides the lookup
+//! admission already makes under its one lock.
+//!
 //! `close()` stops admission; queued items still drain, then poppers
 //! observe `None` (graceful shutdown). A worker that exits, cleanly or
 //! by unwinding, calls `depart`: survivors keep serving, and the last
 //! one out drops what is queued so nothing waits on nobody.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+use cs_telemetry::{label, Counter, NoopRecorder, Recorder};
 
 use crate::batch::{Batch, CloseReason};
 use crate::clock::Clock;
@@ -48,6 +55,10 @@ struct TenantLane<T> {
     items: VecDeque<T>,
     weight: u64,
     credit: u64,
+    /// Pushes this tenant had admitted.
+    admitted: Counter,
+    /// Pushes this tenant had refused as [`AdmitError::Full`].
+    rejected: Counter,
 }
 
 struct QueueState<T> {
@@ -153,13 +164,16 @@ pub struct AdmissionQueue<T> {
     capacity: usize,
     tenant_quota: usize,
     weights: HashMap<String, u64>,
+    /// Where each new tenant's counters register.
+    recorder: Arc<dyn Recorder>,
 }
 
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `capacity` items total and (when
     /// `tenant_quota > 0`) at most `tenant_quota` per tenant, drained by
     /// one worker. Tenants named in `weights` dequeue proportionally
-    /// more often; unlisted tenants weigh 1.
+    /// more often; unlisted tenants weigh 1. Tenant counters go to a
+    /// [`NoopRecorder`] until the server attaches its recorder.
     pub fn new(capacity: usize, tenant_quota: usize, weights: &[(String, u32)]) -> Self {
         AdmissionQueue {
             state: Mutex::new(QueueState {
@@ -182,7 +196,15 @@ impl<T> AdmissionQueue<T> {
                 .iter()
                 .map(|(name, w)| (name.clone(), u64::from(*w).max(1)))
                 .collect(),
+            recorder: Arc::new(NoopRecorder),
         }
+    }
+
+    /// The same queue registering each tenant's counters on `recorder`.
+    #[must_use]
+    pub(crate) fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
+        self.recorder = recorder;
+        self
     }
 
     /// The same queue drained by `workers` workers, numbered from 0.
@@ -206,7 +228,9 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Non-blocking admission for `tenant`.
+    /// Non-blocking admission for `tenant`, counted on the tenant's
+    /// lane. A known tenant is looked up by `&str`; only the first push
+    /// of a new one allocates (its lane, name and counters).
     ///
     /// # Errors
     ///
@@ -217,29 +241,39 @@ impl<T> AdmissionQueue<T> {
         if s.closed {
             return Err(AdmitError::Closed);
         }
-        if s.total >= self.capacity {
-            return Err(AdmitError::Full {
-                tenant_quota: false,
-            });
-        }
         let lane = match s.index.get(tenant) {
             Some(&lane) => lane,
             None => {
                 let weight = self.weights.get(tenant).copied().unwrap_or(1);
+                let counter =
+                    |name, help| self.recorder.counter(name, help, label("tenant", tenant));
                 s.lanes.push(TenantLane {
                     items: VecDeque::new(),
                     weight,
                     credit: weight,
+                    admitted: counter(
+                        "serve_tenant_requests_total",
+                        "Requests admitted, by tenant",
+                    ),
+                    rejected: counter(
+                        "serve_tenant_rejected_total",
+                        "Requests rejected with Overloaded, by tenant",
+                    ),
                 });
                 let lane = s.lanes.len() - 1;
                 s.index.insert(tenant.to_string(), lane);
                 lane
             }
         };
+        let queue_full = s.total >= self.capacity;
         let lane = &mut s.lanes[lane];
-        if self.tenant_quota > 0 && lane.items.len() >= self.tenant_quota {
-            return Err(AdmitError::Full { tenant_quota: true });
+        if queue_full || (self.tenant_quota > 0 && lane.items.len() >= self.tenant_quota) {
+            lane.rejected.inc();
+            return Err(AdmitError::Full {
+                tenant_quota: !queue_full,
+            });
         }
+        lane.admitted.inc();
         lane.items.push_back(item);
         s.total += 1;
         // Wake the head only, and after unlocking so it does not wake
@@ -299,6 +333,23 @@ impl<T> AdmissionQueue<T> {
             opened_us,
             reason,
         })
+    }
+
+    /// `(tenant, admitted, rejected)` for every tenant seen, in tenant
+    /// order, read from the lanes' counters (zeros under the no-op
+    /// recorder).
+    pub(crate) fn tenants(&self) -> Vec<(String, u64, u64)> {
+        let s = self.lock();
+        let mut tenants: Vec<_> = s
+            .index
+            .iter()
+            .map(|(name, &lane)| {
+                let lane = &s.lanes[lane];
+                (name.clone(), lane.admitted.get(), lane.rejected.get())
+            })
+            .collect();
+        tenants.sort_unstable();
+        tenants
     }
 
     /// Stops admission. Queued items still drain through

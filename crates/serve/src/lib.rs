@@ -13,10 +13,12 @@
 //! every request with its outputs plus the simulated hardware cost
 //! (cycles from `cs-sim`'s counters, picojoules from `cs-energy`).
 //!
+//! Every figure in a [`ServeSnapshot`] is read from the server's own
+//! telemetry handles (a fresh [`Registry`] unless the caller passes a
+//! recorder), so [`Server::stats`] and [`Server::metrics_text`] agree.
 //! Time is injected via the [`Clock`] trait so the latency percentiles
-//! in [`ServeSnapshot`] are testable deterministically; the
-//! [`loadgen`] module drives saturation sweeps over offered load ×
-//! worker count × batch size.
+//! are testable deterministically; the [`loadgen`] module drives
+//! saturation sweeps over offered load × worker count × batch size.
 //!
 //! # Example
 //!
@@ -63,4 +65,4 @@ pub use model::{CompiledLane, LaneKernel, LaneLayer, ModelRegistry, ServableMode
 pub use server::{
     Doorbell, DrainHandle, ExecBackend, InferRequest, InferResponse, ServeConfig, Server, Ticket,
 };
-pub use stats::{ServeSnapshot, ServeStats};
+pub use stats::ServeSnapshot;

@@ -221,19 +221,24 @@ pub(crate) struct CanaryState {
     /// `t % 100 < pct`.
     ticket: AtomicU64,
     pub(crate) routed: AtomicU64,
+    /// Divergences in this experiment (the demotion trigger).
     pub(crate) divergences: AtomicU64,
+    /// `serve_canary_divergences_total{model}`: every experiment on
+    /// this model name scores into it.
+    pub(crate) diverged: Counter,
     pub(crate) demoted: AtomicBool,
 }
 
 impl CanaryState {
-    fn new(version: u32, pct: u8, threshold: u64) -> Self {
+    fn new(version: u32, pct: u8, name: &str, ctx: &LoadContext<'_>) -> Self {
         CanaryState {
             version,
             pct,
-            threshold,
+            threshold: ctx.canary_threshold,
             ticket: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             divergences: AtomicU64::new(0),
+            diverged: ctx.stats.canary_divergences(name),
             demoted: AtomicBool::new(false),
         }
     }
@@ -426,11 +431,7 @@ impl LiveRegistry {
                         detail: "is the primary; a canary needs a distinct version".to_string(),
                     });
                 }
-                entry.canary = Some(Arc::new(CanaryState::new(
-                    version,
-                    canary_pct,
-                    ctx.canary_threshold,
-                )));
+                entry.canary = Some(Arc::new(CanaryState::new(version, canary_pct, &name, ctx)));
             }
             victims = self.sweep_locked(&mut entries);
         } else {
@@ -495,11 +496,7 @@ impl LiveRegistry {
             });
             entry.versions.push(Arc::clone(&built));
             if canary_pct > 0 {
-                entry.canary = Some(Arc::new(CanaryState::new(
-                    version,
-                    canary_pct,
-                    ctx.canary_threshold,
-                )));
+                entry.canary = Some(Arc::new(CanaryState::new(version, canary_pct, &name, ctx)));
             } else {
                 entry.primary = version;
                 entry.canary = None;

@@ -9,12 +9,16 @@
 //! models one accelerator, so requests/sec of the modeled deployment is
 //! completed requests over the busiest accelerator's simulated busy
 //! time. That is the figure that scales with the worker count.
+//!
+//! Every point's server keeps its own [`Registry`] (its snapshot is
+//! built from it), which is merged into the caller's registry when the
+//! point ends, so that one covers the whole sweep.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cs_nn::spec::Scale;
-use cs_telemetry::{NoopRecorder, Recorder};
+use cs_telemetry::Registry;
 
 use crate::clock::MonotonicClock;
 use crate::error::ServeError;
@@ -189,7 +193,8 @@ impl SweepReport {
     }
 }
 
-/// Runs one operating point against a freshly started server.
+/// Runs one operating point against a freshly started server on a
+/// registry of its own, merged into `metrics` once the server stops.
 ///
 /// # Errors
 ///
@@ -201,33 +206,16 @@ pub fn run_point(
     clients: usize,
     requests: usize,
     seed: u64,
+    metrics: &Registry,
 ) -> Result<LoadPoint, ServeError> {
-    run_point_with_recorder(model, cfg, clients, requests, seed, Arc::new(NoopRecorder))
-}
-
-/// [`run_point`] with a telemetry recorder threaded into the server.
-/// Passing the same [`cs_telemetry::Registry`] across points makes its
-/// metrics accumulate over the whole sweep (series are re-resolved by
-/// name, not re-created).
-///
-/// # Errors
-///
-/// Same conditions as [`run_point`].
-pub fn run_point_with_recorder(
-    model: &ServableModel,
-    cfg: &ServeConfig,
-    clients: usize,
-    requests: usize,
-    seed: u64,
-    recorder: Arc<dyn Recorder>,
-) -> Result<LoadPoint, ServeError> {
-    let mut registry = ModelRegistry::new();
-    registry.register(model.clone())?;
+    let mut models = ModelRegistry::new();
+    models.register(model.clone())?;
+    let own = Arc::new(Registry::new());
     let server = Server::start_with_recorder(
-        registry,
+        models,
         cfg.clone(),
         Arc::new(MonotonicClock::new()),
-        recorder,
+        own.clone(),
     )?;
     let name = model.name.clone();
     let n_in = model.n_in;
@@ -271,6 +259,7 @@ pub fn run_point_with_recorder(
         }
     });
     let snap = server.shutdown();
+    metrics.merge(&own);
     if let Some(e) = failure {
         return Err(e);
     }
@@ -298,19 +287,16 @@ pub fn run_point_with_recorder(
 ///
 /// Propagates model-compilation and per-point failures.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, ServeError> {
-    run_sweep_with_recorder(cfg, Arc::new(NoopRecorder))
+    run_sweep_into(cfg, &Registry::new())
 }
 
-/// [`run_sweep`] with a telemetry recorder shared by every operating
-/// point, so the recorder's metrics cover the whole sweep.
+/// [`run_sweep`] with every point's telemetry merged into `metrics`,
+/// so it covers the whole sweep.
 ///
 /// # Errors
 ///
 /// Propagates model-compilation and per-point failures.
-pub fn run_sweep_with_recorder(
-    cfg: &SweepConfig,
-    recorder: Arc<dyn Recorder>,
-) -> Result<SweepReport, ServeError> {
+pub fn run_sweep_into(cfg: &SweepConfig, metrics: &Registry) -> Result<SweepReport, ServeError> {
     let model = ServableModel::mlp(cfg.scale, cfg.seed)?;
     let mut points = Vec::new();
     for &clients in &cfg.clients {
@@ -326,13 +312,13 @@ pub fn run_sweep_with_recorder(
                     node: "local".to_string(),
                     ..ServeConfig::default()
                 };
-                points.push(run_point_with_recorder(
+                points.push(run_point(
                     &model,
                     &serve_cfg,
                     clients,
                     cfg.requests,
                     cfg.seed,
-                    Arc::clone(&recorder),
+                    metrics,
                 )?);
             }
         }
@@ -367,13 +353,19 @@ mod tests {
             emulate_hw_time: false,
             ..SweepConfig::default()
         };
-        let report = run_sweep(&cfg).expect("sweep");
+        let metrics = Registry::new();
+        let report = run_sweep_into(&cfg, &metrics).expect("sweep");
         assert_eq!(report.points.len(), 2);
+        // Each point reads its own server; the merged registry, all.
         for p in &report.points {
             assert_eq!(p.completed, 12);
             assert!(p.cycles_per_req > 0.0);
             assert!(p.energy_pj_per_req > 0.0);
         }
+        let merged = metrics
+            .find_counter("serve_requests_completed_total", &[])
+            .expect("merged");
+        assert_eq!(merged.get(), 2 * 12);
         assert!(report.render().contains("hw req/s"));
         assert!(report.best_hw_rps(1).is_some());
         assert!(report.best_hw_rps(7).is_none());

@@ -47,7 +47,7 @@ use cs_accel::AccelConfig;
 use cs_energy::energy::energy_cambricon_s;
 use cs_energy::EnergyModel;
 use cs_registry::ModelArtifact;
-use cs_telemetry::{NoopRecorder, Recorder};
+use cs_telemetry::{Recorder, Registry};
 
 use crate::admission::{AdmissionQueue, AdmitError};
 use crate::clock::{Clock, MonotonicClock};
@@ -438,7 +438,9 @@ impl Server {
     }
 
     /// Starts the server with an injected clock (tests use
-    /// [`crate::clock::ManualClock`] to pin latency figures).
+    /// [`crate::clock::ManualClock`] to pin latency figures) and a
+    /// fresh [`Registry`] of its own, which both [`Server::stats`] and
+    /// [`Server::metrics_text`] read.
     ///
     /// # Errors
     ///
@@ -448,15 +450,18 @@ impl Server {
         cfg: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Server, ServeError> {
-        Server::start_with_recorder(registry, cfg, clock, Arc::new(NoopRecorder))
+        Server::start_with_recorder(registry, cfg, clock, Arc::new(Registry::new()))
     }
 
     /// Starts the server with an injected clock and telemetry recorder.
     /// Every request-path event (admission, queue wait, batch close,
     /// worker busy/idle, per-request hardware breakdown, model
-    /// lifecycle) registers and feeds metrics on `recorder`; pass a
-    /// [`cs_telemetry::Registry`] and read them back via
-    /// [`Server::metrics_text`] / [`Server::metrics_jsonl`].
+    /// lifecycle) registers and feeds metrics on `recorder`, and
+    /// [`Server::stats`] is built from those same handles. Give each
+    /// server a [`Registry`] of its own (series re-resolve by name, so
+    /// two servers on one registry would read each other's counts).
+    /// Under a [`cs_telemetry::NoopRecorder`] nothing is kept: the
+    /// snapshot's counts read zero and there is no metrics dump.
     ///
     /// # Errors
     ///
@@ -468,7 +473,7 @@ impl Server {
         recorder: Arc<dyn Recorder>,
     ) -> Result<Server, ServeError> {
         cfg.validate()?;
-        let stats = Arc::new(ServeStats::with_recorder(
+        let stats = Arc::new(ServeStats::new(
             clock,
             cfg.workers,
             Arc::clone(&recorder),
@@ -478,7 +483,8 @@ impl Server {
         let shutting_down = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(
             AdmissionQueue::new(cfg.queue_depth, cfg.tenant_quota, &cfg.tenant_weights)
-                .with_workers(cfg.workers),
+                .with_workers(cfg.workers)
+                .with_recorder(Arc::clone(&recorder)),
         );
         // The workers are the only threads. Idle ones stand in a FIFO
         // line inside the queue, so assignment rotates over them
@@ -676,11 +682,10 @@ impl Server {
         self.admit(req, Some(bell))
     }
 
-    fn admit(&self, req: InferRequest, bell: Option<Doorbell>) -> Result<Ticket, ServeError> {
+    fn admit(&self, mut req: InferRequest, bell: Option<Doorbell>) -> Result<Ticket, ServeError> {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
-        let tenant = req.tenant_label().to_string();
         let resolved = self
             .live
             .resolve(&req.model)
@@ -705,29 +710,29 @@ impl Server {
         let job = Job {
             loaded: resolved.target,
             shadow: resolved.shadow,
-            input: req.input,
+            input: std::mem::take(&mut req.input),
             submit_us: now,
             reply: reply_tx,
             _guards: guards,
             _bell: bell,
         };
-        match self.queue.try_push(&tenant, job) {
+        // Borrowed: only a refusal needs an owned copy of the label.
+        let tenant = req.tenant_label();
+        match self.queue.try_push(tenant, job) {
             Ok(()) => {
                 self.stats.record_submit();
-                self.stats.record_tenant_submit(&tenant);
                 target.requests.inc();
                 Ok(Ticket { rx: reply_rx })
             }
             Err(AdmitError::Full { tenant_quota }) => {
                 self.stats.record_reject();
-                self.stats.record_tenant_reject(&tenant);
                 Err(ServeError::Overloaded {
                     capacity: if tenant_quota {
                         self.cfg.tenant_quota
                     } else {
                         self.cfg.queue_depth
                     },
-                    tenant,
+                    tenant: tenant.to_string(),
                 })
             }
             // Closed without a shutdown: the last worker died.
@@ -840,20 +845,26 @@ impl Server {
         self.live.names()
     }
 
-    /// Current statistics snapshot.
+    /// Current statistics snapshot, built from the server's telemetry
+    /// handles (all counts read zero when it was started on a
+    /// [`cs_telemetry::NoopRecorder`]).
     pub fn stats(&self) -> ServeSnapshot {
-        self.stats.snapshot()
+        ServeSnapshot {
+            tenants: self.queue.tenants(),
+            ..self.stats.snapshot()
+        }
     }
 
     /// Prometheus text-format dump of the server's telemetry — the
     /// `/metrics`-page equivalent. `None` when the server was started
-    /// without a retaining recorder (the no-op default).
+    /// on a recorder that keeps nothing ([`cs_telemetry::NoopRecorder`]).
     pub fn metrics_text(&self) -> Option<String> {
         self.recorder.prometheus_text()
     }
 
     /// JSONL dump of the server's telemetry (one series per line).
-    /// `None` when the server was started without a retaining recorder.
+    /// `None` when the server was started on a recorder that keeps
+    /// nothing.
     pub fn metrics_jsonl(&self) -> Option<String> {
         self.recorder.jsonl()
     }
@@ -878,7 +889,7 @@ impl Server {
     /// returns the final snapshot.
     pub fn shutdown(mut self) -> ServeSnapshot {
         self.stop_and_join();
-        self.stats.snapshot()
+        self.stats()
     }
 
     fn stop_and_join(&mut self) {
@@ -920,7 +931,7 @@ fn shadow_compare(
         .map_or(true, |run| !outputs_equivalent(outputs, run.outputs));
     if diverged {
         let seen = state.divergences.fetch_add(1, Ordering::SeqCst) + 1;
-        stats.record_canary_divergence(&job.loaded.model.name);
+        state.diverged.inc();
         if seen >= state.threshold && !state.demoted.swap(true, Ordering::SeqCst) {
             stats.record_canary_demotion();
         }
@@ -1911,11 +1922,47 @@ mod tests {
     }
 
     #[test]
-    fn default_server_has_no_metrics_dump() {
-        let (reg, _) = mlp_registry();
+    fn a_server_started_without_a_recorder_exports_its_metrics() {
+        let (reg, model) = mlp_registry();
         let server = Server::start(reg, ServeConfig::default()).expect("start");
-        assert!(server.metrics_text().is_none());
-        assert!(server.metrics_jsonl().is_none());
+        server
+            .infer(InferRequest::new("mlp", input_for(&model, 0)))
+            .expect("infer");
+        let text = server
+            .metrics_text()
+            .expect("a default server keeps its metrics");
+        assert!(text.contains("serve_requests_completed_total 1"), "{text}");
+        assert!(server
+            .metrics_jsonl()
+            .expect("jsonl too")
+            .contains("serve_request_latency_us"));
+        assert_eq!(server.stats().completed, 1);
+    }
+
+    #[test]
+    fn servers_started_in_sequence_report_independent_snapshots() {
+        let (reg, model) = mlp_registry();
+        let first = Server::start(reg, ServeConfig::default()).expect("start");
+        for i in 0..3 {
+            first
+                .infer(InferRequest::new("mlp", input_for(&model, i)).with_tenant("acme"))
+                .expect("infer");
+        }
+        let first = first.shutdown();
+        let (reg, model) = mlp_registry();
+        let second = Server::start(reg, ServeConfig::default()).expect("start");
+        second
+            .infer(InferRequest::new("mlp", input_for(&model, 9)))
+            .expect("infer");
+        let second = second.shutdown();
+        assert_eq!((first.submitted, first.completed), (3, 3));
+        assert_eq!((second.submitted, second.completed), (1, 1));
+        assert_eq!(first.tenants, vec![("acme".to_string(), 3, 0)]);
+        assert_eq!(second.tenants, vec![("default".to_string(), 1, 0)]);
+        assert_eq!(first.hw_completed, 3);
+        assert_eq!(second.hw_completed, 1);
+        // One resident model each: a shared registry would read two.
+        assert_eq!((first.loaded_models, second.loaded_models), (1, 1));
     }
 
     #[test]

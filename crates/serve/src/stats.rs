@@ -1,71 +1,43 @@
 //! Serving statistics: latency percentiles, batch-size histogram,
 //! throughput and simulated hardware cost per request.
 //!
-//! All time is read through the injected [`Clock`], never from
-//! `Instant::now()`, so every figure in a [`ServeSnapshot`] — including
-//! the percentiles — is reproducible in tests with a
-//! [`crate::clock::ManualClock`].
+//! There is one ledger: the [`cs_telemetry`] handles a server registers
+//! against its recorder. Every `record_*` event updates those handles
+//! (lock-free atomics), and `ServeStats::snapshot` folds the same
+//! handles into a [`ServeSnapshot`], so the snapshot and the exported
+//! metrics read the same numbers. A server therefore owns its registry;
+//! under a [`cs_telemetry::NoopRecorder`] every handle discards its
+//! updates and the snapshot's counts read zero.
 //!
-//! Every `record_*` event additionally feeds a set of
-//! [`cs_telemetry`] handles registered against the recorder passed to
-//! [`ServeStats::with_recorder`]. The default recorder is a
-//! [`NoopRecorder`], whose handles discard updates, so the snapshot
-//! path is unchanged for callers that never ask for metrics. The
-//! snapshot percentiles and the telemetry histograms share one rank
-//! rule ([`cs_telemetry::rank_for_quantile`]), so they agree exactly
-//! whenever latencies land on histogram bucket bounds.
+//! The percentiles are [`cs_telemetry::Histogram::quantile`] readings
+//! of `serve_request_latency_us`: the upper bound of the 1-2-5
+//! [`buckets::duration_us`] bucket holding the rank, so a 340 µs median
+//! reads 500. The mean stays exact (sum over count). All time is read
+//! through the injected [`Clock`], so every figure is reproducible in
+//! tests with a [`crate::clock::ManualClock`].
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use cs_sim::SimStats;
-use cs_telemetry::{buckets, label, percentile_of_sorted, Counter, Gauge, Histogram};
-use cs_telemetry::{Labels, NoopRecorder, Recorder};
+use cs_telemetry::{buckets, label, Counter, Gauge, Histogram, HistogramSnapshot};
+use cs_telemetry::{Labels, Recorder};
 
 use crate::batch::CloseReason;
 use crate::clock::Clock;
 
-/// Hard cap on retained latency samples; past this the recorder keeps
-/// every second sample to bound memory during long soak runs.
-const MAX_LATENCY_SAMPLES: usize = 1 << 20;
-
-fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Counter updates can't leave the map in a broken state, so a
-    // poisoned lock (a panicking test thread) is safe to adopt.
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-#[derive(Debug, Default)]
-struct StatsInner {
-    submitted: u64,
-    rejected: u64,
-    completed: u64,
-    hw_completed: u64,
-    failed: u64,
-    /// Signed: a free worker can take a job before its submitter has
-    /// recorded the admission, so the count may dip to -1 in between.
-    queue_depth: i64,
-    max_queue_depth: usize,
-    latencies_us: Vec<u64>,
-    keep_every: usize,
-    latency_skip: usize,
-    batch_hist: BTreeMap<usize, u64>,
-    total_cycles: u64,
-    total_energy_pj: f64,
-    worker_busy_cycles: Vec<u64>,
-    loaded_models: u64,
-    resident_bytes: u64,
-    evictions: u64,
-    canary_divergences: u64,
-    canary_demotions: u64,
-    /// Tenant → (submitted, rejected).
-    tenants: BTreeMap<String, (u64, u64)>,
-}
-
-/// Telemetry handles for every serving-path event, fetched once at
-/// startup (registration locks; updates are lock-free atomics).
-#[derive(Debug, Clone)]
-struct ServeMetrics {
+/// The server's telemetry handles, registered once at startup (canary
+/// counters on the first canary of a name), and the snapshot built
+/// from them.
+///
+/// The admission path and every worker hold an `Arc` of this; tenant
+/// counters live with the tenant's admission lane instead
+/// ([`crate::admission::AdmissionQueue::tenants`]).
+pub(crate) struct ServeStats {
+    clock: Arc<dyn Clock>,
+    start_us: u64,
+    /// Kept for the canary counters, registered when a canary loads.
+    recorder: Arc<dyn Recorder>,
     submitted: Counter,
     rejected: Counter,
     completed: Counter,
@@ -77,6 +49,8 @@ struct ServeMetrics {
     /// Indexed by [`CloseReason`] discriminant order.
     batch_close: [Counter; 3],
     latency_us: Histogram,
+    /// Observed once per hardware-modelled completion, so its count is
+    /// the snapshot's `hw_completed`.
     compute_cycles: Histogram,
     dram_stall_cycles: Histogram,
     nbin_peak_bytes: Gauge,
@@ -88,10 +62,32 @@ struct ServeMetrics {
     resident_bytes: Gauge,
     evictions: Counter,
     canary_demotions: Counter,
+    /// Model name → `serve_canary_divergences_total{model}`. Locked only
+    /// when a canary loads and when a snapshot sums them; the worker
+    /// increments the handle its canary state holds.
+    canary_divergences: Mutex<HashMap<String, Counter>>,
 }
 
-impl ServeMetrics {
-    fn new(rec: &dyn Recorder, workers: usize, max_batch: usize) -> Self {
+impl ServeStats {
+    /// Handles for `workers` worker threads registered against
+    /// `recorder`, timed by `clock`. `max_batch` sizes the exact
+    /// batch-size histogram (one bucket per size).
+    pub(crate) fn new(
+        clock: Arc<dyn Clock>,
+        workers: usize,
+        recorder: Arc<dyn Recorder>,
+        max_batch: usize,
+    ) -> Self {
+        let rec = recorder.as_ref();
+        let counter = |name, help| rec.counter(name, help, Labels::new());
+        let gauge = |name, help| rec.gauge(name, help, Labels::new());
+        let histogram =
+            |name, help, bounds: &[u64]| rec.histogram(name, help, Labels::new(), bounds);
+        let per_worker = |name, help| -> Vec<Counter> {
+            (0..workers)
+                .map(|w| rec.counter(name, help, label("worker", w)))
+                .collect()
+        };
         let close = |reason: CloseReason| {
             rec.counter(
                 "serve_batch_close_total",
@@ -99,48 +95,39 @@ impl ServeMetrics {
                 label("reason", reason.as_str()),
             )
         };
-        ServeMetrics {
-            submitted: rec.counter(
+        ServeStats {
+            start_us: clock.now_us(),
+            clock,
+            submitted: counter(
                 "serve_requests_submitted_total",
                 "Requests admitted into the queue",
-                Labels::new(),
             ),
-            rejected: rec.counter(
+            rejected: counter(
                 "serve_requests_rejected_total",
                 "Requests rejected with Overloaded",
-                Labels::new(),
             ),
-            completed: rec.counter(
+            completed: counter(
                 "serve_requests_completed_total",
                 "Requests answered successfully",
-                Labels::new(),
             ),
-            failed: rec.counter(
+            failed: counter(
                 "serve_requests_failed_total",
                 "Requests answered with an error",
-                Labels::new(),
             ),
-            queue_depth: rec.gauge(
-                "serve_queue_depth",
-                "Requests admitted but not yet batched",
-                Labels::new(),
-            ),
-            queue_wait_us: rec.histogram(
+            queue_depth: gauge("serve_queue_depth", "Requests admitted but not yet batched"),
+            queue_wait_us: histogram(
                 "serve_queue_wait_us",
                 "Enqueue-to-dequeue wait per request",
-                Labels::new(),
                 &buckets::duration_us(),
             ),
-            batch_size: rec.histogram(
+            batch_size: histogram(
                 "serve_batch_size",
                 "Requests per closed batch",
-                Labels::new(),
                 &buckets::exact(max_batch.max(1) as u64),
             ),
-            batch_wait_us: rec.histogram(
+            batch_wait_us: histogram(
                 "serve_batch_wait_us",
                 "Open-to-close wait per batch",
-                Labels::new(),
                 &buckets::duration_us(),
             ),
             batch_close: [
@@ -148,434 +135,249 @@ impl ServeMetrics {
                 close(CloseReason::Deadline),
                 close(CloseReason::ModelSwitch),
             ],
-            latency_us: rec.histogram(
+            latency_us: histogram(
                 "serve_request_latency_us",
                 "End-to-end latency per completed request",
-                Labels::new(),
                 &buckets::duration_us(),
             ),
-            compute_cycles: rec.histogram(
+            compute_cycles: histogram(
                 "serve_request_compute_cycles",
                 "Simulated NFU-busy cycles per request",
-                Labels::new(),
                 &buckets::cycles(),
             ),
-            dram_stall_cycles: rec.histogram(
+            dram_stall_cycles: histogram(
                 "serve_request_dram_stall_cycles",
                 "Simulated cycles stalled on DRAM per request",
-                Labels::new(),
                 &buckets::cycles(),
             ),
-            nbin_peak_bytes: rec.gauge(
+            nbin_peak_bytes: gauge(
                 "serve_nbin_peak_bytes",
                 "Peak NBin occupancy over served requests",
-                Labels::new(),
             ),
-            energy_pj: rec.counter(
+            energy_pj: counter(
                 "serve_energy_pj_total",
                 "Simulated energy across completed requests (pJ)",
-                Labels::new(),
             ),
-            worker_busy_us: (0..workers)
-                .map(|w| {
-                    rec.counter(
-                        "serve_worker_busy_us",
-                        "Wall-clock time spent executing batches",
-                        label("worker", w),
-                    )
-                })
-                .collect(),
-            worker_idle_us: (0..workers)
-                .map(|w| {
-                    rec.counter(
-                        "serve_worker_idle_us",
-                        "Wall-clock time spent waiting for batches",
-                        label("worker", w),
-                    )
-                })
-                .collect(),
-            worker_busy_cycles: (0..workers)
-                .map(|w| {
-                    rec.counter(
-                        "serve_worker_busy_cycles",
-                        "Simulated accelerator cycles executed",
-                        label("worker", w),
-                    )
-                })
-                .collect(),
-            loaded_models: rec.gauge(
-                "serve_loaded_models",
-                "Model versions currently resident",
-                Labels::new(),
+            worker_busy_us: per_worker(
+                "serve_worker_busy_us",
+                "Wall-clock time spent executing batches",
             ),
-            resident_bytes: rec.gauge(
+            worker_idle_us: per_worker(
+                "serve_worker_idle_us",
+                "Wall-clock time spent waiting for batches",
+            ),
+            worker_busy_cycles: per_worker(
+                "serve_worker_busy_cycles",
+                "Simulated accelerator cycles executed",
+            ),
+            loaded_models: gauge("serve_loaded_models", "Model versions currently resident"),
+            resident_bytes: gauge(
                 "serve_resident_bytes",
                 "Compact weight bytes held by resident model versions",
-                Labels::new(),
             ),
-            evictions: rec.counter(
+            evictions: counter(
                 "serve_model_evictions_total",
                 "Model versions evicted by the memory budget",
-                Labels::new(),
             ),
-            canary_demotions: rec.counter(
+            canary_demotions: counter(
                 "serve_canary_demotions_total",
                 "Canary versions auto-demoted by divergence",
-                Labels::new(),
             ),
-        }
-    }
-
-    fn close_counter(&self, reason: CloseReason) -> &Counter {
-        &self.batch_close[reason as usize]
-    }
-}
-
-/// Shared, thread-safe statistics recorder.
-///
-/// The admission path and every worker hold an `Arc` of
-/// this and record events as they happen; [`ServeStats::snapshot`]
-/// folds the counters into a [`ServeSnapshot`].
-pub struct ServeStats {
-    clock: Arc<dyn Clock>,
-    start_us: u64,
-    inner: Mutex<StatsInner>,
-    metrics: ServeMetrics,
-    /// Kept for series that register lazily: tenants and canary models
-    /// are not known at startup.
-    recorder: Arc<dyn Recorder>,
-    tenant_metrics: Mutex<HashMap<String, (Counter, Counter)>>,
-    canary_metrics: Mutex<HashMap<String, Counter>>,
-}
-
-impl std::fmt::Debug for ServeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeStats")
-            .field("start_us", &self.start_us)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ServeStats {
-    /// A recorder for `workers` worker threads, timed by `clock`, with
-    /// telemetry discarded (no-op handles).
-    pub fn new(clock: Arc<dyn Clock>, workers: usize) -> Self {
-        ServeStats::with_recorder(clock, workers, Arc::new(NoopRecorder), 64)
-    }
-
-    /// A recorder whose events additionally feed telemetry handles
-    /// registered against `recorder`. `max_batch` sizes the exact
-    /// batch-size histogram (one bucket per size).
-    pub fn with_recorder(
-        clock: Arc<dyn Clock>,
-        workers: usize,
-        recorder: Arc<dyn Recorder>,
-        max_batch: usize,
-    ) -> Self {
-        let start_us = clock.now_us();
-        ServeStats {
-            clock,
-            start_us,
-            inner: Mutex::new(StatsInner {
-                keep_every: 1,
-                worker_busy_cycles: vec![0; workers],
-                ..StatsInner::default()
-            }),
-            metrics: ServeMetrics::new(recorder.as_ref(), workers, max_batch),
+            canary_divergences: Mutex::new(HashMap::new()),
             recorder,
-            tenant_metrics: Mutex::new(HashMap::new()),
-            canary_metrics: Mutex::new(HashMap::new()),
         }
     }
 
     /// The clock this recorder reads.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
+    pub(crate) fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
     }
 
     /// Current time in microseconds on the injected clock.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.clock.now_us()
     }
 
     /// Records a request admitted into the queue.
-    pub fn record_submit(&self) {
-        {
-            let mut g = lock_or_recover(&self.inner);
-            g.submitted += 1;
-            g.queue_depth += 1;
-            g.max_queue_depth = g
-                .max_queue_depth
-                .max(usize::try_from(g.queue_depth).unwrap_or(0));
-        }
-        self.metrics.submitted.inc();
-        self.metrics.queue_depth.add(1);
+    pub(crate) fn record_submit(&self) {
+        self.submitted.inc();
+        self.queue_depth.add(1);
     }
 
     /// Records a request rejected with `Overloaded`.
-    pub fn record_reject(&self) {
-        lock_or_recover(&self.inner).rejected += 1;
-        self.metrics.rejected.inc();
+    pub(crate) fn record_reject(&self) {
+        self.rejected.inc();
     }
 
     /// Records a request leaving the queue for a batch after waiting
-    /// `wait_us` since admission.
-    pub fn record_dequeue(&self, wait_us: u64) {
-        lock_or_recover(&self.inner).queue_depth -= 1;
-        self.metrics.queue_depth.sub(1);
-        self.metrics.queue_wait_us.observe(wait_us);
+    /// `wait_us` since admission. A free worker can take a job before
+    /// its submitter has recorded the admission, so the depth may dip
+    /// to -1 in between.
+    pub(crate) fn record_dequeue(&self, wait_us: u64) {
+        self.queue_depth.sub(1);
+        self.queue_wait_us.observe(wait_us);
     }
 
     /// Records a closed batch of `size` requests that stayed open for
     /// `wait_us` and was closed by `reason`.
-    pub fn record_batch(&self, size: usize, wait_us: u64, reason: CloseReason) {
-        *lock_or_recover(&self.inner)
-            .batch_hist
-            .entry(size)
-            .or_insert(0) += 1;
-        self.metrics.batch_size.observe(size as u64);
-        self.metrics.batch_wait_us.observe(wait_us);
-        self.metrics.close_counter(reason).inc();
+    pub(crate) fn record_batch(&self, size: usize, wait_us: u64, reason: CloseReason) {
+        self.batch_size.observe(size as u64);
+        self.batch_wait_us.observe(wait_us);
+        self.batch_close[reason as usize].inc();
     }
 
     /// Records one completed request.
     ///
     /// Requests with `cycles == 0` ran on an engine lane with no
     /// hardware model attached (see [`crate::ExecBackend`]); they count
-    /// toward wall-clock throughput but are excluded from the
-    /// hardware-side accounting (`cycles_per_req`, `energy_pj_per_req`,
-    /// `hw_rps`), which would otherwise be diluted toward zero.
-    pub fn record_done(&self, worker: usize, latency_us: u64, cycles: u64, energy_pj: f64) {
-        {
-            let mut g = lock_or_recover(&self.inner);
-            g.completed += 1;
-            if cycles > 0 {
-                g.hw_completed += 1;
-            }
-            g.total_cycles += cycles;
-            g.total_energy_pj += energy_pj;
-            if let Some(busy) = g.worker_busy_cycles.get_mut(worker) {
-                *busy += cycles;
-            }
-            // Reservoir-ish decimation: once the buffer is full, keep
-            // every 2^k-th sample so percentiles stay representative
-            // while memory stays bounded.
-            if g.latencies_us.len() >= MAX_LATENCY_SAMPLES {
-                g.latencies_us = g.latencies_us.iter().copied().step_by(2).collect();
-                g.keep_every *= 2;
-            }
-            if g.latency_skip == 0 {
-                g.latencies_us.push(latency_us);
-                g.latency_skip = g.keep_every - 1;
-            } else {
-                g.latency_skip -= 1;
-            }
-        }
-        self.metrics.completed.inc();
-        self.metrics.latency_us.observe(latency_us);
-        self.metrics.energy_pj.add(energy_pj.round() as u64);
-        if let Some(c) = self.metrics.worker_busy_cycles.get(worker) {
+    /// toward wall-clock throughput but not toward `hw_completed`, which
+    /// [`ServeStats::record_request_hw`] counts.
+    pub(crate) fn record_done(&self, worker: usize, latency_us: u64, cycles: u64, energy_pj: f64) {
+        self.completed.inc();
+        self.latency_us.observe(latency_us);
+        self.energy_pj.add(energy_pj.round() as u64);
+        if let Some(c) = self.worker_busy_cycles.get(worker) {
             c.add(cycles);
         }
     }
 
-    /// Records the simulated-hardware breakdown of one request: how the
-    /// accelerator's cycles split into compute vs DRAM stall, and the
-    /// peak NBin occupancy it reached.
-    pub fn record_request_hw(&self, sim: &SimStats) {
-        self.metrics.compute_cycles.observe(sim.compute_busy_cycles);
-        self.metrics
-            .dram_stall_cycles
-            .observe(sim.dram_stall_cycles);
+    /// Records the simulated-hardware breakdown of one
+    /// hardware-modelled request: how the accelerator's cycles split
+    /// into compute vs DRAM stall, and the peak NBin occupancy it
+    /// reached.
+    pub(crate) fn record_request_hw(&self, sim: &SimStats) {
+        self.compute_cycles.observe(sim.compute_busy_cycles);
+        self.dram_stall_cycles.observe(sim.dram_stall_cycles);
         // Gauge high-water mark tracks the peak across requests.
-        self.metrics
-            .nbin_peak_bytes
+        self.nbin_peak_bytes
             .set(sim.nbin_peak_bytes.min(i64::MAX as u64) as i64);
     }
 
     /// Records one worker-lane accounting sample: `idle_us` waiting for
     /// a batch, then `busy_us` executing it.
-    pub fn record_worker_lane(&self, worker: usize, idle_us: u64, busy_us: u64) {
-        if let Some(c) = self.metrics.worker_idle_us.get(worker) {
+    pub(crate) fn record_worker_lane(&self, worker: usize, idle_us: u64, busy_us: u64) {
+        if let Some(c) = self.worker_idle_us.get(worker) {
             c.add(idle_us);
         }
-        if let Some(c) = self.metrics.worker_busy_us.get(worker) {
+        if let Some(c) = self.worker_busy_us.get(worker) {
             c.add(busy_us);
         }
     }
 
     /// Records one failed request (the worker returned an error).
-    pub fn record_failure(&self) {
-        lock_or_recover(&self.inner).failed += 1;
-        self.metrics.failed.inc();
+    pub(crate) fn record_failure(&self) {
+        self.failed.inc();
     }
 
-    fn tenant_handles(&self, tenant: &str) -> (Counter, Counter) {
-        let mut g = lock_or_recover(&self.tenant_metrics);
-        g.entry(tenant.to_string())
+    /// Records a model version becoming resident (`bytes` compact
+    /// weight bytes).
+    pub(crate) fn record_load(&self, bytes: u64) {
+        self.loaded_models.add(1);
+        self.resident_bytes.add(bytes.min(i64::MAX as u64) as i64);
+    }
+
+    /// Records an explicit unload of a resident version.
+    pub(crate) fn record_unload(&self, bytes: u64) {
+        self.loaded_models.sub(1);
+        self.resident_bytes.sub(bytes.min(i64::MAX as u64) as i64);
+    }
+
+    /// Records a version evicted (and drained) by the memory budget.
+    pub(crate) fn record_eviction(&self, bytes: u64) {
+        self.evictions.inc();
+        self.record_unload(bytes);
+    }
+
+    /// The divergence counter a canary of `model` scores into, one
+    /// series per model name.
+    pub(crate) fn canary_divergences(&self, model: &str) -> Counter {
+        let mut counters = self
+            .canary_divergences
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        counters
+            .entry(model.to_string())
             .or_insert_with(|| {
-                (
-                    self.recorder.counter(
-                        "serve_tenant_requests_total",
-                        "Requests admitted, by tenant",
-                        label("tenant", tenant),
-                    ),
-                    self.recorder.counter(
-                        "serve_tenant_rejected_total",
-                        "Requests rejected with Overloaded, by tenant",
-                        label("tenant", tenant),
-                    ),
+                self.recorder.counter(
+                    "serve_canary_divergences_total",
+                    "Canary outputs that diverged from the primary, by model",
+                    label("model", model),
                 )
             })
             .clone()
     }
 
-    /// Records an admission attributed to `tenant` (companion to
-    /// [`ServeStats::record_submit`], which keeps the global counters).
-    pub fn record_tenant_submit(&self, tenant: &str) {
-        lock_or_recover(&self.inner)
-            .tenants
-            .entry(tenant.to_string())
-            .or_insert((0, 0))
-            .0 += 1;
-        self.tenant_handles(tenant).0.inc();
-    }
-
-    /// Records a rejection attributed to `tenant`.
-    pub fn record_tenant_reject(&self, tenant: &str) {
-        lock_or_recover(&self.inner)
-            .tenants
-            .entry(tenant.to_string())
-            .or_insert((0, 0))
-            .1 += 1;
-        self.tenant_handles(tenant).1.inc();
-    }
-
-    /// Records a model version becoming resident (`bytes` compact
-    /// weight bytes).
-    pub fn record_load(&self, bytes: u64) {
-        {
-            let mut g = lock_or_recover(&self.inner);
-            g.loaded_models += 1;
-            g.resident_bytes += bytes;
-        }
-        self.metrics.loaded_models.add(1);
-        self.metrics
-            .resident_bytes
-            .add(bytes.min(i64::MAX as u64) as i64);
-    }
-
-    fn record_resident_drop(&self, bytes: u64) {
-        {
-            let mut g = lock_or_recover(&self.inner);
-            g.loaded_models = g.loaded_models.saturating_sub(1);
-            g.resident_bytes = g.resident_bytes.saturating_sub(bytes);
-        }
-        self.metrics.loaded_models.sub(1);
-        self.metrics
-            .resident_bytes
-            .sub(bytes.min(i64::MAX as u64) as i64);
-    }
-
-    /// Records an explicit unload of a resident version.
-    pub fn record_unload(&self, bytes: u64) {
-        self.record_resident_drop(bytes);
-    }
-
-    /// Records a version evicted (and drained) by the memory budget.
-    pub fn record_eviction(&self, bytes: u64) {
-        lock_or_recover(&self.inner).evictions += 1;
-        self.metrics.evictions.inc();
-        self.record_resident_drop(bytes);
-    }
-
-    /// Records one canary shadow comparison that diverged from the
-    /// primary for `model`.
-    pub fn record_canary_divergence(&self, model: &str) {
-        lock_or_recover(&self.inner).canary_divergences += 1;
-        let counter = {
-            let mut g = lock_or_recover(&self.canary_metrics);
-            g.entry(model.to_string())
-                .or_insert_with(|| {
-                    self.recorder.counter(
-                        "serve_canary_divergences_total",
-                        "Canary outputs that diverged from the primary, by model",
-                        label("model", model),
-                    )
-                })
-                .clone()
-        };
-        counter.inc();
-    }
-
     /// Records a canary crossing its divergence threshold and being
     /// demoted.
-    pub fn record_canary_demotion(&self) {
-        lock_or_recover(&self.inner).canary_demotions += 1;
-        self.metrics.canary_demotions.inc();
+    pub(crate) fn record_canary_demotion(&self) {
+        self.canary_demotions.inc();
     }
 
-    /// Folds the counters into an immutable snapshot at the current
-    /// clock reading.
-    pub fn snapshot(&self) -> ServeSnapshot {
-        let now = self.clock.now_us();
-        let g = lock_or_recover(&self.inner);
-        let mut sorted = g.latencies_us.clone();
-        sorted.sort_unstable();
-        let elapsed_us = now.saturating_sub(self.start_us);
-        let completed = g.completed;
-        let batches: u64 = g.batch_hist.values().sum();
-        let batched_reqs: u64 = g.batch_hist.iter().map(|(size, n)| *size as u64 * n).sum();
-        ServeSnapshot {
-            elapsed_us,
-            submitted: g.submitted,
-            rejected: g.rejected,
-            completed,
-            failed: g.failed,
-            queue_depth: usize::try_from(g.queue_depth).unwrap_or(0),
-            max_queue_depth: g.max_queue_depth,
-            p50_us: percentile_of_sorted(&sorted, 0.50),
-            p95_us: percentile_of_sorted(&sorted, 0.95),
-            p99_us: percentile_of_sorted(&sorted, 0.99),
-            mean_latency_us: if sorted.is_empty() {
+    /// Folds the handles into a snapshot at the current clock reading.
+    /// `tenants` is left empty: the admission queue holds those.
+    pub(crate) fn snapshot(&self) -> ServeSnapshot {
+        let elapsed_us = self.clock.now_us().saturating_sub(self.start_us);
+        let latency = self.latency_us.snapshot();
+        let quantile = |q| latency.as_ref().map_or(0, |h| h.quantile(q));
+        let batches = self.batch_size.snapshot();
+        let completed = self.completed.get();
+        let hw_completed = self.compute_cycles.count();
+        let per_hw_req = |total: u64| {
+            if hw_completed == 0 {
                 0.0
             } else {
-                sorted.iter().sum::<u64>() as f64 / sorted.len() as f64
-            },
+                total as f64 / hw_completed as f64
+            }
+        };
+        let worker_busy_cycles: Vec<u64> =
+            self.worker_busy_cycles.iter().map(Counter::get).collect();
+        let total_cycles = worker_busy_cycles.iter().sum();
+        let level = |g: &Gauge| u64::try_from(g.get()).unwrap_or(0);
+        let canary_divergences = self
+            .canary_divergences
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .values()
+            .map(Counter::get)
+            .sum();
+        ServeSnapshot {
+            elapsed_us,
+            submitted: self.submitted.get(),
+            rejected: self.rejected.get(),
+            completed,
+            hw_completed,
+            failed: self.failed.get(),
+            queue_depth: usize::try_from(self.queue_depth.get()).unwrap_or(0),
+            max_queue_depth: usize::try_from(self.queue_depth.max()).unwrap_or(0),
+            p50_us: quantile(0.50),
+            p95_us: quantile(0.95),
+            p99_us: quantile(0.99),
+            mean_latency_us: latency.as_ref().map_or(0.0, HistogramSnapshot::mean),
             throughput_rps: if elapsed_us == 0 {
                 0.0
             } else {
                 completed as f64 * 1e6 / elapsed_us as f64
             },
-            batch_hist: g.batch_hist.iter().map(|(s, n)| (*s, *n)).collect(),
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                batched_reqs as f64 / batches as f64
-            },
-            hw_completed: g.hw_completed,
-            total_cycles: g.total_cycles,
-            cycles_per_req: if g.hw_completed == 0 {
-                0.0
-            } else {
-                g.total_cycles as f64 / g.hw_completed as f64
-            },
-            energy_pj_per_req: if g.hw_completed == 0 {
-                0.0
-            } else {
-                g.total_energy_pj / g.hw_completed as f64
-            },
-            worker_busy_cycles: g.worker_busy_cycles.clone(),
-            loaded_models: g.loaded_models,
-            resident_bytes: g.resident_bytes,
-            evictions: g.evictions,
-            canary_divergences: g.canary_divergences,
-            canary_demotions: g.canary_demotions,
-            tenants: g
-                .tenants
-                .iter()
-                .map(|(t, (s, r))| (t.clone(), *s, *r))
-                .collect(),
+            batch_hist: batches.as_ref().map_or_else(Vec::new, |h| {
+                // Exact buckets: bound `i` is batch size `i + 1`.
+                h.bounds
+                    .iter()
+                    .zip(&h.counts)
+                    .filter(|(_, n)| **n > 0)
+                    .map(|(size, n)| (*size as usize, *n))
+                    .collect()
+            }),
+            mean_batch: batches.as_ref().map_or(0.0, HistogramSnapshot::mean),
+            total_cycles,
+            cycles_per_req: per_hw_req(total_cycles),
+            energy_pj_per_req: per_hw_req(self.energy_pj.get()),
+            worker_busy_cycles,
+            loaded_models: level(&self.loaded_models),
+            resident_bytes: level(&self.resident_bytes),
+            evictions: self.evictions.get(),
+            canary_divergences,
+            canary_demotions: self.canary_demotions.get(),
+            tenants: Vec::new(),
         }
     }
 }
@@ -583,7 +385,7 @@ impl ServeStats {
 /// Immutable summary of a server's activity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSnapshot {
-    /// Microseconds since the recorder was created.
+    /// Microseconds since the server started.
     pub elapsed_us: u64,
     /// Requests admitted into the queue.
     pub submitted: u64,
@@ -591,9 +393,10 @@ pub struct ServeSnapshot {
     pub rejected: u64,
     /// Requests answered successfully.
     pub completed: u64,
-    /// Completed requests that ran a hardware model (`cycles > 0`).
-    /// Engine-lane requests complete with zero cycles and are excluded
-    /// from the per-request hardware figures below.
+    /// Completed requests that ran a hardware model (the count of
+    /// `serve_request_compute_cycles`). Engine-lane requests complete
+    /// with zero cycles and are excluded from the per-request hardware
+    /// figures below.
     pub hw_completed: u64,
     /// Requests answered with an error.
     pub failed: u64,
@@ -601,13 +404,14 @@ pub struct ServeSnapshot {
     pub queue_depth: usize,
     /// High-water mark of the queue depth.
     pub max_queue_depth: usize,
-    /// Median end-to-end latency (µs).
+    /// Median end-to-end latency (µs), read as the upper bound of its
+    /// `duration_us` histogram bucket (1-2-5 per decade).
     pub p50_us: u64,
-    /// 95th-percentile latency (µs).
+    /// 95th-percentile latency (µs), bucket bound as for `p50_us`.
     pub p95_us: u64,
-    /// 99th-percentile latency (µs).
+    /// 99th-percentile latency (µs), bucket bound as for `p50_us`.
     pub p99_us: u64,
-    /// Mean latency (µs).
+    /// Mean latency (µs), exact.
     pub mean_latency_us: f64,
     /// Completed requests per wall-clock second.
     pub throughput_rps: f64,
@@ -621,7 +425,8 @@ pub struct ServeSnapshot {
     /// (zero-cycle engine-lane completions excluded).
     pub cycles_per_req: f64,
     /// Mean simulated energy per hardware-modeled request (picojoules,
-    /// zero-cycle engine-lane completions excluded).
+    /// zero-cycle engine-lane completions excluded): the whole-pJ
+    /// `serve_energy_pj_total` counter over `hw_completed`.
     pub energy_pj_per_req: f64,
     /// Simulated busy cycles per worker (one accelerator each).
     pub worker_busy_cycles: Vec<u64>,
@@ -635,7 +440,8 @@ pub struct ServeSnapshot {
     pub canary_divergences: u64,
     /// Canaries auto-demoted by crossing their divergence threshold.
     pub canary_demotions: u64,
-    /// `(tenant, submitted, rejected)` triples in tenant order.
+    /// `(tenant, submitted, rejected)` triples in tenant order, one per
+    /// tenant admission has seen.
     pub tenants: Vec<(String, u64, u64)>,
 }
 
@@ -693,17 +499,40 @@ impl ServeSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::{AdmissionQueue, AdmitError};
     use crate::clock::ManualClock;
-    use cs_telemetry::Registry;
+    use cs_telemetry::{NoopRecorder, Registry};
+
+    /// Stats for `workers` workers on a fresh registry and a frozen
+    /// clock.
+    fn on_registry(workers: usize) -> (ServeStats, Arc<Registry>, Arc<ManualClock>) {
+        let registry = Arc::new(Registry::new());
+        let clock = Arc::new(ManualClock::new(0));
+        let stats = ServeStats::new(clock.clone(), workers, registry.clone(), 8);
+        (stats, registry, clock)
+    }
+
+    /// What a worker records for one completed request: the hardware
+    /// breakdown when the lane models hardware (`cycles > 0`), then the
+    /// completion.
+    fn done(stats: &ServeStats, worker: usize, latency_us: u64, cycles: u64, energy_pj: f64) {
+        if cycles > 0 {
+            stats.record_request_hw(&SimStats {
+                cycles,
+                compute_busy_cycles: cycles,
+                ..SimStats::default()
+            });
+        }
+        stats.record_done(worker, latency_us, cycles, energy_pj);
+    }
 
     #[test]
     fn percentiles_are_deterministic_under_a_manual_clock() {
-        let clock = Arc::new(ManualClock::new(0));
-        let stats = ServeStats::new(clock.clone(), 2);
+        let (stats, _, clock) = on_registry(2);
         for latency in [100u64, 200, 300, 400, 500, 600, 700, 800, 900, 1000] {
             stats.record_submit();
             stats.record_dequeue(0);
-            stats.record_done(0, latency, 50, 10.0);
+            done(&stats, 0, latency, 50, 10.0);
         }
         clock.advance(1_000_000);
         let snap = stats.snapshot();
@@ -717,11 +546,22 @@ mod tests {
         assert_eq!(snap.total_cycles, 500);
         assert_eq!(snap.cycles_per_req, 50.0);
         assert_eq!(snap.energy_pj_per_req, 10.0);
+
+        // Off a bucket bound the percentile reads the bucket's upper
+        // bound (1-2-5 per decade), while the mean stays exact.
+        let (stats, _, _) = on_registry(1);
+        for latency in [100u64, 340, 900] {
+            done(&stats, 0, latency, 50, 10.0);
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.p50_us, 500);
+        assert_eq!(snap.p99_us, 1000);
+        assert_eq!(snap.mean_latency_us, 1340.0 / 3.0);
     }
 
     #[test]
     fn queue_depth_tracks_submit_and_dequeue() {
-        let stats = ServeStats::new(Arc::new(ManualClock::new(0)), 1);
+        let (stats, _, _) = on_registry(1);
         stats.record_submit();
         stats.record_submit();
         stats.record_submit();
@@ -733,20 +573,21 @@ mod tests {
 
     #[test]
     fn batch_histogram_and_mean() {
-        let stats = ServeStats::new(Arc::new(ManualClock::new(0)), 1);
+        let (stats, _, _) = on_registry(1);
         stats.record_batch(1, 0, CloseReason::Deadline);
         stats.record_batch(4, 10, CloseReason::Size);
         stats.record_batch(4, 20, CloseReason::Size);
+        stats.record_batch(8, 0, CloseReason::Size);
         let snap = stats.snapshot();
-        assert_eq!(snap.batch_hist, vec![(1, 1), (4, 2)]);
-        assert!((snap.mean_batch - 3.0).abs() < 1e-9);
+        assert_eq!(snap.batch_hist, vec![(1, 1), (4, 2), (8, 1)]);
+        assert!((snap.mean_batch - 17.0 / 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn hw_rps_uses_the_busiest_worker() {
-        let stats = ServeStats::new(Arc::new(ManualClock::new(0)), 2);
-        stats.record_done(0, 10, 1_000, 0.0);
-        stats.record_done(1, 10, 3_000, 0.0);
+        let (stats, _, _) = on_registry(2);
+        done(&stats, 0, 10, 1_000, 0.0);
+        done(&stats, 1, 10, 3_000, 0.0);
         let snap = stats.snapshot();
         assert_eq!(snap.makespan_cycles(), 3_000);
         // 2 requests / (3000 cycles / 1 GHz) = 2 / 3 µs.
@@ -761,12 +602,11 @@ mod tests {
         // cycles_per_req / hw_rps denominators, diluting the hardware
         // throughput figures whenever engine and simulator traffic
         // mixed.
-        let clock = Arc::new(ManualClock::new(0));
-        let stats = ServeStats::new(clock.clone(), 1);
-        stats.record_done(0, 10, 2_000, 100.0); // simulator-backed
-        stats.record_done(0, 10, 4_000, 200.0); // simulator-backed
-        stats.record_done(0, 10, 0, 0.0); // engine lane, no hw model
-        stats.record_done(0, 10, 0, 0.0); // engine lane, no hw model
+        let (stats, _, clock) = on_registry(1);
+        done(&stats, 0, 10, 2_000, 100.0); // simulator-backed
+        done(&stats, 0, 10, 4_000, 200.0); // simulator-backed
+        done(&stats, 0, 10, 0, 0.0); // engine lane, no hw model
+        done(&stats, 0, 10, 0, 0.0); // engine lane, no hw model
         clock.advance(1_000_000);
         let snap = stats.snapshot();
         // Wall-clock throughput still counts every completion...
@@ -783,9 +623,9 @@ mod tests {
 
     #[test]
     fn all_engine_traffic_yields_zero_hw_figures() {
-        let stats = ServeStats::new(Arc::new(ManualClock::new(0)), 1);
-        stats.record_done(0, 10, 0, 0.0);
-        stats.record_done(0, 10, 0, 0.0);
+        let (stats, _, _) = on_registry(1);
+        done(&stats, 0, 10, 0, 0.0);
+        done(&stats, 0, 10, 0, 0.0);
         let snap = stats.snapshot();
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.hw_completed, 0);
@@ -795,28 +635,37 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_all_zeros() {
-        let stats = ServeStats::new(Arc::new(ManualClock::new(0)), 1);
+        let (stats, _, _) = on_registry(1);
         let snap = stats.snapshot();
         assert_eq!(snap.p50_us, 0);
         assert_eq!(snap.throughput_rps, 0.0);
         assert_eq!(snap.mean_batch, 0.0);
         assert_eq!(snap.hw_rps(1.0), 0.0);
         assert!(snap.render().contains("requests"));
+
+        // Under the no-op recorder nothing is kept, so the counts read
+        // zero however much was recorded.
+        let clock = Arc::new(ManualClock::new(0));
+        let quiet = ServeStats::new(clock.clone(), 1, Arc::new(NoopRecorder), 8);
+        quiet.record_submit();
+        done(&quiet, 0, 10, 1_000, 5.0);
+        clock.advance(10);
+        let snap = quiet.snapshot();
+        assert_eq!((snap.submitted, snap.completed, snap.p50_us), (0, 0, 0));
+        assert_eq!((snap.elapsed_us, snap.worker_busy_cycles), (10, vec![0]));
     }
 
     #[test]
     fn recorder_sees_every_event_the_snapshot_sees() {
-        let registry = Arc::new(Registry::new());
-        let clock = Arc::new(ManualClock::new(0));
-        let stats = ServeStats::with_recorder(clock, 2, registry.clone(), 8);
+        let (stats, registry, _) = on_registry(2);
         stats.record_submit();
         stats.record_submit();
         stats.record_reject();
         stats.record_dequeue(40);
         stats.record_dequeue(60);
         stats.record_batch(2, 60, CloseReason::Size);
-        stats.record_done(0, 500, 1_000, 12.6);
-        stats.record_done(1, 700, 3_000, 7.4);
+        done(&stats, 0, 500, 1_000, 12.6);
+        done(&stats, 1, 700, 3_000, 7.4);
         stats.record_failure();
         let snap = stats.snapshot();
 
@@ -825,7 +674,11 @@ mod tests {
         assert_eq!(counter("serve_requests_rejected_total"), snap.rejected);
         assert_eq!(counter("serve_requests_completed_total"), snap.completed);
         assert_eq!(counter("serve_requests_failed_total"), snap.failed);
+        assert_eq!((snap.submitted, snap.rejected), (2, 1));
+        assert_eq!((snap.completed, snap.failed), (2, 1));
+        // Whole picojoules per request: 13 + 7 over two requests.
         assert_eq!(counter("serve_energy_pj_total"), 13 + 7);
+        assert_eq!(snap.energy_pj_per_req, 10.0);
 
         let depth = registry.find_gauge("serve_queue_depth", &[]).unwrap();
         assert_eq!(depth.get() as usize, snap.queue_depth);
@@ -838,10 +691,18 @@ mod tests {
         let size = registry.find_histogram("serve_batch_size", &[]).unwrap();
         assert_eq!(size.count(), 1);
         assert_eq!(size.sum(), 2);
+        assert_eq!(snap.batch_hist, vec![(2, 1)]);
         let by_size = registry
             .find_counter("serve_batch_close_total", &[("reason", "size")])
             .unwrap();
         assert_eq!(by_size.get(), 1);
+
+        let latency = registry
+            .find_histogram("serve_request_latency_us", &[])
+            .unwrap();
+        assert_eq!(latency.quantile(0.50), snap.p50_us);
+        assert_eq!(latency.quantile(0.99), snap.p99_us);
+        assert_eq!((snap.p50_us, snap.p99_us), (500, 1_000));
 
         let busy0 = registry
             .find_counter("serve_worker_busy_cycles", &[("worker", "0")])
@@ -851,50 +712,35 @@ mod tests {
             .unwrap();
         assert_eq!(busy0.get(), snap.worker_busy_cycles[0]);
         assert_eq!(busy1.get(), snap.worker_busy_cycles[1]);
-    }
-
-    #[test]
-    fn snapshot_and_histogram_percentiles_agree_on_bucket_bounds() {
-        // Latencies placed exactly on `duration_us` bucket bounds: the
-        // exact sample percentiles (snapshot) and the bucketed
-        // histogram quantiles share `rank_for_quantile`, so they must
-        // agree to the microsecond.
-        let registry = Arc::new(Registry::new());
-        let clock = Arc::new(ManualClock::new(0));
-        let stats = ServeStats::with_recorder(clock, 1, registry.clone(), 8);
-        let latencies = [10u64, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000];
-        for l in latencies {
-            stats.record_done(0, l, 1, 0.0);
-        }
-        let snap = stats.snapshot();
-        let hist = registry
-            .find_histogram("serve_request_latency_us", &[])
-            .unwrap();
-        assert_eq!(hist.quantile(0.50), snap.p50_us);
-        assert_eq!(hist.quantile(0.95), snap.p95_us);
-        assert_eq!(hist.quantile(0.99), snap.p99_us);
-        assert_eq!(snap.p50_us, 200);
+        assert_eq!(snap.total_cycles, 4_000);
     }
 
     #[test]
     fn tenant_and_lifecycle_events_reach_snapshot_and_recorder() {
-        let registry = Arc::new(Registry::new());
-        let stats =
-            ServeStats::with_recorder(Arc::new(ManualClock::new(0)), 1, registry.clone(), 8);
-        stats.record_tenant_submit("acme");
-        stats.record_tenant_submit("acme");
-        stats.record_tenant_submit("beta");
-        stats.record_tenant_reject("beta");
+        let (stats, registry, _) = on_registry(1);
+        // Tenants are counted by their admission lane: three slots,
+        // the fourth push is rejected for the global capacity.
+        let queue = AdmissionQueue::new(3, 0, &[]).with_recorder(registry.clone());
+        for tenant in ["acme", "acme", "beta"] {
+            assert_eq!(queue.try_push(tenant, ()), Ok(()));
+        }
+        assert_eq!(
+            queue.try_push("beta", ()),
+            Err(AdmitError::Full {
+                tenant_quota: false
+            })
+        );
         stats.record_load(1_000);
         stats.record_load(500);
         stats.record_eviction(500);
         stats.record_unload(250);
-        stats.record_canary_divergence("mlp");
-        stats.record_canary_divergence("mlp");
+        let mlp = stats.canary_divergences("mlp");
+        mlp.inc();
+        stats.canary_divergences("mlp").inc();
         stats.record_canary_demotion();
         let snap = stats.snapshot();
         assert_eq!(
-            snap.tenants,
+            queue.tenants(),
             vec![("acme".to_string(), 2, 0), ("beta".to_string(), 1, 1)]
         );
         assert_eq!(snap.loaded_models, 0);
@@ -929,9 +775,7 @@ mod tests {
 
     #[test]
     fn hw_breakdown_and_worker_lane_accounting_reach_the_recorder() {
-        let registry = Arc::new(Registry::new());
-        let stats =
-            ServeStats::with_recorder(Arc::new(ManualClock::new(0)), 1, registry.clone(), 8);
+        let (stats, registry, _) = on_registry(1);
         let sim = SimStats {
             cycles: 100,
             compute_busy_cycles: 80,
@@ -952,6 +796,7 @@ mod tests {
             .find_histogram("serve_request_dram_stall_cycles", &[])
             .unwrap();
         assert_eq!(compute.sum() + stall.sum(), sim.cycles);
+        assert_eq!(stats.snapshot().hw_completed, 1);
         let nbin = registry.find_gauge("serve_nbin_peak_bytes", &[]).unwrap();
         assert_eq!(nbin.max(), 4_096);
         let idle = registry

@@ -8,15 +8,18 @@
 //!
 //! * Handles ([`Counter`], [`Gauge`], [`Histogram`]) are fetched once
 //!   at startup from a [`Recorder`] and updated lock-free on the hot
-//!   path. The stock [`NoopRecorder`] issues handles that discard
-//!   updates, so uninstrumented runs pay (almost) nothing.
+//!   path. They are also where the figures are read back: a `cs-serve`
+//!   server builds its stats snapshot from its own handles, so it owns
+//!   its registry. [`NoopRecorder`] issues handles that discard
+//!   updates and read zero, for callers that want neither.
 //! * Time is injected through [`Clock`]: production uses
 //!   [`MonotonicClock`], tests pin every duration with [`ManualClock`],
 //!   which makes latency histograms and [`Span`] measurements exactly
 //!   reproducible.
 //! * A [`Registry`] recorder retains everything for export as
 //!   Prometheus text ([`export::render_prometheus`]) or JSONL
-//!   ([`export::render_jsonl`]).
+//!   ([`export::render_jsonl`]); [`Registry::merge`] folds one
+//!   registry into another (a sweep's points into its total).
 //!
 //! # Example
 //!

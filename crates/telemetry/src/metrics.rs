@@ -13,10 +13,11 @@ use std::sync::Arc;
 /// The 1-based rank a quantile addresses in a population of `n`
 /// samples: `ceil(q * n)` clamped to `[1, n]`.
 ///
-/// This is the *single* rank rule in the workspace: the exact
-/// percentiles in `cs-serve`'s `ServeSnapshot` and the bucketed
-/// [`Histogram::quantile`] both use it, so they agree whenever samples
-/// land on bucket bounds.
+/// This is the *single* rank rule in the workspace: the bucketed
+/// [`Histogram::quantile`] (which `cs-serve`'s `ServeSnapshot`
+/// percentiles read) and [`percentile_of_sorted`] (client-side exact
+/// percentiles) both use it, so they agree whenever samples land on
+/// bucket bounds.
 pub fn rank_for_quantile(q: f64, n: usize) -> usize {
     if n == 0 {
         return 0;
@@ -122,6 +123,15 @@ impl Gauge {
     /// Highest level ever set (`0` for a no-op handle).
     pub fn max(&self) -> i64 {
         self.0.as_ref().map_or(0, |g| g.max.load(Ordering::Relaxed))
+    }
+
+    /// Takes another gauge's level, as a later reading of the same
+    /// quantity, and keeps the larger high-water mark.
+    pub fn merge(&self, other: &Gauge) {
+        self.set(other.get());
+        if let Some(g) = &self.0 {
+            g.max.fetch_max(other.max(), Ordering::Relaxed);
+        }
     }
 }
 

@@ -2,10 +2,11 @@
 //! [`NoopRecorder`].
 //!
 //! Instrumented code asks a recorder for named handles **once, at
-//! startup**, then updates the handles on the hot path; registration
-//! may lock and allocate, updates never do. The default recorder is a
-//! [`NoopRecorder`], whose handles compile down to a branch on a
-//! `None` — uninstrumented deployments pay nothing.
+//! startup** (or on the first sight of a label value), then updates the
+//! handles on the hot path; registration may lock and allocate, updates
+//! never do. A [`NoopRecorder`]'s handles compile down to a branch on a
+//! `None`, so a component handed one pays nothing and reads back
+//! zeros.
 
 use std::sync::Mutex;
 
@@ -24,8 +25,11 @@ pub fn label(key: &str, value: impl ToString) -> Labels {
 /// record ([`Registry`]) or vanish ([`NoopRecorder`]).
 ///
 /// Re-registering the same `(name, labels)` must return a handle to
-/// the same underlying series, so sequential components (e.g. one
-/// server per sweep point) accumulate into shared metrics.
+/// the same underlying series. A component that reads its own figures
+/// back from its handles (a `cs-serve` server does) therefore needs a
+/// registry of its own; sequential components that should add up (one
+/// server per sweep point) each take a fresh [`Registry`] and
+/// [`Registry::merge`] it into the shared one when done.
 pub trait Recorder: Send + Sync {
     /// A monotonically increasing counter.
     fn counter(&self, name: &'static str, help: &'static str, labels: Labels) -> Counter;
@@ -211,6 +215,28 @@ impl Registry {
         }
     }
 
+    /// Folds every series of `other`, a later component's registry,
+    /// into this one, registering the ones missing here: counters and
+    /// histogram buckets add; a gauge takes `other`'s level and the
+    /// larger high-water mark. A histogram already registered here with
+    /// other bounds is left as it is.
+    pub fn merge(&self, other: &Registry) {
+        for family in other.sorted_families() {
+            let (name, help) = (family.name, family.help);
+            for Series { labels, handle } in family.series {
+                match handle {
+                    Handle::Counter(c) => self.counter(name, help, labels).add(c.get()),
+                    Handle::Gauge(g) => self.gauge(name, help, labels).merge(&g),
+                    Handle::Histogram(h) => {
+                        if let Some(snap) = h.snapshot() {
+                            self.histogram(name, help, labels, &snap.bounds).merge(&h);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<Handle> {
         let families = self
             .families
@@ -304,6 +330,42 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert!(r.prometheus_text().is_none());
         assert!(r.jsonl().is_none());
+    }
+
+    #[test]
+    fn merge_folds_a_later_registry_in() {
+        let into = Registry::new();
+        into.counter("done_total", "h", Labels::new()).add(3);
+        into.gauge("depth", "h", Labels::new()).add(4);
+        let from = Registry::new();
+        from.counter("done_total", "h", Labels::new()).add(2);
+        from.counter("lane_total", "h", label("lane", 1)).inc();
+        let depth = from.gauge("depth", "h", Labels::new());
+        depth.add(9);
+        depth.sub(8);
+        let wait = from.histogram("wait_us", "h", Labels::new(), &[10, 100]);
+        wait.observe(5);
+        wait.observe(50);
+        into.merge(&from);
+        into.merge(&from);
+        assert_eq!(
+            into.find_counter("done_total", &[]).unwrap().get(),
+            3 + 2 * 2
+        );
+        assert_eq!(
+            into.find_counter("lane_total", &[("lane", "1")])
+                .unwrap()
+                .get(),
+            2
+        );
+        let depth = into.find_gauge("depth", &[]).unwrap();
+        assert_eq!((depth.get(), depth.max()), (1, 9));
+        let wait = into
+            .find_histogram("wait_us", &[])
+            .unwrap()
+            .snapshot()
+            .unwrap();
+        assert_eq!((wait.count, wait.sum, wait.counts), (4, 110, vec![2, 2, 0]));
     }
 
     #[test]
