@@ -1,4 +1,5 @@
-//! Micro-benchmarks of the pruning passes and the irregularity metric.
+//! Micro-benchmarks of the pruning passes and of one layer's compression
+//! (whose report carries the irregularity metric).
 
 use cambricon_s::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -39,14 +40,26 @@ fn bench_block_scores(c: &mut Criterion) {
 }
 
 fn bench_irregularity(c: &mut Criterion) {
+    use cs_compress::config::LayerCompressionConfig;
+    use cs_compress::pipeline::compress_layer;
+    use cs_nn::spec::{LayerSpec, LayerSpecKind};
+
+    let layer = LayerSpec::new(
+        "fc",
+        LayerSpecKind::Fc {
+            n_in: 512,
+            n_out: 512,
+        },
+    );
     let w = init::local_convergence(
         Shape::d2(512, 512),
         &ConvergenceProfile::with_target_density(0.1).with_block(16),
         9,
     );
-    let cfg = CoarseConfig::fc(16, 16, PruneMetric::Average);
-    c.bench_function("irregularity_512x512", |b| {
-        b.iter(|| cs_compress::irregularity::measure(&w, &cfg, 0.1).unwrap());
+    let cfg = LayerCompressionConfig::paper_fc(0.1, 16);
+    // The whole layer flow, whose report carries R(Irr).
+    c.bench_function("compress_layer_512x512", |b| {
+        b.iter(|| compress_layer(&layer, &w, &cfg).unwrap());
     });
 }
 

@@ -1,7 +1,7 @@
-//! Micro-benchmarks of k-means clustering and local quantization.
+//! Micro-benchmarks of k-means clustering, the one weight quantizer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cs_quant::{kmeans_1d, quantize_global, quantize_local};
+use cs_quant::kmeans_1d;
 
 fn values(n: usize) -> Vec<f32> {
     let mut x = 42u64;
@@ -25,15 +25,5 @@ fn bench_kmeans(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_quantize(c: &mut Criterion) {
-    let v = values(100_000);
-    c.bench_function("quantize_global_100k_4bit", |b| {
-        b.iter(|| quantize_global(&v, 4).unwrap());
-    });
-    c.bench_function("quantize_local_100k_4bit_8regions", |b| {
-        b.iter(|| quantize_local(&v, 4, 8).unwrap());
-    });
-}
-
-criterion_group!(benches, bench_kmeans, bench_quantize);
+criterion_group!(benches, bench_kmeans);
 criterion_main!(benches);

@@ -5,16 +5,6 @@ use cs_nn::spec::{LayerClass, LayerSpec, Model};
 use cs_sparsity::coarse::{CoarseConfig, PruneMetric};
 use cs_sparsity::PruneMode;
 
-/// Which entropy coder the final stage uses (the paper discusses both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EntropyCoder {
-    /// Canonical Huffman coding (the paper's implementation).
-    #[default]
-    Huffman,
-    /// Adaptive arithmetic coding (bit-tree contexts).
-    Arithmetic,
-}
-
 /// Settings applied to one layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerCompressionConfig {
@@ -28,13 +18,9 @@ pub struct LayerCompressionConfig {
     /// Target post-pruning density (the paper's "sparsity": remaining /
     /// total). `1.0` disables pruning (ResNet-152 FC layers).
     pub target_density: f64,
-    /// Bits per quantized-weight dictionary index.
+    /// Bits per quantized-weight dictionary index (one k-means codebook
+    /// of up to `2^quant_bits` entries per output group).
     pub quant_bits: u8,
-    /// Approximate number of surviving weights per local-quantization
-    /// region (one codebook per region).
-    pub region_values: usize,
-    /// Entropy coder used on the quantized dictionary.
-    pub entropy: EntropyCoder,
     /// Dynamic activation gating for the compiled execution engine:
     /// whether the forward kernels prescan the input and skip
     /// all-`+0.0` blocks (see [`crate::gate`]). `Auto` (the default)
@@ -51,8 +37,6 @@ impl LayerCompressionConfig {
             coarse: CoarseConfig::conv(1, 16, 1, 1, PruneMetric::Average),
             target_density: density,
             quant_bits: 8,
-            region_values: 16_384,
-            entropy: EntropyCoder::Huffman,
             gate: GatePolicy::Auto,
         }
     }
@@ -65,16 +49,8 @@ impl LayerCompressionConfig {
             coarse: CoarseConfig::fc(block, block, PruneMetric::Average),
             target_density: density,
             quant_bits: 4,
-            region_values: 16_384,
-            entropy: EntropyCoder::Huffman,
             gate: GatePolicy::Auto,
         }
-    }
-
-    /// Switches the entropy-coding stage.
-    pub fn with_entropy(mut self, entropy: EntropyCoder) -> Self {
-        self.entropy = entropy;
-        self
     }
 
     /// Overrides the quantization bit width.
@@ -150,8 +126,6 @@ impl ModelCompressionConfig {
             coarse: CoarseConfig::fc(16, 16, PruneMetric::Average),
             target_density: 0.1256,
             quant_bits: 4,
-            region_values: 16_384,
-            entropy: EntropyCoder::Huffman,
             gate: GatePolicy::Auto,
         };
         match model {

@@ -204,10 +204,13 @@ fn cmd_registry_fuzz(args: &[String]) -> Result<ExitCode, String> {
         }
         i += 1;
     }
-    let mismatches = cs_conformance::registry_check::fuzz_container(seed, cases);
+    let fuzz = cs_conformance::registry_check::fuzz_container(seed, cases);
+    let mismatches = fuzz.mismatches;
     println!(
-        "registry-fuzz: {cases} cases, seed {seed}, {} violations",
-        mismatches.len()
+        "registry-fuzz: {cases} cases, seed {seed}, {} violations; {} re-sealed mutations, {} reached a section decoder",
+        mismatches.len(),
+        fuzz.resealed,
+        fuzz.reached_sections
     );
     for m in &mismatches {
         println!("  {m}");

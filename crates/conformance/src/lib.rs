@@ -37,8 +37,10 @@
 //! * [`registry_check`] — the storage-path extension: a seed-replayable
 //!   fuzz sweep over the `cs-registry` CSMR container codec
 //!   (`conformance registry-fuzz`) — byte-exact round trips including
-//!   NaN/±0.0 codebook payloads, plus hostile mutations that must fail
-//!   with typed errors — and an on-disk save→load→save leg for
+//!   NaN/±0.0 codebook payloads, plus hostile mutations (half of them
+//!   re-sealed past the CRC, into the entropy-coded layer bodies) that
+//!   must fail with typed errors or decode canonically — and an on-disk
+//!   save→load→save leg for
 //!   `registry: true` corpus entries.
 //! * [`cluster_check`] — one hop further out: the case replicated
 //!   across a two-node in-process cluster, probed through the

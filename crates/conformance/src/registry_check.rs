@@ -19,7 +19,10 @@
 //!   `PartialEq`. The encoding is then mutated (truncations, bit
 //!   flips, hostile length fields, appended junk, pure noise) and the
 //!   decoder must return a value without panicking, with every
-//!   `Oversized` report truthful about its cap.
+//!   `Oversized` report truthful about its cap. Half of the mutations
+//!   get a fresh CRC footer, so they reach the layer bodies and the
+//!   entropy decoders behind them; one that still decodes must be
+//!   canonical (`encode_model(decoded) == mutated`).
 //! * [`check_store_roundtrip`] — the corpus leg for `registry: true`
 //!   entries: the pinned case's compiled layers go through a real
 //!   on-disk [`RegistryStore`] save → load → save, and both the bytes
@@ -28,7 +31,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cs_quant::Codebook;
-use cs_registry::{decode_model, encode_model, ModelArtifact, RegistryError, RegistryStore};
+use cs_registry::{crc32, decode_model, encode_model, ModelArtifact, RegistryError, RegistryStore};
 
 use crate::diff::FcArtifacts;
 use crate::gen::{self, CaseKind};
@@ -202,35 +205,77 @@ fn mutate(rng: &mut CaseRng, bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode must be total: a value (almost always a typed error, since
-/// the container is checksummed) without panicking, and any `Oversized`
-/// report must be truthful about its cap.
-fn check_decode_total(bytes: &[u8], index: u64, out: &mut Vec<Mismatch>) {
+/// Rewrites the CRC footer so the mutation gets past the checksum.
+fn reseal(bytes: &mut [u8]) {
+    if let Some(body) = bytes.len().checked_sub(4) {
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// What a container fuzz sweep found.
+#[derive(Debug, Default)]
+pub struct ContainerFuzz {
+    /// Every contract violation (empty = clean sweep).
+    pub mismatches: Vec<Mismatch>,
+    /// Mutations that were given a fresh CRC footer.
+    pub resealed: u64,
+    /// Re-sealed mutations that reached a shared layer's section
+    /// decoder: they decoded, or the entropy-coded body rejected them.
+    pub reached_sections: u64,
+}
+
+/// Decode must be total: a value without panicking, any `Oversized`
+/// report truthful about its cap, and a mutation that decodes must be
+/// the canonical encoding of what it decodes to. Returns whether the
+/// decode reached a shared layer's entropy-coded sections.
+fn check_decode_total(bytes: &[u8], index: u64, out: &mut Vec<Mismatch>) -> bool {
     let result = catch_unwind(AssertUnwindSafe(|| decode_model(bytes)));
     match result {
-        Err(_) => out.push(Mismatch::new(
-            "registry-decode-panic",
-            format!(
-                "case {index}: decode panicked on mutated input ({} bytes)",
-                bytes.len()
-            ),
-        )),
-        Ok(Err(RegistryError::Oversized { field, value, cap })) if value <= cap => {
+        Err(_) => {
             out.push(Mismatch::new(
-                "registry-oversized-lie",
-                format!("case {index}: Oversized({field}) reported for {value} <= cap {cap}"),
-            ))
+                "registry-decode-panic",
+                format!(
+                    "case {index}: decode panicked on mutated input ({} bytes)",
+                    bytes.len()
+                ),
+            ));
+            false
         }
-        Ok(_) => {}
+        Ok(Err(RegistryError::Oversized { field, value, cap })) => {
+            if value <= cap {
+                out.push(Mismatch::new(
+                    "registry-oversized-lie",
+                    format!("case {index}: Oversized({field}) reported for {value} <= cap {cap}"),
+                ));
+            }
+            false
+        }
+        Ok(Err(RegistryError::BadField { field, .. })) => field == "shared layer",
+        Ok(Err(_)) => false,
+        Ok(Ok(art)) => {
+            if encode_model(&art).ok().as_deref() != Some(bytes) {
+                out.push(Mismatch::new(
+                    "registry-noncanonical",
+                    format!(
+                        "case {index}: a mutated container ({} bytes) decodes but re-encodes differently",
+                        bytes.len()
+                    ),
+                ));
+            }
+            art.layers
+                .iter()
+                .any(|(f, _)| matches!(f, cs_compress::format::FcLayerFormat::Shared(_)))
+        }
     }
 }
 
 /// Fuzzes the CSMR container codec with `cases` seed-replayable cases
 /// (each contributing [`MUTATIONS_PER_CASE`] hostile mutations on top
-/// of the valid and poisoned round trips); returns every contract
-/// violation found (empty = clean sweep).
-pub fn fuzz_container(seed: u64, cases: u64) -> Vec<Mismatch> {
-    let mut out = Vec::new();
+/// of the valid and poisoned round trips).
+pub fn fuzz_container(seed: u64, cases: u64) -> ContainerFuzz {
+    let mut report = ContainerFuzz::default();
+    let out = &mut report.mismatches;
     let mut scan = 0u64;
     for index in 0..cases {
         // The generator interleaves conv and LSTM cases; keep scanning
@@ -252,21 +297,27 @@ pub fn fuzz_container(seed: u64, cases: u64) -> Vec<Mismatch> {
         let mut rng = CaseRng::new(seed ^ 0xC5_C5, index);
         let artifact = artifact_from(&art, "fuzz.model-1", index as u32);
 
-        let bytes = check_roundtrip(&artifact, "valid", index, &mut out);
+        let bytes = check_roundtrip(&artifact, "valid", index, out);
         let poisoned = poison(&artifact, &mut rng);
-        check_roundtrip(&poisoned, "poisoned", index, &mut out);
+        check_roundtrip(&poisoned, "poisoned", index, out);
 
         if let Some(bytes) = bytes {
             for _ in 0..MUTATIONS_PER_CASE {
-                let mutated = mutate(&mut rng, &bytes);
-                check_decode_total(&mutated, index, &mut out);
+                let mut mutated = mutate(&mut rng, &bytes);
+                let resealed = rng.chance(0.5);
+                if resealed {
+                    reseal(&mut mutated);
+                    report.resealed += 1;
+                }
+                let reached = check_decode_total(&mutated, index, out);
+                report.reached_sections += u64::from(resealed && reached);
             }
         }
         if out.len() > 16 {
             break; // a broken codec fails every case; don't flood
         }
     }
-    out
+    report
 }
 
 /// The corpus leg for `registry: true` entries: the case's compiled
@@ -317,22 +368,30 @@ mod tests {
     use super::*;
 
     /// The tier-1 sweep: 125 cases x 4 mutations = 500 hostile decodes
-    /// on top of 250 byte-exact round trips (125 of them poisoned with
-    /// NaN/±0.0/inf payloads).
+    /// (about half of them re-sealed past the CRC) on top of 250
+    /// byte-exact round trips (125 of them poisoned with NaN/±0.0/inf
+    /// payloads).
     #[test]
     fn container_fuzz_sweep_is_clean() {
-        let mismatches = fuzz_container(0xC5, 125);
+        let fuzz = fuzz_container(0xC5, 125);
         assert!(
-            mismatches.is_empty(),
-            "container fuzz found violations: {mismatches:?}"
+            fuzz.mismatches.is_empty(),
+            "container fuzz found violations: {:?}",
+            fuzz.mismatches
         );
+        assert!(fuzz.resealed > 150, "{} re-sealed", fuzz.resealed);
+        assert!(fuzz.reached_sections > 0, "no mutation reached a body");
     }
 
     #[test]
     fn container_fuzz_is_deterministic() {
         let a = fuzz_container(0xF00D, 24);
         let b = fuzz_container(0xF00D, 24);
-        assert_eq!(a.len(), b.len(), "fuzz sweep must be seed-replayable");
+        assert_eq!(
+            (a.mismatches.len(), a.resealed, a.reached_sections),
+            (b.mismatches.len(), b.resealed, b.reached_sections),
+            "fuzz sweep must be seed-replayable"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for k-means and quantization.
 
-use cs_quant::{kmeans_1d, quantize_global, quantize_local};
+use cs_quant::{kmeans_1d, Codebook};
 use proptest::prelude::*;
 
 proptest! {
@@ -42,39 +42,54 @@ proptest! {
         prop_assert!(i16 <= i4 + 1e-6);
     }
 
-    /// Quantization never grows: the compressed byte size is below the
-    /// fp32 original for realistic widths.
+    /// Quantization never grows: the dictionary at `bits` per index
+    /// plus the codebook LUT stays below the fp32 original.
     #[test]
     fn quantization_compresses(values in proptest::collection::vec(-1.0f32..1.0, 64..2000),
                                bits in 2u8..8) {
-        let q = quantize_global(&values, bits).unwrap();
-        prop_assert!(q.byte_size() < values.len() * 4);
-        prop_assert_eq!(q.decode().len(), values.len());
+        let km = kmeans_1d(&values, 1 << bits, 25);
+        let bytes = (values.len() * usize::from(bits)).div_ceil(8)
+            + Codebook::new(km.centroids).byte_size();
+        prop_assert!(bytes < values.len() * 4);
+        prop_assert_eq!(km.assignments.len(), values.len());
     }
 
-    /// Local quantization error never exceeds the per-region value range
-    /// and improves (or matches) global at equal bits on any input.
+    /// One codebook per region (local) improves or matches one codebook
+    /// for the whole stream (global) at equal bits on any input.
     #[test]
     fn local_no_worse_than_global_within_tolerance(
         values in proptest::collection::vec(-5.0f32..5.0, 64..1000),
         bits in 2u8..6) {
-        let g = quantize_global(&values, bits).unwrap();
-        let l = quantize_local(&values, bits, 4).unwrap();
+        let k = 1usize << bits;
+        let g = mse(&values, k);
+        let region = values.len().div_ceil(4);
+        let l = values.chunks(region).map(|c| mse(c, k) * c.len() as f64).sum::<f64>()
+            / values.len() as f64;
         // Local quantization has strictly more degrees of freedom per
         // value; allow small slack for k-means local minima.
-        prop_assert!(l.mse(&values) <= g.mse(&values) * 1.5 + 1e-9,
-                     "local {} vs global {}", l.mse(&values), g.mse(&values));
+        prop_assert!(l <= g * 1.5 + 1e-9, "local {} vs global {}", l, g);
     }
 
     /// Dictionary indices always address valid codebook entries.
     #[test]
     fn indices_address_codebooks(values in proptest::collection::vec(-3.0f32..3.0, 8..500),
                                  bits in 1u8..6, regions in 1usize..6) {
-        let q = quantize_local(&values, bits, regions).unwrap();
-        let region_len = q.region_len();
-        for (i, idx) in q.indices().iter().enumerate() {
-            let region = (i / region_len).min(q.codebook_count() - 1);
-            prop_assert!(usize::from(*idx) < q.codebooks()[region].len());
+        for chunk in values.chunks(values.len().div_ceil(regions)) {
+            let km = kmeans_1d(chunk, 1 << bits, 25);
+            for idx in &km.assignments {
+                prop_assert!(usize::from(*idx) < km.centroids.len());
+            }
         }
     }
+}
+
+/// Mean squared error of `values` quantized by one k-means codebook.
+fn mse(values: &[f32], k: usize) -> f64 {
+    let km = kmeans_1d(values, k, 25);
+    values
+        .iter()
+        .zip(&km.assignments)
+        .map(|(v, q)| f64::from(v - km.centroids[usize::from(*q)]).powi(2))
+        .sum::<f64>()
+        / values.len() as f64
 }

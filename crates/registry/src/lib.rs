@@ -1,8 +1,8 @@
 //! cs-registry — versioned storage for compressed models.
 //!
 //! The Cambricon-S pipeline compresses a network once (prune → quantize →
-//! shared-index encode) and then serves it many times; this crate is the
-//! layer between those two phases. It defines:
+//! entropy-code) and then serves it many times; this crate is the layer
+//! between those two phases. It defines:
 //!
 //! - [`ModelArtifact`]: a named, versioned stack of compressed FC layers
 //!   ([`cs_compress::format::FcLayerFormat`]) with activations — the unit
@@ -10,7 +10,9 @@
 //! - the `CSMR` container ([`encode_model`] / [`decode_model`]): a
 //!   checksummed, canonical, length-bounds-checked byte encoding with
 //!   byte-exact round trips and hard pre-allocation caps (hostile input
-//!   gets a typed [`RegistryError`], never a panic);
+//!   gets a typed [`RegistryError`], never a panic). A shared-index layer
+//!   is stored as the entropy-coded sections of
+//!   `SharedIndexLayer::encode_streams`, the bytes Table IV counts;
 //! - [`RegistryStore`]: a directory of containers keyed by
 //!   `(name, version)` with atomic saves.
 //!
@@ -236,6 +238,111 @@ mod tests {
         assert!(matches!(
             decode_model(&bad).unwrap_err(),
             RegistryError::TrailingBytes(1)
+        ));
+    }
+
+    /// Reseals the CRC footer after an edit.
+    fn reseal(bytes: &mut Vec<u8>) {
+        let body = bytes.len() - 4;
+        bytes.truncate(body);
+        let crc = crc32(bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Offsets of the one shared layer's three sections in a
+    /// single-layer container: `(codebooks, index, weights, end)`, the
+    /// last three pointing at each section's `u32` length prefix.
+    fn shared_sections(bytes: &[u8], model: &str, layer: &str, groups: usize) -> [usize; 4] {
+        let u32_at =
+            |i: usize| u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+        // magic, version, name, model version, layer count, kind,
+        // activation, layer name, n_in, n_out, group_size, quant_bits.
+        let codebooks = 4 + 1 + 2 + model.len() + 4 + 2 + 2 + 2 + layer.len() + 12 + 1;
+        let mut at = codebooks;
+        for _ in 0..groups {
+            at += 4 + 4 * u32_at(at) as usize;
+        }
+        let index = at;
+        let weights = index + 4 + u32_at(index) as usize;
+        let end = weights + 4 + u32_at(weights) as usize;
+        [codebooks, index, weights, end]
+    }
+
+    #[test]
+    fn table_iv_sizes_are_the_stored_section_lengths() {
+        use cs_compress::config::ModelCompressionConfig;
+        use cs_compress::pipeline::compress_model_with;
+        use cs_nn::spec::{Model, NetworkSpec, Scale};
+
+        let spec = NetworkSpec::model(Model::Mlp, Scale::Reduced(2));
+        let cfg = ModelCompressionConfig::paper(Model::Mlp);
+        let mut first = None;
+        compress_model_with(&spec, &cfg, 7, |report, stored| {
+            first.get_or_insert((report.clone(), stored.clone()));
+        })
+        .unwrap();
+        let (report, stored) = first.unwrap();
+        let FcLayerFormat::Shared(shared) = &stored else {
+            panic!("coarse MLP layers store the shared-index format");
+        };
+        let art = ModelArtifact {
+            name: "tab4".into(),
+            version: 1,
+            layers: vec![(stored.clone(), Activation::Relu)],
+        };
+        let bytes = encode_model(&art).unwrap();
+        let [codebooks, index, weights, end] =
+            shared_sections(&bytes, "tab4", &report.name, shared.groups.len());
+        assert_eq!(end + 4, bytes.len(), "sections tile the container");
+        assert_eq!(report.ic_bytes, weights - index - 4);
+        assert_eq!(report.wc_bytes, (index - codebooks) + (end - weights - 4));
+        assert_eq!(report.coarse_index_bits, shared.index_bits());
+        assert_eq!(decode_model(&bytes).unwrap(), art);
+    }
+
+    #[test]
+    fn non_canonical_or_hostile_sections_are_rejected() {
+        let art = ModelArtifact {
+            name: "canon".into(),
+            version: 1,
+            layers: vec![(shared_layer("fc0", 12, 8), Activation::Relu)],
+        };
+        let good = encode_model(&art).unwrap();
+        let [_, index, weights, end] = shared_sections(&good, "canon", "fc0", 2);
+        // One trailing byte on a section still decodes to the same layer,
+        // but it is not the canonical encoding of that layer.
+        for (prefix, section_end) in [(index, weights), (weights, end)] {
+            let mut bad = good.clone();
+            bad.insert(section_end, 0);
+            let len = u32::from_le_bytes(bad[prefix..prefix + 4].try_into().unwrap()) + 1;
+            bad[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+            reseal(&mut bad);
+            match decode_model(&bad).unwrap_err() {
+                RegistryError::BadField { field, detail } => {
+                    assert_eq!(field, "shared layer");
+                    assert!(detail.contains("canonical"), "{detail}");
+                }
+                other => panic!("expected BadField, got {other}"),
+            }
+        }
+        // An index image declaring 0xFFFF_FFFF x 0xFFFF_FFFF pixels.
+        let mut bad = good.clone();
+        bad[index + 4..index + 12].copy_from_slice(&[0xFF; 8]);
+        reseal(&mut bad);
+        assert!(matches!(
+            decode_model(&bad).unwrap_err(),
+            RegistryError::BadField { .. }
+        ));
+    }
+
+    #[test]
+    fn version_one_containers_are_unsupported() {
+        let mut old = encode_model(&artifact()).unwrap();
+        old[4] = 1;
+        reseal(&mut old);
+        assert!(matches!(
+            decode_model(&old).unwrap_err(),
+            RegistryError::UnsupportedVersion(1)
         ));
     }
 
