@@ -23,11 +23,11 @@ fn blocky_bitmap(side: usize) -> Vec<bool> {
 
 fn bench_huffman(c: &mut Criterion) {
     let symbols = skewed_symbols(65_536);
-    let encoded = huffman::encode(&symbols).unwrap();
+    let encoded = huffman::encode(&symbols, 16).unwrap();
     let mut g = c.benchmark_group("huffman");
     g.throughput(Throughput::Elements(symbols.len() as u64));
     g.bench_function("encode_64k", |b| {
-        b.iter(|| huffman::encode(&symbols).unwrap());
+        b.iter(|| huffman::encode(&symbols, 16).unwrap());
     });
     g.bench_function("decode_64k", |b| {
         b.iter(|| huffman::decode(&encoded).unwrap());
