@@ -11,9 +11,12 @@
 //! * each strip stores its surviving input positions as contiguous
 //!   `[start, end)` *runs* derived from the coarse block grid (block
 //!   pruning makes survivors naturally clumped);
-//! * each strip stores its weights once, as pre-decoded `f32` values in
-//!   input-major order — what the hot loop reads. The `u16` codebook
-//!   indices the WDM would hold stay in the storage format.
+//! * each strip stores the codebook indices the storage format holds,
+//!   input-major in rows of 16 lanes, next to its group's codebook: one
+//!   `u64` of nibbles per row when every codebook of the layer has at
+//!   most 16 entries, the `u16` indices otherwise. The kernel looks each
+//!   row up in registers as it streams it, as each PE's WDM looks its
+//!   index up in its LUT, so decoded weights never cross memory.
 //!
 //! # Dense-vs-sparse equivalence contract
 //!
@@ -57,13 +60,12 @@
 //!
 //! The block-CSR format has one inner loop, a `strip × B columns` tile
 //! ([`CompiledFcLayer::forward_batch`]): the strip's `T_n = 16` lanes
-//! times up to [`COLUMN_TILE`] batch columns accumulate in locals
-//! (sixteen `ymm` registers under the runtime-detected AVX2 entry),
-//! and each weight row is loaded once and applied to every column —
-//! the neuron/synapse reuse the shared index exists for, with the
-//! batch column as the reuse axis. `forward` is the `B = 1` call of
-//! the same loop. The structured kernels run their per-column loop
-//! over the batch.
+//! times up to [`COLUMN_TILE`] batch columns accumulate in registers
+//! (one `zmm` or two `ymm` per column), and each row of indices is
+//! looked up once and applied to every column — the neuron/synapse
+//! reuse the shared index exists for, with the batch column as the
+//! reuse axis. `forward` is the `B = 1` call of the same loop. The
+//! structured kernels run their per-column loop over the batch.
 //!
 //! Every column is its own accumulator row, fed its own inputs in
 //! ascending input order with a separate multiply and add (never FMA),
@@ -73,12 +75,30 @@
 //! per column; a tile skips a block only when *every* column of the
 //! tile proved it `+0.0`, and otherwise multiplies the zero columns
 //! through, which is bit-neutral by the argument above.
+//!
+//! # Lookup bodies
+//!
+//! The block-CSR accumulate loop is built three times, and the builds
+//! differ only in how a row of indices becomes sixteen `f32` weights.
+//! The host runs the best one it has:
+//!
+//! * **AVX-512** (`avx512f`): a nibble row is one `vpbroadcastq`, one
+//!   `vpsrlvd` and one 16-entry `vpermps`. A `u16` row is widened by
+//!   `vpmovzxwd` and looked up by two `vpermt2ps` and a mask blend when
+//!   the strip's codebook has at most 64 entries, by `vgatherdps` above
+//!   that.
+//! * **AVX2**: per 8-lane half, a nibble row is `vpsrlvd`, two
+//!   `vpermps` and a `blendv` on the index's bit 3; a `u16` row gathers.
+//! * **Portable**: a scalar lookup per lane.
+//!
+//! Every body looks up the codebook's own `f32`, so all three produce
+//! the dense reference's bits.
 
 use cs_sparsity::Mask;
 use cs_tensor::ops::{self, Conv2dGeometry};
 use cs_tensor::{Shape, Tensor, TensorError};
 
-use crate::format::{FcLayerFormat, SharedIndexLayer};
+use crate::format::{FcLayerFormat, OutputGroup, SharedIndexLayer};
 use crate::gate::{self, GatePlan, GatePolicy, GateStats};
 use crate::CompressError;
 
@@ -87,9 +107,21 @@ use crate::CompressError;
 /// run as consecutive tiles.
 pub const COLUMN_TILE: usize = 8;
 
-/// Output lanes per accumulator row — the paper's `T_n`, two `ymm`
-/// registers. Wider strips are walked in chunks of this many lanes.
+/// Output lanes per row of a strip — the paper's `T_n`, one `zmm` or
+/// two `ymm` registers. Wider strips are stored and walked in chunks of
+/// this many lanes.
 const LANES: usize = 16;
+
+/// Codebook entries a nibble row can address.
+const NIBBLE_ENTRIES: usize = 16;
+
+/// Bit offset of lane `l`'s index in a nibble row. Lanes alternate
+/// between the row's low and high 32-bit words, so a row broadcast to
+/// sixteen `u32` lanes holds lane `l`'s nibble in lane `l`, `4 * (l / 2)`
+/// bits up: one variable shift per row lines all sixteen up.
+const fn nibble_shift(lane: usize) -> u32 {
+    (32 * (lane % 2) + 4 * (lane / 2)) as u32
+}
 
 /// The occupancy one column tile runs under: bit `g` of `words` clear
 /// means every column of the tile proved input block `g` all-`+0.0`.
@@ -140,62 +172,178 @@ struct TileIo<'a> {
     stride: usize,
 }
 
+/// A strip's rows of codebook indices, chunk-major: the row of lane
+/// chunk `c` (lanes `16c..16c + 16`) at the `pos`-th surviving input is
+/// row `c * survivors + pos`. Lanes past the strip's edge hold index 0.
+#[derive(Debug, Clone, PartialEq)]
+enum Rows {
+    /// Every codebook of the layer has at most 16 entries: one `u64` per
+    /// row, lane `l`'s index at bit [`nibble_shift`]`(l)`.
+    Nibbles(Vec<u64>),
+    /// The stored `u16` indices, sixteen per row.
+    Indices(Vec<u16>),
+}
+
 /// One strip of `strip_width` (or fewer, at the edge) output lanes
-/// sharing a synapse index, compiled for execution.
+/// sharing a synapse index, compiled for execution: its surviving
+/// inputs, its group's codebook, and the index rows the kernel looks up
+/// in it. The fields are private because every stored index addresses
+/// the codebook, which the gathering bodies rely on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FcStrip {
-    /// First output lane of the strip.
-    pub out_start: usize,
-    /// One past the last output lane.
-    pub out_end: usize,
-    /// Surviving input positions as `[start, end)` runs, ascending.
-    pub runs: Vec<(u32, u32)>,
-    /// Pre-decoded weights, input-major: `values[pos * width + lane]`
-    /// for the `pos`-th surviving input.
-    pub values: Vec<f32>,
-    /// Number of surviving input positions.
-    pub survivors: usize,
+    out_start: usize,
+    out_end: usize,
+    runs: Vec<(u32, u32)>,
+    survivors: usize,
+    codebook: Vec<f32>,
+    rows: Rows,
 }
 
 impl FcStrip {
+    /// Compiles one output group into lanes `out_start..` with nibble
+    /// or `u16` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a lane's row is not one index per surviving input or
+    /// an index does not address the group's codebook.
+    fn from_group(g: &OutputGroup, out_start: usize, nibbles: bool) -> FcStrip {
+        let (width, survivors) = (g.weights.len(), g.survivors());
+        let codebook = g.codebook.centroids().to_vec();
+        for lane in &g.weights {
+            assert_eq!(lane.len(), survivors, "row length disagrees with the index");
+            assert!(
+                lane.iter().all(|&i| usize::from(i) < codebook.len()),
+                "index outside its group's codebook"
+            );
+        }
+        let slot =
+            |c: usize, pos: usize, l: usize| g.weights.get(c * LANES + l).map_or(0, |w| w[pos]);
+        let rows = (0..width.div_ceil(LANES)).flat_map(|c| (0..survivors).map(move |pos| (c, pos)));
+        let rows = if nibbles {
+            Rows::Nibbles(
+                rows.map(|(c, pos)| {
+                    (0..LANES).fold(0u64, |r, l| {
+                        r | u64::from(slot(c, pos, l)) << nibble_shift(l)
+                    })
+                })
+                .collect(),
+            )
+        } else {
+            Rows::Indices(
+                rows.flat_map(|(c, pos)| (0..LANES).map(move |l| slot(c, pos, l)))
+                    .collect(),
+            )
+        };
+        FcStrip {
+            out_start,
+            out_end: out_start + width,
+            runs: runs_from_index(&g.index),
+            survivors,
+            codebook,
+            rows,
+        }
+    }
+
+    /// First output lane of the strip.
+    pub fn out_start(&self) -> usize {
+        self.out_start
+    }
+
+    /// One past the last output lane.
+    pub fn out_end(&self) -> usize {
+        self.out_end
+    }
+
+    /// Surviving input positions as `[start, end)` runs, ascending.
+    pub fn runs(&self) -> &[(u32, u32)] {
+        &self.runs
+    }
+
+    /// The group's codebook, the WDM's LUT contents.
+    pub fn codebook(&self) -> &[f32] {
+        &self.codebook
+    }
+
+    /// The codebook slot lane `lane` (counted from `out_start`) looks up
+    /// at the `pos`-th surviving input.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pos >= survivors` or the lane is outside the strip.
+    pub fn index(&self, pos: usize, lane: usize) -> usize {
+        assert!(
+            pos < self.survivors && lane < self.width(),
+            "no such row slot"
+        );
+        let (row, l) = (lane / LANES * self.survivors + pos, lane % LANES);
+        match &self.rows {
+            Rows::Nibbles(rows) => (rows[row] >> nibble_shift(l)) as usize & 0xF,
+            Rows::Indices(idx) => usize::from(idx[row * LANES + l]),
+        }
+    }
+
     fn width(&self) -> usize {
         self.out_end - self.out_start
     }
+}
 
-    /// The kernel: lanes `lane0..lane0 + lanes` of this strip times the
-    /// `B` columns of one tile, accumulated in locals. Each weight row
-    /// is read once and applied to every column; per column the terms
-    /// add in ascending input order, multiply and add kept separate.
-    /// Run segments under a block the whole tile proved `+0.0` advance
-    /// `pos` without touching the accumulators: the dropped terms are
-    /// `+0.0 * w = ±0.0` into sums that can never be `-0.0`.
-    ///
-    /// Inlined into every caller so that the full-width call
-    /// (`lanes == LANES`) unrolls into register-resident accumulators
-    /// and edge strips reuse the same body with a runtime width.
+/// `cb` zero-padded to `N` entries, so that a lookup table loads whole.
+fn padded<const N: usize>(cb: &[f32]) -> [f32; N] {
+    let mut table = [0.0f32; N];
+    let n = cb.len().min(N);
+    table[..n].copy_from_slice(&cb[..n]);
+    table
+}
+
+/// One lane chunk of a strip (lanes `16c..16c + 16`) in one tile, as a
+/// lookup body sees it: its rows, the codebook they index, and the
+/// tile's inputs and gate.
+struct Chunk<'a> {
+    runs: &'a [(u32, u32)],
+    codebook: &'a [f32],
+    rows: ChunkRows<'a>,
+    xt: &'a [f32],
+    gate: TileGate<'a>,
+}
+
+/// A chunk's rows, one per surviving input.
+#[derive(Clone, Copy)]
+enum ChunkRows<'a> {
+    Nibbles(&'a [u64]),
+    Indices(&'a [[u16; LANES]]),
+}
+
+impl Chunk<'_> {
+    /// The accumulate loop every lookup body shares: the chunk's lanes
+    /// times the `B` columns of the tile, in registers. `row(pos)` looks
+    /// the `pos`-th row up into a vector of sixteen weights, and
+    /// `madd(acc, x, w)` is `acc + x * w` with the multiply and add kept
+    /// separate. Each row is looked up once and applied to every column;
+    /// per column the terms add in ascending input order. Run segments
+    /// under a block the whole tile proved `+0.0` advance `pos` without
+    /// touching the accumulators: the dropped terms are `+0.0 * w = ±0.0`
+    /// into sums that can never be `-0.0`.
     #[inline(always)]
-    fn accumulate_tile<const B: usize>(
+    fn accumulate<const B: usize, V: Copy>(
         &self,
-        lane0: usize,
-        lanes: usize,
-        xt: &[f32],
-        gate: TileGate<'_>,
-    ) -> [[f32; LANES]; B] {
-        let width = self.width();
-        let mut acc = [[0.0f32; LANES]; B];
+        zero: V,
+        row: impl Fn(usize) -> V,
+        madd: impl Fn(V, f32, V) -> V,
+    ) -> [V; B] {
+        let (xt, gate) = (self.xt, self.gate);
+        let mut acc = [zero; B];
         let mut pos = 0usize;
-        for &(s, e) in &self.runs {
+        for &(s, e) in self.runs {
             let (mut i, e) = (s as usize, e as usize);
             let mut g = i / gate.block;
             while i < e {
                 let seg_end = e.min((g + 1).saturating_mul(gate.block));
                 if gate.occupied(g) {
                     for x in xt[i * B..seg_end * B].chunks_exact(B) {
-                        let row = &self.values[pos * width + lane0..][..lanes];
+                        let w = row(pos);
                         for (a, &xj) in acc.iter_mut().zip(x) {
-                            for (al, &w) in a[..lanes].iter_mut().zip(row) {
-                                *al += xj * w;
-                            }
+                            *a = madd(*a, xj, w);
                         }
                         pos += 1;
                     }
@@ -210,22 +358,32 @@ impl FcStrip {
     }
 }
 
-/// Runs `strips` over one `B`-column tile and stores `acc + bias`.
+/// Runs every strip over one `B`-column tile and stores `acc + bias`:
+/// `chunk` accumulates one lane chunk through a body's lookup and
+/// spills it to plain lanes.
 #[inline(always)]
-fn run_strips<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io: &mut TileIo<'_>) {
+fn run_strips<const B: usize>(
+    strips: &[FcStrip],
+    bias: Option<&[f32]>,
+    io: &mut TileIo<'_>,
+    chunk: impl Fn(&Chunk<'_>) -> [[f32; LANES]; B],
+) {
     for strip in strips {
-        let width = strip.width();
-        debug_assert_eq!(strip.values.len(), strip.survivors * width);
-        for lane0 in (0..width).step_by(LANES) {
-            let lanes = LANES.min(width - lane0);
-            // The same call twice: the literal lets the inlined body
-            // unroll its lane loop for the full-width case.
-            let acc = if lanes == LANES {
-                strip.accumulate_tile::<B>(lane0, LANES, io.xt, io.gate)
-            } else {
-                strip.accumulate_tile::<B>(lane0, lanes, io.xt, io.gate)
+        let (width, s) = (strip.width(), strip.survivors);
+        for c in 0..width.div_ceil(LANES) {
+            let rows = match &strip.rows {
+                Rows::Nibbles(rows) => ChunkRows::Nibbles(&rows[c * s..][..s]),
+                Rows::Indices(idx) => ChunkRows::Indices(&idx.as_chunks().0[c * s..][..s]),
             };
-            let first = strip.out_start + lane0;
+            let acc = chunk(&Chunk {
+                runs: &strip.runs,
+                codebook: &strip.codebook,
+                rows,
+                xt: io.xt,
+                gate: io.gate,
+            });
+            let lanes = LANES.min(width - c * LANES);
+            let first = strip.out_start + c * LANES;
             for (j, a) in acc.iter().enumerate() {
                 let out = &mut io.outs[j * io.stride + first..][..lanes];
                 match bias {
@@ -241,28 +399,268 @@ fn run_strips<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io: &mut
     }
 }
 
-/// Picks the const column count for a tile of `bt <= COLUMN_TILE`.
+/// `acc + x * w` over sixteen plain lanes.
 #[inline(always)]
-fn run_tile_body(strips: &[FcStrip], bias: Option<&[f32]>, bt: usize, io: &mut TileIo<'_>) {
-    match bt {
-        1 => run_strips::<1>(strips, bias, io),
-        2 => run_strips::<2>(strips, bias, io),
-        3 => run_strips::<3>(strips, bias, io),
-        4 => run_strips::<4>(strips, bias, io),
-        5 => run_strips::<5>(strips, bias, io),
-        6 => run_strips::<6>(strips, bias, io),
-        7 => run_strips::<7>(strips, bias, io),
-        8 => run_strips::<8>(strips, bias, io),
-        _ => unreachable!("column tile wider than COLUMN_TILE"),
+fn madd_lanes(mut acc: [f32; LANES], x: f32, w: [f32; LANES]) -> [f32; LANES] {
+    for (a, w) in acc.iter_mut().zip(w) {
+        *a += x * w;
+    }
+    acc
+}
+
+/// The portable body: a scalar lookup per lane.
+fn strips_portable<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io: &mut TileIo<'_>) {
+    run_strips::<B>(strips, bias, io, |k| {
+        let zero = [0.0f32; LANES];
+        match k.rows {
+            ChunkRows::Nibbles(rows) => {
+                // Sixteen slots: a masked nibble needs no bounds check.
+                let table = padded::<NIBBLE_ENTRIES>(k.codebook);
+                let lookup =
+                    |r: u64| std::array::from_fn(|l| table[(r >> nibble_shift(l)) as usize & 0xF]);
+                k.accumulate(zero, |pos| lookup(rows[pos]), madd_lanes)
+            }
+            ChunkRows::Indices(rows) => {
+                let lookup = |i: u16| k.codebook[usize::from(i)];
+                k.accumulate(zero, |pos| rows[pos].map(lookup), madd_lanes)
+            }
+        }
+    });
+}
+
+/// The AVX-512 and AVX2 bodies. Both are safe code under
+/// `#[target_feature]`; the only `unsafe` is the raw loads, stores and
+/// gathers, each over memory whose bounds its types or the strip's
+/// invariants fix.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{padded, run_strips, ChunkRows, FcStrip, TileIo, LANES, NIBBLE_ENTRIES};
+    use std::arch::x86_64::*;
+
+    /// Sixteen `f32` in one `zmm`.
+    #[target_feature(enable = "avx512f")]
+    fn load_zmm(v: &[f32; LANES]) -> __m512 {
+        debug_assert_eq!(v.len(), 16);
+        // SAFETY: `v` is sixteen contiguous `f32`, the width of one
+        // unaligned `zmm` load.
+        unsafe { _mm512_loadu_ps(v.as_ptr()) }
+    }
+
+    /// A `zmm` accumulator spilled to plain lanes.
+    #[target_feature(enable = "avx512f")]
+    fn spill_zmm(v: __m512) -> [f32; LANES] {
+        let mut out = [0.0f32; LANES];
+        debug_assert_eq!(out.len(), 16);
+        // SAFETY: `out` is sixteen contiguous `f32`, the width of one
+        // unaligned `zmm` store.
+        unsafe { _mm512_storeu_ps(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// A row of sixteen `u16` indices widened to `u32` lanes.
+    #[target_feature(enable = "avx512f")]
+    fn widen_zmm(row: &[u16; LANES]) -> __m512i {
+        debug_assert_eq!(row.len() * 2, 32);
+        // SAFETY: `row` is sixteen `u16`, the 32 bytes of one unaligned
+        // `ymm` load.
+        unsafe { _mm512_cvtepu16_epi32(_mm256_loadu_si256(row.as_ptr().cast())) }
+    }
+
+    /// The AVX-512 body: one `zmm` accumulator per column.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn strips_avx512<const B: usize>(
+        strips: &[FcStrip],
+        bias: Option<&[f32]>,
+        io: &mut TileIo<'_>,
+    ) {
+        let madd = |a, x, w| _mm512_add_ps(a, _mm512_mul_ps(_mm512_set1_ps(x), w));
+        run_strips::<B>(strips, bias, io, |k| {
+            let (cb, zero) = (k.codebook, _mm512_setzero_ps());
+            let acc: [__m512; B] = match k.rows {
+                ChunkRows::Nibbles(rows) => {
+                    let table = load_zmm(&padded::<NIBBLE_ENTRIES>(cb));
+                    let shifts =
+                        _mm512_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28);
+                    // `vpermps` reads only the low four bits of each
+                    // lane, so the shifted row needs no mask.
+                    let lookup = |r: u64| {
+                        let idx = _mm512_srlv_epi32(_mm512_set1_epi64(r as i64), shifts);
+                        _mm512_permutexvar_ps(idx, table)
+                    };
+                    k.accumulate(zero, |pos| lookup(rows[pos]), madd)
+                }
+                ChunkRows::Indices(rows) if cb.len() <= 64 => {
+                    let table = padded::<64>(cb);
+                    let quarters = table.as_chunks::<LANES>().0;
+                    let t: [__m512; 4] = std::array::from_fn(|q| load_zmm(&quarters[q]));
+                    // `vpermt2ps` picks from 32 entries by the low five
+                    // bits; bit 5 chooses the pair.
+                    let bit5 = _mm512_set1_epi32(32);
+                    let lookup = |row: &[u16; LANES]| {
+                        let i = widen_zmm(row);
+                        let lo = _mm512_permutex2var_ps(t[0], i, t[1]);
+                        let hi = _mm512_permutex2var_ps(t[2], i, t[3]);
+                        _mm512_mask_blend_ps(_mm512_test_epi32_mask(i, bit5), lo, hi)
+                    };
+                    k.accumulate(zero, |pos| lookup(&rows[pos]), madd)
+                }
+                ChunkRows::Indices(rows) => {
+                    let gather = |row: &[u16; LANES]| {
+                        debug_assert!(row.iter().all(|&i| usize::from(i) < cb.len()));
+                        // SAFETY: `FcStrip::from_group` checked that
+                        // every stored index, padding included, is below
+                        // `cb.len()`, and the fields are private, so all
+                        // sixteen reads `cb[i]` are in bounds.
+                        unsafe { _mm512_i32gather_ps::<4>(widen_zmm(row), cb.as_ptr()) }
+                    };
+                    k.accumulate(zero, |pos| gather(&rows[pos]), madd)
+                }
+            };
+            acc.map(|v| spill_zmm(v))
+        });
+    }
+
+    /// Eight `f32` in one `ymm`.
+    #[target_feature(enable = "avx2")]
+    fn load_ymm(v: &[f32; 8]) -> __m256 {
+        debug_assert_eq!(v.len(), 8);
+        // SAFETY: `v` is eight contiguous `f32`, the width of one
+        // unaligned `ymm` load.
+        unsafe { _mm256_loadu_ps(v.as_ptr()) }
+    }
+
+    /// A two-`ymm` accumulator spilled to plain lanes.
+    #[target_feature(enable = "avx2")]
+    fn spill_ymm(v: [__m256; 2]) -> [f32; LANES] {
+        let mut out = [0.0f32; LANES];
+        for (h, v) in out.as_chunks_mut::<8>().0.iter_mut().zip(v) {
+            debug_assert_eq!(h.len(), 8);
+            // SAFETY: `h` is eight contiguous `f32`, the width of one
+            // unaligned `ymm` store.
+            unsafe { _mm256_storeu_ps(h.as_mut_ptr(), v) };
+        }
+        out
+    }
+
+    /// The AVX2 body: two `ymm` accumulators per column.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn strips_avx2<const B: usize>(
+        strips: &[FcStrip],
+        bias: Option<&[f32]>,
+        io: &mut TileIo<'_>,
+    ) {
+        let madd = |a: [__m256; 2], x, w: [__m256; 2]| {
+            let x = _mm256_set1_ps(x);
+            [0, 1].map(|h| _mm256_add_ps(a[h], _mm256_mul_ps(x, w[h])))
+        };
+        run_strips::<B>(strips, bias, io, |k| {
+            let (cb, zero) = (k.codebook, [_mm256_setzero_ps(); 2]);
+            let acc: [[__m256; 2]; B] = match k.rows {
+                ChunkRows::Nibbles(rows) => {
+                    let table = padded::<NIBBLE_ENTRIES>(cb);
+                    let halves = table.as_chunks::<8>().0;
+                    let [lo, hi] = std::array::from_fn(|h| load_ymm(&halves[h]));
+                    // Lanes 0-7 sit in bits 0-15 of both row words,
+                    // lanes 8-15 in bits 16-31. `down` brings a lane's
+                    // nibble to bit 0 for `vpermps`, which reads three
+                    // bits; `up` brings its bit 3 to the sign bit, which
+                    // `blendv` reads.
+                    let down = [
+                        _mm256_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12),
+                        _mm256_setr_epi32(16, 16, 20, 20, 24, 24, 28, 28),
+                    ];
+                    let up = [
+                        _mm256_setr_epi32(28, 28, 24, 24, 20, 20, 16, 16),
+                        _mm256_setr_epi32(12, 12, 8, 8, 4, 4, 0, 0),
+                    ];
+                    let lookup = |r: u64| {
+                        let r = _mm256_set1_epi64x(r as i64);
+                        [0, 1].map(|h| {
+                            let i = _mm256_srlv_epi32(r, down[h]);
+                            let upper = _mm256_castsi256_ps(_mm256_sllv_epi32(r, up[h]));
+                            let (a, b) = (
+                                _mm256_permutevar8x32_ps(lo, i),
+                                _mm256_permutevar8x32_ps(hi, i),
+                            );
+                            _mm256_blendv_ps(a, b, upper)
+                        })
+                    };
+                    k.accumulate(zero, |pos| lookup(rows[pos]), madd)
+                }
+                ChunkRows::Indices(rows) => {
+                    let gather = |h: &[u16; 8]| {
+                        debug_assert!(h.iter().all(|&i| usize::from(i) < cb.len()));
+                        // SAFETY: `h` is eight `u16`, the 16 bytes of one
+                        // unaligned `xmm` load; and `FcStrip::from_group`
+                        // checked that every stored index, padding
+                        // included, is below `cb.len()`, and the fields
+                        // are private, so all eight reads `cb[i]` are in
+                        // bounds.
+                        unsafe {
+                            let i = _mm256_cvtepu16_epi32(_mm_loadu_si128(h.as_ptr().cast()));
+                            _mm256_i32gather_ps::<4>(cb.as_ptr(), i)
+                        }
+                    };
+                    let lookup = |row: &[u16; LANES]| {
+                        let halves = row.as_chunks::<8>().0;
+                        std::array::from_fn(|h| gather(&halves[h]))
+                    };
+                    k.accumulate(zero, |pos| lookup(&rows[pos]), madd)
+                }
+            };
+            acc.map(|v| spill_ymm(v))
+        });
     }
 }
 
-/// [`run_tile_body`] compiled with AVX2 enabled: the same safe code,
-/// vectorized to two `ymm` operations per accumulator row.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn run_tile_avx2(strips: &[FcStrip], bias: Option<&[f32]>, bt: usize, io: &mut TileIo<'_>) {
-    run_tile_body(strips, bias, bt, io);
+/// Calls `$body::<B>($args)` with the const column count `B` of a tile
+/// of `$bt <= COLUMN_TILE` columns.
+macro_rules! for_tile_width {
+    ($bt:expr, $body:ident($($arg:expr),*)) => {
+        match $bt {
+            1 => $body::<1>($($arg),*),
+            2 => $body::<2>($($arg),*),
+            3 => $body::<3>($($arg),*),
+            4 => $body::<4>($($arg),*),
+            5 => $body::<5>($($arg),*),
+            6 => $body::<6>($($arg),*),
+            7 => $body::<7>($($arg),*),
+            8 => $body::<8>($($arg),*),
+            _ => unreachable!("column tile wider than COLUMN_TILE"),
+        }
+    };
+}
+
+/// Which build of the block-CSR kernel runs a tile (module docs,
+/// "Lookup bodies").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+impl Body {
+    /// Whether the running CPU supports the body.
+    fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Body::Portable => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The fastest body the running CPU supports.
+    fn best() -> Body {
+        [Body::Avx512, Body::Avx2]
+            .into_iter()
+            .find(|b| b.runs_here())
+            .unwrap_or(Body::Portable)
+    }
 }
 
 /// Reusable buffers for [`FcKernel::forward_batch`]: the transposed
@@ -315,32 +713,23 @@ impl CompiledFcLayer {
         Ok(Self::from_shared(&shared))
     }
 
-    /// Compiles an existing shared-index layer. Infallible: the storage
-    /// format already carries everything the engine needs.
+    /// Compiles an existing shared-index layer: each group keeps its
+    /// stored indices and codebook, as nibble rows when every codebook
+    /// has at most 16 entries and as `u16` rows otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a stored index does not address its group's codebook
+    /// or a lane's row disagrees with the group's shared index.
     pub fn from_shared(layer: &SharedIndexLayer) -> Self {
-        let mut strips = Vec::with_capacity(layer.groups.len());
-        let mut out_start = 0usize;
+        let nibbles = layer
+            .groups
+            .iter()
+            .all(|g| g.codebook.len() <= NIBBLE_ENTRIES);
+        let mut strips: Vec<FcStrip> = Vec::with_capacity(layer.groups.len());
         for g in &layer.groups {
-            let width = g.weights.len();
-            let out_end = out_start + width;
-            let survivors = g.survivors();
-            let runs = runs_from_index(&g.index);
-            // Transpose the group's output-major lanes to input-major,
-            // decoding through the group's codebook on the way.
-            let mut values = vec![0.0f32; survivors * width];
-            for (lane, lw) in g.weights.iter().enumerate() {
-                for (pos, &idx) in lw.iter().enumerate() {
-                    values[pos * width + lane] = g.codebook.value(idx);
-                }
-            }
-            strips.push(FcStrip {
-                out_start,
-                out_end,
-                runs,
-                values,
-                survivors,
-            });
-            out_start = out_end;
+            let out_start = strips.last().map_or(0, |s| s.out_end);
+            strips.push(FcStrip::from_group(g, out_start, nibbles));
         }
         CompiledFcLayer {
             name: layer.name.clone(),
@@ -393,31 +782,43 @@ impl CompiledFcLayer {
         self.forward_batch(input, out, &mut BatchScratch::default(), None);
     }
 
-    /// Runs every strip over one tile of `bt` columns on the best path
-    /// the host has. `portable` forces the generic build of the same
-    /// body (what non-AVX2 hosts run), so tests can hold the two to the
-    /// same bits.
-    fn run_tile(&self, bt: usize, mut io: TileIo<'_>, portable: bool) {
+    /// Runs every strip over one tile of `bt` columns on `body`, which
+    /// is [`Body::best`] outside tests, so tests can hold every body the
+    /// host runs to the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host cannot run `body`.
+    fn run_tile(&self, bt: usize, mut io: TileIo<'_>, body: Body) {
         debug_assert_eq!(io.xt.len(), self.n_in * bt);
         debug_assert_eq!(io.outs.len(), bt * io.stride);
-        let (strips, bias) = (&self.strips[..], self.bias.as_deref());
-        #[cfg(target_arch = "x86_64")]
-        if !portable && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `run_tile_avx2` is safe code whose only
-            // requirement is the `avx2` target feature, verified on
-            // this CPU on the line above; every slice access inside is
-            // bounds-checked against the lengths the safe callers
-            // established (asserted above in debug builds).
-            unsafe { run_tile_avx2(strips, bias, bt, &mut io) };
-            return;
+        assert!(
+            body.runs_here(),
+            "{body:?} lookup body on a host without it"
+        );
+        let (strips, bias, io) = (&self.strips[..], self.bias.as_deref(), &mut io);
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => {
+                use x86::strips_avx512;
+                // SAFETY: the body is safe code whose only requirement
+                // is `avx512f`, which `runs_here` verified on this CPU
+                // above.
+                unsafe { for_tile_width!(bt, strips_avx512(strips, bias, io)) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => {
+                use x86::strips_avx2;
+                // SAFETY: as above, for `avx2`.
+                unsafe { for_tile_width!(bt, strips_avx2(strips, bias, io)) }
+            }
+            _ => for_tile_width!(bt, strips_portable(strips, bias, io)),
         }
-        let _ = portable; // only read on x86-64
-        run_tile_body(strips, bias, bt, &mut io);
     }
 
     /// The whole batch as one sparse-W × dense-B product: `inputs` holds
     /// `B` input vectors back to back, `outs` receives `B × n_out`, and
-    /// every strip's weights stream once per [`COLUMN_TILE`] columns.
+    /// every strip's rows stream once per [`COLUMN_TILE`] columns.
     /// Column `j` of the result is bit-identical to [`Self::forward`]
     /// on input `j` alone, whatever it is batched with.
     ///
@@ -437,7 +838,7 @@ impl CompiledFcLayer {
         scratch: &'s mut BatchScratch,
         plan: Option<&GatePlan>,
     ) -> &'s [GateStats] {
-        self.forward_batch_on(inputs, outs, scratch, plan, false)
+        self.forward_batch_on(inputs, outs, scratch, plan, Body::best())
     }
 
     fn forward_batch_on<'s>(
@@ -446,7 +847,7 @@ impl CompiledFcLayer {
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
         plan: Option<&GatePlan>,
-        portable: bool,
+        body: Body,
     ) -> &'s [GateStats] {
         let (n_in, n_out) = (self.n_in, self.n_out);
         let b = batch_columns(inputs, outs, n_in, n_out);
@@ -510,27 +911,23 @@ impl CompiledFcLayer {
                 outs: &mut outs[col0 * n_out..(col0 + bt) * n_out],
                 stride: n_out,
             };
-            self.run_tile(bt, io, portable);
+            self.run_tile(bt, io, body);
         }
         stats
     }
 
     /// Reconstructs the dense `(n_in, n_out)` weight matrix the engine
-    /// executes: decoded codebook values at surviving positions, zeros
-    /// elsewhere. This is the dense-reference operand of the equivalence
-    /// contract.
+    /// executes: every stored index looked up in its strip's codebook at
+    /// the surviving positions, zeros elsewhere. This is the
+    /// dense-reference operand of the equivalence contract.
     pub fn to_dense(&self) -> Tensor {
         let mut dense = vec![0.0f32; self.n_in * self.n_out];
         for strip in &self.strips {
-            let width = strip.width();
-            let mut pos = 0usize;
-            for &(s, e) in &strip.runs {
-                for i in s..e {
-                    for lane in 0..width {
-                        dense[i as usize * self.n_out + strip.out_start + lane] =
-                            strip.values[pos * width + lane];
-                    }
-                    pos += 1;
+            let surviving = strip.runs.iter().flat_map(|&(s, e)| s as usize..e as usize);
+            for (pos, i) in surviving.enumerate() {
+                let row = &mut dense[i * self.n_out + strip.out_start..][..strip.width()];
+                for (lane, w) in row.iter_mut().enumerate() {
+                    *w = strip.codebook[strip.index(pos, lane)];
                 }
             }
         }
@@ -1672,6 +2069,7 @@ mod tests {
         n_in: usize,
         n_out: usize,
         block_in: usize,
+        quant_bits: u8,
         seed: u64,
         bias: bool,
     ) -> CompiledFcLayer {
@@ -1690,7 +2088,8 @@ mod tests {
             .collect();
         let mask = Mask::from_bits(Shape::d2(n_in, n_out), bits).unwrap();
         let layer =
-            CompiledFcLayer::compile_fc("prop", &rand_w(n_in, n_out, seed), &mask, 16, 8).unwrap();
+            CompiledFcLayer::compile_fc("prop", &rand_w(n_in, n_out, seed), &mask, 16, quant_bits)
+                .unwrap();
         if bias {
             layer.with_bias((0..n_out).map(|o| o as f32 * 0.01 - 0.3).collect())
         } else {
@@ -1724,14 +2123,247 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits() || (lenient && x.is_nan() && y.is_nan()))
     }
 
+    /// Every lookup body, fastest first.
+    const BODIES: [Body; 3] = [Body::Avx512, Body::Avx2, Body::Portable];
+
+    /// A shared-index layer built by hand in 16-lane groups: input `i`
+    /// survives in group `g` when `keep(i, g)`, group `g` has a codebook
+    /// of exactly `entries(g)` random values, and its random indices
+    /// include its first and last slot.
+    fn hand_layer(
+        n_in: usize,
+        n_out: usize,
+        seed: u64,
+        keep: impl Fn(usize, usize) -> bool,
+        entries: impl Fn(usize) -> usize,
+    ) -> SharedIndexLayer {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            x >> 33
+        };
+        let groups = (0..n_out.div_ceil(16))
+            .map(|g| {
+                let (width, k) = (16.min(n_out - g * 16), entries(g));
+                let index: Vec<bool> = (0..n_in).map(|i| keep(i, g)).collect();
+                let survivors = index.iter().filter(|b| **b).count();
+                let centroids = (0..k)
+                    .map(|_| next() as f32 / (1u64 << 31) as f32 - 0.5)
+                    .collect();
+                let mut weights: Vec<Vec<u16>> = (0..width)
+                    .map(|_| (0..survivors).map(|_| (next() % k as u64) as u16).collect())
+                    .collect();
+                if survivors > 0 {
+                    weights[0][0] = (k - 1) as u16;
+                    weights[width - 1][survivors - 1] = 0;
+                }
+                OutputGroup {
+                    index,
+                    weights,
+                    codebook: cs_quant::Codebook::new(centroids),
+                }
+            })
+            .collect();
+        SharedIndexLayer {
+            name: "hand".into(),
+            n_in,
+            n_out,
+            group_size: 16,
+            quant_bits: 12,
+            groups,
+        }
+    }
+
+    /// Blocks of four inputs, two in three kept; group `g`'s codebook
+    /// has `sizes[g % sizes.len()]` entries.
+    fn codebook_layer(n_in: usize, n_out: usize, sizes: &[usize], seed: u64) -> SharedIndexLayer {
+        let keep = |i: usize, g: usize| !(i / 4 + g).is_multiple_of(3);
+        hand_layer(n_in, n_out, seed, keep, |g| sizes[g % sizes.len()])
+    }
+
+    #[test]
+    fn every_lookup_body_matches_the_dense_reference_at_every_codebook_width() {
+        const SIZES: [usize; 7] = [1, 2, 16, 17, 64, 65, 4096];
+        let (n_in, n_out) = (40, 500);
+        let mut layers: Vec<(String, SharedIndexLayer)> = SIZES
+            .iter()
+            .map(|&k| {
+                (
+                    format!("{k} entries"),
+                    codebook_layer(n_in, n_out, &[k], k as u64),
+                )
+            })
+            .collect();
+        layers.push(("mixed".into(), codebook_layer(n_in, n_out, &SIZES, 99)));
+        for (name, shared) in &layers {
+            let layer = CompiledFcLayer::from_shared(shared);
+            let nibbles = shared.groups.iter().all(|g| g.codebook.len() <= 16);
+            assert_eq!(
+                matches!(layer.strips[0].rows, Rows::Nibbles(_)),
+                nibbles,
+                "{name}"
+            );
+            let dense = layer.to_dense();
+            for b in 1..=COLUMN_TILE + 1 {
+                let columns: Vec<Vec<f32>> =
+                    (0..b).map(|j| column_input(n_in, j as u64 + 3)).collect();
+                let want: Vec<f32> = columns
+                    .iter()
+                    .flat_map(|x| {
+                        let x = Tensor::from_vec(Shape::d2(1, n_in), x.clone()).unwrap();
+                        ops::matmul(&x, &dense).unwrap().as_slice().to_vec()
+                    })
+                    .collect();
+                // The storage format's own reference agrees: the rows
+                // hold the indices it stores.
+                assert_eq!(
+                    bits_of(&want[..n_out]),
+                    bits_of(&shared.output(&columns[0])),
+                    "{name}"
+                );
+                for plan in [None, Some(&GatePlan { block: 8 })] {
+                    for body in BODIES.into_iter().filter(|b| b.runs_here()) {
+                        let mut outs = vec![f32::NAN; b * n_out];
+                        let mut scratch = BatchScratch::default();
+                        layer.forward_batch_on(
+                            &columns.concat(),
+                            &mut outs,
+                            &mut scratch,
+                            plan,
+                            body,
+                        );
+                        assert_eq!(
+                            bits_of(&outs),
+                            bits_of(&want),
+                            "{name}, B = {b}, gated {}, {body:?}",
+                            plan.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bytes of index rows one column streams: 8 per nibble row, 32 per
+    /// `u16` row.
+    fn row_bytes(layer: &CompiledFcLayer) -> usize {
+        layer
+            .strips
+            .iter()
+            .map(|s| match &s.rows {
+                Rows::Nibbles(r) => r.len() * 8,
+                Rows::Indices(r) => r.len() * 2,
+            })
+            .sum()
+    }
+
+    /// With every strip 16 lanes wide, a 4-bit layer holds exactly the
+    /// `ceil(surviving × 4 / 8)`-byte dictionary the storage format
+    /// counts (an edge strip narrower than 16 lanes would still fill a
+    /// whole `u64` per row).
+    #[test]
+    fn a_four_bit_lane_holds_the_dictionary_the_ledger_counts() {
+        let (w, mask) = fc_layer(96, 64, 16, 0.25);
+        let shared = SharedIndexLayer::from_fc("fc", &w, &mask, 16, 4).unwrap();
+        let layer = CompiledFcLayer::from_shared(&shared);
+        let luts: usize = shared.groups.iter().map(|g| g.codebook.byte_size()).sum();
+        assert!(layer.surviving() > 0);
+        assert_eq!(row_bytes(&layer), (layer.surviving() * 4).div_ceil(8));
+        assert_eq!(row_bytes(&layer) + luts, shared.weight_bytes());
+    }
+
+    /// An `n_in × n_out` layer shaped like the benchmark's: square
+    /// `block`-wide blocks kept at ~10 %, one `k`-entry codebook per
+    /// 16-lane group.
+    fn benchmark_like(
+        n_in: usize,
+        n_out: usize,
+        block: usize,
+        k: usize,
+        seed: u64,
+    ) -> CompiledFcLayer {
+        let cols = n_out.div_ceil(block) as u64;
+        let keep = |i: usize, g: usize| {
+            let b = (i / block) as u64 * cols + (g * 16 / block) as u64;
+            (b ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54 < 102
+        };
+        CompiledFcLayer::from_shared(&hand_layer(n_in, n_out, seed, keep, |_| k))
+    }
+
+    /// Kernel time per batch of the benchmark's two networks on every
+    /// lookup body the host runs, at `B = 1` and `B = 8`: the median and
+    /// range of 15 rounds' means. `fc_dense` is 4608-2048-2048-500 in
+    /// 32 × 32 blocks with 16-entry codebooks (nibble rows); the MLP is
+    /// 784-300-100-10 in 16 × 16 blocks with 64-entry codebooks (`u16`
+    /// rows). A measurement, not a check; run it alone:
+    /// `cargo test --release -p cs-compress lookup_body_kernel_times -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing, run by hand"]
+    fn lookup_body_kernel_times() {
+        let nets: [(&str, &[usize], usize, usize); 2] = [
+            ("fc_dense", &[4608, 2048, 2048, 500], 32, 16),
+            ("mlp", &[784, 300, 100, 10], 16, 64),
+        ];
+        for (net, dims, block, k) in nets {
+            let layers: Vec<CompiledFcLayer> = dims
+                .windows(2)
+                .enumerate()
+                .map(|(l, d)| benchmark_like(d[0], d[1], block, k, l as u64 + 1))
+                .collect();
+            for b in [1usize, 8] {
+                let inputs: Vec<Vec<f32>> = layers
+                    .iter()
+                    .map(|l| {
+                        (0..l.n_in * b)
+                            .map(|i| {
+                                if i % 3 == 0 {
+                                    0.0
+                                } else {
+                                    (i as f32 * 0.37).sin()
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut outs: Vec<Vec<f32>> =
+                    layers.iter().map(|l| vec![0.0; l.n_out * b]).collect();
+                let mut scratch = BatchScratch::default();
+                for body in BODIES.into_iter().filter(|b| b.runs_here()) {
+                    let mut pass = || {
+                        for ((layer, x), out) in layers.iter().zip(&inputs).zip(&mut outs) {
+                            layer.forward_batch_on(x, out, &mut scratch, None, body);
+                        }
+                    };
+                    // Rounds of about 20 ms, after one round of warm-up.
+                    let t = std::time::Instant::now();
+                    pass();
+                    let iters = (0.02 / t.elapsed().as_secs_f64()).max(1.0) as usize;
+                    (0..iters).for_each(|_| pass());
+                    let mut rounds: Vec<f64> = (0..15)
+                        .map(|_| {
+                            let t = std::time::Instant::now();
+                            (0..iters).for_each(|_| pass());
+                            t.elapsed().as_secs_f64() * 1e6 / iters as f64
+                        })
+                        .collect();
+                    rounds.sort_by(f64::total_cmp);
+                    println!(
+                        "{net} {body:?} B = {b}: {:.2} us per batch (rounds {:.2}..{:.2})",
+                        rounds[7], rounds[0], rounds[14]
+                    );
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         /// Batch-composition invariance: column `j` of `forward_batch`
         /// carries the bits `forward` produces on input `j` alone —
         /// and, on finite inputs, the dense reference's — gated and
-        /// ungated, on the AVX2 entry and on the portable build of the
-        /// same loop, at every batch size up to one past a column tile,
-        /// and wherever in the batch the column sits. A NaN / inf /
-        /// `-0.0` column leaves its neighbours' bits alone and is
+        /// ungated, on every lookup body the host runs, at every batch
+        /// size up to one past a column tile, whatever the codebook
+        /// width, and wherever in the batch the column sits. A NaN /
+        /// inf / `-0.0` column leaves its neighbours' bits alone and is
         /// never gate-skipped.
         #[test]
         fn batch_columns_match_single_forward_whatever_they_ride_with(
@@ -1739,12 +2371,13 @@ mod tests {
             n_in in proptest::sample::select(vec![23usize, 64, 100]),
             block_in in proptest::sample::select(vec![2usize, 8]),
             gate_block in proptest::sample::select(vec![3usize, 8, 16]),
+            quant_bits in proptest::sample::select(vec![2u8, 4, 6, 8, 12]),
             b in 1usize..=COLUMN_TILE + 1,
             seed in 0u64..10_000,
             bias in proptest::arbitrary::any::<bool>(),
             poison in 0usize..4,
         ) {
-            let layer = random_block_layer(n_in, n_out, block_in, seed, bias);
+            let layer = random_block_layer(n_in, n_out, block_in, quant_bits, seed, bias);
             let dense = layer.to_dense();
             let poison_col = (poison > 0).then_some(seed as usize % b);
             let columns: Vec<Vec<f32>> = (0..b)
@@ -1764,11 +2397,11 @@ mod tests {
             let plan = GatePlan { block: gate_block };
             let mut scratch = BatchScratch::default();
             for plan in [None, Some(&plan)] {
-                for portable in [false, true] {
+                for body in BODIES.into_iter().filter(|b| b.runs_here()) {
                     for order in [&identity, &order] {
                         let mut outs = vec![f32::NAN; b * n_out];
                         let stats = layer
-                            .forward_batch_on(&flat(order), &mut outs, &mut scratch, plan, portable)
+                            .forward_batch_on(&flat(order), &mut outs, &mut scratch, plan, body)
                             .to_vec();
                         prop_assert_eq!(stats.len(), if plan.is_some() { b } else { 0 });
                         for (k, &j) in order.iter().enumerate() {
@@ -1788,8 +2421,8 @@ mod tests {
                             }
                             prop_assert!(
                                 same_bits(got, &alone, non_finite),
-                                "column {} at slot {} of {} (gated {}, portable {})",
-                                j, k, b, plan.is_some(), portable
+                                "column {} at slot {} of {} (gated {}, {:?})",
+                                j, k, b, plan.is_some(), body
                             );
                             if !non_finite {
                                 let x = Tensor::from_vec(Shape::d2(1, n_in), columns[j].clone()).unwrap();

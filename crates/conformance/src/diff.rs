@@ -31,9 +31,11 @@
 //! order — a deliberately planted defect the harness must catch. The
 //! planted kernel targets coarse block-CSR layers; structured 2:4 and
 //! bank-balanced layers always run their production kernels.
-//! [`Fault::SwapBatchColumns`] plants [`forward_batch_swapped`] in the
-//! batched leg instead: every column is computed correctly and two of
-//! them are delivered to each other's slot.
+//! [`Fault::CodebookOffByOne`] plants [`forward_codebook_shifted`] in
+//! the same place: the right order, but every weight read one codebook
+//! slot up. [`Fault::SwapBatchColumns`] plants [`forward_batch_swapped`]
+//! in the batched leg instead: every column is computed correctly and
+//! two of them are delivered to each other's slot.
 
 use cs_accel::config::AccelConfig;
 use cs_accel::exec::{Accelerator, SimScratch};
@@ -230,21 +232,45 @@ pub fn build_fc(case: &FcNetCase) -> Result<FcArtifacts, Mismatch> {
 /// float rounding disagrees with the dense reference on almost any case
 /// with two or more surviving inputs per strip.
 pub fn forward_reversed(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32]) {
+    forward_planted(layer, input, out, true, |slot, _| slot);
+}
+
+/// The planted [`Fault::CodebookOffByOne`] kernel: terms added in the
+/// production order, but every weight read from slot `idx + 1 (mod len)`
+/// of its strip's codebook, so any strip whose codebook has two or more
+/// distinct entries computes with the wrong weights.
+pub fn forward_codebook_shifted(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32]) {
+    forward_planted(layer, input, out, false, |slot, len| (slot + 1) % len);
+}
+
+/// A scalar block-CSR kernel for the planted faults: every strip's
+/// stored indices decoded through its codebook at `pick(idx, len)`,
+/// each strip's terms added in ascending or (`descending`) reversed
+/// input order, then the bias.
+fn forward_planted(
+    layer: &CompiledFcLayer,
+    input: &[f32],
+    out: &mut [f32],
+    descending: bool,
+    pick: impl Fn(usize, usize) -> usize,
+) {
     assert_eq!(input.len(), layer.n_in, "input length mismatch");
     assert_eq!(out.len(), layer.n_out, "output length mismatch");
     out.fill(0.0);
     for strip in &layer.strips {
-        let width = strip.out_end - strip.out_start;
-        let window = &mut out[strip.out_start..strip.out_end];
-        let mut pos = strip.survivors;
-        for &(s, e) in strip.runs.iter().rev() {
-            for i in (s..e).rev() {
-                pos -= 1;
-                let xi = input[i as usize];
-                let row = &strip.values[pos * width..(pos + 1) * width];
-                for (o, &wv) in window.iter_mut().zip(row) {
-                    *o += xi * wv;
-                }
+        let codebook = strip.codebook();
+        let window = &mut out[strip.out_start()..strip.out_end()];
+        let surviving = strip
+            .runs()
+            .iter()
+            .flat_map(|&(s, e)| s as usize..e as usize);
+        let mut terms: Vec<(usize, usize)> = surviving.enumerate().collect();
+        if descending {
+            terms.reverse();
+        }
+        for (pos, i) in terms {
+            for (lane, o) in window.iter_mut().enumerate() {
+                *o += input[i] * codebook[pick(strip.index(pos, lane), codebook.len())];
             }
         }
     }
@@ -341,6 +367,9 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
         match (fault, &la.engine) {
             (Fault::ReverseAccumulation, FcKernel::BlockCsr(l)) => {
                 forward_reversed(l, &x, &mut sparse);
+            }
+            (Fault::CodebookOffByOne, FcKernel::BlockCsr(l)) => {
+                forward_codebook_shifted(l, &x, &mut sparse);
             }
             _ => la.engine.forward(&x, &mut sparse),
         }

@@ -90,6 +90,10 @@ pub enum Fault {
     /// order. The dense reference adds them ascending, so the float
     /// rounding differs and bit-identity breaks on almost every case.
     ReverseAccumulation,
+    /// Read every weight from slot `idx + 1 (mod len)` of its strip's
+    /// codebook — what a lookup body that mis-based its table would do.
+    /// Only the ungated block-CSR leg runs it.
+    CodebookOffByOne,
     /// Deliver two batch columns' results to each other: the batched
     /// kernel's output for column 0 lands in column 1's slot and vice
     /// versa — what a tile kernel that stored its accumulators under
@@ -103,6 +107,7 @@ impl Fault {
         match s {
             "none" => Some(Fault::None),
             "reverse-accumulation" => Some(Fault::ReverseAccumulation),
+            "codebook-off-by-one" => Some(Fault::CodebookOffByOne),
             "swap-batch-columns" => Some(Fault::SwapBatchColumns),
             _ => None,
         }
@@ -113,6 +118,7 @@ impl Fault {
         match self {
             Fault::None => "none",
             Fault::ReverseAccumulation => "reverse-accumulation",
+            Fault::CodebookOffByOne => "codebook-off-by-one",
             Fault::SwapBatchColumns => "swap-batch-columns",
         }
     }

@@ -287,15 +287,21 @@ mod tests {
 
     #[test]
     fn injected_fault_is_caught_and_shrunk_to_a_tiny_reproduction() {
-        // The acceptance gate: a flipped accumulation order, and batch
-        // columns delivered to each other's slot, must each be
-        // detected, minimized to <= 2 layers, and reported with a
-        // replay command. Poison-input cases catch the planted kernels
-        // on the engine-vs-engine legs instead of the dense ones.
+        // The acceptance gate: a flipped accumulation order, a
+        // codebook read one slot up, and batch columns delivered to
+        // each other's slot must each be detected, minimized to <= 2
+        // layers, and reported with a replay command. Poison-input
+        // cases catch the planted kernels on the engine-vs-engine legs
+        // instead of the dense ones; the shrunk reproduction must fail
+        // the fault's dense leg (the first listed).
         let seed = 42u64;
         for (fault, legs) in [
             (
                 Fault::ReverseAccumulation,
+                ["fc-dense-vs-sparse-bits", "fc-gated-vs-engine-bits"],
+            ),
+            (
+                Fault::CodebookOffByOne,
                 ["fc-dense-vs-sparse-bits", "fc-gated-vs-engine-bits"],
             ),
             (
@@ -341,7 +347,12 @@ mod tests {
                 sh.layers,
                 sh.summary
             );
-            assert!(!sh.mismatches.is_empty(), "shrunk case no longer fails");
+            assert!(
+                sh.mismatches.iter().any(|m| m.check == legs[0]),
+                "shrunk case no longer fails {}: {}",
+                legs[0],
+                report.render()
+            );
         }
     }
 
