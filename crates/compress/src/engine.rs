@@ -11,12 +11,14 @@
 //! * each strip stores its surviving input positions as contiguous
 //!   `[start, end)` *runs* derived from the coarse block grid (block
 //!   pruning makes survivors naturally clumped);
-//! * each strip stores the codebook indices the storage format holds,
-//!   input-major in rows of 16 lanes, next to its group's codebook: one
-//!   `u64` of nibbles per row when every codebook of the layer has at
-//!   most 16 entries, the `u16` indices otherwise. The kernel looks each
-//!   row up in registers as it streams it, as each PE's WDM looks its
-//!   index up in its LUT, so decoded weights never cross memory.
+//! * each strip stores its rows input-major, 16 lanes per row. When
+//!   every codebook of the layer has at most 16 entries, a row is one
+//!   `u64` of the 4-bit indices the storage format holds, next to the
+//!   group's codebook, and the kernel looks it up in registers as it
+//!   streams it, as each PE's WDM looks its index up in its LUT, so
+//!   decoded weights never cross memory. Wider codebooks have no
+//!   register lookup that costs less than a row load, so their strips
+//!   hold the looked-up weights as `f32` rows.
 //!
 //! # Dense-vs-sparse equivalence contract
 //!
@@ -79,20 +81,18 @@
 //! # Lookup bodies
 //!
 //! The block-CSR accumulate loop is built three times, and the builds
-//! differ only in how a row of indices becomes sixteen `f32` weights.
-//! The host runs the best one it has:
+//! differ only in how a row becomes sixteen `f32` weights. The host runs
+//! the best one it has:
 //!
 //! * **AVX-512** (`avx512f`): a nibble row is one `vpbroadcastq`, one
-//!   `vpsrlvd` and one 16-entry `vpermps`. A `u16` row is widened by
-//!   `vpmovzxwd` and looked up by two `vpermt2ps` and a mask blend when
-//!   the strip's codebook has at most 64 entries, by `vgatherdps` above
-//!   that.
+//!   `vpsrlvd` and one 16-entry `vpermps`; a weight row is one load.
 //! * **AVX2**: per 8-lane half, a nibble row is `vpsrlvd`, two
-//!   `vpermps` and a `blendv` on the index's bit 3; a `u16` row gathers.
-//! * **Portable**: a scalar lookup per lane.
+//!   `vpermps` and a `blendv` on the index's bit 3; a weight row is two
+//!   loads.
+//! * **Portable**: a scalar lookup per lane, or the weight row itself.
 //!
-//! Every body looks up the codebook's own `f32`, so all three produce
-//! the dense reference's bits.
+//! Every body reads the codebook's own `f32`, so all three produce the
+//! dense reference's bits.
 
 use cs_sparsity::Mask;
 use cs_tensor::ops::{self, Conv2dGeometry};
@@ -172,36 +172,46 @@ struct TileIo<'a> {
     stride: usize,
 }
 
-/// A strip's rows of codebook indices, chunk-major: the row of lane
-/// chunk `c` (lanes `16c..16c + 16`) at the `pos`-th surviving input is
-/// row `c * survivors + pos`. Lanes past the strip's edge hold index 0.
+/// A strip's rows, chunk-major: the row of lane chunk `c` (lanes
+/// `16c..16c + 16`) at the `pos`-th surviving input is row
+/// `c * survivors + pos`. Lanes past the strip's edge hold index 0 or
+/// weight `0.0`.
 #[derive(Debug, Clone, PartialEq)]
 enum Rows {
-    /// Every codebook of the layer has at most 16 entries: one `u64` per
-    /// row, lane `l`'s index at bit [`nibble_shift`]`(l)`.
-    Nibbles(Vec<u64>),
-    /// The stored `u16` indices, sixteen per row.
-    Indices(Vec<u16>),
+    /// Every codebook of the layer has at most 16 entries: the group's
+    /// codebook and one `u64` of indices per row, lane `l`'s at bit
+    /// [`nibble_shift`]`(l)`.
+    Nibbles { codebook: Vec<f32>, rows: Vec<u64> },
+    /// Some codebook of the layer has more than 16 entries: the weights
+    /// its indices look up, sixteen `f32` per row. No lookup of a wider
+    /// codebook (gather, `vpermt2ps` tree, scalar loads) comes near the
+    /// cost of loading the row.
+    Weights(Vec<f32>),
 }
 
 /// One strip of `strip_width` (or fewer, at the edge) output lanes
 /// sharing a synapse index, compiled for execution: its surviving
-/// inputs, its group's codebook, and the index rows the kernel looks up
-/// in it. The fields are private because every stored index addresses
-/// the codebook, which the gathering bodies rely on.
+/// inputs and the rows the kernel streams. The fields are private:
+/// every nibble must address the codebook, or the kernels, which read
+/// a zero-padded 16-entry table, and [`FcStrip::weight`] would
+/// disagree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FcStrip {
     out_start: usize,
     out_end: usize,
     runs: Vec<(u32, u32)>,
     survivors: usize,
-    codebook: Vec<f32>,
     rows: Rows,
+}
+
+/// Lane `l`'s index in a nibble row.
+fn nibble(row: u64, l: usize) -> usize {
+    (row >> nibble_shift(l)) as usize & 0xF
 }
 
 impl FcStrip {
     /// Compiles one output group into lanes `out_start..` with nibble
-    /// or `u16` rows.
+    /// or weight rows.
     ///
     /// # Panics
     ///
@@ -209,7 +219,7 @@ impl FcStrip {
     /// an index does not address the group's codebook.
     fn from_group(g: &OutputGroup, out_start: usize, nibbles: bool) -> FcStrip {
         let (width, survivors) = (g.weights.len(), g.survivors());
-        let codebook = g.codebook.centroids().to_vec();
+        let codebook = g.codebook.centroids();
         for lane in &g.weights {
             assert_eq!(lane.len(), survivors, "row length disagrees with the index");
             assert!(
@@ -217,21 +227,23 @@ impl FcStrip {
                 "index outside its group's codebook"
             );
         }
-        let slot =
-            |c: usize, pos: usize, l: usize| g.weights.get(c * LANES + l).map_or(0, |w| w[pos]);
+        let slot = |c: usize, pos: usize, l: usize| g.weights.get(c * LANES + l).map(|w| w[pos]);
         let rows = (0..width.div_ceil(LANES)).flat_map(|c| (0..survivors).map(move |pos| (c, pos)));
         let rows = if nibbles {
-            Rows::Nibbles(
-                rows.map(|(c, pos)| {
-                    (0..LANES).fold(0u64, |r, l| {
-                        r | u64::from(slot(c, pos, l)) << nibble_shift(l)
+            Rows::Nibbles {
+                codebook: codebook.to_vec(),
+                rows: rows
+                    .map(|(c, pos)| {
+                        (0..LANES).fold(0u64, |r, l| {
+                            r | u64::from(slot(c, pos, l).unwrap_or(0)) << nibble_shift(l)
+                        })
                     })
-                })
-                .collect(),
-            )
+                    .collect(),
+            }
         } else {
-            Rows::Indices(
-                rows.flat_map(|(c, pos)| (0..LANES).map(move |l| slot(c, pos, l)))
+            let weight = move |c, pos, l| slot(c, pos, l).map_or(0.0, |i| codebook[usize::from(i)]);
+            Rows::Weights(
+                rows.flat_map(|(c, pos)| (0..LANES).map(move |l| weight(c, pos, l)))
                     .collect(),
             )
         };
@@ -240,7 +252,6 @@ impl FcStrip {
             out_end: out_start + width,
             runs: runs_from_index(&g.index),
             survivors,
-            codebook,
             rows,
         }
     }
@@ -260,26 +271,43 @@ impl FcStrip {
         &self.runs
     }
 
-    /// The group's codebook, the WDM's LUT contents.
-    pub fn codebook(&self) -> &[f32] {
-        &self.codebook
-    }
-
-    /// The codebook slot lane `lane` (counted from `out_start`) looks up
-    /// at the `pos`-th surviving input.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pos >= survivors` or the lane is outside the strip.
-    pub fn index(&self, pos: usize, lane: usize) -> usize {
+    /// The row holding lane `lane` (counted from `out_start`) at the
+    /// `pos`-th surviving input.
+    fn row(&self, pos: usize, lane: usize) -> usize {
         assert!(
             pos < self.survivors && lane < self.width(),
             "no such row slot"
         );
-        let (row, l) = (lane / LANES * self.survivors + pos, lane % LANES);
+        lane / LANES * self.survivors + pos
+    }
+
+    /// The codebook a nibble strip looks lane `lane` up in at the
+    /// `pos`-th surviving input — the WDM's LUT contents — and the slot
+    /// it reads; `None` on a strip of weight rows, which looks nothing
+    /// up.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pos >= survivors` or the lane is outside the strip.
+    pub fn lookup(&self, pos: usize, lane: usize) -> Option<(&[f32], usize)> {
+        let row = self.row(pos, lane);
         match &self.rows {
-            Rows::Nibbles(rows) => (rows[row] >> nibble_shift(l)) as usize & 0xF,
-            Rows::Indices(idx) => usize::from(idx[row * LANES + l]),
+            Rows::Nibbles { codebook, rows } => Some((codebook, nibble(rows[row], lane % LANES))),
+            Rows::Weights(_) => None,
+        }
+    }
+
+    /// The weight lane `lane` applies at the `pos`-th surviving input:
+    /// its index looked up in the codebook, or its stored weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pos >= survivors` or the lane is outside the strip.
+    pub fn weight(&self, pos: usize, lane: usize) -> f32 {
+        let row = self.row(pos, lane);
+        match &self.rows {
+            Rows::Nibbles { codebook, rows } => codebook[nibble(rows[row], lane % LANES)],
+            Rows::Weights(w) => w[row * LANES + lane % LANES],
         }
     }
 
@@ -288,20 +316,18 @@ impl FcStrip {
     }
 }
 
-/// `cb` zero-padded to `N` entries, so that a lookup table loads whole.
-fn padded<const N: usize>(cb: &[f32]) -> [f32; N] {
-    let mut table = [0.0f32; N];
-    let n = cb.len().min(N);
-    table[..n].copy_from_slice(&cb[..n]);
+/// A nibble codebook zero-padded to sixteen entries, so that the lookup
+/// table loads whole and a masked nibble needs no bounds check.
+fn lut(cb: &[f32]) -> [f32; NIBBLE_ENTRIES] {
+    let mut table = [0.0f32; NIBBLE_ENTRIES];
+    table[..cb.len()].copy_from_slice(cb);
     table
 }
 
 /// One lane chunk of a strip (lanes `16c..16c + 16`) in one tile, as a
-/// lookup body sees it: its rows, the codebook they index, and the
-/// tile's inputs and gate.
+/// body sees it: its rows and the tile's inputs and gate.
 struct Chunk<'a> {
     runs: &'a [(u32, u32)],
-    codebook: &'a [f32],
     rows: ChunkRows<'a>,
     xt: &'a [f32],
     gate: TileGate<'a>,
@@ -310,18 +336,21 @@ struct Chunk<'a> {
 /// A chunk's rows, one per surviving input.
 #[derive(Clone, Copy)]
 enum ChunkRows<'a> {
-    Nibbles(&'a [u64]),
-    Indices(&'a [[u16; LANES]]),
+    Nibbles {
+        codebook: &'a [f32],
+        rows: &'a [u64],
+    },
+    Weights(&'a [[f32; LANES]]),
 }
 
 impl Chunk<'_> {
-    /// The accumulate loop every lookup body shares: the chunk's lanes
-    /// times the `B` columns of the tile, in registers. `row(pos)` looks
-    /// the `pos`-th row up into a vector of sixteen weights, and
+    /// The accumulate loop every body shares: the chunk's lanes times
+    /// the `B` columns of the tile, in registers. `row(pos)` turns the
+    /// `pos`-th row into a vector of sixteen weights, and
     /// `madd(acc, x, w)` is `acc + x * w` with the multiply and add kept
-    /// separate. Each row is looked up once and applied to every column;
-    /// per column the terms add in ascending input order. Run segments
-    /// under a block the whole tile proved `+0.0` advance `pos` without
+    /// separate. Each row is read once and applied to every column; per
+    /// column the terms add in ascending input order. Run segments under
+    /// a block the whole tile proved `+0.0` advance `pos` without
     /// touching the accumulators: the dropped terms are `+0.0 * w = ±0.0`
     /// into sums that can never be `-0.0`.
     #[inline(always)]
@@ -359,7 +388,7 @@ impl Chunk<'_> {
 }
 
 /// Runs every strip over one `B`-column tile and stores `acc + bias`:
-/// `chunk` accumulates one lane chunk through a body's lookup and
+/// `chunk` accumulates one lane chunk through a body's row reads and
 /// spills it to plain lanes.
 #[inline(always)]
 fn run_strips<const B: usize>(
@@ -372,12 +401,14 @@ fn run_strips<const B: usize>(
         let (width, s) = (strip.width(), strip.survivors);
         for c in 0..width.div_ceil(LANES) {
             let rows = match &strip.rows {
-                Rows::Nibbles(rows) => ChunkRows::Nibbles(&rows[c * s..][..s]),
-                Rows::Indices(idx) => ChunkRows::Indices(&idx.as_chunks().0[c * s..][..s]),
+                Rows::Nibbles { codebook, rows } => ChunkRows::Nibbles {
+                    codebook,
+                    rows: &rows[c * s..][..s],
+                },
+                Rows::Weights(w) => ChunkRows::Weights(&w.as_chunks().0[c * s..][..s]),
             };
             let acc = chunk(&Chunk {
                 runs: &strip.runs,
-                codebook: &strip.codebook,
                 rows,
                 xt: io.xt,
                 gate: io.gate,
@@ -413,36 +444,29 @@ fn strips_portable<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io:
     run_strips::<B>(strips, bias, io, |k| {
         let zero = [0.0f32; LANES];
         match k.rows {
-            ChunkRows::Nibbles(rows) => {
-                // Sixteen slots: a masked nibble needs no bounds check.
-                let table = padded::<NIBBLE_ENTRIES>(k.codebook);
-                let lookup =
-                    |r: u64| std::array::from_fn(|l| table[(r >> nibble_shift(l)) as usize & 0xF]);
+            ChunkRows::Nibbles { codebook, rows } => {
+                let table = lut(codebook);
+                let lookup = |r: u64| std::array::from_fn(|l| table[nibble(r, l)]);
                 k.accumulate(zero, |pos| lookup(rows[pos]), madd_lanes)
             }
-            ChunkRows::Indices(rows) => {
-                let lookup = |i: u16| k.codebook[usize::from(i)];
-                k.accumulate(zero, |pos| rows[pos].map(lookup), madd_lanes)
-            }
+            ChunkRows::Weights(rows) => k.accumulate(zero, |pos| rows[pos], madd_lanes),
         }
     });
 }
 
 /// The AVX-512 and AVX2 bodies. Both are safe code under
-/// `#[target_feature]`; the only `unsafe` is the raw loads, stores and
-/// gathers, each over memory whose bounds its types or the strip's
-/// invariants fix.
+/// `#[target_feature]`; the only `unsafe` is the raw loads and stores,
+/// each over an array whose type fixes its length.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{padded, run_strips, ChunkRows, FcStrip, TileIo, LANES, NIBBLE_ENTRIES};
+    use super::{lut, run_strips, ChunkRows, FcStrip, TileIo, LANES};
     use std::arch::x86_64::*;
 
     /// Sixteen `f32` in one `zmm`.
     #[target_feature(enable = "avx512f")]
     fn load_zmm(v: &[f32; LANES]) -> __m512 {
-        debug_assert_eq!(v.len(), 16);
-        // SAFETY: `v` is sixteen contiguous `f32`, the width of one
-        // unaligned `zmm` load.
+        // SAFETY: `v` is a `[f32; 16]`, the 64 bytes of one unaligned
+        // `zmm` load.
         unsafe { _mm512_loadu_ps(v.as_ptr()) }
     }
 
@@ -450,20 +474,10 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     fn spill_zmm(v: __m512) -> [f32; LANES] {
         let mut out = [0.0f32; LANES];
-        debug_assert_eq!(out.len(), 16);
-        // SAFETY: `out` is sixteen contiguous `f32`, the width of one
-        // unaligned `zmm` store.
+        // SAFETY: `out` is a `[f32; 16]`, the 64 bytes of one unaligned
+        // `zmm` store.
         unsafe { _mm512_storeu_ps(out.as_mut_ptr(), v) };
         out
-    }
-
-    /// A row of sixteen `u16` indices widened to `u32` lanes.
-    #[target_feature(enable = "avx512f")]
-    fn widen_zmm(row: &[u16; LANES]) -> __m512i {
-        debug_assert_eq!(row.len() * 2, 32);
-        // SAFETY: `row` is sixteen `u16`, the 32 bytes of one unaligned
-        // `ymm` load.
-        unsafe { _mm512_cvtepu16_epi32(_mm256_loadu_si256(row.as_ptr().cast())) }
     }
 
     /// The AVX-512 body: one `zmm` accumulator per column.
@@ -475,10 +489,10 @@ mod x86 {
     ) {
         let madd = |a, x, w| _mm512_add_ps(a, _mm512_mul_ps(_mm512_set1_ps(x), w));
         run_strips::<B>(strips, bias, io, |k| {
-            let (cb, zero) = (k.codebook, _mm512_setzero_ps());
+            let zero = _mm512_setzero_ps();
             let acc: [__m512; B] = match k.rows {
-                ChunkRows::Nibbles(rows) => {
-                    let table = load_zmm(&padded::<NIBBLE_ENTRIES>(cb));
+                ChunkRows::Nibbles { codebook, rows } => {
+                    let table = load_zmm(&lut(codebook));
                     let shifts =
                         _mm512_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28);
                     // `vpermps` reads only the low four bits of each
@@ -489,32 +503,7 @@ mod x86 {
                     };
                     k.accumulate(zero, |pos| lookup(rows[pos]), madd)
                 }
-                ChunkRows::Indices(rows) if cb.len() <= 64 => {
-                    let table = padded::<64>(cb);
-                    let quarters = table.as_chunks::<LANES>().0;
-                    let t: [__m512; 4] = std::array::from_fn(|q| load_zmm(&quarters[q]));
-                    // `vpermt2ps` picks from 32 entries by the low five
-                    // bits; bit 5 chooses the pair.
-                    let bit5 = _mm512_set1_epi32(32);
-                    let lookup = |row: &[u16; LANES]| {
-                        let i = widen_zmm(row);
-                        let lo = _mm512_permutex2var_ps(t[0], i, t[1]);
-                        let hi = _mm512_permutex2var_ps(t[2], i, t[3]);
-                        _mm512_mask_blend_ps(_mm512_test_epi32_mask(i, bit5), lo, hi)
-                    };
-                    k.accumulate(zero, |pos| lookup(&rows[pos]), madd)
-                }
-                ChunkRows::Indices(rows) => {
-                    let gather = |row: &[u16; LANES]| {
-                        debug_assert!(row.iter().all(|&i| usize::from(i) < cb.len()));
-                        // SAFETY: `FcStrip::from_group` checked that
-                        // every stored index, padding included, is below
-                        // `cb.len()`, and the fields are private, so all
-                        // sixteen reads `cb[i]` are in bounds.
-                        unsafe { _mm512_i32gather_ps::<4>(widen_zmm(row), cb.as_ptr()) }
-                    };
-                    k.accumulate(zero, |pos| gather(&rows[pos]), madd)
-                }
+                ChunkRows::Weights(rows) => k.accumulate(zero, |pos| load_zmm(&rows[pos]), madd),
             };
             acc.map(|v| spill_zmm(v))
         });
@@ -523,10 +512,16 @@ mod x86 {
     /// Eight `f32` in one `ymm`.
     #[target_feature(enable = "avx2")]
     fn load_ymm(v: &[f32; 8]) -> __m256 {
-        debug_assert_eq!(v.len(), 8);
-        // SAFETY: `v` is eight contiguous `f32`, the width of one
-        // unaligned `ymm` load.
+        // SAFETY: `v` is a `[f32; 8]`, the 32 bytes of one unaligned
+        // `ymm` load.
         unsafe { _mm256_loadu_ps(v.as_ptr()) }
+    }
+
+    /// Sixteen `f32` in two `ymm`.
+    #[target_feature(enable = "avx2")]
+    fn load_ymm2(v: &[f32; LANES]) -> [__m256; 2] {
+        let halves = v.as_chunks::<8>().0;
+        [load_ymm(&halves[0]), load_ymm(&halves[1])]
     }
 
     /// A two-`ymm` accumulator spilled to plain lanes.
@@ -534,9 +529,8 @@ mod x86 {
     fn spill_ymm(v: [__m256; 2]) -> [f32; LANES] {
         let mut out = [0.0f32; LANES];
         for (h, v) in out.as_chunks_mut::<8>().0.iter_mut().zip(v) {
-            debug_assert_eq!(h.len(), 8);
-            // SAFETY: `h` is eight contiguous `f32`, the width of one
-            // unaligned `ymm` store.
+            // SAFETY: `h` is a `[f32; 8]`, the 32 bytes of one unaligned
+            // `ymm` store.
             unsafe { _mm256_storeu_ps(h.as_mut_ptr(), v) };
         }
         out
@@ -554,12 +548,10 @@ mod x86 {
             [0, 1].map(|h| _mm256_add_ps(a[h], _mm256_mul_ps(x, w[h])))
         };
         run_strips::<B>(strips, bias, io, |k| {
-            let (cb, zero) = (k.codebook, [_mm256_setzero_ps(); 2]);
+            let zero = [_mm256_setzero_ps(); 2];
             let acc: [[__m256; 2]; B] = match k.rows {
-                ChunkRows::Nibbles(rows) => {
-                    let table = padded::<NIBBLE_ENTRIES>(cb);
-                    let halves = table.as_chunks::<8>().0;
-                    let [lo, hi] = std::array::from_fn(|h| load_ymm(&halves[h]));
+                ChunkRows::Nibbles { codebook, rows } => {
+                    let [lo, hi] = load_ymm2(&lut(codebook));
                     // Lanes 0-7 sit in bits 0-15 of both row words,
                     // lanes 8-15 in bits 16-31. `down` brings a lane's
                     // nibble to bit 0 for `vpermps`, which reads three
@@ -587,26 +579,7 @@ mod x86 {
                     };
                     k.accumulate(zero, |pos| lookup(rows[pos]), madd)
                 }
-                ChunkRows::Indices(rows) => {
-                    let gather = |h: &[u16; 8]| {
-                        debug_assert!(h.iter().all(|&i| usize::from(i) < cb.len()));
-                        // SAFETY: `h` is eight `u16`, the 16 bytes of one
-                        // unaligned `xmm` load; and `FcStrip::from_group`
-                        // checked that every stored index, padding
-                        // included, is below `cb.len()`, and the fields
-                        // are private, so all eight reads `cb[i]` are in
-                        // bounds.
-                        unsafe {
-                            let i = _mm256_cvtepu16_epi32(_mm_loadu_si128(h.as_ptr().cast()));
-                            _mm256_i32gather_ps::<4>(cb.as_ptr(), i)
-                        }
-                    };
-                    let lookup = |row: &[u16; LANES]| {
-                        let halves = row.as_chunks::<8>().0;
-                        std::array::from_fn(|h| gather(&halves[h]))
-                    };
-                    k.accumulate(zero, |pos| lookup(&rows[pos]), madd)
-                }
+                ChunkRows::Weights(rows) => k.accumulate(zero, |pos| load_ymm2(&rows[pos]), madd),
             };
             acc.map(|v| spill_ymm(v))
         });
@@ -714,8 +687,9 @@ impl CompiledFcLayer {
     }
 
     /// Compiles an existing shared-index layer: each group keeps its
-    /// stored indices and codebook, as nibble rows when every codebook
-    /// has at most 16 entries and as `u16` rows otherwise.
+    /// stored indices and codebook as nibble rows when every codebook
+    /// has at most 16 entries, and the weights they look up as `f32`
+    /// rows otherwise.
     ///
     /// # Panics
     ///
@@ -917,9 +891,10 @@ impl CompiledFcLayer {
     }
 
     /// Reconstructs the dense `(n_in, n_out)` weight matrix the engine
-    /// executes: every stored index looked up in its strip's codebook at
-    /// the surviving positions, zeros elsewhere. This is the
-    /// dense-reference operand of the equivalence contract.
+    /// executes: every strip's weights ([`FcStrip::weight`]: nibbles
+    /// looked up in the strip's codebook) at the surviving positions,
+    /// zeros elsewhere. This is the dense-reference operand of the
+    /// equivalence contract.
     pub fn to_dense(&self) -> Tensor {
         let mut dense = vec![0.0f32; self.n_in * self.n_out];
         for strip in &self.strips {
@@ -927,7 +902,7 @@ impl CompiledFcLayer {
             for (pos, i) in surviving.enumerate() {
                 let row = &mut dense[i * self.n_out + strip.out_start..][..strip.width()];
                 for (lane, w) in row.iter_mut().enumerate() {
-                    *w = strip.codebook[strip.index(pos, lane)];
+                    *w = strip.weight(pos, lane);
                 }
             }
         }
@@ -2199,7 +2174,7 @@ mod tests {
             let layer = CompiledFcLayer::from_shared(shared);
             let nibbles = shared.groups.iter().all(|g| g.codebook.len() <= 16);
             assert_eq!(
-                matches!(layer.strips[0].rows, Rows::Nibbles(_)),
+                matches!(layer.strips[0].rows, Rows::Nibbles { .. }),
                 nibbles,
                 "{name}"
             );
@@ -2215,7 +2190,7 @@ mod tests {
                     })
                     .collect();
                 // The storage format's own reference agrees: the rows
-                // hold the indices it stores.
+                // hold what its indices look up.
                 assert_eq!(
                     bits_of(&want[..n_out]),
                     bits_of(&shared.output(&columns[0])),
@@ -2244,15 +2219,15 @@ mod tests {
         }
     }
 
-    /// Bytes of index rows one column streams: 8 per nibble row, 32 per
-    /// `u16` row.
+    /// Bytes of rows one column streams: 8 per nibble row, 64 per
+    /// weight row.
     fn row_bytes(layer: &CompiledFcLayer) -> usize {
         layer
             .strips
             .iter()
             .map(|s| match &s.rows {
-                Rows::Nibbles(r) => r.len() * 8,
-                Rows::Indices(r) => r.len() * 2,
+                Rows::Nibbles { rows, .. } => rows.len() * 8,
+                Rows::Weights(w) => w.len() * 4,
             })
             .sum()
     }
@@ -2270,90 +2245,6 @@ mod tests {
         assert!(layer.surviving() > 0);
         assert_eq!(row_bytes(&layer), (layer.surviving() * 4).div_ceil(8));
         assert_eq!(row_bytes(&layer) + luts, shared.weight_bytes());
-    }
-
-    /// An `n_in × n_out` layer shaped like the benchmark's: square
-    /// `block`-wide blocks kept at ~10 %, one `k`-entry codebook per
-    /// 16-lane group.
-    fn benchmark_like(
-        n_in: usize,
-        n_out: usize,
-        block: usize,
-        k: usize,
-        seed: u64,
-    ) -> CompiledFcLayer {
-        let cols = n_out.div_ceil(block) as u64;
-        let keep = |i: usize, g: usize| {
-            let b = (i / block) as u64 * cols + (g * 16 / block) as u64;
-            (b ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54 < 102
-        };
-        CompiledFcLayer::from_shared(&hand_layer(n_in, n_out, seed, keep, |_| k))
-    }
-
-    /// Kernel time per batch of the benchmark's two networks on every
-    /// lookup body the host runs, at `B = 1` and `B = 8`: the median and
-    /// range of 15 rounds' means. `fc_dense` is 4608-2048-2048-500 in
-    /// 32 × 32 blocks with 16-entry codebooks (nibble rows); the MLP is
-    /// 784-300-100-10 in 16 × 16 blocks with 64-entry codebooks (`u16`
-    /// rows). A measurement, not a check; run it alone:
-    /// `cargo test --release -p cs-compress lookup_body_kernel_times -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "timing, run by hand"]
-    fn lookup_body_kernel_times() {
-        let nets: [(&str, &[usize], usize, usize); 2] = [
-            ("fc_dense", &[4608, 2048, 2048, 500], 32, 16),
-            ("mlp", &[784, 300, 100, 10], 16, 64),
-        ];
-        for (net, dims, block, k) in nets {
-            let layers: Vec<CompiledFcLayer> = dims
-                .windows(2)
-                .enumerate()
-                .map(|(l, d)| benchmark_like(d[0], d[1], block, k, l as u64 + 1))
-                .collect();
-            for b in [1usize, 8] {
-                let inputs: Vec<Vec<f32>> = layers
-                    .iter()
-                    .map(|l| {
-                        (0..l.n_in * b)
-                            .map(|i| {
-                                if i % 3 == 0 {
-                                    0.0
-                                } else {
-                                    (i as f32 * 0.37).sin()
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let mut outs: Vec<Vec<f32>> =
-                    layers.iter().map(|l| vec![0.0; l.n_out * b]).collect();
-                let mut scratch = BatchScratch::default();
-                for body in BODIES.into_iter().filter(|b| b.runs_here()) {
-                    let mut pass = || {
-                        for ((layer, x), out) in layers.iter().zip(&inputs).zip(&mut outs) {
-                            layer.forward_batch_on(x, out, &mut scratch, None, body);
-                        }
-                    };
-                    // Rounds of about 20 ms, after one round of warm-up.
-                    let t = std::time::Instant::now();
-                    pass();
-                    let iters = (0.02 / t.elapsed().as_secs_f64()).max(1.0) as usize;
-                    (0..iters).for_each(|_| pass());
-                    let mut rounds: Vec<f64> = (0..15)
-                        .map(|_| {
-                            let t = std::time::Instant::now();
-                            (0..iters).for_each(|_| pass());
-                            t.elapsed().as_secs_f64() * 1e6 / iters as f64
-                        })
-                        .collect();
-                    rounds.sort_by(f64::total_cmp);
-                    println!(
-                        "{net} {body:?} B = {b}: {:.2} us per batch (rounds {:.2}..{:.2})",
-                        rounds[7], rounds[0], rounds[14]
-                    );
-                }
-            }
-        }
     }
 
     proptest::proptest! {

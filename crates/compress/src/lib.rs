@@ -20,9 +20,9 @@
 //!   Huffman unless the fixed-width dictionary is no longer).
 //! * [`engine`] — the compiled block-CSR sparse execution engine: the
 //!   storage format lowered into run-length strips that keep its stored
-//!   indices (nibbles or `u16`) beside each group's codebook and look
-//!   them up in registers, with FC and conv kernels bit-identical to the
-//!   dense reference on finite inputs.
+//!   4-bit indices beside each group's codebook and look them up in
+//!   registers (wider codebooks as looked-up `f32` rows), with FC and
+//!   conv kernels bit-identical to the dense reference on finite inputs.
 //! * [`gate`] — dynamic activation sparsity: the prescan-and-skip
 //!   occupancy bitmap, the `bits == +0.0` skip-eligibility rule, and
 //!   the per-layer benefit model behind the gated kernels in

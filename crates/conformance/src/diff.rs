@@ -32,8 +32,8 @@
 //! planted kernel targets coarse block-CSR layers; structured 2:4 and
 //! bank-balanced layers always run their production kernels.
 //! [`Fault::CodebookOffByOne`] plants [`forward_codebook_shifted`] in
-//! the same place: the right order, but every weight read one codebook
-//! slot up. [`Fault::SwapBatchColumns`] plants [`forward_batch_swapped`]
+//! the same place: the right order, but every looked-up weight read one
+//! codebook slot up. [`Fault::SwapBatchColumns`] plants [`forward_batch_swapped`]
 //! in the batched leg instead: every column is computed correctly and
 //! two of them are delivered to each other's slot.
 
@@ -41,7 +41,7 @@ use cs_accel::config::AccelConfig;
 use cs_accel::exec::{Accelerator, SimScratch};
 use cs_accel::pe::Activation;
 use cs_compress::engine::{
-    BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel, COLUMN_TILE,
+    BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel, FcStrip, COLUMN_TILE,
 };
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
 use cs_compress::gate::{GatePlan, GatePolicy, GateStats};
@@ -232,33 +232,38 @@ pub fn build_fc(case: &FcNetCase) -> Result<FcArtifacts, Mismatch> {
 /// float rounding disagrees with the dense reference on almost any case
 /// with two or more surviving inputs per strip.
 pub fn forward_reversed(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32]) {
-    forward_planted(layer, input, out, true, |slot, _| slot);
+    forward_planted(layer, input, out, true, FcStrip::weight);
 }
 
 /// The planted [`Fault::CodebookOffByOne`] kernel: terms added in the
-/// production order, but every weight read from slot `idx + 1 (mod len)`
-/// of its strip's codebook, so any strip whose codebook has two or more
-/// distinct entries computes with the wrong weights.
+/// production order, but every looked-up weight read from slot
+/// `idx + 1 (mod len)` of its strip's codebook, so any nibble strip
+/// whose codebook has two or more distinct entries computes with the
+/// wrong weights. Strips of weight rows look nothing up and keep their
+/// weights.
 pub fn forward_codebook_shifted(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32]) {
-    forward_planted(layer, input, out, false, |slot, len| (slot + 1) % len);
+    forward_planted(layer, input, out, false, |strip, pos, lane| {
+        match strip.lookup(pos, lane) {
+            Some((codebook, slot)) => codebook[(slot + 1) % codebook.len()],
+            None => strip.weight(pos, lane),
+        }
+    });
 }
 
-/// A scalar block-CSR kernel for the planted faults: every strip's
-/// stored indices decoded through its codebook at `pick(idx, len)`,
-/// each strip's terms added in ascending or (`descending`) reversed
-/// input order, then the bias.
+/// A scalar block-CSR kernel for the planted faults: each strip's terms
+/// `input[i] * weight(strip, pos, lane)` added in ascending or
+/// (`descending`) reversed input order, then the bias.
 fn forward_planted(
     layer: &CompiledFcLayer,
     input: &[f32],
     out: &mut [f32],
     descending: bool,
-    pick: impl Fn(usize, usize) -> usize,
+    weight: impl Fn(&FcStrip, usize, usize) -> f32,
 ) {
     assert_eq!(input.len(), layer.n_in, "input length mismatch");
     assert_eq!(out.len(), layer.n_out, "output length mismatch");
     out.fill(0.0);
     for strip in &layer.strips {
-        let codebook = strip.codebook();
         let window = &mut out[strip.out_start()..strip.out_end()];
         let surviving = strip
             .runs()
@@ -270,7 +275,7 @@ fn forward_planted(
         }
         for (pos, i) in terms {
             for (lane, o) in window.iter_mut().enumerate() {
-                *o += input[i] * codebook[pick(strip.index(pos, lane), codebook.len())];
+                *o += input[i] * weight(strip, pos, lane);
             }
         }
     }

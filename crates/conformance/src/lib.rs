@@ -90,9 +90,10 @@ pub enum Fault {
     /// order. The dense reference adds them ascending, so the float
     /// rounding differs and bit-identity breaks on almost every case.
     ReverseAccumulation,
-    /// Read every weight from slot `idx + 1 (mod len)` of its strip's
-    /// codebook — what a lookup body that mis-based its table would do.
-    /// Only the ungated block-CSR leg runs it.
+    /// Read every looked-up weight from slot `idx + 1 (mod len)` of its
+    /// strip's codebook — what a lookup body that mis-based its table
+    /// would do. Only the ungated block-CSR leg runs it, and only nibble
+    /// strips (codebooks of at most 16 entries) look weights up.
     CodebookOffByOne,
     /// Deliver two batch columns' results to each other: the batched
     /// kernel's output for column 0 lands in column 1's slot and vice
