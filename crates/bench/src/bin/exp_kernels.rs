@@ -32,7 +32,6 @@ use std::time::Instant;
 use cs_bench::kernels_jsonl;
 use cs_compress::engine::{BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel};
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, TwoFourFcLayer};
-use cs_compress::gate::{self, GatePlan, GatePolicy};
 use cs_nn::data::lif_spike_train;
 use cs_sparsity::coarse::{prune_to_density, CoarseConfig};
 use cs_sparsity::{structured, PruneMode};
@@ -207,14 +206,14 @@ fn main() {
     // The block-CSR kernel behind the prescan gate, driven two ways: a
     // LIF spike frame (mostly exact zeros — the gate's home turf,
     // floored at 1.5x over the ungated kernel) and a fully-dense input
-    // (every block occupied — the gate must cost at most 3% over the
+    // (every input active — the gate must cost at most 3% over the
     // ungated kernel). Bit-identity is asserted on both, plus
     // -0.0/NaN-poisoned frames which the gate must never skip.
     //
     // This arm keeps 1024x1024 even in quick mode: both bounds are
     // ratios against the ungated kernel at representative size, and at
-    // toy sizes the gate's fixed per-call cost (one prescan, one
-    // bitmap) dominates the 3% budget no matter how good the kernel is.
+    // toy sizes the gate's fixed per-call cost (one counting pass per
+    // column) dominates the 3% budget no matter how good the kernel is.
     let (g_in, g_out) = (1024usize, 1024);
     let gweights = Tensor::from_vec(Shape::d2(g_in, g_out), fill(1, g_in * g_out))
         .unwrap_or_else(|e| panic!("gated weights: {e}"));
@@ -223,16 +222,14 @@ fn main() {
     let gated_fc = CompiledFcLayer::compile_fc("fcg", &gweights, &gmask, STRIP_WIDTH, QUANT_BITS)
         .unwrap_or_else(|e| panic!("gated compile: {e}"));
     let gtwin = gated_fc.to_dense();
-    let plan = gate::plan_fc(GatePolicy::Auto, g_in, g_out, gated_fc.density())
-        .unwrap_or(GatePlan { block: 16 });
     let spike: Vec<f32> = lif_spike_train(g_in, 20, 0.25, 9).as_slice().to_vec();
     let spike_active = spike.iter().filter(|v| **v != 0.0).count();
     // The gated arm is the serving entry at B = 1: `forward_batch` with
-    // the layer's plan and a reused scratch.
+    // the gate on and a reused scratch.
     let mut scratch = BatchScratch::default();
     let mut gated_out = vec![0.0f32; g_out];
     let mut ungated_out = vec![0.0f32; g_out];
-    let spike_stats = gated_fc.forward_batch(&spike, &mut gated_out, &mut scratch, Some(&plan))[0];
+    let spike_stats = gated_fc.forward_batch(&spike, &mut gated_out, &mut scratch, true)[0];
     gated_fc.forward(&spike, &mut ungated_out);
     assert_eq!(
         bits(&ungated_out),
@@ -251,12 +248,12 @@ fn main() {
     poisoned[0] = -0.0;
     poisoned[1] = f32::NAN;
     poisoned[2] = f32::INFINITY;
-    gated_fc.forward_batch(&poisoned, &mut gated_out, &mut scratch, Some(&plan));
+    gated_fc.forward_batch(&poisoned, &mut gated_out, &mut scratch, true);
     gated_fc.forward(&poisoned, &mut ungated_out);
     assert_eq!(
         bits(&ungated_out),
         bits(&gated_out),
-        "gated FC must never skip -0.0/NaN/inf blocks"
+        "gated FC must never skip -0.0/NaN/inf inputs"
     );
     let gx = fill(2, g_in);
     let mut gout = vec![0.0f32; g_out];
@@ -268,15 +265,14 @@ fn main() {
             std::hint::black_box(&gout);
         },
         || {
-            gated_fc.forward_batch(&spike, &mut gout2, &mut scratch, Some(&plan));
+            gated_fc.forward_batch(&spike, &mut gout2, &mut scratch, true);
             std::hint::black_box(&gout2);
         },
     );
     let gated_speedup = ungated_spike_ns / gated_spike_ns;
     println!(
-        "gated fc {g_in}x{g_out} block {}: spike input {:.1}% active, skip {:.1}%, \
+        "gated fc {g_in}x{g_out}: spike input {:.1}% active, skip {:.1}%, \
          ungated {:.1} µs, gated {:.1} µs, speedup {gated_speedup:.2}x",
-        plan.block,
         100.0 * spike_active as f64 / g_in as f64,
         100.0 * spike_stats.skip_fraction(),
         ungated_spike_ns / 1e3,
@@ -286,7 +282,7 @@ fn main() {
         "spiking",
         g_in,
         g_out,
-        plan.block,
+        1,
         spike_stats.skip_fraction(),
         ungated_spike_ns,
         gated_spike_ns,
@@ -305,15 +301,14 @@ fn main() {
             std::hint::black_box(&gout);
         },
         || {
-            gated_fc.forward_batch(&gx, &mut gout2, &mut scratch, Some(&plan));
+            gated_fc.forward_batch(&gx, &mut gout2, &mut scratch, true);
             std::hint::black_box(&gout2);
         },
     );
     let dense_ratio = gated_dense_ns / ungated_dense_ns;
     println!(
-        "gated fc {g_in}x{g_out} block {}: dense input, ungated {:.1} µs, gated {:.1} µs, \
+        "gated fc {g_in}x{g_out}: dense input, ungated {:.1} µs, gated {:.1} µs, \
          overhead {:.1}%",
-        plan.block,
         ungated_dense_ns / 1e3,
         gated_dense_ns / 1e3,
         100.0 * (dense_ratio - 1.0),
@@ -322,7 +317,7 @@ fn main() {
         "dense",
         g_in,
         g_out,
-        plan.block,
+        1,
         0.0,
         ungated_dense_ns,
         gated_dense_ns,

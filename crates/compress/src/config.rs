@@ -1,6 +1,5 @@
 //! Compression configuration with the paper's published settings.
 
-use crate::gate::GatePolicy;
 use cs_nn::spec::{LayerClass, LayerSpec, Model};
 use cs_sparsity::coarse::{CoarseConfig, PruneMetric};
 use cs_sparsity::PruneMode;
@@ -21,11 +20,6 @@ pub struct LayerCompressionConfig {
     /// Bits per quantized-weight dictionary index (one k-means codebook
     /// of up to `2^quant_bits` entries per output group).
     pub quant_bits: u8,
-    /// Dynamic activation gating for the compiled execution engine:
-    /// whether the forward kernels prescan the input and skip
-    /// all-`+0.0` blocks (see [`crate::gate`]). `Auto` (the default)
-    /// lets the per-layer benefit model decide.
-    pub gate: GatePolicy,
 }
 
 impl LayerCompressionConfig {
@@ -37,7 +31,6 @@ impl LayerCompressionConfig {
             coarse: CoarseConfig::conv(1, 16, 1, 1, PruneMetric::Average),
             target_density: density,
             quant_bits: 8,
-            gate: GatePolicy::Auto,
         }
     }
 
@@ -49,7 +42,6 @@ impl LayerCompressionConfig {
             coarse: CoarseConfig::fc(block, block, PruneMetric::Average),
             target_density: density,
             quant_bits: 4,
-            gate: GatePolicy::Auto,
         }
     }
 
@@ -68,12 +60,6 @@ impl LayerCompressionConfig {
     /// Overrides the pruning mode.
     pub fn with_mode(mut self, mode: PruneMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Overrides the activation-gating policy.
-    pub fn with_gate(mut self, gate: GatePolicy) -> Self {
-        self.gate = gate;
         self
     }
 
@@ -126,7 +112,6 @@ impl ModelCompressionConfig {
             coarse: CoarseConfig::fc(16, 16, PruneMetric::Average),
             target_density: 0.1256,
             quant_bits: 4,
-            gate: GatePolicy::Auto,
         };
         match model {
             Model::AlexNet => ModelCompressionConfig {

@@ -41,42 +41,49 @@
 //! # One entry per kernel
 //!
 //! Every compiled FC kernel executes through one entry,
-//! [`FcKernel::forward_batch`]`(inputs, outs, scratch, plan)`, and
-//! `forward` is its `B = 1` call. The gate plan is fixed per layer at
-//! compile time ([`FcKernel::plan_gate`]); the scratch is the serving
+//! [`FcKernel::forward_batch`]`(inputs, outs, scratch, gated)`, and
+//! `forward` is its ungated `B = 1` call; the scratch is the serving
 //! worker's, reused across batches.
 //!
 //! # Activation gating
 //!
-//! With a [`GatePlan`], `forward_batch` skips work across the
-//! **input** dimension: a prescan proves which input blocks are
-//! entirely bit-exact `+0.0`, and the inner loops skip whole block-CSR
-//! run segments or structured survivor groups covered by a proven-zero
-//! block. The skipped terms are exactly `+0.0 * w = ±0.0` for the
-//! engine's finite weights, which is bit-neutral by the same argument
-//! as fact 2 above — so gated execution stays inside the bit-identity
-//! contract. `-0.0`, NaN, and inf inputs are never skipped (see the
-//! [`crate::gate`] module docs for the eligibility rule).
+//! Gated, `forward_batch` skips work across the **input** dimension,
+//! as the NSM skips zero neurons: a prescan sets one bit per input
+//! unless it is bit-exact `+0.0` ([`crate::gate`]), and a tile's bits
+//! are the OR of its columns'. When at most [`ACTIVE_WALK_MAX_SHARE`]
+//! of a tile's inputs are set, each block-CSR walk visits only the set
+//! bits of its runs, in ascending order; otherwise it walks every
+//! surviving input. The structured kernels skip a bank whose bits are
+//! all clear. The skipped terms are exactly `+0.0 * w = ±0.0` for the
+//! engine's finite weights, which is bit-neutral by fact 2 above — so
+//! gated execution stays inside the bit-identity contract. `-0.0`,
+//! NaN, and inf inputs are never skipped.
 //!
 //! # Batched execution
 //!
-//! The block-CSR format has one inner loop, a `strip × B columns` tile
-//! ([`CompiledFcLayer::forward_batch`]): the strip's `T_n = 16` lanes
-//! times up to [`COLUMN_TILE`] batch columns accumulate in registers
-//! (one `zmm` or two `ymm` per column), and each row of indices is
-//! looked up once and applied to every column — the neuron/synapse
-//! reuse the shared index exists for, with the batch column as the
-//! reuse axis. `forward` is the `B = 1` call of the same loop. The
-//! structured kernels run their per-column loop over the batch.
+//! The block-CSR format has one inner loop, a walk of one tile
+//! ([`CompiledFcLayer::forward_batch`]): a 16-lane chunk of a strip
+//! (`T_n`) times up to [`COLUMN_TILE`] batch columns accumulate in
+//! registers (one `zmm` or two `ymm` per column), and each row of
+//! indices is looked up once and applied to every column — the
+//! neuron/synapse reuse the shared index exists for, with the batch
+//! column as the reuse axis. Two adjacent chunks whose strips share
+//! their runs (fc6/fc7's 32 × 32 blocks over 16-wide groups) walk those
+//! runs once with one accumulator set each, as the NSM broadcasts one
+//! shared index to every PE that uses it, when the tile is narrow
+//! enough that both sets fit the `COLUMN_TILE` rows the registers
+//! hold. At `B = 1` that is two independent add chains instead of one.
+//! `forward` is the `B = 1` call of the same loop. The structured
+//! kernels run their per-column loop over the batch.
 //!
 //! Every column is its own accumulator row, fed its own inputs in
 //! ascending input order with a separate multiply and add (never FMA),
 //! so a column's bits do not depend on what it is batched with, on its
-//! position in the batch, or on how a wide batch is cut into tiles —
-//! each stays bit-identical to the dense reference. Gating is prescanned
-//! per column; a tile skips a block only when *every* column of the
-//! tile proved it `+0.0`, and otherwise multiplies the zero columns
-//! through, which is bit-neutral by the argument above.
+//! position in the batch, on the strip it walks beside, or on how a
+//! wide batch is cut into tiles — each stays bit-identical to the dense
+//! reference. A tile's active walk visits an input some column has at
+//! `+0.0` when another column needs it, which multiplies that zero
+//! through: bit-neutral by the argument above.
 //!
 //! # Lookup bodies
 //!
@@ -98,14 +105,23 @@ use cs_sparsity::Mask;
 use cs_tensor::ops::{self, Conv2dGeometry};
 use cs_tensor::{Shape, Tensor, TensorError};
 
+use std::sync::Arc;
+
 use crate::format::{FcLayerFormat, OutputGroup, SharedIndexLayer};
-use crate::gate::{self, GatePlan, GatePolicy, GateStats};
+use crate::gate::{self, GateStats};
 use crate::CompressError;
 
-/// Batch columns one tile of the block-CSR kernel carries: 8 columns ×
-/// 16 lanes fill the sixteen `ymm` accumulators AVX2 has. Wider batches
-/// run as consecutive tiles.
+/// Accumulator rows (batch columns × lane chunks) one walk of the
+/// block-CSR kernel carries: 8 rows × 16 lanes fill the sixteen `ymm`
+/// accumulators AVX2 has. Wider batches run as consecutive tiles, and
+/// two chunks share a walk only in tiles of at most half this width.
 pub const COLUMN_TILE: usize = 8;
+
+/// The largest share of a gated tile's inputs that may be active (not
+/// bit-exact `+0.0` in some column) for its walks to visit the active
+/// inputs one bit at a time; above it they walk every surviving input.
+/// Measured on the `fc_dense` layers (DESIGN §13).
+pub const ACTIVE_WALK_MAX_SHARE: f64 = 0.55;
 
 /// Output lanes per row of a strip — the paper's `T_n`, one `zmm` or
 /// two `ymm` registers. Wider strips are stored and walked in chunks of
@@ -123,30 +139,42 @@ const fn nibble_shift(lane: usize) -> u32 {
     (32 * (lane % 2) + 4 * (lane / 2)) as u32
 }
 
-/// The occupancy one column tile runs under: bit `g` of `words` clear
-/// means every column of the tile proved input block `g` all-`+0.0`.
+/// The inputs one column tile visits: all of them, or only those whose
+/// bit is set — bit `i` is clear when input `i` is bit-exact `+0.0` in
+/// every column of the tile.
 #[derive(Clone, Copy)]
-struct TileGate<'a> {
-    block: usize,
-    words: &'a [u64],
+struct Active<'a>(Option<&'a [u64]>);
+
+impl Active<'_> {
+    /// Every input, as the ungated kernels visit them.
+    const ALL: Active<'static> = Active(None);
+
+    /// Whether any input in `start..end` must be visited.
+    fn any(self, start: usize, end: usize) -> bool {
+        self.0
+            .is_none_or(|bits| set_words(bits, start, end).any(|(_, w)| w != 0))
+    }
 }
 
-impl<'a> TileGate<'a> {
-    /// No gate: a single unbounded block that is always occupied, so
-    /// every run is one segment and the loop below is the ungated one.
-    const OPEN: TileGate<'static> = TileGate {
-        block: usize::MAX,
-        words: &[],
+/// The words of `bits` that cover inputs `start..end`, as `(index,
+/// word)` with the bits outside the range cleared.
+#[inline(always)]
+fn set_words(bits: &[u64], start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let words = if start < end {
+        start / 64..end.div_ceil(64)
+    } else {
+        0..0
     };
-
-    /// Blocks the prescan did not cover report occupied — the gate may
-    /// only skip what was proven zero.
-    #[inline(always)]
-    fn occupied(&self, g: usize) -> bool {
-        self.words
-            .get(g / 64)
-            .is_none_or(|w| w & (1u64 << (g % 64)) != 0)
-    }
+    words.map(move |k| {
+        let mut w = bits[k];
+        if k == start / 64 {
+            w &= u64::MAX << (start % 64);
+        }
+        if k == (end - 1) / 64 {
+            w &= u64::MAX >> (63 - (end - 1) % 64);
+        }
+        (k, w)
+    })
 }
 
 /// The number of columns in a batch of `n_in`-wide inputs.
@@ -167,7 +195,7 @@ fn batch_columns(inputs: &[f32], outs: &[f32], n_in: usize, n_out: usize) -> usi
 /// `j`); column `j`'s output lane `o` lands at `outs[j * stride + o]`.
 struct TileIo<'a> {
     xt: &'a [f32],
-    gate: TileGate<'a>,
+    active: Active<'a>,
     outs: &'a mut [f32],
     stride: usize,
 }
@@ -194,12 +222,14 @@ enum Rows {
 /// inputs and the rows the kernel streams. The fields are private:
 /// every nibble must address the codebook, or the kernels, which read
 /// a zero-padded 16-entry table, and [`FcStrip::weight`] would
-/// disagree.
+/// disagree. A strip whose runs equal the previous strip's holds the
+/// same allocation, which is how the kernel knows the two may share a
+/// walk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FcStrip {
     out_start: usize,
     out_end: usize,
-    runs: Vec<(u32, u32)>,
+    runs: Arc<[(u32, u32)]>,
     survivors: usize,
     rows: Rows,
 }
@@ -250,7 +280,7 @@ impl FcStrip {
         FcStrip {
             out_start,
             out_end: out_start + width,
-            runs: runs_from_index(&g.index),
+            runs: runs_from_index(&g.index).into(),
             survivors,
             rows,
         }
@@ -324,107 +354,156 @@ fn lut(cb: &[f32]) -> [f32; NIBBLE_ENTRIES] {
     table
 }
 
-/// One lane chunk of a strip (lanes `16c..16c + 16`) in one tile, as a
-/// body sees it: its rows and the tile's inputs and gate.
-struct Chunk<'a> {
+/// One walk of a tile: `S` lane chunks (lanes `16c..16c + 16` of a
+/// strip) that share `runs`, each with its own rows, over the tile's
+/// inputs.
+struct Walk<'a, const S: usize> {
     runs: &'a [(u32, u32)],
-    rows: ChunkRows<'a>,
+    rows: WalkRows<'a, S>,
     xt: &'a [f32],
-    gate: TileGate<'a>,
+    active: Active<'a>,
 }
 
-/// A chunk's rows, one per surviving input.
+/// Each chunk's rows, one per surviving input, and for nibble rows
+/// the codebook they index.
 #[derive(Clone, Copy)]
-enum ChunkRows<'a> {
-    Nibbles {
-        codebook: &'a [f32],
-        rows: &'a [u64],
-    },
-    Weights(&'a [[f32; LANES]]),
+enum WalkRows<'a, const S: usize> {
+    Nibbles([(&'a [f32], &'a [u64]); S]),
+    Weights([&'a [[f32; LANES]]; S]),
 }
 
-impl Chunk<'_> {
-    /// The accumulate loop every body shares: the chunk's lanes times
-    /// the `B` columns of the tile, in registers. `row(pos)` turns the
-    /// `pos`-th row into a vector of sixteen weights, and
+impl<'a, const S: usize> Walk<'a, S> {
+    /// The walk of chunks `units` (strip, chunk index), which share the
+    /// first one's runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the chunks do not hold one representation; chunks
+    /// that share runs come from one layer, which holds one.
+    fn new(units: [(&'a FcStrip, usize); S], xt: &'a [f32], active: Active<'a>) -> Self {
+        let span = |(strip, c): (&FcStrip, usize)| c * strip.survivors..(c + 1) * strip.survivors;
+        let rows = match units[0].0.rows {
+            Rows::Nibbles { .. } => WalkRows::Nibbles(units.map(|u| match &u.0.rows {
+                Rows::Nibbles { codebook, rows } => (&codebook[..], &rows[span(u)]),
+                Rows::Weights(_) => unreachable!("one layer holds one row representation"),
+            })),
+            Rows::Weights(_) => WalkRows::Weights(units.map(|u| match &u.0.rows {
+                Rows::Weights(w) => &w.as_chunks().0[span(u)],
+                Rows::Nibbles { .. } => unreachable!("one layer holds one row representation"),
+            })),
+        };
+        Walk {
+            runs: &units[0].0.runs,
+            rows,
+            xt,
+            active,
+        }
+    }
+
+    /// The accumulate loop every body shares: each chunk's lanes times
+    /// the `B` columns of the tile, in registers. `row(u, pos)` turns
+    /// chunk `u`'s `pos`-th row into a vector of sixteen weights, and
     /// `madd(acc, x, w)` is `acc + x * w` with the multiply and add kept
     /// separate. Each row is read once and applied to every column; per
-    /// column the terms add in ascending input order. Run segments under
-    /// a block the whole tile proved `+0.0` advance `pos` without
-    /// touching the accumulators: the dropped terms are `+0.0 * w = ±0.0`
-    /// into sums that can never be `-0.0`.
+    /// column the terms add in ascending input order, and the chunks'
+    /// chains are independent. Under an active set, a run visits only
+    /// its set bits and advances `pos` past the rest without touching
+    /// the accumulators: the dropped terms are `+0.0 * w = ±0.0` into
+    /// sums that can never be `-0.0`.
     #[inline(always)]
     fn accumulate<const B: usize, V: Copy>(
         &self,
         zero: V,
-        row: impl Fn(usize) -> V,
+        row: impl Fn(usize, usize) -> V,
         madd: impl Fn(V, f32, V) -> V,
-    ) -> [V; B] {
-        let (xt, gate) = (self.xt, self.gate);
-        let mut acc = [zero; B];
+    ) -> [[V; B]; S] {
+        let cols = self.xt.as_chunks::<B>().0;
+        let mut acc = [[zero; B]; S];
+        let mut term = |x: &[f32; B], pos: usize| {
+            for (u, acc) in acc.iter_mut().enumerate() {
+                let w = row(u, pos);
+                for (a, &xj) in acc.iter_mut().zip(x) {
+                    *a = madd(*a, xj, w);
+                }
+            }
+        };
         let mut pos = 0usize;
-        for &(s, e) in self.runs {
-            let (mut i, e) = (s as usize, e as usize);
-            let mut g = i / gate.block;
-            while i < e {
-                let seg_end = e.min((g + 1).saturating_mul(gate.block));
-                if gate.occupied(g) {
-                    for x in xt[i * B..seg_end * B].chunks_exact(B) {
-                        let w = row(pos);
-                        for (a, &xj) in acc.iter_mut().zip(x) {
-                            *a = madd(*a, xj, w);
-                        }
+        match self.active.0 {
+            None => {
+                for &(s, e) in self.runs {
+                    for x in &cols[s as usize..e as usize] {
+                        term(x, pos);
                         pos += 1;
                     }
-                } else {
-                    pos += seg_end - i;
                 }
-                i = seg_end;
-                g += 1;
+            }
+            Some(bits) => {
+                for &(s, e) in self.runs {
+                    let (s, e) = (s as usize, e as usize);
+                    for (k, mut w) in set_words(bits, s, e) {
+                        while w != 0 {
+                            let i = k * 64 + w.trailing_zeros() as usize;
+                            term(&cols[i], pos + i - s);
+                            w &= w - 1;
+                        }
+                    }
+                    pos += e - s;
+                }
             }
         }
         acc
     }
 }
 
+/// Stores one chunk's accumulators plus bias into the tile's outputs.
+fn store<const B: usize>(
+    io: &mut TileIo<'_>,
+    bias: Option<&[f32]>,
+    (strip, c): (&FcStrip, usize),
+    acc: &[[f32; LANES]; B],
+) {
+    let lanes = LANES.min(strip.width() - c * LANES);
+    let first = strip.out_start + c * LANES;
+    for (j, a) in acc.iter().enumerate() {
+        let out = &mut io.outs[j * io.stride + first..][..lanes];
+        match bias {
+            Some(bias) => {
+                for ((o, a), b) in out.iter_mut().zip(a).zip(&bias[first..]) {
+                    *o = *a + *b;
+                }
+            }
+            None => out.copy_from_slice(&a[..lanes]),
+        }
+    }
+}
+
 /// Runs every strip over one `B`-column tile and stores `acc + bias`:
-/// `chunk` accumulates one lane chunk through a body's row reads and
-/// spills it to plain lanes.
+/// `one` and `two` walk one chunk, or two that share their runs,
+/// through a body's row reads and spill them to plain lanes. Adjacent
+/// chunks pair when both accumulator sets fit [`COLUMN_TILE`] rows.
 #[inline(always)]
 fn run_strips<const B: usize>(
     strips: &[FcStrip],
     bias: Option<&[f32]>,
     io: &mut TileIo<'_>,
-    chunk: impl Fn(&Chunk<'_>) -> [[f32; LANES]; B],
+    one: impl Fn(&Walk<'_, 1>) -> [[[f32; LANES]; B]; 1],
+    two: impl Fn(&Walk<'_, 2>) -> [[[f32; LANES]; B]; 2],
 ) {
-    for strip in strips {
-        let (width, s) = (strip.width(), strip.survivors);
-        for c in 0..width.div_ceil(LANES) {
-            let rows = match &strip.rows {
-                Rows::Nibbles { codebook, rows } => ChunkRows::Nibbles {
-                    codebook,
-                    rows: &rows[c * s..][..s],
-                },
-                Rows::Weights(w) => ChunkRows::Weights(&w.as_chunks().0[c * s..][..s]),
-            };
-            let acc = chunk(&Chunk {
-                runs: &strip.runs,
-                rows,
-                xt: io.xt,
-                gate: io.gate,
-            });
-            let lanes = LANES.min(width - c * LANES);
-            let first = strip.out_start + c * LANES;
-            for (j, a) in acc.iter().enumerate() {
-                let out = &mut io.outs[j * io.stride + first..][..lanes];
-                match bias {
-                    Some(bias) => {
-                        for ((o, a), b) in out.iter_mut().zip(a).zip(&bias[first..]) {
-                            *o = *a + *b;
-                        }
-                    }
-                    None => out.copy_from_slice(&a[..lanes]),
-                }
+    let mut units = strips
+        .iter()
+        .flat_map(|s| (0..s.width().div_ceil(LANES)).map(move |c| (s, c)))
+        .peekable();
+    let (xt, active) = (io.xt, io.active);
+    while let Some(a) = units.next() {
+        match units.next_if(|b| 2 * B <= COLUMN_TILE && Arc::ptr_eq(&a.0.runs, &b.0.runs)) {
+            Some(b) => {
+                let [x, y] = two(&Walk::new([a, b], xt, active));
+                store(io, bias, a, &x);
+                store(io, bias, b, &y);
+            }
+            None => {
+                let [x] = one(&Walk::new([a], xt, active));
+                store(io, bias, a, &x);
             }
         }
     }
@@ -439,19 +518,31 @@ fn madd_lanes(mut acc: [f32; LANES], x: f32, w: [f32; LANES]) -> [f32; LANES] {
     acc
 }
 
-/// The portable body: a scalar lookup per lane.
-fn strips_portable<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io: &mut TileIo<'_>) {
-    run_strips::<B>(strips, bias, io, |k| {
-        let zero = [0.0f32; LANES];
-        match k.rows {
-            ChunkRows::Nibbles { codebook, rows } => {
-                let table = lut(codebook);
-                let lookup = |r: u64| std::array::from_fn(|l| table[nibble(r, l)]);
-                k.accumulate(zero, |pos| lookup(rows[pos]), madd_lanes)
-            }
-            ChunkRows::Weights(rows) => k.accumulate(zero, |pos| rows[pos], madd_lanes),
+/// The portable body's walk: a scalar lookup per lane.
+fn walk_portable<const B: usize, const S: usize>(k: &Walk<'_, S>) -> [[[f32; LANES]; B]; S] {
+    let zero = [0.0f32; LANES];
+    match k.rows {
+        WalkRows::Nibbles(units) => {
+            let tables = units.map(|(cb, _)| lut(cb));
+            let lookup = |u: usize, pos: usize| {
+                let r = units[u].1[pos];
+                std::array::from_fn(|l| tables[u][nibble(r, l)])
+            };
+            k.accumulate(zero, lookup, madd_lanes)
         }
-    });
+        WalkRows::Weights(units) => k.accumulate(zero, |u, pos| units[u][pos], madd_lanes),
+    }
+}
+
+/// The portable body.
+fn strips_portable<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io: &mut TileIo<'_>) {
+    run_strips::<B>(
+        strips,
+        bias,
+        io,
+        walk_portable::<B, 1>,
+        walk_portable::<B, 2>,
+    );
 }
 
 /// The AVX-512 and AVX2 bodies. Both are safe code under
@@ -459,7 +550,7 @@ fn strips_portable<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io:
 /// each over an array whose type fixes its length.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{lut, run_strips, ChunkRows, FcStrip, TileIo, LANES};
+    use super::{lut, run_strips, FcStrip, TileIo, Walk, WalkRows, LANES};
     use std::arch::x86_64::*;
 
     /// Sixteen `f32` in one `zmm`.
@@ -480,33 +571,44 @@ mod x86 {
         out
     }
 
-    /// The AVX-512 body: one `zmm` accumulator per column.
+    /// The AVX-512 walk: one `zmm` accumulator per column and chunk.
+    #[target_feature(enable = "avx512f")]
+    fn walk_zmm<const B: usize, const S: usize>(k: &Walk<'_, S>) -> [[[f32; LANES]; B]; S] {
+        let madd = |a, x, w| _mm512_add_ps(a, _mm512_mul_ps(_mm512_set1_ps(x), w));
+        let zero = _mm512_setzero_ps();
+        let acc: [[__m512; B]; S] = match k.rows {
+            WalkRows::Nibbles(units) => {
+                let tables = units.map(|(cb, _)| load_zmm(&lut(cb)));
+                let shifts =
+                    _mm512_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28);
+                // `vpermps` reads only the low four bits of each lane, so
+                // the shifted row needs no mask.
+                let lookup = |u: usize, pos: usize| {
+                    let r = units[u].1[pos];
+                    let idx = _mm512_srlv_epi32(_mm512_set1_epi64(r as i64), shifts);
+                    _mm512_permutexvar_ps(idx, tables[u])
+                };
+                k.accumulate(zero, lookup, madd)
+            }
+            WalkRows::Weights(units) => k.accumulate(zero, |u, pos| load_zmm(&units[u][pos]), madd),
+        };
+        acc.map(|a| a.map(|v| spill_zmm(v)))
+    }
+
+    /// The AVX-512 body.
     #[target_feature(enable = "avx512f")]
     pub(super) fn strips_avx512<const B: usize>(
         strips: &[FcStrip],
         bias: Option<&[f32]>,
         io: &mut TileIo<'_>,
     ) {
-        let madd = |a, x, w| _mm512_add_ps(a, _mm512_mul_ps(_mm512_set1_ps(x), w));
-        run_strips::<B>(strips, bias, io, |k| {
-            let zero = _mm512_setzero_ps();
-            let acc: [__m512; B] = match k.rows {
-                ChunkRows::Nibbles { codebook, rows } => {
-                    let table = load_zmm(&lut(codebook));
-                    let shifts =
-                        _mm512_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12, 16, 16, 20, 20, 24, 24, 28, 28);
-                    // `vpermps` reads only the low four bits of each
-                    // lane, so the shifted row needs no mask.
-                    let lookup = |r: u64| {
-                        let idx = _mm512_srlv_epi32(_mm512_set1_epi64(r as i64), shifts);
-                        _mm512_permutexvar_ps(idx, table)
-                    };
-                    k.accumulate(zero, |pos| lookup(rows[pos]), madd)
-                }
-                ChunkRows::Weights(rows) => k.accumulate(zero, |pos| load_zmm(&rows[pos]), madd),
-            };
-            acc.map(|v| spill_zmm(v))
-        });
+        run_strips::<B>(
+            strips,
+            bias,
+            io,
+            |k| walk_zmm::<B, 1>(k),
+            |k| walk_zmm::<B, 2>(k),
+        );
     }
 
     /// Eight `f32` in one `ymm`.
@@ -536,53 +638,65 @@ mod x86 {
         out
     }
 
-    /// The AVX2 body: two `ymm` accumulators per column.
+    /// The AVX2 walk: two `ymm` accumulators per column and chunk.
+    #[target_feature(enable = "avx2")]
+    fn walk_ymm<const B: usize, const S: usize>(k: &Walk<'_, S>) -> [[[f32; LANES]; B]; S] {
+        let madd = |a: [__m256; 2], x, w: [__m256; 2]| {
+            let x = _mm256_set1_ps(x);
+            [0, 1].map(|h| _mm256_add_ps(a[h], _mm256_mul_ps(x, w[h])))
+        };
+        let zero = [_mm256_setzero_ps(); 2];
+        let acc: [[[__m256; 2]; B]; S] = match k.rows {
+            WalkRows::Nibbles(units) => {
+                let tables = units.map(|(cb, _)| load_ymm2(&lut(cb)));
+                // Lanes 0-7 sit in bits 0-15 of both row words, lanes
+                // 8-15 in bits 16-31. `down` brings a lane's nibble to
+                // bit 0 for `vpermps`, which reads three bits; `up`
+                // brings its bit 3 to the sign bit, which `blendv` reads.
+                let down = [
+                    _mm256_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12),
+                    _mm256_setr_epi32(16, 16, 20, 20, 24, 24, 28, 28),
+                ];
+                let up = [
+                    _mm256_setr_epi32(28, 28, 24, 24, 20, 20, 16, 16),
+                    _mm256_setr_epi32(12, 12, 8, 8, 4, 4, 0, 0),
+                ];
+                let lookup = |u: usize, pos: usize| {
+                    let [lo, hi] = tables[u];
+                    let r = _mm256_set1_epi64x(units[u].1[pos] as i64);
+                    [0, 1].map(|h| {
+                        let i = _mm256_srlv_epi32(r, down[h]);
+                        let upper = _mm256_castsi256_ps(_mm256_sllv_epi32(r, up[h]));
+                        let (a, b) = (
+                            _mm256_permutevar8x32_ps(lo, i),
+                            _mm256_permutevar8x32_ps(hi, i),
+                        );
+                        _mm256_blendv_ps(a, b, upper)
+                    })
+                };
+                k.accumulate(zero, lookup, madd)
+            }
+            WalkRows::Weights(units) => {
+                k.accumulate(zero, |u, pos| load_ymm2(&units[u][pos]), madd)
+            }
+        };
+        acc.map(|a| a.map(|v| spill_ymm(v)))
+    }
+
+    /// The AVX2 body.
     #[target_feature(enable = "avx2")]
     pub(super) fn strips_avx2<const B: usize>(
         strips: &[FcStrip],
         bias: Option<&[f32]>,
         io: &mut TileIo<'_>,
     ) {
-        let madd = |a: [__m256; 2], x, w: [__m256; 2]| {
-            let x = _mm256_set1_ps(x);
-            [0, 1].map(|h| _mm256_add_ps(a[h], _mm256_mul_ps(x, w[h])))
-        };
-        run_strips::<B>(strips, bias, io, |k| {
-            let zero = [_mm256_setzero_ps(); 2];
-            let acc: [[__m256; 2]; B] = match k.rows {
-                ChunkRows::Nibbles { codebook, rows } => {
-                    let [lo, hi] = load_ymm2(&lut(codebook));
-                    // Lanes 0-7 sit in bits 0-15 of both row words,
-                    // lanes 8-15 in bits 16-31. `down` brings a lane's
-                    // nibble to bit 0 for `vpermps`, which reads three
-                    // bits; `up` brings its bit 3 to the sign bit, which
-                    // `blendv` reads.
-                    let down = [
-                        _mm256_setr_epi32(0, 0, 4, 4, 8, 8, 12, 12),
-                        _mm256_setr_epi32(16, 16, 20, 20, 24, 24, 28, 28),
-                    ];
-                    let up = [
-                        _mm256_setr_epi32(28, 28, 24, 24, 20, 20, 16, 16),
-                        _mm256_setr_epi32(12, 12, 8, 8, 4, 4, 0, 0),
-                    ];
-                    let lookup = |r: u64| {
-                        let r = _mm256_set1_epi64x(r as i64);
-                        [0, 1].map(|h| {
-                            let i = _mm256_srlv_epi32(r, down[h]);
-                            let upper = _mm256_castsi256_ps(_mm256_sllv_epi32(r, up[h]));
-                            let (a, b) = (
-                                _mm256_permutevar8x32_ps(lo, i),
-                                _mm256_permutevar8x32_ps(hi, i),
-                            );
-                            _mm256_blendv_ps(a, b, upper)
-                        })
-                    };
-                    k.accumulate(zero, |pos| lookup(rows[pos]), madd)
-                }
-                ChunkRows::Weights(rows) => k.accumulate(zero, |pos| load_ymm2(&rows[pos]), madd),
-            };
-            acc.map(|v| spill_ymm(v))
-        });
+        run_strips::<B>(
+            strips,
+            bias,
+            io,
+            |k| walk_ymm::<B, 1>(k),
+            |k| walk_ymm::<B, 2>(k),
+        );
     }
 }
 
@@ -637,14 +751,14 @@ impl Body {
 }
 
 /// Reusable buffers for [`FcKernel::forward_batch`]: the transposed
-/// tile, the per-column occupancy words and their per-tile union, and
-/// the per-column gate counters. One per serving worker; nothing is
-/// allocated once the buffers have grown to the largest layer.
+/// tile, the active-input bits of a tile (or a structured kernel's
+/// column), and the per-column gate counters. One per serving worker;
+/// nothing is allocated once the buffers have grown to the largest
+/// layer.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     xt: Vec<f32>,
     words: Vec<u64>,
-    tile_words: Vec<u64>,
     stats: Vec<GateStats>,
 }
 
@@ -702,8 +816,12 @@ impl CompiledFcLayer {
             .all(|g| g.codebook.len() <= NIBBLE_ENTRIES);
         let mut strips: Vec<FcStrip> = Vec::with_capacity(layer.groups.len());
         for g in &layer.groups {
-            let out_start = strips.last().map_or(0, |s| s.out_end);
-            strips.push(FcStrip::from_group(g, out_start, nibbles));
+            let prev = strips.last();
+            let mut strip = FcStrip::from_group(g, prev.map_or(0, |s| s.out_end), nibbles);
+            if let Some(prev) = prev.filter(|p| p.runs == strip.runs) {
+                strip.runs = Arc::clone(&prev.runs);
+            }
+            strips.push(strip);
         }
         CompiledFcLayer {
             name: layer.name.clone(),
@@ -753,7 +871,7 @@ impl CompiledFcLayer {
     pub fn forward(&self, input: &[f32], out: &mut [f32]) {
         // Ungated, one column is its own transpose: the empty scratch
         // never allocates.
-        self.forward_batch(input, out, &mut BatchScratch::default(), None);
+        self.forward_batch(input, out, &mut BatchScratch::default(), false);
     }
 
     /// Runs every strip over one tile of `bt` columns on `body`, which
@@ -796,10 +914,10 @@ impl CompiledFcLayer {
     /// Column `j` of the result is bit-identical to [`Self::forward`]
     /// on input `j` alone, whatever it is batched with.
     ///
-    /// With a `plan`, every column is prescanned on its own and the
-    /// returned slice holds one [`GateStats`] per column (empty when
-    /// ungated); a tile skips the blocks all of its columns proved
-    /// `+0.0`.
+    /// Gated, every column is prescanned on its own and the returned
+    /// slice holds one [`GateStats`] per column (empty when ungated); a
+    /// tile whose active share is at most [`ACTIVE_WALK_MAX_SHARE`]
+    /// visits only the inputs some column has active.
     ///
     /// # Panics
     ///
@@ -810,9 +928,9 @@ impl CompiledFcLayer {
         inputs: &[f32],
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
-        plan: Option<&GatePlan>,
+        gated: bool,
     ) -> &'s [GateStats] {
-        self.forward_batch_on(inputs, outs, scratch, plan, Body::best())
+        self.forward_batch_on(inputs, outs, scratch, gated, Body::best())
     }
 
     fn forward_batch_on<'s>(
@@ -820,53 +938,39 @@ impl CompiledFcLayer {
         inputs: &[f32],
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
-        plan: Option<&GatePlan>,
+        gated: bool,
         body: Body,
     ) -> &'s [GateStats] {
         let (n_in, n_out) = (self.n_in, self.n_out);
         let b = batch_columns(inputs, outs, n_in, n_out);
-        let BatchScratch {
-            xt,
-            words,
-            tile_words,
-            stats,
-        } = scratch;
+        let BatchScratch { xt, words, stats } = scratch;
         stats.clear();
-        let block = plan.map_or(1, |p| p.block.max(1));
-        let per_col = gate::scan_words(n_in, block);
-        if plan.is_some() {
-            words.resize(b * per_col, 0);
-            for j in 0..b {
-                let x = &inputs[j * n_in..(j + 1) * n_in];
-                let w = &mut words[j * per_col..(j + 1) * per_col];
-                stats.push(gate::scan_into(x, block, w));
-            }
+        if gated {
+            stats.extend(inputs.chunks_exact(n_in.max(1)).map(gate::count_inputs));
         }
+        let few = |active: usize| active as f64 <= ACTIVE_WALK_MAX_SHARE * n_in as f64;
         for col0 in (0..b).step_by(COLUMN_TILE) {
             let bt = COLUMN_TILE.min(b - col0);
             let tile_in = &inputs[col0 * n_in..(col0 + bt) * n_in];
-            let gate = if plan.is_none() {
-                TileGate::OPEN
-            } else {
-                // A block is skippable for the tile only where every
-                // column's bit is clear: union the occupancy.
-                tile_words.clear();
-                tile_words.resize(per_col, 0);
-                for w in words[col0 * per_col..(col0 + bt) * per_col].chunks_exact(per_col) {
-                    for (t, w) in tile_words.iter_mut().zip(w) {
-                        *t |= *w;
-                    }
+            // The tile's active set is the union of its columns', at
+            // least as large as any one column's: mark it only when no
+            // column alone is too dense for the active walk.
+            let mut active = Active::ALL;
+            if gated
+                && stats[col0..col0 + bt]
+                    .iter()
+                    .all(|s| few(s.occupied_blocks()))
+            {
+                words.clear();
+                words.resize(n_in.div_ceil(64), 0);
+                for x in tile_in.chunks_exact(n_in) {
+                    gate::mark_active(x, words);
                 }
-                let occupied: usize = tile_words.iter().map(|w| w.count_ones() as usize).sum();
-                if occupied == stats[col0].blocks {
-                    TileGate::OPEN
-                } else {
-                    TileGate {
-                        block,
-                        words: tile_words,
-                    }
+                let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+                if few(set as usize) {
+                    active = Active(Some(&words[..]));
                 }
-            };
+            }
             // A single column is its own transpose.
             let xt: &[f32] = if bt == 1 {
                 tile_in
@@ -881,7 +985,7 @@ impl CompiledFcLayer {
             };
             let io = TileIo {
                 xt,
-                gate,
+                active,
                 outs: &mut outs[col0 * n_out..(col0 + bt) * n_out],
                 stride: n_out,
             };
@@ -1016,7 +1120,7 @@ impl CompiledConvLayer {
             cols.as_slice(),
             &mut prod,
             &mut BatchScratch::default(),
-            None,
+            false,
         );
         // Transpose (oh*ow, n_fout) -> (n_fout, oh, ow), adding bias —
         // the exact element order of the dense conv2d epilogue.
@@ -1195,7 +1299,7 @@ impl CompiledStructuredFc {
     }
 
     /// Portable forward over lanes `out_start..out_start + out.len()`.
-    /// Survivor groups whose input bank the gate proved all-`+0.0` are
+    /// Survivor groups whose input bank holds no active input are
     /// skipped — bit-neutral for the accumulators (the dropped terms
     /// are `+0.0 * w = ±0.0`), so gated and ungated outputs are
     /// identical.
@@ -1204,12 +1308,12 @@ impl CompiledStructuredFc {
         input: &[f32],
         out: &mut [f32],
         out_start: usize,
-        gate: TileGate<'_>,
+        active: Active<'_>,
     ) {
         let len = out.len();
         out.fill(0.0);
         for g in 0..self.full_groups {
-            if !gate.occupied(g) {
+            if !active.any(g * self.bank, (g + 1) * self.bank) {
                 continue;
             }
             let window = &input[g * self.bank..(g + 1) * self.bank];
@@ -1224,7 +1328,7 @@ impl CompiledStructuredFc {
             }
         }
         let tail_base = self.full_groups * self.bank;
-        if gate.occupied(self.full_groups) {
+        if active.any(tail_base, self.n_in) {
             for j in 0..self.tail_spg {
                 let row = j * self.n_out + out_start;
                 Self::accumulate_row(
@@ -1257,7 +1361,7 @@ impl CompiledStructuredFc {
         input: &[f32],
         out: &mut [f32],
         out_start: usize,
-        gate: TileGate<'_>,
+        active: Active<'_>,
     ) {
         let chunks = out.len() / 8;
         // Strips of four 8-lane chunks: 32 accumulator lanes stay in
@@ -1267,16 +1371,21 @@ impl CompiledStructuredFc {
         for s in 0..strips {
             // SAFETY: this function's contract, and chunks
             // `s * 4..s * 4 + 4` end at or below `chunks = out.len() / 8`.
-            self.avx2_strip::<BANK, 4>(input, out, out_start, s * 4, gate);
+            self.avx2_strip::<BANK, 4>(input, out, out_start, s * 4, active);
         }
         for c in strips * 4..chunks {
             // SAFETY: as above, with the one chunk `c < chunks`.
-            self.avx2_strip::<BANK, 1>(input, out, out_start, c, gate);
+            self.avx2_strip::<BANK, 1>(input, out, out_start, c, active);
         }
         // Remainder lanes (< 8) run the scalar kernel on their window:
         // identical per-lane term order, so the mix stays bit-identical.
         if chunks * 8 < out.len() {
-            self.forward_range_scalar(input, &mut out[chunks * 8..], out_start + chunks * 8, gate);
+            self.forward_range_scalar(
+                input,
+                &mut out[chunks * 8..],
+                out_start + chunks * 8,
+                active,
+            );
         }
     }
 
@@ -1296,7 +1405,7 @@ impl CompiledStructuredFc {
         out: &mut [f32],
         out_start: usize,
         c0: usize,
-        gate: TileGate<'_>,
+        active: Active<'_>,
     ) {
         use std::arch::x86_64::*;
         debug_assert_eq!(input.len(), self.n_in);
@@ -1330,7 +1439,7 @@ impl CompiledStructuredFc {
             // the generic loop below.
             let three = _mm256_set1_epi32(3);
             for g in 0..self.full_groups {
-                if !gate.occupied(g) {
+                if !active.any(g * 4, g * 4 + 4) {
                     continue;
                 }
                 let lo = _mm256_castps128_ps256(_mm_loadu_ps(input.as_ptr().add(g * 4)));
@@ -1350,7 +1459,7 @@ impl CompiledStructuredFc {
             }
         } else {
             for g in 0..self.full_groups {
-                if !gate.occupied(g) {
+                if !active.any(g * BANK, (g + 1) * BANK) {
                     continue;
                 }
                 // Full banks load straight from the input — a 4-float
@@ -1379,7 +1488,7 @@ impl CompiledStructuredFc {
                 }
             }
         }
-        if self.tail_spg > 0 && gate.occupied(self.full_groups) {
+        if self.tail_spg > 0 && active.any(self.full_groups * BANK, self.n_in) {
             // Tail offsets are < tail_len < BANK; zero padding past the
             // tail is never selected.
             let mut tail_pad = [0.0f32; 16];
@@ -1404,7 +1513,7 @@ impl CompiledStructuredFc {
 
     /// One column, all `n_out` lanes, on the best path the host has,
     /// then the bias.
-    fn forward_column(&self, input: &[f32], out: &mut [f32], gate: TileGate<'_>) {
+    fn forward_column(&self, input: &[f32], out: &mut [f32], active: Active<'_>) {
         assert_eq!(input.len(), self.n_in, "input length mismatch");
         assert_eq!(out.len(), self.n_out, "output length mismatch");
         #[cfg(target_arch = "x86_64")]
@@ -1415,15 +1524,15 @@ impl CompiledStructuredFc {
             // column: `input.len() == n_in`, `out.len() == n_out`.
             unsafe {
                 match self.bank {
-                    4 => self.forward_range_avx2::<4>(input, out, 0, gate),
-                    8 => self.forward_range_avx2::<8>(input, out, 0, gate),
-                    _ => self.forward_range_avx2::<16>(input, out, 0, gate),
+                    4 => self.forward_range_avx2::<4>(input, out, 0, active),
+                    8 => self.forward_range_avx2::<8>(input, out, 0, active),
+                    _ => self.forward_range_avx2::<16>(input, out, 0, active),
                 }
             }
             self.add_bias(out);
             return;
         }
-        self.forward_range_scalar(input, out, 0, gate);
+        self.forward_range_scalar(input, out, 0, active);
         self.add_bias(out);
     }
 
@@ -1436,9 +1545,8 @@ impl CompiledStructuredFc {
     }
 
     /// Runs the batch one column at a time. Gated, each column is
-    /// prescanned at the pattern's bank width (the kernel skips whole
-    /// survivor groups, so the plan's block size does not apply; the
-    /// tail bank is block `full_groups`) and reports its counters.
+    /// prescanned one bit per input, reports its counters, and skips
+    /// the banks whose bits are all clear.
     fn forward_batch<'s>(
         &self,
         inputs: &[f32],
@@ -1450,25 +1558,21 @@ impl CompiledStructuredFc {
         let b = batch_columns(inputs, outs, n_in, n_out);
         let BatchScratch { words, stats, .. } = scratch;
         stats.clear();
-        let bank = self.bank.max(1);
-        if gated {
-            words.resize(gate::scan_words(n_in, bank), 0);
-        }
         for j in 0..b {
             let x = &inputs[j * n_in..(j + 1) * n_in];
             let out = &mut outs[j * n_out..(j + 1) * n_out];
-            let mut gate = TileGate::OPEN;
+            let mut active = Active::ALL;
             if gated {
-                let s = gate::scan_into(x, bank, words);
+                let s = gate::count_inputs(x);
                 stats.push(s);
                 if s.zero_blocks > 0 {
-                    gate = TileGate {
-                        block: bank,
-                        words: &words[..],
-                    };
+                    words.clear();
+                    words.resize(n_in.div_ceil(64), 0);
+                    gate::mark_active(x, words);
+                    active = Active(Some(&words[..]));
                 }
             }
-            self.forward_column(x, out, gate);
+            self.forward_column(x, out, active);
         }
         stats
     }
@@ -1599,23 +1703,7 @@ impl FcKernel {
     ///
     /// Panics when the slice lengths disagree with `n_in` / `n_out`.
     pub fn forward(&self, input: &[f32], out: &mut [f32]) {
-        self.forward_batch(input, out, &mut BatchScratch::default(), None);
-    }
-
-    /// Runs the benefit model for this kernel's geometry: `Some(plan)`
-    /// when activation gating is expected to pay for its prescan,
-    /// `None` when the layer should stay on the ungated path.
-    ///
-    /// Structured kernels gate at their pattern bank width; block-CSR
-    /// picks a block size from the candidate ladder (see
-    /// [`crate::gate`]).
-    pub fn plan_gate(&self, policy: GatePolicy) -> Option<GatePlan> {
-        match self {
-            FcKernel::BlockCsr(l) => gate::plan_fc(policy, l.n_in, l.n_out, l.density()),
-            FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => {
-                gate::plan_structured(policy, s.n_in, s.n_out, s.bank, s.k)
-            }
-        }
+        self.forward_batch(input, out, &mut BatchScratch::default(), false);
     }
 
     /// The one execution entry: `inputs` holds `B` input vectors back
@@ -1626,10 +1714,10 @@ impl FcKernel {
     /// is bit-identical to the dense reference on input `j` alone, on
     /// finite inputs.
     ///
-    /// With a `plan` the layer runs gated and the returned slice holds
-    /// one [`GateStats`] per column; it is empty otherwise. Structured
-    /// kernels always gate at the pattern bank width and ignore
-    /// `plan.block`.
+    /// Gated, the layer skips inputs that are bit-exact `+0.0` (module
+    /// docs, "Activation gating") and the returned slice holds one
+    /// [`GateStats`] per column, counting inputs; it is empty
+    /// otherwise.
     ///
     /// # Panics
     ///
@@ -1640,12 +1728,12 @@ impl FcKernel {
         inputs: &[f32],
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
-        plan: Option<&GatePlan>,
+        gated: bool,
     ) -> &'s [GateStats] {
         match self {
-            FcKernel::BlockCsr(l) => l.forward_batch(inputs, outs, scratch, plan),
+            FcKernel::BlockCsr(l) => l.forward_batch(inputs, outs, scratch, gated),
             FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => {
-                s.forward_batch(inputs, outs, scratch, plan.is_some())
+                s.forward_batch(inputs, outs, scratch, gated)
             }
         }
     }
@@ -1708,11 +1796,11 @@ mod tests {
         out
     }
 
-    /// One column through `forward_batch` under `plan`: its outputs and
-    /// its gate counters.
-    fn gated(kernel: &FcKernel, x: &[f32], plan: &GatePlan) -> (Vec<f32>, GateStats) {
+    /// One column through the gated `forward_batch`: its outputs and its
+    /// gate counters.
+    fn gated(kernel: &FcKernel, x: &[f32]) -> (Vec<f32>, GateStats) {
         let mut out = vec![0.0f32; kernel.n_out()];
-        let stats = kernel.forward_batch(x, &mut out, &mut BatchScratch::default(), Some(plan))[0];
+        let stats = kernel.forward_batch(x, &mut out, &mut BatchScratch::default(), true)[0];
         (out, stats)
     }
 
@@ -1964,25 +2052,138 @@ mod tests {
         ]
     }
 
+    /// `n` inputs of which exactly `active` (spread by a seeded
+    /// stride) are nonzero and the rest bit-exact `+0.0`.
+    fn sparse_input(n: usize, active: usize, seed: u64) -> Vec<f32> {
+        let mut x = vec![0.0f32; n];
+        let step = [1usize, 3, 5, 7, 11, 13]
+            .into_iter()
+            .find(|s| !n.is_multiple_of(*s))
+            .unwrap_or(1);
+        for k in 0..active {
+            let i = (k * step + seed as usize) % n;
+            x[i] = ((i as f32) * 0.41 + seed as f32).sin() + 1.5;
+        }
+        x
+    }
+
+    /// Input families for the walks: active shares of 0, about 3 %, one
+    /// below, at and one above the active-walk threshold, and 100 %;
+    /// the same sparse input poisoned with `-0.0`, NaN or inf, which
+    /// are never skipped; and block-striped inputs with whole 8-input
+    /// runs of `+0.0`.
+    fn walk_inputs(n: usize, seed: u64) -> Vec<(String, Vec<f32>)> {
+        let at = (ACTIVE_WALK_MAX_SHARE * n as f64) as usize;
+        let mut families: Vec<(String, Vec<f32>)> =
+            [0, n.div_ceil(32), at.saturating_sub(1), at, at + 1, n]
+                .into_iter()
+                .map(|a| {
+                    (
+                        format!("{a} of {n} active"),
+                        sparse_input(n, a.min(n), seed),
+                    )
+                })
+                .collect();
+        let sparse = sparse_input(n, n.div_ceil(32), seed);
+        for (name, i, v) in [
+            ("-0.0", 1, -0.0f32),
+            ("nan", 2, f32::NAN),
+            ("inf", 4, f32::INFINITY),
+        ] {
+            let mut x = sparse.clone();
+            x[i % n] = v;
+            families.push((format!("{name} poison"), x));
+        }
+        families.extend(
+            gate_test_inputs(n)
+                .into_iter()
+                .map(|(name, x)| (name.to_string(), x)),
+        );
+        families
+    }
+
+    /// Each family's batch of `b` columns (rotations of the family
+    /// input, so the tile's union differs from every column's bits, and
+    /// column 0 alone zero at the first input the others keep) through
+    /// the gated kernel on `body`: every column must carry the bits of
+    /// its ungated single-column run, and on finite columns the dense
+    /// reference's; its counters must count its `+0.0` inputs.
+    fn check_gated_batches(layer: &CompiledFcLayer, b: usize, body: Body, seed: u64) {
+        let (n_in, n_out) = (layer.n_in, layer.n_out);
+        let dense = layer.to_dense();
+        for (name, x) in walk_inputs(n_in, seed) {
+            let mut columns: Vec<Vec<f32>> = (0..b)
+                .map(|j| {
+                    let mut c = x.clone();
+                    c.rotate_left(j % n_in);
+                    c
+                })
+                .collect();
+            if let Some(first) = (b > 1)
+                .then(|| x.iter().position(|v| v.to_bits() != 0))
+                .flatten()
+            {
+                columns[0] = x.clone();
+                columns[0][first] = 0.0;
+                for c in &mut columns[1..] {
+                    c[first] = 2.5;
+                }
+            }
+            let mut outs = vec![f32::NAN; b * n_out];
+            let mut scratch = BatchScratch::default();
+            let stats = layer
+                .forward_batch_on(&columns.concat(), &mut outs, &mut scratch, true, body)
+                .to_vec();
+            for (j, col) in columns.iter().enumerate() {
+                let got = &outs[j * n_out..(j + 1) * n_out];
+                let mut alone = vec![0.0f32; n_out];
+                layer.forward_batch_on(col, &mut alone, &mut BatchScratch::default(), false, body);
+                let finite = col.iter().all(|v| v.is_finite());
+                assert!(
+                    same_bits(got, &alone, !finite),
+                    "{name}, column {j} of {b}, {body:?}"
+                );
+                let zeros = col.iter().filter(|v| v.to_bits() == 0).count();
+                assert_eq!(stats[j].zero_blocks, zeros, "{name}, column {j}");
+                assert_eq!(stats[j].blocks, n_in);
+                if finite {
+                    let xt = Tensor::from_vec(Shape::d2(1, n_in), col.clone()).unwrap();
+                    let mut want = ops::matmul(&xt, &dense).unwrap().as_slice().to_vec();
+                    if let Some(bias) = &layer.bias {
+                        for (w, b) in want.iter_mut().zip(bias) {
+                            *w += *b;
+                        }
+                    }
+                    assert!(same_bits(got, &want, false), "{name}, column {j} vs dense");
+                }
+            }
+        }
+    }
+
+    /// Whether some adjacent strips of the layer walk as a pair.
+    fn has_pairs(layer: &CompiledFcLayer) -> bool {
+        layer
+            .strips
+            .windows(2)
+            .any(|w| Arc::ptr_eq(&w[0].runs, &w[1].runs))
+    }
+
     #[test]
     fn gated_fc_is_bit_identical_across_block_sizes_and_poisons() {
-        let (w, mask) = fc_layer(64, 32, 16, 0.25);
-        let bias: Vec<f32> = (0..32).map(|i| (i as f32) * 0.01 - 0.2).collect();
-        let layer = FcKernel::BlockCsr(
-            CompiledFcLayer::compile_fc("fc", &w, &mask, 16, 8)
+        // 16 × 16 pruning blocks give every 16-wide group its own runs;
+        // 32 × 32 blocks make every pair of groups share theirs (the
+        // fc6/fc7 geometry), so both walks run.
+        for block in [16usize, 32] {
+            let (w, mask) = fc_layer(96, 64, block, 0.5);
+            let bias: Vec<f32> = (0..64).map(|i| (i as f32) * 0.01 - 0.2).collect();
+            let layer = CompiledFcLayer::compile_fc("fc", &w, &mask, 16, 4)
                 .unwrap()
-                .with_bias(bias),
-        );
-        for (name, input) in gate_test_inputs(64) {
-            let ungated = run(32, |o| layer.forward(&input, o));
-            for block in [1usize, 4, 8, 16, 64, 100] {
-                let (out, stats) = gated(&layer, &input, &GatePlan { block });
-                assert_eq!(bits_of(&out), bits_of(&ungated), "{name} block {block}");
-                assert_eq!(
-                    stats.blocks,
-                    64usize.div_ceil(block),
-                    "{name} block {block}"
-                );
+                .with_bias(bias);
+            assert_eq!(has_pairs(&layer), block > 16, "block {block}");
+            for b in 1..=COLUMN_TILE + 1 {
+                for body in BODIES.into_iter().filter(|b| b.runs_here()) {
+                    check_gated_batches(&layer, b, body, block as u64);
+                }
             }
         }
     }
@@ -1992,20 +2193,21 @@ mod tests {
         let (w, mask) = fc_layer(64, 32, 16, 0.5);
         let layer =
             FcKernel::BlockCsr(CompiledFcLayer::compile_fc("fc", &w, &mask, 16, 8).unwrap());
-        let plan = GatePlan { block: 8 };
 
+        // The gate counts single inputs: half of the striped input is
+        // exact `+0.0`.
         let inputs = gate_test_inputs(64);
-        let (_, stats) = gated(&layer, &inputs[0].1, &plan);
-        assert_eq!(stats.zero_blocks, 4, "every even-indexed block skips");
+        let (_, stats) = gated(&layer, &inputs[0].1);
+        assert_eq!(stats.zero_blocks, 32, "every even-indexed 8-block is zero");
 
-        // -0.0 / NaN / inf in an otherwise-zero block keep it occupied.
+        // -0.0 / NaN / inf in an otherwise-zero position stay active.
         for idx in [1usize, 2, 3] {
-            let (_, stats) = gated(&layer, &inputs[idx].1, &plan);
-            assert_eq!(stats.zero_blocks, 3, "{} defeats the gate", inputs[idx].0);
+            let (_, stats) = gated(&layer, &inputs[idx].1);
+            assert_eq!(stats.zero_blocks, 31, "{} defeats the gate", inputs[idx].0);
         }
 
-        let (_, stats) = gated(&layer, &inputs[4].1, &plan);
-        assert_eq!(stats.zero_blocks, 8);
+        let (_, stats) = gated(&layer, &inputs[4].1);
+        assert_eq!(stats.zero_blocks, 64);
         assert!((stats.skip_fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -2020,18 +2222,15 @@ mod tests {
             kernels.push(("bank_balanced", bank, bank_balanced(&w, bank, bank / 2)));
         }
         for (kind, bank, kernel) in &kernels {
-            // The plan's block is ignored: structured kernels gate at
-            // their bank width.
-            let plan = GatePlan { block: 16 };
             for (name, input) in gate_test_inputs(67) {
                 let ungated = run(21, |o| kernel.forward(&input, o));
-                let (out, stats) = gated(kernel, &input, &plan);
+                let (out, stats) = gated(kernel, &input);
                 assert_eq!(
                     bits_of(&ungated),
                     bits_of(&out),
                     "{kind} bank {bank} {name}"
                 );
-                assert_eq!(stats.blocks, 67usize.div_ceil(*bank), "{kind} {name}");
+                assert_eq!(stats.blocks, 67, "{kind} {name}");
             }
         }
     }
@@ -2072,8 +2271,8 @@ mod tests {
         }
     }
 
-    /// One batch column: whole 8-blocks of exact `+0.0` (what the gate
-    /// skips) between blocks of values with scattered single zeros.
+    /// One batch column: whole 8-blocks of exact `+0.0` between blocks
+    /// of values with scattered single zeros.
     fn column_input(n: usize, seed: u64) -> Vec<f32> {
         (0..n)
             .map(|i| {
@@ -2150,9 +2349,19 @@ mod tests {
     }
 
     /// Blocks of four inputs, two in three kept; group `g`'s codebook
-    /// has `sizes[g % sizes.len()]` entries.
-    fn codebook_layer(n_in: usize, n_out: usize, sizes: &[usize], seed: u64) -> SharedIndexLayer {
-        let keep = |i: usize, g: usize| !(i / 4 + g).is_multiple_of(3);
+    /// has `sizes[g % sizes.len()]` entries. Paired, groups `2k` and
+    /// `2k + 1` keep the same inputs, so they share their runs.
+    fn codebook_layer(
+        n_in: usize,
+        n_out: usize,
+        sizes: &[usize],
+        seed: u64,
+        paired: bool,
+    ) -> SharedIndexLayer {
+        let keep = move |i: usize, g: usize| {
+            let g = if paired { g / 2 } else { g };
+            !(i / 4 + g).is_multiple_of(3)
+        };
         hand_layer(n_in, n_out, seed, keep, |g| sizes[g % sizes.len()])
     }
 
@@ -2160,16 +2369,17 @@ mod tests {
     fn every_lookup_body_matches_the_dense_reference_at_every_codebook_width() {
         const SIZES: [usize; 7] = [1, 2, 16, 17, 64, 65, 4096];
         let (n_in, n_out) = (40, 500);
-        let mut layers: Vec<(String, SharedIndexLayer)> = SIZES
-            .iter()
-            .map(|&k| {
-                (
-                    format!("{k} entries"),
-                    codebook_layer(n_in, n_out, &[k], k as u64),
-                )
-            })
-            .collect();
-        layers.push(("mixed".into(), codebook_layer(n_in, n_out, &SIZES, 99)));
+        let mut layers: Vec<(String, SharedIndexLayer)> = Vec::new();
+        for paired in [false, true] {
+            for &k in &SIZES {
+                layers.push((
+                    format!("{k} entries, paired {paired}"),
+                    codebook_layer(n_in, n_out, &[k], k as u64, paired),
+                ));
+            }
+            let mixed = codebook_layer(n_in, n_out, &SIZES, 99, paired);
+            layers.push((format!("mixed, paired {paired}"), mixed));
+        }
         for (name, shared) in &layers {
             let layer = CompiledFcLayer::from_shared(shared);
             let nibbles = shared.groups.iter().all(|g| g.codebook.len() <= 16);
@@ -2178,10 +2388,17 @@ mod tests {
                 nibbles,
                 "{name}"
             );
+            assert_eq!(has_pairs(&layer), name.ends_with("true"), "{name}");
             let dense = layer.to_dense();
             for b in 1..=COLUMN_TILE + 1 {
-                let columns: Vec<Vec<f32>> =
-                    (0..b).map(|j| column_input(n_in, j as u64 + 3)).collect();
+                // Block-striped columns, and ~3 %-active ones that take
+                // the active-input walk when gated.
+                let columns: Vec<Vec<f32>> = (0..b)
+                    .map(|j| match j % 2 {
+                        0 => column_input(n_in, j as u64 + 3),
+                        _ => sparse_input(n_in, 2, j as u64),
+                    })
+                    .collect();
                 let want: Vec<f32> = columns
                     .iter()
                     .flat_map(|x| {
@@ -2196,7 +2413,7 @@ mod tests {
                     bits_of(&shared.output(&columns[0])),
                     "{name}"
                 );
-                for plan in [None, Some(&GatePlan { block: 8 })] {
+                for gated in [false, true] {
                     for body in BODIES.into_iter().filter(|b| b.runs_here()) {
                         let mut outs = vec![f32::NAN; b * n_out];
                         let mut scratch = BatchScratch::default();
@@ -2204,14 +2421,13 @@ mod tests {
                             &columns.concat(),
                             &mut outs,
                             &mut scratch,
-                            plan,
+                            gated,
                             body,
                         );
                         assert_eq!(
                             bits_of(&outs),
                             bits_of(&want),
-                            "{name}, B = {b}, gated {}, {body:?}",
-                            plan.is_some()
+                            "{name}, B = {b}, gated {gated}, {body:?}"
                         );
                     }
                 }
@@ -2261,7 +2477,6 @@ mod tests {
             n_out in proptest::sample::select(vec![10usize, 16, 48, 300, 500]),
             n_in in proptest::sample::select(vec![23usize, 64, 100]),
             block_in in proptest::sample::select(vec![2usize, 8]),
-            gate_block in proptest::sample::select(vec![3usize, 8, 16]),
             quant_bits in proptest::sample::select(vec![2u8, 4, 6, 8, 12]),
             b in 1usize..=COLUMN_TILE + 1,
             seed in 0u64..10_000,
@@ -2285,35 +2500,33 @@ mod tests {
                 order.iter().flat_map(|&j| columns[j].iter().copied()).collect()
             };
             let identity: Vec<usize> = (0..b).collect();
-            let plan = GatePlan { block: gate_block };
             let mut scratch = BatchScratch::default();
-            for plan in [None, Some(&plan)] {
+            for gated in [false, true] {
                 for body in BODIES.into_iter().filter(|b| b.runs_here()) {
                     for order in [&identity, &order] {
                         let mut outs = vec![f32::NAN; b * n_out];
                         let stats = layer
-                            .forward_batch_on(&flat(order), &mut outs, &mut scratch, plan, body)
+                            .forward_batch_on(&flat(order), &mut outs, &mut scratch, gated, body)
                             .to_vec();
-                        prop_assert_eq!(stats.len(), if plan.is_some() { b } else { 0 });
+                        prop_assert_eq!(stats.len(), if gated { b } else { 0 });
                         for (k, &j) in order.iter().enumerate() {
                             let got = &outs[k * n_out..(k + 1) * n_out];
                             let non_finite = poison_col == Some(j) && poison < 3;
                             let mut alone = vec![0.0f32; n_out];
                             let mut one = BatchScratch::default();
-                            match plan {
-                                Some(plan) => {
-                                    let s = layer.forward_batch(&columns[j], &mut alone, &mut one, Some(plan))[0];
-                                    prop_assert_eq!(stats[k], s);
-                                    if poison_col == Some(j) {
-                                        prop_assert_eq!(s.zero_blocks, 0, "poison column skipped");
-                                    }
+                            if gated {
+                                let s = layer.forward_batch(&columns[j], &mut alone, &mut one, true)[0];
+                                prop_assert_eq!(stats[k], s);
+                                if poison_col == Some(j) {
+                                    prop_assert_eq!(s.zero_blocks, 0, "poison column skipped");
                                 }
-                                None => layer.forward(&columns[j], &mut alone),
+                            } else {
+                                layer.forward(&columns[j], &mut alone);
                             }
                             prop_assert!(
                                 same_bits(got, &alone, non_finite),
                                 "column {} at slot {} of {} (gated {}, {:?})",
-                                j, k, b, plan.is_some(), body
+                                j, k, b, gated, body
                             );
                             if !non_finite {
                                 let x = Tensor::from_vec(Shape::d2(1, n_in), columns[j].clone()).unwrap();
@@ -2334,25 +2547,25 @@ mod tests {
 
     #[test]
     fn fc_kernel_gated_dispatch_and_planning() {
+        // Every kernel kind runs gated through the one entry, and its
+        // walk is planned per call from the input alone: a spike-like
+        // input takes the active walk, a dense one the full walk, and
+        // both match the ungated kernel bit for bit.
         let w = rand_w(128, 64, 11);
         let (tf, bb) = (two_four(&w), bank_balanced(&w, 8, 2));
-        let (cw, cmask) = fc_layer(128, 64, 16, 0.25);
+        let (cw, cmask) = fc_layer(128, 64, 32, 0.25);
         let csr =
-            FcKernel::BlockCsr(CompiledFcLayer::compile_fc("fc", &cw, &cmask, 16, 8).unwrap());
+            FcKernel::BlockCsr(CompiledFcLayer::compile_fc("fc", &cw, &cmask, 16, 4).unwrap());
         for kernel in [&tf, &bb, &csr] {
-            assert!(
-                kernel.plan_gate(GatePolicy::Off).is_none(),
-                "{}",
-                kernel.kind()
-            );
-            let forced = kernel
-                .plan_gate(GatePolicy::Force { block: 16 })
-                .unwrap_or_else(|| panic!("force must gate {}", kernel.kind()));
-            let plan = kernel.plan_gate(GatePolicy::Auto).unwrap_or(forced);
-            for (name, input) in gate_test_inputs(128) {
+            let mut inputs = gate_test_inputs(128);
+            inputs.push(("spike", sparse_input(128, 4, 1)));
+            inputs.push(("dense", sparse_input(128, 128, 1)));
+            for (name, input) in inputs {
                 let ungated = run(64, |o| kernel.forward(&input, o));
-                let (out, _) = gated(kernel, &input, &plan);
+                let (out, stats) = gated(kernel, &input);
                 assert_eq!(bits_of(&ungated), bits_of(&out), "{} {name}", kernel.kind());
+                let active = input.iter().filter(|v| v.to_bits() != 0).count();
+                assert_eq!(stats.occupied_blocks(), active, "{} {name}", kernel.kind());
             }
         }
     }

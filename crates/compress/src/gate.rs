@@ -1,19 +1,20 @@
 //! Dynamic activation sparsity: prescan-and-skip gating.
 //!
 //! Cambricon-S exploits neuron (activation) sparsity in hardware — the
-//! NSM gates zero activations so the PE array never multiplies through
-//! them. This module is the software twin of that gate: a cheap
-//! *prescan* over the input vector produces a per-block occupancy
-//! bitmap ([`PrescanBitmap`]; the kernels in [`crate::engine`] scan
-//! into reused words), and a gated `forward_batch` consults it to skip
-//! every surviving weight whose input block is entirely zero.
+//! NSM skips zero activations one at a time, so the PE array never
+//! multiplies through them. This module is the software twin of that
+//! gate: a cheap *prescan* sets one bit per input ([`mark_active`], into
+//! words the kernels in [`crate::engine`] reuse), and a gated
+//! `forward_batch` visits only the surviving weights whose input bit is
+//! set.
 //!
 //! # Skip eligibility: `bits == +0.0` only
 //!
-//! A block is skippable **iff every element's bit pattern is exactly
-//! `+0.0`** (`f32::to_bits() == 0`). `-0.0`, NaN, and inf blocks are
-//! *never* skipped. This is what keeps the gated kernels inside the
-//! repo-wide bit-identity contract (`engine` module docs):
+//! An input is skippable **iff its bit pattern is exactly `+0.0`**
+//! (`f32::to_bits() == 0`), and a block iff all of its inputs are.
+//! `-0.0`, NaN, and inf are *never* skipped. This is what keeps the
+//! gated kernels inside the repo-wide bit-identity contract (`engine`
+//! module docs):
 //!
 //! * a skipped term is exactly `+0.0 * w = ±0.0` for finite `w`, and
 //!   adding `±0.0` to any accumulator value `a` returns `a` bit-exactly
@@ -30,47 +31,23 @@
 //!   reference would poison the output, so the gated kernel must
 //!   multiply through them exactly like the ungated one.
 //!
-//! # Benefit model
+//! # Run-time rule
 //!
-//! Gating is not free: the prescan touches every input element and the
-//! gated inner loops carry a per-block branch. [`plan_fc`] /
-//! [`plan_structured`] decide per layer — from geometry
-//! (`n_in × n_out × density`) and the (optionally measured) prescan and
-//! MAC costs in [`GateCostModel`] — whether gating can pay at all, and
-//! if so which block size to prescan at. Tiny layers opt out entirely:
-//! the work one skipped input saves must be a healthy multiple of the
-//! compare spent classifying it.
-
-use std::time::Instant;
-
-/// Per-layer gating policy, carried by
-/// `cs_compress::config::LayerCompressionConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GatePolicy {
-    /// Let the benefit model decide (gate when geometry says it pays,
-    /// with an automatically chosen block size).
-    #[default]
-    Auto,
-    /// Never gate this layer.
-    Off,
-    /// Always gate, prescanning at the given block size (clamped to the
-    /// layer's input width; structured kernels gate at their bank width
-    /// regardless). Used by benches and tests that need the gated path
-    /// exercised deterministically.
-    Force {
-        /// Prescan block size in input elements.
-        block: usize,
-    },
-}
-
-/// The benefit model's verdict for one layer: gate, prescanning at
-/// `block` input elements per occupancy bit. `None` from the planning
-/// functions means "run ungated".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatePlan {
-    /// Prescan block size in input elements.
-    pub block: usize,
-}
+//! There is no per-layer plan. A gated kernel counts every column's
+//! `+0.0` inputs ([`count_inputs`]), marks one bit per input
+//! ([`mark_active`]) for tiles that may skip, and decides per tile, at
+//! run time, from what the bits say: the block-CSR walk visits only the
+//! set bits of its runs when at most
+//! [`ACTIVE_WALK_MAX_SHARE`](crate::engine::ACTIVE_WALK_MAX_SHARE) of
+//! the tile's inputs are set, and every surviving input otherwise,
+//! because past that share visiting a row by its bit costs more than
+//! streaming past a zero (DESIGN §13 has the measurement). The
+//! structured kernels skip a bank whose bits are all clear. A spike
+//! frame and a ReLU output of the same width run different walks, which
+//! no geometry-only plan could tell apart.
+//!
+//! [`PrescanBitmap`] scans at any block width; the serving ledger uses
+//! it to report how much of an input lies in all-zero blocks.
 
 /// Per-block input occupancy, produced by one prescan pass.
 ///
@@ -90,13 +67,23 @@ impl PrescanBitmap {
     /// Scans `input` at `block` elements per occupancy bit.
     pub fn scan(input: &[f32], block: usize) -> PrescanBitmap {
         let block = block.max(1);
-        let mut words = vec![0u64; scan_words(input.len(), block)];
-        let stats = scan_into(input, block, &mut words);
+        let blocks = input.len().div_ceil(block);
+        let mut words = vec![0u64; blocks.div_ceil(64)];
+        let mut zero_blocks = 0usize;
+        for (g, chunk) in input.chunks(block).enumerate() {
+            // Occupied iff any element is not bit-exact +0.0: -0.0 (bits
+            // 0x8000_0000), NaN, and inf all count as occupied.
+            if chunk.iter().any(|v| v.to_bits() != 0) {
+                words[g / 64] |= 1u64 << (g % 64);
+            } else {
+                zero_blocks += 1;
+            }
+        }
         PrescanBitmap {
             block,
-            blocks: stats.blocks,
+            blocks,
             words,
-            zero_blocks: stats.zero_blocks,
+            zero_blocks,
         }
     }
 
@@ -120,8 +107,7 @@ impl PrescanBitmap {
         self.words[g / 64] & (1u64 << (g % 64)) != 0
     }
 
-    /// Whether no block is skippable (the gated kernels fall through to
-    /// their ungated inner loops).
+    /// Whether no block is skippable.
     pub fn all_occupied(&self) -> bool {
         self.zero_blocks == 0
     }
@@ -136,47 +122,33 @@ impl PrescanBitmap {
     }
 }
 
-/// Occupancy words a scan of `len` inputs at `block` elements per bit
-/// fills — the size [`scan_into`] expects.
-pub(crate) fn scan_words(len: usize, block: usize) -> usize {
-    len.div_ceil(block.max(1)).div_ceil(64)
+/// The gated kernels' counters for one column: one block per input,
+/// zero where the input is bit-exact `+0.0`. One vectorizable pass, so
+/// a column too dense for the active-input walk pays little more.
+pub(crate) fn count_inputs(input: &[f32]) -> GateStats {
+    GateStats {
+        blocks: input.len(),
+        zero_blocks: input.iter().filter(|v| v.to_bits() == 0).count(),
+    }
 }
 
-/// The prescan itself, writing into caller-owned `words` (exactly
-/// [`scan_words`] of them) so a serving lane can reuse one buffer for
-/// every column of every batch. Bits past the last block stay clear.
-///
-/// # Panics
-///
-/// Panics when `words.len() != scan_words(input.len(), block)`.
-pub(crate) fn scan_into(input: &[f32], block: usize, words: &mut [u64]) -> GateStats {
-    let block = block.max(1);
-    assert_eq!(
-        words.len(),
-        scan_words(input.len(), block),
-        "occupancy word count mismatch"
-    );
-    words.fill(0);
-    let mut zero_blocks = 0usize;
-    for (g, chunk) in input.chunks(block).enumerate() {
-        // Occupied iff any element is not bit-exact +0.0: -0.0 (bits
-        // 0x8000_0000), NaN, and inf all count as occupied.
-        if chunk.iter().any(|v| v.to_bits() != 0) {
-            words[g / 64] |= 1u64 << (g % 64);
-        } else {
-            zero_blocks += 1;
-        }
-    }
-    GateStats {
-        blocks: input.len().div_ceil(block),
-        zero_blocks,
+/// The gated kernels' prescan: sets bit `i` of `words` unless
+/// `input[i]` is bit-exact `+0.0`, ORing into what the words hold, so a
+/// tile's columns mark one union. The words are caller-owned, so a
+/// serving lane reuses one buffer for every tile of every batch.
+pub(crate) fn mark_active(input: &[f32], words: &mut [u64]) {
+    for (w, chunk) in words.iter_mut().zip(input.chunks(64)) {
+        *w |= chunk
+            .iter()
+            .enumerate()
+            .fold(0, |w, (k, v)| w | u64::from(v.to_bits() != 0) << k);
     }
 }
 
 /// Gate outcome counters for one forward pass: how many input blocks
-/// the prescan saw, and how many it proved skippable. Derived from the
-/// bitmap alone, so the scalar and vectorized kernels report the
-/// same numbers.
+/// the prescan saw, and how many it proved skippable. The gated kernels
+/// scan one block per input, so theirs count inputs. Derived from the
+/// bits alone, so every kernel body reports the same numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GateStats {
     /// Input blocks the prescan covered.
@@ -206,169 +178,6 @@ impl GateStats {
         self.blocks += other.blocks;
         self.zero_blocks += other.zero_blocks;
     }
-}
-
-/// Cost constants the benefit model weighs: nanoseconds per prescanned
-/// input element, per dense MAC, and fixed per-block bookkeeping. The
-/// defaults are conservative compile-time estimates; [`Self::measure`]
-/// replaces them with numbers timed on the running host (used by the
-/// benches, where the plan should reflect the machine being measured).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateCostModel {
-    /// Cost of classifying one input element (`to_bits` + compare).
-    pub prescan_ns: f64,
-    /// Cost of one multiply-accumulate in the ungated inner loop.
-    pub mac_ns: f64,
-    /// Fixed per-block cost (bitmap word update, gate branch).
-    pub block_overhead_ns: f64,
-}
-
-impl Default for GateCostModel {
-    fn default() -> Self {
-        GateCostModel {
-            prescan_ns: 0.5,
-            mac_ns: 1.0,
-            block_overhead_ns: 2.0,
-        }
-    }
-}
-
-/// A layer must save at least this many prescan-compare-equivalents
-/// per skipped input element, or `Auto` opts out.
-const MIN_SKIP_RATIO: f64 = 8.0;
-/// `Auto` opts out below this many weights outright: the prescan and
-/// the per-block branches would be a measurable fraction of the whole
-/// forward no matter the block size.
-const TINY_LAYER_LIMIT: usize = 4096;
-/// The prescan may cost at most this share of the work a fully-zero
-/// block would skip.
-const MAX_PRESCAN_SHARE: f64 = 0.25;
-/// Block sizes `Auto` chooses among, finest first.
-const BLOCK_CANDIDATES: [usize; 4] = [8, 16, 32, 64];
-
-impl GateCostModel {
-    /// Times the prescan compare and a dense MAC row on the running
-    /// host. Deterministic planning paths (config, serving lanes) use
-    /// [`Default`]; benches use this so the plan reflects the measured
-    /// machine.
-    pub fn measure() -> GateCostModel {
-        const N: usize = 4096;
-        const REPS: usize = 64;
-        let input: Vec<f32> = (0..N).map(|i| (i as f32 * 0.37).sin()).collect();
-        let weights: Vec<f32> = (0..N).map(|i| (i as f32 * 0.73).cos()).collect();
-
-        let t0 = Instant::now();
-        let mut occupied = 0usize;
-        for _ in 0..REPS {
-            occupied += input.iter().filter(|v| v.to_bits() != 0).count();
-        }
-        std::hint::black_box(occupied);
-        let prescan_ns = t0.elapsed().as_nanos() as f64 / (N * REPS) as f64;
-
-        let t1 = Instant::now();
-        let mut acc = 0.0f32;
-        for _ in 0..REPS {
-            for (x, w) in input.iter().zip(&weights) {
-                acc += x * w;
-            }
-        }
-        std::hint::black_box(acc);
-        let mac_ns = t1.elapsed().as_nanos() as f64 / (N * REPS) as f64;
-
-        let d = GateCostModel::default();
-        GateCostModel {
-            // Floor at tiny positive values so degenerate timer
-            // readings (coarse clocks) cannot produce a zero-cost plan.
-            prescan_ns: prescan_ns.max(0.01),
-            mac_ns: mac_ns.max(0.01),
-            block_overhead_ns: d.block_overhead_ns,
-        }
-    }
-}
-
-/// Benefit model for the block-CSR FC and conv kernels, with explicit
-/// costs. `density` is the layer's surviving-weight fraction: one
-/// skipped input element saves `density * n_out` MACs on average.
-pub fn plan_fc_with(
-    model: &GateCostModel,
-    policy: GatePolicy,
-    n_in: usize,
-    n_out: usize,
-    density: f64,
-) -> Option<GatePlan> {
-    match policy {
-        GatePolicy::Off => None,
-        GatePolicy::Force { block } => Some(GatePlan {
-            block: block.clamp(1, n_in.max(1)),
-        }),
-        GatePolicy::Auto => {
-            if n_in * n_out < TINY_LAYER_LIMIT {
-                return None;
-            }
-            // ns of inner-loop work one skipped input element saves.
-            let skip_ns = density * n_out as f64 * model.mac_ns;
-            if skip_ns < MIN_SKIP_RATIO * model.prescan_ns {
-                return None;
-            }
-            // Finest block whose prescan + bookkeeping stays under the
-            // share cap of the work a zero block saves; granularity is
-            // free below the cap, and finer blocks skip more at partial
-            // activation sparsity.
-            let block = BLOCK_CANDIDATES
-                .iter()
-                .copied()
-                .find(|&b| {
-                    let cost = b as f64 * model.prescan_ns + model.block_overhead_ns;
-                    cost <= MAX_PRESCAN_SHARE * b as f64 * skip_ns
-                })?
-                .min(n_in.max(1));
-            Some(GatePlan { block })
-        }
-    }
-}
-
-/// [`plan_fc_with`] under the default cost model — the deterministic
-/// path config and the serving lanes use.
-pub fn plan_fc(policy: GatePolicy, n_in: usize, n_out: usize, density: f64) -> Option<GatePlan> {
-    plan_fc_with(&GateCostModel::default(), policy, n_in, n_out, density)
-}
-
-/// Benefit model for the structured kernels, with explicit costs. The
-/// skip granularity is the pattern's bank (a skipped bank saves exactly
-/// `k * n_out` MACs), so the only decision is gate-or-not; the plan's
-/// block is always `bank`.
-pub fn plan_structured_with(
-    model: &GateCostModel,
-    policy: GatePolicy,
-    n_in: usize,
-    n_out: usize,
-    bank: usize,
-    k: usize,
-) -> Option<GatePlan> {
-    let bank = bank.max(1);
-    match policy {
-        GatePolicy::Off => None,
-        GatePolicy::Force { .. } => Some(GatePlan { block: bank }),
-        GatePolicy::Auto => {
-            if n_in * n_out < TINY_LAYER_LIMIT {
-                return None;
-            }
-            let skip_ns = k as f64 * n_out as f64 * model.mac_ns;
-            let cost_ns = bank as f64 * model.prescan_ns + model.block_overhead_ns;
-            (cost_ns <= MAX_PRESCAN_SHARE * skip_ns).then_some(GatePlan { block: bank })
-        }
-    }
-}
-
-/// [`plan_structured_with`] under the default cost model.
-pub fn plan_structured(
-    policy: GatePolicy,
-    n_in: usize,
-    n_out: usize,
-    bank: usize,
-    k: usize,
-) -> Option<GatePlan> {
-    plan_structured_with(&GateCostModel::default(), policy, n_in, n_out, bank, k)
 }
 
 #[cfg(test)]
@@ -426,50 +235,25 @@ mod tests {
     }
 
     #[test]
-    fn auto_opts_out_of_tiny_layers_and_gates_big_ones() {
-        assert_eq!(plan_fc(GatePolicy::Auto, 16, 16, 1.0), None);
-        let plan = plan_fc(GatePolicy::Auto, 1024, 1024, 0.25).expect("big layer gates");
-        assert!(BLOCK_CANDIDATES.contains(&plan.block));
-        // Near-empty layers save too little per skipped element.
-        assert_eq!(plan_fc(GatePolicy::Auto, 4096, 4096, 0.0), None);
-    }
-
-    #[test]
-    fn off_and_force_policies_are_respected() {
-        assert_eq!(plan_fc(GatePolicy::Off, 1024, 1024, 0.25), None);
+    fn one_bit_prescan_sets_every_input_but_plus_zero() {
+        let mut input = vec![0.0f32; 130];
+        for (i, v) in [
+            (1, 2.0),
+            (63, -0.0),
+            (64, f32::NAN),
+            (129, f32::NEG_INFINITY),
+        ] {
+            input[i] = v;
+        }
+        let mut words = [1 << 5, 0, 0];
+        mark_active(&input, &mut words);
+        assert_eq!(words, [1 << 1 | 1 << 5 | 1 << 63, 1, 1 << 1]);
         assert_eq!(
-            plan_fc(GatePolicy::Force { block: 8 }, 1024, 1024, 0.25),
-            Some(GatePlan { block: 8 })
+            count_inputs(&input),
+            GateStats {
+                blocks: 130,
+                zero_blocks: 126
+            }
         );
-        // Forced blocks clamp to the input width.
-        assert_eq!(
-            plan_fc(GatePolicy::Force { block: 512 }, 20, 4, 1.0),
-            Some(GatePlan { block: 20 })
-        );
-        assert_eq!(
-            plan_structured(GatePolicy::Force { block: 999 }, 64, 64, 16, 8),
-            Some(GatePlan { block: 16 }),
-            "structured gating is always bank-granular"
-        );
-        assert_eq!(plan_structured(GatePolicy::Off, 512, 512, 16, 8), None);
-    }
-
-    #[test]
-    fn structured_auto_weighs_bank_against_fan_in() {
-        // 16:8 over a wide layer clearly pays.
-        assert_eq!(
-            plan_structured(GatePolicy::Auto, 512, 512, 16, 8),
-            Some(GatePlan { block: 16 })
-        );
-        // Tiny layer opts out even with a favorable pattern.
-        assert_eq!(plan_structured(GatePolicy::Auto, 16, 16, 4, 2), None);
-    }
-
-    #[test]
-    fn measured_cost_model_is_positive_and_usable() {
-        let m = GateCostModel::measure();
-        assert!(m.prescan_ns > 0.0 && m.mac_ns > 0.0);
-        // Whatever the host measured, a big sparse layer must gate.
-        assert!(plan_fc_with(&m, GatePolicy::Auto, 4096, 4096, 0.25).is_some());
     }
 }

@@ -23,10 +23,10 @@
 //!   4-bit indices beside each group's codebook and look them up in
 //!   registers (wider codebooks as looked-up `f32` rows), with FC and
 //!   conv kernels bit-identical to the dense reference on finite inputs.
-//! * [`gate`] — dynamic activation sparsity: the prescan-and-skip
-//!   occupancy bitmap, the `bits == +0.0` skip-eligibility rule, and
-//!   the per-layer benefit model behind the gated kernels in
-//!   [`engine`].
+//! * [`gate`] — dynamic activation sparsity: the one-bit-per-input
+//!   prescan, the `bits == +0.0` skip-eligibility rule, and the
+//!   run-time rule by which the gated kernels in [`engine`] pick their
+//!   walk.
 //!
 //! # Example
 //!

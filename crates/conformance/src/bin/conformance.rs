@@ -25,7 +25,7 @@ fn usage() -> ExitCode {
          conformance corpus\n  \
          conformance net-fuzz [--cases N] [--seed S]\n  \
          conformance registry-fuzz [--cases N] [--seed S]\n\
-         FAULT: reverse-accumulation | codebook-off-by-one | swap-batch-columns"
+         FAULT: reverse-accumulation | codebook-off-by-one | pair-codebook-swap | swap-batch-columns"
     );
     ExitCode::from(1)
 }

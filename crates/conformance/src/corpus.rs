@@ -213,6 +213,17 @@ pub const CORPUS: &[CorpusEntry] = &[
                with a -0.0-poisoned input; the empty-codebook and empty-row \
                container encodings must round trip byte-exactly",
     },
+    CorpusEntry {
+        seed: 42,
+        case: 19166,
+        socket: false,
+        cluster: false,
+        registry: false,
+        note: "a LIF spike frame into a 48x32 coarse layer of 32-wide blocks \
+               over 16-wide groups (the fc6/fc7 geometry): both strips walk \
+               their shared runs as a pair, visiting only the active inputs \
+               when gated, each with its own 4-bit codebook",
+    },
 ];
 
 /// Replays every corpus entry; returns the entries that now fail.

@@ -33,18 +33,22 @@
 //! bank-balanced layers always run their production kernels.
 //! [`Fault::CodebookOffByOne`] plants [`forward_codebook_shifted`] in
 //! the same place: the right order, but every looked-up weight read one
-//! codebook slot up. [`Fault::SwapBatchColumns`] plants [`forward_batch_swapped`]
-//! in the batched leg instead: every column is computed correctly and
-//! two of them are delivered to each other's slot.
+//! codebook slot up. [`Fault::PairCodebookSwap`] plants
+//! [`forward_pair_codebook_swapped`] there too: the second strip of a
+//! shared-run pair looks its indices up in its partner's codebook.
+//! [`Fault::SwapBatchColumns`] plants [`forward_batch_swapped`] in the
+//! batched leg instead: every column is computed correctly and two of
+//! them are delivered to each other's slot.
 
 use cs_accel::config::AccelConfig;
 use cs_accel::exec::{Accelerator, SimScratch};
 use cs_accel::pe::Activation;
 use cs_compress::engine::{
-    BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel, FcStrip, COLUMN_TILE,
+    BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel, COLUMN_TILE,
 };
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
-use cs_compress::gate::{GatePlan, GatePolicy, GateStats};
+use cs_compress::gate::GateStats;
+use cs_nn::data::lif_spike_train;
 use cs_sim::SimStats;
 use cs_sparsity::coarse::{self, CoarseConfig};
 use cs_sparsity::{structured, Mask, PruneMode};
@@ -137,18 +141,22 @@ pub fn build_fc_layer(
             let cfg = CoarseConfig::fc(case.block_in, case.block_out, case.metric);
             let mask = coarse::prune_to_density(&w, &cfg, case.density)
                 .map_err(|e| Mismatch::new("build-prune", format!("layer {li}: {e:?}")))?;
-            // The shared-index group width must match the (clamped)
+            // The shared-index group width must divide the (clamped)
             // pruning block along the output dimension, or the mask is
             // not shared.
-            let group_size = case.block_out.min(case.n_out).max(1);
-            let shared =
-                SharedIndexLayer::from_fc(name.as_str(), &w, &mask, group_size, case.quant_bits)
-                    .map_err(|e| {
-                        Mismatch::new(
-                            "build-shared-index",
-                            format!("layer {li}: coarse mask rejected by the format: {e:?}"),
-                        )
-                    })?;
+            let shared = SharedIndexLayer::from_fc(
+                name.as_str(),
+                &w,
+                &mask,
+                case.group_size(),
+                case.quant_bits,
+            )
+            .map_err(|e| {
+                Mismatch::new(
+                    "build-shared-index",
+                    format!("layer {li}: coarse mask rejected by the format: {e:?}"),
+                )
+            })?;
             (mask, FcLayerFormat::Shared(shared))
         }
         PruneMode::TwoFour => {
@@ -212,8 +220,14 @@ pub fn build_fc(case: &FcNetCase) -> Result<FcArtifacts, Mismatch> {
         .enumerate()
         .map(|(li, l)| build_fc_layer(l, li, li + 1 == count))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut input =
-        CaseRng::from_seed(case.input_seed).fill_f32(layers[0].engine.n_in(), case.zero_every);
+    let n_in = layers[0].engine.n_in();
+    let mut input = if case.spikes {
+        lif_spike_train(n_in, 20, 0.25, case.input_seed)
+            .as_slice()
+            .to_vec()
+    } else {
+        CaseRng::from_seed(case.input_seed).fill_f32(n_in, case.zero_every)
+    };
     match case.poison {
         InputPoison::None => {}
         InputPoison::NegZero => input[0] = -0.0,
@@ -232,7 +246,9 @@ pub fn build_fc(case: &FcNetCase) -> Result<FcArtifacts, Mismatch> {
 /// float rounding disagrees with the dense reference on almost any case
 /// with two or more surviving inputs per strip.
 pub fn forward_reversed(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32]) {
-    forward_planted(layer, input, out, true, FcStrip::weight);
+    forward_planted(layer, input, out, true, |k, pos, lane| {
+        layer.strips[k].weight(pos, lane)
+    });
 }
 
 /// The planted [`Fault::CodebookOffByOne`] kernel: terms added in the
@@ -242,7 +258,8 @@ pub fn forward_reversed(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32])
 /// wrong weights. Strips of weight rows look nothing up and keep their
 /// weights.
 pub fn forward_codebook_shifted(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32]) {
-    forward_planted(layer, input, out, false, |strip, pos, lane| {
+    forward_planted(layer, input, out, false, |k, pos, lane| {
+        let strip = &layer.strips[k];
         match strip.lookup(pos, lane) {
             Some((codebook, slot)) => codebook[(slot + 1) % codebook.len()],
             None => strip.weight(pos, lane),
@@ -250,20 +267,48 @@ pub fn forward_codebook_shifted(layer: &CompiledFcLayer, input: &[f32], out: &mu
     });
 }
 
-/// A scalar block-CSR kernel for the planted faults: each strip's terms
-/// `input[i] * weight(strip, pos, lane)` added in ascending or
+/// The planted [`Fault::PairCodebookSwap`] kernel: terms added in the
+/// production order, but wherever two adjacent strips share their runs
+/// (taken in pairs from the left, as the engine walks them), the second
+/// strip looks its indices up in the first strip's codebook, reading
+/// `0.0` past its end as the zero-padded lookup table would. Any pair
+/// whose codebooks differ at a slot the second strip uses computes with
+/// the wrong weights; strips of weight rows look nothing up.
+pub fn forward_pair_codebook_swapped(layer: &CompiledFcLayer, input: &[f32], out: &mut [f32]) {
+    let strips = &layer.strips;
+    let mut partner: Vec<Option<usize>> = vec![None; strips.len()];
+    let mut k = 1;
+    while k < strips.len() {
+        if strips[k].runs() == strips[k - 1].runs() {
+            partner[k] = Some(k - 1);
+            k += 1;
+        }
+        k += 1;
+    }
+    forward_planted(layer, input, out, false, |k, pos, lane| {
+        let strip = &strips[k];
+        let codebook = partner[k].and_then(|p| strips[p].lookup(pos, 0));
+        match (strip.lookup(pos, lane), codebook) {
+            (Some((_, slot)), Some((codebook, _))) => codebook.get(slot).copied().unwrap_or(0.0),
+            _ => strip.weight(pos, lane),
+        }
+    });
+}
+
+/// A scalar block-CSR kernel for the planted faults: each strip `k`'s
+/// terms `input[i] * weight(k, pos, lane)` added in ascending or
 /// (`descending`) reversed input order, then the bias.
 fn forward_planted(
     layer: &CompiledFcLayer,
     input: &[f32],
     out: &mut [f32],
     descending: bool,
-    weight: impl Fn(&FcStrip, usize, usize) -> f32,
+    weight: impl Fn(usize, usize, usize) -> f32,
 ) {
     assert_eq!(input.len(), layer.n_in, "input length mismatch");
     assert_eq!(out.len(), layer.n_out, "output length mismatch");
     out.fill(0.0);
-    for strip in &layer.strips {
+    for (k, strip) in layer.strips.iter().enumerate() {
         let window = &mut out[strip.out_start()..strip.out_end()];
         let surviving = strip
             .runs()
@@ -275,7 +320,7 @@ fn forward_planted(
         }
         for (pos, i) in terms {
             for (lane, o) in window.iter_mut().enumerate() {
-                *o += input[i] * weight(strip, pos, lane);
+                *o += input[i] * weight(k, pos, lane);
             }
         }
     }
@@ -330,10 +375,10 @@ pub fn forward_batch_swapped(
     inputs: &[f32],
     outs: &mut [f32],
     scratch: &mut BatchScratch,
-    plan: Option<&GatePlan>,
+    gated: bool,
 ) -> Vec<GateStats> {
     let n_out = engine.n_out();
-    let mut stats = engine.forward_batch(inputs, outs, scratch, plan).to_vec();
+    let mut stats = engine.forward_batch(inputs, outs, scratch, gated).to_vec();
     if outs.len() >= 2 * n_out {
         let (c0, rest) = outs.split_at_mut(n_out);
         c0.swap_with_slice(&mut rest[..n_out]);
@@ -376,6 +421,9 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
             (Fault::CodebookOffByOne, FcKernel::BlockCsr(l)) => {
                 forward_codebook_shifted(l, &x, &mut sparse);
             }
+            (Fault::PairCodebookSwap, FcKernel::BlockCsr(l)) => {
+                forward_pair_codebook_swapped(l, &x, &mut sparse);
+            }
             _ => la.engine.forward(&x, &mut sparse),
         }
         if finite {
@@ -394,17 +442,11 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
         // Gated engine legs: the prescan gate is a pure scheduling
         // decision, so the gated kernel must match the dense reference
         // bit-for-bit on finite inputs and the ungated engine output
-        // above on poisoned ones — `-0.0`/NaN/inf blocks are never
-        // skipped. The benefit model may decline these toy geometries;
-        // a forced small block keeps the gated path exercised anyway.
-        let plan = la
-            .engine
-            .plan_gate(GatePolicy::Auto)
-            .unwrap_or(GatePlan { block: 4 });
+        // above on poisoned ones — `-0.0`/NaN/inf inputs are never
+        // skipped.
         let mut scratch = BatchScratch::default();
         let mut gated = vec![0.0f32; n_out];
-        la.engine
-            .forward_batch(&x, &mut gated, &mut scratch, Some(&plan));
+        la.engine.forward_batch(&x, &mut gated, &mut scratch, true);
         let (gate_ref, gate_leg): (&[f32], &str) = if finite {
             (&dense_out, "fc-gated-vs-dense-bits")
         } else {
@@ -414,9 +456,8 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
             out.push(Mismatch::new(
                 gate_leg,
                 format!(
-                    "layer {li} output {i} at gate block {}: gated {g:e} ({:#010x}) \
-                     vs reference {r:e} ({:#010x})",
-                    plan.block,
+                    "layer {li} output {i}: gated {g:e} ({:#010x}) vs reference {r:e} \
+                     ({:#010x})",
                     g.to_bits(),
                     r.to_bits()
                 ),
@@ -429,15 +470,15 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
         // with the gate counters of its own single-column prescan.
         let cols = batch_columns(&x);
         let flat: Vec<f32> = cols.iter().flatten().copied().collect();
-        for plan in [None, Some(&plan)] {
+        for gated in [false, true] {
             let mut outs = vec![0.0f32; cols.len() * n_out];
             let stats = match fault {
                 Fault::SwapBatchColumns => {
-                    forward_batch_swapped(&la.engine, &flat, &mut outs, &mut scratch, plan)
+                    forward_batch_swapped(&la.engine, &flat, &mut outs, &mut scratch, gated)
                 }
                 _ => la
                     .engine
-                    .forward_batch(&flat, &mut outs, &mut scratch, plan)
+                    .forward_batch(&flat, &mut outs, &mut scratch, gated)
                     .to_vec(),
             };
             for (j, col) in cols.iter().enumerate() {
@@ -445,7 +486,7 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
                 let mut alone = vec![0.0f32; n_out];
                 let alone_stats = la
                     .engine
-                    .forward_batch(col, &mut alone, &mut scratch, plan)
+                    .forward_batch(col, &mut alone, &mut scratch, gated)
                     .first()
                     .copied();
                 let (diff, leg) = if finite {
@@ -469,7 +510,7 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
                             "layer {li} column {j} of {} output {i} ({}): batched {g:e} \
                              ({:#010x}) vs reference {r:e} ({:#010x})",
                             cols.len(),
-                            if plan.is_some() { "gated" } else { "ungated" },
+                            if gated { "gated" } else { "ungated" },
                             g.to_bits(),
                             r.to_bits()
                         ),
@@ -547,6 +588,7 @@ fn wide_sim_case() -> Result<FcArtifacts, Mismatch> {
         n_out: 64,
         block_in: 4,
         block_out: 16,
+        group_split: 1,
         metric: coarse::PruneMetric::Average,
         density: 1.0,
         quant_bits: 8,
@@ -559,6 +601,7 @@ fn wide_sim_case() -> Result<FcArtifacts, Mismatch> {
         layers: vec![layer(1), layer(2)],
         input_seed: 3,
         zero_every: 0,
+        spikes: false,
         poison: InputPoison::None,
     })
 }
@@ -791,6 +834,7 @@ mod tests {
             n_out: 16,
             block_in: 4,
             block_out: 16,
+            group_split: 1,
             metric: cs_sparsity::coarse::PruneMetric::Average,
             density: 0.8,
             quant_bits: 8,
@@ -825,6 +869,7 @@ mod tests {
             n_out: 24,
             block_in: 4,
             block_out: 16,
+            group_split: 1,
             metric: cs_sparsity::coarse::PruneMetric::Average,
             density: 0.8,
             quant_bits: 8,
@@ -837,6 +882,7 @@ mod tests {
             layers: vec![case],
             input_seed: 11,
             zero_every: 3,
+            spikes: false,
             poison: InputPoison::None,
         };
         let art = build_fc(&net).unwrap();
@@ -874,6 +920,7 @@ mod tests {
                         n_out: 24,
                         block_in: 4,
                         block_out: 8,
+                        group_split: 1,
                         metric: cs_sparsity::coarse::PruneMetric::Average,
                         density: 0.5,
                         quant_bits: 8,
@@ -887,6 +934,7 @@ mod tests {
                         n_out: 5,
                         block_in: 2,
                         block_out: 2,
+                        group_split: 1,
                         metric: cs_sparsity::coarse::PruneMetric::Max,
                         density: 0.4,
                         quant_bits: 4,
@@ -898,6 +946,7 @@ mod tests {
                 ],
                 input_seed: 31,
                 zero_every: 3,
+                spikes: false,
                 poison: InputPoison::None,
             };
             let art = build_fc(&net).unwrap();
@@ -920,6 +969,7 @@ mod tests {
                     n_out: 16,
                     block_in: 4,
                     block_out: 16,
+                    group_split: 1,
                     metric: cs_sparsity::coarse::PruneMetric::Average,
                     density: 0.6,
                     quant_bits: 8,
@@ -930,6 +980,7 @@ mod tests {
                 }],
                 input_seed: 43,
                 zero_every: 2,
+                spikes: false,
                 poison,
             };
             let art = build_fc(&net).unwrap();
@@ -971,6 +1022,7 @@ mod tests {
                 n_out: 8,
                 block_in: 16,
                 block_out: 16,
+                group_split: 1,
                 metric: cs_sparsity::coarse::PruneMetric::Average,
                 density: 1.0,
                 quant_bits: 8,
@@ -981,6 +1033,7 @@ mod tests {
             }],
             input_seed: 5,
             zero_every: 0,
+            spikes: false,
             poison: InputPoison::NonFinite,
         };
         let art = build_fc(&net).unwrap();

@@ -36,9 +36,15 @@ pub struct FcLayerCase {
     pub n_out: usize,
     /// Pruning block along the input dimension.
     pub block_in: usize,
-    /// Pruning block along the output dimension (also the shared-index
-    /// group width, so the mask is shared within every group).
+    /// Pruning block along the output dimension.
     pub block_out: usize,
+    /// Shared-index groups per pruning block along the output
+    /// dimension: a group is `min(block_out, n_out) / group_split`
+    /// lanes wide when that divides, else the whole block, so the mask
+    /// is shared within every group. Above 1, adjacent groups of one
+    /// block share their runs, which the engine walks as pairs (fc6 and
+    /// fc7 hold 32-wide blocks over 16-wide groups).
+    pub group_split: usize,
     /// Block scoring metric.
     pub metric: PruneMetric,
     /// Target post-pruning density, including the 0%/100% edges.
@@ -87,6 +93,25 @@ pub struct FcNetCase {
     pub zero_every: usize,
     /// Poison written over the input after the fill.
     pub poison: InputPoison,
+    /// A LIF spike frame (about 3% of inputs active, the rest exactly
+    /// `+0.0`) instead of the `zero_every` fill: the active-input walk's
+    /// home input.
+    pub spikes: bool,
+}
+
+impl FcLayerCase {
+    /// The shared-index group width (see [`Self::group_split`]).
+    pub fn group_size(&self) -> usize {
+        let (block, split) = (
+            self.block_out.min(self.n_out).max(1),
+            self.group_split.max(1),
+        );
+        if block.is_multiple_of(split) {
+            block / split
+        } else {
+            block
+        }
+    }
 }
 
 impl FcNetCase {
@@ -196,16 +221,25 @@ impl CaseKind {
                     InputPoison::NegZero => " poison -0.0",
                     InputPoison::NonFinite => " poison nan/inf",
                 };
+                let input = if c.spikes {
+                    "spikes".to_string()
+                } else {
+                    format!("zero_every {}", c.zero_every)
+                };
                 format!(
-                    "fc net {} densities [{}] blocks {:?} patterns [{}] zero_every {}{poison}",
+                    "fc net {} densities [{}] blocks {:?} groups [{}] patterns [{}] {input}{poison}",
                     dims.join("x"),
                     dens.join(" "),
                     c.layers
                         .iter()
                         .map(|l| (l.block_in, l.block_out))
                         .collect::<Vec<_>>(),
+                    c.layers
+                        .iter()
+                        .map(|l| l.group_size().to_string())
+                        .collect::<Vec<_>>()
+                        .join(" "),
                     pats.join(" "),
-                    c.zero_every
                 )
             }
             CaseKind::Conv(c) => format!(
@@ -287,6 +321,7 @@ fn gen_fc(rng: &mut CaseRng) -> FcNetCase {
             n_out: widths[i + 1],
             block_in: *rng.pick(&BLOCKS),
             block_out: *rng.pick(&BLOCKS),
+            group_split: 1,
             metric: metric(rng),
             density: density(rng),
             quant_bits: *rng.pick(&QUANT_BITS),
@@ -323,11 +358,18 @@ fn gen_fc(rng: &mut CaseRng) -> FcNetCase {
             }
         }
     }
+    // Shared-run and spike-input draws, strictly after everything
+    // above.
+    for l in &mut layers {
+        l.group_split = *rng.pick(&[1, 1, 2, 4]);
+    }
+    let spikes = rng.chance(0.2);
     FcNetCase {
         layers,
         input_seed,
         zero_every,
         poison,
+        spikes,
     }
 }
 
@@ -426,6 +468,8 @@ mod tests {
         let mut degenerate_bank = 0usize;
         let mut neg_zero = 0usize;
         let mut non_finite = 0usize;
+        let mut shared_runs = 0usize;
+        let mut spikes = 0usize;
         let mut kinds = [0usize; 3];
         for k in 0..512 {
             match generate(42, k).kind {
@@ -436,6 +480,7 @@ mod tests {
                         InputPoison::NegZero => neg_zero += 1,
                         InputPoison::NonFinite => non_finite += 1,
                     }
+                    spikes += usize::from(c.spikes);
                     for l in &c.layers {
                         if l.density == NEAR_ZERO_DENSITY {
                             near_zero += 1;
@@ -448,6 +493,11 @@ mod tests {
                         }
                         if l.zero_weights {
                             zero_weights += 1;
+                        }
+                        if l.pattern == PruneMode::Coarse
+                            && l.group_size() < l.block_out.min(l.n_out)
+                        {
+                            shared_runs += 1;
                         }
                         let bank = match l.pattern {
                             PruneMode::TwoFour => {
@@ -497,6 +547,11 @@ mod tests {
         );
         assert!(neg_zero > 10, "-0.0-poisoned nets: {neg_zero}");
         assert!(non_finite > 10, "nan/inf-poisoned nets: {non_finite}");
+        assert!(
+            shared_runs > 20,
+            "coarse layers with several groups per block: {shared_runs}"
+        );
+        assert!(spikes > 20, "spike-fed nets: {spikes}");
         assert!(kinds.iter().all(|c| *c > 20), "kind mix: {kinds:?}");
     }
 

@@ -95,6 +95,11 @@ pub enum Fault {
     /// would do. Only the ungated block-CSR leg runs it, and only nibble
     /// strips (codebooks of at most 16 entries) look weights up.
     CodebookOffByOne,
+    /// Look the second strip of every shared-run pair up in its
+    /// partner's codebook — what a paired walk that handed both chunks
+    /// one lookup table would do. Only the ungated block-CSR leg runs
+    /// it, and only nibble strips look weights up.
+    PairCodebookSwap,
     /// Deliver two batch columns' results to each other: the batched
     /// kernel's output for column 0 lands in column 1's slot and vice
     /// versa — what a tile kernel that stored its accumulators under
@@ -109,6 +114,7 @@ impl Fault {
             "none" => Some(Fault::None),
             "reverse-accumulation" => Some(Fault::ReverseAccumulation),
             "codebook-off-by-one" => Some(Fault::CodebookOffByOne),
+            "pair-codebook-swap" => Some(Fault::PairCodebookSwap),
             "swap-batch-columns" => Some(Fault::SwapBatchColumns),
             _ => None,
         }
@@ -120,6 +126,7 @@ impl Fault {
             Fault::None => "none",
             Fault::ReverseAccumulation => "reverse-accumulation",
             Fault::CodebookOffByOne => "codebook-off-by-one",
+            Fault::PairCodebookSwap => "pair-codebook-swap",
             Fault::SwapBatchColumns => "swap-batch-columns",
         }
     }

@@ -288,8 +288,9 @@ mod tests {
     #[test]
     fn injected_fault_is_caught_and_shrunk_to_a_tiny_reproduction() {
         // The acceptance gate: a flipped accumulation order, a
-        // codebook read one slot up, and batch columns delivered to
-        // each other's slot must each be detected, minimized to <= 2
+        // codebook read one slot up, a shared-run pair reading its
+        // partner's codebook, and batch columns delivered to each
+        // other's slot must each be detected, minimized to <= 2
         // layers, and reported with a replay command. Poison-input
         // cases catch the planted kernels on the engine-vs-engine legs
         // instead of the dense ones; the shrunk reproduction must fail
@@ -302,6 +303,10 @@ mod tests {
             ),
             (
                 Fault::CodebookOffByOne,
+                ["fc-dense-vs-sparse-bits", "fc-gated-vs-engine-bits"],
+            ),
+            (
+                Fault::PairCodebookSwap,
                 ["fc-dense-vs-sparse-bits", "fc-gated-vs-engine-bits"],
             ),
             (

@@ -221,6 +221,7 @@ mod tests {
                 n_out: 8,
                 block_in: 4,
                 block_out: 8,
+                group_split: 1,
                 metric: cs_sparsity::coarse::PruneMetric::Average,
                 density: 0.5,
                 quant_bits: 8,
@@ -231,6 +232,7 @@ mod tests {
             }],
             input_seed: 17,
             zero_every: 0,
+            spikes: false,
             poison: InputPoison::NonFinite,
         };
         let art = build_fc(&net).unwrap();

@@ -142,6 +142,11 @@ fn fc_candidates(c: &FcNetCase) -> Vec<FcNetCase> {
             cand.layers[li].quant_bits = 8;
             out.push(cand);
         }
+        if l.group_split != 1 {
+            let mut cand = c.clone();
+            cand.layers[li].group_split = 1;
+            out.push(cand);
+        }
         if (l.block_in, l.block_out) != (16, 16) {
             let mut cand = c.clone();
             cand.layers[li].block_in = 16;
@@ -150,6 +155,11 @@ fn fc_candidates(c: &FcNetCase) -> Vec<FcNetCase> {
         }
     }
     // 4. Dense input.
+    if c.spikes {
+        let mut cand = c.clone();
+        cand.spikes = false;
+        out.push(cand);
+    }
     if c.zero_every != 0 {
         let mut cand = c.clone();
         cand.zero_every = 0;

@@ -5,15 +5,16 @@
 //! the former through pruning and the latter through neuron gating.
 //! This experiment drives the software engine's prescan-and-skip gate
 //! (`cs_compress::gate`) with LIF-style spike frames of rising drive
-//! and measures what the gate actually delivers: the fraction of input
-//! blocks proven all-zero and skipped, next to the frame's own active
-//! fraction. Every gated forward is checked bit-for-bit against the
+//! and measures what the gate actually delivers: the inputs the one-bit
+//! prescan proved bit-exact `+0.0`, next to the frame's own active
+//! fraction, and how many frames ran the active-input walk rather than
+//! the full one. Every gated forward is checked bit-for-bit against the
 //! ungated kernel and the dense matmul reference, so the table doubles
 //! as a correctness sweep: skipping is a pure scheduling decision and
 //! must never change a single output bit.
 
-use cs_compress::engine::{BatchScratch, CompiledFcLayer, FcKernel};
-use cs_compress::gate::{GatePlan, GatePolicy, GateStats};
+use cs_compress::engine::{BatchScratch, CompiledFcLayer, FcKernel, ACTIVE_WALK_MAX_SHARE};
+use cs_compress::gate::GateStats;
 use cs_compress::CompressError;
 use cs_nn::data::lif_spike_train;
 use cs_sparsity::coarse::{self, CoarseConfig, PruneMetric};
@@ -30,8 +31,14 @@ pub struct ActSparsityPoint {
     pub drive: f64,
     /// Fraction of input neurons that fired, averaged over the frames.
     pub active_fraction: f64,
-    /// Merged gate stats over every frame at this drive.
+    /// Merged gate stats over every frame at this drive (one block per
+    /// input).
     pub stats: GateStats,
+    /// Frames whose active share was at most [`ACTIVE_WALK_MAX_SHARE`],
+    /// so the kernel visited only their active inputs.
+    pub active_walks: usize,
+    /// Frames at this drive.
+    pub frames: usize,
     /// Output positions whose gated bits differed from the ungated or
     /// dense reference (must be 0; reported so the table shows it).
     pub bit_mismatches: usize,
@@ -40,8 +47,6 @@ pub struct ActSparsityPoint {
 /// Result of the activation-sparsity sweep.
 #[derive(Debug, Clone)]
 pub struct ExtActSparsityResult {
-    /// Prescan block size the benefit model picked for the layer.
-    pub block: usize,
     /// Weight density of the pruned layer.
     pub density: f64,
     /// One point per drive, in the order of [`drives`].
@@ -51,7 +56,15 @@ pub struct ExtActSparsityResult {
 impl ExtActSparsityResult {
     /// Renders the drive/active/skip table.
     pub fn render(&self) -> String {
-        let header = ["drive", "active%", "blocks", "skipped", "skip%", "mismatch"];
+        let header = [
+            "drive",
+            "active%",
+            "inputs",
+            "skipped",
+            "skip%",
+            "active walk",
+            "mismatch",
+        ];
         let rows: Vec<Vec<String>> = self
             .points
             .iter()
@@ -62,13 +75,15 @@ impl ExtActSparsityResult {
                     p.stats.blocks.to_string(),
                     p.stats.zero_blocks.to_string(),
                     format!("{:.1}", 100.0 * p.stats.skip_fraction()),
+                    format!("{}/{}", p.active_walks, p.frames),
                     p.bit_mismatches.to_string(),
                 ]
             })
             .collect();
         format!(
-            "Ext: dynamic activation sparsity (block {}, weight density {:.0}%)\n{}",
-            self.block,
+            "Ext: dynamic activation sparsity (one bit per input, active-input walk \
+             at <= {:.0}% active, weight density {:.0}%)\n{}",
+            100.0 * ACTIVE_WALK_MAX_SHARE,
             100.0 * self.density,
             render_table(&header, &rows)
         )
@@ -155,11 +170,6 @@ pub fn run(p: &ExtActSparsityParams) -> Result<ExtActSparsityResult, CompressErr
     let layer = CompiledFcLayer::compile_fc("act", &w, &mask, 16, 8)?;
     let density = layer.density();
     let kernel = FcKernel::BlockCsr(layer);
-    // The benefit model gates this geometry on its own; keep a forced
-    // fallback so smoke-scale runs still exercise the gated path.
-    let plan = kernel
-        .plan_gate(GatePolicy::Auto)
-        .unwrap_or(GatePlan { block: 16 });
     let dense = kernel.to_dense();
 
     let mut scratch = BatchScratch::default();
@@ -169,6 +179,7 @@ pub fn run(p: &ExtActSparsityParams) -> Result<ExtActSparsityResult, CompressErr
     for (d, drive) in drives().into_iter().enumerate() {
         let mut stats = GateStats::default();
         let mut active = 0usize;
+        let mut active_walks = 0usize;
         let mut mismatches = 0usize;
         for f in 0..p.frames {
             let frame = lif_spike_train(
@@ -178,9 +189,13 @@ pub fn run(p: &ExtActSparsityParams) -> Result<ExtActSparsityResult, CompressErr
                 p.seed.wrapping_add(1 + (d * p.frames + f) as u64),
             );
             let input = frame.as_slice();
+            let frame_stats = kernel.forward_batch(input, &mut gated, &mut scratch, true)[0];
             active += input.iter().filter(|v| **v != 0.0).count();
+            if frame_stats.occupied_blocks() as f64 <= ACTIVE_WALK_MAX_SHARE * p.n_in as f64 {
+                active_walks += 1;
+            }
+            stats.merge(frame_stats);
             kernel.forward(input, &mut ungated);
-            stats.merge(kernel.forward_batch(input, &mut gated, &mut scratch, Some(&plan))[0]);
             let x = Tensor::from_vec(Shape::d2(1, input.len()), input.to_vec())?;
             let reference = ops::matmul(&x, &dense).map_err(CompressError::from)?;
             mismatches += gated
@@ -194,14 +209,12 @@ pub fn run(p: &ExtActSparsityParams) -> Result<ExtActSparsityResult, CompressErr
             drive,
             active_fraction: active as f64 / (p.frames * p.n_in) as f64,
             stats,
+            active_walks,
+            frames: p.frames,
             bit_mismatches: mismatches,
         });
     }
-    Ok(ExtActSparsityResult {
-        block: plan.block,
-        density,
-        points,
-    })
+    Ok(ExtActSparsityResult { density, points })
 }
 
 #[cfg(test)]
@@ -213,12 +226,15 @@ mod tests {
         let r = run(&ExtActSparsityParams::smoke()).unwrap();
         assert_eq!(r.points.len(), drives().len());
         assert_eq!(r.total_mismatches(), 0);
-        // Near-silent frames skip most blocks; saturating drive skips
-        // fewer (the sweep is why the benefit model exists).
+        // Near-silent frames skip most inputs and take the active-input
+        // walk; saturating drive skips fewer and walks every row.
         let first = r.points.first().unwrap().stats.skip_fraction();
         let last = r.points.last().unwrap().stats.skip_fraction();
         assert!(first > 0.5, "low drive skipped only {first}");
         assert!(first > last, "skip {first} should exceed {last}");
+        let (quiet, loud) = (r.points.first().unwrap(), r.points.last().unwrap());
+        assert_eq!(quiet.active_walks, quiet.frames);
+        assert_eq!(loud.active_walks, 0);
         // Active fraction rises with drive.
         assert!(
             r.points.first().unwrap().active_fraction < r.points.last().unwrap().active_fraction

@@ -9,7 +9,6 @@
 //! sizes and compression ratio for each `N`.
 
 use cs_compress::config::{LayerCompressionConfig, ModelCompressionConfig};
-use cs_compress::gate::GatePolicy;
 use cs_compress::pipeline::{compress_model, ModelReport};
 use cs_nn::spec::{LayerClass, Model, NetworkSpec, Scale};
 use cs_sparsity::coarse::{CoarseConfig, PruneMetric};
@@ -109,14 +108,12 @@ pub fn run(scale: Scale, seed: u64) -> Result<Tab02Result, cs_compress::Compress
                 coarse: CoarseConfig::conv(1, n, 1, 1, PruneMetric::Average),
                 target_density: cd,
                 quant_bits: 8,
-                gate: GatePolicy::Auto,
             },
             fc: LayerCompressionConfig {
                 mode: PruneMode::Coarse,
                 coarse: CoarseConfig::fc(n, n, PruneMetric::Average),
                 target_density: fd,
                 quant_bits: 4,
-                gate: GatePolicy::Auto,
             },
             lstm: ModelCompressionConfig::paper(Model::AlexNet).lstm,
             overrides: Vec::new(),

@@ -102,7 +102,9 @@ pub struct Epoll {
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
-        // SAFETY: plain syscall, no pointers.
+        // SAFETY: `epoll_create1` takes a flag word and no pointers, so
+        // no memory is at stake; the returned fd is checked by `cvt` and
+        // owned from here on.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) }, "epoll_create1")?;
         Ok(Epoll { fd })
     }
@@ -112,7 +114,9 @@ impl Epoll {
             events: interest,
             data: token,
         };
-        // SAFETY: `ev` outlives the call; the kernel copies it.
+        // SAFETY: `&mut ev` points at a live, ABI-laid-out `EpollEvent`
+        // on this stack frame for the whole call, and the kernel only
+        // copies it in. A bad `fd` or `op` is an `Err`, not UB.
         cvt(unsafe { epoll_ctl(self.fd, op, fd, &mut ev) }, context)?;
         Ok(())
     }
@@ -135,7 +139,8 @@ impl Epoll {
         // Pre-2.6.9 kernels required a non-null event for DEL; passing
         // one is harmless everywhere.
         cvt(
-            // SAFETY: `ev` outlives the call.
+            // SAFETY: as in `ctl`: `&mut ev` is a live `EpollEvent` for
+            // the whole call, and DEL does not even read it.
             unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &mut ev) },
             "epoll_ctl(DEL)",
         )?;
@@ -147,8 +152,14 @@ impl Epoll {
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         let max = events.len().min(i32::MAX as usize) as i32;
         loop {
-            // SAFETY: the buffer is valid for `max` entries.
+            // SAFETY: `events` is an exclusively borrowed slice of at
+            // least `max` `EpollEvent`s, and the kernel writes at most
+            // `max` of them; any bit pattern is a valid `EpollEvent`.
             let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), max, timeout_ms) };
+            debug_assert!(
+                n <= max,
+                "epoll_wait reported more events than it was given room for"
+            );
             if n < 0 {
                 let err = io::Error::last_os_error();
                 if err.kind() == io::ErrorKind::Interrupted {
@@ -163,10 +174,11 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
-        // SAFETY: we own the fd.
-        unsafe {
-            close(self.fd);
-        }
+        // SAFETY: `close` takes no pointers. `self.fd` came from
+        // `epoll_create1`, nothing else closes it, and drop runs once,
+        // so no other owner's fd can be closed by mistake.
+        let rc = unsafe { close(self.fd) };
+        debug_assert_eq!(rc, 0, "closing the epoll fd failed: it was not ours");
     }
 }
 
@@ -185,10 +197,14 @@ struct PipeFd(RawFd);
 
 impl Drop for PipeFd {
     fn drop(&mut self) {
-        // SAFETY: we own the fd.
-        unsafe {
-            close(self.0);
-        }
+        // SAFETY: `close` takes no pointers. The write end came from
+        // `pipe2` and only this owner, which the last `Waker` clone
+        // drops, closes it.
+        let rc = unsafe { close(self.0) };
+        debug_assert_eq!(
+            rc, 0,
+            "closing the wake pipe's write end failed: it was not ours"
+        );
     }
 }
 
@@ -197,7 +213,8 @@ impl Waker {
     /// means a wakeup is already queued.
     pub fn wake(&self) {
         let byte = 1u8;
-        // SAFETY: one byte from a live stack slot; fd kept open by `_owner`.
+        // SAFETY: `&byte` is one live byte on this stack frame, the
+        // length passed; `_owner` keeps the fd open while `self` lives.
         unsafe {
             let _ = write(self.fd, &byte, 1);
         }
@@ -214,11 +231,16 @@ impl WakePipe {
     /// Creates a nonblocking close-on-exec pipe pair.
     pub fn new() -> io::Result<WakePipe> {
         let mut fds = [0i32; 2];
-        // SAFETY: fds is a valid 2-slot array.
+        // SAFETY: `fds` is a live `[i32; 2]`, the two slots `pipe2`
+        // writes.
         cvt(
             unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) },
             "pipe2",
         )?;
+        debug_assert!(
+            fds.iter().all(|fd| *fd >= 0),
+            "pipe2 succeeded without two fds"
+        );
         Ok(WakePipe {
             read_fd: fds[0],
             waker: Waker {
@@ -242,8 +264,10 @@ impl WakePipe {
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
-            // SAFETY: buf is a valid 64-byte buffer.
+            // SAFETY: `buf` is a live, exclusively borrowed 64-byte
+            // array and the length passed is its length.
             let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
+            debug_assert!(n <= buf.len() as isize, "read past the buffer it was given");
             if n <= 0 {
                 break;
             }
@@ -253,11 +277,14 @@ impl WakePipe {
 
 impl Drop for WakePipe {
     fn drop(&mut self) {
-        // SAFETY: we own the read end; the write end closes with the
-        // last Waker clone.
-        unsafe {
-            close(self.read_fd);
-        }
+        // SAFETY: `close` takes no pointers. The read end came from
+        // `pipe2` and only this drop closes it; the write end closes
+        // with the last `Waker` clone.
+        let rc = unsafe { close(self.read_fd) };
+        debug_assert_eq!(
+            rc, 0,
+            "closing the wake pipe's read end failed: it was not ours"
+        );
     }
 }
 

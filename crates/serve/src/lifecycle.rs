@@ -723,9 +723,9 @@ fn lane_telemetry(
             let gate_counter = |outcome: &str| {
                 recorder.counter(
                     "serve_gate_blocks_total",
-                    "Input blocks the activation gate inspected, by outcome \
-                     (`hit` = occupied and computed, `skip` = all-zero and \
-                     skipped)",
+                    "Inputs the activation gate prescanned, by outcome \
+                     (`hit` = active, `skip` = bit-exact +0.0, whose weight \
+                     rows an active-input walk skips)",
                     vec![
                         ("model".to_string(), model_name.to_string()),
                         ("layer".to_string(), layer.name.clone()),
@@ -733,7 +733,7 @@ fn lane_telemetry(
                     ],
                 )
             };
-            let (gate_hits, gate_skips) = if layer.kernel.gate().is_some() {
+            let (gate_hits, gate_skips) = if layer.kernel.gated() {
                 (gate_counter("hit"), gate_counter("skip"))
             } else {
                 (Counter::noop(), Counter::noop())

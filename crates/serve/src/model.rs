@@ -16,7 +16,7 @@ use cs_accel::pe::Activation;
 use cs_compress::config::ModelCompressionConfig;
 use cs_compress::engine::{BatchScratch, FcKernel};
 use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
-use cs_compress::gate::{GatePlan, GatePolicy, GateStats};
+use cs_compress::gate::GateStats;
 use cs_compress::pipeline::prune_layer;
 use cs_compress::CompressError;
 use cs_nn::init::{self, ConvergenceProfile};
@@ -271,33 +271,29 @@ impl ServableModel {
             .iter()
             .map(|(format, act)| LaneLayer {
                 name: format.name().to_string(),
-                kernel: LaneKernel::Sparse(FcKernel::compile(format), None),
+                kernel: LaneKernel::Sparse(FcKernel::compile(format), false),
                 activation: *act,
             })
             .collect();
         CompiledLane { layers }
     }
 
-    /// [`ServableModel::sparse_lane`] behind the activation gate: each
-    /// layer prescans its input for all-zero blocks and skips the
-    /// corresponding weight runs. Layers where the benefit model opts
-    /// out (tiny layers, unprofitable geometry) fall back to the plain
-    /// sparse kernel, so a gated lane is never slower by construction.
-    /// Outputs stay bit-identical to [`ServableModel::dense_lane`] on
-    /// every input: only exact `+0.0` blocks are skipped, and a skipped
-    /// term contributes `+0.0 * w` to a `+0.0`-seeded accumulator.
+    /// [`ServableModel::sparse_lane`] behind the activation gate: every
+    /// layer prescans its input one bit per input and skips the weight
+    /// rows of inputs that are bit-exact `+0.0` when few enough are
+    /// active, walking every row otherwise (see [`cs_compress::gate`]).
+    /// The prescan is paid on every layer, so on dense inputs this lane
+    /// is slower than the sparse one. Outputs stay bit-identical to
+    /// [`ServableModel::dense_lane`] on every input: a skipped term
+    /// contributes `+0.0 * w` to a `+0.0`-seeded accumulator.
     pub fn gated_lane(&self) -> CompiledLane {
         let layers = self
             .layers
             .iter()
-            .map(|(format, act)| {
-                let kernel = FcKernel::compile(format);
-                let plan = kernel.plan_gate(GatePolicy::Auto);
-                LaneLayer {
-                    name: format.name().to_string(),
-                    kernel: LaneKernel::Sparse(kernel, plan),
-                    activation: *act,
-                }
+            .map(|(format, act)| LaneLayer {
+                name: format.name().to_string(),
+                kernel: LaneKernel::Sparse(FcKernel::compile(format), true),
+                activation: *act,
             })
             .collect();
         CompiledLane { layers }
@@ -326,11 +322,10 @@ impl ServableModel {
 #[derive(Debug, Clone)]
 pub enum LaneKernel {
     /// A sparse kernel over the surviving weights: block-CSR or the
-    /// structured kernel, per the layer's format. With a plan it runs
-    /// behind a prescan-and-skip gate: zero input blocks skip their
-    /// weight runs, and every forward reports how many blocks the gate
-    /// skipped.
-    Sparse(FcKernel, Option<GatePlan>),
+    /// structured kernel, per the layer's format. When the flag is set
+    /// it runs behind the prescan-and-skip gate, and every forward
+    /// reports how many inputs the gate found at `+0.0`.
+    Sparse(FcKernel, bool),
     /// Dense matmul over the decoded twin weights (`n_in × n_out`).
     Dense(Tensor),
 }
@@ -341,18 +336,15 @@ impl LaneKernel {
     /// gated kernels, `"dense"` for the twin.
     pub fn kind(&self) -> &'static str {
         match self {
-            LaneKernel::Sparse(_, Some(_)) => "gated",
-            LaneKernel::Sparse(kernel, None) => kernel.kind(),
+            LaneKernel::Sparse(_, true) => "gated",
+            LaneKernel::Sparse(kernel, false) => kernel.kind(),
             LaneKernel::Dense(_) => "dense",
         }
     }
 
-    /// The gate plan the layer was compiled with, if it is gated.
-    pub(crate) fn gate(&self) -> Option<&GatePlan> {
-        match self {
-            LaneKernel::Sparse(_, plan) => plan.as_ref(),
-            LaneKernel::Dense(_) => None,
-        }
+    /// Whether the layer runs behind the activation gate.
+    pub(crate) fn gated(&self) -> bool {
+        matches!(self, LaneKernel::Sparse(_, true))
     }
 
     /// Input width of the layer.
@@ -415,8 +407,8 @@ impl LaneKernel {
         scratch: &'s mut BatchScratch,
     ) -> Result<&'s [GateStats], ServeError> {
         match self {
-            LaneKernel::Sparse(kernel, plan) => {
-                Ok(kernel.forward_batch(inputs, outs, scratch, plan.as_ref()))
+            LaneKernel::Sparse(kernel, gated) => {
+                Ok(kernel.forward_batch(inputs, outs, scratch, *gated))
             }
             LaneKernel::Dense(weights) => {
                 // `ops::matmul` computes each row on its own, so the
@@ -748,14 +740,7 @@ mod tests {
     fn lanes_reject_a_wrong_width_input_with_a_typed_error() {
         let m = ServableModel::mlp(Scale::Reduced(8), 7).unwrap();
         let n = m.n_in;
-        // The benefit model declines layers this small, so force a gate.
-        let mut gated = m.sparse_lane();
-        for layer in &mut gated.layers {
-            if let LaneKernel::Sparse(_, plan) = &mut layer.kernel {
-                *plan = Some(GatePlan { block: 8 });
-            }
-        }
-        for lane in [m.sparse_lane(), gated, m.dense_lane()] {
+        for lane in [m.sparse_lane(), m.gated_lane(), m.dense_lane()] {
             let kind = lane.layers[0].kernel.kind();
             for width in [n - 1, n + 1, 2 * n] {
                 let input = vec![0.5f32; width];

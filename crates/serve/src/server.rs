@@ -76,11 +76,12 @@ pub enum ExecBackend {
     Simulator,
     /// Compiled block-CSR sparse engine (host-native kernels).
     Sparse,
-    /// The sparse engine behind the activation gate: inputs are
-    /// prescanned for all-zero blocks and the matching weight runs are
-    /// skipped. Bit-identical to [`ExecBackend::Sparse`] and
+    /// The sparse engine behind the activation gate: every input is
+    /// prescanned one bit per input, and the weight rows of bit-exact
+    /// `+0.0` inputs are skipped when few enough inputs are active.
+    /// Bit-identical to [`ExecBackend::Sparse`] and
     /// [`ExecBackend::Dense`] on every input; additionally reports
-    /// per-layer gate hit/skip block counts through the
+    /// per-layer hit/skip input counts through the
     /// `serve_gate_blocks_total{model, layer, outcome}` counters.
     Gated,
     /// Dense reference kernels over the decoded twin weights — the
@@ -1592,7 +1593,7 @@ mod tests {
             .collect();
         assert!(
             !gated_layers.is_empty(),
-            "benefit model gated no layer of the spiking MLP"
+            "the gated lane gated no layer of the spiking MLP"
         );
         let mut total_skips = 0;
         for layer in &gated_layers {
@@ -1608,10 +1609,10 @@ mod tests {
                     &[("model", &name), ("layer", layer), ("outcome", "skip")],
                 )
                 .expect("skip counter registered");
-            assert!(hits.get() > 0, "layer {layer} never computed a block");
+            assert!(hits.get() > 0, "layer {layer} saw no active input");
             total_skips += skips.get();
         }
-        assert!(total_skips > 0, "LIF frames produced no skipped blocks");
+        assert!(total_skips > 0, "LIF frames produced no skipped inputs");
         // Histogram spans carry the gated kernel label.
         let h = registry
             .find_histogram(
