@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use cs_bench::kernels_jsonl;
 use cs_compress::engine::{BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel};
-use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, TwoFourFcLayer};
+use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat};
 use cs_nn::data::lif_spike_train;
 use cs_sparsity::coarse::{prune_to_density, CoarseConfig};
 use cs_sparsity::{structured, PruneMode};
@@ -355,18 +355,12 @@ fn main() {
     ] {
         let smask = structured::structured_mask(&sweights, &mode)
             .unwrap_or_else(|e| panic!("{} prune: {e}", mode.name()));
-        let format = match mode {
-            PruneMode::TwoFour => FcLayerFormat::TwoFour(
-                TwoFourFcLayer::from_fc("fc24", &sweights, &smask)
-                    .unwrap_or_else(|e| panic!("2:4 pack: {e}")),
-            ),
-            PruneMode::BankBalanced { bank, k } => FcLayerFormat::BankBalanced(
-                BankBalancedFcLayer::from_fc("fcbb", &sweights, &smask, bank, k)
-                    .unwrap_or_else(|e| panic!("bank pack: {e}")),
-            ),
-            PruneMode::Coarse => unreachable!("coarse is benched above"),
-        };
-        let kernel = FcKernel::compile(&format);
+        let (bank, k) = mode
+            .geometry()
+            .unwrap_or_else(|| panic!("{} has no bank geometry", mode.name()));
+        let layer = BankBalancedFcLayer::from_fc(mode.name(), &sweights, &smask, bank, k)
+            .unwrap_or_else(|e| panic!("{} pack: {e}", mode.name()));
+        let kernel = FcKernel::compile(&FcLayerFormat::BankBalanced(layer));
         let stwin = kernel.to_dense();
         let sdense =
             ops::matmul(&sxt, &stwin).unwrap_or_else(|e| panic!("{} dense: {e}", mode.name()));

@@ -23,8 +23,8 @@
 //! # Dense-vs-sparse equivalence contract
 //!
 //! On **finite** inputs, [`CompiledFcLayer::forward`] is bit-identical to
-//! the dense reference `ops::matmul(x, self.to_dense())` (plus the same
-//! bias addition). Two facts make this exact rather than approximate:
+//! the dense reference `ops::matmul(x, self.to_dense())`. Two facts make
+//! this exact rather than approximate:
 //!
 //! 1. the sparse kernel accumulates surviving terms in ascending input
 //!    order — the same order the dense loop adds them in; and
@@ -101,7 +101,7 @@
 //! Every body reads the codebook's own `f32`, so all three produce the
 //! dense reference's bits.
 
-use cs_sparsity::Mask;
+use cs_sparsity::{Mask, PruneMode};
 use cs_tensor::ops::{self, Conv2dGeometry};
 use cs_tensor::{Shape, Tensor, TensorError};
 
@@ -455,36 +455,26 @@ impl<'a, const S: usize> Walk<'a, S> {
     }
 }
 
-/// Stores one chunk's accumulators plus bias into the tile's outputs.
+/// Stores one chunk's accumulators into the tile's outputs.
 fn store<const B: usize>(
     io: &mut TileIo<'_>,
-    bias: Option<&[f32]>,
     (strip, c): (&FcStrip, usize),
     acc: &[[f32; LANES]; B],
 ) {
     let lanes = LANES.min(strip.width() - c * LANES);
     let first = strip.out_start + c * LANES;
     for (j, a) in acc.iter().enumerate() {
-        let out = &mut io.outs[j * io.stride + first..][..lanes];
-        match bias {
-            Some(bias) => {
-                for ((o, a), b) in out.iter_mut().zip(a).zip(&bias[first..]) {
-                    *o = *a + *b;
-                }
-            }
-            None => out.copy_from_slice(&a[..lanes]),
-        }
+        io.outs[j * io.stride + first..][..lanes].copy_from_slice(&a[..lanes]);
     }
 }
 
-/// Runs every strip over one `B`-column tile and stores `acc + bias`:
+/// Runs every strip over one `B`-column tile and stores the sums:
 /// `one` and `two` walk one chunk, or two that share their runs,
 /// through a body's row reads and spill them to plain lanes. Adjacent
 /// chunks pair when both accumulator sets fit [`COLUMN_TILE`] rows.
 #[inline(always)]
 fn run_strips<const B: usize>(
     strips: &[FcStrip],
-    bias: Option<&[f32]>,
     io: &mut TileIo<'_>,
     one: impl Fn(&Walk<'_, 1>) -> [[[f32; LANES]; B]; 1],
     two: impl Fn(&Walk<'_, 2>) -> [[[f32; LANES]; B]; 2],
@@ -498,12 +488,12 @@ fn run_strips<const B: usize>(
         match units.next_if(|b| 2 * B <= COLUMN_TILE && Arc::ptr_eq(&a.0.runs, &b.0.runs)) {
             Some(b) => {
                 let [x, y] = two(&Walk::new([a, b], xt, active));
-                store(io, bias, a, &x);
-                store(io, bias, b, &y);
+                store(io, a, &x);
+                store(io, b, &y);
             }
             None => {
                 let [x] = one(&Walk::new([a], xt, active));
-                store(io, bias, a, &x);
+                store(io, a, &x);
             }
         }
     }
@@ -535,14 +525,8 @@ fn walk_portable<const B: usize, const S: usize>(k: &Walk<'_, S>) -> [[[f32; LAN
 }
 
 /// The portable body.
-fn strips_portable<const B: usize>(strips: &[FcStrip], bias: Option<&[f32]>, io: &mut TileIo<'_>) {
-    run_strips::<B>(
-        strips,
-        bias,
-        io,
-        walk_portable::<B, 1>,
-        walk_portable::<B, 2>,
-    );
+fn strips_portable<const B: usize>(strips: &[FcStrip], io: &mut TileIo<'_>) {
+    run_strips::<B>(strips, io, walk_portable::<B, 1>, walk_portable::<B, 2>);
 }
 
 /// The AVX-512 and AVX2 bodies. Both are safe code under
@@ -597,18 +581,8 @@ mod x86 {
 
     /// The AVX-512 body.
     #[target_feature(enable = "avx512f")]
-    pub(super) fn strips_avx512<const B: usize>(
-        strips: &[FcStrip],
-        bias: Option<&[f32]>,
-        io: &mut TileIo<'_>,
-    ) {
-        run_strips::<B>(
-            strips,
-            bias,
-            io,
-            |k| walk_zmm::<B, 1>(k),
-            |k| walk_zmm::<B, 2>(k),
-        );
+    pub(super) fn strips_avx512<const B: usize>(strips: &[FcStrip], io: &mut TileIo<'_>) {
+        run_strips::<B>(strips, io, |k| walk_zmm::<B, 1>(k), |k| walk_zmm::<B, 2>(k));
     }
 
     /// Eight `f32` in one `ymm`.
@@ -685,18 +659,8 @@ mod x86 {
 
     /// The AVX2 body.
     #[target_feature(enable = "avx2")]
-    pub(super) fn strips_avx2<const B: usize>(
-        strips: &[FcStrip],
-        bias: Option<&[f32]>,
-        io: &mut TileIo<'_>,
-    ) {
-        run_strips::<B>(
-            strips,
-            bias,
-            io,
-            |k| walk_ymm::<B, 1>(k),
-            |k| walk_ymm::<B, 2>(k),
-        );
+    pub(super) fn strips_avx2<const B: usize>(strips: &[FcStrip], io: &mut TileIo<'_>) {
+        run_strips::<B>(strips, io, |k| walk_ymm::<B, 1>(k), |k| walk_ymm::<B, 2>(k));
     }
 }
 
@@ -775,9 +739,6 @@ pub struct CompiledFcLayer {
     pub strip_width: usize,
     /// The strips in output order.
     pub strips: Vec<FcStrip>,
-    /// Optional per-output bias, added after accumulation exactly like
-    /// the dense pipeline's element-wise add.
-    pub bias: Option<Vec<f32>>,
 }
 
 impl CompiledFcLayer {
@@ -829,20 +790,7 @@ impl CompiledFcLayer {
             n_out: layer.n_out,
             strip_width: layer.group_size,
             strips,
-            bias: None,
         }
-    }
-
-    /// Attaches a per-output bias.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bias.len() != n_out`.
-    #[must_use]
-    pub fn with_bias(mut self, bias: Vec<f32>) -> Self {
-        assert_eq!(bias.len(), self.n_out, "bias length mismatch");
-        self.bias = Some(bias);
-        self
     }
 
     /// Total surviving synapses.
@@ -859,7 +807,7 @@ impl CompiledFcLayer {
         self.surviving() as f64 / total as f64
     }
 
-    /// Sparse forward pass: `out = x · W_sparse (+ bias)` — the `B = 1`
+    /// Sparse forward pass: `out = x · W_sparse` — the `B = 1`
     /// call of the batched kernel.
     ///
     /// Bit-identical to `ops::matmul` against [`Self::to_dense`] on
@@ -888,7 +836,7 @@ impl CompiledFcLayer {
             body.runs_here(),
             "{body:?} lookup body on a host without it"
         );
-        let (strips, bias, io) = (&self.strips[..], self.bias.as_deref(), &mut io);
+        let (strips, io) = (&self.strips[..], &mut io);
         match body {
             #[cfg(target_arch = "x86_64")]
             Body::Avx512 => {
@@ -896,15 +844,15 @@ impl CompiledFcLayer {
                 // SAFETY: the body is safe code whose only requirement
                 // is `avx512f`, which `runs_here` verified on this CPU
                 // above.
-                unsafe { for_tile_width!(bt, strips_avx512(strips, bias, io)) }
+                unsafe { for_tile_width!(bt, strips_avx512(strips, io)) }
             }
             #[cfg(target_arch = "x86_64")]
             Body::Avx2 => {
                 use x86::strips_avx2;
                 // SAFETY: as above, for `avx2`.
-                unsafe { for_tile_width!(bt, strips_avx2(strips, bias, io)) }
+                unsafe { for_tile_width!(bt, strips_avx2(strips, io)) }
             }
-            _ => for_tile_width!(bt, strips_portable(strips, bias, io)),
+            _ => for_tile_width!(bt, strips_portable(strips, io)),
         }
     }
 
@@ -1024,7 +972,6 @@ pub struct CompiledConvLayer {
     geom: Conv2dGeometry,
     n_fin: usize,
     n_fout: usize,
-    bias: Option<Vec<f32>>,
 }
 
 impl CompiledConvLayer {
@@ -1072,25 +1019,12 @@ impl CompiledConvLayer {
             inner,
             geom,
             n_fin,
-            bias: None,
         }
     }
 
-    /// Attaches a per-output-map bias.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bias.len() != n_fout`.
-    #[must_use]
-    pub fn with_bias(mut self, bias: Vec<f32>) -> Self {
-        assert_eq!(bias.len(), self.n_fout, "bias length mismatch");
-        self.bias = Some(bias);
-        self
-    }
-
-    /// The inner block-CSR FC layer over lowered window positions.
-    pub fn inner(&self) -> &CompiledFcLayer {
-        &self.inner
+    /// Fraction of surviving synapses over the lowered window positions.
+    pub fn density(&self) -> f64 {
+        self.inner.density()
     }
 
     /// Sparse conv forward over a `(n_fin, h, w)` input, producing
@@ -1122,14 +1056,9 @@ impl CompiledConvLayer {
             &mut BatchScratch::default(),
             false,
         );
-        // Transpose (oh*ow, n_fout) -> (n_fout, oh, ow), adding bias —
-        // the exact element order of the dense conv2d epilogue.
-        let bias = self.bias.as_deref();
+        // Transpose (oh*ow, n_fout) -> (n_fout, oh, ow).
         Ok(Tensor::from_fn(Shape::d3(n_fout, oh, ow), |i| {
-            let fo = i / (oh * ow);
-            let pos = i % (oh * ow);
-            let b = bias.map_or(0.0, |bs| bs[fo]);
-            prod[pos * n_fout + fo] + b
+            prod[i % (oh * ow) * n_fout + i / (oh * ow)]
         }))
     }
 
@@ -1158,9 +1087,9 @@ impl CompiledConvLayer {
 
 /// A structured-sparsity FC layer compiled for execution: every lane
 /// reads the same fixed number of (position, value) pairs per bank of
-/// inputs — `(4, 2)` for 2:4, `(bank, k)` for bank-balanced — unpacked
-/// once from the storage metadata at compile time. It runs through
-/// [`FcKernel::TwoFour`] and [`FcKernel::BankBalanced`].
+/// inputs — `(bank, k)`, `(4, 2)` for 2:4 — unpacked once from the
+/// storage metadata at compile time. It runs through
+/// [`FcKernel::BankBalanced`].
 ///
 /// The layout is **group-major**: for every full bank of inputs, one
 /// planar row of in-bank byte offsets and one of values per survivor
@@ -1205,10 +1134,9 @@ pub struct CompiledStructuredFc {
     tail_values: Vec<f32>,
     /// 2:4 only (`bank == 4`, `k == 2`): both survivor offsets of a
     /// group re-packed into one byte per lane (`off0 | off1 << 2`, the
-    /// storage format's 2-bit metadata), planar `[g][o]`. Halves the
+    /// two 2-bit offsets the storage format holds), planar `[g][o]`. Halves the
     /// hot loop's index traffic: one byte load feeds both shuffles.
     packed24: Option<Vec<u8>>,
-    bias: Option<Vec<f32>>,
 }
 
 impl CompiledStructuredFc {
@@ -1270,15 +1198,7 @@ impl CompiledStructuredFc {
             tail_offsets,
             tail_values,
             packed24,
-            bias: None,
         }
-    }
-
-    #[must_use]
-    fn with_bias(mut self, bias: Vec<f32>) -> Self {
-        assert_eq!(bias.len(), self.n_out, "bias length mismatch");
-        self.bias = Some(bias);
-        self
     }
 
     /// Exact pattern density: survivors per lane over the fan-in.
@@ -1511,8 +1431,7 @@ impl CompiledStructuredFc {
         }
     }
 
-    /// One column, all `n_out` lanes, on the best path the host has,
-    /// then the bias.
+    /// One column, all `n_out` lanes, on the best path the host has.
     fn forward_column(&self, input: &[f32], out: &mut [f32], active: Active<'_>) {
         assert_eq!(input.len(), self.n_in, "input length mismatch");
         assert_eq!(out.len(), self.n_out, "output length mismatch");
@@ -1529,19 +1448,9 @@ impl CompiledStructuredFc {
                     _ => self.forward_range_avx2::<16>(input, out, 0, active),
                 }
             }
-            self.add_bias(out);
             return;
         }
         self.forward_range_scalar(input, out, 0, active);
-        self.add_bias(out);
-    }
-
-    fn add_bias(&self, out: &mut [f32]) {
-        if let Some(bias) = &self.bias {
-            for (o, b) in out.iter_mut().zip(bias) {
-                *o += *b;
-            }
-        }
     }
 
     /// Runs the batch one column at a time. Gated, each column is
@@ -1599,7 +1508,8 @@ impl CompiledStructuredFc {
 }
 
 /// Any compiled FC kernel: block-CSR for coarse layers, or the
-/// structured fixed-fan-in kernel for 2:4 and bank-balanced layers.
+/// structured fixed-fan-in kernel for bank-balanced layers, 2:4
+/// included.
 /// This is the dispatch point the serving lanes and the conformance
 /// harness execute through; every variant honors the same
 /// dense-equivalence contract.
@@ -1607,9 +1517,7 @@ impl CompiledStructuredFc {
 pub enum FcKernel {
     /// Block-CSR strips over a shared index ([`CompiledFcLayer`]).
     BlockCsr(CompiledFcLayer),
-    /// 2:4 semi-structured kernel.
-    TwoFour(CompiledStructuredFc),
-    /// Bank-balanced kernel.
+    /// Bank-balanced kernel, 2:4 included.
     BankBalanced(CompiledStructuredFc),
 }
 
@@ -1618,15 +1526,6 @@ impl FcKernel {
     pub fn compile(format: &FcLayerFormat) -> Self {
         match format {
             FcLayerFormat::Shared(l) => FcKernel::BlockCsr(CompiledFcLayer::from_shared(l)),
-            FcLayerFormat::TwoFour(l) => FcKernel::TwoFour(CompiledStructuredFc::from_lanes(
-                &l.name,
-                l.n_in,
-                l.n_out,
-                4,
-                2,
-                |o| l.lane_positions(o),
-                |o| l.lane_values(o).to_vec(),
-            )),
             FcLayerFormat::BankBalanced(l) => {
                 FcKernel::BankBalanced(CompiledStructuredFc::from_lanes(
                     &l.name,
@@ -1645,7 +1544,7 @@ impl FcKernel {
     pub fn name(&self) -> &str {
         match self {
             FcKernel::BlockCsr(l) => &l.name,
-            FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => &s.name,
+            FcKernel::BankBalanced(s) => &s.name,
         }
     }
 
@@ -1653,8 +1552,7 @@ impl FcKernel {
     pub fn kind(&self) -> &'static str {
         match self {
             FcKernel::BlockCsr(_) => "sparse",
-            FcKernel::TwoFour(_) => "two_four",
-            FcKernel::BankBalanced(_) => "bank_balanced",
+            FcKernel::BankBalanced(s) => PruneMode::structured(s.bank, s.k).name(),
         }
     }
 
@@ -1662,7 +1560,7 @@ impl FcKernel {
     pub fn n_in(&self) -> usize {
         match self {
             FcKernel::BlockCsr(l) => l.n_in,
-            FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => s.n_in,
+            FcKernel::BankBalanced(s) => s.n_in,
         }
     }
 
@@ -1670,7 +1568,7 @@ impl FcKernel {
     pub fn n_out(&self) -> usize {
         match self {
             FcKernel::BlockCsr(l) => l.n_out,
-            FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => s.n_out,
+            FcKernel::BankBalanced(s) => s.n_out,
         }
     }
 
@@ -1678,21 +1576,7 @@ impl FcKernel {
     pub fn density(&self) -> f64 {
         match self {
             FcKernel::BlockCsr(l) => l.density(),
-            FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => s.density(),
-        }
-    }
-
-    /// Attaches a per-output bias.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bias.len() != n_out`.
-    #[must_use]
-    pub fn with_bias(self, bias: Vec<f32>) -> Self {
-        match self {
-            FcKernel::BlockCsr(l) => FcKernel::BlockCsr(l.with_bias(bias)),
-            FcKernel::TwoFour(s) => FcKernel::TwoFour(s.with_bias(bias)),
-            FcKernel::BankBalanced(s) => FcKernel::BankBalanced(s.with_bias(bias)),
+            FcKernel::BankBalanced(s) => s.density(),
         }
     }
 
@@ -1732,9 +1616,7 @@ impl FcKernel {
     ) -> &'s [GateStats] {
         match self {
             FcKernel::BlockCsr(l) => l.forward_batch(inputs, outs, scratch, gated),
-            FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => {
-                s.forward_batch(inputs, outs, scratch, gated)
-            }
+            FcKernel::BankBalanced(s) => s.forward_batch(inputs, outs, scratch, gated),
         }
     }
 
@@ -1742,7 +1624,7 @@ impl FcKernel {
     pub fn to_dense(&self) -> Tensor {
         match self {
             FcKernel::BlockCsr(l) => l.to_dense(),
-            FcKernel::TwoFour(s) | FcKernel::BankBalanced(s) => s.to_dense(),
+            FcKernel::BankBalanced(s) => s.to_dense(),
         }
     }
 }
@@ -1804,13 +1686,6 @@ mod tests {
         (out, stats)
     }
 
-    fn two_four(w: &Tensor) -> FcKernel {
-        let mask = cs_sparsity::structured::two_four_mask(w).unwrap();
-        FcKernel::compile(&FcLayerFormat::TwoFour(
-            crate::format::TwoFourFcLayer::from_fc("tf", w, &mask).unwrap(),
-        ))
-    }
-
     fn bank_balanced(w: &Tensor, bank: usize, k: usize) -> FcKernel {
         let mask = cs_sparsity::structured::bank_balanced_mask(w, bank, k).unwrap();
         FcKernel::compile(&FcLayerFormat::BankBalanced(
@@ -1829,23 +1704,6 @@ mod tests {
         let x = Tensor::from_vec(Shape::d2(1, 64), input.clone()).unwrap();
         let want = ops::matmul(&x, &dense).unwrap();
         let got = run(32, |o| layer.forward(&input, o));
-        assert_eq!(bits_of(&got), bits_of(want.as_slice()));
-    }
-
-    #[test]
-    fn fc_forward_with_bias_matches_dense_add() {
-        let (w, mask) = fc_layer(48, 24, 8, 0.5);
-        let bias: Vec<f32> = (0..24).map(|i| (i as f32) * 0.01 - 0.1).collect();
-        let layer = CompiledFcLayer::compile_fc("fc", &w, &mask, 8, 8)
-            .unwrap()
-            .with_bias(bias.clone());
-        let dense = layer.to_dense();
-        let input: Vec<f32> = (0..48).map(|i| ((i * 7) % 23) as f32 * 0.05).collect();
-        let x = Tensor::from_vec(Shape::d2(1, 48), input.clone()).unwrap();
-        let mm = ops::matmul(&x, &dense).unwrap();
-        let bt = Tensor::from_vec(Shape::d2(1, 24), bias).unwrap();
-        let want = ops::add(&mm, &bt).unwrap();
-        let got = run(24, |o| layer.forward(&input, o));
         assert_eq!(bits_of(&got), bits_of(want.as_slice()));
     }
 
@@ -1903,12 +1761,9 @@ mod tests {
         let cfg = CoarseConfig::conv(1, 16, 1, 1, PruneMetric::Average);
         let mask = coarse::prune_to_density(&w, &cfg, 0.3).unwrap();
         let geom = Conv2dGeometry::square(3, 1, 1);
-        let bias: Vec<f32> = (0..32).map(|i| (i as f32) * 0.01 - 0.15).collect();
-        let layer = CompiledConvLayer::compile_conv("conv", &w, &mask, 16, 8, geom)
-            .unwrap()
-            .with_bias(bias.clone());
+        let layer = CompiledConvLayer::compile_conv("conv", &w, &mask, 16, 8, geom).unwrap();
         let input = Tensor::from_fn(Shape::d3(2, 8, 8), |i| ((i * 17) % 31) as f32 * 0.06 - 0.9);
-        let want = ops::conv2d(&input, &layer.to_dense(), Some(&bias), &geom).unwrap();
+        let want = ops::conv2d(&input, &layer.to_dense(), None, &geom).unwrap();
         let got = layer.forward(&input).unwrap();
         assert_eq!(want.shape(), got.shape());
         assert_eq!(bits_of(want.as_slice()), bits_of(got.as_slice()));
@@ -1938,14 +1793,11 @@ mod tests {
     fn two_four_forward_is_bit_identical_to_dense_reference() {
         for n_in in [16usize, 17, 64, 7] {
             let w = rand_w(n_in, 24, n_in as u64 * 3);
-            let bias: Vec<f32> = (0..24).map(|i| (i as f32) * 0.01 - 0.1).collect();
-            let layer = two_four(&w).with_bias(bias.clone());
+            let layer = bank_balanced(&w, 4, 2);
             let dense = layer.to_dense();
             let input: Vec<f32> = (0..n_in).map(|i| (i as f32 * 0.7).sin()).collect();
             let x = Tensor::from_vec(Shape::d2(1, n_in), input.clone()).unwrap();
-            let mm = ops::matmul(&x, &dense).unwrap();
-            let bt = Tensor::from_vec(Shape::d2(1, 24), bias.clone()).unwrap();
-            let want = ops::add(&mm, &bt).unwrap();
+            let want = ops::matmul(&x, &dense).unwrap();
             let got = run(24, |o| layer.forward(&input, o));
             assert_eq!(bits_of(&got), bits_of(want.as_slice()), "n_in {n_in}");
         }
@@ -1969,8 +1821,8 @@ mod tests {
     fn fc_kernel_dispatch_is_consistent() {
         let w = rand_w(16, 8, 9);
         let mask = cs_sparsity::structured::two_four_mask(&w).unwrap();
-        let fmt = crate::format::FcLayerFormat::TwoFour(
-            crate::format::TwoFourFcLayer::from_fc("tf", &w, &mask).unwrap(),
+        let fmt = FcLayerFormat::BankBalanced(
+            crate::format::BankBalancedFcLayer::from_fc("tf", &w, &mask, 4, 2).unwrap(),
         );
         let kernel = FcKernel::compile(&fmt);
         assert_eq!(kernel.kind(), "two_four");
@@ -1983,7 +1835,7 @@ mod tests {
         // shared-index bridge decodes the same values.
         let kd = kernel.to_dense();
         let fd = match &fmt {
-            crate::format::FcLayerFormat::TwoFour(l) => l.to_dense(),
+            FcLayerFormat::BankBalanced(l) => l.to_dense(),
             _ => unreachable!(),
         };
         assert_eq!(bits_of(kd.as_slice()), bits_of(fd.as_slice()));
@@ -2148,13 +2000,11 @@ mod tests {
                 assert_eq!(stats[j].blocks, n_in);
                 if finite {
                     let xt = Tensor::from_vec(Shape::d2(1, n_in), col.clone()).unwrap();
-                    let mut want = ops::matmul(&xt, &dense).unwrap().as_slice().to_vec();
-                    if let Some(bias) = &layer.bias {
-                        for (w, b) in want.iter_mut().zip(bias) {
-                            *w += *b;
-                        }
-                    }
-                    assert!(same_bits(got, &want, false), "{name}, column {j} vs dense");
+                    let want = ops::matmul(&xt, &dense).unwrap();
+                    assert!(
+                        same_bits(got, want.as_slice(), false),
+                        "{name}, column {j} vs dense"
+                    );
                 }
             }
         }
@@ -2175,10 +2025,7 @@ mod tests {
         // fc6/fc7 geometry), so both walks run.
         for block in [16usize, 32] {
             let (w, mask) = fc_layer(96, 64, block, 0.5);
-            let bias: Vec<f32> = (0..64).map(|i| (i as f32) * 0.01 - 0.2).collect();
-            let layer = CompiledFcLayer::compile_fc("fc", &w, &mask, 16, 4)
-                .unwrap()
-                .with_bias(bias);
+            let layer = CompiledFcLayer::compile_fc("fc", &w, &mask, 16, 4).unwrap();
             assert_eq!(has_pairs(&layer), block > 16, "block {block}");
             for b in 1..=COLUMN_TILE + 1 {
                 for body in BODIES.into_iter().filter(|b| b.runs_here()) {
@@ -2216,15 +2063,12 @@ mod tests {
         // Banks 4/8/16 hit the AVX2 shuffle path on x86_64; 6 and the
         // 2:4 tail exercise the scalar kernel.
         let w = rand_w(67, 21, 7);
-        let bias: Vec<f32> = (0..21).map(|i| (i as f32) * 0.002 - 0.01).collect();
-        let mut kernels = vec![("two_four", 4, two_four(&w).with_bias(bias))];
         for bank in [4usize, 6, 8, 16] {
-            kernels.push(("bank_balanced", bank, bank_balanced(&w, bank, bank / 2)));
-        }
-        for (kind, bank, kernel) in &kernels {
+            let kernel = bank_balanced(&w, bank, bank / 2);
+            let kind = kernel.kind();
             for (name, input) in gate_test_inputs(67) {
                 let ungated = run(21, |o| kernel.forward(&input, o));
-                let (out, stats) = gated(kernel, &input);
+                let (out, stats) = gated(&kernel, &input);
                 assert_eq!(
                     bits_of(&ungated),
                     bits_of(&out),
@@ -2245,7 +2089,6 @@ mod tests {
         block_in: usize,
         quant_bits: u8,
         seed: u64,
-        bias: bool,
     ) -> CompiledFcLayer {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
@@ -2261,14 +2104,8 @@ mod tests {
             .map(|e| keep[(e / n_out / block_in) * strips + (e % n_out) / 16])
             .collect();
         let mask = Mask::from_bits(Shape::d2(n_in, n_out), bits).unwrap();
-        let layer =
-            CompiledFcLayer::compile_fc("prop", &rand_w(n_in, n_out, seed), &mask, 16, quant_bits)
-                .unwrap();
-        if bias {
-            layer.with_bias((0..n_out).map(|o| o as f32 * 0.01 - 0.3).collect())
-        } else {
-            layer
-        }
+        CompiledFcLayer::compile_fc("prop", &rand_w(n_in, n_out, seed), &mask, 16, quant_bits)
+            .unwrap()
     }
 
     /// One batch column: whole 8-blocks of exact `+0.0` between blocks
@@ -2480,10 +2317,9 @@ mod tests {
             quant_bits in proptest::sample::select(vec![2u8, 4, 6, 8, 12]),
             b in 1usize..=COLUMN_TILE + 1,
             seed in 0u64..10_000,
-            bias in proptest::arbitrary::any::<bool>(),
             poison in 0usize..4,
         ) {
-            let layer = random_block_layer(n_in, n_out, block_in, quant_bits, seed, bias);
+            let layer = random_block_layer(n_in, n_out, block_in, quant_bits, seed);
             let dense = layer.to_dense();
             let poison_col = (poison > 0).then_some(seed as usize % b);
             let columns: Vec<Vec<f32>> = (0..b)
@@ -2530,13 +2366,8 @@ mod tests {
                             );
                             if !non_finite {
                                 let x = Tensor::from_vec(Shape::d2(1, n_in), columns[j].clone()).unwrap();
-                                let mut want = ops::matmul(&x, &dense).unwrap().as_slice().to_vec();
-                                if let Some(bias) = &layer.bias {
-                                    for (w, b) in want.iter_mut().zip(bias) {
-                                        *w += *b;
-                                    }
-                                }
-                                prop_assert!(same_bits(got, &want, false), "column {} vs dense", j);
+                                let want = ops::matmul(&x, &dense).unwrap();
+                                prop_assert!(same_bits(got, want.as_slice(), false), "column {} vs dense", j);
                             }
                         }
                     }
@@ -2552,7 +2383,7 @@ mod tests {
         // input takes the active walk, a dense one the full walk, and
         // both match the ungated kernel bit for bit.
         let w = rand_w(128, 64, 11);
-        let (tf, bb) = (two_four(&w), bank_balanced(&w, 8, 2));
+        let (tf, bb) = (bank_balanced(&w, 4, 2), bank_balanced(&w, 8, 2));
         let (cw, cmask) = fc_layer(128, 64, 32, 0.25);
         let csr =
             FcKernel::BlockCsr(CompiledFcLayer::compile_fc("fc", &cw, &cmask, 16, 4).unwrap());

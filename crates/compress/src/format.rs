@@ -17,10 +17,11 @@
 //! pipeline's Table IV counts their lengths.
 
 use cs_coding::bilevel::{self, BiLevelImage};
+use cs_coding::bits::{BitReader, BitWriter};
 use cs_coding::{huffman, CodingError};
 use cs_quant::{kmeans_1d, Codebook};
 use cs_sparsity::structured::{satisfies_pattern, survivors_per_lane};
-use cs_sparsity::Mask;
+use cs_sparsity::{Mask, PruneMode};
 use cs_tensor::{Shape, Tensor, TensorError};
 
 use crate::CompressError;
@@ -448,14 +449,13 @@ impl SharedIndexLayer {
     }
 }
 
-/// Validates a 2-D FC weight/mask pair against a `(bank, k)` structured
-/// pattern and returns `(n_in, n_out)`.
+/// Validates a 2-D FC weight/mask pair against a `(bank, k)`
+/// bank-balanced pattern and returns `(n_in, n_out)`.
 fn check_structured_fc(
     weights: &Tensor,
     mask: &Mask,
     bank: usize,
     k: usize,
-    what: &str,
 ) -> Result<(usize, usize), CompressError> {
     if weights.shape().rank() != 2 {
         return Err(CompressError::Tensor(TensorError::RankMismatch {
@@ -472,221 +472,18 @@ fn check_structured_fc(
         }));
     }
     if !satisfies_pattern(mask, bank, k) {
-        return Err(CompressError::Coding(cs_coding::CodingError::InvalidInput(
-            format!("mask does not satisfy the {what} pattern (bank {bank}, k {k})"),
-        )));
+        return Err(CompressError::Coding(CodingError::InvalidInput(format!(
+            "mask does not satisfy the bank-balanced pattern (bank {bank}, k {k})"
+        ))));
     }
     Ok((weights.shape().dim(0), weights.shape().dim(1)))
 }
 
-/// Gathers the surviving `(offset-in-bank, value)` pairs of one output
-/// lane, ascending by input position.
-fn gather_lane(
-    weights: &Tensor,
-    mask: &Mask,
-    o: usize,
-    bank: usize,
-    offsets: &mut Vec<u8>,
-    values: &mut Vec<f32>,
-) {
-    let (n_in, n_out) = (weights.shape().dim(0), weights.shape().dim(1));
-    let (w, bits) = (weights.as_slice(), mask.bits());
-    for i in 0..n_in {
-        if bits[i * n_out + o] {
-            offsets.push((i % bank) as u8);
-            values.push(w[i * n_out + o]);
-        }
-    }
-}
-
-/// Exact-codebook group-size-1 [`SharedIndexLayer`] bridge shared by the
-/// structured formats: one group per output lane whose codebook *is* the
-/// lane's surviving values (identity dictionary, no quantization loss),
-/// so the simulator path executes the same weights the engine does.
-fn shared_from_lanes(
-    name: &str,
-    n_in: usize,
-    n_out: usize,
-    lane_index: impl Fn(usize) -> Vec<bool>,
-    lane_values: impl Fn(usize) -> Vec<f32>,
-) -> SharedIndexLayer {
-    let groups = (0..n_out)
-        .map(|o| {
-            let vals = lane_values(o);
-            let lane: Vec<u16> = (0..vals.len() as u16).collect();
-            OutputGroup {
-                index: lane_index(o),
-                weights: vec![lane],
-                codebook: if vals.is_empty() {
-                    Codebook::new(vec![0.0])
-                } else {
-                    Codebook::new(vals)
-                },
-            }
-        })
-        .collect();
-    SharedIndexLayer {
-        name: name.to_string(),
-        n_in,
-        n_out,
-        group_size: 1,
-        quant_bits: 16,
-        groups,
-    }
-}
-
-/// A layer stored in the 2:4 semi-structured format: every group of 4
-/// input positions keeps exactly 2 survivors per output lane, so the
-/// value array is exactly half the dense width and each survivor's
-/// position fits in a 2-bit in-group offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TwoFourFcLayer {
-    /// Layer name.
-    pub name: String,
-    /// Input width.
-    pub n_in: usize,
-    /// Output width.
-    pub n_out: usize,
-    /// Packed 2-bit offsets: byte `o * n_groups + g` holds the group's
-    /// two in-group positions as `off0 | off1 << 2` (a ragged tail
-    /// keeping one survivor uses only `off0`).
-    pub meta: Vec<u8>,
-    /// Surviving values, lane-major in ascending input order; each lane
-    /// has exactly [`TwoFourFcLayer::stride`] entries.
-    pub values: Vec<f32>,
-}
-
-impl TwoFourFcLayer {
-    /// Builds the format from a weight matrix `(n_in, n_out)` and a mask
-    /// produced by [`cs_sparsity::structured::two_four_mask`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when shapes disagree or the mask does not keep
-    /// exactly `min(2, group)` survivors in every group of 4.
-    pub fn from_fc(
-        name: impl Into<String>,
-        weights: &Tensor,
-        mask: &Mask,
-    ) -> Result<Self, CompressError> {
-        let (n_in, n_out) = check_structured_fc(weights, mask, 4, 2, "2:4")?;
-        let n_groups = n_in.div_ceil(4);
-        let stride = survivors_per_lane(n_in, 4, 2);
-        let mut meta = vec![0u8; n_out * n_groups];
-        let mut values = Vec::with_capacity(n_out * stride);
-        let mut offsets = Vec::with_capacity(stride);
-        for o in 0..n_out {
-            offsets.clear();
-            gather_lane(weights, mask, o, 4, &mut offsets, &mut values);
-            // Two consecutive survivors per full group; the ragged tail
-            // may contribute a single trailing offset.
-            for (g, pair) in offsets.chunks(2).enumerate() {
-                let packed = match pair {
-                    [a, b] => a | (b << 2),
-                    [a] => *a,
-                    _ => 0,
-                };
-                meta[o * n_groups + g] = packed;
-            }
-        }
-        Ok(TwoFourFcLayer {
-            name: name.into(),
-            n_in,
-            n_out,
-            meta,
-            values,
-        })
-    }
-
-    /// Survivors per output lane (exactly `n_in / 2` when `n_in % 4 == 0`).
-    pub fn stride(&self) -> usize {
-        survivors_per_lane(self.n_in, 4, 2)
-    }
-
-    /// Number of 4-wide input groups (the tail may be ragged).
-    pub fn n_groups(&self) -> usize {
-        self.n_in.div_ceil(4)
-    }
-
-    /// Absolute surviving input positions of lane `o`, ascending —
-    /// unpacked from the 2-bit metadata.
-    pub fn lane_positions(&self, o: usize) -> Vec<u32> {
-        let n_groups = self.n_groups();
-        let mut pos = Vec::with_capacity(self.stride());
-        for g in 0..n_groups {
-            let base = (g * 4) as u32;
-            let keep = (self.n_in - g * 4).min(2);
-            let byte = self.meta[o * n_groups + g];
-            pos.push(base + u32::from(byte & 0b11));
-            if keep == 2 {
-                pos.push(base + u32::from((byte >> 2) & 0b11));
-            }
-        }
-        pos
-    }
-
-    /// Surviving values of lane `o`, ascending by input position.
-    pub fn lane_values(&self, o: usize) -> &[f32] {
-        let s = self.stride();
-        &self.values[o * s..(o + 1) * s]
-    }
-
-    /// Total surviving synapses.
-    pub fn surviving(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Exact pattern density (0.5 when `n_in % 4 == 0`).
-    pub fn density(&self) -> f64 {
-        if self.n_in == 0 {
-            return 0.0;
-        }
-        self.stride() as f64 / self.n_in as f64
-    }
-
-    /// Position metadata in bits: 2 per survivor.
-    pub fn index_bits(&self) -> usize {
-        self.surviving() * 2
-    }
-
-    /// Compact weight storage in bytes (fp32 values + packed metadata).
-    pub fn weight_bytes(&self) -> usize {
-        self.values.len() * 4 + self.index_bits().div_ceil(8)
-    }
-
-    /// Densifies back to `(n_in, n_out)` — zeros at pruned positions.
-    pub fn to_dense(&self) -> Tensor {
-        let mut dense = vec![0.0f32; self.n_in * self.n_out];
-        for o in 0..self.n_out {
-            for (p, v) in self.lane_positions(o).iter().zip(self.lane_values(o)) {
-                dense[*p as usize * self.n_out + o] = *v;
-            }
-        }
-        Tensor::from_vec(Shape::d2(self.n_in, self.n_out), dense)
-            .unwrap_or_else(|_| Tensor::zeros(Shape::d2(self.n_in, self.n_out)))
-    }
-
-    /// Exact-codebook simulator bridge (see [`FcLayerFormat::to_shared`]).
-    pub fn to_shared(&self) -> SharedIndexLayer {
-        shared_from_lanes(
-            &self.name,
-            self.n_in,
-            self.n_out,
-            |o| {
-                let mut index = vec![false; self.n_in];
-                for p in self.lane_positions(o) {
-                    index[p as usize] = true;
-                }
-                index
-            },
-            |o| self.lane_values(o).to_vec(),
-        )
-    }
-}
-
 /// A layer stored in the bank-balanced format: every bank of `bank`
 /// input positions keeps exactly `k` survivors per lane (micro-range
-/// balanced sparsity), giving every lane the same fixed fan-in.
+/// balanced sparsity), giving every lane the same fixed fan-in. 2:4
+/// semi-structured sparsity is the `(4, 2)` case, whose offsets take 2
+/// bits each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankBalancedFcLayer {
     /// Layer name.
@@ -738,12 +535,16 @@ impl BankBalancedFcLayer {
                 format!("bank {bank} exceeds the byte-offset limit of 256"),
             )));
         }
-        let (n_in, n_out) = check_structured_fc(weights, mask, bank, k, "bank-balanced")?;
+        let (n_in, n_out) = check_structured_fc(weights, mask, bank, k)?;
         let stride = survivors_per_lane(n_in, bank, k);
         let mut offsets = Vec::with_capacity(n_out * stride);
         let mut values = Vec::with_capacity(n_out * stride);
+        let (w, bits) = (weights.as_slice(), mask.bits());
         for o in 0..n_out {
-            gather_lane(weights, mask, o, bank, &mut offsets, &mut values);
+            for i in (0..n_in).filter(|i| bits[i * n_out + o]) {
+                offsets.push((i % bank) as u8);
+                values.push(w[i * n_out + o]);
+            }
         }
         Ok(BankBalancedFcLayer {
             name: name.into(),
@@ -802,15 +603,79 @@ impl BankBalancedFcLayer {
         self.stride() as f64 / self.n_in as f64
     }
 
+    /// Bits per stored offset: `ceil(log2(bank))`, 2 for 2:4.
+    fn offset_bits(&self) -> u8 {
+        (usize::BITS - self.bank.saturating_sub(1).leading_zeros()) as u8
+    }
+
     /// Position metadata in bits: `ceil(log2(bank))` per survivor.
     pub fn index_bits(&self) -> usize {
-        let offset_bits = usize::BITS as usize - (self.bank - 1).leading_zeros() as usize;
-        self.surviving() * offset_bits
+        self.surviving() * usize::from(self.offset_bits())
     }
 
     /// Compact weight storage in bytes (fp32 values + offset metadata).
     pub fn weight_bytes(&self) -> usize {
         self.values.len() * 4 + self.index_bits().div_ceil(8)
+    }
+
+    /// The stored offset stream: every offset in `ceil(log2(bank))`
+    /// bits, lane-major, most significant bit first, zero-padded to a
+    /// byte — the `index_bits().div_ceil(8)` bytes the model registry
+    /// writes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodingError::InvalidInput`] when the offsets and values
+    /// do not follow the geometry (`n_out` lanes of
+    /// [`BankBalancedFcLayer::stride`] each, every offset inside its
+    /// bank).
+    pub fn encode_offsets(&self) -> Result<Vec<u8>, CompressError> {
+        let len = self.n_out * self.stride();
+        if self.offsets.len() != len
+            || self.values.len() != len
+            || self.offsets.iter().any(|&o| usize::from(o) >= self.bank)
+        {
+            return Err(CompressError::Coding(CodingError::InvalidInput(format!(
+                "the offsets of layer {:?} do not follow its geometry",
+                self.name
+            ))));
+        }
+        let mut w = BitWriter::new();
+        for &o in &self.offsets {
+            w.write_bits(u64::from(o), self.offset_bits());
+        }
+        Ok(w.into_bytes())
+    }
+
+    /// Fills in the offsets of a layer whose geometry and values are set
+    /// from the stream [`BankBalancedFcLayer::encode_offsets`] writes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodingError::CorruptStream`] when the stream is not
+    /// `index_bits().div_ceil(8)` bytes, an offset falls outside its
+    /// bank, or a padding bit is set (re-encoding must reproduce the
+    /// stream byte for byte).
+    pub fn decode_offsets(&mut self, stream: &[u8]) -> Result<(), CompressError> {
+        if stream.len() != self.index_bits().div_ceil(8) {
+            return Err(corrupt(format!(
+                "{} offset bytes for {} bits",
+                stream.len(),
+                self.index_bits()
+            )));
+        }
+        let mut r = BitReader::new(stream);
+        let offsets = (0..self.surviving())
+            .map(|_| r.read_bits(self.offset_bits()).map(|o| o as u8))
+            .collect::<Result<Vec<u8>, _>>()?;
+        let padding = r.read_bits(r.bits_left() as u8)?;
+        if padding != 0 || offsets.iter().any(|&o| usize::from(o) >= self.bank) {
+            return Err(corrupt(
+                "offset stream is not the canonical encoding of a layer".into(),
+            ));
+        }
+        self.offsets = offsets;
+        Ok(())
     }
 
     /// Densifies back to `(n_in, n_out)` — zeros at pruned positions.
@@ -825,34 +690,45 @@ impl BankBalancedFcLayer {
             .unwrap_or_else(|_| Tensor::zeros(Shape::d2(self.n_in, self.n_out)))
     }
 
-    /// Exact-codebook simulator bridge (see [`FcLayerFormat::to_shared`]).
+    /// Exact-codebook simulator bridge (see [`FcLayerFormat::to_shared`]):
+    /// one group per output lane whose codebook *is* the lane's
+    /// surviving values (identity dictionary, no quantization loss), so
+    /// the simulator path executes the same weights the engine does.
     pub fn to_shared(&self) -> SharedIndexLayer {
-        shared_from_lanes(
-            &self.name,
-            self.n_in,
-            self.n_out,
-            |o| {
+        let groups = (0..self.n_out)
+            .map(|o| {
                 let mut index = vec![false; self.n_in];
                 for p in self.lane_positions(o) {
                     index[p as usize] = true;
                 }
-                index
-            },
-            |o| self.lane_values(o).to_vec(),
-        )
+                let vals = self.lane_values(o).to_vec();
+                OutputGroup {
+                    index,
+                    weights: vec![(0..vals.len() as u16).collect()],
+                    codebook: Codebook::new(if vals.is_empty() { vec![0.0] } else { vals }),
+                }
+            })
+            .collect();
+        SharedIndexLayer {
+            name: self.name.clone(),
+            n_in: self.n_in,
+            n_out: self.n_out,
+            group_size: 1,
+            quant_bits: 16,
+            groups,
+        }
     }
 }
 
 /// Any of the compiled FC storage formats, as the serving stack carries
-/// them: the paper's shared-index format for coarse pruning, or one of
-/// the structured fixed-fan-in formats.
+/// them: the paper's shared-index format for coarse pruning, or the
+/// bank-balanced fixed-fan-in format for the structured patterns (2:4
+/// is bank 4, k 2).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FcLayerFormat {
     /// Coarse shared-index storage ([`SharedIndexLayer`]).
     Shared(SharedIndexLayer),
-    /// 2:4 semi-structured storage.
-    TwoFour(TwoFourFcLayer),
-    /// Bank-balanced storage.
+    /// Bank-balanced storage, 2:4 included.
     BankBalanced(BankBalancedFcLayer),
 }
 
@@ -861,7 +737,6 @@ impl FcLayerFormat {
     pub fn name(&self) -> &str {
         match self {
             FcLayerFormat::Shared(l) => &l.name,
-            FcLayerFormat::TwoFour(l) => &l.name,
             FcLayerFormat::BankBalanced(l) => &l.name,
         }
     }
@@ -870,7 +745,6 @@ impl FcLayerFormat {
     pub fn n_in(&self) -> usize {
         match self {
             FcLayerFormat::Shared(l) => l.n_in,
-            FcLayerFormat::TwoFour(l) => l.n_in,
             FcLayerFormat::BankBalanced(l) => l.n_in,
         }
     }
@@ -879,7 +753,6 @@ impl FcLayerFormat {
     pub fn n_out(&self) -> usize {
         match self {
             FcLayerFormat::Shared(l) => l.n_out,
-            FcLayerFormat::TwoFour(l) => l.n_out,
             FcLayerFormat::BankBalanced(l) => l.n_out,
         }
     }
@@ -889,7 +762,6 @@ impl FcLayerFormat {
     pub fn density(&self) -> f64 {
         match self {
             FcLayerFormat::Shared(l) => l.density(),
-            FcLayerFormat::TwoFour(l) => l.density(),
             FcLayerFormat::BankBalanced(l) => l.density(),
         }
     }
@@ -898,7 +770,6 @@ impl FcLayerFormat {
     pub fn surviving(&self) -> usize {
         match self {
             FcLayerFormat::Shared(l) => l.surviving(),
-            FcLayerFormat::TwoFour(l) => l.surviving(),
             FcLayerFormat::BankBalanced(l) => l.surviving(),
         }
     }
@@ -907,7 +778,6 @@ impl FcLayerFormat {
     pub fn index_bits(&self) -> usize {
         match self {
             FcLayerFormat::Shared(l) => l.index_bits(),
-            FcLayerFormat::TwoFour(l) => l.index_bits(),
             FcLayerFormat::BankBalanced(l) => l.index_bits(),
         }
     }
@@ -917,17 +787,17 @@ impl FcLayerFormat {
     pub fn weight_bytes(&self) -> usize {
         match self {
             FcLayerFormat::Shared(l) => l.weight_bytes() + l.index_bits().div_ceil(8),
-            FcLayerFormat::TwoFour(l) => l.weight_bytes(),
             FcLayerFormat::BankBalanced(l) => l.weight_bytes(),
         }
     }
 
-    /// The short pattern label used in telemetry and reports.
+    /// The short pattern label used in telemetry and reports: a
+    /// bank-balanced layer reads as the mode of its geometry, so a
+    /// `(4, 2)` layer is `"two_four"`.
     pub fn kind(&self) -> &'static str {
         match self {
             FcLayerFormat::Shared(_) => "sparse",
-            FcLayerFormat::TwoFour(_) => "two_four",
-            FcLayerFormat::BankBalanced(_) => "bank_balanced",
+            FcLayerFormat::BankBalanced(l) => PruneMode::structured(l.bank, l.k).name(),
         }
     }
 
@@ -940,7 +810,6 @@ impl FcLayerFormat {
     pub fn to_shared(&self) -> SharedIndexLayer {
         match self {
             FcLayerFormat::Shared(l) => l.clone(),
-            FcLayerFormat::TwoFour(l) => l.to_shared(),
             FcLayerFormat::BankBalanced(l) => l.to_shared(),
         }
     }
@@ -1053,12 +922,17 @@ mod tests {
         })
     }
 
+    fn bank_balanced(w: &Tensor, bank: usize, k: usize) -> BankBalancedFcLayer {
+        let mask = structured::bank_balanced_mask(w, bank, k).unwrap();
+        BankBalancedFcLayer::from_fc("bb", w, &mask, bank, k).unwrap()
+    }
+
     #[test]
     fn two_four_roundtrips_through_packed_metadata() {
         for n_in in [16usize, 17, 5, 7] {
             let w = rand_w(n_in, 6, n_in as u64);
             let mask = structured::two_four_mask(&w).unwrap();
-            let tf = TwoFourFcLayer::from_fc("tf", &w, &mask).unwrap();
+            let tf = BankBalancedFcLayer::from_fc("tf", &w, &mask, 4, 2).unwrap();
             // Densify: survivors carry original values, everything else 0.
             let dense = tf.to_dense();
             for i in 0..n_in {
@@ -1074,7 +948,49 @@ mod tests {
             assert_eq!(tf.surviving(), mask.ones());
             assert_eq!(tf.index_bits(), mask.ones() * 2);
             assert!((tf.density() - mask.density()).abs() < 1e-12);
+            // The stored offsets take 2 bits each and read back exactly.
+            let stream = tf.encode_offsets().unwrap();
+            assert_eq!(stream.len(), (mask.ones() * 2).div_ceil(8));
+            let mut back = BankBalancedFcLayer {
+                offsets: Vec::new(),
+                ..tf.clone()
+            };
+            back.decode_offsets(&stream).unwrap();
+            assert_eq!(back, tf);
         }
+    }
+
+    #[test]
+    fn offset_streams_are_canonical() {
+        // Bank 3 stores 2 bits per offset, so the value 3 is
+        // representable but outside the bank.
+        let bb = bank_balanced(&rand_w(9, 1, 5), 3, 1);
+        let stream = bb.encode_offsets().unwrap();
+        assert_eq!(stream.len(), 1);
+        let mut back = BankBalancedFcLayer {
+            offsets: Vec::new(),
+            ..bb.clone()
+        };
+        for bad in [
+            vec![stream[0] | 1],
+            vec![0b1100_0000],
+            vec![stream[0], 0],
+            Vec::new(),
+        ] {
+            assert!(back.decode_offsets(&bad).is_err(), "{bad:?} accepted");
+        }
+        back.decode_offsets(&stream).unwrap();
+        assert_eq!(back, bb);
+        // A 16-wide bank stores 4 bits per offset.
+        let wide = bank_balanced(&rand_w(32, 3, 7), 16, 5);
+        assert_eq!(wide.index_bits(), wide.surviving() * 4);
+        assert_eq!(
+            wide.encode_offsets().unwrap().len(),
+            wide.index_bits().div_ceil(8)
+        );
+        let mut short = wide.clone();
+        short.offsets.pop();
+        assert!(short.encode_offsets().is_err());
     }
 
     #[test]
@@ -1104,7 +1020,7 @@ mod tests {
         // A coarse mask is (generically) not 2:4.
         let cfg = CoarseConfig::fc(4, 4, PruneMetric::Average);
         let coarse_mask = coarse::prune_to_density(&w, &cfg, 0.5).unwrap();
-        assert!(TwoFourFcLayer::from_fc("bad", &w, &coarse_mask).is_err());
+        assert!(BankBalancedFcLayer::from_fc("bad", &w, &coarse_mask, 4, 2).is_err());
         assert!(BankBalancedFcLayer::from_fc("bad", &w, &coarse_mask, 8, 3).is_err());
         // Bank too wide for byte offsets even after clamping to the row.
         let tall = rand_w(300, 2, 5);
@@ -1144,7 +1060,7 @@ mod tests {
     fn to_shared_bridge_is_exact() {
         let w = rand_w(20, 8, 11);
         let mask = structured::two_four_mask(&w).unwrap();
-        let tf = TwoFourFcLayer::from_fc("tf", &w, &mask).unwrap();
+        let tf = BankBalancedFcLayer::from_fc("tf", &w, &mask, 4, 2).unwrap();
         let sil = tf.to_shared();
         assert_eq!(sil.group_size, 1);
         assert_eq!(sil.groups.len(), 8);
@@ -1166,8 +1082,7 @@ mod tests {
             assert_eq!(*g, want, "lane {o}");
         }
 
-        let bb_mask = structured::bank_balanced_mask(&w, 5, 2).unwrap();
-        let bb = BankBalancedFcLayer::from_fc("bb", &w, &bb_mask, 5, 2).unwrap();
+        let bb = bank_balanced(&w, 5, 2);
         let sb = bb.to_shared();
         assert_eq!(sb.group_size, 1);
         assert!((sb.density() - bb.density()).abs() < 1e-12);
@@ -1176,8 +1091,7 @@ mod tests {
     #[test]
     fn format_enum_delegates() {
         let w = rand_w(16, 4, 21);
-        let mask = structured::two_four_mask(&w).unwrap();
-        let tf = FcLayerFormat::TwoFour(TwoFourFcLayer::from_fc("tf", &w, &mask).unwrap());
+        let tf = FcLayerFormat::BankBalanced(bank_balanced(&w, 4, 2));
         assert_eq!(tf.kind(), "two_four");
         assert_eq!(tf.n_in(), 16);
         assert_eq!(tf.n_out(), 4);
@@ -1185,10 +1099,7 @@ mod tests {
         assert_eq!(tf.surviving(), 32);
         assert_eq!(tf.index_bits(), 64);
 
-        let bbm = structured::bank_balanced_mask(&w, 8, 2).unwrap();
-        let bb = FcLayerFormat::BankBalanced(
-            BankBalancedFcLayer::from_fc("bb", &w, &bbm, 8, 2).unwrap(),
-        );
+        let bb = FcLayerFormat::BankBalanced(bank_balanced(&w, 8, 2));
         assert_eq!(bb.kind(), "bank_balanced");
         assert_eq!(bb.density(), 0.25);
 

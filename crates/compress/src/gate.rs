@@ -46,79 +46,42 @@
 //! frame and a ReLU output of the same width run different walks, which
 //! no geometry-only plan could tell apart.
 //!
-//! [`PrescanBitmap`] scans at any block width; the serving ledger uses
-//! it to report how much of an input lies in all-zero blocks.
+//! [`PrescanBitmap`] counts all-zero blocks at any block width; the
+//! serving ledger uses it to report how much of an input lies in them.
 
-/// Per-block input occupancy, produced by one prescan pass.
+/// Per-block input occupancy counts, produced by one prescan pass.
 ///
-/// Bit `g` is set iff block `g` (input elements
-/// `[g * block, (g + 1) * block)`, the last block possibly shorter)
-/// contains at least one element whose bits are not exactly `+0.0`.
-/// Blocks with a clear bit are skip-eligible under the contract above.
+/// Block `g` (input elements `[g * block, (g + 1) * block)`, the last
+/// block possibly shorter) is occupied iff it contains at least one
+/// element whose bits are not exactly `+0.0`; the other blocks are
+/// skip-eligible under the contract above.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrescanBitmap {
-    block: usize,
-    blocks: usize,
-    words: Vec<u64>,
-    zero_blocks: usize,
+    stats: GateStats,
 }
 
 impl PrescanBitmap {
-    /// Scans `input` at `block` elements per occupancy bit.
+    /// Counts the blocks of `input`, `block` elements each, and the
+    /// all-`+0.0` ones among them.
     pub fn scan(input: &[f32], block: usize) -> PrescanBitmap {
-        let block = block.max(1);
-        let blocks = input.len().div_ceil(block);
-        let mut words = vec![0u64; blocks.div_ceil(64)];
-        let mut zero_blocks = 0usize;
-        for (g, chunk) in input.chunks(block).enumerate() {
-            // Occupied iff any element is not bit-exact +0.0: -0.0 (bits
-            // 0x8000_0000), NaN, and inf all count as occupied.
-            if chunk.iter().any(|v| v.to_bits() != 0) {
-                words[g / 64] |= 1u64 << (g % 64);
-            } else {
-                zero_blocks += 1;
-            }
-        }
+        let chunks = input.chunks(block.max(1));
+        // Occupied iff any element is not bit-exact +0.0: -0.0 (bits
+        // 0x8000_0000), NaN, and inf all count as occupied.
+        let zero_blocks = chunks
+            .clone()
+            .filter(|c| c.iter().all(|v| v.to_bits() == 0))
+            .count();
         PrescanBitmap {
-            block,
-            blocks,
-            words,
-            zero_blocks,
+            stats: GateStats {
+                blocks: chunks.len(),
+                zero_blocks,
+            },
         }
     }
 
-    /// Block size the scan ran at.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-
-    /// Number of blocks covered.
-    pub fn blocks(&self) -> usize {
-        self.blocks
-    }
-
-    /// Whether block `g` must be executed. Out-of-range blocks report
-    /// occupied — the gate may only skip what the prescan proved zero.
-    #[inline]
-    pub fn occupied(&self, g: usize) -> bool {
-        if g >= self.blocks {
-            return true;
-        }
-        self.words[g / 64] & (1u64 << (g % 64)) != 0
-    }
-
-    /// Whether no block is skippable.
-    pub fn all_occupied(&self) -> bool {
-        self.zero_blocks == 0
-    }
-
-    /// The skip counters this scan contributes, independent of which
-    /// kernel consumes the bitmap.
+    /// The skip counters this scan contributes.
     pub fn stats(&self) -> GateStats {
-        GateStats {
-            blocks: self.blocks,
-            zero_blocks: self.zero_blocks,
-        }
+        self.stats
     }
 }
 
@@ -184,6 +147,12 @@ impl GateStats {
 mod tests {
     use super::*;
 
+    /// The counters of one scan.
+    fn scan(input: &[f32], block: usize) -> (usize, usize) {
+        let s = PrescanBitmap::scan(input, block).stats();
+        (s.blocks, s.zero_blocks)
+    }
+
     #[test]
     fn prescan_marks_exactly_the_nonzero_blocks() {
         // Blocks of 4: [+0 run] [has value] [-0.0] [NaN] [short +0 tail]
@@ -191,47 +160,30 @@ mod tests {
         input[5] = 1.5;
         input[8] = -0.0;
         input[13] = f32::NAN;
-        let bm = PrescanBitmap::scan(&input, 4);
-        assert_eq!(bm.blocks(), 5);
-        assert!(!bm.occupied(0), "all +0.0 block must be skippable");
-        assert!(bm.occupied(1));
-        assert!(bm.occupied(2), "-0.0 is never skippable");
-        assert!(bm.occupied(3), "NaN is never skippable");
-        assert!(!bm.occupied(4), "short +0.0 tail block is skippable");
-        assert!(bm.occupied(99), "out-of-range blocks report occupied");
-        assert_eq!(
-            bm.stats(),
-            GateStats {
-                blocks: 5,
-                zero_blocks: 2
-            }
-        );
-        assert!(!bm.all_occupied());
-        assert!((bm.stats().skip_fraction() - 0.4).abs() < 1e-12);
+        // Only the leading +0.0 block and the short +0.0 tail skip.
+        assert_eq!(scan(&input, 4), (5, 2));
+        assert_eq!(scan(&input[..16], 4), (4, 1), "the tail was one");
+        assert_eq!(scan(&input[4..], 4), (4, 1), "the head was one");
+        let stats = PrescanBitmap::scan(&input, 4).stats();
+        assert!((stats.skip_fraction() - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn inf_and_negative_zero_keep_blocks_occupied() {
         for poison in [f32::INFINITY, f32::NEG_INFINITY, -0.0f32] {
             let input = vec![0.0, 0.0, poison, 0.0];
-            let bm = PrescanBitmap::scan(&input, 4);
-            assert!(bm.occupied(0), "{poison} must not be skipped");
+            assert_eq!(scan(&input, 4), (1, 0), "{poison} must not be skipped");
         }
         let clean = PrescanBitmap::scan(&[0.0; 4], 4);
-        assert!(!clean.occupied(0));
         assert!(clean.stats().skip_fraction() == 1.0);
     }
 
     #[test]
     fn empty_and_oversized_block_scans_are_well_formed() {
-        let empty = PrescanBitmap::scan(&[], 8);
-        assert_eq!(empty.blocks(), 0);
-        assert!(empty.all_occupied());
-        assert_eq!(empty.stats().skip_fraction(), 0.0);
+        assert_eq!(scan(&[], 8), (0, 0));
+        assert_eq!(PrescanBitmap::scan(&[], 8).stats().skip_fraction(), 0.0);
         // A block wider than the input collapses to one block.
-        let one = PrescanBitmap::scan(&[0.0, 1.0], 64);
-        assert_eq!(one.blocks(), 1);
-        assert!(one.occupied(0));
+        assert_eq!(scan(&[0.0, 1.0], 64), (1, 0));
     }
 
     #[test]

@@ -16,11 +16,11 @@ use cs_coding::bilevel;
 use cs_nn::init::{self, ConvergenceProfile};
 use cs_nn::spec::{LayerClass, LayerSpec, Model, NetworkSpec};
 use cs_sparsity::coarse::{self, CoarseConfig};
-use cs_sparsity::{fine, stats, structured, Mask, PruneMode};
+use cs_sparsity::{fine, stats, structured, Mask};
 use cs_tensor::Tensor;
 
 use crate::config::{LayerCompressionConfig, ModelCompressionConfig};
-use crate::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
+use crate::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer};
 use crate::CompressError;
 
 /// Outputs that share one index and one codebook at most: the
@@ -207,27 +207,17 @@ pub fn compress_layer(
         return Err(CompressError::EmptyLayer(layer.name().to_string()));
     }
     let name = layer.name();
-    // Structured formats store `f32` values and their position metadata
-    // as is: there is no quantization or entropy stage to count.
-    let structured = |stored: FcLayerFormat, bank: usize, k: usize| {
-        let bits = structured::metadata_bits(weights.shape(), bank, k);
-        let values = surviving * PRUNED_WEIGHT_BYTES;
-        (stored, values, values, bits, bits.div_ceil(8))
-    };
-    let (stored, wq_bytes, wc_bytes, index_bits, ic_bytes) = match cfg.mode {
-        PruneMode::TwoFour => structured(
-            FcLayerFormat::TwoFour(TwoFourFcLayer::from_fc(name, weights, &mask)?),
-            4,
-            2,
-        ),
-        PruneMode::BankBalanced { bank, k } => structured(
-            FcLayerFormat::BankBalanced(BankBalancedFcLayer::from_fc(
-                name, weights, &mask, bank, k,
-            )?),
-            bank,
-            k,
-        ),
-        PruneMode::Coarse => {
+    let (stored, wq_bytes, wc_bytes, index_bits, ic_bytes) = match cfg.mode.geometry() {
+        // Structured layers store `f32` values and their position
+        // metadata as is: there is no quantization or entropy stage to
+        // count.
+        Some((bank, k)) => {
+            let l = BankBalancedFcLayer::from_fc(name, weights, &mask, bank, k)?;
+            let (values, bits) = (surviving * PRUNED_WEIGHT_BYTES, l.index_bits());
+            let stored = FcLayerFormat::BankBalanced(l);
+            (stored, values, values, bits, bits.div_ceil(8))
+        }
+        None => {
             let group = cfg.coarse.block().get(1).copied().unwrap_or(1);
             let group = group.clamp(1, MAX_GROUP_SIZE);
             let shared = if weights.shape().rank() == 4 {
@@ -449,9 +439,10 @@ mod tests {
             report.density,
             stats::pattern_density(&lc.mode, w.shape()).unwrap()
         );
-        let FcLayerFormat::TwoFour(l) = stored else {
-            panic!("2:4 layers store the 2:4 format");
+        let FcLayerFormat::BankBalanced(l) = stored else {
+            panic!("2:4 layers store the bank-balanced format");
         };
+        assert_eq!((l.bank, l.k), (4, 2));
         assert_eq!(l.values.len(), report.surviving);
         assert_eq!(report.wc_bytes, report.surviving * 4);
     }

@@ -1,9 +1,9 @@
 //! Property tests: structured-sparsity metadata round-trips through the
-//! packed formats, and the specialized kernels stay bit-identical to a
+//! bank-balanced format and its packed offset stream, and the specialized kernels stay bit-identical to a
 //! dense reference on arbitrary geometries.
 
 use cs_compress::engine::FcKernel;
-use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, TwoFourFcLayer};
+use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat};
 use cs_sparsity::structured;
 use cs_tensor::{Shape, Tensor};
 use proptest::prelude::*;
@@ -49,15 +49,31 @@ fn masked(w: &Tensor, mask: &cs_sparsity::Mask) -> Tensor {
     })
 }
 
+/// `layer` with its offsets read back from the stream it encodes to,
+/// which takes exactly the bytes `index_bits` charges.
+fn read_back(layer: &BankBalancedFcLayer) -> BankBalancedFcLayer {
+    let stream = layer.encode_offsets().unwrap();
+    assert_eq!(stream.len(), layer.index_bits().div_ceil(8));
+    let mut back = BankBalancedFcLayer {
+        offsets: Vec::new(),
+        ..layer.clone()
+    };
+    back.decode_offsets(&stream).unwrap();
+    back
+}
+
 proptest! {
     /// 2:4 survivor positions and values round-trip exactly through the
-    /// packed 2-bit metadata for any geometry, ragged tails included.
+    /// bank-balanced (4, 2) format and its 2-bit offset stream for any
+    /// geometry, ragged tails included.
     #[test]
     fn two_four_metadata_roundtrip(rows in 1usize..48, cols in 1usize..10,
                                    seed in 0u64..200) {
         let w = weights(rows, cols, seed);
         let mask = structured::two_four_mask(&w).unwrap();
-        let layer = TwoFourFcLayer::from_fc("p", &w, &mask).unwrap();
+        let layer = BankBalancedFcLayer::from_fc("p", &w, &mask, 4, 2).unwrap();
+        prop_assert!(layer.index_bits() <= mask.ones() * 2);
+        prop_assert_eq!(read_back(&layer), layer.clone());
         for o in 0..cols {
             let want_pos: Vec<u32> = (0..rows)
                 .filter(|i| mask.bits()[i * cols + o])
@@ -77,7 +93,7 @@ proptest! {
     }
 
     /// Bank-balanced survivor positions and values round-trip exactly
-    /// through the byte-offset metadata for any bank geometry.
+    /// through the offsets and their packed stream for any bank geometry.
     #[test]
     fn bank_balanced_metadata_roundtrip(rows in 1usize..48, cols in 1usize..8,
                                         bank in 2usize..12, k in 1usize..12,
@@ -86,6 +102,7 @@ proptest! {
         let w = weights(rows, cols, seed);
         let mask = structured::bank_balanced_mask(&w, bank, k).unwrap();
         let layer = BankBalancedFcLayer::from_fc("p", &w, &mask, bank, k).unwrap();
+        prop_assert_eq!(read_back(&layer), layer.clone());
         for o in 0..cols {
             let want_pos: Vec<u32> = (0..rows)
                 .filter(|i| mask.bits()[i * cols + o])
@@ -107,8 +124,8 @@ proptest! {
                                                seed in 0u64..100) {
         let w = weights(rows, cols, seed);
         let mask = structured::two_four_mask(&w).unwrap();
-        let layer = TwoFourFcLayer::from_fc("p", &w, &mask).unwrap();
-        let kernel = FcKernel::compile(&FcLayerFormat::TwoFour(layer));
+        let layer = BankBalancedFcLayer::from_fc("p", &w, &mask, 4, 2).unwrap();
+        let kernel = FcKernel::compile(&FcLayerFormat::BankBalanced(layer));
         let x = input(rows, seed ^ 0xA5A5);
         let mut got = vec![0.0f32; cols];
         kernel.forward(&x, &mut got);

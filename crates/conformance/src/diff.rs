@@ -29,8 +29,9 @@
 //! [`Fault::ReverseAccumulation`] swaps the ungated engine kernel for
 //! [`forward_reversed`], which adds the same terms in *descending* input
 //! order — a deliberately planted defect the harness must catch. The
-//! planted kernel targets coarse block-CSR layers; structured 2:4 and
-//! bank-balanced layers always run their production kernels.
+//! planted kernel targets coarse block-CSR layers; structured
+//! (bank-balanced, 2:4 included) layers always run their production
+//! kernels.
 //! [`Fault::CodebookOffByOne`] plants [`forward_codebook_shifted`] in
 //! the same place: the right order, but every looked-up weight read one
 //! codebook slot up. [`Fault::PairCodebookSwap`] plants
@@ -46,7 +47,7 @@ use cs_accel::pe::Activation;
 use cs_compress::engine::{
     BatchScratch, CompiledConvLayer, CompiledFcLayer, FcKernel, COLUMN_TILE,
 };
-use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
+use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer};
 use cs_compress::gate::GateStats;
 use cs_nn::data::lif_spike_train;
 use cs_sim::SimStats;
@@ -62,20 +63,19 @@ use crate::{Fault, Mismatch};
 /// Everything built for one FC layer of a case.
 #[derive(Debug, Clone)]
 pub struct FcLayerArtifacts {
-    /// The compiled storage format (coarse shared-index, packed 2:4, or
-    /// bank-balanced) — what the serving registry ingests.
+    /// The compiled storage format (coarse shared-index, or
+    /// bank-balanced for 2:4 and the bank patterns) — what the serving
+    /// registry ingests.
     pub format: FcLayerFormat,
     /// Shared-index view of `format` (simulator input; for structured
     /// patterns this is the exact identity-codebook bridge).
     pub shared: SharedIndexLayer,
-    /// The compiled engine kernel for the pattern, bias attached.
+    /// The compiled engine kernel for the pattern.
     pub engine: FcKernel,
     /// Densified twin of the engine layer (the dense-reference operand).
     pub dense: Tensor,
     /// The pruning mask.
     pub mask: Mask,
-    /// Per-output bias, when the case carries one.
-    pub bias: Option<Vec<f32>>,
     /// Activation after this layer (ReLU between layers, None last).
     pub activation: Activation,
 }
@@ -113,9 +113,6 @@ fn first_diff_nan_canonical(a: &[f32], b: &[f32]) -> Option<(usize, f32, f32)> {
         .map(|(i, (x, y))| (i, *x, *y))
 }
 
-/// Seed offset separating bias fills from weight fills.
-const BIAS_SALT: u64 = 0xB1A5_B1A5_B1A5_B1A5;
-
 /// Materializes one FC layer case.
 ///
 /// # Errors
@@ -136,8 +133,8 @@ pub fn build_fc_layer(
     let w = Tensor::from_vec(Shape::d2(case.n_in, case.n_out), data)
         .map_err(|e| Mismatch::new("build-weights", format!("layer {li}: {e:?}")))?;
     let name = format!("fc{li}");
-    let (mask, format) = match case.pattern {
-        PruneMode::Coarse => {
+    let (mask, format) = match case.pattern.geometry() {
+        None => {
             let cfg = CoarseConfig::fc(case.block_in, case.block_out, case.metric);
             let mask = coarse::prune_to_density(&w, &cfg, case.density)
                 .map_err(|e| Mismatch::new("build-prune", format!("layer {li}: {e:?}")))?;
@@ -159,18 +156,7 @@ pub fn build_fc_layer(
             })?;
             (mask, FcLayerFormat::Shared(shared))
         }
-        PruneMode::TwoFour => {
-            let mask = structured::two_four_mask(&w)
-                .map_err(|e| Mismatch::new("build-prune", format!("layer {li}: {e:?}")))?;
-            let layer = TwoFourFcLayer::from_fc(name.as_str(), &w, &mask).map_err(|e| {
-                Mismatch::new(
-                    "build-two-four",
-                    format!("layer {li}: 2:4 mask rejected by the format: {e:?}"),
-                )
-            })?;
-            (mask, FcLayerFormat::TwoFour(layer))
-        }
-        PruneMode::BankBalanced { bank, k } => {
+        Some((bank, k)) => {
             let mask = structured::bank_balanced_mask(&w, bank, k)
                 .map_err(|e| Mismatch::new("build-prune", format!("layer {li}: {e:?}")))?;
             let layer =
@@ -184,13 +170,7 @@ pub fn build_fc_layer(
         }
     };
     let shared = format.to_shared();
-    let mut engine = FcKernel::compile(&format);
-    let bias = case
-        .bias
-        .then(|| CaseRng::from_seed(case.weight_seed ^ BIAS_SALT).fill_f32(case.n_out, 0));
-    if let Some(b) = &bias {
-        engine = engine.with_bias(b.clone());
-    }
+    let engine = FcKernel::compile(&format);
     let dense = engine.to_dense();
     Ok(FcLayerArtifacts {
         format,
@@ -198,7 +178,6 @@ pub fn build_fc_layer(
         engine,
         dense,
         mask,
-        bias,
         activation: if last {
             Activation::None
         } else {
@@ -297,7 +276,7 @@ pub fn forward_pair_codebook_swapped(layer: &CompiledFcLayer, input: &[f32], out
 
 /// A scalar block-CSR kernel for the planted faults: each strip `k`'s
 /// terms `input[i] * weight(k, pos, lane)` added in ascending or
-/// (`descending`) reversed input order, then the bias.
+/// (`descending`) reversed input order.
 fn forward_planted(
     layer: &CompiledFcLayer,
     input: &[f32],
@@ -324,24 +303,20 @@ fn forward_planted(
             }
         }
     }
-    if let Some(b) = &layer.bias {
-        for (o, bv) in out.iter_mut().zip(b) {
-            *o += *bv;
-        }
-    }
 }
 
 /// Every differential leg [`check_fc`] can report, in the order it
-/// runs them (the per-layer `fc-sim-*` tolerance and error legs aside,
-/// which depend on the case). The sweep report prints this list so a
-/// run's log says which legs were armed.
-pub const FC_LEGS: [&str; 7] = [
+/// runs them (the `fc-sim-error` leg aside, which reports a simulator
+/// failure rather than a disagreement). The sweep report prints this
+/// list so a run's log says which legs were armed.
+pub const FC_LEGS: [&str; 8] = [
     "fc-dense-vs-sparse-bits",
     "fc-gated-vs-dense-bits",
     "fc-gated-vs-engine-bits",
     "fc-gated-stats",
     "fc-batched-vs-dense-bits",
     "fc-batched-vs-engine-bits",
+    "fc-sim-vs-dense-tolerance",
     "fc-sim-compiled-vs-program-bits",
 ];
 
@@ -403,9 +378,8 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
         // dense and simulator legs and hold the engine paths — ungated,
         // gated, batched — to each other instead.
         let finite = x.iter().all(|v| v.is_finite());
-        // Dense reference: matmul + element-wise bias, the exact op
-        // sequence of the serving dense lane.
-        let dense_out = match dense_forward(&la.dense, la.bias.as_deref(), &x) {
+        // Dense reference: the matmul of the serving dense lane.
+        let dense_out = match dense_forward(&la.dense, &x) {
             Ok(v) => v,
             Err(m) => {
                 out.push(m);
@@ -490,7 +464,7 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
                     .first()
                     .copied();
                 let (diff, leg) = if finite {
-                    match dense_forward(&la.dense, la.bias.as_deref(), col) {
+                    match dense_forward(&la.dense, col) {
                         Ok(want) => (first_diff(got, &want), "fc-batched-vs-dense-bits"),
                         Err(m) => {
                             out.push(m);
@@ -538,10 +512,9 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
             sparse.iter().map(|v| la.activation.apply(*v)).collect()
         };
 
-        // Simulator leg: tolerance-bounded, and only for bias-free
-        // layers on finite inputs (the datapath has no bias
-        // instruction, and the tolerance is meaningless against NaN).
-        if la.bias.is_none() && finite {
+        // Simulator leg: tolerance-bounded, and only on finite inputs
+        // (the tolerance is meaningless against NaN).
+        if finite {
             match accel.run_layer(&la.shared, &x, la.activation) {
                 Ok(run) => {
                     let scale = next.iter().fold(1.0f32, |m, v| m.max(v.abs()));
@@ -592,7 +565,6 @@ fn wide_sim_case() -> Result<FcArtifacts, Mismatch> {
         metric: coarse::PruneMetric::Average,
         density: 1.0,
         quant_bits: 8,
-        bias: false,
         zero_weights: false,
         weight_seed,
         pattern: PruneMode::Coarse,
@@ -676,29 +648,21 @@ fn check_sim_compiled(art: &FcArtifacts, accel: &Accelerator) -> Vec<Mismatch> {
     out
 }
 
-fn dense_forward(weights: &Tensor, bias: Option<&[f32]>, x: &[f32]) -> Result<Vec<f32>, Mismatch> {
+fn dense_forward(weights: &Tensor, x: &[f32]) -> Result<Vec<f32>, Mismatch> {
     let xt = Tensor::from_vec(Shape::d2(1, x.len()), x.to_vec())
         .map_err(|e| Mismatch::new("dense-ref-error", format!("{e:?}")))?;
     let mm = ops::matmul(&xt, weights)
         .map_err(|e| Mismatch::new("dense-ref-error", format!("{e:?}")))?;
-    let mut out = mm.as_slice().to_vec();
-    if let Some(b) = bias {
-        for (o, bv) in out.iter_mut().zip(b) {
-            *o += *bv;
-        }
-    }
-    Ok(out)
+    Ok(mm.as_slice().to_vec())
 }
 
 /// Artifacts for one conv case.
 #[derive(Debug, Clone)]
 pub struct ConvArtifacts {
-    /// The compiled sparse conv layer, bias attached.
+    /// The compiled sparse conv layer.
     pub layer: CompiledConvLayer,
     /// The coarse pruning mask over `(n_fin, n_fout, kx, ky)`.
     pub mask: Mask,
-    /// Per-output-map bias, when the case carries one.
-    pub bias: Option<Vec<f32>>,
     /// The `(n_fin, h, w)` input tensor.
     pub input: Tensor,
     /// Convolution geometry.
@@ -721,7 +685,7 @@ pub fn build_conv(case: &ConvCase) -> Result<ConvArtifacts, Mismatch> {
         .map_err(|e| Mismatch::new("build-prune", format!("{e:?}")))?;
     let geom = Conv2dGeometry::square(case.k, 1, case.pad);
     let group_size = bo.min(case.n_fout).max(1);
-    let mut layer =
+    let layer =
         CompiledConvLayer::compile_conv("conv", &w, &mask, group_size, case.quant_bits, geom)
             .map_err(|e| {
                 Mismatch::new(
@@ -729,12 +693,6 @@ pub fn build_conv(case: &ConvCase) -> Result<ConvArtifacts, Mismatch> {
                     format!("coarse conv mask rejected by the format: {e:?}"),
                 )
             })?;
-    let bias = case
-        .bias
-        .then(|| CaseRng::from_seed(case.weight_seed ^ BIAS_SALT).fill_f32(case.n_fout, 0));
-    if let Some(b) = &bias {
-        layer = layer.with_bias(b.clone());
-    }
     let input = Tensor::from_vec(
         Shape::d3(case.n_fin, case.h, case.w),
         CaseRng::from_seed(case.input_seed).fill_f32(case.n_fin * case.h * case.w, 3),
@@ -743,7 +701,6 @@ pub fn build_conv(case: &ConvCase) -> Result<ConvArtifacts, Mismatch> {
     Ok(ConvArtifacts {
         layer,
         mask,
-        bias,
         input,
         geom,
     })
@@ -755,7 +712,7 @@ pub fn build_conv(case: &ConvCase) -> Result<ConvArtifacts, Mismatch> {
 pub fn check_conv(art: &ConvArtifacts) -> Vec<Mismatch> {
     let mut out = Vec::new();
     let dense4 = art.layer.to_dense();
-    let want = match ops::conv2d(&art.input, &dense4, art.bias.as_deref(), &art.geom) {
+    let want = match ops::conv2d(&art.input, &dense4, None, &art.geom) {
         Ok(t) => t,
         Err(e) => {
             out.push(Mismatch::new("dense-ref-error", format!("{e:?}")));
@@ -838,7 +795,6 @@ mod tests {
             metric: cs_sparsity::coarse::PruneMetric::Average,
             density: 0.8,
             quant_bits: 8,
-            bias: false,
             zero_weights: false,
             weight_seed: 7,
             pattern: PruneMode::Coarse,
@@ -873,7 +829,6 @@ mod tests {
             metric: cs_sparsity::coarse::PruneMetric::Average,
             density: 0.8,
             quant_bits: 8,
-            bias: true,
             zero_weights: false,
             weight_seed: 7,
             pattern: PruneMode::Coarse,
@@ -906,12 +861,12 @@ mod tests {
     #[test]
     fn structured_patterns_pass_every_differential_leg() {
         // Hand-built nets covering both structured patterns on ragged
-        // widths, with an all-zero layer and a biased layer mixed in.
-        for (pattern, bias, zero) in [
-            (PruneMode::TwoFour, false, false),
-            (PruneMode::TwoFour, true, true),
-            (PruneMode::BankBalanced { bank: 8, k: 3 }, false, false),
-            (PruneMode::BankBalanced { bank: 4, k: 1 }, true, false),
+        // widths, with an all-zero layer mixed in.
+        for (pattern, zero) in [
+            (PruneMode::TwoFour, false),
+            (PruneMode::TwoFour, true),
+            (PruneMode::BankBalanced { bank: 8, k: 3 }, false),
+            (PruneMode::BankBalanced { bank: 4, k: 1 }, false),
         ] {
             let net = FcNetCase {
                 layers: vec![
@@ -924,7 +879,6 @@ mod tests {
                         metric: cs_sparsity::coarse::PruneMetric::Average,
                         density: 0.5,
                         quant_bits: 8,
-                        bias,
                         zero_weights: zero,
                         weight_seed: 19,
                         pattern,
@@ -938,7 +892,6 @@ mod tests {
                         metric: cs_sparsity::coarse::PruneMetric::Max,
                         density: 0.4,
                         quant_bits: 4,
-                        bias: false,
                         zero_weights: false,
                         weight_seed: 23,
                         pattern: PruneMode::Coarse,
@@ -952,7 +905,7 @@ mod tests {
             let art = build_fc(&net).unwrap();
             assert_eq!(art.layers[0].engine.kind(), pattern.name());
             let m = check_fc(&art, Fault::None);
-            assert!(m.is_empty(), "{pattern:?} bias {bias} zero {zero}: {m:?}");
+            assert!(m.is_empty(), "{pattern:?} zero {zero}: {m:?}");
         }
     }
 
@@ -973,7 +926,6 @@ mod tests {
                     metric: cs_sparsity::coarse::PruneMetric::Average,
                     density: 0.6,
                     quant_bits: 8,
-                    bias: false,
                     zero_weights: false,
                     weight_seed: 41,
                     pattern: PruneMode::Coarse,
@@ -1026,7 +978,6 @@ mod tests {
                 metric: cs_sparsity::coarse::PruneMetric::Average,
                 density: 1.0,
                 quant_bits: 8,
-                bias: false,
                 zero_weights: true,
                 weight_seed: 3,
                 pattern: PruneMode::TwoFour,

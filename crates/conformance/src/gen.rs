@@ -51,13 +51,9 @@ pub struct FcLayerCase {
     pub density: f64,
     /// Codebook index width in bits.
     pub quant_bits: u8,
-    /// Whether the layer carries a per-output bias (engine lanes only;
-    /// the simulator path has no bias instruction, so biased cases
-    /// skip the simulator comparison).
-    pub bias: bool,
     /// All-zero weights instead of the gaussian fill.
     pub zero_weights: bool,
-    /// Seed for the weight (and bias) fill.
+    /// Seed for the weight fill.
     pub weight_seed: u64,
     /// Pruning pattern. `Coarse` uses `block_in`/`block_out`/`metric`/
     /// `density` above; the structured patterns ignore those fields and
@@ -114,13 +110,6 @@ impl FcLayerCase {
     }
 }
 
-impl FcNetCase {
-    /// Whether any layer carries a bias (disables the simulator leg).
-    pub fn has_bias(&self) -> bool {
-        self.layers.iter().any(|l| l.bias)
-    }
-}
-
 /// A generated convolutional layer case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvCase {
@@ -144,9 +133,7 @@ pub struct ConvCase {
     pub density: f64,
     /// Codebook index width in bits.
     pub quant_bits: u8,
-    /// Per-output-map bias.
-    pub bias: bool,
-    /// Seed for the weight (and bias) fill.
+    /// Seed for the weight fill.
     pub weight_seed: u64,
     /// Seed for the input fill.
     pub input_seed: u64,
@@ -325,8 +312,12 @@ fn gen_fc(rng: &mut CaseRng) -> FcNetCase {
             metric: metric(rng),
             density: density(rng),
             quant_bits: *rng.pick(&QUANT_BITS),
-            bias: rng.chance(0.2),
-            zero_weights: rng.chance(0.07),
+            zero_weights: {
+                // The retired bias draw, discarded so that every pinned
+                // `(seed, index)` pair replays the same layers.
+                let _ = rng.chance(0.2);
+                rng.chance(0.07)
+            },
             weight_seed: rng.next_u64(),
             pattern: PruneMode::Coarse,
         })
@@ -414,8 +405,11 @@ fn gen_conv(rng: &mut CaseRng) -> ConvCase {
         metric: metric(rng),
         density: density(rng),
         quant_bits: *rng.pick(&QUANT_BITS),
-        bias: rng.chance(0.25),
-        weight_seed: rng.next_u64(),
+        weight_seed: {
+            // The retired bias draw, discarded as in `gen_fc`.
+            let _ = rng.chance(0.25);
+            rng.next_u64()
+        },
         input_seed: rng.next_u64(),
     }
 }

@@ -277,13 +277,12 @@ pub fn check_fc(case: &FcNetCase, art: &FcArtifacts) -> Vec<Mismatch> {
 pub fn check_conv(case: &ConvCase, art: &ConvArtifacts) -> Vec<Mismatch> {
     let mut out = Vec::new();
     check_step_index(&art.mask, "conv", &mut out);
-    let inner = art.layer.inner();
-    if (inner.density() - art.mask.density()).abs() > 1e-9 {
+    if (art.layer.density() - art.mask.density()).abs() > 1e-9 {
         out.push(Mismatch::new(
             "density-consistency",
             format!(
                 "conv: engine density {:.6} vs mask density {:.6}",
-                inner.density(),
+                art.layer.density(),
                 art.mask.density()
             ),
         ));

@@ -9,9 +9,9 @@
 //!
 //! * [`fuzz_container`] — a seed-replayable sweep. Every case compiles
 //!   a generator-produced FC network (the same generator the
-//!   differential executor uses, so coarse shared-index, 2:4 and
-//!   bank-balanced bodies with ragged tails, empty codebooks and
-//!   degenerate banks all appear) into a [`ModelArtifact`] and demands
+//!   differential executor uses, so coarse shared-index and
+//!   bank-balanced bodies (2:4 included) with ragged tails, empty
+//!   codebooks and degenerate banks all appear) into a [`ModelArtifact`] and demands
 //!   a byte-exact `encode → decode → encode` round trip. A poisoned
 //!   twin overwrites codebook centroids and packed values with NaN
 //!   payloads, ±0.0, infinities and subnormals drawn from raw bit
@@ -85,13 +85,6 @@ fn poison(artifact: &ModelArtifact, rng: &mut CaseRng) -> ModelArtifact {
                         .map(|&c| if rng.chance(0.5) { special_f32(rng) } else { c })
                         .collect();
                     g.codebook = Codebook::new(poisoned);
-                }
-            }
-            FcLayerFormat::TwoFour(l) => {
-                for v in &mut l.values {
-                    if rng.chance(0.5) {
-                        *v = special_f32(rng);
-                    }
                 }
             }
             FcLayerFormat::BankBalanced(l) => {

@@ -375,5 +375,6 @@ mod tests {
             .expect("legs line")
             .to_string();
         assert!(armed.contains("fc-batched-vs-dense-bits"), "{armed}");
+        assert!(armed.contains("fc-sim-vs-dense-tolerance"), "{armed}");
     }
 }

@@ -91,9 +91,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// Serves the case's layers under both engine backends and the
-/// simulator and checks agreement (note the artifacts' biases are
-/// engine-side only and are deliberately not part of the served model —
-/// `ServableModel` carries none).
+/// simulator and checks agreement.
 pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
     let mut out = Vec::new();
     let n_in = art.layers[0].shared.n_in;
@@ -225,7 +223,6 @@ mod tests {
                 metric: cs_sparsity::coarse::PruneMetric::Average,
                 density: 0.5,
                 quant_bits: 8,
-                bias: false,
                 zero_weights: false,
                 weight_seed: 9,
                 pattern: PruneMode::Coarse,

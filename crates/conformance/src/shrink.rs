@@ -127,11 +127,6 @@ fn fc_candidates(c: &FcNetCase) -> Vec<FcNetCase> {
             cand.layers[li].density = 1.0;
             out.push(cand);
         }
-        if l.bias {
-            let mut cand = c.clone();
-            cand.layers[li].bias = false;
-            out.push(cand);
-        }
         if l.zero_weights {
             let mut cand = c.clone();
             cand.layers[li].zero_weights = false;
@@ -202,11 +197,6 @@ fn conv_candidates(c: &ConvCase) -> Vec<ConvCase> {
     if c.density != 1.0 {
         let mut cand = c.clone();
         cand.density = 1.0;
-        out.push(cand);
-    }
-    if c.bias {
-        let mut cand = c.clone();
-        cand.bias = false;
         out.push(cand);
     }
     if c.quant_bits != 8 {

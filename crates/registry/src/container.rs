@@ -13,16 +13,22 @@
 //! checksum         u32   CRC-32 (IEEE) over every preceding byte
 //! ```
 //!
-//! The `Shared` body (version 2) is the geometry (`n_in`, `n_out`,
-//! `group_size` u32, `quant_bits` u8), one `f32` codebook per output
-//! group (u32 entry count + entries), then two `u32`-length-prefixed
-//! sections from `SharedIndexLayer::encode_streams`: the shared indexes
-//! as one bilevel-coded image and the whole weight-index stream coded
-//! once (Huffman, or fixed width when that is no longer; the symbol
-//! count and alphabet come from the geometry and the codebooks, so the
-//! stream holds only its code lengths). Version-1 containers (raw `u16`
-//! indexes) are
-//! rejected as [`RegistryError::UnsupportedVersion`].
+//! The `Shared` body is the geometry (`n_in`, `n_out`, `group_size`
+//! u32, `quant_bits` u8), one `f32` codebook per output group (u32 entry
+//! count + entries), then two `u32`-length-prefixed sections from
+//! `SharedIndexLayer::encode_streams`: the shared indexes as one
+//! bilevel-coded image and the whole weight-index stream coded once
+//! (Huffman, or fixed width when that is no longer; the symbol count and
+//! alphabet come from the geometry and the codebooks, so the stream
+//! holds only its code lengths).
+//!
+//! The `BankBalanced` body (2:4 is bank 4, k 2) is the geometry (`n_in`,
+//! `n_out`, `bank`, `k` u32), the surviving values as `f32`, then the
+//! offsets of `BankBalancedFcLayer::encode_offsets`: `ceil(log2 bank)`
+//! bits each, zero-padded to a byte, so their length follows from the
+//! geometry. Version-1 (raw `u16` indexes) and version-2 (byte-per-offset
+//! bodies and a separate 2:4 body) containers are rejected as
+//! [`RegistryError::UnsupportedVersion`].
 //!
 //! The encoding is *canonical*: every variable-length run is derived
 //! from already-decoded geometry, exactly length-prefixed, or an
@@ -38,7 +44,6 @@
 use cs_accel::pe::Activation;
 use cs_compress::format::{
     BankBalancedFcLayer, FcLayerFormat, OutputGroup, SharedIndexLayer, SharedStreams,
-    TwoFourFcLayer,
 };
 use cs_quant::Codebook;
 use cs_sparsity::structured::survivors_per_lane;
@@ -48,7 +53,7 @@ use crate::error::RegistryError;
 /// Container magic: `CSMR` (Cambricon-S Model Registry).
 pub const MAGIC: [u8; 4] = *b"CSMR";
 /// Container format version this build encodes and decodes.
-pub const CONTAINER_VERSION: u8 = 2;
+pub const CONTAINER_VERSION: u8 = 3;
 /// Hard cap on a whole container file.
 pub const MAX_CONTAINER_BYTES: usize = 1 << 26;
 /// Hard cap on model and layer names.
@@ -65,7 +70,6 @@ pub const MAX_CODEBOOK: usize = 1 << 16;
 pub const MAX_DECODED_BYTES: usize = 1 << 27;
 
 const KIND_SHARED: u8 = 0;
-const KIND_TWO_FOUR: u8 = 1;
 const KIND_BANK_BALANCED: u8 = 2;
 
 /// One versioned compressed model: the unit the registry stores, ships
@@ -381,11 +385,6 @@ pub fn encode_model(artifact: &ModelArtifact) -> Result<Vec<u8>, RegistryError> 
                 w.u8(activation_tag(*activation));
                 encode_shared(&mut w, l)?;
             }
-            FcLayerFormat::TwoFour(l) => {
-                w.u8(KIND_TWO_FOUR);
-                w.u8(activation_tag(*activation));
-                encode_two_four(&mut w, l)?;
-            }
             FcLayerFormat::BankBalanced(l) => {
                 w.u8(KIND_BANK_BALANCED);
                 w.u8(activation_tag(*activation));
@@ -452,64 +451,35 @@ fn encode_shared(w: &mut Writer, l: &SharedIndexLayer) -> Result<(), RegistryErr
     Ok(())
 }
 
-fn encode_two_four(w: &mut Writer, l: &TwoFourFcLayer) -> Result<(), RegistryError> {
-    w.name(&l.name, "layer name")?;
-    w.dim(l.n_in, "n_in")?;
-    w.dim(l.n_out, "n_out")?;
-    let meta_len = l.n_out * l.n_in.div_ceil(4);
-    let value_len = l.n_out * survivors_per_lane(l.n_in, 4, 2);
-    if l.meta.len() != meta_len || l.values.len() != value_len {
+/// The bank geometry both sides accept: a nonempty bank of at most 256
+/// inputs (offsets fit a byte) keeping `1..=bank` survivors.
+fn check_bank_geometry(bank: usize, k: usize) -> Result<(), RegistryError> {
+    if bank == 0 || bank > 256 || k == 0 || k > bank {
         return Err(RegistryError::BadField {
-            field: "2:4 geometry",
-            detail: format!(
-                "meta {} / values {} disagree with derived {meta_len} / {value_len}",
-                l.meta.len(),
-                l.values.len()
-            ),
+            field: "bank geometry",
+            detail: format!("bank {bank} / k {k}"),
         });
-    }
-    w.out.extend_from_slice(&l.meta);
-    for &v in &l.values {
-        w.f32(v);
     }
     Ok(())
 }
 
+/// The `BankBalanced` body: geometry, the values, then the packed
+/// offsets of [`BankBalancedFcLayer::encode_offsets`].
 fn encode_bank_balanced(w: &mut Writer, l: &BankBalancedFcLayer) -> Result<(), RegistryError> {
     w.name(&l.name, "layer name")?;
     w.dim(l.n_in, "n_in")?;
     w.dim(l.n_out, "n_out")?;
-    if l.bank == 0 || l.bank > 256 || l.k > l.bank {
-        return Err(RegistryError::BadField {
-            field: "bank geometry",
-            detail: format!("bank {} / k {}", l.bank, l.k),
-        });
-    }
+    check_bank_geometry(l.bank, l.k)?;
     w.u32(l.bank as u32);
     w.u32(l.k as u32);
-    let stride_len = l.n_out * survivors_per_lane(l.n_in, l.bank, l.k);
-    if l.offsets.len() != stride_len || l.values.len() != stride_len {
-        return Err(RegistryError::BadField {
-            field: "bank-balanced geometry",
-            detail: format!(
-                "offsets {} / values {} disagree with derived {stride_len}",
-                l.offsets.len(),
-                l.values.len()
-            ),
-        });
-    }
-    for &o in &l.offsets {
-        if usize::from(o) >= l.bank {
-            return Err(RegistryError::BadField {
-                field: "bank offset",
-                detail: format!("{o} outside bank {}", l.bank),
-            });
-        }
-    }
-    w.out.extend_from_slice(&l.offsets);
+    let offsets = l.encode_offsets().map_err(|e| RegistryError::BadField {
+        field: "bank offsets",
+        detail: e.to_string(),
+    })?;
     for &v in &l.values {
         w.f32(v);
     }
+    w.out.extend_from_slice(&offsets);
     Ok(())
 }
 
@@ -585,7 +555,6 @@ pub fn decode_model(bytes: &[u8]) -> Result<ModelArtifact, RegistryError> {
         let activation = activation_from(c.u8()?)?;
         let format = match kind {
             KIND_SHARED => FcLayerFormat::Shared(decode_shared(&mut c)?),
-            KIND_TWO_FOUR => FcLayerFormat::TwoFour(decode_two_four(&mut c)?),
             KIND_BANK_BALANCED => FcLayerFormat::BankBalanced(decode_bank_balanced(&mut c)?),
             other => {
                 return Err(RegistryError::BadField {
@@ -690,70 +659,40 @@ fn decode_shared(c: &mut Cursor) -> Result<SharedIndexLayer, RegistryError> {
     Ok(layer)
 }
 
-fn decode_two_four(c: &mut Cursor) -> Result<TwoFourFcLayer, RegistryError> {
-    let name = c.name("layer name")?;
-    let n_in = c.dim("n_in")?;
-    let n_out = c.dim("n_out")?;
-    // Geometry is derived, never declared: no hostile-length surface.
-    let meta_len = n_out
-        .checked_mul(n_in.div_ceil(4))
-        .ok_or(RegistryError::Oversized {
-            field: "2:4 meta",
-            value: u64::MAX,
-            cap: MAX_DECODED_BYTES as u64,
-        })?;
-    c.need(meta_len)?;
-    c.charge(meta_len)?;
-    let meta = c.bytes(meta_len)?.to_vec();
-    let values = c.f32_run(n_out * survivors_per_lane(n_in, 4, 2))?;
-    Ok(TwoFourFcLayer {
-        name,
-        n_in,
-        n_out,
-        meta,
-        values,
-    })
-}
-
 fn decode_bank_balanced(c: &mut Cursor) -> Result<BankBalancedFcLayer, RegistryError> {
     let name = c.name("layer name")?;
     let n_in = c.dim("n_in")?;
     let n_out = c.dim("n_out")?;
     let bank = c.u32()? as usize;
     let k = c.u32()? as usize;
-    if bank == 0 || bank > 256 || k > bank {
-        return Err(RegistryError::BadField {
-            field: "bank geometry",
-            detail: format!("bank {bank} / k {k}"),
-        });
-    }
-    let stride_len =
+    check_bank_geometry(bank, k)?;
+    // Geometry is derived, never declared: no hostile-length surface.
+    let survivors =
         n_out
             .checked_mul(survivors_per_lane(n_in, bank, k))
             .ok_or(RegistryError::Oversized {
-                field: "bank-balanced offsets",
+                field: "bank-balanced values",
                 value: u64::MAX,
                 cap: MAX_DECODED_BYTES as u64,
             })?;
-    c.need(stride_len)?;
-    c.charge(stride_len)?;
-    let offsets = c.bytes(stride_len)?.to_vec();
-    for &o in &offsets {
-        if usize::from(o) >= bank {
-            return Err(RegistryError::BadField {
-                field: "bank offset",
-                detail: format!("{o} outside bank {bank}"),
-            });
-        }
-    }
-    let values = c.f32_run(stride_len)?;
-    Ok(BankBalancedFcLayer {
+    let values = c.f32_run(survivors)?;
+    // One byte per decoded offset.
+    c.charge(survivors)?;
+    let mut layer = BankBalancedFcLayer {
         name,
         n_in,
         n_out,
         bank,
         k,
-        offsets,
+        offsets: Vec::new(),
         values,
-    })
+    };
+    let stream = c.bytes(layer.index_bits().div_ceil(8))?;
+    layer
+        .decode_offsets(stream)
+        .map_err(|e| RegistryError::BadField {
+            field: "bank offsets",
+            detail: e.to_string(),
+        })?;
+    Ok(layer)
 }

@@ -12,18 +12,20 @@
 //!   byte-exact round trips and hard pre-allocation caps (hostile input
 //!   gets a typed [`RegistryError`], never a panic). A shared-index layer
 //!   is stored as the entropy-coded sections of
-//!   `SharedIndexLayer::encode_streams`, the bytes Table IV counts;
+//!   `SharedIndexLayer::encode_streams`, the bytes Table IV counts, and a
+//!   bank-balanced (2:4 included) layer as its values and its offsets at
+//!   `ceil(log2 bank)` bits each;
 //! - [`RegistryStore`]: a directory of containers keyed by
 //!   `(name, version)` with atomic saves.
 //!
 //! ```
 //! use cs_registry::{ModelArtifact, RegistryStore};
-//! # use cs_compress::format::{FcLayerFormat, TwoFourFcLayer};
+//! # use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat};
 //! # use cs_accel::pe::Activation;
 //! # fn layer() -> FcLayerFormat {
-//! #     FcLayerFormat::TwoFour(TwoFourFcLayer {
-//! #         name: "fc0".into(), n_in: 4, n_out: 1,
-//! #         meta: vec![0b0100], values: vec![1.0, 2.0],
+//! #     FcLayerFormat::BankBalanced(BankBalancedFcLayer {
+//! #         name: "fc0".into(), n_in: 4, n_out: 1, bank: 4, k: 2,
+//! #         offsets: vec![0, 1], values: vec![1.0, 2.0],
 //! #     })
 //! # }
 //! let dir = std::env::temp_dir().join("csmr-doc-example");
@@ -56,9 +58,7 @@ pub use store::{RegistryStore, StoredModel};
 mod tests {
     use super::*;
     use cs_accel::pe::Activation;
-    use cs_compress::format::{
-        BankBalancedFcLayer, FcLayerFormat, OutputGroup, SharedIndexLayer, TwoFourFcLayer,
-    };
+    use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, OutputGroup, SharedIndexLayer};
     use cs_quant::Codebook;
     use cs_sparsity::structured::survivors_per_lane;
 
@@ -92,20 +92,7 @@ mod tests {
         })
     }
 
-    fn two_four_layer(name: &str, n_in: usize, n_out: usize) -> FcLayerFormat {
-        let stride = survivors_per_lane(n_in, 4, 2);
-        FcLayerFormat::TwoFour(TwoFourFcLayer {
-            name: name.into(),
-            n_in,
-            n_out,
-            meta: vec![0b0100; n_out * n_in.div_ceil(4)],
-            values: (0..n_out * stride).map(|i| i as f32 * 0.5 - 1.0).collect(),
-        })
-    }
-
-    fn bank_layer(name: &str, n_in: usize, n_out: usize) -> FcLayerFormat {
-        let bank = 8.min(n_in).max(1);
-        let k = 2.min(bank);
+    fn bank_layer(name: &str, n_in: usize, n_out: usize, bank: usize, k: usize) -> FcLayerFormat {
         let stride = survivors_per_lane(n_in, bank, k);
         FcLayerFormat::BankBalanced(BankBalancedFcLayer {
             name: name.into(),
@@ -124,8 +111,8 @@ mod tests {
             version: 7,
             layers: vec![
                 (shared_layer("fc0", 12, 8), Activation::Relu),
-                (two_four_layer("fc1", 8, 6), Activation::Sigmoid),
-                (bank_layer("fc2", 6, 3), Activation::None),
+                (bank_layer("fc1", 8, 6, 4, 2), Activation::Sigmoid),
+                (bank_layer("fc2", 6, 3, 6, 2), Activation::None),
             ],
         }
     }
@@ -337,13 +324,71 @@ mod tests {
 
     #[test]
     fn version_one_containers_are_unsupported() {
-        let mut old = encode_model(&artifact()).unwrap();
-        old[4] = 1;
-        reseal(&mut old);
-        assert!(matches!(
-            decode_model(&old).unwrap_err(),
-            RegistryError::UnsupportedVersion(1)
-        ));
+        for version in [1, 2] {
+            let mut old = encode_model(&artifact()).unwrap();
+            old[4] = version;
+            reseal(&mut old);
+            assert!(matches!(
+                decode_model(&old).unwrap_err(),
+                RegistryError::UnsupportedVersion(v) if v == version
+            ));
+        }
+    }
+
+    /// A one-layer container holding `layer`.
+    fn one_layer(layer: FcLayerFormat) -> ModelArtifact {
+        ModelArtifact {
+            name: "bank".into(),
+            version: 1,
+            layers: vec![(layer, Activation::None)],
+        }
+    }
+
+    #[test]
+    fn bank_offsets_take_exactly_their_index_bits() {
+        // 2 bits per offset at bank 4 (2:4), 4 at bank 16, 3 at bank 6.
+        for (bank, k, bits) in [(4, 2, 2), (16, 5, 4), (6, 2, 3)] {
+            let layer = bank_layer("fc", 37, 5, bank, k);
+            assert_eq!(layer.index_bits(), layer.surviving() * bits);
+            let bytes = encode_model(&one_layer(layer.clone())).unwrap();
+            // Header, layer kind and name, four u32 fields, the values,
+            // the offsets, the CRC.
+            let body = 4 + 1 + 2 + 4 + 4 + 2 + 2 + 2 + 2 + 16 + 4 * layer.surviving();
+            assert_eq!(
+                bytes.len(),
+                body + layer.index_bits().div_ceil(8) + 4,
+                "bank {bank}"
+            );
+            assert_eq!(decode_model(&bytes).unwrap().layers[0].0, layer);
+        }
+    }
+
+    #[test]
+    fn bank_balanced_k_zero_is_rejected_both_ways() {
+        let FcLayerFormat::BankBalanced(mut l) = bank_layer("fc", 8, 2, 4, 2) else {
+            unreachable!()
+        };
+        let good = encode_model(&one_layer(FcLayerFormat::BankBalanced(l.clone()))).unwrap();
+        l.k = 0;
+        let bad_field = |e: RegistryError| {
+            matches!(
+                e,
+                RegistryError::BadField {
+                    field: "bank geometry",
+                    ..
+                }
+            )
+        };
+        let art = one_layer(FcLayerFormat::BankBalanced(l));
+        assert!(bad_field(encode_model(&art).unwrap_err()));
+        // Magic, version, model name, model version, layer count, kind,
+        // activation, layer name, n_in, n_out, bank: then k.
+        let k_at = 4 + 1 + 2 + 4 + 4 + 2 + 2 + 2 + 2 + 12;
+        assert_eq!(good[k_at..k_at + 4], 2u32.to_le_bytes());
+        let mut bad = good.clone();
+        bad[k_at..k_at + 4].copy_from_slice(&0u32.to_le_bytes());
+        reseal(&mut bad);
+        assert!(bad_field(decode_model(&bad).unwrap_err()));
     }
 
     #[test]

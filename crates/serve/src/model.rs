@@ -15,7 +15,7 @@ use cs_accel::exec::{validate_layer, SimScratch};
 use cs_accel::pe::Activation;
 use cs_compress::config::ModelCompressionConfig;
 use cs_compress::engine::{BatchScratch, FcKernel};
-use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer, TwoFourFcLayer};
+use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, SharedIndexLayer};
 use cs_compress::gate::GateStats;
 use cs_compress::pipeline::prune_layer;
 use cs_compress::CompressError;
@@ -38,8 +38,8 @@ pub struct ServableModel {
     pub name: String,
     /// Compressed layers in execution order, each with its activation.
     /// The format follows the layer's pruning mode: shared-index for
-    /// coarse pruning, packed 2:4 or bank-balanced metadata for the
-    /// structured modes.
+    /// coarse pruning, bank-balanced (2:4 included) for the structured
+    /// modes.
     pub layers: Vec<(FcLayerFormat, Activation)>,
     /// Input width of the first layer.
     pub n_in: usize,
@@ -95,20 +95,21 @@ impl ServableModel {
             let profile = ConvergenceProfile::with_target_density(lc.target_density);
             let weights = init::materialize(layer, &profile, seed.wrapping_add(i as u64));
             let mask = prune_layer(&weights, lc)?;
-            let format = match lc.mode {
-                PruneMode::Coarse => FcLayerFormat::Shared(SharedIndexLayer::from_fc(
+            let format = match lc.mode.geometry() {
+                None => FcLayerFormat::Shared(SharedIndexLayer::from_fc(
                     layer.name(),
                     &weights,
                     &mask,
                     GROUP_SIZE,
                     lc.quant_bits,
                 )?),
-                PruneMode::TwoFour => {
-                    FcLayerFormat::TwoFour(TwoFourFcLayer::from_fc(layer.name(), &weights, &mask)?)
-                }
-                PruneMode::BankBalanced { bank, k } => FcLayerFormat::BankBalanced(
-                    BankBalancedFcLayer::from_fc(layer.name(), &weights, &mask, bank, k)?,
-                ),
+                Some((bank, k)) => FcLayerFormat::BankBalanced(BankBalancedFcLayer::from_fc(
+                    layer.name(),
+                    &weights,
+                    &mask,
+                    bank,
+                    k,
+                )?),
             };
             let activation = if i + 1 == count {
                 Activation::None
@@ -594,11 +595,6 @@ impl ModelRegistry {
     pub fn get(&self, name: &str) -> Option<(usize, Arc<ServableModel>)> {
         let idx = *self.by_name.get(name)?;
         Some((idx, Arc::clone(&self.models[idx])))
-    }
-
-    /// Looks a model up by dense index.
-    pub fn get_by_index(&self, idx: usize) -> Option<Arc<ServableModel>> {
-        self.models.get(idx).map(Arc::clone)
     }
 
     /// Number of registered models.

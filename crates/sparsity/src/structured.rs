@@ -80,6 +80,16 @@ impl PruneMode {
             PruneMode::BankBalanced { bank, k } => Some((*bank, *k)),
         }
     }
+
+    /// The structured mode of a `(bank, k)` geometry, the inverse of
+    /// [`PruneMode::geometry`]: `(4, 2)` is [`PruneMode::TwoFour`], so a
+    /// stored bank-balanced layer is labelled by its geometry alone.
+    pub fn structured(bank: usize, k: usize) -> PruneMode {
+        match (bank, k) {
+            (4, 2) => PruneMode::TwoFour,
+            _ => PruneMode::BankBalanced { bank, k },
+        }
+    }
 }
 
 /// Validates a `(bank, k)` geometry. Degenerate-but-meaningful shapes
@@ -407,5 +417,7 @@ mod tests {
         assert!(!PruneMode::Coarse.is_structured());
         assert!(PruneMode::TwoFour.is_structured());
         assert_eq!(PruneMode::TwoFour.geometry(), Some((4, 2)));
+        assert_eq!(PruneMode::structured(4, 2), PruneMode::TwoFour);
+        assert_eq!(PruneMode::structured(8, 2).name(), "bank_balanced");
     }
 }
