@@ -2288,16 +2288,36 @@ mod tests {
     /// With every strip 16 lanes wide, a 4-bit layer holds exactly the
     /// `ceil(surviving × 4 / 8)`-byte dictionary the storage format
     /// counts (an edge strip narrower than 16 lanes would still fill a
-    /// whole `u64` per row).
+    /// whole `u64` per row), and its rows plus LUTs are the `W_q` the
+    /// compression pipeline reports.
     #[test]
     fn a_four_bit_lane_holds_the_dictionary_the_ledger_counts() {
-        let (w, mask) = fc_layer(96, 64, 16, 0.25);
-        let shared = SharedIndexLayer::from_fc("fc", &w, &mask, 16, 4).unwrap();
+        use crate::config::LayerCompressionConfig;
+        use crate::pipeline::compress_layer;
+        use cs_nn::spec::{LayerSpec, LayerSpecKind};
+
+        let (w, _) = fc_layer(96, 64, 16, 0.25);
+        let spec = LayerSpec::new(
+            "fc",
+            LayerSpecKind::Fc {
+                n_in: 96,
+                n_out: 64,
+            },
+        );
+        let cfg = LayerCompressionConfig::paper_fc(0.25, 16);
+        let (report, _, stored) = compress_layer(&spec, &w, &cfg).unwrap();
+        let FcLayerFormat::Shared(shared) = stored else {
+            panic!("coarse layers store the shared-index format");
+        };
+        assert_eq!((shared.quant_bits, shared.group_size), (4, 16));
         let layer = CompiledFcLayer::from_shared(&shared);
-        let luts: usize = shared.groups.iter().map(|g| g.codebook.byte_size()).sum();
         assert!(layer.surviving() > 0);
         assert_eq!(row_bytes(&layer), (layer.surviving() * 4).div_ceil(8));
-        assert_eq!(row_bytes(&layer) + luts, shared.weight_bytes());
+        assert_eq!(
+            row_bytes(&layer) + shared.lut_bytes(),
+            shared.weight_bytes()
+        );
+        assert_eq!(row_bytes(&layer) + shared.lut_bytes(), report.wq_bytes);
     }
 
     proptest::proptest! {

@@ -19,7 +19,7 @@
 use cs_coding::bilevel::{self, BiLevelImage};
 use cs_coding::bits::{BitReader, BitWriter};
 use cs_coding::{huffman, CodingError};
-use cs_quant::{kmeans_1d, Codebook};
+use cs_quant::{binary16, kmeans_1d, Codebook};
 use cs_sparsity::structured::{satisfies_pattern, survivors_per_lane};
 use cs_sparsity::{Mask, PruneMode};
 use cs_tensor::{Shape, Tensor, TensorError};
@@ -42,8 +42,15 @@ fn lowering(shape: &Shape) -> impl Fn(usize, usize) -> usize {
     }
 }
 
+/// Entries in a group's codebook, derived (never stored) from its
+/// `weights` surviving weights: `2^quant_bits` (bits capped at 12), at
+/// most one per two weights, so a 16-bit LUT takes ≤ a byte per weight.
+pub fn codebook_len(quant_bits: u8, weights: usize) -> usize {
+    (1usize << quant_bits.min(12)).min((weights / 2).max(1))
+}
+
 /// One group of output neurons sharing a synapse index.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutputGroup {
     /// Shared synapse index: one bit per input position, `true` when the
     /// connection survives (broadcast by the NSM).
@@ -163,21 +170,14 @@ impl SharedIndexLayer {
                     }
                 }
             }
-            if all.is_empty() {
-                // Fully-pruned group: keep an empty codebook.
-                groups.push(OutputGroup {
-                    index,
-                    weights: vec![Vec::new(); g1 - g0],
-                    codebook: Codebook::new(vec![0.0]),
-                });
-                continue;
-            }
-            // An `f32` centroid costs what the weight it replaces does, so
-            // a group gets at most one centroid per two weights: a
-            // codebook never outweighs the pruned values it quantizes.
-            let k = (1usize << quant_bits.min(12)).min((all.len() / 2).max(1));
-            let km = kmeans_1d(&all, k, 20);
-            let codebook = Codebook::new(km.centroids);
+            let k = codebook_len(quant_bits, all.len());
+            let mut km = kmeans_1d(&all, k, 20);
+            // k-means finds fewer than `k` centroids only in a group of
+            // fewer distinct weights (none when fully pruned); the LUT's
+            // other slots hold entries no index addresses. Every entry is
+            // rounded to the LUT's binary16 once, here.
+            km.centroids.resize(k, 0.0);
+            let codebook = Codebook::new(km.centroids.into_iter().map(binary16::round).collect());
             let per_out = all.len() / (g1 - g0);
             let weights: Vec<Vec<u16>> = (0..g1 - g0)
                 .map(|oi| km.assignments[oi * per_out..(oi + 1) * per_out].to_vec())
@@ -221,14 +221,17 @@ impl SharedIndexLayer {
         self.groups.len() * self.n_in
     }
 
-    /// On-device weight storage in bytes: the dictionary plus the
-    /// codebooks as the WDM's 16-bit LUTs ([`Codebook::byte_size`]), the
-    /// accelerator's memory image that the serving budgets count. The
-    /// container stores `f32` codebooks ([`SharedIndexLayer::quantized_bytes`]).
+    /// On-device weight storage in bytes, Table IV's `W_q`: the dictionary
+    /// at `quant_bits` per surviving weight plus the 16-bit LUTs
+    /// ([`SharedIndexLayer::lut_bytes`]), the image the budgets count.
     pub fn weight_bytes(&self) -> usize {
-        let dict_bits: usize = self.surviving() * usize::from(self.quant_bits);
-        let luts: usize = self.groups.iter().map(|g| g.codebook.byte_size()).sum();
-        dict_bits.div_ceil(8) + luts
+        (self.surviving() * usize::from(self.quant_bits)).div_ceil(8) + self.lut_bytes()
+    }
+
+    /// The codebooks' 16-bit LUTs in bytes ([`Codebook::byte_size`]):
+    /// exactly the codebook section the registry stores.
+    pub fn lut_bytes(&self) -> usize {
+        self.groups.iter().map(|g| g.codebook.byte_size()).sum()
     }
 
     /// Summed squared error between the decoded weights and `weights`,
@@ -284,9 +287,9 @@ impl SharedIndexLayer {
     }
 }
 
-/// The entropy-coded body of a [`SharedIndexLayer`]: the bytes the model
-/// registry stores and Table IV counts. Codebooks travel beside them as
-/// raw `f32` ([`SharedIndexLayer::codebook_bytes`]).
+/// The entropy-coded sections of a [`SharedIndexLayer`]: the bytes the
+/// model registry stores and Table IV counts. The registry stores the
+/// codebooks between them, each entry as its 16 bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedStreams {
     /// The shared indexes as one bilevel-coded image: one row per output
@@ -305,21 +308,8 @@ fn corrupt(detail: String) -> CompressError {
 
 impl SharedIndexLayer {
     /// Output rows of group `g` implied by the geometry.
-    fn rows_of(&self, g: usize) -> usize {
+    pub fn rows_of(&self, g: usize) -> usize {
         (self.n_out - g * self.group_size).min(self.group_size)
-    }
-
-    /// Stored codebook bytes: per group a `u32` entry count and the
-    /// entries as 4-byte `f32`, as the registry writes them.
-    pub fn codebook_bytes(&self) -> usize {
-        self.groups.iter().map(|g| 4 + 4 * g.codebook.len()).sum()
-    }
-
-    /// `W_q`: the dictionary at `quant_bits` per surviving weight plus
-    /// the stored codebooks ([`SharedIndexLayer::codebook_bytes`]), in
-    /// bytes — the size before entropy coding.
-    pub fn quantized_bytes(&self) -> usize {
-        (self.surviving() * usize::from(self.quant_bits)).div_ceil(8) + self.codebook_bytes()
     }
 
     /// The weight alphabet `0..alphabet`: the largest codebook's length,
@@ -344,7 +334,8 @@ impl SharedIndexLayer {
     /// Whether the groups follow the geometry: `ceil(n_out /
     /// group_size)` groups of `group_size` rows (the last may be short),
     /// `n_in`-wide indexes, one weight per surviving position in every
-    /// row, and every weight inside its group's codebook.
+    /// row, codebooks of [`codebook_len`] entries, and every weight
+    /// inside its group's codebook.
     fn groups_follow_geometry(&self) -> bool {
         self.group_size > 0
             && self.groups.len() == self.n_out.div_ceil(self.group_size)
@@ -352,6 +343,8 @@ impl SharedIndexLayer {
                 let survivors = g.survivors();
                 g.index.len() == self.n_in
                     && g.weights.len() == self.rows_of(gi)
+                    && g.codebook.len()
+                        == codebook_len(self.quant_bits, survivors * g.weights.len())
                     && g.weights.iter().all(|row| {
                         row.len() == survivors
                             && row.iter().all(|q| usize::from(*q) < g.codebook.len())
@@ -388,35 +381,49 @@ impl SharedIndexLayer {
         })
     }
 
-    /// Fills in the indexes and weight rows of a layer whose geometry
-    /// and per-group codebooks are set (one group per `group_size`
-    /// outputs, indexes and rows empty) from [`SharedStreams`], decoding
-    /// at most `max_weights` weight indexes.
+    /// Fills in the indexes of a layer of empty groups, one per
+    /// `group_size` outputs, from [`SharedStreams::index`].
     ///
     /// # Errors
     ///
-    /// Returns [`CodingError::CorruptStream`] when a stream is malformed,
-    /// disagrees with the geometry, exceeds `max_weights`, addresses
-    /// past a codebook, or is not the canonical encoding of what it
-    /// decodes to (re-encoding must reproduce it byte for byte).
-    pub fn decode_streams(
-        &mut self,
-        streams: &SharedStreams,
-        max_weights: usize,
-    ) -> Result<(), CompressError> {
+    /// Returns [`CodingError::CorruptStream`] when the image is
+    /// malformed, disagrees with the geometry, or is not canonical.
+    pub fn decode_index(&mut self, index: &[u8]) -> Result<(), CompressError> {
         let (n_in, n_groups) = (self.n_in, self.groups.len());
         if self.group_size == 0 || n_groups != self.n_out.div_ceil(self.group_size) {
             return Err(corrupt("groups do not tile the outputs".into()));
         }
-        let image = bilevel::decompress(&streams.index, n_in * n_groups)?;
+        let image = bilevel::decompress(index, n_in * n_groups)?;
         if (image.width(), image.height()) != (n_in, n_groups) {
             return Err(corrupt("index image disagrees with the geometry".into()));
         }
-        let mut total = 0usize;
+        if bilevel::compress(&image) != index {
+            return Err(corrupt("the index image is not canonical".into()));
+        }
         for (gi, index) in image.pixels().chunks(n_in.max(1)).enumerate() {
             self.groups[gi].index = index.to_vec();
-            total += self.groups[gi].survivors() * self.rows_of(gi);
         }
+        Ok(())
+    }
+
+    /// Fills in the weight rows of a layer whose indexes and codebooks
+    /// are set from [`SharedStreams::weights`], decoding at most
+    /// `max_weights` weight indexes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodingError::CorruptStream`] when the stream is
+    /// malformed, exceeds `max_weights`, addresses past a codebook, or
+    /// is not the canonical encoding of what it decodes to.
+    pub fn decode_weights(
+        &mut self,
+        weights: &[u8],
+        max_weights: usize,
+    ) -> Result<(), CompressError> {
+        let n_groups = self.groups.len();
+        let total: usize = (0..n_groups)
+            .map(|g| self.groups[g].survivors() * self.rows_of(g))
+            .sum();
         if total > max_weights {
             return Err(corrupt(format!(
                 "{total} weights exceed the cap {max_weights}"
@@ -424,7 +431,7 @@ impl SharedIndexLayer {
         }
         let mut stream = match total {
             0 => &[][..],
-            _ => &huffman::decode_bytes(&streams.weights, self.alphabet(), total)?[..],
+            _ => &huffman::decode_bytes(weights, self.alphabet(), total)?[..],
         };
         for gi in 0..n_groups {
             // The decoder returned exactly `total` symbols, the rows' sum.
@@ -435,12 +442,9 @@ impl SharedIndexLayer {
                 stream = rest;
             }
         }
-        // Canonical form: the streams must be what this layer encodes to
-        // (the Huffman decoder already demands it of the weight stream).
-        if !self.groups_follow_geometry()
-            || (total == 0 && !streams.weights.is_empty())
-            || bilevel::compress(&image) != streams.index
-        {
+        // Canonical form: the Huffman decoder already demands it of a
+        // nonempty stream.
+        if !self.groups_follow_geometry() || (total == 0 && !weights.is_empty()) {
             return Err(corrupt(
                 "streams are not the canonical encoding of a layer".into(),
             ));

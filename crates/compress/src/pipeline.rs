@@ -60,10 +60,10 @@ pub struct LayerReport {
     /// Fine-grained (per-synapse) index size in bits, for comparison.
     pub fine_index_bits: usize,
     /// `W_q`: quantized weights (dictionary at `quant_bits` per index +
-    /// stored codebooks), in bytes.
+    /// 16-bit codebooks, `SharedIndexLayer::weight_bytes`), in bytes.
     pub wq_bytes: usize,
-    /// `W_c`: the stored weight section (entropy-coded dictionary +
-    /// codebooks), in bytes; never more than a byte above `W_q`.
+    /// `W_c`: the stored codebooks and weight section (entropy-coded
+    /// dictionary), in bytes; never more than a byte above `W_q`.
     pub wc_bytes: usize,
     /// `I_c`: the stored index section (bilevel-coded shared indexes),
     /// in bytes.
@@ -226,8 +226,8 @@ pub fn compress_layer(
                 SharedIndexLayer::from_fc(name, weights, &mask, group, cfg.quant_bits)?
             };
             let streams = shared.encode_streams()?;
-            let (wq, index_bits) = (shared.quantized_bytes(), shared.index_bits());
-            let wc = streams.weights.len() + shared.codebook_bytes();
+            let (wq, index_bits) = (shared.weight_bytes(), shared.index_bits());
+            let wc = streams.weights.len() + shared.lut_bytes();
             (
                 FcLayerFormat::Shared(shared),
                 wq,
@@ -411,10 +411,8 @@ mod tests {
         assert_eq!(report.coarse_index_bits, shared.index_bits());
         let streams = shared.encode_streams().unwrap();
         assert_eq!(report.ic_bytes, streams.index.len());
-        assert_eq!(
-            report.wc_bytes,
-            streams.weights.len() + shared.codebook_bytes()
-        );
+        assert_eq!(report.wq_bytes, shared.weight_bytes());
+        assert_eq!(report.wc_bytes, streams.weights.len() + shared.lut_bytes());
     }
 
     #[test]
@@ -430,10 +428,8 @@ mod tests {
         let w = init::materialize(layer, &ConvergenceProfile::with_target_density(0.5), 5);
         let (report, mask, stored) = compress_layer(layer, &w, &lc).unwrap();
         assert!(structured::satisfies_pattern(&mask, 4, 2));
-        assert_eq!(
-            report.coarse_index_bits,
-            structured::metadata_bits(w.shape(), 4, 2)
-        );
+        // Two bits per surviving offset in a bank of 4.
+        assert_eq!(report.coarse_index_bits, report.surviving * 2);
         assert_eq!(report.ic_bytes, report.coarse_index_bits.div_ceil(8));
         assert_eq!(
             report.density,
@@ -458,10 +454,8 @@ mod tests {
         let w = init::materialize(layer, &ConvergenceProfile::with_target_density(0.25), 11);
         let (report, mask, _) = compress_layer(layer, &w, &lc).unwrap();
         assert!(structured::satisfies_pattern(&mask, 8, 2));
-        assert_eq!(
-            report.coarse_index_bits,
-            structured::metadata_bits(w.shape(), 8, 2)
-        );
+        // Three bits per surviving offset in a bank of 8.
+        assert_eq!(report.coarse_index_bits, report.surviving * 3);
         assert_eq!(report.ic_bytes, report.coarse_index_bits.div_ceil(8));
         assert_eq!(
             report.density,

@@ -157,7 +157,7 @@ pub const CORPUS: &[CorpusEntry] = &[
         socket: false,
         cluster: false,
         registry: false,
-        note: "all-zero coarse layer (codebook collapses to [0.0]) and a \
+        note: "all-zero coarse layer (k-means finds only 0.0, padded to k) and a \
                bank-balanced 16:6 mid-layer in a 5-layer chain",
     },
     CorpusEntry {
@@ -208,9 +208,9 @@ pub const CORPUS: &[CorpusEntry] = &[
         socket: false,
         cluster: false,
         registry: true,
-        note: "a 0.000-density coarse layer (fully-pruned groups with empty \
-               codebooks) chained between 2:4 layers over width-5 raggedness, \
-               with a -0.0-poisoned input; the empty-codebook and empty-row \
+        note: "a 0.000-density coarse layer (fully-pruned groups with one-entry \
+               [0.0] codebooks) chained between 2:4 layers over width-5 raggedness, \
+               with a -0.0-poisoned input; the one-entry-codebook and empty-row \
                container encodings must round trip byte-exactly",
     },
     CorpusEntry {

@@ -10,18 +10,18 @@
 //! * [`fuzz_container`] — a seed-replayable sweep. Every case compiles
 //!   a generator-produced FC network (the same generator the
 //!   differential executor uses, so coarse shared-index and
-//!   bank-balanced bodies (2:4 included) with ragged tails, empty
+//!   bank-balanced bodies (2:4 included) with ragged tails, padded
 //!   codebooks and degenerate banks all appear) into a [`ModelArtifact`] and demands
 //!   a byte-exact `encode → decode → encode` round trip. A poisoned
-//!   twin overwrites codebook centroids and packed values with NaN
-//!   payloads, ±0.0, infinities and subnormals drawn from raw bit
-//!   patterns — byte-level comparison, so NaN cannot hide behind
-//!   `PartialEq`. The encoding is then mutated (truncations, bit
+//!   twin overwrites codebook entries with any of the 2^16 binary16
+//!   patterns and packed values with raw `f32` bit patterns (NaN payloads,
+//!   ±0.0, infinities, subnormals) — byte-level comparison, so NaN cannot
+//!   hide behind `PartialEq`. The encoding is then mutated (truncations, bit
 //!   flips, hostile length fields, appended junk, pure noise) and the
 //!   decoder must return a value without panicking, with every
 //!   `Oversized` report truthful about its cap. Half of the mutations
 //!   get a fresh CRC footer, so they reach the layer bodies and the
-//!   entropy decoders behind them; one that still decodes must be
+//!   section decoders behind them; one that still decodes must be
 //!   canonical (`encode_model(decoded) == mutated`).
 //! * [`check_store_roundtrip`] — the corpus leg for `registry: true`
 //!   entries: the pinned case's compiled layers go through a real
@@ -30,7 +30,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cs_quant::Codebook;
+use cs_quant::{binary16, Codebook};
 use cs_registry::{crc32, decode_model, encode_model, ModelArtifact, RegistryError, RegistryStore};
 
 use crate::diff::FcArtifacts;
@@ -67,10 +67,10 @@ fn special_f32(rng: &mut CaseRng) -> f32 {
     }
 }
 
-/// A twin of `artifact` with codebook centroids and packed survivor
-/// values overwritten by special bit patterns. Lengths are preserved,
-/// so the poisoned artifact stays structurally valid — only the f32
-/// payloads are hostile.
+/// A twin of `artifact` with codebook entries overwritten by binary16
+/// patterns and packed survivor values by special `f32` bit patterns.
+/// Lengths are preserved, so the poisoned artifact stays structurally
+/// valid — only the payloads are hostile.
 fn poison(artifact: &ModelArtifact, rng: &mut CaseRng) -> ModelArtifact {
     use cs_compress::format::FcLayerFormat;
     let mut out = artifact.clone();
@@ -78,13 +78,13 @@ fn poison(artifact: &ModelArtifact, rng: &mut CaseRng) -> ModelArtifact {
         match format {
             FcLayerFormat::Shared(l) => {
                 for g in &mut l.groups {
-                    let poisoned: Vec<f32> = g
-                        .codebook
-                        .centroids()
-                        .iter()
-                        .map(|&c| if rng.chance(0.5) { special_f32(rng) } else { c })
-                        .collect();
-                    g.codebook = Codebook::new(poisoned);
+                    let mut lut = g.codebook.centroids().to_vec();
+                    for c in &mut lut {
+                        if rng.chance(0.5) {
+                            *c = binary16::widen(rng.next_u64() as u16);
+                        }
+                    }
+                    g.codebook = Codebook::new(lut);
                 }
             }
             FcLayerFormat::BankBalanced(l) => {
@@ -213,15 +213,15 @@ pub struct ContainerFuzz {
     pub mismatches: Vec<Mismatch>,
     /// Mutations that were given a fresh CRC footer.
     pub resealed: u64,
-    /// Re-sealed mutations that reached a shared layer's section
-    /// decoder: they decoded, or the entropy-coded body rejected them.
+    /// Re-sealed mutations that reached a layer's section decoder: they
+    /// decoded, or a shared layer's sections or bank offsets rejected them.
     pub reached_sections: u64,
 }
 
 /// Decode must be total: a value without panicking, any `Oversized`
 /// report truthful about its cap, and a mutation that decodes must be
 /// the canonical encoding of what it decodes to. Returns whether the
-/// decode reached a shared layer's entropy-coded sections.
+/// decode reached a layer's section decoder.
 fn check_decode_total(bytes: &[u8], index: u64, out: &mut Vec<Mismatch>) -> bool {
     let result = catch_unwind(AssertUnwindSafe(|| decode_model(bytes)));
     match result {
@@ -244,7 +244,9 @@ fn check_decode_total(bytes: &[u8], index: u64, out: &mut Vec<Mismatch>) -> bool
             }
             false
         }
-        Ok(Err(RegistryError::BadField { field, .. })) => field == "shared layer",
+        Ok(Err(RegistryError::BadField { field, .. })) => {
+            matches!(field, "shared layer" | "bank offsets")
+        }
         Ok(Err(_)) => false,
         Ok(Ok(art)) => {
             if encode_model(&art).ok().as_deref() != Some(bytes) {
@@ -256,9 +258,7 @@ fn check_decode_total(bytes: &[u8], index: u64, out: &mut Vec<Mismatch>) -> bool
                     ),
                 ));
             }
-            art.layers
-                .iter()
-                .any(|(f, _)| matches!(f, cs_compress::format::FcLayerFormat::Shared(_)))
+            true
         }
     }
 }
@@ -385,6 +385,45 @@ mod tests {
             (b.mismatches.len(), b.resealed, b.reached_sections),
             "fuzz sweep must be seed-replayable"
         );
+    }
+
+    #[test]
+    fn a_rejected_bank_offset_stream_counts_as_reached() {
+        use cs_accel::pe::Activation;
+        use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat};
+
+        // Bank 3 stores 2-bit offsets: three of them and two padding
+        // bits fill the container's last byte before the CRC.
+        let layer = BankBalancedFcLayer {
+            name: "fc".into(),
+            n_in: 9,
+            n_out: 1,
+            bank: 3,
+            k: 1,
+            offsets: vec![0, 1, 2],
+            values: vec![0.5, -1.0, 2.0],
+        };
+        let artifact = ModelArtifact {
+            name: "bank".into(),
+            version: 1,
+            layers: vec![(FcLayerFormat::BankBalanced(layer), Activation::None)],
+        };
+        let mut bytes = encode_model(&artifact).unwrap();
+        let offsets = bytes.len() - 5;
+        assert_eq!(bytes[offsets], 0b0001_1000);
+        // Offset 3 lies outside the bank.
+        bytes[offsets] = 0b1100_0000;
+        reseal(&mut bytes);
+        assert!(matches!(
+            decode_model(&bytes),
+            Err(RegistryError::BadField {
+                field: "bank offsets",
+                ..
+            })
+        ));
+        let mut out = Vec::new();
+        assert!(check_decode_total(&bytes, 0, &mut out));
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

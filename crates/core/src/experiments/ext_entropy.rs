@@ -96,8 +96,7 @@ pub fn run(scale: Scale, seed: u64) -> Result<ExtEntropyResult, cs_compress::Com
         let report = compress_model_with(&spec, &cfg, seed, |layer, stored| {
             arith_wc += match stored {
                 FcLayerFormat::Shared(l) => {
-                    arith::encode_symbols(&l.weight_stream(), l.quant_bits).len()
-                        + l.codebook_bytes()
+                    arith::encode_symbols(&l.weight_stream(), l.quant_bits).len() + l.lut_bytes()
                 }
                 _ => layer.wc_bytes,
             };

@@ -30,10 +30,9 @@ pub struct KMeansResult {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `values` is empty.
+/// Panics if `k == 0`. No values give no centroids.
 pub fn kmeans_1d(values: &[f32], k: usize, max_iters: usize) -> KMeansResult {
     assert!(k > 0, "k must be positive");
-    assert!(!values.is_empty(), "cannot cluster zero values");
 
     // Sort a copy; remember nothing (assignment is recomputed at the end
     // against the original order).
@@ -234,6 +233,13 @@ mod tests {
         for w in r.centroids.windows(2) {
             assert!(w[0] <= w[1]);
         }
+    }
+
+    #[test]
+    fn no_values_no_centroids() {
+        let r = kmeans_1d(&[], 4, 10);
+        assert!(r.centroids.is_empty() && r.assignments.is_empty());
+        assert_eq!(r.inertia, 0.0);
     }
 
     #[test]

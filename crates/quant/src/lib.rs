@@ -28,15 +28,19 @@
 //! }
 //! ```
 
+pub mod binary16;
 pub mod kmeans;
 
 pub use kmeans::{kmeans_1d, KMeansResult};
 
-/// One codebook of centroid values.
+/// One codebook of centroid values: the LUT a PE's weight decoder
+/// (WDM) holds.
 ///
-/// Centroids are stored as `f32` here; size accounting charges 16 bits per
-/// entry, matching the accelerator's 16-bit weight LUT (WDM).
-#[derive(Debug, Clone, PartialEq)]
+/// Entries are `f32`, and a quantized layer's entries are exactly
+/// binary16 values ([`binary16::round`] makes them so), which the CSMR
+/// container stores as their 16 bits. Every size counts 16 bits per
+/// entry through [`Codebook::byte_size`], the WDM's LUT width.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Codebook {
     centroids: Vec<f32>,
 }
@@ -45,6 +49,23 @@ impl Codebook {
     /// Creates a codebook from centroids.
     pub fn new(centroids: Vec<f32>) -> Self {
         Codebook { centroids }
+    }
+
+    /// A codebook of binary16 entries, each widened exactly.
+    pub fn from_binary16(bits: impl IntoIterator<Item = u16>) -> Self {
+        Codebook::new(bits.into_iter().map(binary16::widen).collect())
+    }
+
+    /// The entries as the binary16 bits the WDM's LUT holds, or the first
+    /// entry that is not a binary16 value.
+    pub fn to_binary16(&self) -> Result<Vec<u16>, f32> {
+        let exact = |&c: &f32| {
+            let h = binary16::narrow(c);
+            (binary16::widen(h).to_bits() == c.to_bits())
+                .then_some(h)
+                .ok_or(c)
+        };
+        self.centroids.iter().map(exact).collect()
     }
 
     /// The centroid values.
@@ -85,7 +106,8 @@ impl Codebook {
         best as u16
     }
 
-    /// Size in bytes at 16 bits per entry (the WDM LUT width).
+    /// Size in bytes at 16 bits per entry (the WDM LUT width): the one
+    /// count of a codebook's storage.
     pub fn byte_size(&self) -> usize {
         self.centroids.len() * 2
     }

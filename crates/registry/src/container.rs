@@ -14,20 +14,24 @@
 //! ```
 //!
 //! The `Shared` body is the geometry (`n_in`, `n_out`, `group_size`
-//! u32, `quant_bits` u8), one `f32` codebook per output group (u32 entry
-//! count + entries), then two `u32`-length-prefixed sections from
-//! `SharedIndexLayer::encode_streams`: the shared indexes as one
-//! bilevel-coded image and the whole weight-index stream coded once
-//! (Huffman, or fixed width when that is no longer; the symbol count and
-//! alphabet come from the geometry and the codebooks, so the stream
-//! holds only its code lengths).
+//! u32, `quant_bits` u8), then the sections of
+//! `SharedIndexLayer::encode_streams` with the codebooks between them:
+//! the shared indexes as one bilevel-coded image (`u32` length-prefixed);
+//! one codebook per output group, each entry as its IEEE binary16 bits
+//! (the WDM's 16-bit LUT), as many entries as `codebook_len` derives from
+//! the group's index and rows, so no count is stored; and the whole
+//! weight-index stream coded once (`u32` length-prefixed; Huffman, or
+//! fixed width when that is no longer; the symbol count and alphabet come
+//! from the geometry, so the stream holds only its code lengths). A
+//! codebook entry that is not a binary16 value fails encode.
 //!
 //! The `BankBalanced` body (2:4 is bank 4, k 2) is the geometry (`n_in`,
 //! `n_out`, `bank`, `k` u32), the surviving values as `f32`, then the
 //! offsets of `BankBalancedFcLayer::encode_offsets`: `ceil(log2 bank)`
 //! bits each, zero-padded to a byte, so their length follows from the
-//! geometry. Version-1 (raw `u16` indexes) and version-2 (byte-per-offset
-//! bodies and a separate 2:4 body) containers are rejected as
+//! geometry. Version-1 (raw `u16` indexes), version-2 (byte-per-offset
+//! bodies and a separate 2:4 body) and version-3 (counted `f32`
+//! codebooks) containers are rejected as
 //! [`RegistryError::UnsupportedVersion`].
 //!
 //! The encoding is *canonical*: every variable-length run is derived
@@ -43,7 +47,7 @@
 
 use cs_accel::pe::Activation;
 use cs_compress::format::{
-    BankBalancedFcLayer, FcLayerFormat, OutputGroup, SharedIndexLayer, SharedStreams,
+    codebook_len, BankBalancedFcLayer, FcLayerFormat, OutputGroup, SharedIndexLayer,
 };
 use cs_quant::Codebook;
 use cs_sparsity::structured::survivors_per_lane;
@@ -53,7 +57,7 @@ use crate::error::RegistryError;
 /// Container magic: `CSMR` (Cambricon-S Model Registry).
 pub const MAGIC: [u8; 4] = *b"CSMR";
 /// Container format version this build encodes and decodes.
-pub const CONTAINER_VERSION: u8 = 3;
+pub const CONTAINER_VERSION: u8 = 4;
 /// Hard cap on a whole container file.
 pub const MAX_CONTAINER_BYTES: usize = 1 << 26;
 /// Hard cap on model and layer names.
@@ -64,8 +68,6 @@ pub const MAX_LAYERS: usize = 256;
 pub const MAX_DIM: usize = 1 << 20;
 /// Hard cap on shared-index groups per layer.
 pub const MAX_GROUPS: usize = 1 << 16;
-/// Hard cap on codebook entries per group (u16 weight indices).
-pub const MAX_CODEBOOK: usize = 1 << 16;
 /// Hard cap on total heap bytes one decode may allocate.
 pub const MAX_DECODED_BYTES: usize = 1 << 27;
 
@@ -297,6 +299,10 @@ impl Writer {
     fn f32(&mut self, v: f32) {
         self.u32(v.to_bits());
     }
+    fn section(&mut self, bytes: &[u8]) {
+        self.u32(bytes.len() as u32);
+        self.out.extend_from_slice(bytes);
+    }
     fn name(&mut self, s: &str, field: &'static str) -> Result<(), RegistryError> {
         if s.len() > MAX_NAME_LEN {
             return Err(RegistryError::Oversized {
@@ -404,9 +410,9 @@ pub fn encode_model(artifact: &ModelArtifact) -> Result<Vec<u8>, RegistryError> 
     Ok(w.out)
 }
 
-/// The `Shared` body: geometry, the per-group `f32` codebooks, then the
-/// two entropy-coded sections of [`SharedIndexLayer::encode_streams`],
-/// each `u32`-length-prefixed.
+/// The `Shared` body: geometry, the index section, the per-group
+/// binary16 codebooks, then the weight section; both sections of
+/// [`SharedIndexLayer::encode_streams`] are `u32`-length-prefixed.
 fn encode_shared(w: &mut Writer, l: &SharedIndexLayer) -> Result<(), RegistryError> {
     w.name(&l.name, "layer name")?;
     w.dim(l.n_in, "n_in")?;
@@ -430,24 +436,18 @@ fn encode_shared(w: &mut Writer, l: &SharedIndexLayer) -> Result<(), RegistryErr
         field: "shared layer",
         detail: e.to_string(),
     })?;
+    w.section(&streams.index);
     for g in &l.groups {
-        let cb = g.codebook.centroids();
-        if cb.len() > MAX_CODEBOOK {
-            return Err(RegistryError::Oversized {
+        let lut = g
+            .codebook
+            .to_binary16()
+            .map_err(|c| RegistryError::BadField {
                 field: "codebook",
-                value: cb.len() as u64,
-                cap: MAX_CODEBOOK as u64,
-            });
-        }
-        w.u32(cb.len() as u32);
-        for &c in cb {
-            w.f32(c);
-        }
+                detail: format!("{c:e} ({:#010x}) is not a binary16 value", c.to_bits()),
+            })?;
+        lut.into_iter().for_each(|h| w.u16(h));
     }
-    for section in [&streams.index, &streams.weights] {
-        w.u32(section.len() as u32);
-        w.out.extend_from_slice(section);
-    }
+    w.section(&streams.weights);
     Ok(())
 }
 
@@ -604,8 +604,8 @@ fn decode_shared(c: &mut Cursor) -> Result<SharedIndexLayer, RegistryError> {
     }
     // The group count, the index image and every row count follow from
     // the geometry; charge their heap (the image, its per-group copy, the
-    // canonical re-encode's copy and one Vec header per row) before
-    // decoding a byte of it.
+    // canonical re-encode's copy, one Vec header per row and the groups)
+    // before decoding a byte of it.
     let group_count = n_out.div_ceil(group_size);
     if group_count > MAX_GROUPS {
         return Err(RegistryError::Oversized {
@@ -614,47 +614,43 @@ fn decode_shared(c: &mut Cursor) -> Result<SharedIndexLayer, RegistryError> {
             cap: MAX_GROUPS as u64,
         });
     }
-    c.charge(3 * n_in * group_count + n_out * std::mem::size_of::<Vec<u16>>())?;
-    let mut groups = Vec::with_capacity(group_count.min(1024));
-    for _ in 0..group_count {
-        let cb_len = c.u32()? as usize;
-        if cb_len > MAX_CODEBOOK {
-            return Err(RegistryError::Oversized {
-                field: "codebook",
-                value: cb_len as u64,
-                cap: MAX_CODEBOOK as u64,
-            });
-        }
-        groups.push(OutputGroup {
-            index: Vec::new(),
-            weights: Vec::new(),
-            codebook: Codebook::new(c.f32_run(cb_len)?),
-        });
-    }
-    let mut section = || -> Result<Vec<u8>, RegistryError> {
-        let len = c.u32()? as usize;
-        Ok(c.bytes(len)?.to_vec())
-    };
-    let streams = SharedStreams {
-        index: section()?,
-        weights: section()?,
-    };
+    c.charge(
+        3 * n_in * group_count
+            + n_out * std::mem::size_of::<Vec<u16>>()
+            + group_count * std::mem::size_of::<OutputGroup>(),
+    )?;
     let mut layer = SharedIndexLayer {
         name,
         n_in,
         n_out,
         group_size,
         quant_bits,
-        groups,
+        groups: vec![OutputGroup::default(); group_count],
     };
+    let shared = |e: cs_compress::CompressError| RegistryError::BadField {
+        field: "shared layer",
+        detail: e.to_string(),
+    };
+    let len = c.u32()? as usize;
+    layer.decode_index(c.bytes(len)?).map_err(shared)?;
+    // The indexes fix every codebook's length; each entry widens from
+    // its binary16 bits to an `f32`.
+    for gi in 0..group_count {
+        let entries = codebook_len(quant_bits, layer.groups[gi].survivors() * layer.rows_of(gi));
+        let bits = c.bytes(2 * entries)?;
+        c.charge(4 * entries)?;
+        let lut = bits
+            .chunks_exact(2)
+            .map(|b| u16::from_le_bytes([b[0], b[1]]));
+        layer.groups[gi].codebook = Codebook::from_binary16(lut);
+    }
     // Each weight index is held twice as a u16: the decoded stream and
     // its rows (the re-encode's stream reuses the first's size).
+    let len = c.u32()? as usize;
+    let weights = c.bytes(len)?;
     layer
-        .decode_streams(&streams, c.budget / 4)
-        .map_err(|e| RegistryError::BadField {
-            field: "shared layer",
-            detail: e.to_string(),
-        })?;
+        .decode_weights(weights, c.budget / 4)
+        .map_err(shared)?;
     c.charge(4 * layer.surviving())?;
     Ok(layer)
 }

@@ -59,15 +59,17 @@ mod tests {
     use super::*;
     use cs_accel::pe::Activation;
     use cs_compress::format::{BankBalancedFcLayer, FcLayerFormat, OutputGroup, SharedIndexLayer};
-    use cs_quant::Codebook;
+    use cs_quant::{binary16, Codebook};
     use cs_sparsity::structured::survivors_per_lane;
 
     fn shared_layer(name: &str, n_in: usize, n_out: usize) -> FcLayerFormat {
         let group_size = 4.min(n_out).max(1);
         let index: Vec<bool> = (0..n_in).map(|i| i % 2 == 0).collect();
         let survivors = index.iter().filter(|b| **b).count();
-        // Finite centroids so derived PartialEq works in equality-based
-        // tests; NaN payloads get their own bitwise test below.
+        // Finite binary16 centroids so derived PartialEq works in
+        // equality-based tests; NaN payloads get their own bitwise test
+        // below. Two-bit weights over at least four per group: exactly
+        // four entries.
         let codebook = Codebook::new(vec![-1.5, 0.0, 0.25, 2.0]);
         let mut groups = Vec::new();
         let mut remaining = n_out;
@@ -87,7 +89,7 @@ mod tests {
             n_in,
             n_out,
             group_size,
-            quant_bits: 8,
+            quant_bits: 2,
             groups,
         })
     }
@@ -128,7 +130,7 @@ mod tests {
 
     #[test]
     fn nan_and_negative_zero_codebook_values_survive_bitwise() {
-        let payload = [f32::NAN, -0.0, 0.0, f32::NEG_INFINITY];
+        let payload = [binary16::widen(0xFD55), -0.0, 0.0, f32::NEG_INFINITY];
         let mut art = artifact();
         if let FcLayerFormat::Shared(l) = &mut art.layers[0].0 {
             for g in &mut l.groups {
@@ -237,22 +239,18 @@ mod tests {
     }
 
     /// Offsets of the one shared layer's three sections in a
-    /// single-layer container: `(codebooks, index, weights, end)`, the
-    /// last three pointing at each section's `u32` length prefix.
-    fn shared_sections(bytes: &[u8], model: &str, layer: &str, groups: usize) -> [usize; 4] {
+    /// single-layer container: `(index, codebooks, weights, end)`, the
+    /// index and weight offsets pointing at their `u32` length prefix.
+    fn shared_sections(bytes: &[u8], model: &str, layer: &SharedIndexLayer) -> [usize; 4] {
         let u32_at =
             |i: usize| u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
         // magic, version, name, model version, layer count, kind,
         // activation, layer name, n_in, n_out, group_size, quant_bits.
-        let codebooks = 4 + 1 + 2 + model.len() + 4 + 2 + 2 + 2 + layer.len() + 12 + 1;
-        let mut at = codebooks;
-        for _ in 0..groups {
-            at += 4 + 4 * u32_at(at) as usize;
-        }
-        let index = at;
-        let weights = index + 4 + u32_at(index) as usize;
+        let index = 4 + 1 + 2 + model.len() + 4 + 2 + 2 + 2 + layer.name.len() + 12 + 1;
+        let codebooks = index + 4 + u32_at(index) as usize;
+        let weights = codebooks + layer.lut_bytes();
         let end = weights + 4 + u32_at(weights) as usize;
-        [codebooks, index, weights, end]
+        [index, codebooks, weights, end]
     }
 
     #[test]
@@ -278,11 +276,14 @@ mod tests {
             layers: vec![(stored.clone(), Activation::Relu)],
         };
         let bytes = encode_model(&art).unwrap();
-        let [codebooks, index, weights, end] =
-            shared_sections(&bytes, "tab4", &report.name, shared.groups.len());
+        let [index, codebooks, weights, end] = shared_sections(&bytes, "tab4", shared);
         assert_eq!(end + 4, bytes.len(), "sections tile the container");
-        assert_eq!(report.ic_bytes, weights - index - 4);
-        assert_eq!(report.wc_bytes, (index - codebooks) + (end - weights - 4));
+        assert_eq!(report.ic_bytes, codebooks - index - 4);
+        // The codebook section is the LUTs' count, 16 bits per entry.
+        let luts: usize = shared.groups.iter().map(|g| g.codebook.byte_size()).sum();
+        assert_eq!(weights - codebooks, luts);
+        assert_eq!(report.wc_bytes, (weights - codebooks) + (end - weights - 4));
+        assert_eq!(report.wq_bytes, shared.weight_bytes());
         assert_eq!(report.coarse_index_bits, shared.index_bits());
         assert_eq!(decode_model(&bytes).unwrap(), art);
     }
@@ -295,10 +296,13 @@ mod tests {
             layers: vec![(shared_layer("fc0", 12, 8), Activation::Relu)],
         };
         let good = encode_model(&art).unwrap();
-        let [_, index, weights, end] = shared_sections(&good, "canon", "fc0", 2);
+        let FcLayerFormat::Shared(layer) = &art.layers[0].0 else {
+            unreachable!()
+        };
+        let [index, codebooks, weights, end] = shared_sections(&good, "canon", layer);
         // One trailing byte on a section still decodes to the same layer,
         // but it is not the canonical encoding of that layer.
-        for (prefix, section_end) in [(index, weights), (weights, end)] {
+        for (prefix, section_end) in [(index, codebooks), (weights, end)] {
             let mut bad = good.clone();
             bad.insert(section_end, 0);
             let len = u32::from_le_bytes(bad[prefix..prefix + 4].try_into().unwrap()) + 1;
@@ -324,7 +328,7 @@ mod tests {
 
     #[test]
     fn version_one_containers_are_unsupported() {
-        for version in [1, 2] {
+        for version in [1, 2, 3] {
             let mut old = encode_model(&artifact()).unwrap();
             old[4] = version;
             reseal(&mut old);
@@ -332,6 +336,22 @@ mod tests {
                 decode_model(&old).unwrap_err(),
                 RegistryError::UnsupportedVersion(v) if v == version
             ));
+        }
+    }
+
+    #[test]
+    fn a_codebook_entry_that_is_not_binary16_fails_encode() {
+        // 1 + 2^-12 lies between two binary16 values; a NaN payload in
+        // the low 13 bits is dropped by binary16.
+        for entry in [1.0 + 2f32.powi(-12), f32::from_bits(0x7FC0_0001), 1e-30] {
+            let mut art = artifact();
+            if let FcLayerFormat::Shared(l) = &mut art.layers[0].0 {
+                l.groups[1].codebook = Codebook::new(vec![-1.5, entry, 0.25, 2.0]);
+            }
+            match encode_model(&art).unwrap_err() {
+                RegistryError::BadField { field, .. } => assert_eq!(field, "codebook"),
+                other => panic!("expected BadField, got {other}"),
+            }
         }
     }
 

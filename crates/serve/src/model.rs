@@ -166,7 +166,7 @@ impl ServableModel {
     /// `"mlp-spiking"` and intended to be driven with LIF-style spike
     /// frames ([`cs_nn::data::lif_spike_train`]) whose natural
     /// activation sparsity the gated backend converts into skipped
-    /// input blocks. The weights are identical in distribution to the
+    /// inputs (it walks only the active ones). The weights are identical in distribution to the
     /// stock MLP — spiking is a property of the workload, not the
     /// network — so dense/sparse/gated lanes stay mutually
     /// bit-identical on it.

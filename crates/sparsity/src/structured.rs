@@ -139,16 +139,6 @@ pub fn expected_density(mode: &PruneMode, shape: &Shape) -> Option<f64> {
     Some(survivors_per_lane(n_in, bank, k) as f64 / n_in as f64)
 }
 
-/// Metadata bits of the packed structured format: each survivor stores
-/// its offset within the bank, `ceil(log2(bank))` bits (2 bits for 2:4).
-pub fn metadata_bits(shape: &Shape, bank: usize, k: usize) -> usize {
-    let Ok((n_in, n_out)) = check_fc_shape(shape) else {
-        return 0;
-    };
-    let offset_bits = usize::BITS as usize - (bank - 1).leading_zeros() as usize;
-    survivors_per_lane(n_in, bank, k) * n_out * offset_bits
-}
-
 /// Selects the top `keep` positions of `vals` by `(|v| desc, index asc)`
 /// into `out` (absolute input indices, ascending). Deterministic for
 /// ties and NaN-free by construction (`total_cmp`).
@@ -352,16 +342,6 @@ mod tests {
             expected_density(&PruneMode::TwoFour, &Shape::d2(17, 8)),
             Some(9.0 / 17.0)
         );
-    }
-
-    #[test]
-    fn metadata_bits_formula() {
-        // 2:4 over (16, 8): 8 survivors/lane * 8 lanes * 2 bits.
-        assert_eq!(metadata_bits(&Shape::d2(16, 8), 4, 2), 8 * 8 * 2);
-        // bank 8 -> 3-bit offsets.
-        assert_eq!(metadata_bits(&Shape::d2(16, 4), 8, 2), 4 * 4 * 3);
-        // bank 1 -> position is implied, 0 bits.
-        assert_eq!(metadata_bits(&Shape::d2(16, 4), 1, 1), 0);
     }
 
     #[test]
