@@ -2,20 +2,28 @@
 //! shared-index layer, producing real output values and activity
 //! statistics.
 //!
-//! The executor emulates the datapath faithfully: the shared NSM performs
-//! the Fig. 12 selection per (tile, group), broadcasts selected neurons
-//! and the indexing string to all PEs, each PE's SSM muxes its weights
-//! out of the WDM-decoded compact storage, and PEFUs accumulate partial
-//! sums into NBout across input tiles. Timing comes from the structural
-//! throughput limits and the ping-pong DMA overlap.
+//! The executor walks the datapath the way the hardware does. A layer is
+//! first *prepared*: each group's synapse index is packed 64 positions
+//! per word, and its weights are WDM-decoded once into survivor-major
+//! rows — per static survivor, one `f32` for each of the group's PEs,
+//! which is what their SBs hold after decode. `LoadNeurons` packs the
+//! resident tile's neuron index once. Each `Compute` runs the shared NSM
+//! (Fig. 12) over it: the AND with the group's synapse index, a word at a
+//! time. Every selected neuron is then broadcast to all the group's PEs:
+//! it is multiplied by its survivor's row and the products are added,
+//! in ascending input order, into one partial sum per PE. The PEFUs add
+//! those sums into NBout once per (tile, group). Timing comes from the
+//! structural throughput limits and the ping-pong DMA overlap; every
+//! count comes from the same selection.
 //!
-//! There are two ways in, over one interpreter. [`Accelerator::run_program`]
-//! (and [`Accelerator::run_layer`] / [`Accelerator::run_network`] on top of
-//! it) validates and prepares the layer on every call.
-//! [`Accelerator::compile_network`] does that once, the way the paper's
-//! compiler emits a static program per layer ahead of time, and
-//! [`Accelerator::run_compiled`] then runs the [`CompiledNetwork`] through
-//! a reused [`SimScratch`] without validating, compiling or allocating.
+//! There are two ways in, over one interpreter and one prepared form.
+//! [`Accelerator::run_program`] (and [`Accelerator::run_layer`] /
+//! [`Accelerator::run_network`] on top of it) validates and prepares the
+//! layer on every call. [`Accelerator::compile_network`] does that once,
+//! the way the paper's compiler emits a static program per layer ahead
+//! of time, and [`Accelerator::run_compiled`] then runs the
+//! [`CompiledNetwork`] through a reused [`SimScratch`] without
+//! validating, compiling, preparing or allocating.
 
 use cs_compress::format::SharedIndexLayer;
 use cs_sim::{DramModel, OverlapScheduler, SimStats};
@@ -80,55 +88,89 @@ pub fn validate_layer(layer: &SharedIndexLayer) -> Result<(), AccelError> {
     Ok(())
 }
 
-/// Where each of a program's input windows starts in every group's
-/// compact weight storage: the group's static survivors in front of
-/// each window boundary. The executor reads the synapse index's running
-/// popcount only at those boundaries, so this table replaces a full
-/// `n_in + 1` prefix per group; for compiled programs it is one row of
-/// `tiles + 1` entries per group.
+/// One output group as its PEs hold it once loaded: the shared synapse
+/// index as bits, and the group's weights WDM-decoded once into
+/// survivor-major rows, so a selected neuron's compact position names
+/// one row that feeds every PE of the group.
 #[derive(Debug)]
-struct TileOffsets {
-    /// Sorted, distinct window boundaries within the layer's input.
-    bounds: Vec<usize>,
-    /// `survivors[g * bounds.len() + b]`: group `g`'s survivors in front
-    /// of input `bounds[b]`.
-    survivors: Vec<usize>,
+struct Group {
+    /// The synapse index, 64 positions per word ([`nsm::pack_index`]).
+    index: Vec<u64>,
+    /// `before[w]`: the group's survivors in front of word `w` of
+    /// `index` (one entry more than it has words).
+    before: Vec<usize>,
+    /// Output lanes (PEs) the group feeds.
+    lanes: usize,
+    /// Survivor `s`'s row is `weights[s * lanes..(s + 1) * lanes]`: the
+    /// decoded weight of every lane at that synapse.
+    weights: Vec<f32>,
+    /// Bytes the group's codebook streams with its first synapse load.
+    codebook_bytes: u64,
 }
 
-impl TileOffsets {
-    /// The table for `program`'s windows over `layer`, which must have
-    /// passed [`validate_layer`]. Windows past the input are left out;
-    /// the executor rejects them before it looks anything up.
-    fn new(program: &Program, layer: &SharedIndexLayer) -> Self {
-        let mut bounds: Vec<usize> = program
-            .instrs
-            .iter()
-            .filter_map(Instruction::window)
-            .flat_map(|(offset, len)| [Some(offset), offset.checked_add(len)])
-            .flatten()
-            .filter(|&p| p <= layer.n_in)
-            .collect();
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut survivors = Vec::with_capacity(layer.groups.len() * bounds.len());
-        for g in &layer.groups {
-            let (mut from, mut acc) = (0, 0);
-            for &to in &bounds {
-                acc += g.index[from..to].iter().filter(|s| **s).count();
-                survivors.push(acc);
-                from = to;
-            }
-        }
-        TileOffsets { bounds, survivors }
+impl Group {
+    /// Survivors in front of input `pos` (`pos <= n_in`): where a window
+    /// starting there begins in the compact storage.
+    fn survivors_before(&self, pos: usize) -> usize {
+        let (w, r) = (pos / 64, pos % 64);
+        let partial = match r {
+            0 => 0,
+            _ => (self.index[w] & ((1 << r) - 1)).count_ones() as usize,
+        };
+        self.before[w] + partial
     }
+}
 
-    /// Group `group`'s survivors in front of `offset` and in front of
-    /// `offset + len`: the window's slice of its compact storage.
-    fn slice(&self, group: usize, offset: usize, len: usize) -> Option<(usize, usize)> {
-        let width = self.bounds.len();
-        let row = self.survivors.get(group * width..(group + 1) * width)?;
-        let at = |pos: usize| self.bounds.binary_search(&pos).ok().map(|b| row[b]);
-        Some((at(offset)?, at(offset.checked_add(len)?)?))
+/// A layer in the one form the interpreter runs: validated, with every
+/// group prepared. [`Accelerator::compile_network`] builds it once per
+/// layer; [`Accelerator::run_program`] builds it on every call.
+#[derive(Debug)]
+struct PreparedLayer {
+    n_in: usize,
+    n_out: usize,
+    group_size: usize,
+    quant_bits: u8,
+    groups: Vec<Group>,
+}
+
+impl PreparedLayer {
+    /// Runs [`validate_layer`], then packs and decodes every group.
+    fn new(layer: &SharedIndexLayer) -> Result<Self, AccelError> {
+        validate_layer(layer)?;
+        let groups = layer
+            .groups
+            .iter()
+            .map(|g| {
+                let index = nsm::pack_index(&g.index);
+                let mut before = Vec::with_capacity(index.len() + 1);
+                before.push(0);
+                for w in &index {
+                    before.push(before[before.len() - 1] + w.count_ones() as usize);
+                }
+                let lanes = g.weights.len();
+                let lut = g.codebook.centroids();
+                let mut weights = vec![0.0f32; before[index.len()] * lanes];
+                for (lane, row) in g.weights.iter().enumerate() {
+                    for (w, &q) in weights.iter_mut().skip(lane).step_by(lanes).zip(row) {
+                        *w = lut[usize::from(q)];
+                    }
+                }
+                Group {
+                    index,
+                    before,
+                    lanes,
+                    weights,
+                    codebook_bytes: g.codebook.byte_size() as u64,
+                }
+            })
+            .collect();
+        Ok(PreparedLayer {
+            n_in: layer.n_in,
+            n_out: layer.n_out,
+            group_size: layer.group_size,
+            quant_bits: layer.quant_bits,
+            groups,
+        })
     }
 }
 
@@ -136,8 +178,7 @@ impl TileOffsets {
 #[derive(Debug)]
 struct CompiledLayer {
     program: Program,
-    layer: SharedIndexLayer,
-    offsets: TileOffsets,
+    layer: PreparedLayer,
 }
 
 /// A network validated and compiled once by
@@ -158,15 +199,25 @@ impl CompiledNetwork {
     }
 }
 
+/// What the datapath holds while it walks one layer: the resident
+/// tile's neuron index, the NSM's last selection and one partial sum
+/// per PE of the group in flight.
+#[derive(Debug, Default)]
+struct Walk {
+    neuron_bits: Vec<u64>,
+    sel: NsmSelection,
+    acc: Vec<f32>,
+}
+
 /// The buffers [`Accelerator::run_compiled`] reuses: layer outputs
-/// ping-pong between two activation buffers, and the NSM selects into
-/// one reused pair of vectors. Nothing is allocated once they have grown
-/// to the widest layer.
+/// ping-pong between two activation buffers, and the walk's buffers are
+/// refilled tile by tile. Nothing is allocated once they have grown to
+/// the widest layer.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     front: Vec<f32>,
     back: Vec<f32>,
-    sel: NsmSelection,
+    walk: Walk,
 }
 
 /// Result of a functional run.
@@ -254,7 +305,7 @@ impl Accelerator {
     ) -> Result<CompiledNetwork, AccelError> {
         let mut compiled: Vec<CompiledLayer> = Vec::with_capacity(layers.len());
         for (layer, activation) in layers {
-            validate_layer(&layer)?;
+            let prepared = PreparedLayer::new(&layer)?;
             if let Some(prev) = compiled.last() {
                 if prev.layer.n_out != layer.n_in {
                     return Err(AccelError::Tensor(TensorError::LengthMismatch {
@@ -263,12 +314,9 @@ impl Accelerator {
                     }));
                 }
             }
-            let program = compile_layer(&layer, &self.cfg, activation);
-            let offsets = TileOffsets::new(&program, &layer);
             compiled.push(CompiledLayer {
-                program,
-                layer,
-                offsets,
+                program: compile_layer(&layer, &self.cfg, activation),
+                layer: prepared,
             });
         }
         Ok(CompiledNetwork { layers: compiled })
@@ -299,14 +347,14 @@ impl Accelerator {
                 }));
             }
         }
-        let SimScratch { front, back, sel } = scratch;
+        let SimScratch { front, back, walk } = scratch;
         front.clear();
         front.extend_from_slice(input);
         let mut stats = SimStats::new();
         for c in &net.layers {
             back.clear();
             back.resize(c.layer.n_out, 0.0);
-            stats += self.execute(&c.program, &c.layer, &c.offsets, front, back, sel)?;
+            stats += self.execute(&c.program, &c.layer, front, back, walk)?;
             std::mem::swap(front, back);
         }
         Ok((front, stats))
@@ -343,45 +391,39 @@ impl Accelerator {
                 layer_n_in: layer.n_in,
             });
         }
-        validate_layer(layer)?;
-        let offsets = TileOffsets::new(program, layer);
+        let layer = PreparedLayer::new(layer)?;
         let mut outputs = vec![0.0f32; layer.n_out];
-        let mut sel = NsmSelection::default();
-        let stats = self.execute(program, layer, &offsets, input, &mut outputs, &mut sel)?;
+        let mut walk = Walk::default();
+        let stats = self.execute(program, &layer, input, &mut outputs, &mut walk)?;
         Ok(RunResult { outputs, stats })
     }
 
-    /// The interpreter behind every entry point. `layer` has passed
-    /// [`validate_layer`], `offsets` was built for `program` over it,
-    /// `input` holds `layer.n_in` values and `outputs` `layer.n_out`
-    /// zeros; `sel` is reused by every `Compute`. Instruction operands
-    /// are checked here, on every path.
+    /// The interpreter behind every entry point. `input` holds
+    /// `layer.n_in` values and `outputs` `layer.n_out` zeros; `walk` is
+    /// refilled by every `LoadNeurons` and `Compute`. Instruction
+    /// operands are checked here, on every path. The walk itself is the
+    /// one the module doc describes.
     fn execute(
         &self,
         program: &Program,
-        layer: &SharedIndexLayer,
-        offsets: &TileOffsets,
+        layer: &PreparedLayer,
         input: &[f32],
         outputs: &mut [f32],
-        sel: &mut NsmSelection,
+        walk: &mut Walk,
     ) -> Result<SimStats, AccelError> {
-        let check_group = |group: usize| -> Result<(), AccelError> {
-            if group >= layer.groups.len() {
-                return Err(AccelError::GroupOutOfRange {
-                    group,
-                    groups: layer.groups.len(),
-                });
-            }
-            Ok(())
-        };
-        let window_error = |offset: usize, len: usize| AccelError::WindowOutOfRange {
-            offset,
-            len,
-            n_in: layer.n_in,
+        let check_group = |group: usize| -> Result<&Group, AccelError> {
+            layer.groups.get(group).ok_or(AccelError::GroupOutOfRange {
+                group,
+                groups: layer.groups.len(),
+            })
         };
         let check_window = |offset: usize, len: usize| -> Result<(), AccelError> {
             if offset.checked_add(len).is_none_or(|end| end > layer.n_in) {
-                return Err(window_error(offset, len));
+                return Err(AccelError::WindowOutOfRange {
+                    offset,
+                    len,
+                    n_in: layer.n_in,
+                });
             }
             Ok(())
         };
@@ -398,6 +440,7 @@ impl Accelerator {
                     check_window(offset, len)?;
                     nbin = &input[offset..offset + len];
                     nbin_offset = offset;
+                    nsm::pack_neurons(nbin, &mut walk.neuron_bits);
                     let bytes = (len * self.cfg.neuron_bytes) as u64;
                     stats.dram_read_bytes += bytes;
                     stats.nbin_peak_bytes = stats.nbin_peak_bytes.max(bytes);
@@ -411,26 +454,22 @@ impl Accelerator {
                     pending_load += self.dram.stream_cycles(bytes);
                 }
                 Instruction::LoadSynapses { group, offset, len } => {
-                    check_group(group)?;
+                    let g = check_group(group)?;
                     check_window(offset, len)?;
-                    let g = &layer.groups[group];
-                    let (start, end) = offsets
-                        .slice(group, offset, len)
-                        .ok_or_else(|| window_error(offset, len))?;
-                    let slice_survivors = end - start;
-                    let lanes = g.weights.len();
-                    let dict_bits = slice_survivors * lanes * usize::from(layer.quant_bits);
+                    let slice_survivors =
+                        g.survivors_before(offset + len) - g.survivors_before(offset);
+                    let dict_bits = slice_survivors * g.lanes * usize::from(layer.quant_bits);
                     let mut bytes = dict_bits.div_ceil(8) as u64;
                     if offset == 0 {
-                        bytes += g.codebook.byte_size() as u64;
+                        bytes += g.codebook_bytes;
                     }
                     stats.dram_read_bytes += bytes;
                     stats.sb_bytes += bytes;
-                    stats.wdm_decodes += (slice_survivors * lanes) as u64;
+                    stats.wdm_decodes += (slice_survivors * g.lanes) as u64;
                     pending_load += self.dram.stream_cycles(bytes);
                 }
                 Instruction::Compute { group, offset, len } => {
-                    check_group(group)?;
+                    let g = check_group(group)?;
                     check_window(offset, len)?;
                     if offset != nbin_offset || len > nbin.len() {
                         return Err(AccelError::TileMismatch {
@@ -438,18 +477,28 @@ impl Accelerator {
                             requested: offset,
                         });
                     }
-                    let g = &layer.groups[group];
-                    let (base, _) = offsets
-                        .slice(group, offset, len)
-                        .ok_or_else(|| window_error(offset, len))?;
-                    nsm::select_into(&nbin[..len], &g.index[offset..offset + len], sel);
-                    let lanes = g.weights.len();
-                    for (lane, lane_weights) in g.weights.iter().enumerate() {
-                        let mut acc = 0.0f32;
-                        for (v, pos) in sel.neurons.iter().zip(&sel.indexing) {
-                            acc += v * g.codebook.value(lane_weights[base + pos]);
+                    let Walk {
+                        neuron_bits,
+                        sel,
+                        acc,
+                    } = &mut *walk;
+                    nsm::select_bits(&nbin[..len], neuron_bits, &g.index, offset, sel);
+                    let lanes = g.lanes;
+                    if acc.len() < lanes {
+                        acc.resize(lanes, 0.0);
+                    }
+                    let acc = &mut acc[..lanes];
+                    acc.fill(0.0);
+                    let rows = &g.weights[g.survivors_before(offset) * lanes..];
+                    for (&v, &pos) in sel.neurons.iter().zip(&sel.indexing) {
+                        let row = &rows[pos * lanes..(pos + 1) * lanes];
+                        for (a, &w) in acc.iter_mut().zip(row) {
+                            *a += v * w;
                         }
-                        outputs[group * layer.group_size + lane] += acc;
+                    }
+                    let first = group * layer.group_size;
+                    for (o, &a) in outputs[first..first + lanes].iter_mut().zip(acc.iter()) {
+                        *o += a;
                     }
                     let selected = sel.neurons.len();
                     stats.macs += (selected * lanes) as u64;
@@ -467,11 +516,10 @@ impl Accelerator {
                     pending_load = 0;
                 }
                 Instruction::Activate { group, activation } => {
-                    check_group(group)?;
-                    let lanes = layer.groups[group].weights.len();
-                    for lane in 0..lanes {
-                        let o = group * layer.group_size + lane;
-                        outputs[o] = activation.apply(outputs[o]);
+                    let g = check_group(group)?;
+                    let first = group * layer.group_size;
+                    for o in &mut outputs[first..first + g.lanes] {
+                        *o = activation.apply(*o);
                     }
                     sched.tile(pending_load, 1, 0);
                     pending_load = 0;
@@ -884,6 +932,226 @@ mod tests {
         }
         let whole = acc.run_layer(&l, &x, Activation::None).unwrap();
         assert_eq!(run.stats.wdm_decodes, whole.stats.wdm_decodes);
+    }
+
+    /// A layer of `n_out` outputs in groups of `group_size` (the last
+    /// one partial), each group with its own seeded index (about 60 %
+    /// survivors, in runs) and a codebook of `2^bits` entries.
+    fn raw_layer(
+        n_in: usize,
+        n_out: usize,
+        group_size: usize,
+        bits: u8,
+        seed: u64,
+    ) -> SharedIndexLayer {
+        use cs_compress::format::OutputGroup;
+        use cs_quant::Codebook;
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let entries = 1usize << bits;
+        let groups = (0..n_out.div_ceil(group_size))
+            .map(|gi| {
+                let lanes = group_size.min(n_out - gi * group_size);
+                let index: Vec<bool> = (0..n_in)
+                    .map(|i| (i / 3 + gi) % 5 != 0 && next() % 4 != 0)
+                    .collect();
+                let survivors = index.iter().filter(|b| **b).count();
+                let codebook = Codebook::new(
+                    (0..entries)
+                        .map(|_| (next() % 2001) as f32 / 1000.0 - 1.0)
+                        .collect(),
+                );
+                let weights = (0..lanes)
+                    .map(|_| {
+                        (0..survivors)
+                            .map(|_| (next() % entries as u64) as u16)
+                            .collect()
+                    })
+                    .collect();
+                OutputGroup {
+                    index,
+                    weights,
+                    codebook,
+                }
+            })
+            .collect();
+        SharedIndexLayer {
+            name: "raw".into(),
+            n_in,
+            n_out,
+            group_size,
+            quant_bits: bits,
+            groups,
+        }
+    }
+
+    /// The lane-major walk this interpreter replaced: for each
+    /// `Compute`, each lane sums the products of the ascending inputs
+    /// that have `index && v != 0.0` into one partial sum, then adds it
+    /// into the output. Returns the outputs, the MACs and the WDM
+    /// decodes.
+    fn lane_major(program: &Program, l: &SharedIndexLayer, x: &[f32]) -> (Vec<f32>, u64, u64) {
+        let (mut out, mut macs, mut decodes) = (vec![0.0f32; l.n_out], 0u64, 0u64);
+        let survivors = |g: &cs_compress::format::OutputGroup, a: usize, b: usize| {
+            g.index[a..b].iter().filter(|s| **s).count()
+        };
+        for instr in &program.instrs {
+            match *instr {
+                Instruction::LoadSynapses { group, offset, len } => {
+                    let g = &l.groups[group];
+                    decodes += (survivors(g, offset, offset + len) * g.weights.len()) as u64;
+                }
+                Instruction::Compute { group, offset, len } => {
+                    let g = &l.groups[group];
+                    for (lane, row) in g.weights.iter().enumerate() {
+                        let (mut acc, mut pos) = (0.0f32, survivors(g, 0, offset));
+                        let window = offset..offset + len;
+                        for (&v, &synapse) in x[window.clone()].iter().zip(&g.index[window]) {
+                            if synapse {
+                                if v != 0.0 {
+                                    acc += v * g.codebook.value(row[pos]);
+                                    macs += 1;
+                                }
+                                pos += 1;
+                            }
+                        }
+                        out[group * l.group_size + lane] += acc;
+                    }
+                }
+                Instruction::Activate { group, activation } => {
+                    let first = group * l.group_size;
+                    for o in &mut out[first..first + l.groups[group].weights.len()] {
+                        *o = activation.apply(*o);
+                    }
+                }
+                _ => {}
+            }
+        }
+        (out, macs, decodes)
+    }
+
+    /// Bits with every NaN read as one NaN.
+    fn nan_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// Inputs that hit every case of the neuron index: `±0.0`, NaN,
+    /// `±inf`, subnormals and ordinary values, in a seeded order.
+    fn edge_input(n: usize, seed: u64) -> Vec<f32> {
+        const EDGES: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -3e-42,
+            0.75,
+        ];
+        (0..n as u64)
+            .map(|i| {
+                let k = (i * 31 + seed * 17) % 23;
+                match EDGES.get(k as usize) {
+                    Some(&v) => v,
+                    None => k as f32 * 0.125 - 1.5,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bit_packed_walk_matches_the_lane_major_reference_off_the_paper_grid() {
+        // 100-neuron NBin tiles: no tile boundary after the first sits on
+        // a word boundary.
+        let odd = AccelConfig {
+            nbin_bytes: 2 * 100 * 2,
+            ..AccelConfig::paper_default()
+        };
+        let mut scratch = SimScratch::default();
+        for (case, &(n_in, n_out, group_size, bits)) in [
+            (250, 1, 16, 4),
+            (250, 17, 16, 6),
+            (250, 48, 16, 8),
+            (130, 37, 12, 4),
+            (64, 5, 1, 6),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut l = raw_layer(n_in, n_out, group_size, bits, case as u64 + 1);
+            // A group whose synapses were all pruned.
+            if let Some(g) = l.groups.get_mut(1) {
+                g.index.fill(false);
+                g.weights.iter_mut().for_each(Vec::clear);
+            }
+            let inputs = [input(n_in, 3), edge_input(n_in, case as u64)];
+            // Windows at odd offsets, one of them computing only a prefix
+            // of the tile it loaded.
+            let mut instrs = Vec::new();
+            let cuts = [0, 1, 37, 64, 101, 129, n_in];
+            for w in cuts.windows(2).filter(|w| w[0] < w[1] && w[1] <= n_in) {
+                let (offset, len) = (w[0], w[1] - w[0]);
+                instrs.push(Instruction::LoadNeurons { offset, len });
+                for group in 0..l.groups.len() {
+                    instrs.push(Instruction::LoadSynapses { group, offset, len });
+                    let len = if offset == 37 { len - 5 } else { len };
+                    instrs.push(Instruction::Compute { group, offset, len });
+                }
+            }
+            let windows = Program {
+                instrs,
+                n_in,
+                n_out,
+            };
+            for (ci, x) in inputs.iter().enumerate() {
+                for acc in [
+                    Accelerator::new(odd),
+                    Accelerator::new(AccelConfig::paper_default()),
+                ] {
+                    let tiled = compile_layer(&l, acc.config(), Activation::Relu);
+                    let net = acc
+                        .compile_network(vec![(l.clone(), Activation::Relu)])
+                        .unwrap();
+                    let (compiled, compiled_stats) =
+                        acc.run_compiled(&net, x, &mut scratch).unwrap();
+                    for (program, got, stats) in [
+                        (&windows, acc.run_program(&windows, &l, x).unwrap(), None),
+                        (
+                            &tiled,
+                            acc.run_layer(&l, x, Activation::Relu).unwrap(),
+                            Some(compiled_stats),
+                        ),
+                    ] {
+                        let what = format!(
+                            "case {case} input {ci} tile {}",
+                            acc.config().nbin_neurons()
+                        );
+                        let (want, macs, decodes) = lane_major(program, &l, x);
+                        assert_eq!(nan_bits(&got.outputs), nan_bits(&want), "{what}");
+                        assert_eq!(got.stats.macs, macs, "{what}");
+                        assert_eq!(got.stats.ssm_selections, macs, "{what}");
+                        assert_eq!(got.stats.wdm_decodes, decodes, "{what}");
+                        if let Some(stats) = stats {
+                            assert_eq!(nan_bits(compiled), nan_bits(&want), "{what}");
+                            assert_eq!(stats, got.stats, "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

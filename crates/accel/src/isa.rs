@@ -87,19 +87,6 @@ impl std::error::Error for DecodeError {}
 pub const WORD_BYTES: usize = 12;
 
 impl Instruction {
-    /// The input window `(offset, len)` the instruction addresses, for
-    /// the four that address one (`Activate` and `StoreOutputs` work on
-    /// outputs).
-    pub fn window(&self) -> Option<(usize, usize)> {
-        match *self {
-            Instruction::LoadNeurons { offset, len }
-            | Instruction::LoadIndex { offset, len, .. }
-            | Instruction::LoadSynapses { offset, len, .. }
-            | Instruction::Compute { offset, len, .. } => Some((offset, len)),
-            Instruction::Activate { .. } | Instruction::StoreOutputs { .. } => None,
-        }
-    }
-
     /// Encodes the instruction into a fixed-width VLIW word:
     /// `[opcode u8][act u8][group u16][a u32][b u32]` (little endian).
     pub fn encode(&self) -> [u8; WORD_BYTES] {

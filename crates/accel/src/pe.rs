@@ -1,81 +1,11 @@
 //! A processing element (PE): SB + WDM + SSM + PEFU (Fig. 13/14).
 //!
-//! Each PE computes one output neuron at a time. The PEFU holds `T_m`
-//! multipliers feeding a `T_m`-input adder tree, so an output needing `M`
-//! multiplications takes `⌈M / T_m⌉` cycles once its operands are
-//! supplied.
-
-use cs_quant::Codebook;
-
-use crate::ssm::{self, Wdm};
-
-/// One processing element executing one output neuron's MACs.
-#[derive(Debug, Clone)]
-pub struct Pe {
-    tm: usize,
-    wdm: Wdm,
-    /// Compact (static-survivor) quantized weights for the current output
-    /// neuron — the PE's local SB contents.
-    sb: Vec<u16>,
-    /// Decoded weights cache.
-    decoded: Vec<f32>,
-}
-
-/// Result of evaluating one output neuron on a PE.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeResult {
-    /// The accumulated output value (pre-activation).
-    pub value: f32,
-    /// MAC operations executed.
-    pub macs: u64,
-    /// PEFU cycles consumed (`⌈macs / T_m⌉`).
-    pub pefu_cycles: u64,
-}
-
-impl Pe {
-    /// Creates a PE with its WDM LUT loaded and SB filled with one output
-    /// neuron's compact weights.
-    pub fn new(tm: usize, codebook: Codebook, compact_weights: Vec<u16>) -> Self {
-        let wdm = Wdm::new(codebook);
-        let decoded = wdm.decode_all(&compact_weights);
-        Pe {
-            tm,
-            wdm,
-            sb: compact_weights,
-            decoded,
-        }
-    }
-
-    /// Number of weights resident in the local SB.
-    pub fn sb_len(&self) -> usize {
-        self.sb.len()
-    }
-
-    /// Borrows the WDM.
-    pub fn wdm(&self) -> &Wdm {
-        &self.wdm
-    }
-
-    /// Evaluates the output neuron against the broadcast selected neurons
-    /// and indexing string (from the shared NSM).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an indexing position is outside the SB.
-    pub fn evaluate(&self, neurons: &[f32], indexing: &[usize]) -> PeResult {
-        let weights = ssm::select_weights(&self.decoded, indexing);
-        let mut acc = 0.0f32;
-        for (n, w) in neurons.iter().zip(&weights) {
-            acc += n * w;
-        }
-        let macs = weights.len() as u64;
-        PeResult {
-            value: acc,
-            macs,
-            pefu_cycles: (macs.div_ceil(self.tm as u64)).max(1),
-        }
-    }
-}
+//! The executor ([`crate::exec`]) runs the `T_n` PEs of a group together,
+//! fed by one NSM selection: each selected neuron meets one survivor row
+//! of WDM-decoded weights, one weight per PE. The PEFU holds `T_m`
+//! multipliers feeding a `T_m`-input adder tree, so a selection of `M`
+//! neurons takes `⌈M / T_m⌉` cycles once its operands are supplied. This
+//! module holds the nonlinear function unit at the PEFU's tail.
 
 /// Nonlinear function unit at the PEFU tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,39 +32,6 @@ impl Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pe_computes_sparse_dot_product() {
-        // Compact weights (already static-pruned): [w0, w1, w2, w3].
-        let cb = Codebook::new(vec![0.0, 1.0, 2.0, 3.0]);
-        let pe = Pe::new(16, cb, vec![1, 2, 3, 0]);
-        // NSM selected neurons at compact positions 0 and 2.
-        let r = pe.evaluate(&[10.0, 100.0], &[0, 2]);
-        // 10*1.0 + 100*3.0 = 310
-        assert_eq!(r.value, 310.0);
-        assert_eq!(r.macs, 2);
-        assert_eq!(r.pefu_cycles, 1);
-    }
-
-    #[test]
-    fn pefu_cycles_scale_with_macs() {
-        let cb = Codebook::new(vec![1.0]);
-        let pe = Pe::new(16, cb, vec![0; 100]);
-        let neurons = vec![1.0; 100];
-        let indexing: Vec<usize> = (0..100).collect();
-        let r = pe.evaluate(&neurons, &indexing);
-        assert_eq!(r.value, 100.0);
-        assert_eq!(r.pefu_cycles, 7); // ceil(100/16)
-    }
-
-    #[test]
-    fn zero_selected_costs_one_cycle() {
-        let cb = Codebook::new(vec![1.0]);
-        let pe = Pe::new(16, cb, vec![]);
-        let r = pe.evaluate(&[], &[]);
-        assert_eq!(r.value, 0.0);
-        assert_eq!(r.pefu_cycles, 1);
-    }
 
     #[test]
     fn activations() {

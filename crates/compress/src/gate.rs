@@ -3,7 +3,7 @@
 //! Cambricon-S exploits neuron (activation) sparsity in hardware — the
 //! NSM skips zero activations one at a time, so the PE array never
 //! multiplies through them. This module is the software twin of that
-//! gate: a cheap *prescan* sets one bit per input ([`mark_active`], into
+//! gate: a cheap *prescan* sets one bit per input (`mark_active`, into
 //! words the kernels in [`crate::engine`] reuse), and a gated
 //! `forward_batch` visits only the surviving weights whose input bit is
 //! set.
@@ -34,8 +34,8 @@
 //! # Run-time rule
 //!
 //! There is no per-layer plan. A gated kernel counts every column's
-//! `+0.0` inputs ([`count_inputs`]), marks one bit per input
-//! ([`mark_active`]) for tiles that may skip, and decides per tile, at
+//! `+0.0` inputs (`count_inputs`), marks one bit per input
+//! (`mark_active`) for tiles that may skip, and decides per tile, at
 //! run time, from what the bits say: the block-CSR walk visits only the
 //! set bits of its runs when at most
 //! [`ACTIVE_WALK_MAX_SHARE`](crate::engine::ACTIVE_WALK_MAX_SHARE) of

@@ -24,7 +24,10 @@
 //!   a different (still deterministic) float summation order;
 //! * compiled simulator network vs `run_layer` chained layer by layer:
 //!   **bit-identical** outputs (NaN encodings identified) and **equal**
-//!   activity counters, also when the scratch last ran a wider network.
+//!   activity counters, also when the scratch last ran a wider network;
+//! * compiled simulator network vs [`sim_ref`], the
+//!   lane-major walk each PE's sum is defined by: **bit-identical**
+//!   outputs (NaN encodings identified) and **equal** activity counters.
 //!
 //! [`Fault::ReverseAccumulation`] swaps the ungated engine kernel for
 //! [`forward_reversed`], which adds the same terms in *descending* input
@@ -58,7 +61,7 @@ use cs_tensor::{Shape, Tensor};
 
 use crate::gen::{Case, CaseKind, ConvCase, FcLayerCase, FcNetCase, InputPoison};
 use crate::rng::CaseRng;
-use crate::{Fault, Mismatch};
+use crate::{sim_ref, Fault, Mismatch};
 
 /// Everything built for one FC layer of a case.
 #[derive(Debug, Clone)]
@@ -309,7 +312,7 @@ fn forward_planted(
 /// runs them (the `fc-sim-error` leg aside, which reports a simulator
 /// failure rather than a disagreement). The sweep report prints this
 /// list so a run's log says which legs were armed.
-pub const FC_LEGS: [&str; 8] = [
+pub const FC_LEGS: [&str; 9] = [
     "fc-dense-vs-sparse-bits",
     "fc-gated-vs-dense-bits",
     "fc-gated-vs-engine-bits",
@@ -318,6 +321,7 @@ pub const FC_LEGS: [&str; 8] = [
     "fc-batched-vs-engine-bits",
     "fc-sim-vs-dense-tolerance",
     "fc-sim-compiled-vs-program-bits",
+    "fc-sim-vs-reference-bits",
 ];
 
 /// The co-batched inputs of the batched leg: one more column than a
@@ -584,6 +588,8 @@ fn wide_sim_case() -> Result<FcArtifacts, Mismatch> {
 /// inlined differently into its two callers) and every [`SimStats`]
 /// field exactly. It runs twice through one [`SimScratch`], the second
 /// time after a wider network, so stale buffer contents would show.
+/// The first run must also give the lane-major reference walk's
+/// outputs and statistics (`fc-sim-vs-reference-bits`).
 fn check_sim_compiled(art: &FcArtifacts, accel: &Accelerator) -> Vec<Mismatch> {
     const LEG: &str = "fc-sim-compiled-vs-program-bits";
     let error = |what: String| vec![Mismatch::new("fc-sim-error", what)];
@@ -603,6 +609,7 @@ fn check_sim_compiled(art: &FcArtifacts, accel: &Accelerator) -> Vec<Mismatch> {
         Ok(w) => w,
         Err(m) => return vec![m],
     };
+    let (reference, reference_stats) = sim_ref::run_network(accel.config(), &layers, &art.input);
     let (net, wide_net) = match (
         accel.compile_network(layers),
         accel.compile_network(sim_layers(&wide)),
@@ -644,6 +651,47 @@ fn check_sim_compiled(art: &FcArtifacts, accel: &Accelerator) -> Vec<Mismatch> {
                 format!("{pass}: compiled stats {stats:?} vs chained run_layer {want_stats:?}"),
             ));
         }
+        if pass == "first run" {
+            out.extend(reference_mismatch(
+                got,
+                &stats,
+                &reference,
+                &reference_stats,
+            ));
+        }
+    }
+    out
+}
+
+/// The `fc-sim-vs-reference-bits` findings of one compiled run.
+fn reference_mismatch(
+    got: &[f32],
+    stats: &SimStats,
+    want: &[f32],
+    want_stats: &SimStats,
+) -> Vec<Mismatch> {
+    const LEG: &str = "fc-sim-vs-reference-bits";
+    let mut out = Vec::new();
+    if got.len() != want.len() {
+        out.push(Mismatch::new(
+            LEG,
+            format!("{} outputs vs {}", got.len(), want.len()),
+        ));
+    } else if let Some((i, g, w)) = first_diff_nan_canonical(got, want) {
+        out.push(Mismatch::new(
+            LEG,
+            format!(
+                "output {i}: compiled {g:e} ({:#010x}) vs lane-major reference {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            ),
+        ));
+    }
+    if stats != want_stats {
+        out.push(Mismatch::new(
+            LEG,
+            format!("compiled stats {stats:?} vs lane-major reference {want_stats:?}"),
+        ));
     }
     out
 }

@@ -16,6 +16,8 @@
 //!   and the simulator, asserting bit-identity where the
 //!   equivalence contract promises it and bounded error where it
 //!   doesn't (see `DESIGN.md` §9 for the contract table).
+//! * [`sim_ref`] — the simulator's lane-major reference walk, the
+//!   oracle the compiled simulator is held to bit for bit.
 //! * [`invariants`] — structural checks over simulator and baseline
 //!   outputs: cycles are positive and monotone in work, sparse DRAM
 //!   traffic stays under the dense bound, EIE / Cambricon-X MAC counts
@@ -76,6 +78,7 @@ pub mod rng;
 pub mod runner;
 pub mod serve_check;
 pub mod shrink;
+pub mod sim_ref;
 
 /// A deliberately-injected engine defect, used to exercise the harness
 /// itself: the acceptance test flips the sparse kernel's accumulation

@@ -264,7 +264,7 @@ fn check_decode_total(bytes: &[u8], index: u64, out: &mut Vec<Mismatch>) -> bool
 }
 
 /// Fuzzes the CSMR container codec with `cases` seed-replayable cases
-/// (each contributing [`MUTATIONS_PER_CASE`] hostile mutations on top
+/// (each contributing `MUTATIONS_PER_CASE` hostile mutations on top
 /// of the valid and poisoned round trips).
 pub fn fuzz_container(seed: u64, cases: u64) -> ContainerFuzz {
     let mut report = ContainerFuzz::default();

@@ -1,6 +1,6 @@
 //! The TCP frontend for the serving runtime.
 //!
-//! [`NetServer`] is one epoll event loop (see [`crate::reactor`]) that
+//! [`NetServer`] is one epoll event loop (the crate's `reactor` module) that
 //! owns the listener and every nonblocking connection. It decodes
 //! frames, submits requests to the wrapped [`cs_serve::Server`] and
 //! writes replies back; the workers that finish a job ring the loop

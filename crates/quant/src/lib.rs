@@ -92,20 +92,6 @@ impl Codebook {
         self.centroids[usize::from(index)]
     }
 
-    /// Nearest-centroid index for a value.
-    pub fn encode(&self, v: f32) -> u16 {
-        let mut best = 0usize;
-        let mut bd = f32::INFINITY;
-        for (i, c) in self.centroids.iter().enumerate() {
-            let d = (c - v).abs();
-            if d < bd {
-                bd = d;
-                best = i;
-            }
-        }
-        best as u16
-    }
-
     /// Size in bytes at 16 bits per entry (the WDM LUT width): the one
     /// count of a codebook's storage.
     pub fn byte_size(&self) -> usize {
@@ -182,10 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn codebook_encode_decode() {
+    fn codebook_value_and_byte_size() {
         let cb = Codebook::new(vec![-1.0, 0.0, 1.0]);
-        assert_eq!(cb.encode(0.9), 2);
-        assert_eq!(cb.encode(-0.7), 0);
         assert_eq!(cb.value(1), 0.0);
         assert_eq!(cb.byte_size(), 6);
     }

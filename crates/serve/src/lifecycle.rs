@@ -1,7 +1,7 @@
 //! Live model lifecycle: versioned residency, hot load/evict with
 //! per-model drain latches, and canary state.
 //!
-//! [`LiveRegistry`] generalizes the startup-time
+//! `LiveRegistry` generalizes the startup-time
 //! [`crate::model::ModelRegistry`] into a runtime structure: models are
 //! keyed by name and each name holds one or more resident *versions*,
 //! one of which is primary. Loading a new version either promotes it
