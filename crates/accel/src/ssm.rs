@@ -8,40 +8,11 @@
 //! * the **SSM** MUXes the weights named by the NSM's indexing string out
 //!   of the candidate window, discarding synapses whose input neuron was
 //!   zero (dynamic sparsity).
-
-use cs_quant::Codebook;
-
-/// The WDM: a codebook LUT.
-///
-/// The hardware aliases stored weights to 4-bit lanes and decodes
-/// `T_m × 16`, `T_m × 8` or `T_m × 4` weights per cycle for 4-bit, 8-bit
-/// and wider dictionaries respectively; [`wdm_decodes_per_cycle`]
-/// exposes that rate to the timing model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Wdm {
-    codebook: Codebook,
-}
-
-impl Wdm {
-    /// Loads the LUT with a group's codebook.
-    pub fn new(codebook: Codebook) -> Self {
-        Wdm { codebook }
-    }
-
-    /// Decodes one dictionary index into a weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index exceeds the LUT.
-    pub fn decode(&self, index: u16) -> f32 {
-        self.codebook.value(index)
-    }
-
-    /// Decodes a slice of indices.
-    pub fn decode_all(&self, indices: &[u16]) -> Vec<f32> {
-        indices.iter().map(|i| self.decode(*i)).collect()
-    }
-}
+//!
+//! The executor does both at preparation: each group's survivors are
+//! decoded through its codebook once, into survivor-major rows, and the
+//! walk reads the rows the NSM selects. This module keeps the rates the
+//! timing model charges for them.
 
 /// Weights the WDM can decode per cycle per PE, given `T_m` and the
 /// dictionary bit width (Section V-B's 4-bit aliasing).
@@ -53,17 +24,6 @@ pub fn wdm_decodes_per_cycle(tm: usize, bits: u8) -> usize {
     } else {
         tm * 4
     }
-}
-
-/// The SSM: selects the weights at the positions named by the NSM's
-/// indexing string from the PE's compact (static-survivor) weight
-/// storage.
-///
-/// # Panics
-///
-/// Panics when an indexing position exceeds the storage.
-pub fn select_weights(compact_weights: &[f32], indexing: &[usize]) -> Vec<f32> {
-    indexing.iter().map(|&p| compact_weights[p]).collect()
 }
 
 /// SSM/SB supply throughput: cycles to stream `static_survivors`
@@ -81,28 +41,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wdm_decodes_through_lut() {
-        let wdm = Wdm::new(Codebook::new(vec![-0.5, 0.0, 0.25, 1.0]));
-        assert_eq!(wdm.decode(0), -0.5);
-        assert_eq!(wdm.decode(3), 1.0);
-        assert_eq!(wdm.decode_all(&[1, 2]), vec![0.0, 0.25]);
-    }
-
-    #[test]
     fn wdm_rates_follow_bit_aliasing() {
         assert_eq!(wdm_decodes_per_cycle(16, 4), 256);
         assert_eq!(wdm_decodes_per_cycle(16, 8), 128);
         assert_eq!(wdm_decodes_per_cycle(16, 16), 64);
         assert_eq!(wdm_decodes_per_cycle(16, 3), 256);
-    }
-
-    #[test]
-    fn ssm_muxes_indexed_positions() {
-        // Fig. 14: compact storage holds the static survivors; the
-        // indexing string picks the 1st and 4th (positions 0 and 3).
-        let compact = [0.1, 0.2, 0.3, 0.4];
-        assert_eq!(select_weights(&compact, &[0, 3]), vec![0.1, 0.4]);
-        assert_eq!(select_weights(&compact, &[]), Vec::<f32>::new());
     }
 
     #[test]

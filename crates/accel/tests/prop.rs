@@ -22,20 +22,6 @@ proptest! {
         prop_assert_eq!(sel.indexing.len(), expected);
     }
 
-    /// SSM selection preserves order and values.
-    #[test]
-    fn ssm_is_a_projection(weights in proptest::collection::vec(-5.0f32..5.0, 1..200),
-                           picks in proptest::collection::vec(any::<proptest::sample::Index>(), 0..50)) {
-        let mut indexing: Vec<usize> = picks.iter().map(|i| i.index(weights.len())).collect();
-        indexing.sort_unstable();
-        indexing.dedup();
-        let out = ssm::select_weights(&weights, &indexing);
-        prop_assert_eq!(out.len(), indexing.len());
-        for (o, i) in out.iter().zip(&indexing) {
-            prop_assert_eq!(*o, weights[*i]);
-        }
-    }
-
     /// Group cycles respect all three structural limits.
     #[test]
     fn group_cycles_respect_limits(n_in in 1usize..100_000,

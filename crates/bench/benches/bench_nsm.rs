@@ -1,8 +1,7 @@
-//! Micro-benchmarks of the selection datapath (NSM / SSM / WDM logic).
+//! Micro-benchmark of the NSM's neuron selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cs_accel::{nsm, ssm};
-use cs_quant::Codebook;
+use cs_accel::nsm;
 
 fn window(density_pct: u64) -> (Vec<f32>, Vec<bool>) {
     let mut x = 3u64;
@@ -35,21 +34,5 @@ fn bench_nsm_select(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ssm_mux(c: &mut Criterion) {
-    let compact: Vec<f32> = (0..1024).map(|i| i as f32 * 0.01).collect();
-    let indexing: Vec<usize> = (0..1024).step_by(3).collect();
-    c.bench_function("ssm_select_340_of_1024", |b| {
-        b.iter(|| ssm::select_weights(&compact, &indexing));
-    });
-}
-
-fn bench_wdm_decode(c: &mut Criterion) {
-    let wdm = ssm::Wdm::new(Codebook::new((0..256).map(|i| i as f32 * 0.01).collect()));
-    let indices: Vec<u16> = (0..4096).map(|i| (i % 256) as u16).collect();
-    c.bench_function("wdm_decode_4096", |b| {
-        b.iter(|| wdm.decode_all(&indices));
-    });
-}
-
-criterion_group!(benches, bench_nsm_select, bench_ssm_mux, bench_wdm_decode);
+criterion_group!(benches, bench_nsm_select);
 criterion_main!(benches);

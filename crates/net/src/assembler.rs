@@ -11,17 +11,19 @@
 //!   the `WireError` taxonomy *by construction*: bad magic, bad
 //!   version, unknown type, and oversized lengths are all rejected
 //!   from the fixed 16-byte header before any payload allocation.
-//! * [`WriteBuffer`] — coalesces encoded replies and flushes as much
-//!   as a nonblocking socket accepts, tracking cumulative pushed /
-//!   flushed offsets so the caller can tell exactly when each frame
-//!   has fully left the buffer (the reactor's frames-out and latency
-//!   metrics hang off that edge).
+//! * [`WriteBuffer`] — encodes replies in place, back to back, and
+//!   flushes as much as a nonblocking socket accepts, tracking
+//!   cumulative pushed / flushed offsets so the caller can tell exactly
+//!   when each frame has fully left the buffer (the reactor's
+//!   frames-out and latency metrics hang off that edge).
 //!
 //! Both types are transport-agnostic plain state machines, which is
 //! what makes them easy to fuzz differentially against the blocking
 //! decoder (see `conformance net-fuzz` and `tests/assembler.rs`).
 
 use std::io::{self, Write};
+
+use cs_serve::InferResponse;
 
 use crate::wire::{Frame, WireError, HEADER_LEN};
 
@@ -129,8 +131,8 @@ impl FrameAssembler {
 
 /// A coalescing outbound buffer for a nonblocking socket.
 ///
-/// Frames are appended whole; [`WriteBuffer::flush_to`] writes as much
-/// as the socket accepts. The cumulative `total_pushed` /
+/// Frames are encoded into it whole; [`WriteBuffer::flush_to`] writes
+/// as much as the socket accepts. The cumulative `total_pushed` /
 /// `total_flushed` offsets let the owner map flush progress back to
 /// frame boundaries.
 #[derive(Debug, Default)]
@@ -147,10 +149,23 @@ impl WriteBuffer {
         WriteBuffer::default()
     }
 
-    /// Appends encoded bytes (typically one whole frame).
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-        self.total_pushed += bytes.len() as u64;
+    /// Appends one frame, encoded straight into the buffer.
+    pub fn push_frame(&mut self, frame: &Frame) {
+        self.append(|buf| frame.encode_into(buf));
+    }
+
+    /// Appends the response frame for a completed inference, encoded
+    /// straight from `resp`: the bytes of
+    /// `Frame::from_response(id, resp).encode()`, without building the
+    /// [`Frame`].
+    pub fn push_response(&mut self, id: u64, resp: &InferResponse) {
+        self.append(|buf| Frame::encode_response_into(id, resp, buf));
+    }
+
+    fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let before = self.buf.len();
+        encode(&mut self.buf);
+        self.total_pushed += (self.buf.len() - before) as u64;
     }
 
     /// Unflushed bytes still held.
@@ -273,8 +288,8 @@ mod tests {
         let mut wb = WriteBuffer::new();
         let a = Frame::Ping { id: 1 }.encode();
         let b = Frame::Pong { id: 2 }.encode();
-        wb.push(&a);
-        wb.push(&b);
+        wb.push_frame(&Frame::Ping { id: 1 });
+        wb.push_frame(&Frame::Pong { id: 2 });
         assert_eq!(wb.total_pushed(), (a.len() + b.len()) as u64);
         let mut sink = Vec::new();
         let wrote = wb.flush_to(&mut sink).unwrap();
@@ -284,6 +299,29 @@ mod tests {
         let mut expect = a;
         expect.extend_from_slice(&b);
         assert_eq!(sink, expect);
+    }
+
+    #[test]
+    fn write_buffer_encodes_a_response_as_its_frame_would() {
+        let resp = InferResponse {
+            model: "mlp".to_string(),
+            outputs: vec![1.0, f32::NAN, -0.0, 3.5e-40],
+            cycles: 484,
+            energy_pj: 12.25,
+            batch_size: 8,
+            worker: 3,
+            latency_us: 41,
+            node: "node-b".to_string(),
+        };
+        let mut wb = WriteBuffer::new();
+        wb.push_frame(&Frame::Pong { id: 16 });
+        wb.push_response(17, &resp);
+        let mut want = Frame::Pong { id: 16 }.encode();
+        want.extend_from_slice(&Frame::from_response(17, &resp).encode());
+        assert_eq!(wb.total_pushed(), want.len() as u64);
+        let mut sink = Vec::new();
+        wb.flush_to(&mut sink).unwrap();
+        assert_eq!(sink, want);
     }
 
     /// A writer that accepts a fixed number of bytes per call, then
@@ -311,15 +349,15 @@ mod tests {
 
     #[test]
     fn write_buffer_resumes_after_would_block() {
-        let frame = Frame::Request {
+        let request = Frame::Request {
             id: 7,
             model: "m".to_string(),
             tenant: String::new(),
             input: vec![0.25; 64],
-        }
-        .encode();
+        };
+        let frame = request.encode();
         let mut wb = WriteBuffer::new();
-        wb.push(&frame);
+        wb.push_frame(&request);
         let mut sink = Trickle {
             accepted: Vec::new(),
             per_call: 10,

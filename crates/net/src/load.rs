@@ -292,7 +292,7 @@ fn send_request(c: &mut Conn, plan: &LoadPlan, epoll: &Epoll) -> Result<(), NetE
         tenant: c.result.tenant.clone(),
         input: request_input(plan.n_in, request, plan.seed),
     };
-    c.wbuf.push(&frame.encode());
+    c.wbuf.push_frame(&frame);
     c.sent_at = Instant::now();
     c.phase = Phase::InFlight;
     flush(c, epoll)

@@ -135,35 +135,36 @@ enum Slot {
     /// the ack is in `ack`.
     Control { id: u64, ack: Receiver<Frame> },
     /// Ready to encode and flush.
-    Done { frame: Frame, t0_us: Option<u64> },
+    Done(Frame),
 }
 
 impl Slot {
-    /// Turns a resolved slot into `Done`; `false` while in flight.
-    fn settle(&mut self) -> bool {
-        let (frame, t0_us) = match self {
-            Slot::Done { .. } => return true,
-            Slot::Waiting { id, t0_us, ticket } => match ticket.try_wait() {
-                None => return false,
-                Some(Ok(resp)) => (Frame::from_response(*id, &resp), Some(*t0_us)),
-                Some(Err(e)) => (Frame::from_serve_error(*id, &e), None),
+    /// Encodes the reply into `out` once the slot has resolved; `None`
+    /// while it is in flight. A served response is encoded straight
+    /// from its `InferResponse` and yields `Some(Some(t0_us))` for the
+    /// latency histogram; every other reply yields `Some(None)`.
+    fn encode_into(&self, out: &mut WriteBuffer) -> Option<Option<u64>> {
+        match self {
+            Slot::Done(frame) => out.push_frame(frame),
+            Slot::Waiting { id, t0_us, ticket } => match ticket.try_wait()? {
+                Ok(resp) => {
+                    out.push_response(*id, &resp);
+                    return Some(Some(*t0_us));
+                }
+                Err(e) => out.push_frame(&Frame::from_serve_error(*id, &e)),
             },
             Slot::Control { id, ack } => match ack.try_recv() {
-                Err(TryRecvError::Empty) => return false,
-                Ok(frame) => (frame, None),
-                Err(TryRecvError::Disconnected) => (
-                    Frame::Error {
-                        id: *id,
-                        code: ErrorCode::Internal,
-                        tenant: String::new(),
-                        detail: "lifecycle operation died without an answer".to_string(),
-                    },
-                    None,
-                ),
+                Err(TryRecvError::Empty) => return None,
+                Ok(frame) => out.push_frame(&frame),
+                Err(TryRecvError::Disconnected) => out.push_frame(&Frame::Error {
+                    id: *id,
+                    code: ErrorCode::Internal,
+                    tenant: String::new(),
+                    detail: "lifecycle operation died without an answer".to_string(),
+                }),
             },
-        };
-        *self = Slot::Done { frame, t0_us };
-        true
+        }
+        Some(None)
     }
 }
 
@@ -463,15 +464,12 @@ impl EventLoop {
                 Err(e) => {
                     self.shared.metrics.decode_errors.inc();
                     conn.state = ConnState::Draining;
-                    conn.pending.push_back(Slot::Done {
-                        frame: Frame::Error {
-                            id: 0,
-                            code: ErrorCode::Malformed,
-                            tenant: String::new(),
-                            detail: e.to_string(),
-                        },
-                        t0_us: None,
-                    });
+                    conn.pending.push_back(Slot::Done(Frame::Error {
+                        id: 0,
+                        code: ErrorCode::Malformed,
+                        tenant: String::new(),
+                        detail: e.to_string(),
+                    }));
                     return;
                 }
             }
@@ -494,10 +492,7 @@ impl EventLoop {
                 );
                 let slot = match submitted {
                     Ok(ticket) => Slot::Waiting { id, t0_us, ticket },
-                    Err(e) => Slot::Done {
-                        frame: Frame::from_serve_error(id, &e),
-                        t0_us: None,
-                    },
+                    Err(e) => Slot::Done(Frame::from_serve_error(id, &e)),
                 };
                 self.push_slot(token, slot);
             }
@@ -526,10 +521,8 @@ impl EventLoop {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Draining;
                     conn.carried_shutdown = true;
-                    conn.pending.push_back(Slot::Done {
-                        frame: Frame::ShutdownAck { id },
-                        t0_us: None,
-                    });
+                    conn.pending
+                        .push_back(Slot::Done(Frame::ShutdownAck { id }));
                     self.stop_when_flushed = Some(token);
                 }
             }
@@ -550,15 +543,12 @@ impl EventLoop {
                 self.shared.metrics.decode_errors.inc();
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Draining;
-                    conn.pending.push_back(Slot::Done {
-                        frame: Frame::Error {
-                            id,
-                            code: ErrorCode::Malformed,
-                            tenant: String::new(),
-                            detail: "frame type is not client-to-server".to_string(),
-                        },
-                        t0_us: None,
-                    });
+                    conn.pending.push_back(Slot::Done(Frame::Error {
+                        id,
+                        code: ErrorCode::Malformed,
+                        tenant: String::new(),
+                        detail: "frame type is not client-to-server".to_string(),
+                    }));
                 }
             }
         }
@@ -612,7 +602,7 @@ impl EventLoop {
     }
 
     fn push_done(&mut self, token: u64, frame: Frame) {
-        self.push_slot(token, Slot::Done { frame, t0_us: None });
+        self.push_slot(token, Slot::Done(frame));
     }
 
     /// Resolves and serializes replies from the front of the FIFO,
@@ -628,15 +618,12 @@ impl EventLoop {
             let was_empty = conn.out.is_empty();
             let mut pushed = false;
             let mut acked = false;
-            while let Some(slot) = conn.pending.front_mut() {
+            while let Some(slot) = conn.pending.front() {
                 let control = matches!(slot, Slot::Control { .. });
-                if !slot.settle() {
-                    break;
-                }
-                let Some(Slot::Done { frame, t0_us }) = conn.pending.pop_front() else {
+                let Some(t0_us) = slot.encode_into(&mut conn.out) else {
                     break;
                 };
-                conn.out.push(&frame.encode());
+                conn.pending.pop_front();
                 conn.frame_ends.push_back((conn.out.total_pushed(), t0_us));
                 pushed = true;
                 acked |= control;

@@ -22,6 +22,14 @@
 //! frame round-trips: `decode(encode(f)) == f` and
 //! `encode(decode(bytes)) == bytes`.
 //!
+//! Encoding makes one allocation per frame (none with
+//! [`Frame::encode_into`] into a buffer that has room): the payload
+//! writers first run over a byte counter to size the frame, the buffer
+//! is reserved once, and the header and payload are written in place
+//! before the length field is patched. `f32` arrays move in one
+//! `chunks_exact(4)` pass each way, into a buffer sized once (the
+//! decoder's `collect` takes its exact length from the iterator).
+//!
 //! Strings are `u16 length + UTF-8 bytes`; f32 arrays are `u32 count +
 //! 4 bytes per element (IEEE-754 bit pattern)`, which preserves NaN
 //! payloads and signed zeros so served outputs stay bit-identical
@@ -633,21 +641,49 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame: header plus payload.
+    /// Encodes the frame: header plus payload, in one allocation of
+    /// exactly the encoded length.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(WIRE_VERSION);
-        out.push(self.frame_type() as u8);
-        out.extend_from_slice(&self.id().to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload_len());
+        self.encode_into(&mut out);
         out
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+    /// Appends the encoded frame to `out`: the bytes
+    /// [`Frame::encode`] returns, written in place after one `reserve`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        append_frame(out, self.frame_type(), self.id(), self.payload_len(), |p| {
+            self.put_payload(p)
+        });
+    }
+
+    /// Appends the [`Frame::Response`] for a completed inference to
+    /// `out`: the bytes `Frame::from_response(id, resp).encode()`
+    /// returns, without copying the outputs, model or node into a
+    /// [`Frame`] first.
+    pub(crate) fn encode_response_into(id: u64, resp: &InferResponse, out: &mut Vec<u8>) {
+        let body = ResponseBody {
+            model: &resp.model,
+            outputs: &resp.outputs,
+            cycles: resp.cycles,
+            energy_pj: resp.energy_pj,
+            batch_size: resp.batch_size as u32,
+            worker: resp.worker as u32,
+            latency_us: resp.latency_us,
+            node: &resp.node,
+        };
+        let mut len = ByteCount(0);
+        body.put(&mut len);
+        append_frame(out, FrameType::Response, id, len.0, |p| body.put(p));
+    }
+
+    fn payload_len(&self) -> usize {
+        let mut len = ByteCount(0);
+        self.put_payload(&mut len);
+        len.0
+    }
+
+    fn put_payload<S: Sink>(&self, p: &mut S) {
         match self {
             Frame::Request {
                 model,
@@ -655,9 +691,9 @@ impl Frame {
                 input,
                 ..
             } => {
-                put_str(&mut p, model);
-                put_str(&mut p, tenant);
-                put_f32s(&mut p, input);
+                put_str(p, model);
+                put_str(p, tenant);
+                put_f32s(p, input);
             }
             Frame::Response {
                 model,
@@ -669,39 +705,40 @@ impl Frame {
                 latency_us,
                 node,
                 ..
-            } => {
-                put_str(&mut p, model);
-                put_f32s(&mut p, outputs);
-                p.extend_from_slice(&cycles.to_le_bytes());
-                p.extend_from_slice(&energy_pj.to_bits().to_le_bytes());
-                p.extend_from_slice(&batch_size.to_le_bytes());
-                p.extend_from_slice(&worker.to_le_bytes());
-                p.extend_from_slice(&latency_us.to_le_bytes());
-                put_str(&mut p, node);
+            } => ResponseBody {
+                model,
+                outputs,
+                cycles: *cycles,
+                energy_pj: *energy_pj,
+                batch_size: *batch_size,
+                worker: *worker,
+                latency_us: *latency_us,
+                node,
             }
+            .put(p),
             Frame::Error {
                 code,
                 tenant,
                 detail,
                 ..
             } => {
-                p.extend_from_slice(&(*code as u16).to_le_bytes());
-                put_str(&mut p, tenant);
-                put_str(&mut p, detail);
+                p.put(&(*code as u16).to_le_bytes());
+                put_str(p, tenant);
+                put_str(p, detail);
             }
             Frame::Ping { .. }
             | Frame::Pong { .. }
             | Frame::Shutdown { .. }
             | Frame::ShutdownAck { .. } => {}
             Frame::Query { model, .. } => {
-                put_str(&mut p, model);
+                put_str(p, model);
             }
             Frame::Info {
                 model, n_in, n_out, ..
             } => {
-                put_str(&mut p, model);
-                p.extend_from_slice(&n_in.to_le_bytes());
-                p.extend_from_slice(&n_out.to_le_bytes());
+                put_str(p, model);
+                p.put(&n_in.to_le_bytes());
+                p.put(&n_out.to_le_bytes());
             }
             Frame::Register {
                 worker,
@@ -709,23 +746,23 @@ impl Frame {
                 models,
                 ..
             } => {
-                put_str(&mut p, worker);
-                put_str(&mut p, addr);
-                put_strs(&mut p, models);
+                put_str(p, worker);
+                put_str(p, addr);
+                put_strs(p, models);
             }
             Frame::RegisterAck { heartbeat_ms, .. } => {
-                p.extend_from_slice(&heartbeat_ms.to_le_bytes());
+                p.put(&heartbeat_ms.to_le_bytes());
             }
             Frame::Heartbeat {
                 worker,
                 outstanding,
                 ..
             } => {
-                put_str(&mut p, worker);
-                p.extend_from_slice(&outstanding.to_le_bytes());
+                put_str(p, worker);
+                p.put(&outstanding.to_le_bytes());
             }
             Frame::Deregister { worker, .. } => {
-                put_str(&mut p, worker);
+                put_str(p, worker);
             }
             Frame::DeregisterAck { .. } => {}
             Frame::LoadModel {
@@ -734,30 +771,29 @@ impl Frame {
                 canary_pct,
                 ..
             } => {
-                put_str(&mut p, model);
-                p.extend_from_slice(&version.to_le_bytes());
-                p.push(*canary_pct);
+                put_str(p, model);
+                p.put(&version.to_le_bytes());
+                p.put(&[*canary_pct]);
             }
             Frame::UnloadModel { model, version, .. } => {
-                put_str(&mut p, model);
-                p.extend_from_slice(&version.to_le_bytes());
+                put_str(p, model);
+                p.put(&version.to_le_bytes());
             }
             Frame::ListModels { .. } => {}
             Frame::ModelList { models, .. } => {
                 let len = models.len().min(u16::MAX as usize);
-                p.extend_from_slice(&(len as u16).to_le_bytes());
+                p.put(&(len as u16).to_le_bytes());
                 for m in &models[..len] {
-                    put_str(&mut p, &m.name);
-                    p.extend_from_slice(&m.version.to_le_bytes());
-                    p.push(u8::from(m.primary));
-                    p.push(m.canary_pct.unwrap_or(NO_CANARY));
-                    p.push(u8::from(m.demoted));
-                    p.extend_from_slice(&m.resident_bytes.to_le_bytes());
-                    p.extend_from_slice(&m.in_flight.to_le_bytes());
+                    put_str(p, &m.name);
+                    p.put(&m.version.to_le_bytes());
+                    p.put(&[u8::from(m.primary)]);
+                    p.put(&[m.canary_pct.unwrap_or(NO_CANARY)]);
+                    p.put(&[u8::from(m.demoted)]);
+                    p.put(&m.resident_bytes.to_le_bytes());
+                    p.put(&m.in_flight.to_le_bytes());
                 }
             }
         }
-        p
     }
 
     /// Streaming decode against [`DEFAULT_MAX_PAYLOAD`]: `Ok(None)`
@@ -855,27 +891,116 @@ impl Frame {
 /// [`WireModelStatus`] entry (valid shares are `0..=100`).
 const NO_CANARY: u8 = 0xFF;
 
-fn put_str(p: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    p.extend_from_slice(&(len as u16).to_le_bytes());
-    p.extend_from_slice(&bytes[..len]);
+/// Where an encoder writes a payload: the output buffer, or a
+/// [`ByteCount`] that sizes the frame before anything is written.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
+    /// The IEEE-754 bit patterns of `xs`, four little-endian bytes each.
+    fn put_f32_bits(&mut self, xs: &[f32]);
 }
 
-fn put_strs(p: &mut Vec<u8>, xs: &[String]) {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn put_f32_bits(&mut self, xs: &[f32]) {
+        let start = self.len();
+        self.resize(start + 4 * xs.len(), 0);
+        for (dst, x) in self[start..].chunks_exact_mut(4).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+}
+
+/// A [`Sink`] that only counts the bytes it is given.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn put_f32_bits(&mut self, xs: &[f32]) {
+        self.0 += 4 * xs.len();
+    }
+}
+
+/// Appends one frame to `out`: reserves the header and `payload_len`
+/// once, writes the header with a zero length, lets `put` write the
+/// payload in place, then patches the length with what was written. A
+/// wrong `payload_len` can only cost a regrowth, never a wrong frame.
+fn append_frame(
+    out: &mut Vec<u8>,
+    frame_type: FrameType,
+    id: u64,
+    payload_len: usize,
+    put: impl FnOnce(&mut Vec<u8>),
+) {
+    out.reserve(HEADER_LEN + payload_len);
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(WIRE_VERSION);
+    out.push(frame_type as u8);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    put(out);
+    let written = (out.len() - start - HEADER_LEN) as u32;
+    out[start + 12..start + HEADER_LEN].copy_from_slice(&written.to_le_bytes());
+}
+
+/// A response payload's fields, borrowed from a [`Frame::Response`]
+/// or straight from an [`InferResponse`], so both encode through one
+/// writer.
+struct ResponseBody<'a> {
+    model: &'a str,
+    outputs: &'a [f32],
+    cycles: u64,
+    energy_pj: f64,
+    batch_size: u32,
+    worker: u32,
+    latency_us: u64,
+    node: &'a str,
+}
+
+impl ResponseBody<'_> {
+    fn put<S: Sink>(&self, p: &mut S) {
+        put_str(p, self.model);
+        put_f32s(p, self.outputs);
+        p.put(&self.cycles.to_le_bytes());
+        p.put(&self.energy_pj.to_bits().to_le_bytes());
+        p.put(&self.batch_size.to_le_bytes());
+        p.put(&self.worker.to_le_bytes());
+        p.put(&self.latency_us.to_le_bytes());
+        put_str(p, self.node);
+    }
+}
+
+/// A `u16`-prefixed string. One longer than `u16::MAX` bytes is cut at
+/// the last character boundary at or below the cap, so the bytes stay
+/// valid UTF-8 and the frame decodes.
+fn put_str<S: Sink>(p: &mut S, s: &str) {
+    let mut len = s.len().min(u16::MAX as usize);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    p.put(&(len as u16).to_le_bytes());
+    p.put(&s.as_bytes()[..len]);
+}
+
+fn put_strs<S: Sink>(p: &mut S, xs: &[String]) {
     let len = xs.len().min(u16::MAX as usize);
-    p.extend_from_slice(&(len as u16).to_le_bytes());
+    p.put(&(len as u16).to_le_bytes());
     for s in &xs[..len] {
         put_str(p, s);
     }
 }
 
-fn put_f32s(p: &mut Vec<u8>, xs: &[f32]) {
+fn put_f32s<S: Sink>(p: &mut S, xs: &[f32]) {
     let len = xs.len().min(u32::MAX as usize);
-    p.extend_from_slice(&(len as u32).to_le_bytes());
-    for x in &xs[..len] {
-        p.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
+    p.put(&(len as u32).to_le_bytes());
+    p.put_f32_bits(&xs[..len]);
 }
 
 /// Cursor over a payload; every getter checks the remaining length
@@ -1237,6 +1362,78 @@ mod tests {
                 frame
             );
         }
+    }
+
+    #[test]
+    fn encode_allocates_once_and_encode_into_appends_the_same_bytes() {
+        for frame in sample_frames() {
+            let bytes = frame.encode();
+            assert_eq!(bytes.len(), bytes.capacity(), "{frame:?}");
+            let mut out = Frame::Ping { id: 99 }.encode();
+            let prefix = out.clone();
+            frame.encode_into(&mut out);
+            assert_eq!(&out[..prefix.len()], &prefix[..]);
+            assert_eq!(&out[prefix.len()..], &bytes[..], "{frame:?}");
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Bytes written by the encoder of wire version 3 before frames
+    /// were encoded in place; any change here breaks deployed peers.
+    #[test]
+    fn request_and_response_bytes_are_pinned() {
+        let request = Frame::Request {
+            id: 0x0102_0304_0506_0708,
+            model: "mlp".to_string(),
+            tenant: "acme".to_string(),
+            input: vec![1.0, -0.0, f32::NAN, f32::MIN_POSITIVE, -2.5],
+        };
+        assert_eq!(
+            hex(&request.encode()),
+            "ca5e030108070605040302012300000003006d6c70040061636d6505000000\
+             0000803f000000800000c07f00008000000020c0"
+        );
+        assert_eq!(
+            hex(&sample_frames()[1].encode()),
+            "ca5e030207000000000000003d00000003006d6c70030000000000803f0000\
+             20c00000000040e20100000000000000000000a05840040000000100000\
+             0fa0000000000000006006e6f64652d61"
+        );
+    }
+
+    #[test]
+    fn overlong_strings_are_cut_at_a_char_boundary() {
+        // 65 534 ASCII bytes then a two-byte 'é': the cap falls inside
+        // the 'é', so the whole character is dropped.
+        let detail = format!("{}é", "x".repeat(u16::MAX as usize - 1));
+        let frame = Frame::Error {
+            id: 3,
+            code: ErrorCode::Internal,
+            tenant: String::new(),
+            detail,
+        };
+        let bytes = frame.encode();
+        assert_eq!(bytes.len(), bytes.capacity());
+        match Frame::decode_exact(&bytes, DEFAULT_MAX_PAYLOAD).expect("decodes") {
+            Frame::Error { detail, .. } => {
+                assert_eq!(detail.len(), u16::MAX as usize - 1);
+                assert!(detail.bytes().all(|b| b == b'x'));
+            }
+            other => panic!("decoded {other:?}"),
+        }
+        // A string that fits exactly is kept whole.
+        let exact = "é".repeat(u16::MAX as usize / 2) + "x";
+        let frame = Frame::Query {
+            id: 1,
+            model: exact.clone(),
+        };
+        assert_eq!(
+            Frame::decode_exact(&frame.encode(), DEFAULT_MAX_PAYLOAD).expect("decodes"),
+            frame
+        );
     }
 
     #[test]
