@@ -175,7 +175,7 @@ fn usage() -> ! {
          \x20                [--load NAME@VER[:PCT]]... [--mid-load NAME@VER[:PCT]]...\n\
          \x20      cs-netload --cluster [--nodes N,N,..] [--conns N] [--requests N]\n\
          \x20                [--seed N] [--scale N] [--workers N]\n\
-         \x20                [--backend simulator|sparse|dense] [--out PATH]\n\
+         \x20                [--backend simulator|sparse] [--out PATH]\n\
          \x20                [--min-scaling F]"
     );
     std::process::exit(1);
@@ -256,7 +256,6 @@ fn parse_args() -> Args {
                 out.backend = match value("--backend").as_str() {
                     "simulator" | "sim" => ExecBackend::Simulator,
                     "sparse" => ExecBackend::Sparse,
-                    "dense" => ExecBackend::Dense,
                     other => {
                         eprintln!("error: unknown backend {other:?}");
                         usage();

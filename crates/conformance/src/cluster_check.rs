@@ -1,115 +1,78 @@
 //! Cluster-path conformance: orchestrator-routed vs direct execution.
 //!
-//! [`check_serve_cluster`] extends the socket differential of
+//! [`check_serve_cluster`] extends the socket comparison of
 //! [`crate::net_check`] one more hop: the case's model is replicated
 //! across a two-node in-process cluster ([`cs_cluster::LocalCluster`] —
-//! real TCP, real worker agents, real routing), the same probes are
-//! submitted through the **orchestrator**, and the routed outputs must
-//! be bit-identical to a direct in-process lane forward on both the
-//! Sparse and Dense backends. Replicas are built from the same
-//! deterministic artifacts, so whichever node the router picks, the
-//! bits must match — which is exactly the property that makes failover
-//! transparent to clients.
+//! real TCP, real worker agents, real routing) on the Sparse backend,
+//! the probes are submitted through the **orchestrator**, and
+//! `serve_check::check_front` holds the routed outputs bit for bit to a
+//! direct in-process lane forward and, on finite probes, to the dense
+//! oracle. Replicas are built from the same deterministic artifacts, so
+//! whichever node the router picks, the bits must match — which is
+//! exactly the property that makes failover transparent to clients.
 
 use cs_cluster::{LocalCluster, LocalClusterConfig};
 use cs_net::Client;
-use cs_serve::{ExecBackend, ModelRegistry};
+use cs_serve::{ExecBackend, ServableModel};
 
 use crate::diff::FcArtifacts;
-use crate::rng::CaseRng;
-use crate::serve_check::{model_from, MODEL};
+use crate::serve_check::{check_front, registry_of, reply_of, Front, Reply, MODEL};
 use crate::Mismatch;
-
-/// Probes per backend for the cluster differential.
-const CLUSTER_PROBES: usize = 4;
 
 /// Nodes in the differential cluster (two, so routing has a real
 /// choice to make).
 const CLUSTER_NODES: usize = 2;
 
-/// Serves the case's layers through a two-node loopback cluster under
-/// both engine backends and checks that orchestrator-routed outputs are
-/// bit-identical to a direct in-process lane forward.
-pub fn check_serve_cluster(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    let n_in = art.layers[0].shared.n_in;
-    let mut rng = CaseRng::from_seed(probe_seed);
-    let mut probes: Vec<Vec<f32>> = (0..CLUSTER_PROBES - 1)
-        .map(|i| rng.fill_f32(n_in, i + 1))
-        .collect();
-    probes.push(art.input.clone());
+/// A two-node loopback cluster and one client connection to its
+/// orchestrator.
+struct Cluster {
+    cluster: LocalCluster,
+    client: Client,
+}
 
-    let lane = model_from(art).sparse_lane();
-    for backend in [ExecBackend::Sparse, ExecBackend::Dense] {
-        let cluster = match LocalCluster::start(
+impl Cluster {
+    fn start(model: &ServableModel) -> Result<Self, String> {
+        let cluster = LocalCluster::start(
             &LocalClusterConfig {
                 nodes: CLUSTER_NODES,
-                backend,
+                backend: ExecBackend::Sparse,
                 ..LocalClusterConfig::default()
             },
             std::sync::Arc::new(cs_telemetry::NoopRecorder),
-            &|_node| {
-                let mut registry = ModelRegistry::new();
-                registry.register(model_from(art))?;
-                Ok(registry)
-            },
-        ) {
-            Ok(c) => c,
-            Err(e) => return vec![Mismatch::new("cluster-start", format!("{backend:?}: {e}"))],
-        };
-        let mut client = match Client::connect(&cluster.orch_addr()) {
-            Ok(c) => c,
+            &|_node| registry_of(model),
+        )
+        .map_err(|e| e.to_string())?;
+        match Client::connect(&cluster.orch_addr()) {
+            Ok(client) => Ok(Cluster { cluster, client }),
             Err(e) => {
-                return vec![Mismatch::new(
-                    "cluster-connect",
-                    format!("{backend:?}: {e}"),
-                )]
+                let _ = cluster.stop();
+                Err(e.to_string())
             }
-        };
-        for (pi, probe) in probes.iter().enumerate() {
-            let want = match lane.forward(probe) {
-                Ok(v) => v,
-                Err(e) => {
-                    out.push(Mismatch::new("cluster-lane-error", format!("{e:?}")));
-                    return out;
-                }
-            };
-            match client.request(MODEL, probe) {
-                Ok(resp) => {
-                    let got: Vec<u32> = resp.outputs.iter().map(|v| v.to_bits()).collect();
-                    let exp: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                    if got != exp {
-                        out.push(Mismatch::new(
-                            "cluster-vs-direct-bits",
-                            format!(
-                                "{backend:?} probe {pi}: orchestrator-routed \
-                                 output differs from direct lane forward (node {:?})",
-                                resp.node
-                            ),
-                        ));
-                    }
-                    if !resp.node.starts_with("node-") {
-                        out.push(Mismatch::new(
-                            "cluster-node-identity",
-                            format!(
-                                "{backend:?} probe {pi}: response carries \
-                                 node {:?}, expected a registered cluster identity",
-                                resp.node
-                            ),
-                        ));
-                    }
-                }
-                Err(e) => out.push(Mismatch::new(
-                    "cluster-request",
-                    format!("{backend:?} probe {pi}: {e}"),
-                )),
-            }
-        }
-        if let Err(e) = cluster.stop() {
-            out.push(Mismatch::new("cluster-stop", format!("{backend:?}: {e}")));
         }
     }
-    out
+}
+
+impl Front for Cluster {
+    /// Worker nodes register as `node-0` … `node-{N-1}`.
+    const NODE: &'static str = "node-";
+
+    fn send(&mut self, probe: &[f32]) -> Result<Reply, String> {
+        self.client
+            .request(MODEL, probe)
+            .map(reply_of)
+            .map_err(|e| e.to_string())
+    }
+
+    fn stop(self) -> Result<(), String> {
+        self.cluster.stop().map(drop).map_err(|e| e.to_string())
+    }
+}
+
+/// Serves the case's layers through a two-node loopback cluster and
+/// holds the orchestrator-routed outputs to the direct lane and the
+/// dense oracle (`serve_check::check_front`).
+pub fn check_serve_cluster(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
+    check_front(art, probe_seed, "cluster", Cluster::start)
 }
 
 #[cfg(test)]

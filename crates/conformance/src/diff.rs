@@ -382,7 +382,7 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
         // dense and simulator legs and hold the engine paths — ungated,
         // gated, batched — to each other instead.
         let finite = x.iter().all(|v| v.is_finite());
-        // Dense reference: the matmul of the serving dense lane.
+        // Dense reference: the matmul of the dense twin (the oracle).
         let dense_out = match dense_forward(&la.dense, &x) {
             Ok(v) => v,
             Err(m) => {

@@ -26,16 +26,16 @@
 //! * [`shrink`] — a built-in shrinker that minimizes a failing case
 //!   (fewer layers → smaller shapes → denser mask) and prints a
 //!   one-line `conformance replay --seed N --case K` reproduction.
-//! * [`serve_check`] — backend-agreement check on *served* outputs: the
-//!   same inputs through `cs-serve` workers on the Sparse and Dense
-//!   backends must come back bit-identical, and on the default
-//!   Simulator backend equal to a direct `run_network` in outputs,
-//!   cycles and energy.
+//! * [`serve_check`] — the check on *served* outputs: one routine holds
+//!   every serving front's replies bit for bit to a direct lane forward
+//!   and, on finite probes, to the off-server dense oracle; it runs on
+//!   `cs-serve` workers under the Sparse and Gated backends, and the
+//!   default Simulator backend must equal a direct `run_network` in
+//!   outputs, cycles and energy.
 //! * [`net_check`] — the network-path extension of the same contract:
 //!   a seed-replayable fuzz sweep over the `cs-net` frame codec
-//!   (`conformance net-fuzz`), plus a socket differential that serves a
-//!   case over loopback TCP and demands bit-identity with a direct
-//!   in-process lane forward.
+//!   (`conformance net-fuzz`), plus the served-output check run over
+//!   loopback TCP.
 //! * [`registry_check`] — the storage-path extension: a seed-replayable
 //!   fuzz sweep over the `cs-registry` CSMR container codec
 //!   (`conformance registry-fuzz`) — byte-exact round trips including
@@ -46,7 +46,7 @@
 //!   `registry: true` corpus entries.
 //! * [`cluster_check`] — one hop further out: the case replicated
 //!   across a two-node in-process cluster, probed through the
-//!   `cs-cluster` orchestrator, with the same bit-identity demand on
+//!   `cs-cluster` orchestrator, with the same served-output check on
 //!   the routed outputs.
 //! * [`runner`] — the orchestrator behind the `conformance` bin
 //!   (`run` / `replay` / `corpus` subcommands), with cs-telemetry

@@ -17,28 +17,23 @@
 //!   same typed error, no panic, and buffering bounded by one maximal
 //!   frame, so the blocking and the incremental decoder agree even on
 //!   hostile input.
-//! * [`check_serve_socket`] — the served-output differential of
-//!   [`crate::serve_check`] run over real loopback TCP: the same probes
-//!   through a [`cs_net::NetServer`] on the Sparse and Dense backends
-//!   must be bit-identical to a direct in-process lane forward. The wire
-//!   format's f32-bits encoding makes this exact, and the corpus pins
-//!   one such case forever.
+//! * [`check_serve_socket`] — the served-output comparison of
+//!   [`crate::serve_check`] run over real loopback TCP: the probes sent
+//!   through a [`cs_net::NetServer`] on the Sparse backend must come back
+//!   bit-identical to a direct in-process lane forward, and to the dense
+//!   oracle on finite probes. The wire format's f32-bits encoding makes
+//!   this exact, and the corpus pins one such case forever.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use cs_net::wire::{ErrorCode, Frame, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use cs_net::{Client, FrameAssembler, NetConfig, NetServer};
-use cs_serve::{ExecBackend, ModelRegistry, ServeConfig, Server};
-use cs_telemetry::{MonotonicClock, Registry};
+use cs_serve::{ExecBackend, ServableModel, ServeConfig, Server};
 
 use crate::diff::FcArtifacts;
 use crate::rng::CaseRng;
-use crate::serve_check::{model_from, MODEL};
+use crate::serve_check::{check_front, registry_of, reply_of, Front, Reply, MODEL};
 use crate::Mismatch;
-
-/// Probes per backend for the socket differential.
-const SOCKET_PROBES: usize = 4;
 
 /// Builds a random valid frame from the case's RNG stream.
 fn gen_frame(rng: &mut CaseRng) -> Frame {
@@ -431,94 +426,54 @@ pub fn fuzz_codec(seed: u64, cases: u64) -> Vec<Mismatch> {
     out
 }
 
-/// Serves the case's layers through a loopback [`NetServer`] under both
-/// engine backends and checks that the socket path is bit-identical to
-/// a direct in-process lane forward.
-pub fn check_serve_socket(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    let n_in = art.layers[0].shared.n_in;
-    let mut rng = CaseRng::from_seed(probe_seed);
-    let mut probes: Vec<Vec<f32>> = (0..SOCKET_PROBES - 1)
-        .map(|i| rng.fill_f32(n_in, i + 1))
-        .collect();
-    probes.push(art.input.clone());
+/// A loopback [`NetServer`] over a two-worker Sparse server, and one
+/// client connection to it.
+struct Socket {
+    net: NetServer,
+    client: Client,
+}
 
-    let lane = model_from(art).sparse_lane();
-    for backend in [ExecBackend::Sparse, ExecBackend::Dense] {
-        let mut registry = ModelRegistry::new();
-        if let Err(e) = registry.register(model_from(art)) {
-            return vec![Mismatch::new(
-                "net-socket-admission",
-                format!("registry rejected the case's layers: {e:?}"),
-            )];
-        }
-        let serve = match Server::start_with_recorder(
-            registry,
-            ServeConfig {
-                workers: 2,
-                backend,
-                ..ServeConfig::default()
-            },
-            Arc::new(MonotonicClock::new()),
-            Arc::new(Registry::new()),
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                return vec![Mismatch::new(
-                    "net-socket-serve-start",
-                    format!("{backend:?}: {e:?}"),
-                )]
-            }
+impl Socket {
+    fn start(model: &ServableModel) -> Result<Self, String> {
+        let registry = registry_of(model).map_err(|e| format!("{e:?}"))?;
+        let cfg = ServeConfig {
+            workers: 2,
+            backend: ExecBackend::Sparse,
+            ..ServeConfig::default()
         };
-        let net = match NetServer::start(serve, NetConfig::default()) {
-            Ok(n) => n,
+        let serve = Server::start(registry, cfg).map_err(|e| format!("{e:?}"))?;
+        let net = NetServer::start(serve, NetConfig::default()).map_err(|e| e.to_string())?;
+        match Client::connect(&net.local_addr().to_string()) {
+            Ok(client) => Ok(Socket { net, client }),
             Err(e) => {
-                return vec![Mismatch::new(
-                    "net-socket-start",
-                    format!("{backend:?}: {e}"),
-                )]
-            }
-        };
-        let mut client = match Client::connect(&net.local_addr().to_string()) {
-            Ok(c) => c,
-            Err(e) => {
-                return vec![Mismatch::new(
-                    "net-socket-connect",
-                    format!("{backend:?}: {e}"),
-                )]
-            }
-        };
-        for (pi, probe) in probes.iter().enumerate() {
-            let want = match lane.forward(probe) {
-                Ok(v) => v,
-                Err(e) => {
-                    out.push(Mismatch::new("net-socket-lane-error", format!("{e:?}")));
-                    return out;
-                }
-            };
-            match client.request(MODEL, probe) {
-                Ok(resp) => {
-                    let got: Vec<u32> = resp.outputs.iter().map(|v| v.to_bits()).collect();
-                    let exp: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                    if got != exp {
-                        out.push(Mismatch::new(
-                            "net-socket-vs-direct-bits",
-                            format!(
-                                "{backend:?} probe {pi}: socket-served output \
-                                 differs from direct lane forward"
-                            ),
-                        ));
-                    }
-                }
-                Err(e) => out.push(Mismatch::new(
-                    "net-socket-request",
-                    format!("{backend:?} probe {pi}: {e}"),
-                )),
+                net.shutdown();
+                Err(e.to_string())
             }
         }
-        net.shutdown();
     }
-    out
+}
+
+impl Front for Socket {
+    const NODE: &'static str = "local";
+
+    fn send(&mut self, probe: &[f32]) -> Result<Reply, String> {
+        self.client
+            .request(MODEL, probe)
+            .map(reply_of)
+            .map_err(|e| e.to_string())
+    }
+
+    fn stop(self) -> Result<(), String> {
+        self.net.shutdown();
+        Ok(())
+    }
+}
+
+/// Serves the case's layers through a loopback [`NetServer`] and holds
+/// the socket path to the direct lane and the dense oracle
+/// (`serve_check::check_front`).
+pub fn check_serve_socket(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
+    check_front(art, probe_seed, "net-socket", Socket::start)
 }
 
 #[cfg(test)]

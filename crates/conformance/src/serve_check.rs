@@ -1,30 +1,36 @@
-//! Backend-agreement check on *served* outputs.
+//! Served-output conformance: every serving front held to the direct
+//! lane and the off-server oracle.
 //!
-//! The differential executor exercises the kernels directly; this module
-//! closes the loop through `cs-serve`: the same compiled layer formats
-//! (coarse shared-index, packed 2:4, or bank-balanced) are registered as
-//! a [`ServableModel`], started under the Sparse and Dense engine
-//! backends and the default Simulator backend, and queried with
-//! identical inputs. The contract:
+//! The case's compiled layers (coarse shared-index or bank-balanced) are
+//! registered as a [`ServableModel`] and queried through a *front*: an
+//! in-process [`Server`] here, loopback TCP in [`crate::net_check`], a
+//! two-node cluster in [`crate::cluster_check`]. A front supplies only
+//! how to start, send a probe and stop (`Front`); one routine,
+//! `check_front`, owns the probes, the expected outputs and the
+//! comparison. Every reply must be:
 //!
-//! * Sparse-served and Dense-served outputs are **bit-identical** to
-//!   each other (on finite probes — a poisoned case input voids the
-//!   dense contract, as in the direct legs) and to a direct (unserved)
-//!   lane forward — batching, queuing, and worker scheduling must
-//!   never perturb arithmetic;
-//! * engine-lane responses report `cycles == 0` (no hardware model ran),
-//!   which is exactly why the server's snapshot counts `hw_completed`
-//!   from the per-request hardware histogram and keeps them out of the
-//!   hardware-side throughput figures;
-//! * Simulator-served responses equal a direct
-//!   [`Accelerator::run_network`] on the same layers: outputs bit for
-//!   bit (NaN encodings identified), `cycles`, and `energy_pj` as the
-//!   energy model prices the direct run's counters.
+//! * bit-identical to the direct engine lane
+//!   ([`ServableModel::sparse_lane`]) on every probe — batching, queuing,
+//!   scheduling, the wire and the router must never perturb arithmetic;
+//! * bit-identical to the off-server oracle
+//!   ([`ServableModel::dense_lane`], `matmul` over the decoded twin) on
+//!   finite probes — a poisoned case input voids the dense contract, as
+//!   in the direct legs;
+//! * free of hardware cost (`cycles == 0`, `energy_pj == 0.0`: engine
+//!   lanes model none, which is why the server's snapshot keeps them out
+//!   of the hardware-side figures) and stamped with the front's node.
+//!
+//! [`check_serve`] runs the routine on in-process Sparse and Gated
+//! servers, then holds the default Simulator backend to a direct
+//! [`Accelerator::run_network`]: outputs bit for bit (NaN encodings
+//! identified), `cycles`, and `energy_pj` as the energy model prices the
+//! direct run's counters.
 
 use cs_accel::exec::Accelerator;
 use cs_accel::AccelConfig;
 use cs_energy::energy::energy_cambricon_s;
 use cs_energy::EnergyModel;
+use cs_net::NetResponse;
 use cs_serve::{
     outputs_equivalent, ExecBackend, InferRequest, ModelRegistry, ServableModel, ServeConfig,
     Server,
@@ -53,132 +59,207 @@ pub(crate) fn model_from(art: &FcArtifacts) -> ServableModel {
     }
 }
 
-/// One served reply: `(outputs, cycles, energy_pj)`.
-type Served = (Vec<f32>, u64, f64);
-
-fn serve_outputs(
-    art: &FcArtifacts,
-    backend: ExecBackend,
-    probes: &[Vec<f32>],
-) -> Result<Vec<Served>, Mismatch> {
+/// A registry holding only the case's model.
+pub(crate) fn registry_of(model: &ServableModel) -> Result<ModelRegistry, cs_serve::ServeError> {
     let mut registry = ModelRegistry::new();
-    registry.register(model_from(art)).map_err(|e| {
-        Mismatch::new(
-            "serve-admission",
-            format!("registry rejected the case's layers: {e:?}"),
-        )
-    })?;
-    let cfg = ServeConfig {
-        workers: 2,
-        backend,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(registry, cfg)
-        .map_err(|e| Mismatch::new("serve-start", format!("{backend:?}: {e:?}")))?;
-    let mut out = Vec::with_capacity(probes.len());
-    for p in probes {
-        let resp = server
-            .infer(InferRequest::new(MODEL, p.clone()))
-            .map_err(|e| Mismatch::new("serve-infer", format!("{backend:?}: {e:?}")))?;
-        out.push((resp.outputs, resp.cycles, resp.energy_pj));
+    registry.register(model.clone())?;
+    Ok(registry)
+}
+
+/// Random inputs of varying dynamic sparsity, then the case's own
+/// (possibly poisoned) input.
+fn probes(art: &FcArtifacts, probe_seed: u64) -> Vec<Vec<f32>> {
+    let n_in = art.layers[0].shared.n_in;
+    let mut rng = CaseRng::from_seed(probe_seed);
+    let mut probes: Vec<Vec<f32>> = (0..PROBES - 1).map(|i| rng.fill_f32(n_in, i + 1)).collect();
+    probes.push(art.input.clone());
+    probes
+}
+
+/// One served reply: `(outputs, cycles, energy_pj, node)`.
+pub(crate) type Reply = (Vec<f32>, u64, f64, String);
+
+/// A reply as it came off the wire.
+pub(crate) fn reply_of(r: NetResponse) -> Reply {
+    (r.outputs, r.cycles, r.energy_pj, r.node)
+}
+
+/// A way of serving the case's model, started by the closure given to
+/// `check_front`.
+pub(crate) trait Front {
+    /// What every reply's node identity must start with.
+    const NODE: &'static str;
+    fn send(&mut self, probe: &[f32]) -> Result<Reply, String>;
+    fn stop(self) -> Result<(), String>;
+}
+
+/// An in-process [`Server`] with two workers.
+struct InProcess(Server);
+
+impl InProcess {
+    fn start(model: &ServableModel, backend: ExecBackend) -> Result<Self, String> {
+        let cfg = ServeConfig {
+            workers: 2,
+            backend,
+            ..ServeConfig::default()
+        };
+        let registry = registry_of(model).map_err(|e| format!("{e:?}"))?;
+        Server::start(registry, cfg)
+            .map(InProcess)
+            .map_err(|e| format!("{e:?}"))
     }
-    server.shutdown();
-    Ok(out)
+}
+
+impl Front for InProcess {
+    const NODE: &'static str = "local";
+
+    fn send(&mut self, probe: &[f32]) -> Result<Reply, String> {
+        let r = (self.0)
+            .infer(InferRequest::new(MODEL, probe.to_vec()))
+            .map_err(|e| format!("{e:?}"))?;
+        Ok((r.outputs, r.cycles, r.energy_pj, r.node))
+    }
+
+    fn stop(self) -> Result<(), String> {
+        self.0.shutdown();
+        Ok(())
+    }
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Serves the case's layers under both engine backends and the
-/// simulator and checks agreement.
-pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    let n_in = art.layers[0].shared.n_in;
-    let mut rng = CaseRng::from_seed(probe_seed);
-    let mut probes: Vec<Vec<f32>> = (0..PROBES - 1)
-        .map(|i| rng.fill_f32(n_in, i + 1)) // varying dynamic sparsity
-        .collect();
-    probes.push(art.input.clone());
-
-    let serve = |backend| serve_outputs(art, backend, &probes);
-    let (sparse, dense, sim) = match (
-        serve(ExecBackend::Sparse),
-        serve(ExecBackend::Dense),
-        serve(ExecBackend::Simulator),
-    ) {
-        (Ok(sparse), Ok(dense), Ok(sim)) => (sparse, dense, sim),
-        (Err(m), _, _) | (_, Err(m), _) | (_, _, Err(m)) => return vec![m],
-    };
-
-    // Unserved references: the sparse lane and the simulator run
-    // directly on this thread.
+/// Serves the case's model through the front `start` returns and holds
+/// every reply to the direct engine lane and the off-server oracle (see
+/// the module doc). Mismatch ids start with `check`.
+pub(crate) fn check_front<F: Front>(
+    art: &FcArtifacts,
+    probe_seed: u64,
+    check: &str,
+    start: impl FnOnce(&ServableModel) -> Result<F, String>,
+) -> Vec<Mismatch> {
     let model = model_from(art);
-    let lane = model.sparse_lane();
+    let (lane, oracle) = (model.sparse_lane(), model.dense_lane());
+    let mut front = match start(&model) {
+        Ok(f) => f,
+        Err(e) => return vec![Mismatch::new(format!("{check}-start"), e)],
+    };
+    let mut out = Vec::new();
+    let mut fail = |what: &str, detail: String| {
+        out.push(Mismatch::new(format!("{check}-{what}"), detail));
+    };
+    for (pi, probe) in probes(art, probe_seed).iter().enumerate() {
+        let (direct, dense) = match (lane.forward(probe), oracle.forward(probe)) {
+            (Ok(direct), Ok(dense)) => (direct, dense),
+            (Err(e), _) | (_, Err(e)) => {
+                fail("lane-error", format!("probe {pi}: {e:?}"));
+                break;
+            }
+        };
+        let (outputs, cycles, energy_pj, node) = match front.send(probe) {
+            Ok(r) => r,
+            Err(e) => {
+                fail("request", format!("probe {pi}: {e}"));
+                continue;
+            }
+        };
+        if bits(&outputs) != bits(&direct) {
+            fail(
+                "vs-direct-bits",
+                format!("probe {pi}: served output differs from the direct lane"),
+            );
+        }
+        // A non-finite probe (the case's poisoned input) voids the dense
+        // contract: the oracle multiplies NaN/inf through the explicitly
+        // zeroed pruned weights the engine never touches, exactly like
+        // the direct dense leg in `diff`.
+        if probe.iter().all(|v| v.is_finite()) && bits(&outputs) != bits(&dense) {
+            fail(
+                "vs-dense-bits",
+                format!("probe {pi}: served output differs from the dense oracle"),
+            );
+        }
+        if cycles != 0 || energy_pj != 0.0 {
+            fail(
+                "engine-cost",
+                format!("probe {pi}: engine lane reports {cycles} cycles / {energy_pj} pJ"),
+            );
+        }
+        if !node.starts_with(F::NODE) {
+            fail(
+                "node-identity",
+                format!(
+                    "probe {pi}: reply from node {node:?}, expected {:?}…",
+                    F::NODE
+                ),
+            );
+        }
+    }
+    if let Err(e) = front.stop() {
+        fail("stop", e);
+    }
+    out
+}
+
+/// Serves the case's layers in process: the Sparse and Gated backends
+/// through `check_front`, then the Simulator backend against a direct
+/// `run_network` (outputs, cycles and energy).
+pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
+    let mut out = check_front(art, probe_seed, "serve-sparse", |m| {
+        InProcess::start(m, ExecBackend::Sparse)
+    });
+    out.extend(check_front(art, probe_seed, "serve-gated", |m| {
+        InProcess::start(m, ExecBackend::Gated)
+    }));
+    let model = model_from(art);
+    let mut server = match InProcess::start(&model, ExecBackend::Simulator) {
+        Ok(s) => s,
+        Err(e) => {
+            out.push(Mismatch::new("serve-sim-start", e));
+            return out;
+        }
+    };
     let layers = model.shared_layers();
     let accel = Accelerator::new(AccelConfig::paper_default());
     let energy_model = EnergyModel::default_65nm();
-    for (pi, probe) in probes.iter().enumerate() {
-        let want = match lane.forward(probe) {
-            Ok(v) => v,
-            Err(e) => {
-                out.push(Mismatch::new("serve-lane-error", format!("{e:?}")));
-                return out;
-            }
-        };
-        let (sp, sp_cycles, _) = &sparse[pi];
-        let (de, de_cycles, _) = &dense[pi];
-        // A non-finite probe (the case's poisoned input) voids the
-        // dense contract — the dense lane multiplies NaN/inf through
-        // explicitly-zeroed pruned weights the sparse kernels never
-        // touch — exactly like the direct dense leg in `diff`.
-        if probe.iter().all(|v| v.is_finite()) && bits(sp) != bits(de) {
-            out.push(Mismatch::new(
-                "serve-sparse-vs-dense-bits",
-                format!("probe {pi}: served sparse and dense outputs differ"),
-            ));
-        }
-        if bits(sp) != bits(&want) {
-            out.push(Mismatch::new(
-                "serve-vs-direct-bits",
-                format!("probe {pi}: served output differs from direct lane forward"),
-            ));
-        }
-        if *sp_cycles != 0 || *de_cycles != 0 {
-            out.push(Mismatch::new(
-                "serve-engine-cycles",
-                format!(
-                    "probe {pi}: engine lanes must report 0 cycles, got sparse {sp_cycles} / dense {de_cycles}"
-                ),
-            ));
-        }
-
+    for (pi, probe) in probes(art, probe_seed).iter().enumerate() {
         let direct = match accel.run_network(&layers, probe) {
             Ok(run) => run,
             Err(e) => {
                 out.push(Mismatch::new("serve-sim-error", format!("{e:?}")));
-                return out;
+                break;
+            }
+        };
+        let (outputs, cycles, energy_pj, _) = match server.send(probe) {
+            Ok(r) => r,
+            Err(e) => {
+                out.push(Mismatch::new(
+                    "serve-sim-request",
+                    format!("probe {pi}: {e}"),
+                ));
+                continue;
             }
         };
         let want_energy = energy_cambricon_s(&direct.stats, &energy_model).total_pj();
-        let (si, si_cycles, si_energy) = &sim[pi];
-        if !outputs_equivalent(si, &direct.outputs) {
+        if !outputs_equivalent(&outputs, &direct.outputs) {
             out.push(Mismatch::new(
                 "serve-sim-vs-direct-bits",
                 format!("probe {pi}: served simulator output differs from direct run_network"),
             ));
         }
-        if *si_cycles != direct.stats.cycles || si_energy.to_bits() != want_energy.to_bits() {
+        if cycles != direct.stats.cycles || energy_pj.to_bits() != want_energy.to_bits() {
             out.push(Mismatch::new(
                 "serve-sim-vs-direct-cost",
                 format!(
-                    "probe {pi}: served simulator reply costs {si_cycles} cycles / \
-                     {si_energy} pJ, direct run_network {} cycles / {want_energy} pJ",
+                    "probe {pi}: served simulator reply costs {cycles} cycles / {energy_pj} pJ, \
+                     direct run_network {} cycles / {want_energy} pJ",
                     direct.stats.cycles
                 ),
             ));
         }
     }
+    server.0.shutdown();
     out
 }
 
@@ -205,12 +286,9 @@ mod tests {
         assert_eq!(checked, 3);
     }
 
-    #[test]
-    fn poisoned_case_input_voids_only_the_dense_probe() {
-        // Regression (seed 777 case 100): the last probe is the case's
-        // own input, which may be NaN/inf-poisoned — the served
-        // sparse-vs-dense comparison must skip it (dense-contract
-        // void), while serve-vs-direct stays exact on every probe.
+    /// The case of `poisoned_case_input_voids_only_the_dense_probe`: one
+    /// coarse layer, and a case input whose first element is NaN.
+    fn poisoned_case() -> FcArtifacts {
         use crate::gen::{FcLayerCase, FcNetCase, InputPoison};
         use cs_sparsity::PruneMode;
         let net = FcNetCase {
@@ -234,7 +312,56 @@ mod tests {
         };
         let art = build_fc(&net).unwrap();
         assert!(art.input[0].is_nan());
-        let m = check_serve(&art, 0xBAD_F00D);
+        art
+    }
+
+    #[test]
+    fn poisoned_case_input_voids_only_the_dense_probe() {
+        // Regression (seed 777 case 100): the last probe is the case's
+        // own input, which may be NaN/inf-poisoned — the comparison
+        // with the dense oracle must skip it (dense-contract void),
+        // while serve-vs-direct stays exact on every probe.
+        let m = check_serve(&poisoned_case(), 0xBAD_F00D);
         assert!(m.is_empty(), "{m:?}");
+    }
+
+    /// A front that answers from the direct lane with the sign bit of
+    /// its first output flipped.
+    struct OneBitOff(cs_serve::CompiledLane);
+
+    impl Front for OneBitOff {
+        const NODE: &'static str = "local";
+
+        fn send(&mut self, probe: &[f32]) -> Result<Reply, String> {
+            let mut outputs = self.0.forward(probe).map_err(|e| format!("{e:?}"))?;
+            outputs[0] = f32::from_bits(outputs[0].to_bits() ^ 0x8000_0000);
+            Ok((outputs, 0, 0.0, "local".to_string()))
+        }
+
+        fn stop(self) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_flipped_output_bit_fails_both_references() {
+        let art = poisoned_case();
+        let m = check_front(&art, 0xBAD_F00D, "flip", |model| {
+            Ok(OneBitOff(model.sparse_lane()))
+        });
+        let at = |check: &str| -> Vec<String> {
+            m.iter()
+                .filter(|x| x.check == check)
+                .map(|x| x.detail.clone())
+                .collect()
+        };
+        // Every probe misses the direct lane; only the three finite
+        // ones reach the oracle (the fourth is the NaN case input).
+        let direct = at("flip-vs-direct-bits");
+        let dense = at("flip-vs-dense-bits");
+        assert_eq!(direct.len(), PROBES, "{m:?}");
+        assert_eq!(dense.len(), PROBES - 1, "{m:?}");
+        assert!(dense.iter().all(|d| !d.starts_with("probe 3:")), "{m:?}");
+        assert_eq!(m.len(), direct.len() + dense.len(), "{m:?}");
     }
 }

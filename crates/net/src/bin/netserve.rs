@@ -64,7 +64,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cs-netserve [--addr HOST:PORT] [--addr-file PATH] [--metrics-out PATH]\n\
          \x20                 [--workers N] [--scale N] [--seed N]\n\
-         \x20                 [--backend simulator|sparse|dense] [--max-connections N]\n\
+         \x20                 [--backend simulator|sparse] [--max-connections N]\n\
          \x20                 [--queue-depth N] [--max-batch N]\n\
          \x20                 [--join ORCH_ADDR] [--worker-id NAME]\n\
          \x20                 [--registry DIR] [--empty] [--memory-budget BYTES]\n\
@@ -129,7 +129,6 @@ fn parse_args() -> Args {
                 out.backend = match value("--backend").as_str() {
                     "simulator" | "sim" => ExecBackend::Simulator,
                     "sparse" => ExecBackend::Sparse,
-                    "dense" => ExecBackend::Dense,
                     other => {
                         eprintln!("error: unknown backend {other:?}");
                         usage();

@@ -79,7 +79,7 @@ fn settle_counter(registry: &Registry, name: &'static str, want: u64, deadline: 
 
 #[test]
 fn network_outputs_are_bit_identical_to_direct_submission() {
-    for backend in [ExecBackend::Sparse, ExecBackend::Dense] {
+    for backend in [ExecBackend::Sparse, ExecBackend::Gated] {
         let (net, n_in) = start_net(backend, 2);
         let addr = net.local_addr().to_string();
         let mut client = Client::connect(&addr).expect("connect");

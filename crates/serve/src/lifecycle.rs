@@ -129,8 +129,8 @@ pub(crate) enum ModelExec {
     /// The shared-index bridge view, validated and compiled for the
     /// cycle-accurate simulator.
     Sim(CompiledNetwork),
-    /// Engine lane (sparse/gated/dense kernels) with per-layer
-    /// telemetry handles.
+    /// Engine lane (sparse or gated kernels) with per-layer telemetry
+    /// handles.
     Lane(CompiledLane, Vec<LayerTelemetry>),
 }
 
@@ -150,9 +150,9 @@ impl ModelExec {
     /// walks its layers once for the whole batch. With `spans`, every
     /// engine layer's batched kernel is timed on that clock into its
     /// histogram (activation stays outside the span: the histograms
-    /// compare dense vs sparse kernel cost, and the element-wise
-    /// epilogue is the same on both lanes); shadow runs pass `None` so
-    /// they do not pollute the primary's series.
+    /// time the kernels alone, and the element-wise epilogue is the
+    /// same on every lane); shadow runs pass `None` so they do not
+    /// pollute the primary's series.
     pub(crate) fn forward_batch<'a>(
         &self,
         inputs: &'a [f32],
@@ -666,7 +666,6 @@ impl LiveRegistry {
             }
             backend => {
                 let lane = match backend {
-                    ExecBackend::Dense => model.dense_lane(),
                     ExecBackend::Gated => model.gated_lane(),
                     _ => model.sparse_lane(),
                 };

@@ -3,12 +3,11 @@
 //! A [`ServableModel`] is a network compressed into the accelerator's
 //! shared-index format: the chain the paper's software stack produces
 //! (materialize → coarse-grained prune → compact shared-index layout)
-//! applied to every weighted layer. The [`ModelRegistry`] maps model
-//! names to compiled artifacts and validates each layer against the
+//! applied to every weighted layer. The [`ModelRegistry`] holds the
+//! models a server starts with and validates each layer against the
 //! executor's structural checks at registration time, so admission
 //! control can reject malformed models before a single request queues.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cs_accel::exec::{validate_layer, SimScratch};
@@ -161,25 +160,6 @@ impl ServableModel {
         ServableModel::from_spec(format!("mlp-{}", mode.name()), &spec, &cfg, seed)
     }
 
-    /// The spiking twin of [`ServableModel::mlp`]: the same ReLU-chained
-    /// MLP compressed with the paper settings, registered as
-    /// `"mlp-spiking"` and intended to be driven with LIF-style spike
-    /// frames ([`cs_nn::data::lif_spike_train`]) whose natural
-    /// activation sparsity the gated backend converts into skipped
-    /// inputs (it walks only the active ones). The weights are identical in distribution to the
-    /// stock MLP — spiking is a property of the workload, not the
-    /// network — so dense/sparse/gated lanes stay mutually
-    /// bit-identical on it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compression failures (none occur for the stock spec).
-    pub fn spiking_mlp(scale: Scale, seed: u64) -> Result<Self, ServeError> {
-        let spec = NetworkSpec::model(Model::Mlp, scale);
-        let cfg = ModelCompressionConfig::paper(Model::Mlp);
-        ServableModel::from_spec("mlp-spiking", &spec, &cfg, seed)
-    }
-
     /// Assembles a servable model directly from compressed layers (the
     /// path a hot-load from a `CSMR` registry container takes: the
     /// artifact already holds [`FcLayerFormat`]s, no spec or seed is
@@ -285,7 +265,8 @@ impl ServableModel {
     /// active, walking every row otherwise (see [`cs_compress::gate`]).
     /// The prescan is paid on every layer, so on dense inputs this lane
     /// is slower than the sparse one. Outputs stay bit-identical to
-    /// [`ServableModel::dense_lane`] on every input: a skipped term
+    /// [`ServableModel::sparse_lane`] on every input, and so to
+    /// [`ServableModel::dense_lane`] on finite ones: a skipped term
     /// contributes `+0.0 * w` to a `+0.0`-seeded accumulator.
     pub fn gated_lane(&self) -> CompiledLane {
         let layers = self
@@ -305,6 +286,8 @@ impl ServableModel {
     /// pruned positions stored as explicit zeros. Because both lanes
     /// decode the same values, their outputs are bit-identical on
     /// finite inputs (see [`cs_compress::engine`] for the argument).
+    /// No server runs it: it is the off-server oracle that conformance
+    /// and the benchmark hold served replies to.
     pub fn dense_lane(&self) -> CompiledLane {
         let layers = self
             .layers
@@ -554,7 +537,8 @@ impl CompiledLane {
     }
 }
 
-/// Immutable name → model map shared by the admission path and workers.
+/// The models a server starts with, in registration order, under
+/// distinct names.
 ///
 /// Built once before the server starts; registration validates every
 /// layer with the executor's [`validate_layer`] so a malformed artifact
@@ -562,7 +546,6 @@ impl CompiledLane {
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     models: Vec<Arc<ServableModel>>,
-    by_name: HashMap<String, usize>,
 }
 
 impl ModelRegistry {
@@ -578,23 +561,15 @@ impl ModelRegistry {
     /// Rejects duplicate names, empty models, and any layer that fails
     /// the executor's structural validation.
     pub fn register(&mut self, model: ServableModel) -> Result<usize, ServeError> {
-        if self.by_name.contains_key(&model.name) {
+        if self.models.iter().any(|m| m.name == model.name) {
             return Err(ServeError::InvalidConfig(format!(
                 "model {:?} registered twice",
                 model.name
             )));
         }
         model.validate()?;
-        let idx = self.models.len();
-        self.by_name.insert(model.name.clone(), idx);
         self.models.push(Arc::new(model));
-        Ok(idx)
-    }
-
-    /// Looks a model up by name.
-    pub fn get(&self, name: &str) -> Option<(usize, Arc<ServableModel>)> {
-        let idx = *self.by_name.get(name)?;
-        Some((idx, Arc::clone(&self.models[idx])))
+        Ok(self.models.len() - 1)
     }
 
     /// Number of registered models.
@@ -686,11 +661,9 @@ mod tests {
         let idx = reg.register(m.clone()).unwrap();
         assert_eq!(idx, 0);
         assert!(matches!(reg.register(m), Err(ServeError::InvalidConfig(_))));
-        let (i, got) = reg.get("mlp").unwrap();
-        assert_eq!(i, 0);
-        assert_eq!(got.name, "mlp");
-        assert!(reg.get("nope").is_none());
+        assert_eq!(reg.len(), 1);
         assert_eq!(reg.names(), vec!["mlp"]);
+        assert_eq!(reg.models()[0].name, "mlp");
     }
 
     #[test]

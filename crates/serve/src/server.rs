@@ -79,14 +79,12 @@ pub enum ExecBackend {
     /// The sparse engine behind the activation gate: every input is
     /// prescanned one bit per input, and the weight rows of bit-exact
     /// `+0.0` inputs are skipped when few enough inputs are active.
-    /// Bit-identical to [`ExecBackend::Sparse`] and
-    /// [`ExecBackend::Dense`] on every input; additionally reports
-    /// per-layer hit/skip input counts through the
+    /// Bit-identical to [`ExecBackend::Sparse`] on every input, and so
+    /// to the dense twin ([`ServableModel::dense_lane`], the off-server
+    /// oracle) on finite ones; additionally reports per-layer hit/skip
+    /// input counts through the
     /// `serve_gate_blocks_total{model, layer, outcome}` counters.
     Gated,
-    /// Dense reference kernels over the decoded twin weights — the
-    /// ground-truth lane the sparse engine must match bit-for-bit.
-    Dense,
 }
 
 /// Server configuration.
@@ -1516,7 +1514,12 @@ mod tests {
         };
         let sparse = run(ExecBackend::Sparse);
         let gated = run(ExecBackend::Gated);
-        let dense = run(ExecBackend::Dense);
+        // The oracle is the dense twin run off the server.
+        let oracle = model.dense_lane();
+        let dense: Vec<Vec<f32>> = inputs
+            .iter()
+            .map(|x| oracle.forward(x).expect("dense forward"))
+            .collect();
         let bits = |outs: &[Vec<f32>]| {
             outs.iter()
                 .flatten()
@@ -1536,9 +1539,9 @@ mod tests {
         use cs_nn::data::lif_spike_train;
         use cs_nn::spec::Scale;
         use cs_telemetry::Registry;
-        let model = ServableModel::spiking_mlp(Scale::Reduced(2), 7).expect("model");
+        let model = ServableModel::mlp(Scale::Reduced(2), 7).expect("model");
         let name = model.name.clone();
-        assert_eq!(name, "mlp-spiking");
+        assert_eq!(name, "mlp");
         // LIF frames mix exact zeros with spike amplitudes; poison a few
         // positions so the never-skip rule is exercised end to end.
         let mut frames: Vec<Vec<f32>> = (0..3)
@@ -1593,7 +1596,7 @@ mod tests {
             .collect();
         assert!(
             !gated_layers.is_empty(),
-            "the gated lane gated no layer of the spiking MLP"
+            "the gated lane gated no layer of the MLP"
         );
         let mut total_skips = 0;
         for layer in &gated_layers {
@@ -1632,7 +1635,7 @@ mod tests {
         use cs_nn::data::lif_spike_train;
         use cs_telemetry::Registry;
         for backend in [ExecBackend::Sparse, ExecBackend::Gated] {
-            let model = ServableModel::spiking_mlp(Scale::Reduced(2), 7).expect("model");
+            let model = ServableModel::mlp(Scale::Reduced(2), 7).expect("model");
             let name = model.name.clone();
             let mut reg = ModelRegistry::new();
             reg.register(model.clone()).expect("register");
