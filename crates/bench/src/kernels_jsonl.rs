@@ -36,9 +36,10 @@ pub fn structured_line(
     )
 }
 
-/// The `experiment:"gated"` line: the sparse FC kernel with and
-/// without the activation gate on one input kind (`"spiking"` for LIF
-/// frames, `"dense"` for fully-occupied inputs).
+/// The `experiment:"gated"` line: the gated FC kernel on one input
+/// kind (`"spiking"` for LIF frames, `"dense"` for fully-occupied
+/// inputs) — its forward time, the time of its prescan count alone,
+/// and its speedup over the dense frame (1 on the dense line).
 #[allow(clippy::too_many_arguments)]
 pub fn gated_line(
     input: &str,
@@ -46,12 +47,12 @@ pub fn gated_line(
     n_out: usize,
     block: usize,
     skip_fraction: f64,
-    ungated_ns: f64,
-    gated_ns: f64,
+    forward_ns: f64,
+    prescan_ns: f64,
     speedup: f64,
 ) -> String {
     format!(
-        "{{\"experiment\":\"gated\",\"input\":\"{input}\",\"n_in\":{n_in},\"n_out\":{n_out},\"block\":{block},\"skip_fraction\":{skip_fraction:.4},\"ungated_ns\":{ungated_ns:.0},\"gated_ns\":{gated_ns:.0},\"speedup\":{speedup:.3}}}\n"
+        "{{\"experiment\":\"gated\",\"input\":\"{input}\",\"n_in\":{n_in},\"n_out\":{n_out},\"block\":{block},\"skip_fraction\":{skip_fraction:.4},\"forward_ns\":{forward_ns:.0},\"prescan_ns\":{prescan_ns:.0},\"speedup\":{speedup:.3}}}\n"
     )
 }
 

@@ -36,7 +36,7 @@ fn current_schema() -> String {
         ),
         (
             "gated",
-            gated_line("spiking", 1024, 1024, 8, 0.94, 8_000.0, 1_500.0, 5.3),
+            gated_line("spiking", 1024, 1024, 1, 0.94, 8_000.0, 100.0, 5.3),
         ),
         ("conv", conv_line(16, 32, 14, 9_000.0, 3_000.0, 3.0)),
     ];

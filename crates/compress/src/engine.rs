@@ -41,23 +41,23 @@
 //! # One entry per kernel
 //!
 //! Every compiled FC kernel executes through one entry,
-//! [`FcKernel::forward_batch`]`(inputs, outs, scratch, gated)`, and
-//! `forward` is its ungated `B = 1` call; the scratch is the serving
-//! worker's, reused across batches.
+//! [`FcKernel::forward_batch`]`(inputs, outs, scratch)`, and `forward`
+//! is its `B = 1` call; the scratch is the serving worker's, reused
+//! across batches. Conv runs its patches through the same entry.
 //!
 //! # Activation gating
 //!
-//! Gated, `forward_batch` skips work across the **input** dimension,
-//! as the NSM skips zero neurons: a prescan sets one bit per input
-//! unless it is bit-exact `+0.0` ([`crate::gate`]), and a tile's bits
-//! are the OR of its columns'. When at most [`ACTIVE_WALK_MAX_SHARE`]
+//! Every call skips work across the **input** dimension, as the NSM
+//! skips zero neurons on every tile: a prescan counts each column's
+//! bit-exact `+0.0` inputs and sets one bit per input that is not
+//! ([`crate::gate`]), and a tile's bits are the OR of its columns'. When at most [`ACTIVE_WALK_MAX_SHARE`]
 //! of a tile's inputs are set, each block-CSR walk visits only the set
 //! bits of its runs, in ascending order; otherwise it walks every
 //! surviving input. The structured kernels skip a bank whose bits are
 //! all clear. The skipped terms are exactly `+0.0 * w = ±0.0` for the
 //! engine's finite weights, which is bit-neutral by fact 2 above — so
-//! gated execution stays inside the bit-identity contract. `-0.0`,
-//! NaN, and inf inputs are never skipped.
+//! the walk a tile takes never shows in its bits. `-0.0`, NaN, and inf
+//! inputs are never skipped.
 //!
 //! # Batched execution
 //!
@@ -117,7 +117,7 @@ use crate::CompressError;
 /// two chunks share a walk only in tiles of at most half this width.
 pub const COLUMN_TILE: usize = 8;
 
-/// The largest share of a gated tile's inputs that may be active (not
+/// The largest share of a tile's inputs that may be active (not
 /// bit-exact `+0.0` in some column) for its walks to visit the active
 /// inputs one bit at a time; above it they walk every surviving input.
 /// Measured on the `fc_dense` layers (DESIGN §13).
@@ -146,7 +146,7 @@ const fn nibble_shift(lane: usize) -> u32 {
 struct Active<'a>(Option<&'a [u64]>);
 
 impl Active<'_> {
-    /// Every input, as the ungated kernels visit them.
+    /// Every input: the walk of a tile too dense to skip.
     const ALL: Active<'static> = Active(None);
 
     /// Whether any input in `start..end` must be visited.
@@ -817,9 +817,7 @@ impl CompiledFcLayer {
     ///
     /// Panics when the slice lengths disagree with `n_in` / `n_out`.
     pub fn forward(&self, input: &[f32], out: &mut [f32]) {
-        // Ungated, one column is its own transpose: the empty scratch
-        // never allocates.
-        self.forward_batch(input, out, &mut BatchScratch::default(), false);
+        self.forward_batch(input, out, &mut BatchScratch::default());
     }
 
     /// Runs every strip over one tile of `bt` columns on `body`, which
@@ -862,10 +860,10 @@ impl CompiledFcLayer {
     /// Column `j` of the result is bit-identical to [`Self::forward`]
     /// on input `j` alone, whatever it is batched with.
     ///
-    /// Gated, every column is prescanned on its own and the returned
-    /// slice holds one [`GateStats`] per column (empty when ungated); a
-    /// tile whose active share is at most [`ACTIVE_WALK_MAX_SHARE`]
-    /// visits only the inputs some column has active.
+    /// Every column is prescanned on its own and the returned slice
+    /// holds one [`GateStats`] per column; a tile whose active share is
+    /// at most [`ACTIVE_WALK_MAX_SHARE`] visits only the inputs some
+    /// column has active.
     ///
     /// # Panics
     ///
@@ -876,9 +874,8 @@ impl CompiledFcLayer {
         inputs: &[f32],
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
-        gated: bool,
     ) -> &'s [GateStats] {
-        self.forward_batch_on(inputs, outs, scratch, gated, Body::best())
+        self.forward_batch_on(inputs, outs, scratch, Body::best())
     }
 
     fn forward_batch_on<'s>(
@@ -886,36 +883,33 @@ impl CompiledFcLayer {
         inputs: &[f32],
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
-        gated: bool,
         body: Body,
     ) -> &'s [GateStats] {
         let (n_in, n_out) = (self.n_in, self.n_out);
         let b = batch_columns(inputs, outs, n_in, n_out);
         let BatchScratch { xt, words, stats } = scratch;
         stats.clear();
-        if gated {
-            stats.extend(inputs.chunks_exact(n_in.max(1)).map(gate::count_inputs));
-        }
+        stats.extend(inputs.chunks_exact(n_in.max(1)).map(gate::count_inputs));
         let few = |active: usize| active as f64 <= ACTIVE_WALK_MAX_SHARE * n_in as f64;
         for col0 in (0..b).step_by(COLUMN_TILE) {
             let bt = COLUMN_TILE.min(b - col0);
             let tile_in = &inputs[col0 * n_in..(col0 + bt) * n_in];
             // The tile's active set is the union of its columns', at
             // least as large as any one column's: mark it only when no
-            // column alone is too dense for the active walk.
+            // column alone is too dense for the active walk, and stop
+            // as soon as the union is.
             let mut active = Active::ALL;
-            if gated
-                && stats[col0..col0 + bt]
-                    .iter()
-                    .all(|s| few(s.occupied_blocks()))
+            if stats[col0..col0 + bt]
+                .iter()
+                .all(|s| few(s.occupied_blocks()))
             {
                 words.clear();
                 words.resize(n_in.div_ceil(64), 0);
-                for x in tile_in.chunks_exact(n_in) {
+                let union_few = tile_in.chunks_exact(n_in.max(1)).all(|x| {
                     gate::mark_active(x, words);
-                }
-                let set: u32 = words.iter().map(|w| w.count_ones()).sum();
-                if few(set as usize) {
+                    few(words.iter().map(|w| w.count_ones() as usize).sum())
+                });
+                if union_few {
                     active = Active(Some(&words[..]));
                 }
             }
@@ -1050,12 +1044,8 @@ impl CompiledConvLayer {
         // the inner kernel, and a column's bits do not depend on the
         // batch it rides in.
         let mut prod = vec![0.0f32; oh * ow * n_fout];
-        self.inner.forward_batch(
-            cols.as_slice(),
-            &mut prod,
-            &mut BatchScratch::default(),
-            false,
-        );
+        self.inner
+            .forward_batch(cols.as_slice(), &mut prod, &mut BatchScratch::default());
         // Transpose (oh*ow, n_fout) -> (n_fout, oh, ow).
         Ok(Tensor::from_fn(Shape::d3(n_fout, oh, ow), |i| {
             prod[i % (oh * ow) * n_fout + i / (oh * ow)]
@@ -1221,8 +1211,7 @@ impl CompiledStructuredFc {
     /// Portable forward over lanes `out_start..out_start + out.len()`.
     /// Survivor groups whose input bank holds no active input are
     /// skipped — bit-neutral for the accumulators (the dropped terms
-    /// are `+0.0 * w = ±0.0`), so gated and ungated outputs are
-    /// identical.
+    /// are `+0.0 * w = ±0.0`), so skipping never changes an output.
     fn forward_range_scalar(
         &self,
         input: &[f32],
@@ -1453,15 +1442,14 @@ impl CompiledStructuredFc {
         self.forward_range_scalar(input, out, 0, active);
     }
 
-    /// Runs the batch one column at a time. Gated, each column is
-    /// prescanned one bit per input, reports its counters, and skips
-    /// the banks whose bits are all clear.
+    /// Runs the batch one column at a time. Each column reports its
+    /// counters and, when it has a `+0.0` input, is marked one bit per
+    /// input and skips the banks whose bits are all clear.
     fn forward_batch<'s>(
         &self,
         inputs: &[f32],
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
-        gated: bool,
     ) -> &'s [GateStats] {
         let (n_in, n_out) = (self.n_in, self.n_out);
         let b = batch_columns(inputs, outs, n_in, n_out);
@@ -1470,16 +1458,14 @@ impl CompiledStructuredFc {
         for j in 0..b {
             let x = &inputs[j * n_in..(j + 1) * n_in];
             let out = &mut outs[j * n_out..(j + 1) * n_out];
+            let s = gate::count_inputs(x);
+            stats.push(s);
             let mut active = Active::ALL;
-            if gated {
-                let s = gate::count_inputs(x);
-                stats.push(s);
-                if s.zero_blocks > 0 {
-                    words.clear();
-                    words.resize(n_in.div_ceil(64), 0);
-                    gate::mark_active(x, words);
-                    active = Active(Some(&words[..]));
-                }
+            if s.zero_blocks > 0 {
+                words.clear();
+                words.resize(n_in.div_ceil(64), 0);
+                gate::mark_active(x, words);
+                active = Active(Some(&words[..]));
             }
             self.forward_column(x, out, active);
         }
@@ -1580,14 +1566,14 @@ impl FcKernel {
         }
     }
 
-    /// Sparse forward through the specialized kernel: the ungated
-    /// `B = 1` call of [`Self::forward_batch`].
+    /// Sparse forward through the specialized kernel: the `B = 1` call
+    /// of [`Self::forward_batch`].
     ///
     /// # Panics
     ///
     /// Panics when the slice lengths disagree with `n_in` / `n_out`.
     pub fn forward(&self, input: &[f32], out: &mut [f32]) {
-        self.forward_batch(input, out, &mut BatchScratch::default(), false);
+        self.forward_batch(input, out, &mut BatchScratch::default());
     }
 
     /// The one execution entry: `inputs` holds `B` input vectors back
@@ -1598,10 +1584,9 @@ impl FcKernel {
     /// is bit-identical to the dense reference on input `j` alone, on
     /// finite inputs.
     ///
-    /// Gated, the layer skips inputs that are bit-exact `+0.0` (module
-    /// docs, "Activation gating") and the returned slice holds one
-    /// [`GateStats`] per column, counting inputs; it is empty
-    /// otherwise.
+    /// The layer skips inputs that are bit-exact `+0.0` when few enough
+    /// are active (module docs, "Activation gating"), and the returned
+    /// slice holds one [`GateStats`] per column, counting inputs.
     ///
     /// # Panics
     ///
@@ -1612,11 +1597,10 @@ impl FcKernel {
         inputs: &[f32],
         outs: &mut [f32],
         scratch: &'s mut BatchScratch,
-        gated: bool,
     ) -> &'s [GateStats] {
         match self {
-            FcKernel::BlockCsr(l) => l.forward_batch(inputs, outs, scratch, gated),
-            FcKernel::BankBalanced(s) => s.forward_batch(inputs, outs, scratch, gated),
+            FcKernel::BlockCsr(l) => l.forward_batch(inputs, outs, scratch),
+            FcKernel::BankBalanced(s) => s.forward_batch(inputs, outs, scratch),
         }
     }
 
@@ -1678,12 +1662,68 @@ mod tests {
         out
     }
 
-    /// One column through the gated `forward_batch`: its outputs and its
-    /// gate counters.
+    /// One column through `forward_batch`: its outputs and its gate
+    /// counters.
     fn gated(kernel: &FcKernel, x: &[f32]) -> (Vec<f32>, GateStats) {
         let mut out = vec![0.0f32; kernel.n_out()];
-        let stats = kernel.forward_batch(x, &mut out, &mut BatchScratch::default(), true)[0];
+        let stats = kernel.forward_batch(x, &mut out, &mut BatchScratch::default())[0];
         (out, stats)
+    }
+
+    /// The scalar walk over the survivors only: each output lane adds
+    /// `x[i] * w` over its surviving inputs in ascending order, from
+    /// `+0.0`. The kernels skip only `+0.0 * w` terms, so this is their
+    /// answer on any input, poisoned ones included.
+    fn survivors(kernel: &FcKernel, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; kernel.n_out()];
+        match kernel {
+            FcKernel::BlockCsr(l) => {
+                for strip in &l.strips {
+                    let inputs = strip
+                        .runs()
+                        .iter()
+                        .flat_map(|&(s, e)| s as usize..e as usize);
+                    for (pos, i) in inputs.enumerate() {
+                        let lanes = &mut out[strip.out_start..strip.out_end];
+                        for (lane, o) in lanes.iter_mut().enumerate() {
+                            *o += x[i] * strip.weight(pos, lane);
+                        }
+                    }
+                }
+            }
+            FcKernel::BankBalanced(s) => {
+                // Banks ascending, slots ascending within a bank, then
+                // the tail: every lane's positions in ascending order.
+                let n = s.n_out;
+                let full = (0..s.full_groups * s.k)
+                    .map(|r| (r / s.k * s.bank, &s.offsets[r * n..], &s.values[r * n..]));
+                let tail = (0..s.tail_spg).map(|j| {
+                    let base = s.full_groups * s.bank;
+                    (base, &s.tail_offsets[j * n..], &s.tail_values[j * n..])
+                });
+                for (base, offs, vals) in full.chain(tail) {
+                    for (o, acc) in out.iter_mut().enumerate() {
+                        *acc += x[base + offs[o] as usize] * vals[o];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// What a column must produce: the dense reference's bits on finite
+    /// inputs, and the survivors walk's on poisoned ones (NaN encodings
+    /// aside, which `same_bits` identifies there).
+    fn reference(kernel: &FcKernel, x: &[f32]) -> Vec<f32> {
+        if x.iter().all(|v| v.is_finite()) {
+            let xt = Tensor::from_vec(Shape::d2(1, x.len()), x.to_vec()).unwrap();
+            ops::matmul(&xt, &kernel.to_dense())
+                .unwrap()
+                .as_slice()
+                .to_vec()
+        } else {
+            survivors(kernel, x)
+        }
     }
 
     fn bank_balanced(w: &Tensor, bank: usize, k: usize) -> FcKernel {
@@ -1957,12 +1997,11 @@ mod tests {
     /// Each family's batch of `b` columns (rotations of the family
     /// input, so the tile's union differs from every column's bits, and
     /// column 0 alone zero at the first input the others keep) through
-    /// the gated kernel on `body`: every column must carry the bits of
-    /// its ungated single-column run, and on finite columns the dense
-    /// reference's; its counters must count its `+0.0` inputs.
+    /// the kernel on `body`: every column must carry its [`reference`]
+    /// bits, and its counters must count its `+0.0` inputs.
     fn check_gated_batches(layer: &CompiledFcLayer, b: usize, body: Body, seed: u64) {
         let (n_in, n_out) = (layer.n_in, layer.n_out);
-        let dense = layer.to_dense();
+        let kernel = FcKernel::BlockCsr(layer.clone());
         for (name, x) in walk_inputs(n_in, seed) {
             let mut columns: Vec<Vec<f32>> = (0..b)
                 .map(|j| {
@@ -1984,28 +2023,18 @@ mod tests {
             let mut outs = vec![f32::NAN; b * n_out];
             let mut scratch = BatchScratch::default();
             let stats = layer
-                .forward_batch_on(&columns.concat(), &mut outs, &mut scratch, true, body)
+                .forward_batch_on(&columns.concat(), &mut outs, &mut scratch, body)
                 .to_vec();
             for (j, col) in columns.iter().enumerate() {
                 let got = &outs[j * n_out..(j + 1) * n_out];
-                let mut alone = vec![0.0f32; n_out];
-                layer.forward_batch_on(col, &mut alone, &mut BatchScratch::default(), false, body);
                 let finite = col.iter().all(|v| v.is_finite());
                 assert!(
-                    same_bits(got, &alone, !finite),
+                    same_bits(got, &reference(&kernel, col), !finite),
                     "{name}, column {j} of {b}, {body:?}"
                 );
                 let zeros = col.iter().filter(|v| v.to_bits() == 0).count();
                 assert_eq!(stats[j].zero_blocks, zeros, "{name}, column {j}");
                 assert_eq!(stats[j].blocks, n_in);
-                if finite {
-                    let xt = Tensor::from_vec(Shape::d2(1, n_in), col.clone()).unwrap();
-                    let want = ops::matmul(&xt, &dense).unwrap();
-                    assert!(
-                        same_bits(got, want.as_slice(), false),
-                        "{name}, column {j} vs dense"
-                    );
-                }
             }
         }
     }
@@ -2067,11 +2096,10 @@ mod tests {
             let kernel = bank_balanced(&w, bank, bank / 2);
             let kind = kernel.kind();
             for (name, input) in gate_test_inputs(67) {
-                let ungated = run(21, |o| kernel.forward(&input, o));
+                let finite = input.iter().all(|v| v.is_finite());
                 let (out, stats) = gated(&kernel, &input);
-                assert_eq!(
-                    bits_of(&ungated),
-                    bits_of(&out),
+                assert!(
+                    same_bits(&out, &reference(&kernel, &input), !finite),
                     "{kind} bank {bank} {name}"
                 );
                 assert_eq!(stats.blocks, 67, "{kind} {name}");
@@ -2229,7 +2257,7 @@ mod tests {
             let dense = layer.to_dense();
             for b in 1..=COLUMN_TILE + 1 {
                 // Block-striped columns, and ~3 %-active ones that take
-                // the active-input walk when gated.
+                // the active-input walk.
                 let columns: Vec<Vec<f32>> = (0..b)
                     .map(|j| match j % 2 {
                         0 => column_input(n_in, j as u64 + 3),
@@ -2250,23 +2278,11 @@ mod tests {
                     bits_of(&shared.output(&columns[0])),
                     "{name}"
                 );
-                for gated in [false, true] {
-                    for body in BODIES.into_iter().filter(|b| b.runs_here()) {
-                        let mut outs = vec![f32::NAN; b * n_out];
-                        let mut scratch = BatchScratch::default();
-                        layer.forward_batch_on(
-                            &columns.concat(),
-                            &mut outs,
-                            &mut scratch,
-                            gated,
-                            body,
-                        );
-                        assert_eq!(
-                            bits_of(&outs),
-                            bits_of(&want),
-                            "{name}, B = {b}, gated {gated}, {body:?}"
-                        );
-                    }
+                for body in BODIES.into_iter().filter(|b| b.runs_here()) {
+                    let mut outs = vec![f32::NAN; b * n_out];
+                    let mut scratch = BatchScratch::default();
+                    layer.forward_batch_on(&columns.concat(), &mut outs, &mut scratch, body);
+                    assert_eq!(bits_of(&outs), bits_of(&want), "{name}, B = {b}, {body:?}");
                 }
             }
         }
@@ -2322,13 +2338,13 @@ mod tests {
 
     proptest::proptest! {
         /// Batch-composition invariance: column `j` of `forward_batch`
-        /// carries the bits `forward` produces on input `j` alone —
-        /// and, on finite inputs, the dense reference's — gated and
-        /// ungated, on every lookup body the host runs, at every batch
-        /// size up to one past a column tile, whatever the codebook
-        /// width, and wherever in the batch the column sits. A NaN /
-        /// inf / `-0.0` column leaves its neighbours' bits alone and is
-        /// never gate-skipped.
+        /// carries its [`reference`] bits — the dense reference's on
+        /// finite inputs, the survivors walk's on poisoned ones — and
+        /// the counters of its own prescan, on every lookup body the
+        /// host runs, at every batch size up to one past a column tile,
+        /// whatever the codebook width, and wherever in the batch the
+        /// column sits. A NaN / inf / `-0.0` column leaves its
+        /// neighbours' bits alone and is never gate-skipped.
         #[test]
         fn batch_columns_match_single_forward_whatever_they_ride_with(
             n_out in proptest::sample::select(vec![10usize, 16, 48, 300, 500]),
@@ -2340,7 +2356,7 @@ mod tests {
             poison in 0usize..4,
         ) {
             let layer = random_block_layer(n_in, n_out, block_in, quant_bits, seed);
-            let dense = layer.to_dense();
+            let kernel = FcKernel::BlockCsr(layer.clone());
             let poison_col = (poison > 0).then_some(seed as usize % b);
             let columns: Vec<Vec<f32>> = (0..b)
                 .map(|j| match (poison, poison_col == Some(j)) {
@@ -2356,40 +2372,27 @@ mod tests {
                 order.iter().flat_map(|&j| columns[j].iter().copied()).collect()
             };
             let identity: Vec<usize> = (0..b).collect();
+            let want: Vec<Vec<f32>> = columns.iter().map(|x| reference(&kernel, x)).collect();
             let mut scratch = BatchScratch::default();
-            for gated in [false, true] {
-                for body in BODIES.into_iter().filter(|b| b.runs_here()) {
-                    for order in [&identity, &order] {
-                        let mut outs = vec![f32::NAN; b * n_out];
-                        let stats = layer
-                            .forward_batch_on(&flat(order), &mut outs, &mut scratch, gated, body)
-                            .to_vec();
-                        prop_assert_eq!(stats.len(), if gated { b } else { 0 });
-                        for (k, &j) in order.iter().enumerate() {
-                            let got = &outs[k * n_out..(k + 1) * n_out];
-                            let non_finite = poison_col == Some(j) && poison < 3;
-                            let mut alone = vec![0.0f32; n_out];
-                            let mut one = BatchScratch::default();
-                            if gated {
-                                let s = layer.forward_batch(&columns[j], &mut alone, &mut one, true)[0];
-                                prop_assert_eq!(stats[k], s);
-                                if poison_col == Some(j) {
-                                    prop_assert_eq!(s.zero_blocks, 0, "poison column skipped");
-                                }
-                            } else {
-                                layer.forward(&columns[j], &mut alone);
-                            }
-                            prop_assert!(
-                                same_bits(got, &alone, non_finite),
-                                "column {} at slot {} of {} (gated {}, {:?})",
-                                j, k, b, gated, body
-                            );
-                            if !non_finite {
-                                let x = Tensor::from_vec(Shape::d2(1, n_in), columns[j].clone()).unwrap();
-                                let want = ops::matmul(&x, &dense).unwrap();
-                                prop_assert!(same_bits(got, want.as_slice(), false), "column {} vs dense", j);
-                            }
+            for body in BODIES.into_iter().filter(|b| b.runs_here()) {
+                for order in [&identity, &order] {
+                    let mut outs = vec![f32::NAN; b * n_out];
+                    let stats = layer
+                        .forward_batch_on(&flat(order), &mut outs, &mut scratch, body)
+                        .to_vec();
+                    prop_assert_eq!(stats.len(), b);
+                    for (k, &j) in order.iter().enumerate() {
+                        let got = &outs[k * n_out..(k + 1) * n_out];
+                        let non_finite = poison_col == Some(j) && poison < 3;
+                        prop_assert_eq!(stats[k], gate::count_inputs(&columns[j]));
+                        if poison_col == Some(j) {
+                            prop_assert_eq!(stats[k].zero_blocks, 0, "poison column skipped");
                         }
+                        prop_assert!(
+                            same_bits(got, &want[j], non_finite),
+                            "column {} at slot {} of {} ({:?})",
+                            j, k, b, body
+                        );
                     }
                 }
             }
@@ -2398,10 +2401,10 @@ mod tests {
 
     #[test]
     fn fc_kernel_gated_dispatch_and_planning() {
-        // Every kernel kind runs gated through the one entry, and its
-        // walk is planned per call from the input alone: a spike-like
-        // input takes the active walk, a dense one the full walk, and
-        // both match the ungated kernel bit for bit.
+        // Every kernel kind gates through the one entry, and its walk
+        // is chosen per call from the input alone: a spike-like input
+        // takes the active walk, a dense one the full walk, and both
+        // carry the reference bits.
         let w = rand_w(128, 64, 11);
         let (tf, bb) = (bank_balanced(&w, 4, 2), bank_balanced(&w, 8, 2));
         let (cw, cmask) = fc_layer(128, 64, 32, 0.25);
@@ -2412,9 +2415,10 @@ mod tests {
             inputs.push(("spike", sparse_input(128, 4, 1)));
             inputs.push(("dense", sparse_input(128, 128, 1)));
             for (name, input) in inputs {
-                let ungated = run(64, |o| kernel.forward(&input, o));
+                let finite = input.iter().all(|v| v.is_finite());
                 let (out, stats) = gated(kernel, &input);
-                assert_eq!(bits_of(&ungated), bits_of(&out), "{} {name}", kernel.kind());
+                let want = reference(kernel, &input);
+                assert!(same_bits(&out, &want, !finite), "{} {name}", kernel.kind());
                 let active = input.iter().filter(|v| v.to_bits() != 0).count();
                 assert_eq!(stats.occupied_blocks(), active, "{} {name}", kernel.kind());
             }

@@ -3,18 +3,18 @@
 //! Cambricon-S exploits neuron (activation) sparsity in hardware — the
 //! NSM skips zero activations one at a time, so the PE array never
 //! multiplies through them. This module is the software twin of that
-//! gate: a cheap *prescan* sets one bit per input (`mark_active`, into
-//! words the kernels in [`crate::engine`] reuse), and a gated
-//! `forward_batch` visits only the surviving weights whose input bit is
-//! set.
+//! gate, and like the NSM it is always on: every `forward_batch` of
+//! [`crate::engine`] prescans its inputs (`count_inputs`, then
+//! `mark_active` into words the kernels reuse) and visits only the
+//! surviving weights whose input bit is set when few enough are.
 //!
 //! # Skip eligibility: `bits == +0.0` only
 //!
 //! An input is skippable **iff its bit pattern is exactly `+0.0`**
 //! (`f32::to_bits() == 0`), and a block iff all of its inputs are.
 //! `-0.0`, NaN, and inf are *never* skipped. This is what keeps the
-//! gated kernels inside the repo-wide bit-identity contract (`engine`
-//! module docs):
+//! kernels inside the repo-wide bit-identity contract (`engine` module
+//! docs):
 //!
 //! * a skipped term is exactly `+0.0 * w = ±0.0` for finite `w`, and
 //!   adding `±0.0` to any accumulator value `a` returns `a` bit-exactly
@@ -27,14 +27,14 @@
 //!   means eligibility is a pure bit test (`to_bits() == 0`), one
 //!   integer compare per element, with no sign/NaN case analysis in the
 //!   hot prescan loop;
-//! * NaN/inf must stay occupied because `0.0 * NaN = NaN` — the dense
-//!   reference would poison the output, so the gated kernel must
-//!   multiply through them exactly like the ungated one.
+//! * NaN/inf must stay occupied because `0.0 * NaN = NaN`: the kernel
+//!   multiplies through them exactly as a scalar walk over its
+//!   survivors does.
 //!
 //! # Run-time rule
 //!
-//! There is no per-layer plan. A gated kernel counts every column's
-//! `+0.0` inputs (`count_inputs`), marks one bit per input
+//! There is no per-layer plan and no switch. Every call counts each
+//! column's `+0.0` inputs (`count_inputs`), marks one bit per input
 //! (`mark_active`) for tiles that may skip, and decides per tile, at
 //! run time, from what the bits say: the block-CSR walk visits only the
 //! set bits of its runs when at most
@@ -85,38 +85,51 @@ impl PrescanBitmap {
     }
 }
 
-/// The gated kernels' counters for one column: one block per input,
-/// zero where the input is bit-exact `+0.0`. One vectorizable pass, so
-/// a column too dense for the active-input walk pays little more.
-pub(crate) fn count_inputs(input: &[f32]) -> GateStats {
+/// The engine's prescan count for one column: one block per input,
+/// zero where the input is bit-exact `+0.0`. Eight per-lane counters
+/// keep the loop one vector compare and add per eight inputs, so a
+/// column too dense for the active-input walk pays little more.
+pub fn count_inputs(input: &[f32]) -> GateStats {
+    let (rows, tail) = input.as_chunks::<8>();
+    let mut lanes = [0u32; 8];
+    for row in rows {
+        for (n, v) in lanes.iter_mut().zip(row) {
+            *n += u32::from(v.to_bits() == 0);
+        }
+    }
+    let tail_zeros = tail.iter().filter(|v| v.to_bits() == 0).count();
     GateStats {
         blocks: input.len(),
-        zero_blocks: input.iter().filter(|v| v.to_bits() == 0).count(),
+        zero_blocks: lanes.iter().map(|&n| n as usize).sum::<usize>() + tail_zeros,
     }
 }
 
-/// The gated kernels' prescan: sets bit `i` of `words` unless
+/// The engine's prescan mark: sets bit `i` of `words` unless
 /// `input[i]` is bit-exact `+0.0`, ORing into what the words hold, so a
-/// tile's columns mark one union. The words are caller-owned, so a
-/// serving lane reuses one buffer for every tile of every batch.
+/// tile's columns mark one union. Sixteen inputs at a time build one
+/// 16-bit mask. The words are caller-owned, so a serving lane reuses
+/// one buffer for every tile of every batch.
 pub(crate) fn mark_active(input: &[f32], words: &mut [u64]) {
-    for (w, chunk) in words.iter_mut().zip(input.chunks(64)) {
-        *w |= chunk
-            .iter()
-            .enumerate()
-            .fold(0, |w, (k, v)| w | u64::from(v.to_bits() != 0) << k);
+    let set = |v: &f32| u64::from(v.to_bits() != 0);
+    let (rows, tail) = input.as_chunks::<16>();
+    for (k, row) in rows.iter().enumerate() {
+        let bits = row.iter().enumerate().fold(0, |b, (l, v)| b | set(v) << l);
+        words[k / 4] |= bits << (16 * (k % 4));
+    }
+    for (i, v) in (rows.len() * 16..).zip(tail) {
+        words[i / 64] |= set(v) << (i % 64);
     }
 }
 
 /// Gate outcome counters for one forward pass: how many input blocks
-/// the prescan saw, and how many it proved skippable. The gated kernels
-/// scan one block per input, so theirs count inputs. Derived from the
+/// the prescan saw, and how many it proved skippable. The engine scans
+/// one block per input, so its counters count inputs. Derived from the
 /// bits alone, so every kernel body reports the same numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GateStats {
     /// Input blocks the prescan covered.
     pub blocks: usize,
-    /// Blocks proven all-`+0.0` (skipped by the gated kernels).
+    /// Blocks proven all-`+0.0` (skippable by the engine's walks).
     pub zero_blocks: usize,
 }
 

@@ -25,7 +25,7 @@
 //!   conv kernels bit-identical to the dense reference on finite inputs.
 //! * [`gate`] — dynamic activation sparsity: the one-bit-per-input
 //!   prescan, the `bits == +0.0` skip-eligibility rule, and the
-//!   run-time rule by which the gated kernels in [`engine`] pick their
+//!   run-time rule by which every kernel call in [`engine`] picks its
 //!   walk.
 //!
 //! # Example

@@ -138,7 +138,7 @@ pub const CORPUS: &[CorpusEntry] = &[
         cluster: false,
         registry: false,
         note: "NaN/inf-poisoned input into a degenerate bank 16:16 chain; \
-               gated kernels must never skip non-finite blocks and the \
+               the engine must never skip non-finite inputs and the \
                degenerate bank keeps the full mask",
     },
     CorpusEntry {
@@ -221,8 +221,8 @@ pub const CORPUS: &[CorpusEntry] = &[
         registry: false,
         note: "a LIF spike frame into a 48x32 coarse layer of 32-wide blocks \
                over 16-wide groups (the fc6/fc7 geometry): both strips walk \
-               their shared runs as a pair, visiting only the active inputs \
-               when gated, each with its own 4-bit codebook",
+               their shared runs as a pair, visiting only the active inputs, \
+               each with its own 4-bit codebook",
     },
 ];
 

@@ -8,12 +8,14 @@
 //!
 //! * dense reference vs sparse engine: **bit-identical** on finite
 //!   inputs — the engine accumulates surviving terms in the same
-//!   ascending order and skipped terms are exact `±0.0`;
-//! * gated engine vs the dense reference on finite inputs, and vs the
-//!   ungated engine on poisoned ones: **bit-identical** — the gate
-//!   skips only exact `+0.0` blocks;
-//! * batched engine (`forward_batch`, gated and ungated) vs the dense
-//!   reference, column by column: **bit-identical** — a request's bits
+//!   ascending order, and the terms it skips (pruned weights, and the
+//!   activation gate's bit-exact `+0.0` inputs) are exact `±0.0`;
+//! * sparse engine vs [`forward_survivors`], a scalar walk over the
+//!   survivors only in ascending order, on poisoned inputs:
+//!   **bit-identical** with NaN encodings identified — the gate skips
+//!   only `+0.0` inputs, never `-0.0`, NaN or inf;
+//! * batched engine (`forward_batch`) vs the dense reference, column
+//!   by column: **bit-identical** — a request's bits
 //!   do not depend on what it is batched with; on non-finite (poisoned)
 //!   inputs the comparison is against the column run alone and
 //!   identifies all NaN encodings, since NaN payload propagation across
@@ -29,7 +31,7 @@
 //!   lane-major walk each PE's sum is defined by: **bit-identical**
 //!   outputs (NaN encodings identified) and **equal** activity counters.
 //!
-//! [`Fault::ReverseAccumulation`] swaps the ungated engine kernel for
+//! [`Fault::ReverseAccumulation`] swaps the engine kernel for
 //! [`forward_reversed`], which adds the same terms in *descending* input
 //! order — a deliberately planted defect the harness must catch. The
 //! planted kernel targets coarse block-CSR layers; structured
@@ -277,9 +279,39 @@ pub fn forward_pair_codebook_swapped(layer: &CompiledFcLayer, input: &[f32], out
     });
 }
 
-/// A scalar block-CSR kernel for the planted faults: each strip `k`'s
-/// terms `input[i] * weight(k, pos, lane)` added in ascending or
-/// (`descending`) reversed input order.
+/// The reference on poisoned inputs: each output lane adds
+/// `input[i] * w` over its surviving inputs only, in ascending order,
+/// from `+0.0` — block-CSR strips through [`FcStrip::runs`] and
+/// [`FcStrip::weight`], bank-balanced lanes through their stored
+/// positions and values. The engine skips only `+0.0 * w` terms, so on
+/// any input it must produce these bits, NaN encodings aside.
+///
+/// [`FcStrip::runs`]: cs_compress::engine::FcStrip::runs
+/// [`FcStrip::weight`]: cs_compress::engine::FcStrip::weight
+pub fn forward_survivors(la: &FcLayerArtifacts, input: &[f32], out: &mut [f32]) {
+    match (&la.engine, &la.format) {
+        (FcKernel::BlockCsr(l), _) => {
+            forward_planted(l, input, out, false, |k, pos, lane| {
+                l.strips[k].weight(pos, lane)
+            });
+        }
+        (_, FcLayerFormat::BankBalanced(l)) => {
+            for (o, acc) in out.iter_mut().enumerate() {
+                *acc = 0.0;
+                for (&i, &w) in l.lane_positions(o).iter().zip(l.lane_values(o)) {
+                    *acc += input[i as usize] * w;
+                }
+            }
+        }
+        (FcKernel::BankBalanced(_), FcLayerFormat::Shared(_)) => {
+            unreachable!("a shared-index layer compiles to block-CSR")
+        }
+    }
+}
+
+/// A scalar block-CSR kernel for the planted faults and the survivors
+/// reference: each strip `k`'s terms `input[i] * weight(k, pos, lane)`
+/// added in ascending or (`descending`) reversed input order.
 fn forward_planted(
     layer: &CompiledFcLayer,
     input: &[f32],
@@ -312,11 +344,10 @@ fn forward_planted(
 /// runs them (the `fc-sim-error` leg aside, which reports a simulator
 /// failure rather than a disagreement). The sweep report prints this
 /// list so a run's log says which legs were armed.
-pub const FC_LEGS: [&str; 9] = [
+pub const FC_LEGS: [&str; 8] = [
     "fc-dense-vs-sparse-bits",
-    "fc-gated-vs-dense-bits",
-    "fc-gated-vs-engine-bits",
-    "fc-gated-stats",
+    "fc-sparse-vs-survivors-bits",
+    "fc-gate-stats",
     "fc-batched-vs-dense-bits",
     "fc-batched-vs-engine-bits",
     "fc-sim-vs-dense-tolerance",
@@ -354,10 +385,9 @@ pub fn forward_batch_swapped(
     inputs: &[f32],
     outs: &mut [f32],
     scratch: &mut BatchScratch,
-    gated: bool,
 ) -> Vec<GateStats> {
     let n_out = engine.n_out();
-    let mut stats = engine.forward_batch(inputs, outs, scratch, gated).to_vec();
+    let mut stats = engine.forward_batch(inputs, outs, scratch).to_vec();
     if outs.len() >= 2 * n_out {
         let (c0, rest) = outs.split_at_mut(n_out);
         c0.swap_with_slice(&mut rest[..n_out]);
@@ -379,8 +409,9 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
         // Non-finite inputs void the dense bit contract (the dense twin
         // multiplies poison through explicitly-zeroed pruned weights the
         // sparse kernels never touch), so poisoned layers drop the
-        // dense and simulator legs and hold the engine paths — ungated,
-        // gated, batched — to each other instead.
+        // dense and simulator legs and hold the engine to the scalar
+        // walk over its survivors, and the batched columns to the
+        // engine's single-column run, instead.
         let finite = x.iter().all(|v| v.is_finite());
         // Dense reference: the matmul of the dense twin (the oracle).
         let dense_out = match dense_forward(&la.dense, &x) {
@@ -404,106 +435,93 @@ pub fn check_fc(art: &FcArtifacts, fault: Fault) -> Vec<Mismatch> {
             }
             _ => la.engine.forward(&x, &mut sparse),
         }
-        if finite {
-            if let Some((i, s, d)) = first_diff(&sparse, &dense_out) {
-                out.push(Mismatch::new(
-                    "fc-dense-vs-sparse-bits",
-                    format!(
-                        "layer {li} output {i}: sparse {s:e} ({:#010x}) vs dense {d:e} ({:#010x})",
-                        s.to_bits(),
-                        d.to_bits()
-                    ),
-                ));
-            }
-        }
-
-        // Gated engine legs: the prescan gate is a pure scheduling
-        // decision, so the gated kernel must match the dense reference
-        // bit-for-bit on finite inputs and the ungated engine output
-        // above on poisoned ones — `-0.0`/NaN/inf inputs are never
-        // skipped.
-        let mut scratch = BatchScratch::default();
-        let mut gated = vec![0.0f32; n_out];
-        la.engine.forward_batch(&x, &mut gated, &mut scratch, true);
-        let (gate_ref, gate_leg): (&[f32], &str) = if finite {
-            (&dense_out, "fc-gated-vs-dense-bits")
+        // The engine gates every call, and the gate is a pure scheduling
+        // decision: the engine must carry the dense reference's bits on
+        // finite inputs, and on poisoned ones the bits of the scalar walk
+        // over its survivors — `-0.0`/NaN/inf inputs are never skipped.
+        let (diff, leg) = if finite {
+            (first_diff(&sparse, &dense_out), "fc-dense-vs-sparse-bits")
         } else {
-            (&sparse, "fc-gated-vs-engine-bits")
+            let mut want = vec![0.0f32; n_out];
+            forward_survivors(la, &x, &mut want);
+            (
+                first_diff_nan_canonical(&sparse, &want),
+                "fc-sparse-vs-survivors-bits",
+            )
         };
-        if let Some((i, g, r)) = first_diff(&gated, gate_ref) {
+        if let Some((i, s, r)) = diff {
             out.push(Mismatch::new(
-                gate_leg,
+                leg,
                 format!(
-                    "layer {li} output {i}: gated {g:e} ({:#010x}) vs reference {r:e} \
+                    "layer {li} output {i}: sparse {s:e} ({:#010x}) vs reference {r:e} \
                      ({:#010x})",
-                    g.to_bits(),
+                    s.to_bits(),
                     r.to_bits()
                 ),
             ));
         }
+
         // Batched leg: the layer's input rides with eight variants of
-        // itself (two kernel tiles), gated and ungated, and every
-        // column must carry the dense reference's bits for that column
-        // alone — the engine's single-column run on poisoned input —
-        // with the gate counters of its own single-column prescan.
+        // itself (two kernel tiles), and every column must carry the
+        // dense reference's bits for that column alone — the engine's
+        // single-column run on poisoned input — with the gate counters
+        // of its own single-column prescan.
         let cols = batch_columns(&x);
         let flat: Vec<f32> = cols.iter().flatten().copied().collect();
-        for gated in [false, true] {
-            let mut outs = vec![0.0f32; cols.len() * n_out];
-            let stats = match fault {
-                Fault::SwapBatchColumns => {
-                    forward_batch_swapped(&la.engine, &flat, &mut outs, &mut scratch, gated)
-                }
-                _ => la
-                    .engine
-                    .forward_batch(&flat, &mut outs, &mut scratch, gated)
-                    .to_vec(),
-            };
-            for (j, col) in cols.iter().enumerate() {
-                let got = &outs[j * n_out..(j + 1) * n_out];
-                let mut alone = vec![0.0f32; n_out];
-                let alone_stats = la
-                    .engine
-                    .forward_batch(col, &mut alone, &mut scratch, gated)
-                    .first()
-                    .copied();
-                let (diff, leg) = if finite {
-                    match dense_forward(&la.dense, col) {
-                        Ok(want) => (first_diff(got, &want), "fc-batched-vs-dense-bits"),
-                        Err(m) => {
-                            out.push(m);
-                            return out;
-                        }
+        let mut scratch = BatchScratch::default();
+        let mut outs = vec![0.0f32; cols.len() * n_out];
+        let stats = match fault {
+            Fault::SwapBatchColumns => {
+                forward_batch_swapped(&la.engine, &flat, &mut outs, &mut scratch)
+            }
+            _ => la
+                .engine
+                .forward_batch(&flat, &mut outs, &mut scratch)
+                .to_vec(),
+        };
+        for (j, col) in cols.iter().enumerate() {
+            let got = &outs[j * n_out..(j + 1) * n_out];
+            let mut alone = vec![0.0f32; n_out];
+            let alone_stats = la
+                .engine
+                .forward_batch(col, &mut alone, &mut scratch)
+                .first()
+                .copied();
+            let (diff, leg) = if finite {
+                match dense_forward(&la.dense, col) {
+                    Ok(want) => (first_diff(got, &want), "fc-batched-vs-dense-bits"),
+                    Err(m) => {
+                        out.push(m);
+                        return out;
                     }
-                } else {
-                    (
-                        first_diff_nan_canonical(got, &alone),
-                        "fc-batched-vs-engine-bits",
-                    )
-                };
-                if let Some((i, g, r)) = diff {
-                    out.push(Mismatch::new(
-                        leg,
-                        format!(
-                            "layer {li} column {j} of {} output {i} ({}): batched {g:e} \
-                             ({:#010x}) vs reference {r:e} ({:#010x})",
-                            cols.len(),
-                            if gated { "gated" } else { "ungated" },
-                            g.to_bits(),
-                            r.to_bits()
-                        ),
-                    ));
                 }
-                if alone_stats.is_some_and(|s| stats.get(j) != Some(&s)) {
-                    out.push(Mismatch::new(
-                        "fc-gated-stats",
-                        format!(
-                            "layer {li} column {j}: batched gate stats {:?} vs \
-                             single-column {alone_stats:?}",
-                            stats.get(j)
-                        ),
-                    ));
-                }
+            } else {
+                (
+                    first_diff_nan_canonical(got, &alone),
+                    "fc-batched-vs-engine-bits",
+                )
+            };
+            if let Some((i, g, r)) = diff {
+                out.push(Mismatch::new(
+                    leg,
+                    format!(
+                        "layer {li} column {j} of {} output {i}: batched {g:e} ({:#010x}) \
+                         vs reference {r:e} ({:#010x})",
+                        cols.len(),
+                        g.to_bits(),
+                        r.to_bits()
+                    ),
+                ));
+            }
+            if stats.get(j).copied() != alone_stats {
+                out.push(Mismatch::new(
+                    "fc-gate-stats",
+                    format!(
+                        "layer {li} column {j}: batched gate stats {:?} vs \
+                         single-column {alone_stats:?}",
+                        stats.get(j)
+                    ),
+                ));
             }
         }
 
@@ -895,15 +913,15 @@ mod tests {
         assert!(
             caught
                 .iter()
-                .all(|m| m.check == "fc-batched-vs-dense-bits" || m.check == "fc-gated-stats"),
+                .all(|m| m.check == "fc-batched-vs-dense-bits" || m.check == "fc-gate-stats"),
             "{caught:?}"
         );
-        // Exactly the two exchanged columns disagree, gated and ungated.
+        // Exactly the two exchanged columns disagree.
         let bits = caught
             .iter()
             .filter(|m| m.check == "fc-batched-vs-dense-bits")
             .count();
-        assert_eq!(bits, 4, "{caught:?}");
+        assert_eq!(bits, 2, "{caught:?}");
     }
 
     #[test]
@@ -960,7 +978,7 @@ mod tests {
     #[test]
     fn poisoned_inputs_pass_the_engine_only_legs() {
         // NaN/inf inputs void the dense contract; the executor must
-        // fall back to engine-vs-engine legs (ungated/gated/batched)
+        // fall back to the survivors walk and the batched-vs-engine leg
         // and still come back green — and the planted fault must still
         // be caught on the poisoned path.
         for poison in [InputPoison::NegZero, InputPoison::NonFinite] {

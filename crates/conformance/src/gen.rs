@@ -72,8 +72,8 @@ pub enum InputPoison {
     NegZero,
     /// `input[0] = NaN`, `input[1] = +inf`: voids the dense-reference
     /// bit contract, so the executor drops the dense and simulator
-    /// legs and instead holds the engine paths (ungated, gated,
-    /// batched) bit-identical to each other.
+    /// legs and instead holds the engine to the scalar walk over its
+    /// survivors, and each batched column to its single-column run.
     NonFinite,
 }
 

@@ -12,7 +12,7 @@
 //!   coarse-pruning settings (block shapes, max/avg metric, densities
 //!   including the ~0% and 100% edges) and quantization widths.
 //! * [`diff`] — the differential executor: runs each case through the
-//!   Dense reference, the sparse engine (ungated, gated and batched),
+//!   Dense reference, the sparse engine (one column and batched),
 //!   and the simulator, asserting bit-identity where the
 //!   equivalence contract promises it and bounded error where it
 //!   doesn't (see `DESIGN.md` §9 for the contract table).
@@ -29,7 +29,7 @@
 //! * [`serve_check`] — the check on *served* outputs: one routine holds
 //!   every serving front's replies bit for bit to a direct lane forward
 //!   and, on finite probes, to the off-server dense oracle; it runs on
-//!   `cs-serve` workers under the Sparse and Gated backends, and the
+//!   `cs-serve` workers under the Sparse backend, and the
 //!   default Simulator backend must equal a direct `run_network` in
 //!   outputs, cycles and energy.
 //! * [`net_check`] — the network-path extension of the same contract:
@@ -95,13 +95,13 @@ pub enum Fault {
     ReverseAccumulation,
     /// Read every looked-up weight from slot `idx + 1 (mod len)` of its
     /// strip's codebook — what a lookup body that mis-based its table
-    /// would do. Only the ungated block-CSR leg runs it, and only nibble
-    /// strips (codebooks of at most 16 entries) look weights up.
+    /// would do. Only the single-column block-CSR leg runs it, and only
+    /// nibble strips (codebooks of at most 16 entries) look weights up.
     CodebookOffByOne,
     /// Look the second strip of every shared-run pair up in its
     /// partner's codebook — what a paired walk that handed both chunks
-    /// one lookup table would do. Only the ungated block-CSR leg runs
-    /// it, and only nibble strips look weights up.
+    /// one lookup table would do. Only the single-column block-CSR leg
+    /// runs it, and only nibble strips look weights up.
     PairCodebookSwap,
     /// Deliver two batch columns' results to each other: the batched
     /// kernel's output for column 0 lands in column 1's slot and vice

@@ -292,22 +292,23 @@ mod tests {
         // partner's codebook, and batch columns delivered to each
         // other's slot must each be detected, minimized to <= 2
         // layers, and reported with a replay command. Poison-input
-        // cases catch the planted kernels on the engine-vs-engine legs
-        // instead of the dense ones; the shrunk reproduction must fail
-        // the fault's dense leg (the first listed).
+        // cases catch the planted kernels on the survivors walk or the
+        // batched-vs-engine leg instead of the dense ones; the shrunk
+        // reproduction must fail the fault's dense leg (the first
+        // listed).
         let seed = 42u64;
         for (fault, legs) in [
             (
                 Fault::ReverseAccumulation,
-                ["fc-dense-vs-sparse-bits", "fc-gated-vs-engine-bits"],
+                ["fc-dense-vs-sparse-bits", "fc-sparse-vs-survivors-bits"],
             ),
             (
                 Fault::CodebookOffByOne,
-                ["fc-dense-vs-sparse-bits", "fc-gated-vs-engine-bits"],
+                ["fc-dense-vs-sparse-bits", "fc-sparse-vs-survivors-bits"],
             ),
             (
                 Fault::PairCodebookSwap,
-                ["fc-dense-vs-sparse-bits", "fc-gated-vs-engine-bits"],
+                ["fc-dense-vs-sparse-bits", "fc-sparse-vs-survivors-bits"],
             ),
             (
                 Fault::SwapBatchColumns,

@@ -20,8 +20,8 @@
 //!   lanes model none, which is why the server's snapshot keeps them out
 //!   of the hardware-side figures) and stamped with the front's node.
 //!
-//! [`check_serve`] runs the routine on in-process Sparse and Gated
-//! servers, then holds the default Simulator backend to a direct
+//! [`check_serve`] runs the routine on an in-process Sparse server (the
+//! engine lane, which always gates), then holds the default Simulator backend to a direct
 //! [`Accelerator::run_network`]: outputs bit for bit (NaN encodings
 //! identified), `cycles`, and `energy_pj` as the energy model prices the
 //! direct run's counters.
@@ -202,16 +202,13 @@ pub(crate) fn check_front<F: Front>(
     out
 }
 
-/// Serves the case's layers in process: the Sparse and Gated backends
-/// through `check_front`, then the Simulator backend against a direct
+/// Serves the case's layers in process: the Sparse backend through
+/// `check_front`, then the Simulator backend against a direct
 /// `run_network` (outputs, cycles and energy).
 pub fn check_serve(art: &FcArtifacts, probe_seed: u64) -> Vec<Mismatch> {
     let mut out = check_front(art, probe_seed, "serve-sparse", |m| {
         InProcess::start(m, ExecBackend::Sparse)
     });
-    out.extend(check_front(art, probe_seed, "serve-gated", |m| {
-        InProcess::start(m, ExecBackend::Gated)
-    }));
     let model = model_from(art);
     let mut server = match InProcess::start(&model, ExecBackend::Simulator) {
         Ok(s) => s,

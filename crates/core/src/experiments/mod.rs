@@ -44,7 +44,7 @@ pub enum ExperimentError {
     /// The compression pipeline, or a tensor op inside it, failed.
     Compress(CompressError),
     /// The activation-gated kernels changed this many output bits
-    /// against the ungated and dense references (must be 0).
+    /// against the dense reference (must be 0).
     GateMismatch(usize),
 }
 

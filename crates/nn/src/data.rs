@@ -141,7 +141,7 @@ pub fn sparse_activations(len: usize, zero_fraction: f64, seed: u64) -> Tensor {
 /// when it stays silent. Neurons whose drive cannot overcome the leak
 /// never fire, and firing neurons only cross threshold on a fraction of
 /// ticks, so low `drive` yields the naturally sparse activation frames
-/// the gated kernels exploit. Deterministic in `seed`.
+/// the activation gate exploits. Deterministic in `seed`.
 pub fn lif_spike_train(len: usize, steps: usize, drive: f64, seed: u64) -> Tensor {
     const LEAK: f32 = 0.2;
     const THRESHOLD: f32 = 1.0;

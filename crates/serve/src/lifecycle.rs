@@ -89,8 +89,7 @@ impl Drop for InflightGuard {
 }
 
 /// Per-layer telemetry handles an engine-backed lane records into: the
-/// kernel-time span plus the activation-gate block counters (no-op
-/// handles on ungated layers).
+/// kernel-time span plus the activation-gate block counters.
 pub(crate) struct LayerTelemetry {
     pub(crate) kernel_us: Histogram,
     pub(crate) gate_hits: Counter,
@@ -129,8 +128,8 @@ pub(crate) enum ModelExec {
     /// The shared-index bridge view, validated and compiled for the
     /// cycle-accurate simulator.
     Sim(CompiledNetwork),
-    /// Engine lane (sparse or gated kernels) with per-layer telemetry
-    /// handles.
+    /// Engine lane (sparse kernels behind the activation gate) with
+    /// per-layer telemetry handles.
     Lane(CompiledLane, Vec<LayerTelemetry>),
 }
 
@@ -664,11 +663,9 @@ impl LiveRegistry {
             ExecBackend::Simulator => {
                 ModelExec::Sim(ctx.accel.compile_network(model.shared_layers())?)
             }
-            backend => {
-                let lane = match backend {
-                    ExecBackend::Gated => model.gated_lane(),
-                    _ => model.sparse_lane(),
-                };
+            // `Sparse`, or its synonym.
+            _ => {
+                let lane = model.sparse_lane();
                 let telemetry = lane_telemetry(&model.name, &lane, ctx.recorder);
                 ModelExec::Lane(lane, telemetry)
             }
@@ -716,9 +713,6 @@ fn lane_telemetry(
                 ],
                 &bounds,
             );
-            // Gate counters exist only where a gate runs; ungated
-            // layers get no-op handles so the series never appear for
-            // them.
             let gate_counter = |outcome: &str| {
                 recorder.counter(
                     "serve_gate_blocks_total",
@@ -732,15 +726,10 @@ fn lane_telemetry(
                     ],
                 )
             };
-            let (gate_hits, gate_skips) = if layer.kernel.gated() {
-                (gate_counter("hit"), gate_counter("skip"))
-            } else {
-                (Counter::noop(), Counter::noop())
-            };
             LayerTelemetry {
                 kernel_us,
-                gate_hits,
-                gate_skips,
+                gate_hits: gate_counter("hit"),
+                gate_skips: gate_counter("skip"),
             }
         })
         .collect()

@@ -246,39 +246,29 @@ impl ServableModel {
     /// Lowers the model onto the specialized sparse engines: one
     /// [`FcKernel`] per layer — block-CSR for shared-index layers,
     /// branch-free fixed-fan-in kernels for the structured formats.
+    /// Every layer runs behind the activation gate: it counts its
+    /// bit-exact `+0.0` inputs and skips their weight rows when few
+    /// enough are active (see [`cs_compress::gate`]). Bit-identical to
+    /// [`ServableModel::dense_lane`] on finite inputs: a skipped term
+    /// contributes `+0.0 * w` to a `+0.0`-seeded accumulator.
     pub fn sparse_lane(&self) -> CompiledLane {
         let layers = self
             .layers
             .iter()
             .map(|(format, act)| LaneLayer {
                 name: format.name().to_string(),
-                kernel: LaneKernel::Sparse(FcKernel::compile(format), false),
+                kernel: LaneKernel::Sparse(FcKernel::compile(format)),
                 activation: *act,
             })
             .collect();
         CompiledLane { layers }
     }
 
-    /// [`ServableModel::sparse_lane`] behind the activation gate: every
-    /// layer prescans its input one bit per input and skips the weight
-    /// rows of inputs that are bit-exact `+0.0` when few enough are
-    /// active, walking every row otherwise (see [`cs_compress::gate`]).
-    /// The prescan is paid on every layer, so on dense inputs this lane
-    /// is slower than the sparse one. Outputs stay bit-identical to
-    /// [`ServableModel::sparse_lane`] on every input, and so to
-    /// [`ServableModel::dense_lane`] on finite ones: a skipped term
-    /// contributes `+0.0 * w` to a `+0.0`-seeded accumulator.
+    /// A synonym of [`ServableModel::sparse_lane`], kept for the
+    /// benchmark's system under test, which still names it: every
+    /// engine lane gates.
     pub fn gated_lane(&self) -> CompiledLane {
-        let layers = self
-            .layers
-            .iter()
-            .map(|(format, act)| LaneLayer {
-                name: format.name().to_string(),
-                kernel: LaneKernel::Sparse(FcKernel::compile(format), true),
-                activation: *act,
-            })
-            .collect();
-        CompiledLane { layers }
+        self.sparse_lane()
     }
 
     /// The dense reference twin of [`ServableModel::sparse_lane`]: each
@@ -306,35 +296,29 @@ impl ServableModel {
 #[derive(Debug, Clone)]
 pub enum LaneKernel {
     /// A sparse kernel over the surviving weights: block-CSR or the
-    /// structured kernel, per the layer's format. When the flag is set
-    /// it runs behind the prescan-and-skip gate, and every forward
-    /// reports how many inputs the gate found at `+0.0`.
-    Sparse(FcKernel, bool),
+    /// structured kernel, per the layer's format. It runs behind the
+    /// prescan-and-skip gate, and every forward reports how many inputs
+    /// the gate found at `+0.0`.
+    Sparse(FcKernel),
     /// Dense matmul over the decoded twin weights (`n_in × n_out`).
     Dense(Tensor),
 }
 
 impl LaneKernel {
-    /// The telemetry `kernel` label: `"sparse"`, `"two_four"` or
-    /// `"bank_balanced"` for ungated sparse kernels, `"gated"` for
-    /// gated kernels, `"dense"` for the twin.
+    /// The telemetry `kernel` label: the sparse kernel's own kind
+    /// (`"sparse"`, `"two_four"` or `"bank_balanced"`), `"dense"` for
+    /// the twin.
     pub fn kind(&self) -> &'static str {
         match self {
-            LaneKernel::Sparse(_, true) => "gated",
-            LaneKernel::Sparse(kernel, false) => kernel.kind(),
+            LaneKernel::Sparse(kernel) => kernel.kind(),
             LaneKernel::Dense(_) => "dense",
         }
-    }
-
-    /// Whether the layer runs behind the activation gate.
-    pub(crate) fn gated(&self) -> bool {
-        matches!(self, LaneKernel::Sparse(_, true))
     }
 
     /// Input width of the layer.
     pub(crate) fn n_in(&self) -> usize {
         match self {
-            LaneKernel::Sparse(kernel, _) => kernel.n_in(),
+            LaneKernel::Sparse(kernel) => kernel.n_in(),
             LaneKernel::Dense(weights) => weights.shape().dim(0),
         }
     }
@@ -342,7 +326,7 @@ impl LaneKernel {
     /// Output width of the layer.
     pub(crate) fn n_out(&self) -> usize {
         match self {
-            LaneKernel::Sparse(kernel, _) => kernel.n_out(),
+            LaneKernel::Sparse(kernel) => kernel.n_out(),
             LaneKernel::Dense(weights) => weights.shape().dim(1),
         }
     }
@@ -357,8 +341,8 @@ impl LaneKernel {
         self.forward_counted(input).map(|(out, _)| out)
     }
 
-    /// [`Self::forward`] plus the gate occupancy stats when this layer
-    /// is gated (`None` for ungated kernels).
+    /// [`Self::forward`] plus the gate occupancy stats of a sparse
+    /// kernel (`None` for the dense twin, which runs no gate).
     ///
     /// # Errors
     ///
@@ -378,8 +362,8 @@ impl LaneKernel {
     /// Runs the kernel over a whole batch: `inputs` holds `B` input
     /// vectors back to back, `outs` receives `B × n_out`
     /// pre-activation outputs. Returns one [`GateStats`] per column on
-    /// gated layers and an empty slice otherwise; worker lanes feed
-    /// them to the `serve_gate_blocks_total` hit/skip counters.
+    /// sparse kernels and an empty slice on the dense twin; worker lanes
+    /// feed them to the `serve_gate_blocks_total` hit/skip counters.
     ///
     /// # Errors
     ///
@@ -391,9 +375,7 @@ impl LaneKernel {
         scratch: &'s mut BatchScratch,
     ) -> Result<&'s [GateStats], ServeError> {
         match self {
-            LaneKernel::Sparse(kernel, gated) => {
-                Ok(kernel.forward_batch(inputs, outs, scratch, *gated))
-            }
+            LaneKernel::Sparse(kernel) => Ok(kernel.forward_batch(inputs, outs, scratch)),
             LaneKernel::Dense(weights) => {
                 // `ops::matmul` computes each row on its own, so the
                 // batched product is the per-request one row by row.
@@ -471,7 +453,8 @@ impl LaneArena {
 pub(crate) trait KernelObserver {
     /// Layer `layer`'s kernel is about to run over the batch.
     fn kernel_start(&mut self, layer: usize);
-    /// It returned, with one [`GateStats`] per column if it was gated.
+    /// It returned, with one [`GateStats`] per column of a sparse
+    /// kernel.
     fn kernel_end(&mut self, layer: usize, gate: &[GateStats]);
 }
 
@@ -709,7 +692,7 @@ mod tests {
     fn lanes_reject_a_wrong_width_input_with_a_typed_error() {
         let m = ServableModel::mlp(Scale::Reduced(8), 7).unwrap();
         let n = m.n_in;
-        for lane in [m.sparse_lane(), m.gated_lane(), m.dense_lane()] {
+        for lane in [m.sparse_lane(), m.dense_lane()] {
             let kind = lane.layers[0].kernel.kind();
             for width in [n - 1, n + 1, 2 * n] {
                 let input = vec![0.5f32; width];

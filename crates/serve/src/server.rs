@@ -74,16 +74,17 @@ pub enum ExecBackend {
     /// Cycle-accurate accelerator simulator (cycles + energy modeled).
     #[default]
     Simulator,
-    /// Compiled block-CSR sparse engine (host-native kernels).
-    Sparse,
-    /// The sparse engine behind the activation gate: every input is
-    /// prescanned one bit per input, and the weight rows of bit-exact
-    /// `+0.0` inputs are skipped when few enough inputs are active.
-    /// Bit-identical to [`ExecBackend::Sparse`] on every input, and so
-    /// to the dense twin ([`ServableModel::dense_lane`], the off-server
-    /// oracle) on finite ones; additionally reports per-layer hit/skip
-    /// input counts through the
+    /// Compiled sparse engine (host-native kernels) behind the
+    /// activation gate: each layer counts its bit-exact `+0.0` inputs,
+    /// skips their weight rows when few enough inputs are active, and
+    /// reports per-layer hit/skip input counts through the
     /// `serve_gate_blocks_total{model, layer, outcome}` counters.
+    /// Bit-identical to the dense twin ([`ServableModel::dense_lane`],
+    /// the off-server oracle) on finite inputs.
+    Sparse,
+    /// A synonym of [`ExecBackend::Sparse`], kept for the benchmark's
+    /// system under test, which still names it: every engine lane
+    /// gates.
     Gated,
 }
 
@@ -1486,64 +1487,69 @@ mod tests {
 
     #[test]
     fn engine_lanes_serve_bit_identical_outputs_across_backends() {
-        let (_, model) = mlp_registry();
+        let (reg, model) = mlp_registry();
         let inputs: Vec<Vec<f32>> = (0..4).map(|i| input_for(&model, i)).collect();
-        let run = |backend: ExecBackend| {
-            let (reg, _) = mlp_registry();
-            let cfg = ServeConfig {
-                backend,
-                workers: 1,
-                ..ServeConfig::default()
-            };
-            let server = Server::start(reg, cfg).expect("start");
-            let outs: Vec<Vec<f32>> = inputs
-                .iter()
-                .map(|input| {
-                    let resp = server
-                        .infer(InferRequest::new("mlp", input.clone()))
-                        .expect("infer");
-                    // Engine lanes run real kernels; there is no
-                    // simulated hardware cost to report.
-                    assert_eq!(resp.cycles, 0);
-                    assert_eq!(resp.energy_pj, 0.0);
-                    resp.outputs
-                })
-                .collect();
-            server.shutdown();
-            outs
+        let cfg = ServeConfig {
+            backend: ExecBackend::Sparse,
+            workers: 1,
+            ..ServeConfig::default()
         };
-        let sparse = run(ExecBackend::Sparse);
-        let gated = run(ExecBackend::Gated);
-        // The oracle is the dense twin run off the server.
-        let oracle = model.dense_lane();
-        let dense: Vec<Vec<f32>> = inputs
-            .iter()
-            .map(|x| oracle.forward(x).expect("dense forward"))
-            .collect();
-        let bits = |outs: &[Vec<f32>]| {
-            outs.iter()
-                .flatten()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&sparse), bits(&dense));
-        assert_eq!(bits(&gated), bits(&dense));
-        // And both match direct lane execution outside the server.
-        let direct = model.sparse_lane().forward(&inputs[0]).expect("forward");
-        assert_eq!(bits(&sparse[..1]), bits(std::slice::from_ref(&direct)));
+        let server = Server::start(reg, cfg).expect("start");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The oracle is the dense twin run off the server; the direct
+        // lane is the same engine called outside it.
+        let (oracle, direct) = (model.dense_lane(), model.sparse_lane());
+        for input in &inputs {
+            let resp = server
+                .infer(InferRequest::new("mlp", input.clone()))
+                .expect("infer");
+            // Engine lanes run real kernels; there is no simulated
+            // hardware cost to report.
+            assert_eq!(resp.cycles, 0);
+            assert_eq!(resp.energy_pj, 0.0);
+            let dense = oracle.forward(input).expect("dense forward");
+            assert_eq!(bits(&resp.outputs), bits(&dense));
+            let lane = direct.forward(input).expect("forward");
+            assert_eq!(bits(&resp.outputs), bits(&lane));
+        }
+        server.shutdown();
     }
 
-    #[test]
-    fn gated_backend_counts_gate_blocks_and_matches_dense_on_spikes() {
-        use crate::clock::ManualClock;
+    /// Serves `frames` on `backend` with one worker and its own
+    /// registry: the replies, and the registry the lane recorded into.
+    fn serve_frames(
+        model: &ServableModel,
+        backend: ExecBackend,
+        frames: &[Vec<f32>],
+    ) -> (Vec<Vec<f32>>, Arc<cs_telemetry::Registry>) {
+        let mut reg = ModelRegistry::new();
+        reg.register(model.clone()).expect("register");
+        let registry = Arc::new(cs_telemetry::Registry::new());
+        let clock = Arc::new(crate::clock::ManualClock::new(0));
+        let cfg = ServeConfig {
+            backend,
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
+        let replies = frames
+            .iter()
+            .map(|frame| {
+                server
+                    .infer(InferRequest::new(&model.name, frame.clone()))
+                    .expect("infer")
+                    .outputs
+            })
+            .collect();
+        server.shutdown();
+        (replies, registry)
+    }
+
+    /// LIF frames (exact zeros between spike amplitudes) of the model's
+    /// width, the second poisoned with `-0.0` and the third with NaN
+    /// and inf so the never-skip rule runs end to end.
+    fn spike_frames(model: &ServableModel) -> Vec<Vec<f32>> {
         use cs_nn::data::lif_spike_train;
-        use cs_nn::spec::Scale;
-        use cs_telemetry::Registry;
-        let model = ServableModel::mlp(Scale::Reduced(2), 7).expect("model");
-        let name = model.name.clone();
-        assert_eq!(name, "mlp");
-        // LIF frames mix exact zeros with spike amplitudes; poison a few
-        // positions so the never-skip rule is exercised end to end.
         let mut frames: Vec<Vec<f32>> = (0..3)
             .map(|i| {
                 lif_spike_train(model.n_in, 20, 0.25, 11 + i)
@@ -1554,177 +1560,197 @@ mod tests {
         frames[1][0] = -0.0;
         frames[2][0] = f32::NAN;
         frames[2][1] = f32::INFINITY;
-        let mut reg = ModelRegistry::new();
-        reg.register(model.clone()).expect("register");
-        let registry = Arc::new(Registry::new());
-        let clock = Arc::new(ManualClock::new(0));
-        let cfg = ServeConfig {
-            backend: ExecBackend::Gated,
-            workers: 1,
-            ..ServeConfig::default()
-        };
-        let server = Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
-        let sparse = model.sparse_lane();
-        let dense = model.dense_lane();
-        for (i, frame) in frames.iter().enumerate() {
-            let resp = server
-                .infer(InferRequest::new(&name, frame.clone()))
-                .expect("infer");
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            // The gate never changes what the sparse engine computes.
-            let want = sparse.forward(frame).expect("sparse forward");
-            assert_eq!(bits(&resp.outputs), bits(&want), "frame {i} vs sparse");
+        frames
+    }
+
+    #[test]
+    fn sparse_backend_gates_spike_frames_and_matches_the_dense_oracle() {
+        let model = ServableModel::mlp(Scale::Reduced(2), 7).expect("model");
+        let name = model.name.clone();
+        let frames = spike_frames(&model);
+        let (replies, registry) = serve_frames(&model, ExecBackend::Sparse, &frames);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (dense, direct) = (model.dense_lane(), model.sparse_lane());
+        for (i, (frame, reply)) in frames.iter().zip(&replies).enumerate() {
             if frame.iter().all(|v| v.is_finite()) {
                 // On finite inputs (exact zeros and -0.0 included) the
-                // dense twin agrees bit-for-bit too. NaN/inf frames are
-                // excluded by contract: the dense twin propagates
-                // poison through pruned positions (NaN * 0.0 = NaN) the
-                // sparse kernels never touch.
+                // off-server dense twin agrees bit for bit. NaN/inf
+                // frames are excluded by contract: the dense twin
+                // propagates poison through pruned positions (NaN * 0.0
+                // = NaN) the sparse kernels never touch.
                 let want = dense.forward(frame).expect("dense forward");
-                assert_eq!(bits(&resp.outputs), bits(&want), "frame {i} vs dense");
+                assert_eq!(bits(reply), bits(&want), "frame {i} vs dense");
             }
+            let want = direct.forward(frame).expect("sparse forward");
+            assert_eq!(bits(reply), bits(&want), "frame {i} vs the direct lane");
         }
-        server.shutdown();
-        // The gated backend registers hit/skip counters per gated layer
-        // and the first layer must have skipped blocks on LIF frames.
-        let gated_lane = model.gated_lane();
-        let gated_layers: Vec<&str> = gated_lane
-            .layers
-            .iter()
-            .filter(|l| l.kernel.kind() == "gated")
-            .map(|l| l.name.as_str())
-            .collect();
-        assert!(
-            !gated_layers.is_empty(),
-            "the gated lane gated no layer of the MLP"
-        );
+        // Every layer of the lane registers hit/skip counters and spans
+        // under its kernel's own kind, and the spike frames skip inputs.
         let mut total_skips = 0;
-        for layer in &gated_layers {
-            let hits = registry
-                .find_counter(
-                    "serve_gate_blocks_total",
-                    &[("model", &name), ("layer", layer), ("outcome", "hit")],
+        for layer in &direct.layers {
+            let counter = |outcome: &str| {
+                registry
+                    .find_counter(
+                        "serve_gate_blocks_total",
+                        &[
+                            ("model", &name),
+                            ("layer", &layer.name),
+                            ("outcome", outcome),
+                        ],
+                    )
+                    .unwrap_or_else(|| panic!("{outcome} counter of {}", layer.name))
+                    .get()
+            };
+            assert!(
+                counter("hit") > 0,
+                "layer {} saw no active input",
+                layer.name
+            );
+            total_skips += counter("skip");
+            assert_eq!(layer.kernel.kind(), "sparse");
+            let h = registry
+                .find_histogram(
+                    "serve_layer_kernel_us",
+                    &[
+                        ("model", &name),
+                        ("layer", &layer.name),
+                        ("kernel", "sparse"),
+                    ],
                 )
-                .expect("hit counter registered");
-            let skips = registry
-                .find_counter(
-                    "serve_gate_blocks_total",
-                    &[("model", &name), ("layer", layer), ("outcome", "skip")],
-                )
-                .expect("skip counter registered");
-            assert!(hits.get() > 0, "layer {layer} saw no active input");
-            total_skips += skips.get();
+                .expect("per-layer histogram registered");
+            assert_eq!(h.count(), frames.len() as u64);
         }
         assert!(total_skips > 0, "LIF frames produced no skipped inputs");
-        // Histogram spans carry the gated kernel label.
-        let h = registry
-            .find_histogram(
-                "serve_layer_kernel_us",
-                &[
-                    ("model", &name),
-                    ("layer", gated_layers[0]),
-                    ("kernel", "gated"),
-                ],
-            )
-            .expect("gated per-layer histogram registered");
-        assert_eq!(h.count(), frames.len() as u64);
+    }
+
+    #[test]
+    fn gated_builds_the_same_lane_as_sparse() {
+        let model = ServableModel::mlp(Scale::Reduced(2), 7).expect("model");
+        let lane = |l: &crate::model::CompiledLane| -> Vec<(String, &'static str)> {
+            l.layers
+                .iter()
+                .map(|layer| (layer.name.clone(), layer.kernel.kind()))
+                .collect()
+        };
+        assert_eq!(lane(&model.gated_lane()), lane(&model.sparse_lane()));
+        let frames = spike_frames(&model);
+        let (sparse, sparse_reg) = serve_frames(&model, ExecBackend::Sparse, &frames);
+        let (gated, gated_reg) = serve_frames(&model, ExecBackend::Gated, &frames);
+        let bits = |outs: &[Vec<f32>]| {
+            outs.iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&gated), bits(&sparse));
+        // The same series, with the same counts.
+        for layer in &model.sparse_lane().layers {
+            let labels = [("model", "mlp"), ("layer", layer.name.as_str())];
+            for outcome in ["hit", "skip"] {
+                let count = |reg: &cs_telemetry::Registry| {
+                    let with = [labels[0], labels[1], ("outcome", outcome)];
+                    reg.find_counter("serve_gate_blocks_total", &with)
+                        .map(|c| c.get())
+                };
+                assert!(count(&sparse_reg).is_some());
+                assert_eq!(count(&gated_reg), count(&sparse_reg), "{}", layer.name);
+            }
+            let with = [labels[0], labels[1], ("kernel", layer.kernel.kind())];
+            let spans = |reg: &cs_telemetry::Registry| {
+                reg.find_histogram("serve_layer_kernel_us", &with)
+                    .map(|h| h.count())
+            };
+            assert_eq!(spans(&gated_reg), spans(&sparse_reg), "{}", layer.name);
+            assert_eq!(spans(&sparse_reg), Some(frames.len() as u64));
+        }
     }
 
     #[test]
     fn a_closed_batch_of_eight_serves_each_request_its_dense_bits() {
         use cs_nn::data::lif_spike_train;
         use cs_telemetry::Registry;
-        for backend in [ExecBackend::Sparse, ExecBackend::Gated] {
-            let model = ServableModel::mlp(Scale::Reduced(2), 7).expect("model");
-            let name = model.name.clone();
-            let mut reg = ModelRegistry::new();
-            reg.register(model.clone()).expect("register");
-            let registry = Arc::new(Registry::new());
-            let cfg = ServeConfig {
-                backend,
-                workers: 1,
-                max_batch: 8,
-                ..ServeConfig::default()
-            };
-            let clock = Arc::new(MonotonicClock::new());
-            let server =
-                Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
-            // The worker takes only once all eight are queued.
-            server.queue.hold(true);
-            // Eight distinct requests: spike frames (blocks to skip)
-            // riding with dense-ish vectors (nothing to skip).
-            let inputs: Vec<Vec<f32>> = (0..8u32)
-                .map(|i| match i % 2 {
-                    0 => lif_spike_train(model.n_in, 20, 0.25, 40 + u64::from(i))
-                        .as_slice()
-                        .to_vec(),
-                    _ => input_for(&model, i),
-                })
-                .collect();
-            let tickets: Vec<Ticket> = inputs
-                .iter()
-                .map(|x| {
-                    server
-                        .submit(InferRequest::new(&name, x.clone()))
-                        .expect("submit")
-                })
-                .collect();
-            server.queue.hold(false);
-            let dense = model.dense_lane();
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for (x, ticket) in inputs.iter().zip(tickets) {
-                let resp = ticket.wait().expect("reply");
-                assert_eq!(resp.batch_size, 8, "{backend:?}");
-                let want = dense.forward(x).expect("dense forward");
-                assert_eq!(bits(&resp.outputs), bits(&want), "{backend:?}");
+        let model = ServableModel::mlp(Scale::Reduced(2), 7).expect("model");
+        let name = model.name.clone();
+        let mut reg = ModelRegistry::new();
+        reg.register(model.clone()).expect("register");
+        let registry = Arc::new(Registry::new());
+        let cfg = ServeConfig {
+            backend: ExecBackend::Sparse,
+            workers: 1,
+            max_batch: 8,
+            ..ServeConfig::default()
+        };
+        let clock = Arc::new(MonotonicClock::new());
+        let server = Server::start_with_recorder(reg, cfg, clock, registry.clone()).expect("start");
+        // The worker takes only once all eight are queued.
+        server.queue.hold(true);
+        // Eight distinct requests: spike frames (blocks to skip)
+        // riding with dense-ish vectors (nothing to skip).
+        let inputs: Vec<Vec<f32>> = (0..8u32)
+            .map(|i| match i % 2 {
+                0 => lif_spike_train(model.n_in, 20, 0.25, 40 + u64::from(i))
+                    .as_slice()
+                    .to_vec(),
+                _ => input_for(&model, i),
+            })
+            .collect();
+        let tickets: Vec<Ticket> = inputs
+            .iter()
+            .map(|x| {
+                server
+                    .submit(InferRequest::new(&name, x.clone()))
+                    .expect("submit")
+            })
+            .collect();
+        server.queue.hold(false);
+        let dense = model.dense_lane();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (x, ticket) in inputs.iter().zip(tickets) {
+            let resp = ticket.wait().expect("reply");
+            assert_eq!(resp.batch_size, 8);
+            let want = dense.forward(x).expect("dense forward");
+            assert_eq!(bits(&resp.outputs), bits(&want));
+        }
+        server.shutdown();
+        // One kernel span per (batch, layer), and gate counters that
+        // equal the per-request sums.
+        let mut layer_inputs = inputs.clone();
+        for layer in &model.sparse_lane().layers {
+            let h = registry
+                .find_histogram(
+                    "serve_layer_kernel_us",
+                    &[
+                        ("model", &name),
+                        ("layer", &layer.name),
+                        ("kernel", layer.kernel.kind()),
+                    ],
+                )
+                .expect("per-layer histogram registered");
+            assert_eq!(h.count(), 1, "layer {}", layer.name);
+            let mut want = cs_compress::gate::GateStats::default();
+            for x in &mut layer_inputs {
+                let (mut out, stats) = layer.kernel.forward_counted(x).expect("forward");
+                want.merge(stats.expect("a sparse kernel counts its inputs"));
+                for v in &mut out {
+                    *v = layer.activation.apply(*v);
+                }
+                *x = out;
             }
-            server.shutdown();
-            // One kernel span per (batch, layer), and gate counters that
-            // equal the per-request sums.
-            let lane = match backend {
-                ExecBackend::Gated => model.gated_lane(),
-                _ => model.sparse_lane(),
-            };
-            let mut layer_inputs = inputs.clone();
-            for layer in &lane.layers {
-                let h = registry
-                    .find_histogram(
-                        "serve_layer_kernel_us",
+            let counted = |outcome: &str| {
+                registry
+                    .find_counter(
+                        "serve_gate_blocks_total",
                         &[
                             ("model", &name),
                             ("layer", &layer.name),
-                            ("kernel", layer.kernel.kind()),
+                            ("outcome", outcome),
                         ],
                     )
-                    .expect("per-layer histogram registered");
-                assert_eq!(h.count(), 1, "{backend:?} layer {}", layer.name);
-                let mut want = cs_compress::gate::GateStats::default();
-                for x in &mut layer_inputs {
-                    let (mut out, stats) = layer.kernel.forward_counted(x).expect("forward");
-                    want.merge(stats.unwrap_or_default());
-                    for v in &mut out {
-                        *v = layer.activation.apply(*v);
-                    }
-                    *x = out;
-                }
-                let counted = |outcome: &str| {
-                    registry
-                        .find_counter(
-                            "serve_gate_blocks_total",
-                            &[
-                                ("model", &name),
-                                ("layer", &layer.name),
-                                ("outcome", outcome),
-                            ],
-                        )
-                        .map_or(0, |c| c.get())
-                };
-                assert_eq!(counted("hit"), want.occupied_blocks() as u64, "{backend:?}");
-                assert_eq!(counted("skip"), want.zero_blocks as u64, "{backend:?}");
-                if backend == ExecBackend::Gated && layer.kernel.kind() == "gated" {
-                    assert!(want.blocks > 0);
-                }
-            }
+                    .map_or(0, |c| c.get())
+            };
+            assert_eq!(counted("hit"), want.occupied_blocks() as u64);
+            assert_eq!(counted("skip"), want.zero_blocks as u64);
+            assert_eq!(want.blocks, 8 * layer.kernel.n_in());
         }
     }
 

@@ -597,7 +597,7 @@ mod tests {
 
     #[test]
     fn zero_cycle_engine_completions_stay_out_of_hw_accounting() {
-        // Regression: engine-lane requests (ExecBackend::Sparse/Gated)
+        // Regression: engine-lane requests (ExecBackend::Sparse)
         // complete with cycles == 0. They used to be counted in the
         // cycles_per_req / hw_rps denominators, diluting the hardware
         // throughput figures whenever engine and simulator traffic

@@ -12,8 +12,7 @@
 //!   on the version it was admitted against, and only then is the
 //!   victim's memory considered reclaimed.
 //! * An evicted version re-loaded from a registry artifact serves
-//!   bit-identical outputs to its pre-evict self, on the Sparse and
-//!   Gated lanes alike.
+//!   bit-identical outputs to its pre-evict self on the engine lane.
 //! * A malformed artifact fails its load with a typed error, not its
 //!   requests: the resident versions keep answering.
 
@@ -119,13 +118,15 @@ fn infeasible_load_is_rejected_before_touching_residency() {
     server.shutdown();
 }
 
-/// The drain-correctness core, parameterized over the execution lane:
-/// admit a request against v1, then — while its in-flight guard pins
-/// v1 — promote v2 and load a second model so the budget evicts v1.
-/// The pre-evict request must complete bit-identically to a reference
-/// run of v1, and re-loading v1 from its encoded registry artifact
-/// must serve bit-identical outputs again.
-fn evict_under_load_completes_and_reloads(backend: ExecBackend) {
+/// The drain-correctness core, on the engine lane: admit a request
+/// against v1, then — while its in-flight guard pins v1 — promote v2
+/// and load a second model so the budget evicts v1. The pre-evict
+/// request must complete bit-identically to a reference run of v1, and
+/// re-loading v1 from its encoded registry artifact must serve
+/// bit-identical outputs again.
+#[test]
+fn evict_under_load_completes_bit_identically_on_the_sparse_lane() {
+    let backend = ExecBackend::Sparse;
     let v1 = model("m", 6, 11);
     let one = resident_bytes(&v1);
     let input = input_for(&v1, 5);
@@ -241,16 +242,6 @@ fn evict_under_load_completes_and_reloads(backend: ExecBackend) {
         }
         Err(_) => panic!("loader thread still holds the server"),
     }
-}
-
-#[test]
-fn evict_under_load_completes_bit_identically_on_the_sparse_lane() {
-    evict_under_load_completes_and_reloads(ExecBackend::Sparse);
-}
-
-#[test]
-fn evict_under_load_completes_bit_identically_on_the_gated_lane() {
-    evict_under_load_completes_and_reloads(ExecBackend::Gated);
 }
 
 #[test]
